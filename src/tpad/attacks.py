@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
-from .chip import AttackEffect, OutputReceiver, ProtectedChip, StimulusEncoder
+from .chip import HISTORY_DEPTH, AttackEffect, OutputReceiver, ProtectedChip, StimulusEncoder
 from .netlist import Netlist
 from .parity import ParityCheckMatrix
-
-Rng = Union[int, random.Random, None]
+from .rng import Rng, as_rng
 
 ATTACK_KINDS = (
     "pin",
@@ -33,10 +32,6 @@ ATTACK_KINDS = (
     "decoupling_parity_null",
     "decoupling_fft_zero",
 )
-
-
-def _as_rng(seed: Rng) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
 @dataclass(frozen=True)
@@ -109,20 +104,37 @@ def format_attack_line(atk: AttackDescriptor) -> str:
     return f"{atk.kind} {atk.payload} target={atk.target} trigger={trig}"
 
 
+def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
+    """text as an integer in [lo, hi], else a ValueError that names `what`."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not lo <= value <= hi:
+        raise ValueError(f"{what}: expected an integer in [{lo}, {hi}], got {text!r}")
+    return value
+
+
 def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
-    """Resolve a descriptor's symbolic target onto the chip's wires."""
+    """Resolve a descriptor's symbolic target onto the chip's wires.
+
+    Pin and output indices are range-checked against the chip, and a replay
+    depth against the history the chip keeps, so a bad target fails here
+    with a ValueError that names it rather than mid-simulation.
+    """
     kind, target, payload = atk.kind, atk.target, atk.payload
     eff = AttackEffect(kind=kind, trigger=atk.trigger, descriptor=atk)
     mode = payload if payload in ("flip", "stuck0", "stuck1") else "flip"
 
-    def idx(prefix: str) -> int:
-        return int(target.split(":", 1)[1])
+    def idx(size: int) -> int:
+        return _bounded_int(target.split(":", 1)[1], 0, size - 1, f"target {target!r}")
 
     if kind == "decoupling_parity_null":
         return eff
     if kind == "decoupling_stored_state":
         if payload.startswith("replay:"):
-            eff.replay_depth = int(payload.split(":", 1)[1])
+            eff.replay_depth = _bounded_int(payload.split(":", 1)[1], 1, HISTORY_DEPTH,
+                                            f"replay depth of {payload!r}")
         else:
             eff.replay_depth = 1
         return eff
@@ -130,13 +142,13 @@ def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
         raise ValueError("fft reference zeroing applies to the FFT engine, not a chip")
 
     if target.startswith("input:"):
-        eff.input_flips = (idx("input"),)
+        eff.input_flips = (idx(len(chip.f.inputs)),)
     elif target.startswith("recv_check:"):
-        eff.recv_flips = (idx("recv_check"),)
+        eff.recv_flips = (idx(chip.r),)
     elif target.startswith("output:"):
-        eff.output_flips = (idx("output"),)
+        eff.output_flips = (idx(len(chip.f.outputs)),)
     elif target.startswith("fout:"):
-        eff.f_overrides = {chip.f.outputs[idx("fout")]: mode}
+        eff.f_overrides = {chip.f.outputs[idx(len(chip.f.outputs))]: mode}
     elif target.startswith("fgate:"):
         eff.f_overrides = {chip.f.wire(target.split(":", 1)[1]): mode}
     elif target.startswith("dgate:"):
@@ -259,9 +271,8 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
         w = rng.randint(1, max(1, min(cap, m)))
         pins = tuple(rng.sample(range(m), w))
         return AttackEffect(kind="pin", trigger=trigger, input_flips=pins, descriptor=atk)
-    eff = compile_attack(chip, atk)
-    eff.trigger = trigger
-    return eff
+    # compile with the drawn cycle, so a reliability attack stays permanent
+    return compile_attack(chip, replace(atk, trigger=trigger))
 
 
 def run_campaign(
@@ -281,7 +292,7 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = _as_rng(rng_seed)
+    rng = as_rng(rng_seed)
     detected = 0
     false_positives = 0
     by_kind: dict[str, list[int]] = {}
@@ -434,7 +445,7 @@ def subcircuit_match_attack(
     import networkx as nx
     from .netlist import eval_wires, input_patterns
 
-    rng = _as_rng(rng_seed)
+    rng = as_rng(rng_seed)
     g_ocp = _as_digraph(ocp)
     by_out_f = {g.out: g for g in f.gates}
     success = 0
@@ -547,7 +558,7 @@ def destructive_detection_probability(n: int, a: int, t: int) -> float:
 
 def simulate_destructive_sampling(n: int, a: int, t: int, trials: int, rng_seed: Rng = None) -> float:
     """Monte Carlo oracle: draw t of n without replacement, count hits."""
-    rng = _as_rng(rng_seed)
+    rng = as_rng(rng_seed)
     hits = 0
     population = list(range(n))
     for _ in range(trials):

@@ -46,6 +46,7 @@ from .parity import (
     sample_parity_code,
 )
 from .ram import ProtectedRam, RamCycleResult
+from .rng import Rng, as_rng
 from .switchbox import (
     ObfuscatedNetlist,
     apply_config,
@@ -56,11 +57,8 @@ from .switchbox import (
     serialize_obfuscated,
 )
 
-Rng = Union[int, random.Random, None]
-
-
-def _as_rng(seed: Rng) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
+# cycles of inputs and chain state a chip keeps for stored-state replay
+HISTORY_DEPTH = 4096
 
 
 # -- stateless coding steps ------------------------------------------------------
@@ -312,7 +310,7 @@ class ProtectedChip:
         The harness is trusted to hand the same initial values to whoever
         encodes this chip's input stream and decodes its output stream.
         """
-        rng = _as_rng(session_seed)
+        rng = as_rng(session_seed)
         r = self.r
         self.prev_in_check: Bits = tuple(rng.getrandbits(1) for _ in range(r))
         self.prev_out_checks: list[Bits] = [
@@ -326,7 +324,7 @@ class ProtectedChip:
         self.f_state: Bits = (0,) * self.f.state_width
         self.cycle_count = 0
         self._trigger_rng = random.Random(rng.getrandbits(64))
-        self._history: deque = deque(maxlen=4096)
+        self._history: deque = deque(maxlen=HISTORY_DEPTH)
         self._last_tx_checks: list[Bits] = list(self.prev_out_checks)
         for a in self.attacks:
             a.captured_state = None
@@ -475,7 +473,7 @@ def build_protected_chip(
     if lfsr_spec.r != r:
         raise ValueError("LFSR tap subset width must equal r")
     options = options or ChipOptions()
-    rng = _as_rng(rng_seed)
+    rng = as_rng(rng_seed)
     m, k = len(f.inputs), len(f.outputs)
 
     h_logic = sample_parity_code(k, r, rng.getrandbits(64))
@@ -593,11 +591,26 @@ def save_chip_bundle(chip: ProtectedChip, path: Union[str, Path]) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+_MANIFEST_KEYS = ("files", "t", "pipeline_stages", "ram_depth", "ram_word_width", "output_subsets")
+_BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
+                 "logic.code", "input.code", "lfsr.spec")
+
+
 def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
+    """Read a bundle back; a manifest missing a key or a file raises ValueError."""
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
-    if manifest.get("format") != "tpad-chip/1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "tpad-chip/1":
         raise ValueError("not a chip bundle")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"bundle manifest lacks key(s): {', '.join(missing)}")
+    required = [*_BUNDLE_FILES, *(f"output{i}.code" for i in range(len(manifest["output_subsets"])))]
+    if manifest["ram_depth"]:
+        required.append("ram.code")
+    missing = [name for name in required if name not in manifest["files"]]
+    if missing:
+        raise ValueError(f"bundle manifest lists no file(s): {', '.join(missing)}")
     texts: dict[str, str] = {}
     for name, digest in manifest["files"].items():
         text = (root / name).read_text()

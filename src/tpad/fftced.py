@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-Rng = Union[int, random.Random, None]
+from .rng import Rng, as_rng
 
 HALF = np.float16
 _CHECK = np.complex64  # checker accumulates one precision wider
@@ -176,7 +176,7 @@ def make_reference(n: int, rng_seed: Rng = None, scale: float = 0.25,
     reference entries are forbidden).
     """
     _require_power_of_two(n)
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
     while True:
         if periodic:
@@ -278,7 +278,7 @@ def calibrate_threshold(
         raise FftError("calibration needs at least 100 trials")
     if margin < 1:
         raise FftError("margin must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     ref_bits = rng.getrandbits(64)  # consumed either way, keeping the input
     if ref is None:                 # stream identical for a supplied reference
         ref = make_reference(n, ref_bits)
@@ -349,7 +349,7 @@ def reference_selftest(engine: FftCedEngine, non_pair: tuple[np.ndarray, np.ndar
     scale = float(np.max(np.abs(true_ft))) or 1.0
     if np.max(np.abs(true_ft - to_complex(bigy16))) <= 0.01 * scale:
         raise NonPairRequiredError("selftest needs a pair that is not a transform pair")
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
     saved = engine.ref
     try:
@@ -411,7 +411,7 @@ def fft_attack_campaign(
     run of the same probes must stay silent; violations count as false
     positives.
     """
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
     detected = 0
     false_positives = 0

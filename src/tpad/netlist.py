@@ -75,6 +75,47 @@ class Gate:
     kind: str
     ins: tuple[int, ...]
 
+    @property
+    def outs(self) -> tuple[int]:
+        return (self.out,)
+
+
+def topo_order(nodes: Sequence, cycle_error: Callable) -> list:
+    """Evaluation order of nodes with `kind`, `ins` and `outs` (wire ids).
+
+    DFFs cut the graph: they are left out of the order, and the wires they
+    drive count as sources. A combinational cycle raises cycle_error(node)
+    for a node on it.
+    """
+    driver = {w: i for i, n in enumerate(nodes) for w in n.outs}
+    cut = [n.kind == "DFF" for n in nodes]
+    state = [0] * len(nodes)  # 0 unseen, 1 visiting, 2 done
+    order = []
+    for root in range(len(nodes)):
+        if cut[root] or state[root]:
+            continue
+        stack = [(root, 0)]
+        state[root] = 1
+        while stack:
+            i, idx = stack.pop()
+            ins = nodes[i].ins
+            while idx < len(ins):
+                d = driver.get(ins[idx])
+                idx += 1
+                if d is None or cut[d]:
+                    continue
+                if state[d] == 1:
+                    raise cycle_error(nodes[d])
+                if not state[d]:
+                    stack.append((i, idx))
+                    stack.append((d, 0))
+                    state[d] = 1
+                    break
+            else:
+                state[i] = 2
+                order.append(nodes[i])
+    return order
+
 
 class Netlist:
     """Immutable single-driver gate graph with ordered input/output ports."""
@@ -127,45 +168,8 @@ class Netlist:
 
     def _topo_sort(self) -> tuple[Gate, ...]:
         """Topological order of combinational gates; DFF outputs are sources."""
-        by_out = {g.out: g for g in self.gates}
-        order: list[Gate] = []
-        state: dict[int, int] = {}  # 0 visiting, 1 done
-
-        for root in self.gates:
-            if root.out in state:
-                continue
-            stack: list[tuple[Gate, int]] = [(root, 0)]
-            state[root.out] = 0
-            while stack:
-                g, idx = stack.pop()
-                if g.kind == "DFF":
-                    # sequential cut: the D input is consumed next cycle
-                    state[g.out] = 1
-                    order.append(g)
-                    continue
-                advanced = False
-                while idx < len(g.ins):
-                    w = g.ins[idx]
-                    idx += 1
-                    dep = by_out.get(w)
-                    if dep is None or dep.kind == "DFF":
-                        continue
-                    st = state.get(dep.out)
-                    if st == 0:
-                        raise CombinationalCycleError(
-                            f"combinational cycle through wire {self._wn(dep.out)}"
-                        )
-                    if st is None:
-                        stack.append((g, idx))
-                        stack.append((dep, 0))
-                        state[dep.out] = 0
-                        advanced = True
-                        break
-                if advanced:
-                    continue
-                state[g.out] = 1
-                order.append(g)
-        return tuple(o for o in order if o.kind != "DFF")
+        return tuple(topo_order(self.gates, lambda g: CombinationalCycleError(
+            f"combinational cycle through wire {self._wn(g.out)}")))
 
     # -- naming ---------------------------------------------------------------
 
@@ -210,7 +214,7 @@ class Netlist:
         each int packs one bit position per test vector (bit-parallel runs).
         """
         if self._step is None:
-            self._step = _compile_step(self)
+            self._step = _compile_step(self.inputs, self._topo, self._dffs, self.outputs)
         return self._step
 
     def evaluate(self, inputs: Sequence[int], state: Sequence[int] = ()) -> tuple[Bits, Bits]:
@@ -256,16 +260,36 @@ def _tuple_src(items: list[str]) -> str:
     return "(" + ", ".join(items) + ")"
 
 
-def _compile_step(net: Netlist) -> Callable:
-    lines = ["def step(inp, state, mask=1):"]
-    for i, w in enumerate(net.inputs):
+def _compile_step(
+    inputs: Sequence[int],
+    order: Sequence,
+    dffs: Sequence[Gate],
+    outputs: Sequence[int],
+    selects: Optional[dict[int, int]] = None,
+) -> Callable:
+    """Generate one straight-line step function over gates in `order`.
+
+    Without `selects` it is step(inp, state, mask=1). With `selects` (switchbox
+    id -> select index), `order` may also hold switchboxes (kind "SB2") and
+    the function is step(inp, state, sel, mask=1): sel[i] is 0 to route that
+    switchbox's inputs parallel and -1 (every lane) to cross them.
+    """
+    lines = ["def step(inp, state, mask=1):" if selects is None
+             else "def step(inp, state, sel, mask=1):"]
+    for i, w in enumerate(inputs):
         lines.append(f" v{w} = inp[{i}]")
-    for i, g in enumerate(net._dffs):
+    for i, g in enumerate(dffs):
         lines.append(f" v{g.out} = state[{i}]")
-    for g in net._topo:
-        lines.append(f" v{g.out} = {_gate_expr(g)}")
-    outs = _tuple_src([f"v{w}" for w in net.outputs])
-    nxt = _tuple_src([f"v{g.ins[0]}" for g in net._dffs])
+    for g in order:
+        if g.kind == "SB2":
+            (x, y), (z, w) = g.ins, g.outs
+            lines.append(f" t = (v{x} ^ v{y}) & sel[{selects[g.id]}]")
+            lines.append(f" v{z} = v{x} ^ t")
+            lines.append(f" v{w} = v{y} ^ t")
+        else:
+            lines.append(f" v{g.out} = {_gate_expr(g)}")
+    outs = _tuple_src([f"v{w}" for w in outputs])
+    nxt = _tuple_src([f"v{g.ins[0]}" for g in dffs])
     lines.append(f" return {outs}, {nxt}")
     ns: dict = {}
     exec("\n".join(lines), ns)  # noqa: S102 - generated from validated gate list
@@ -594,84 +618,82 @@ def check_equivalence(
             f"{n1.name}: {len(n1.inputs)}->{len(n1.outputs)}, "
             f"{n2.name}: {len(n2.inputs)}->{len(n2.outputs)}"
         )
-    m = len(n1.inputs)
-    sequential = n1.has_state or n2.has_state
+    return compare_steps(
+        n1.step_fn(), n2.step_fn(), len(n1.inputs), (n1.state_width, n2.state_width),
+        max_exhaustive_inputs, sample_count, rng_seed, horizon,
+    )
+
+
+def compare_steps(
+    f1: Callable,
+    f2: Callable,
+    n_inputs: int,
+    state_widths: tuple[int, int] = (0, 0),
+    max_exhaustive_inputs: int = 16,
+    sample_count: int = 10000,
+    rng_seed: Optional[int] = None,
+    horizon: int = 4,
+) -> EquivalenceVerdict:
+    """check_equivalence's vector schedule over two (inp, state, mask) steps.
+
+    The steps take n_inputs input bits and DFF states of the given widths;
+    either width being nonzero makes the compare sequential. Every
+    counterexample is replayed through both steps at mask=1.
+    """
+    m = n_inputs
+    sequential = any(state_widths)
     cycles = horizon if sequential else 1
     total_vars = m * cycles
+    seq_horizon = cycles if sequential else None
+    zero1, zero2 = (0,) * state_widths[0], (0,) * state_widths[1]
+
+    def first_diff(cyc_inputs, mask) -> Optional[int]:
+        """Lowest lane in which some output differs in some cycle, or None."""
+        s1, s2 = zero1, zero2
+        for c in range(cycles):
+            o1, s1 = f1(cyc_inputs[c], s1, mask)
+            o2, s2 = f2(cyc_inputs[c], s2, mask)
+            for a, b in zip(o1, o2):
+                if a != b:
+                    d = a ^ b
+                    return (d & -d).bit_length() - 1
+        return None
+
+    def refuted(mode, checked, cyc_inputs, lane):
+        seq_cex = tuple(
+            tuple(_bit_of(cyc_inputs[c][j], lane) for j in range(m)) for c in range(cycles)
+        )
+        _assert_replays(f1, f2, zero1, zero2, seq_cex)
+        cex = seq_cex if sequential else seq_cex[0]
+        return EquivalenceVerdict(False, mode, checked, cex, horizon=seq_horizon)
 
     if total_vars <= max_exhaustive_inputs:
+        # truth-table lanes: lane v holds bit c*m+j of v for input j in cycle c
         pats, full = input_patterns(total_vars)
-        cex_idx = None
-        s1: Bits = (0,) * n1.state_width
-        s2: Bits = (0,) * n2.state_width
-        f1, f2 = n1.step_fn(), n2.step_fn()
-        for c in range(cycles):
-            inp = tuple(pats[c * m + j] for j in range(m))
-            o1, s1 = f1(inp, s1, full)
-            o2, s2 = f2(inp, s2, full)
-            for a, b in zip(o1, o2):
-                d = a ^ b
-                if d:
-                    cex_idx = (c, d & -d)
-                    break
-            if cex_idx:
-                break
-        if cex_idx is None:
-            return EquivalenceVerdict(True, "exhaustive", 1 << total_vars,
-                                      horizon=cycles if sequential else None)
-        _, low = cex_idx
-        v = low.bit_length() - 1
-        seq_cex = tuple(
-            tuple(_bit_of(v, c * m + j) for j in range(m)) for c in range(cycles)
-        )
-        cex = seq_cex if sequential else seq_cex[0]
-        _assert_replays(n1, n2, cex, sequential, cycles)
-        return EquivalenceVerdict(False, "exhaustive", 1 << total_vars, cex,
-                                  horizon=cycles if sequential else None)
+        cyc_inputs = [tuple(pats[c * m:(c + 1) * m]) for c in range(cycles)]
+        lane = first_diff(cyc_inputs, full)
+        if lane is None:
+            return EquivalenceVerdict(True, "exhaustive", 1 << total_vars, horizon=seq_horizon)
+        return refuted("exhaustive", 1 << total_vars, cyc_inputs, lane)
 
     rng = random.Random(rng_seed)
-    f1, f2 = n1.step_fn(), n2.step_fn()
     done = 0
     while done < sample_count:
         batch = min(512, sample_count - done)
         mask = (1 << batch) - 1
         cyc_inputs = [tuple(rng.getrandbits(batch) for _ in range(m)) for _ in range(cycles)]
-        s1 = (0,) * n1.state_width
-        s2 = (0,) * n2.state_width
-        diff = 0
-        diff_cycle = 0
-        for c in range(cycles):
-            o1, s1 = f1(cyc_inputs[c], s1, mask)
-            o2, s2 = f2(cyc_inputs[c], s2, mask)
-            for a, b in zip(o1, o2):
-                d = a ^ b
-                if d:
-                    diff = d
-                    diff_cycle = c
-                    break
-            if diff:
-                break
-        if diff:
-            idx = (diff & -diff).bit_length() - 1
-            seq_cex = tuple(
-                tuple(_bit_of(cyc_inputs[c][j], idx) for j in range(m)) for c in range(cycles)
-            )
-            cex = seq_cex if sequential else seq_cex[0]
-            _assert_replays(n1, n2, cex, sequential, cycles)
-            return EquivalenceVerdict(False, "sampled", done + idx + 1, cex,
-                                      horizon=cycles if sequential else None)
+        lane = first_diff(cyc_inputs, mask)
+        if lane is not None:
+            return refuted("sampled", done + lane + 1, cyc_inputs, lane)
         done += batch
-    return EquivalenceVerdict(True, "sampled", sample_count,
-                              horizon=cycles if sequential else None)
+    return EquivalenceVerdict(True, "sampled", sample_count, horizon=seq_horizon)
 
 
-def _assert_replays(n1: Netlist, n2: Netlist, cex, sequential: bool, cycles: int) -> None:
-    seq = cex if sequential else (cex,)
-    s1: Bits = (0,) * n1.state_width
-    s2: Bits = (0,) * n2.state_width
-    for c in range(cycles if sequential else 1):
-        o1, s1 = n1.evaluate(seq[c], s1)
-        o2, s2 = n2.evaluate(seq[c], s2)
+def _assert_replays(f1: Callable, f2: Callable, s1: Bits, s2: Bits, seq_cex: tuple) -> None:
+    """Raise unless the per-cycle vectors make the two steps' outputs differ."""
+    for x in seq_cex:
+        o1, s1 = f1(x, s1, 1)
+        o2, s2 = f2(x, s2, 1)
         if o1 != o2:
             return
     raise AssertionError("equivalence counterexample does not replay")

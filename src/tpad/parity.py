@@ -9,19 +9,13 @@ predictor as a netlist and estimates detection probability by Monte Carlo.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .netlist import Bits, Netlist, NetlistBuilder, WidthError, simplify_netlist
-
-Rng = Union[int, random.Random, None]
-
-
-def _as_rng(seed: Rng) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
+from .rng import Rng, as_rng
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatri
     """
     if k < 1 or r < 1:
         raise ValueError("k and r must be >= 1")
-    rng = _as_rng(rng_seed)
+    rng = as_rng(rng_seed)
     top = 1 << r
     while True:
         cols = [rng.randrange(1, top) for _ in range(k)]

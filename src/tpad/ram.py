@@ -24,12 +24,12 @@ the requested address; data-corrupting trojans act downstream of the encoder.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .netlist import Bits
 from .parity import ParityCheckMatrix, sample_parity_code
+from .rng import Rng
 
 READ = "read"
 WRITE = "write"
@@ -98,7 +98,7 @@ class ProtectedRam:
         depth: int,
         word_width: int = 16,
         code: Optional[ParityCheckMatrix] = None,
-        rng_seed: Union[int, random.Random, None] = None,
+        rng_seed: Rng = None,
     ):
         if depth < 2 or depth & (depth - 1):
             raise ValueError("depth must be a power of two >= 2")

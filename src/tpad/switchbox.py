@@ -14,25 +14,29 @@ valid netlists, not just the intended one.
 
 from __future__ import annotations
 
-import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 from .netlist import (
+    EquivalenceVerdict,
     Gate,
     Netlist,
     NetlistError,
     check_equivalence,
+    compare_steps,
+    input_patterns,
+    topo_order,
+    _compile_step,
     _GATE_RE,
     GATE_KINDS,
     NetlistSyntaxError,
 )
+from .rng import Rng, as_rng
 
 PARALLEL = "parallel"
 CROSSED = "crossed"
-
-Rng = Union[int, random.Random, None]
 
 
 class SwitchboxError(NetlistError):
@@ -58,6 +62,7 @@ class Switchbox:
     id: int
     ins: tuple[int, int]
     outs: tuple[int, int]
+    kind: ClassVar[str] = "SB2"  # node kind in the union evaluation order
 
     def __post_init__(self):
         wires = (*self.ins, *self.outs)
@@ -95,7 +100,8 @@ class ObfuscatedNetlist:
 
     @property
     def per_output_sb_count(self) -> tuple[int, ...]:
-        return tuple(count_cone_switchboxes(self, i) for i in range(len(self.outputs)))
+        wiring = _wiring(self)
+        return tuple(_cone_switchboxes(w, *wiring) for w in self.outputs)
 
 
 def apply_config(obf: ObfuscatedNetlist, cfg: dict[int, str]) -> Netlist:
@@ -116,6 +122,64 @@ def apply_config(obf: ObfuscatedNetlist, cfg: dict[int, str]) -> Netlist:
     return Netlist(obf.name, obf.inputs, obf.outputs, gates, obf.wire_names)
 
 
+def union_step(
+    inputs: Sequence[int],
+    outputs: Sequence[int],
+    gates: Sequence[Gate],
+    switchboxes: Sequence[Switchbox],
+) -> Callable:
+    """One compiled step(inp, state, sel, mask=1) for every configuration.
+
+    sel[i] is 0 to route switchboxes[i] parallel and -1 to cross it, so a
+    configuration is a select vector rather than a new netlist. DFF state is
+    ordered as the DFFs among `gates`, as in the netlists apply_config
+    returns. Raises SwitchboxError when the union graph has a cycle.
+    """
+    order = topo_order([*gates, *switchboxes], lambda _: SwitchboxError("union graph cycle"))
+    dffs = [g for g in gates if g.kind == "DFF"]
+    selects = {sb.id: i for i, sb in enumerate(switchboxes)}
+    return _compile_step(inputs, order, dffs, outputs, selects)
+
+
+def _selects(bits: int, n: int) -> list[int]:
+    """Select vector of n switchboxes, box i crossed when bit i of bits is set."""
+    return [-((bits >> i) & 1) for i in range(n)]
+
+
+def _wiring(obf: ObfuscatedNetlist) -> tuple[dict, dict, dict]:
+    """(gate inputs by output wire, box by output wire, box inputs by id)."""
+    return (
+        {g.out: g.ins for g in obf.gates},
+        {w: sb.id for sb in obf.switchboxes for w in sb.outs},
+        {sb.id: sb.ins for sb in obf.switchboxes},
+    )
+
+
+def _cone_switchboxes(
+    root: int,
+    gate_ins: Mapping[int, Sequence[int]],
+    sb_driver: Mapping[int, int],
+    sb_ins: Mapping[int, Sequence[int]],
+) -> int:
+    """Switchboxes in the transitive fan-in of one wire (see count_cone_switchboxes)."""
+    seen_g: set[int] = set()
+    seen_sb: set[int] = set()
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        ins = gate_ins.get(w)
+        if ins is not None:
+            if w not in seen_g:
+                seen_g.add(w)
+                stack.extend(ins)
+            continue
+        sid = sb_driver.get(w)
+        if sid is not None and sid not in seen_sb:
+            seen_sb.add(sid)
+            stack.extend(sb_ins[sid])
+    return len(seen_sb)
+
+
 def count_cone_switchboxes(obf: ObfuscatedNetlist, output_index: int) -> int:
     """Switchboxes in the transitive fan-in of one output.
 
@@ -125,28 +189,7 @@ def count_cone_switchboxes(obf: ObfuscatedNetlist, output_index: int) -> int:
     """
     if not 0 <= output_index < len(obf.outputs):
         raise IndexError(f"output index {output_index} out of range")
-    gate_by_out = {g.out: g for g in obf.gates}
-    sb_by_out = {}
-    for sb in obf.switchboxes:
-        sb_by_out[sb.outs[0]] = sb
-        sb_by_out[sb.outs[1]] = sb
-    seen_g: set[int] = set()
-    seen_sb: set[int] = set()
-    stack = [obf.outputs[output_index]]
-    while stack:
-        w = stack.pop()
-        g = gate_by_out.get(w)
-        if g is not None:
-            if g.out in seen_g:
-                continue
-            seen_g.add(g.out)
-            stack.extend(g.ins)
-            continue
-        sb = sb_by_out.get(w)
-        if sb is not None and sb.id not in seen_sb:
-            seen_sb.add(sb.id)
-            stack.extend(sb.ins)
-    return len(seen_sb)
+    return _cone_switchboxes(obf.outputs[output_index], *_wiring(obf))
 
 
 @dataclass
@@ -164,7 +207,12 @@ class ScanReport:
 
 
 class _Work:
-    """Mutable wiring state shared by the insertion steps."""
+    """Mutable wiring state shared by the insertion steps.
+
+    Two indexes keep the wiring queries local: `sb_driver` maps each
+    switchbox output wire to its box, and `fanout` maps each wire to the
+    (kind, ref, pin) sites reading it.
+    """
 
     def __init__(self, net: Netlist):
         self.inputs = list(net.inputs)
@@ -173,6 +221,13 @@ class _Work:
         self.ins: dict[int, list[int]] = {g.out: list(g.ins) for g in net.gates}
         self.sb_ins: dict[int, list[int]] = {}
         self.sb_outs: dict[int, tuple[int, int]] = {}
+        self.sb_driver: dict[int, int] = {}
+        self.fanout: dict[int, set[tuple]] = defaultdict(set)
+        for o, pins in self.ins.items():
+            for p, w in enumerate(pins):
+                self.fanout[w].add(("gate", o, p))
+        for i, w in enumerate(self.outputs):
+            self.fanout[w].add(("po", i, 0))
         self.wire_names = dict(net.wire_names)
         self.next_wire = max([*net.inputs, *(g.out for g in net.gates), -1]) + 1
         self.next_sb = 0
@@ -199,34 +254,19 @@ class _Work:
             dict(self.wire_names),
         )
 
+    def cone_counts(self) -> Iterator[int]:
+        """Switchboxes per output cone, as ObfuscatedNetlist.per_output_sb_count."""
+        return (_cone_switchboxes(w, self.ins, self.sb_driver, self.sb_ins) for w in self.outputs)
+
     # wiring queries ---------------------------------------------------------
-
-    def driver_gate(self, wire: int) -> Optional[int]:
-        return wire if wire in self.kind else None
-
-    def sb_of_wire(self, wire: int) -> Optional[int]:
-        for sid, outs in self.sb_outs.items():
-            if wire in outs:
-                return sid
-        return None
 
     def consumers(self, wire: int) -> list[tuple]:
         """(kind, ref, pin) sites currently reading a wire."""
-        out = []
-        for o, pins in self.ins.items():
-            for p, w in enumerate(pins):
-                if w == wire:
-                    out.append(("gate", o, p))
-        for sid, pins in self.sb_ins.items():
-            for p, w in enumerate(pins):
-                if w == wire:
-                    out.append(("sb", sid, p))
-        for i, w in enumerate(self.outputs):
-            if w == wire:
-                out.append(("po", i, 0))
-        return out
+        return sorted(self.fanout.get(wire, ()))
 
     def rewire(self, site: tuple, wire: int) -> None:
+        self.fanout[self.site_wire(site)].discard(site)
+        self.fanout[wire].add(site)
         kind, ref, pin = site
         if kind == "gate":
             self.ins[ref][pin] = wire
@@ -245,36 +285,23 @@ class _Work:
 
     # union dependency graph ---------------------------------------------------
 
-    def _dep_nodes(self, wire: int) -> list[tuple]:
-        """Graph node driving a wire, if any (primary inputs have none)."""
-        if wire in self.kind:
-            return [("g", wire)]
-        sid = self.sb_of_wire(wire)
-        if sid is not None:
-            return [("s", sid)]
-        return []
-
     def union_cyclic_through(self, sb_id: int) -> bool:
         """True when sb_id lies on a union-graph cycle (DFFs cut the graph)."""
-        start = ("s", sb_id)
-        stack = [start]
-        seen = set()
-        first = True
+        stack = list(self.sb_ins[sb_id])
+        seen: set[int] = set()
         while stack:
-            node = stack.pop()
-            if not first:
-                if node == start:
+            w = stack.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            if w in self.kind:
+                if self.kind[w] != "DFF":
+                    stack.extend(self.ins[w])
+            elif w in self.sb_driver:
+                sid = self.sb_driver[w]
+                if sid == sb_id:
                     return True
-                if node in seen:
-                    continue
-                seen.add(node)
-            first = False
-            tag, ref = node
-            wires = self.sb_ins[ref] if tag == "s" else (
-                [] if self.kind[ref] == "DFF" else self.ins[ref]
-            )
-            for w in wires:
-                stack.extend(self._dep_nodes(w))
+                stack.extend(self.sb_ins[sid])
         return False
 
     # neighborhood machinery -----------------------------------------------------
@@ -283,7 +310,7 @@ class _Work:
         return sorted({w for w in self.ins[g] if w in self.kind})
 
     def gate_succs(self, g: int) -> list[int]:
-        return sorted({o for o, pins in self.ins.items() if g in pins})
+        return sorted({o for kind, o, _ in self.fanout.get(g, ()) if kind == "gate"})
 
     def neighborhood(self, v: int) -> set[int]:
         return {v, *self.gate_preds(v), *self.gate_succs(v)}
@@ -299,22 +326,8 @@ class _Work:
 
     def output_gates(self, nb: set[int]) -> list[int]:
         """Gates of the neighborhood whose output wire is used outside it."""
-        outs = []
-        for g in sorted(nb):
-            external = g in self.outputs
-            if not external:
-                for o, pins in self.ins.items():
-                    if o not in nb and g in pins:
-                        external = True
-                        break
-            if not external:
-                for pins in self.sb_ins.values():
-                    if g in pins:
-                        external = True
-                        break
-            if external:
-                outs.append(g)
-        return outs
+        return [g for g in sorted(nb)
+                if any(kind != "gate" or o not in nb for kind, o, _ in self.fanout.get(g, ()))]
 
     # switchbox editing -----------------------------------------------------------
 
@@ -328,9 +341,8 @@ class _Work:
         """
         if x == y:
             return None
-        for outs in self.sb_outs.values():
-            if {x, y} == set(outs):
-                return None
+        if x in self.sb_driver and self.sb_driver[x] == self.sb_driver.get(y):
+            return None
         z = self.fresh_wire()
         w = self.fresh_wire()
         sid = self.next_sb
@@ -339,18 +351,36 @@ class _Work:
             self.rewire(site, z)
         for site in sites_w:
             self.rewire(site, w)
-        self.sb_ins[sid] = [x, y]
-        self.sb_outs[sid] = (z, w)
+        self._attach(sid, x, y, z, w)
         if self.union_cyclic_through(sid):
-            del self.sb_ins[sid]
-            del self.sb_outs[sid]
             for site, old in undo:
                 self.rewire(site, old)
+            self._detach(sid)
             return None
         self.next_sb += 1
         self.wire_names[z] = f"sb{sid}_a"
         self.wire_names[w] = f"sb{sid}_b"
         return sid
+
+    def _attach(self, sid: int, x: int, y: int, z: int, w: int) -> None:
+        self.sb_ins[sid] = [x, y]
+        self.sb_outs[sid] = (z, w)
+        self.sb_driver[z] = self.sb_driver[w] = sid
+        self.fanout[x].add(("sb", sid, 0))
+        self.fanout[y].add(("sb", sid, 1))
+
+    def _detach(self, sid: int) -> None:
+        for p, wire in enumerate(self.sb_ins.pop(sid)):
+            self.fanout[wire].discard(("sb", sid, p))
+        for wire in self.sb_outs.pop(sid):
+            del self.sb_driver[wire]
+            self.fanout.pop(wire, None)
+
+    def reverse_switchbox(self, sid: int) -> None:
+        """Swap an SB's inputs, so its crossed setting routes as parallel did."""
+        x, y = self.sb_ins[sid]
+        self.rewire(("sb", sid, 0), y)
+        self.rewire(("sb", sid, 1), x)
 
     def remove_switchbox(self, sid: int) -> None:
         """Drop an SB, restoring its parallel (identity) wiring."""
@@ -360,10 +390,45 @@ class _Work:
             self.rewire(site, x)
         for site in self.consumers(w):
             self.rewire(site, y)
-        del self.sb_ins[sid]
-        del self.sb_outs[sid]
+        self._detach(sid)
         self.wire_names.pop(z, None)
         self.wire_names.pop(w, None)
+
+
+class _ToggleCheck:
+    """Non-degeneracy test for the switchboxes one insertion round added.
+
+    The union step is compiled once, with earlier boxes at their intended
+    setting and this round's boxes parallel. Dropping a box rewires it as
+    parallel, and a kept box whose inputs are reversed is marked crossed, so
+    both still route straight through and the step stays valid all round.
+    """
+
+    def __init__(self, work: _Work, intended: dict[int, str],
+                 max_exhaustive_inputs: int, sample_count: int):
+        sbs = work.switchbox_list()
+        self.step = union_step(work.inputs, work.outputs, work.gate_list(), sbs)
+        self.index = {sb.id: i for i, sb in enumerate(sbs)}
+        self.base = [-1 if intended.get(sb.id) == CROSSED else 0 for sb in sbs]
+        self.n_inputs = len(work.inputs)
+        self.state_width = sum(kind == "DFF" for kind in work.kind.values())
+        self.max_exhaustive_inputs = max_exhaustive_inputs
+        self.sample_count = sample_count
+
+    def verdict(self, sid: int, rng_seed: int) -> EquivalenceVerdict:
+        """check_equivalence of the base selection against sid toggled alone."""
+        step, base, i = self.step, self.base, self.index[sid]
+        toggled = list(base)
+        toggled[i] = ~base[i]
+        return compare_steps(
+            lambda x, s, mask: step(x, s, base, mask),
+            lambda x, s, mask: step(x, s, toggled, mask),
+            self.n_inputs,
+            (self.state_width, self.state_width),
+            max_exhaustive_inputs=self.max_exhaustive_inputs,
+            sample_count=self.sample_count,
+            rng_seed=rng_seed,
+        )
 
 
 def insert_switchboxes(
@@ -388,16 +453,15 @@ def insert_switchboxes(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     work = _Work(net)
     intended: dict[int, str] = {}
     name = f"{net.name}.obf"
 
     def satisfied() -> bool:
-        snap = work.snapshot(intended, name)
-        if snap.n_switchboxes < min_switchboxes:
+        if len(work.sb_ins) < min_switchboxes:
             return False
-        return all(c >= t for c in snap.per_output_sb_count)
+        return all(c >= t for c in work.cone_counts())
 
     for _ in range(max_iterations):
         gates = sorted(work.kind)
@@ -437,33 +501,23 @@ def insert_switchboxes(
             if sid is not None:
                 round_sbs.append(sid)
 
-        for sid in round_sbs:
-            base = {i: intended.get(i, PARALLEL) for i in work.sb_ins}
-            snap = work.snapshot({**base, sid: PARALLEL}, name)
-            n_par = apply_config(snap, {**base, sid: PARALLEL})
-            n_cross = apply_config(snap, {**base, sid: CROSSED})
-            verdict = check_equivalence(
-                n_par,
-                n_cross,
-                max_exhaustive_inputs=max_exhaustive_inputs,
-                sample_count=sample_count,
-                rng_seed=rng.getrandbits(32),
-            )
-            if verdict.equivalent:
-                # degenerate (or not provably non-degenerate): drop it
-                work.remove_switchbox(sid)
-                continue
-            if rng.random() < 0.5:
-                work.sb_ins[sid].reverse()
-                intended[sid] = CROSSED
-            else:
-                intended[sid] = PARALLEL
+        if round_sbs:
+            check = _ToggleCheck(work, intended, max_exhaustive_inputs, sample_count)
+            for sid in round_sbs:
+                if check.verdict(sid, rng.getrandbits(32)).equivalent:
+                    # degenerate (or not provably non-degenerate): drop it
+                    work.remove_switchbox(sid)
+                    continue
+                if rng.random() < 0.5:
+                    work.reverse_switchbox(sid)
+                    intended[sid] = CROSSED
+                else:
+                    intended[sid] = PARALLEL
 
         if satisfied():
-            result = work.snapshot(intended, name)
-            return result
+            return work.snapshot(intended, name)
 
-    counts = work.snapshot(intended, name).per_output_sb_count
+    counts = tuple(work.cone_counts())
     raise UnsatisfiableError(
         f"could not reach {t} switchboxes per output cone "
         f"within {max_iterations} iterations (best counts: {counts})",
@@ -472,119 +526,6 @@ def insert_switchboxes(
 
 
 # -- degeneracy scanning ---------------------------------------------------------
-
-
-def _union_order(obf: ObfuscatedNetlist) -> list[tuple]:
-    """Evaluation order over gates and SBs valid for every configuration."""
-    gate_by_out = {g.out: g for g in obf.gates}
-    sb_by_out = {}
-    for sb in obf.switchboxes:
-        sb_by_out[sb.outs[0]] = ("s", sb)
-        sb_by_out[sb.outs[1]] = ("s", sb)
-    order: list[tuple] = []
-    state: dict[tuple, int] = {}
-
-    def node_of(wire):
-        g = gate_by_out.get(wire)
-        if g is not None:
-            return ("g", g)
-        return sb_by_out.get(wire)
-
-    def deps(node):
-        tag, ref = node
-        if tag == "s":
-            return ref.ins
-        if ref.kind == "DFF":
-            return ()
-        return ref.ins
-
-    roots = [("g", g) for g in obf.gates] + [("s", sb) for sb in obf.switchboxes]
-    for root in roots:
-        key = (root[0], root[1].out if root[0] == "g" else root[1].id)
-        if key in state:
-            continue
-        stack = [(root, 0)]
-        state[key] = 0
-        while stack:
-            node, idx = stack.pop()
-            nkey = (node[0], node[1].out if node[0] == "g" else node[1].id)
-            advanced = False
-            dl = deps(node)
-            while idx < len(dl):
-                w = dl[idx]
-                idx += 1
-                dep = node_of(w)
-                if dep is None:
-                    continue
-                dkey = (dep[0], dep[1].out if dep[0] == "g" else dep[1].id)
-                st = state.get(dkey)
-                if st == 0:
-                    raise SwitchboxError("union graph cycle")
-                if st is None:
-                    stack.append((node, idx))
-                    stack.append((dep, 0))
-                    state[dkey] = 0
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            state[nkey] = 1
-            order.append(node)
-    return order
-
-
-def _eval_configs_fast(obf: ObfuscatedNetlist, order: list[tuple], cfg_bits: int,
-                       in_masks: Sequence[int], mask: int) -> tuple[int, ...]:
-    """Combinational truth-table evaluation for one configuration."""
-    sb_index = {sb.id: i for i, sb in enumerate(obf.switchboxes)}
-    val: dict[int, int] = {}
-    for i, w in enumerate(obf.inputs):
-        val[w] = in_masks[i]
-    for node in order:
-        tag, ref = node
-        if tag == "s":
-            x = val[ref.ins[0]]
-            y = val[ref.ins[1]]
-            if (cfg_bits >> sb_index[ref.id]) & 1:
-                x, y = y, x
-            val[ref.outs[0]] = x
-            val[ref.outs[1]] = y
-            continue
-        g = ref
-        a = [val[w] for w in g.ins]
-        k = g.kind
-        if k == "AND":
-            v = a[0]
-            for q in a[1:]:
-                v &= q
-        elif k == "OR":
-            v = a[0]
-            for q in a[1:]:
-                v |= q
-        elif k == "XOR":
-            v = a[0]
-            for q in a[1:]:
-                v ^= q
-        elif k == "NAND":
-            v = a[0]
-            for q in a[1:]:
-                v &= q
-            v ^= mask
-        elif k == "NOR":
-            v = a[0]
-            for q in a[1:]:
-                v |= q
-            v ^= mask
-        elif k == "NOT":
-            v = mask ^ a[0]
-        elif k == "BUF":
-            v = a[0]
-        elif k == "CONST0":
-            v = 0
-        else:
-            v = mask
-        val[g.out] = v
-    return tuple(val[w] for w in obf.outputs)
 
 
 def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) -> ScanReport:
@@ -599,7 +540,7 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     nsb = obf.n_switchboxes
     if nsb == 0:
         raise NoIncorrectConfigsError("no incorrect configs exist")
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     intended_bits = 0
     for i, sb in enumerate(obf.switchboxes):
         if obf.intended[sb.id] == CROSSED:
@@ -612,17 +553,15 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     equivalent = 0
 
     if fast:
-        from .netlist import input_patterns
-
-        order = _union_order(obf)
+        # one compiled union step; each sample only changes the select vector
+        step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
         pats, full = input_patterns(m)
-        reference = _eval_configs_fast(obf, order, intended_bits, pats, full)
+        reference = step(pats, (), _selects(intended_bits, nsb), full)[0]
         for _ in range(samples):
             bits = rng.getrandbits(nsb)
             while bits == intended_bits:
                 bits = rng.getrandbits(nsb)
-            got = _eval_configs_fast(obf, order, bits, pats, full)
-            if got == reference:
+            if step(pats, (), _selects(bits, nsb), full)[0] == reference:
                 equivalent += 1
                 hits.append(_bits_to_cfg(obf, bits))
     else:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .attacks import AttackDescriptor, compile_attack
 from .chip import (
@@ -29,8 +29,7 @@ from .chip import (
 from .lfsr import LfsrSpec
 from .netlist import Netlist, serialize_netlist
 from .parity import format_matrix
-
-Rng = Union[int, random.Random, None]
+from .rng import Rng, as_rng
 
 
 @dataclass(frozen=True)
@@ -91,22 +90,13 @@ def build_pipeline_system(
     are built with the sender's output code as their input code, the
     shared-encoding rule for a shared output subset.
     """
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     chips: list[ProtectedChip] = []
     channels: list[Channel] = []
     for i, f in enumerate(functions):
         opt = (options[i] if options and options[i] else ChipOptions())
         if i > 0:
-            opt = ChipOptions(
-                pipeline_stages=opt.pipeline_stages,
-                ram_depth=opt.ram_depth,
-                ram_word_width=opt.ram_word_width,
-                output_subsets=opt.output_subsets,
-                h_in=chips[i - 1].out_codes[0][1],
-                insertion_max_iterations=opt.insertion_max_iterations,
-                insertion_min_switchboxes=opt.insertion_min_switchboxes,
-                insertion_sample_count=opt.insertion_sample_count,
-            )
+            opt = replace(opt, h_in=chips[i - 1].out_codes[0][1])
         chips.append(build_protected_chip(f, r, t, lfsr_spec, rng.getrandbits(64), opt))
         if i > 0:
             channels.append(Channel(i - 1, i, 0))
@@ -162,7 +152,7 @@ def run_system(
     before the run. The report holds each monitor's firing cycles plus the
     trusted decode verdicts on terminal chip outputs.
     """
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = as_rng(rng_seed)
     chips = topology.chips
     session = rng.getrandbits(64)
     for i, chip in enumerate(chips):

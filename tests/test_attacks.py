@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tpad.attacks import (
     AttackDescriptor,
     attack_free,
+    compile_attack,
     cp_attack_probability,
     decoupling_cost,
     destructive_detection_probability,
@@ -144,7 +146,72 @@ class TestInjection:
         chip.clear_attacks()
 
 
+class TestCompileValidation:
+    """Bad targets fail in compile_attack with a ValueError naming them."""
+
+    @pytest.mark.parametrize("kind,target", [
+        ("pin", "input:-1"),       # used to flip the last pin silently
+        ("pin", "input:10"),
+        ("pin", "input:99"),       # used to raise IndexError mid-run
+        ("pin", "input:x"),
+        ("pin", "recv_check:3"),
+        ("pin", "output:16"),
+        ("logic", "fout:99"),      # used to raise a bare IndexError
+        ("logic", "fout:-1"),
+    ])
+    def test_out_of_range_target_rejected(self, wide_chip, kind, target):
+        with pytest.raises(ValueError, match=re.escape(repr(target))):
+            compile_attack(wide_chip, AttackDescriptor(kind, target))
+
+    @pytest.mark.parametrize("kind,target", [
+        ("pin", "input:0"), ("pin", "input:9"), ("pin", "recv_check:2"),
+        ("pin", "output:15"), ("logic", "fout:15"),
+    ])
+    def test_boundary_targets_accepted(self, wide_chip, kind, target):
+        compile_attack(wide_chip, AttackDescriptor(kind, target))
+
+    @pytest.mark.parametrize("payload", ["replay:0", "replay:-2", "replay:4097", "replay:deep"])
+    def test_replay_depth_beyond_history_rejected(self, wide_chip, payload):
+        # such an attack never engages, and would be scored as undetected
+        with pytest.raises(ValueError, match=re.escape(repr(payload))):
+            compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",
+                                                       ("always",), payload))
+
+    def test_deepest_replay_accepted(self, wide_chip):
+        eff = compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",
+                                                         ("always",), "replay:4096"))
+        assert eff.replay_depth == 4096
+
+
 class TestCampaigns:
+    def test_reliability_stays_permanent(self, wide_chip, monkeypatch):
+        """A campaign trial matches inject cycle for cycle, past activation."""
+        chip = wide_chip
+        chip.clear_attacks()
+        atk = parse_attack_line("reliability stuck1 target=fout:0 trigger=at_cycle:2")
+        sessions, cycles = [], []
+        reset, cycle = chip.reset, chip.cycle
+
+        def spy_cycle(*args, **kwargs):
+            res = cycle(*args, **kwargs)
+            cycles.append((args, kwargs, res))
+            return res
+
+        monkeypatch.setattr(chip, "reset", lambda seed: (sessions.append(seed), reset(seed)))
+        monkeypatch.setattr(chip, "cycle", spy_cycle)
+        run_campaign(chip, lambda rng: atk, trials=1, cycles_per_trial=12, rng_seed=5)
+        monkeypatch.undo()
+
+        armed = cycles[:12]  # the armed run comes before its control
+        chip.reset(sessions[0])
+        inject(chip, atk)
+        try:
+            for args, kwargs, res in armed:
+                again = chip.cycle(*args, **kwargs)
+                assert (again.outputs, again.error_signal) == (res.outputs, res.error_signal)
+        finally:
+            chip.clear_attacks()
+
     def test_multibit_r3_rate(self, wide_chip):
         rep = run_campaign(wide_chip, uniform_output_flip_attacks(2), 4000, 4, rng_seed=7)
         assert rep.false_positives == 0

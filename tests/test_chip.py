@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,41 @@ class TestBundle:
         target.write_text(flipped)
         with pytest.raises(ValueError):
             load_chip_bundle(tmp_path / "b2")
+
+
+    @staticmethod
+    def bundle_without(chip, root, key=None, file=None):
+        """Save a bundle, then drop a manifest key or one of its listed files."""
+        save_chip_bundle(chip, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        if file is None:
+            del manifest[key]
+        else:
+            del manifest["files"][file]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        return root
+
+    @pytest.mark.parametrize("entry", [
+        "function.net", "ocp.net", "detection.net", "detection.cfg",
+        "logic.code", "input.code", "output0.code", "lfsr.spec",
+    ])
+    def test_manifest_missing_file_named(self, adder_chip, tmp_path, entry):
+        root = self.bundle_without(adder_chip, tmp_path / "b", file=entry)
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            load_chip_bundle(root)
+
+    def test_manifest_missing_ram_code_named(self, pipelined_ram_chip, tmp_path):
+        root = self.bundle_without(pipelined_ram_chip, tmp_path / "b", file="ram.code")
+        with pytest.raises(ValueError, match=re.escape("ram.code")):
+            load_chip_bundle(root)
+
+    @pytest.mark.parametrize("key", [
+        "files", "t", "pipeline_stages", "ram_depth", "ram_word_width", "output_subsets",
+    ])
+    def test_manifest_missing_key_named(self, adder_chip, tmp_path, key):
+        root = self.bundle_without(adder_chip, tmp_path / "b", key=key)
+        with pytest.raises(ValueError, match=key):
+            load_chip_bundle(root)
 
 
 class TestWidthChecks:

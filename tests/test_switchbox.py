@@ -1,5 +1,12 @@
-import pytest
+import hashlib
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tpad import switchbox
+from tpad.chip import ChipOptions, build_protected_chip
 from tpad.netlist import Gate, check_equivalence, random_netlist
 from tpad.switchbox import (
     CROSSED,
@@ -18,7 +25,10 @@ from tpad.switchbox import (
     parse_config,
     parse_obfuscated,
     serialize_obfuscated,
+    union_step,
 )
+
+from conftest import lfsr16
 
 
 def adder_with_manual_sb(full_adder):
@@ -180,3 +190,167 @@ class TestFiles:
     def test_config_file_round_trip(self):
         cfg = {0: PARALLEL, 3: CROSSED, 7: PARALLEL}
         assert parse_config(format_config(cfg)) == cfg
+
+
+# -- the compiled union evaluator ----------------------------------------------
+
+
+def pipelined_chip(seed: int = 3):
+    """A small chip whose detection netlist has pipeline DFFs (sequential)."""
+    f = random_netlist(6, 20, 4, rng_seed=5)
+    return build_protected_chip(f, 2, 2, lfsr16(2), rng_seed=seed,
+                                options=ChipOptions(pipeline_stages=1))
+
+
+@pytest.fixture(scope="module")
+def obfuscated_corpus():
+    """Random-netlist insertions (exhaustive and sampled) plus one with DFFs."""
+    corpus = [
+        insert_switchboxes(random_netlist(8, 40, 4, rng_seed=1), 2, rng_seed=2),
+        insert_switchboxes(random_netlist(12, 60, 5, rng_seed=3), 2, rng_seed=4),
+        insert_switchboxes(random_netlist(20, 50, 4, rng_seed=5), 2, rng_seed=6),
+        pipelined_chip().detection,
+    ]
+    assert any(apply_config(obf, obf.intended).has_state for obf in corpus)
+    return corpus
+
+
+def selects(bits: int, n: int) -> list[int]:
+    return [-((bits >> i) & 1) for i in range(n)]
+
+
+class TestUnionStep:
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, 3), cfg_bits=st.integers(min_value=0),
+           lanes=st.integers(1, 64), vector_seed=st.integers(0, 2**32))
+    def test_matches_applied_config(self, obfuscated_corpus, which, cfg_bits, lanes, vector_seed):
+        obf = obfuscated_corpus[which]
+        n = obf.n_switchboxes
+        cfg = {sb.id: CROSSED if (cfg_bits >> i) & 1 else PARALLEL
+               for i, sb in enumerate(obf.switchboxes)}
+        reference = apply_config(obf, cfg)
+        rng = random.Random(vector_seed)
+        mask = (1 << lanes) - 1
+        state = tuple(rng.getrandbits(lanes) for _ in range(reference.state_width))
+        step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+        expect = reference.step_fn()
+        for _ in range(3):  # a few cycles, so DFF state feeds back
+            x = tuple(rng.getrandbits(lanes) for _ in obf.inputs)
+            got, got_state = step(x, state, selects(cfg_bits, n), mask)
+            want, state = expect(x, state, mask)
+            assert (got, got_state) == (want, state)
+
+    def test_union_cycle_raises(self):
+        # crossed routes the input into the NOT; parallel would feed the NOT
+        # its own output, so the union graph has a cycle
+        sb = Switchbox(0, (0, 1), (2, 3))
+        obf = ObfuscatedNetlist("loop", (0,), (2,), (Gate(1, "NOT", (3,)),), (sb,),
+                                {0: CROSSED})
+        with pytest.raises(SwitchboxError, match="union graph cycle"):
+            union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+
+
+class TestCandidateVerdicts:
+    """Every candidate test equals check_equivalence on two applied configs."""
+
+    def spy(self, monkeypatch):
+        seen = []
+        init, verdict = switchbox._ToggleCheck.__init__, switchbox._ToggleCheck.verdict
+
+        def spy_init(self, work, intended, max_exhaustive_inputs, sample_count):
+            init(self, work, intended, max_exhaustive_inputs, sample_count)
+            self.spied = (work, intended, max_exhaustive_inputs, sample_count)
+
+        def spy_verdict(self, sid, rng_seed):
+            got = verdict(self, sid, rng_seed)
+            work, intended, max_exhaustive_inputs, sample_count = self.spied
+            base = {i: intended.get(i, PARALLEL) for i in work.sb_ins}
+            snap = work.snapshot({**base, sid: PARALLEL}, "spy")
+            want = check_equivalence(
+                apply_config(snap, {**base, sid: PARALLEL}),
+                apply_config(snap, {**base, sid: CROSSED}),
+                max_exhaustive_inputs=max_exhaustive_inputs,
+                sample_count=sample_count,
+                rng_seed=rng_seed,
+            )
+            seen.append((got, want))
+            return got
+
+        monkeypatch.setattr(switchbox._ToggleCheck, "__init__", spy_init)
+        monkeypatch.setattr(switchbox._ToggleCheck, "verdict", spy_verdict)
+        return seen
+
+    @pytest.mark.parametrize("build", [
+        lambda: insert_switchboxes(random_netlist(10, 50, 4, rng_seed=7), 2, rng_seed=8),
+        lambda: insert_switchboxes(random_netlist(18, 50, 4, rng_seed=9), 2, rng_seed=1,
+                                   sample_count=600),
+        lambda: pipelined_chip(seed=11),
+    ], ids=["exhaustive", "sampled", "sequential"])
+    def test_verdicts_match_check_equivalence(self, monkeypatch, build):
+        seen = self.spy(monkeypatch)
+        build()
+        assert seen
+        for got, want in seen:
+            assert got == want
+        assert {got.equivalent for got, _ in seen} == {True, False}
+
+
+# sha256 of serialize_obfuscated + format_config, recorded before insertion
+# moved onto the compiled union step; the same seeds must keep giving them
+GOLDEN = {
+    "rand12x150x6": "e071ac73a8f9733bc7f96d679b154778a231a9eeb070bbc2622195ea0f37ec84",
+    "rand20x80x6": "a8c0208f67c40fbd1504572728f071c1c52064b31bdeded881200dfd5667ed95",
+    "pipelined": "43913a3a04fed1525e658c081cdb69619d99d90a3884cddaedb127839b8801f1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_insertions(name):
+    if name == "rand12x150x6":
+        obf = insert_switchboxes(random_netlist(12, 150, 6, rng_seed=0), 2, rng_seed=1)
+    elif name == "rand20x80x6":
+        obf = insert_switchboxes(random_netlist(20, 80, 6, rng_seed=4), 2, rng_seed=2)
+    else:
+        obf = pipelined_chip().detection
+    text = serialize_obfuscated(obf) + format_config(obf.intended)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+class TestWorkIndexes:
+    """The fanout and driver indexes stay equal to a rescan after any edit."""
+
+    @staticmethod
+    def rescan(work):
+        fanout = {}
+        for o, pins in work.ins.items():
+            for p, w in enumerate(pins):
+                fanout.setdefault(w, set()).add(("gate", o, p))
+        for sid, pins in work.sb_ins.items():
+            for p, w in enumerate(pins):
+                fanout.setdefault(w, set()).add(("sb", sid, p))
+        for i, w in enumerate(work.outputs):
+            fanout.setdefault(w, set()).add(("po", i, 0))
+        driver = {w: sid for sid, outs in work.sb_outs.items() for w in outs}
+        return fanout, driver
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_indexes_track_edits(self, seed):
+        rng = random.Random(seed)
+        work = switchbox._Work(random_netlist(5, 25, 3, rng_seed=seed))
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.6 or not work.sb_ins:
+                wires = sorted({*work.inputs, *work.kind, *work.sb_driver})
+                x, y = rng.sample(wires, 2)
+                sites = sorted(work.fanout[x]) + sorted(work.fanout[y])
+                picked = rng.sample(sites, rng.randint(0, len(sites)))
+                work.add_switchbox(x, y, [s for s in picked if work.site_wire(s) == x],
+                                   [s for s in picked if work.site_wire(s) == y])
+            elif roll < 0.8:
+                work.remove_switchbox(rng.choice(sorted(work.sb_ins)))
+            else:
+                work.reverse_switchbox(rng.choice(sorted(work.sb_ins)))
+            fanout, driver = self.rescan(work)
+            assert {w: sites for w, sites in work.fanout.items() if sites} == fanout
+            assert work.sb_driver == driver
