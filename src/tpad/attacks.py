@@ -118,9 +118,10 @@ def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
 def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
     """Resolve a descriptor's symbolic target onto the chip's wires.
 
-    Pin and output indices are range-checked against the chip, and a replay
-    depth against the history the chip keeps, so a bad target fails here
-    with a ValueError that names it rather than mid-simulation.
+    Pin and output indices are range-checked against the chip, gate names
+    resolved as the bundle's netlists write them, and a replay depth checked
+    against the history the chip keeps, so a bad target fails here with a
+    ValueError that names it rather than mid-simulation.
     """
     kind, target, payload = atk.kind, atk.target, atk.payload
     eff = AttackEffect(kind=kind, trigger=atk.trigger, descriptor=atk)
@@ -128,6 +129,12 @@ def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
 
     def idx(size: int) -> int:
         return _bounded_int(target.split(":", 1)[1], 0, size - 1, f"target {target!r}")
+
+    def wire(net) -> int:
+        try:
+            return net.wire(target.split(":", 1)[1])
+        except KeyError:
+            raise ValueError(f"target {target!r}: {net.name} has no such wire") from None
 
     if kind == "decoupling_parity_null":
         return eff
@@ -150,9 +157,9 @@ def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
     elif target.startswith("fout:"):
         eff.f_overrides = {chip.f.outputs[idx(len(chip.f.outputs))]: mode}
     elif target.startswith("fgate:"):
-        eff.f_overrides = {chip.f.wire(target.split(":", 1)[1]): mode}
+        eff.f_overrides = {wire(chip.f): mode}
     elif target.startswith("dgate:"):
-        eff.d_overrides = {chip.resolved.wire(target.split(":", 1)[1]): mode}
+        eff.d_overrides = {wire(chip.resolved): mode}
     elif target.startswith("ram:"):
         eff.ram_trojan = target.split(":", 1)[1]
     else:

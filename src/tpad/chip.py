@@ -597,7 +597,11 @@ _BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
 
 
 def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
-    """Read a bundle back; a manifest missing a key or a file raises ValueError."""
+    """Read a bundle back.
+
+    A manifest missing a key or a file, or listing a file a bundle does not
+    have, raises ValueError before any listed file is read.
+    """
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     if not isinstance(manifest, dict) or manifest.get("format") != "tpad-chip/1":
@@ -611,6 +615,10 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     missing = [name for name in required if name not in manifest["files"]]
     if missing:
         raise ValueError(f"bundle manifest lists no file(s): {', '.join(missing)}")
+    expected = {*required, "ram.code"}
+    unexpected = [name for name in manifest["files"] if name not in expected]
+    if unexpected:
+        raise ValueError(f"bundle manifest lists unexpected file(s): {', '.join(unexpected)}")
     texts: dict[str, str] = {}
     for name, digest in manifest["files"].items():
         text = (root / name).read_text()

@@ -137,6 +137,8 @@ class Netlist:
         self._topo = self._topo_sort()
         self._dffs = tuple(g for g in self.gates if g.kind == "DFF")
         self._step: Optional[Callable] = None
+        self._fault_step: Optional[tuple[Callable, dict[int, int]]] = None
+        self._names: Optional[tuple[dict[int, str], dict[str, int]]] = None  # as serialized
 
     # -- construction checks -------------------------------------------------
 
@@ -176,14 +178,22 @@ class Netlist:
     def _wn(self, w: int) -> str:
         return self.wire_names.get(w, f"w{w}")
 
+    def _serial_names(self) -> tuple[dict[int, str], dict[str, int]]:
+        if self._names is None:
+            names = _stable_names(self)
+            self._names = names, {n: w for w, n in names.items()}
+        return self._names
+
     def wire_name(self, w: int) -> str:
-        return self._wn(w)
+        """The name serialize_netlist writes for w (w<id> for unnamed wires)."""
+        return self._serial_names()[0].get(w) or self._wn(w)
 
     def wire(self, name: str) -> int:
-        for w, n in self.wire_names.items():
-            if n == name:
-                return w
-        raise KeyError(name)
+        """The wire serialize_netlist writes as `name`; KeyError if there is none."""
+        by_name = self._serial_names()[1]
+        if name not in by_name:
+            raise KeyError(f"no wire named {name!r} in {self.name}")
+        return by_name[name]
 
     # -- basic facts ----------------------------------------------------------
 
@@ -199,12 +209,6 @@ class Netlist:
     def n_gates(self) -> int:
         return len(self.gates)
 
-    def driver_of(self, wire: int) -> Optional[Gate]:
-        for g in self.gates:
-            if g.out == wire:
-                return g
-        return None
-
     # -- evaluation -----------------------------------------------------------
 
     def step_fn(self) -> Callable:
@@ -216,6 +220,22 @@ class Netlist:
         if self._step is None:
             self._step = _compile_step(self.inputs, self._topo, self._dffs, self.outputs)
         return self._step
+
+    def fault_step_fn(self) -> tuple[Callable, dict[int, int]]:
+        """Compiled step(inp, state, a, b, mask=1) with per-wire fault masks.
+
+        Returns the step and its slots (wire -> k). Every wire, inputs and
+        DFF outputs included, is driven as `value & a[k] ^ b[k]`, so per lane
+        (a[k], b[k]) = (-1, 0) leaves it alone, (-1, m) flips it and (0, m)
+        forces it to m; eval_wires builds a and b from named overrides.
+        Compiled on first use, like step_fn.
+        """
+        if self._fault_step is None:
+            wires = (*self.inputs, *(g.out for g in self._dffs), *(g.out for g in self._topo))
+            slots = {w: k for k, w in enumerate(wires)}
+            step = _compile_step(self.inputs, self._topo, self._dffs, self.outputs, faults=slots)
+            self._fault_step = (step, slots)
+        return self._fault_step
 
     def evaluate(self, inputs: Sequence[int], state: Sequence[int] = ()) -> tuple[Bits, Bits]:
         if len(inputs) != len(self.inputs):
@@ -266,34 +286,46 @@ def _compile_step(
     dffs: Sequence[Gate],
     outputs: Sequence[int],
     selects: Optional[dict[int, int]] = None,
+    faults: Optional[dict[int, int]] = None,
 ) -> Callable:
     """Generate one straight-line step function over gates in `order`.
 
     Without `selects` it is step(inp, state, mask=1). With `selects` (switchbox
     id -> select index), `order` may also hold switchboxes (kind "SB2") and
     the function is step(inp, state, sel, mask=1): sel[i] is 0 to route that
-    switchbox's inputs parallel and -1 (every lane) to cross them.
+    switchbox's inputs parallel and -1 (every lane) to cross them. With
+    `faults` (wire -> slot k) it takes two more vectors, step(inp, state,
+    [sel,] a, b, mask=1), and drives each such wire as `value & a[k] ^ b[k]`.
     """
-    lines = ["def step(inp, state, mask=1):" if selects is None
-             else "def step(inp, state, sel, mask=1):"]
+    params = ["inp", "state", *(["sel"] if selects is not None else []),
+              *(["a", "b"] if faults is not None else []), "mask=1"]
+    lines = [f"def step({', '.join(params)}):"]
+
+    def drive(w: int, expr: str) -> None:
+        k = None if faults is None else faults.get(w)
+        lines.append(f" v{w} = {expr}" if k is None else f" v{w} = ({expr}) & a[{k}] ^ b[{k}]")
+
     for i, w in enumerate(inputs):
-        lines.append(f" v{w} = inp[{i}]")
+        drive(w, f"inp[{i}]")
     for i, g in enumerate(dffs):
-        lines.append(f" v{g.out} = state[{i}]")
+        drive(g.out, f"state[{i}]")
     for g in order:
         if g.kind == "SB2":
             (x, y), (z, w) = g.ins, g.outs
             lines.append(f" t = (v{x} ^ v{y}) & sel[{selects[g.id]}]")
-            lines.append(f" v{z} = v{x} ^ t")
-            lines.append(f" v{w} = v{y} ^ t")
+            drive(z, f"v{x} ^ t")
+            drive(w, f"v{y} ^ t")
         else:
-            lines.append(f" v{g.out} = {_gate_expr(g)}")
+            drive(g.out, _gate_expr(g))
     outs = _tuple_src([f"v{w}" for w in outputs])
     nxt = _tuple_src([f"v{g.ins[0]}" for g in dffs])
     lines.append(f" return {outs}, {nxt}")
     ns: dict = {}
     exec("\n".join(lines), ns)  # noqa: S102 - generated from validated gate list
     return ns["step"]
+
+
+_FAULTS = {"flip": (-1, 1), "stuck0": (0, 0), "stuck1": (0, 1)}  # mode -> (a, b), b times mask
 
 
 def eval_wires(
@@ -303,70 +335,28 @@ def eval_wires(
     overrides: Optional[dict[int, str]] = None,
     mask: int = 1,
 ) -> tuple[Bits, Bits]:
-    """Interpreted evaluation with per-wire fault overrides.
+    """Evaluation with per-wire fault overrides, on the compiled fault step.
 
-    overrides maps wire id -> 'flip' | 'stuck0' | 'stuck1', applied to the
-    value right after the wire is driven (inputs included).
+    overrides maps wire id -> 'flip' | 'stuck0' | 'stuck1', applied in every
+    lane of mask to the value right after the wire is driven (inputs and DFF
+    outputs included). An unknown mode or a wire the netlist does not have
+    raises ValueError before anything is evaluated.
     """
     if len(inputs) != len(net.inputs):
         raise WidthError(f"expected {len(net.inputs)} input bits, got {len(inputs)}")
     if len(state) != net.state_width:
         raise WidthError(f"expected {net.state_width} state bits, got {len(state)}")
-    ov = overrides or {}
-
-    def fix(w: int, v: int) -> int:
-        mode = ov.get(w)
-        if mode is None:
-            return v
-        if mode == "flip":
-            return v ^ mask
-        if mode == "stuck0":
-            return 0
-        if mode == "stuck1":
-            return mask
-        raise ValueError(f"unknown override {mode!r}")
-
-    val: dict[int, int] = {}
-    for i, w in enumerate(net.inputs):
-        val[w] = fix(w, inputs[i] & mask)
-    for i, g in enumerate(net._dffs):
-        val[g.out] = fix(g.out, state[i] & mask)
-    for g in net._topo:
-        a = [val[w] for w in g.ins]
-        if g.kind == "AND":
-            v = a[0]
-            for x in a[1:]:
-                v &= x
-        elif g.kind == "OR":
-            v = a[0]
-            for x in a[1:]:
-                v |= x
-        elif g.kind == "XOR":
-            v = a[0]
-            for x in a[1:]:
-                v ^= x
-        elif g.kind == "NAND":
-            v = a[0]
-            for x in a[1:]:
-                v &= x
-            v ^= mask
-        elif g.kind == "NOR":
-            v = a[0]
-            for x in a[1:]:
-                v |= x
-            v ^= mask
-        elif g.kind == "NOT":
-            v = mask ^ a[0]
-        elif g.kind == "BUF":
-            v = a[0]
-        elif g.kind == "CONST0":
-            v = 0
-        else:  # CONST1
-            v = mask
-        val[g.out] = fix(g.out, v)
-    outs = tuple(val[w] for w in net.outputs)
-    nxt = tuple(val[g.ins[0]] for g in net._dffs)
-    return outs, nxt
+    step, slots = net.fault_step_fn()
+    a = [-1] * len(slots)
+    b = [0] * len(slots)
+    for w, mode in (overrides or {}).items():
+        k = slots.get(w)
+        if k is None:
+            raise ValueError(f"override on wire {w}, which {net.name} does not have")
+        if mode not in _FAULTS:
+            raise ValueError(f"unknown override {mode!r} on wire {net.wire_name(w)}")
+        a[k], b[k] = _FAULTS[mode][0], _FAULTS[mode][1] * mask
+    return step(inputs, state, a, b, mask)
 
 
 # -- builder -------------------------------------------------------------------
@@ -441,12 +431,21 @@ _GATE_RE = re.compile(r"^\s*([A-Za-z_][\w.$]*)\s*=\s*([A-Z][A-Z0-9]*)\s*\((.*)\)
 _NAME_RE = re.compile(r"^[A-Za-z_][\w.$]*$")
 
 
-def parse_netlist(text: str, name: str = "netlist") -> Netlist:
-    """Parse the line-oriented netlist format into a Netlist."""
+def parse_text(text: str, name: str = "netlist", switchboxes: bool = False) -> tuple:
+    """The one line parser of parse_netlist and switchbox.parse_obfuscated.
+
+    It reads directives and gate lines and, with `switchboxes`, also
+    `sbN = SB2(x, y -> z, w)` lines. Malformed lines, bad names, undriven
+    wires and wires with several drivers raise errors that give the line.
+    Returns (model, inputs, outputs, gates, switchboxes, names); wire ids
+    go to inputs, then to gate and switchbox outputs in line order, and a
+    switchbox is (N, (x, y), (z, w)).
+    """
     model = name
-    input_names: list[str] = []
-    output_names: list[str] = []
-    gate_specs: list[tuple[str, str, list[str], int]] = []
+    input_names: list[tuple[str, int]] = []
+    output_names: list[tuple[str, int]] = []
+    nodes: list[tuple[str, str, list[str], list[str], int]] = []  # name, kind, outs, ins, line
+    expected = "'name = KIND(args)'" + (" or 'sbN = SB2(x, y -> z, w)'" if switchboxes else "")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -458,66 +457,86 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
                 if len(parts) != 2:
                     raise NetlistSyntaxError(".model expects one name", lineno)
                 model = parts[1]
-            elif parts[0] == ".inputs":
-                for p in parts[1:]:
-                    if not _NAME_RE.match(p):
-                        raise NetlistSyntaxError(f"bad input name {p!r}", lineno, raw.find(p) + 1)
-                    input_names.append(p)
-            elif parts[0] == ".outputs":
-                for p in parts[1:]:
-                    if not _NAME_RE.match(p):
-                        raise NetlistSyntaxError(f"bad output name {p!r}", lineno, raw.find(p) + 1)
-                    output_names.append(p)
+            elif parts[0] in (".inputs", ".outputs"):
+                what = parts[0][1:-1]
+                found = _checked_names(parts[1:], what, raw, lineno)
+                (input_names if what == "input" else output_names).extend((n, lineno) for n in found)
             else:
                 raise NetlistSyntaxError(f"unknown directive {parts[0]!r}", lineno)
             continue
         m = _GATE_RE.match(line)
         if not m:
             eq = raw.find("=")
-            raise NetlistSyntaxError("expected 'name = KIND(args)'", lineno, eq + 1 if eq >= 0 else 1)
+            raise NetlistSyntaxError(f"expected {expected}", lineno, eq + 1 if eq >= 0 else 1)
         out, kind, argstr = m.group(1), m.group(2), m.group(3).strip()
-        if kind not in GATE_KINDS:
+        if kind == "SB2" and switchboxes:
+            pins = [[a.strip() for a in side.split(",")] for side in argstr.split("->")]
+            if not (out.startswith("sb") and out[2:].isdigit()) or [len(p) for p in pins] != [2, 2]:
+                raise NetlistSyntaxError("expected 'sbN = SB2(x, y -> z, w)'", lineno)
+            ins, outs = pins
+        elif kind in GATE_KINDS:
+            ins, outs = [a.strip() for a in argstr.split(",")] if argstr else [], [out]
+        else:
             raise NetlistSyntaxError(f"unknown gate kind {kind!r}", lineno, raw.find(kind) + 1)
-        args = [a.strip() for a in argstr.split(",")] if argstr else []
-        for a in args:
-            if not _NAME_RE.match(a):
-                raise NetlistSyntaxError(f"bad wire name {a!r}", lineno, raw.find(a) + 1)
-        gate_specs.append((out, kind, args, lineno))
+        nodes.append((out, kind, _checked_names(outs, "wire", raw, lineno),
+                      _checked_names(ins, "wire", raw, lineno), lineno))
 
     ids: dict[str, int] = {}
-    drivers: set[str] = set()
-    for n in input_names:
-        if n in drivers:
-            raise MultipleDriverError(f"wire {n!r} has multiple drivers")
-        drivers.add(n)
-        ids[n] = len(ids)
-    for out, _, _, _ in gate_specs:
-        if out in drivers:
-            raise MultipleDriverError(f"wire {out!r} has multiple drivers")
-        drivers.add(out)
-        ids[out] = len(ids)
+    driven_on: dict[str, int] = {}
 
-    def resolve(n: str) -> int:
-        if n not in ids:
-            raise UndrivenWireError(f"wire {n!r} has no driver")
+    def drive(n: str, lineno: int) -> int:
+        if n in ids:
+            raise MultipleDriverError(
+                f"line {lineno}: wire {n!r} has multiple drivers (also line {driven_on[n]})")
+        ids[n] = len(ids)
+        driven_on[n] = lineno
         return ids[n]
 
-    gates = [Gate(ids[out], kind, tuple(resolve(a) for a in args)) for out, kind, args, _ in gate_specs]
-    outputs = [resolve(n) for n in output_names]
-    names = {w: n for n, w in ids.items()}
-    return Netlist(model, [ids[n] for n in input_names], outputs, gates, names)
+    def resolve(n: str, lineno: int) -> int:
+        if n not in ids:
+            raise UndrivenWireError(f"line {lineno}: wire {n!r} has no driver")
+        return ids[n]
+
+    inputs = [drive(n, lineno) for n, lineno in input_names]
+    for _, _, outs, _, lineno in nodes:
+        for n in outs:
+            drive(n, lineno)
+    gates, sbs = [], []
+    for out, kind, outs, args, lineno in nodes:
+        ins = tuple(resolve(a, lineno) for a in args)
+        if kind == "SB2":
+            sbs.append((int(out[2:]), ins, tuple(ids[n] for n in outs)))
+        else:
+            gates.append(Gate(ids[out], kind, ins))
+    outputs = [resolve(n, lineno) for n, lineno in output_names]
+    return model, inputs, outputs, gates, sbs, {w: n for n, w in ids.items()}
+
+
+def _checked_names(names: list[str], what: str, raw: str, lineno: int) -> list[str]:
+    for n in names:
+        if not _NAME_RE.match(n):
+            raise NetlistSyntaxError(f"bad {what} name {n!r}", lineno, raw.find(n) + 1)
+    return names
+
+
+def parse_netlist(text: str, name: str = "netlist") -> Netlist:
+    """Parse the line-oriented netlist format into a Netlist."""
+    model, inputs, outputs, gates, _, names = parse_text(text, name)
+    return Netlist(model, inputs, outputs, gates, names)
 
 
 def _stable_names(net: Netlist) -> dict[int, str]:
+    """Name of every wire of net as serialize_netlist writes it."""
     used = set(net.wire_names.values())
-    names = dict(net.wire_names)
+    names = {}
     for w in sorted({*net.inputs, *net.outputs, *(g.out for g in net.gates)}):
-        if w not in names:
+        cand = net.wire_names.get(w)
+        if cand is None:
             cand = f"w{w}"
             while cand in used:
                 cand += "_"
-            names[w] = cand
             used.add(cand)
+        names[w] = cand
     return names
 
 

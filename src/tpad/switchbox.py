@@ -27,10 +27,9 @@ from .netlist import (
     check_equivalence,
     compare_steps,
     input_patterns,
+    parse_text,
     topo_order,
     _compile_step,
-    _GATE_RE,
-    GATE_KINDS,
     NetlistSyntaxError,
 )
 from .rng import Rng, as_rng
@@ -588,9 +587,6 @@ def _bits_to_cfg(obf: ObfuscatedNetlist, bits: int) -> dict[int, str]:
 
 # -- files -------------------------------------------------------------------------
 
-_SB_RE = re.compile(
-    r"^\s*sb(\d+)\s*=\s*SB2\(\s*([\w.$]+)\s*,\s*([\w.$]+)\s*->\s*([\w.$]+)\s*,\s*([\w.$]+)\s*\)\s*$"
-)
 _CFG_RE = re.compile(r"^\s*sb(\d+)\s*=\s*(parallel|crossed)\s*$")
 
 
@@ -623,57 +619,10 @@ def serialize_obfuscated(obf: ObfuscatedNetlist) -> str:
 
 
 def parse_obfuscated(text: str, intended: dict[int, str], name: str = "netlist") -> ObfuscatedNetlist:
-    model = name
-    input_names: list[str] = []
-    output_names: list[str] = []
-    gate_specs: list[tuple[str, str, list[str]]] = []
-    sb_specs: list[tuple[int, str, str, str, str]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("."):
-            parts = line.split()
-            if parts[0] == ".model" and len(parts) == 2:
-                model = parts[1]
-            elif parts[0] == ".inputs":
-                input_names.extend(parts[1:])
-            elif parts[0] == ".outputs":
-                output_names.extend(parts[1:])
-            else:
-                raise NetlistSyntaxError(f"unknown directive {parts[0]!r}", lineno)
-            continue
-        m = _SB_RE.match(line)
-        if m:
-            sb_specs.append((int(m.group(1)), m.group(2), m.group(3), m.group(4), m.group(5)))
-            continue
-        m = _GATE_RE.match(line)
-        if m and m.group(2) in GATE_KINDS:
-            args = [a.strip() for a in m.group(3).split(",")] if m.group(3).strip() else []
-            gate_specs.append((m.group(1), m.group(2), args))
-            continue
-        raise NetlistSyntaxError("expected gate or SB2 line", lineno)
-
-    ids: dict[str, int] = {}
-
-    def wid(n: str) -> int:
-        if n not in ids:
-            ids[n] = len(ids)
-        return ids[n]
-
-    inputs = [wid(n) for n in input_names]
-    gates = []
-    for out, kind, args in gate_specs:
-        gates.append(Gate(wid(out), kind, tuple(wid(a) for a in args)))
-    sbs = []
-    for sid, x, y, z, w in sb_specs:
-        sbs.append(Switchbox(sid, (wid(x), wid(y)), (wid(z), wid(w))))
-    outputs = [wid(n) for n in output_names]
-    names = {w: n for n, w in ids.items()}
-    return ObfuscatedNetlist(
-        model, tuple(inputs), tuple(outputs), tuple(gates), tuple(sbs), dict(intended), names
-    )
+    """serialize_obfuscated's text, read by parse_netlist's parser; errors give the line."""
+    model, inputs, outputs, gates, sbs, names = parse_text(text, name, switchboxes=True)
+    return ObfuscatedNetlist(model, tuple(inputs), tuple(outputs), tuple(gates),
+                             tuple(Switchbox(*sb) for sb in sbs), dict(intended), names)
 
 
 def format_config(intended: dict[int, str]) -> str:

@@ -25,7 +25,14 @@ from tpad.attacks import (
     subcircuit_match_attack,
     uniform_output_flip_attacks,
 )
-from tpad.chip import ChipOptions, OutputReceiver, StimulusEncoder, build_protected_chip
+from tpad.chip import (
+    ChipOptions,
+    OutputReceiver,
+    StimulusEncoder,
+    build_protected_chip,
+    load_chip_bundle,
+    save_chip_bundle,
+)
 from tpad.netlist import random_netlist
 from tpad.parity import ParityCheckMatrix, build_ocp, sample_parity_code
 from tpad.switchbox import apply_config, insert_switchboxes
@@ -158,6 +165,8 @@ class TestCompileValidation:
         ("pin", "output:16"),
         ("logic", "fout:99"),      # used to raise a bare IndexError
         ("logic", "fout:-1"),
+        ("logic", "fgate:ghost"),  # unknown gate names used to raise a bare KeyError
+        ("logic", "dgate:ghost"),
     ])
     def test_out_of_range_target_rejected(self, wide_chip, kind, target):
         with pytest.raises(ValueError, match=re.escape(repr(target))):
@@ -176,6 +185,23 @@ class TestCompileValidation:
         with pytest.raises(ValueError, match=re.escape(repr(payload))):
             compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",
                                                        ("always",), payload))
+
+    @pytest.mark.parametrize("prefix", ["fgate", "dgate"])
+    def test_unnamed_wire_names_resolve(self, wide_chip, tmp_path, prefix):
+        """fgate:/dgate: take the w<id> name a bundle writes for an unnamed wire."""
+        def net_of(chip):
+            return chip.f if prefix == "fgate" else chip.resolved
+
+        net = net_of(wide_chip)
+        w = next(g.out for g in net.gates if g.out not in net.wire_names)
+        name = net.wire_name(w)
+        save_chip_bundle(wide_chip, tmp_path)
+        twin = load_chip_bundle(tmp_path)
+        for chip in (wide_chip, twin):
+            eff = compile_attack(chip, AttackDescriptor("logic", f"{prefix}:{name}"))
+            (wire, mode), = (eff.f_overrides or eff.d_overrides).items()
+            assert net_of(chip).wire_name(wire) == name and mode == "flip"
+        assert net.wire(name) == w
 
     def test_deepest_replay_accepted(self, wide_chip):
         eff = compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",

@@ -336,6 +336,16 @@ class TestBundle:
         with pytest.raises(ValueError, match=re.escape("ram.code")):
             load_chip_bundle(root)
 
+    @pytest.mark.parametrize("entry", ["../x", "notes.txt", "output1.code", "manifest.json"])
+    def test_manifest_unexpected_file_named(self, adder_chip, tmp_path, entry):
+        root = tmp_path / "b"
+        save_chip_bundle(adder_chip, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["files"][entry] = "0" * 64  # never read: the entry is refused first
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"unexpected file.*{re.escape(entry)}"):
+            load_chip_bundle(root)
+
     @pytest.mark.parametrize("key", [
         "files", "t", "pipeline_stages", "ram_depth", "ram_word_width", "output_subsets",
     ])

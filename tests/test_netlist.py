@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,9 @@ from tpad.netlist import (
     ArityError,
     ArityMismatchError,
     CombinationalCycleError,
+    Gate,
     MultipleDriverError,
+    Netlist,
     NetlistSyntaxError,
     UndrivenWireError,
     WidthError,
@@ -73,6 +77,21 @@ class TestParse:
         with pytest.raises(NetlistSyntaxError):
             parse_netlist(".inputs a\n.outputs y\ny = XNOR(a, a)\n")
 
+    def test_switchbox_line_is_unknown_kind_in_plain_netlist(self):
+        with pytest.raises(NetlistSyntaxError, match="unknown gate kind 'SB2'") as e:
+            parse_netlist(".inputs a b\n.outputs y z\nsb0 = SB2(a, b -> y, z)\n")
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize("src,error,line", [
+        (".inputs a\n.outputs y\ny = BUF(a)\ny = NOT(a)\n", MultipleDriverError, 4),
+        (".inputs a a\n.outputs a\n", MultipleDriverError, 1),
+        (".inputs a\n.outputs y\n\ny = AND(a, ghost)\n", UndrivenWireError, 4),
+        (".inputs a\n.outputs nowhere\n", UndrivenWireError, 2),
+    ])
+    def test_driver_errors_give_the_line(self, src, error, line):
+        with pytest.raises(error, match=f"^line {line}: "):
+            parse_netlist(src)
+
 
 class TestEvaluate:
     @pytest.mark.parametrize(
@@ -107,6 +126,99 @@ class TestEvaluate:
         s_wire = full_adder.outputs[0]
         out, _ = eval_wires(full_adder, (1, 1, 0), overrides={s_wire: "flip"})
         assert out[0] == 1  # healthy s would be 0
+
+
+def with_dffs(net, rng, k):
+    """net with k DFFs: each feeds one random gate pin and reads a random wire."""
+    gates = list(net.gates)
+    wires = [*net.inputs, *(g.out for g in gates)]
+    q = max(wires) + 1
+    for j in range(k):
+        i = rng.randrange(len(gates))
+        g = gates[i]
+        p = rng.randrange(len(g.ins))
+        gates[i] = Gate(g.out, g.kind, g.ins[:p] + (q + j,) + g.ins[p + 1:])
+        gates.append(Gate(q + j, "DFF", (rng.choice(wires),)))
+    return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
+
+
+def with_faults_spliced(net, overrides):
+    """The overrides built as gates: a flip is an XOR with CONST1 after the
+    wire, a stuck wire's readers read a CONST0 or CONST1 instead."""
+    fresh = max([*net.inputs, *(g.out for g in net.gates)]) + 1
+    extra, reroute = [], {}
+    for w, mode in overrides.items():
+        const = fresh
+        extra.append(Gate(const, "CONST0" if mode == "stuck0" else "CONST1", ()))
+        if mode == "flip":
+            extra.append(Gate(const + 1, "XOR", (w, const)))
+        reroute[w] = const + (mode == "flip")
+        fresh += 2
+    gates = [Gate(g.out, g.kind, tuple(reroute.get(w, w) for w in g.ins)) for g in net.gates]
+    outputs = [reroute.get(w, w) for w in net.outputs]
+    return Netlist(net.name, net.inputs, outputs, gates + extra, net.wire_names)
+
+
+class TestFaults:
+    """eval_wires against the clean compiled step of the fault built as gates."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), n_dffs=st.integers(0, 3), lanes=st.integers(1, 64),
+           sites=st.lists(st.sampled_from(["input", "dff", "gate"]), min_size=1, max_size=4),
+           modes=st.lists(st.sampled_from(["flip", "stuck0", "stuck1"]), min_size=4, max_size=4))
+    def test_matches_spliced_netlist(self, seed, n_dffs, lanes, sites, modes):
+        rng = random.Random(seed)
+        net = with_dffs(random_netlist(5, 15, 3, rng_seed=seed), rng, n_dffs)
+        pools = {"input": list(net.inputs),
+                 "dff": [g.out for g in net.gates if g.kind == "DFF"],
+                 "gate": [g.out for g in net.gates if g.kind != "DFF"]}
+        overrides = {rng.choice(pools[site] or pools["gate"]): mode
+                     for site, mode in zip(sites, modes)}
+        spliced = with_faults_spliced(net, overrides).step_fn()
+        mask = (1 << lanes) - 1
+        state = tuple(rng.getrandbits(lanes) for _ in range(net.state_width))
+        want_state = state
+        for _ in range(3):  # a few cycles, so faulted DFF inputs feed back
+            x = tuple(rng.getrandbits(lanes) for _ in net.inputs)
+            got, state = eval_wires(net, x, state, overrides, mask)
+            want, want_state = spliced(x, want_state, mask)
+            assert (got, state) == (want, want_state)
+
+    def test_unknown_mode_rejected_before_evaluation(self, full_adder):
+        with pytest.raises(ValueError, match="'stuck2'"):
+            eval_wires(full_adder, (1, 1, 0), overrides={full_adder.outputs[0]: "stuck2"})
+
+    def test_unknown_wire_rejected(self, full_adder):
+        with pytest.raises(ValueError, match="wire 99"):
+            eval_wires(full_adder, (1, 1, 0), overrides={99: "flip"})
+
+
+class TestNames:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_wire_resolves_serialized_names(self, seed):
+        net = random_netlist(6, 20, 3, rng_seed=seed)
+        again = parse_netlist(serialize_netlist(net))
+        for w in (*net.inputs, *(g.out for g in net.gates)):
+            name = net.wire_name(w)
+            assert net.wire(name) == w
+            assert again.wire_name(again.wire(name)) == name
+
+    def test_unnamed_wire_resolves(self):
+        net = random_netlist(6, 20, 3, rng_seed=1)
+        assert 6 not in net.wire_names
+        assert net.wire("w6") == 6
+
+    def test_colliding_default_name(self):
+        # an unnamed wire 1 is written w1_ because wire 0 is named w1
+        net = Netlist("n", (0,), (1,), (Gate(1, "NOT", (0,)),), {0: "w1"})
+        assert net.wire_name(1) == "w1_"
+        assert net.wire("w1_") == 1 and net.wire("w1") == 0
+        assert "w1_ = NOT(w1)" in serialize_netlist(net)
+
+    def test_unknown_name_raises_key_error(self, full_adder):
+        with pytest.raises(KeyError, match="ghost"):
+            full_adder.wire("ghost")
 
 
 class TestRoundTrip:

@@ -2,12 +2,19 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tpad import switchbox
 from tpad.chip import ChipOptions, build_protected_chip
-from tpad.netlist import Gate, check_equivalence, random_netlist
+from tpad.netlist import (
+    Gate,
+    MultipleDriverError,
+    NetlistSyntaxError,
+    UndrivenWireError,
+    check_equivalence,
+    random_netlist,
+)
 from tpad.switchbox import (
     CROSSED,
     PARALLEL,
@@ -190,6 +197,62 @@ class TestFiles:
     def test_config_file_round_trip(self):
         cfg = {0: PARALLEL, 3: CROSSED, 7: PARALLEL}
         assert parse_config(format_config(cfg)) == cfg
+
+    @settings(max_examples=15, deadline=None)
+    @given(net_seed=st.integers(0, 10_000), sb_seed=st.integers(0, 10_000))
+    def test_parse_serialize_fixed_point(self, net_seed, sb_seed):
+        try:
+            obf = insert_switchboxes(random_netlist(10, 40, 3, rng_seed=net_seed), 1,
+                                     rng_seed=sb_seed, max_iterations=200)
+        except UnsatisfiableError:
+            assume(False)  # about 2% of draws
+        text = serialize_obfuscated(obf)
+        assert serialize_obfuscated(parse_obfuscated(text, obf.intended)) == text
+
+
+class TestMalformedDetectionNet:
+    """Each error in a chip's detection.net names the offending line."""
+
+    @pytest.fixture(scope="class")
+    def detection(self):
+        obf = pipelined_chip().detection
+        return serialize_obfuscated(obf).splitlines(), obf.intended
+
+    def parse(self, lines, intended):
+        return parse_obfuscated("\n".join(lines) + "\n", intended)
+
+    def test_model_with_two_names(self, detection):
+        lines, intended = detection
+        with pytest.raises(NetlistSyntaxError, match="expects one name") as e:
+            self.parse([".model a b", *lines[1:]], intended)
+        assert e.value.line == 1
+
+    def test_unknown_gate_kind(self, detection):
+        lines, intended = detection
+        i = next(i for i, l in enumerate(lines) if " = XOR(" in l)
+        lines = list(lines)
+        lines[i] = lines[i].replace(" = XOR(", " = XNOR(")
+        with pytest.raises(NetlistSyntaxError, match="unknown gate kind 'XNOR'") as e:
+            self.parse(lines, intended)
+        assert e.value.line == i + 1
+
+    def test_undriven_wire(self, detection):
+        lines, intended = detection
+        i = next(i for i, l in enumerate(lines) if " = AND(" in l)
+        lines = list(lines)
+        lines[i] = lines[i].replace("AND(", "AND(ghost, ")
+        with pytest.raises(UndrivenWireError, match=f"^line {i + 1}: wire 'ghost'"):
+            self.parse(lines, intended)
+
+    def test_switchbox_output_with_gate_driver(self, detection):
+        lines, intended = detection
+        i = next(i for i, l in enumerate(lines) if " = SB2(" in l)
+        z = lines[i].split("-> ")[1].split(",")[0]
+        lines = [*lines, f"{z} = CONST0()"]
+        with pytest.raises(MultipleDriverError,
+                           match=f"^line {len(lines)}: wire '{z}' has multiple drivers "
+                                 f"\\(also line {i + 1}\\)"):
+            self.parse(lines, intended)
 
 
 # -- the compiled union evaluator ----------------------------------------------
