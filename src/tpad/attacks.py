@@ -15,10 +15,18 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .chip import HISTORY_DEPTH, AttackEffect, OutputReceiver, ProtectedChip, StimulusEncoder
+from .chip import (
+    HISTORY_DEPTH,
+    AttackEffect,
+    OutputReceiver,
+    ProtectedChip,
+    StimulusEncoder,
+)
+from .lanes import lanes_of, pack_lanes
 from .netlist import Netlist
 from .parity import ParityCheckMatrix
 from .rng import Rng, as_rng
@@ -279,7 +287,71 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
         pins = tuple(rng.sample(range(m), w))
         return AttackEffect(kind="pin", trigger=trigger, input_flips=pins, descriptor=atk)
     # compile with the drawn cycle, so a reliability attack stays permanent
-    return compile_attack(chip, replace(atk, trigger=trigger))
+    return compile_attack(chip, AttackDescriptor(atk.kind, atk.target, trigger, atk.payload))
+
+
+# Trials per campaign batch. Trial i of a batch of n runs armed in lane i and
+# as its own control in lane n + i of one chip.
+CAMPAIGN_BATCH = 64
+
+
+def _stimulus(chip: ProtectedChip, seed: int, cycles: int) -> tuple[list[int], list[Optional[tuple]]]:
+    """One trial's input bits (cycle after cycle) and RAM operations, from random.Random(seed)."""
+    srng = random.Random(seed)
+    m = len(chip.f.inputs)
+    bits: list[int] = []
+    ram_ops: list[Optional[tuple]] = []
+    for _ in range(cycles):
+        bits.extend(map(srng.getrandbits, repeat(1, m)))
+        ram_op = None
+        if chip.ram is not None:
+            roll = srng.random()
+            if roll < 0.4:
+                ram_op = ("write", srng.randrange(chip.ram.depth),
+                          srng.randrange(1 << chip.ram.word_width))
+            elif roll < 0.8:
+                ram_op = ("read", srng.randrange(chip.ram.depth), None)
+            else:
+                ram_op = ("idle", None, None)
+        ram_ops.append(ram_op)
+    return bits, ram_ops
+
+
+def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[AttackEffect]]],
+               armed: Sequence[bool], cycles: int) -> list[Optional[int]]:
+    """Run every (stimulus seed, session seed, effect) trial once per entry of
+    `armed`, side by side in lanes.
+
+    Lane c * n + i runs trial i of n, with its effect when armed[c] is true
+    and without it otherwise. Returns each lane's first cycle on which the
+    monitor, the input decoder or the trusted receiver reported (None if
+    none did).
+    """
+    n = len(trials)
+    chip.clear_attacks()
+    chip.reset([session for _ in armed for _, session, _ in trials])
+    for c, arm in enumerate(armed):
+        for i, (_, _, effect) in enumerate(trials):
+            if arm and effect is not None:
+                chip.install_attack(effect, 1 << (c * n + i))
+    enc = StimulusEncoder(chip)
+    rec = OutputReceiver(chip)
+    stimuli = [_stimulus(chip, stim, cycles) for stim, _, _ in trials]
+    spread = sum(1 << (c * n) for c in range(len(armed)))  # copies n lanes to each run
+    columns = [v * spread for v in pack_lanes([bits for bits, _ in stimuli])]
+    m = len(chip.f.inputs)
+    first: list[Optional[int]] = [None] * (n * len(armed))
+    fired = 0
+    for cyc in range(cycles):
+        x = columns[cyc * m:(cyc + 1) * m]
+        res = chip.cycle(x, enc.send(x), ram_op=stimuli[0][1][cyc])  # only a RAM chip draws one
+        bad = rec.receive(res.outputs, res.out_check) | res.monitor_attack | res.decode_attack
+        new = bad & ~fired
+        fired |= new
+        for j in lanes_of(new):
+            first[j] = cyc
+    chip.clear_attacks()
+    return first
 
 
 def run_campaign(
@@ -296,6 +368,11 @@ def run_campaign(
     run over the same stimulus; any report there counts as a false positive
     (the architecture's contract is that there are none). Chips with a
     protected RAM also see random memory traffic each cycle.
+
+    Trials run CAMPAIGN_BATCH at a time, each armed run and its control in
+    lanes of one chip, and give the records a one-lane run per trial gives.
+    A chip with a RAM runs one trial per batch, its armed run and control
+    one after the other, since its RAM model is scalar.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -304,59 +381,34 @@ def run_campaign(
     false_positives = 0
     by_kind: dict[str, list[int]] = {}
     records: list[TrialRecord] = []
-    m = len(chip.f.inputs)
-    for trial in range(trials):
-        atk = attack_generator(rng)
-        stim_seed = rng.getrandbits(64)
-        session_seed = rng.getrandbits(64)
-        effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
-
-        hit = control_fired = False
-        first_cycle: Optional[int] = None
-        for armed in (True, False):
-            chip.clear_attacks()
-            chip.reset(session_seed)
-            if armed and effect is not None:
-                effect.captured_state = None
-                chip.install_attack(effect)
-            enc = StimulusEncoder(chip)
-            rec = OutputReceiver(chip)
-            srng = random.Random(stim_seed)
-            fired = False
-            for cyc in range(cycles_per_trial):
-                x = tuple(srng.getrandbits(1) for _ in range(m))
-                ram_op = None
-                if chip.ram is not None:
-                    roll = srng.random()
-                    if roll < 0.4:
-                        ram_op = ("write", srng.randrange(chip.ram.depth),
-                                  srng.randrange(1 << chip.ram.word_width))
-                    elif roll < 0.8:
-                        ram_op = ("read", srng.randrange(chip.ram.depth), None)
-                    else:
-                        ram_op = ("idle", None, None)
-                res = chip.cycle(x, enc.send(x), ram_op=ram_op)
-                bad = res.monitor_attack or res.decode_attack
-                bad = rec.receive(res.outputs, res.out_check) or bad
-                if bad:
-                    fired = True
-                    if armed and first_cycle is None:
-                        first_cycle = cyc
-            if armed:
-                hit = fired
-            else:
-                control_fired = fired
-        chip.clear_attacks()
-        if effect is not None:
-            detected += hit
-            key = effect.kind
-            agg = by_kind.setdefault(key, [0, 0])
-            agg[0] += 1
-            agg[1] += hit
-            records.append(TrialRecord(trial, key, hit, first_cycle))
+    has_ram = bool(chip.options.ram_depth)
+    batch = 1 if has_ram else CAMPAIGN_BATCH
+    for start in range(0, trials, batch):
+        plans = []
+        for _ in range(min(batch, trials - start)):
+            atk = attack_generator(rng)
+            stim_seed = rng.getrandbits(64)
+            session_seed = rng.getrandbits(64)
+            effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
+            plans.append((stim_seed, session_seed, effect))
+        if has_ram:
+            first = [_run_lanes(chip, plans, (arm,), cycles_per_trial)[0] for arm in (True, False)]
         else:
-            records.append(TrialRecord(trial, "none", False, None))
-        false_positives += control_fired
+            first = _run_lanes(chip, plans, (True, False), cycles_per_trial)
+        n = len(plans)
+        for i, (_, _, effect) in enumerate(plans):
+            trial = start + i
+            hit = first[i] is not None
+            if effect is not None:
+                detected += hit
+                key = effect.kind
+                agg = by_kind.setdefault(key, [0, 0])
+                agg[0] += 1
+                agg[1] += hit
+                records.append(TrialRecord(trial, key, hit, first[i]))
+            else:
+                records.append(TrialRecord(trial, "none", False, None))
+            false_positives += first[n + i] is not None
     return DetectionReport(
         trials, detected, false_positives,
         {k: (v[0], v[1]) for k, v in by_kind.items()},
@@ -488,7 +540,7 @@ def subcircuit_match_attack(
         if exhaustive:
             fo, _ = eval_wires(f, pats, (), {root_f: "flip"}, mask=full)
             po, _ = eval_wires(ocp, pats, (), {root_ocp: "flip"}, mask=full)
-            expect = _check_masks(h_logic, fo, full)
+            expect = h_logic.check_bits(fo)
             detected = any(a ^ b for a, b in zip(po, expect))
         else:
             detected = False
@@ -502,17 +554,6 @@ def subcircuit_match_attack(
         if not detected:
             success += 1
     return success / trials
-
-
-def _check_masks(h: ParityCheckMatrix, out_masks: Sequence[int], full: int) -> list[int]:
-    res = []
-    for row in h.rows:
-        acc = 0
-        for j, a in enumerate(row):
-            if a:
-                acc ^= out_masks[j]
-        res.append(acc)
-    return res
 
 
 # -- decoupling cost and destructive sampling -------------------------------------------

@@ -16,6 +16,11 @@ netlist which then receives random switchbox obfuscation; the function f
 itself stays untouched. The per-cycle dataflow is: decode inputs, evaluate
 f and the detection netlist, encode outputs, advance the LFSR, and let the
 trusted monitor compare the emitted error signal against its mirror.
+
+The chip is a W-lane model in the bit-parallel style of PPSFP fault
+simulation: bit j of every wire value, chained check bit, DFF state and
+attack mask belongs to lane j, an independent session with its own seed,
+stimulus and attacks. A scalar session is the one-lane case.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
+from .lanes import lanes_of, pack_lanes, select
 from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr
 from .netlist import (
     Bits,
@@ -87,13 +93,18 @@ class InputDecoderState:
 
 def decode_inputs(
     state: InputDecoderState, inputs: Sequence[int], recv_check: Sequence[int]
-) -> tuple[bool, InputDecoderState]:
-    """Attack verdict for one received (inputs, check bits) pair."""
+) -> tuple[int, InputDecoderState]:
+    """Attack verdict for one received (inputs, check bits) pair.
+
+    On lane ints the verdict is the mask of lanes whose pair fails (0 when
+    every lane is clean); on single bits it is 0 or 1.
+    """
     if len(recv_check) != state.code.r:
         raise WidthError("decoder chain width mismatch")
-    expected = tuple(a ^ b for a, b in zip(recv_check, state.prev_check))
-    actual = state.code.check_bits(inputs)
-    return expected != actual, InputDecoderState(state.code, tuple(recv_check))
+    attack = 0
+    for got, prev, actual in zip(recv_check, state.prev_check, state.code.check_bits(inputs)):
+        attack |= got ^ prev ^ actual
+    return attack, InputDecoderState(state.code, tuple(recv_check))
 
 
 # -- detection netlist -----------------------------------------------------------
@@ -109,28 +120,18 @@ class DetectionLayout:
     subsets: tuple[tuple[int, ...], ...]
     has_ram: bool
 
-    @property
-    def n_inputs(self) -> int:
-        return self.m + 3 * self.r + self.k + self.r * len(self.subsets) + (
-            self.r if self.has_ram else 0
-        )
-
-    def pack_inputs(
+    def pack_live(
         self,
         x: Sequence[int],
         recv_check: Sequence[int],
         prev_in: Sequence[int],
         f_out: Sequence[int],
         prev_outs: Sequence[Sequence[int]],
-        taps: Sequence[int],
-        ram_sig: Optional[Sequence[int]] = None,
     ) -> tuple[int, ...]:
+        """The input ports before the taps (the values a stored state replays)."""
         parts = [*x, *recv_check, *prev_in, *f_out]
         for p in prev_outs:
             parts.extend(p)
-        parts.extend(taps)
-        if self.has_ram:
-            parts.extend(ram_sig if ram_sig is not None else taps)
         return tuple(parts)
 
     def unpack_outputs(self, outs: Sequence[int]) -> tuple[Bits, Bits, list[Bits]]:
@@ -227,29 +228,66 @@ class AttackEffect:
     ram_trojan: Optional[str] = None
     replay_depth: int = 0
     descriptor: Optional[object] = None
-    captured_state: Optional[tuple] = None  # stored-state snapshot, set at engage
 
-    def triggered(self, cycle: int, rng: random.Random) -> bool:
+    def triggered(self, cycle: int, lanes: int, lane_rng: Callable[[int], random.Random]) -> int:
+        """The lanes of `lanes` in which the attack is active at `cycle`.
+
+        A random trigger draws once per lane from that lane's lane_rng(j).
+        """
         mode = self.trigger[0]
         if mode == "always":
-            return True
+            return lanes
         if mode == "at_cycle":
-            return cycle == self.trigger[1]
+            return lanes if cycle == self.trigger[1] else 0
         if mode == "after_cycle":
-            return cycle >= self.trigger[1]
+            return lanes if cycle >= self.trigger[1] else 0
         if mode == "random":
-            return rng.random() < self.trigger[1]
+            on = 0
+            for j in lanes_of(lanes):
+                if lane_rng(j).random() < self.trigger[1]:
+                    on |= 1 << j
+            return on
         raise ValueError(f"unknown trigger {self.trigger!r}")
+
+
+def _override(over: dict[int, dict[str, int]], overrides: dict[int, str], lanes: int) -> None:
+    """Set each wire's fault mode in `lanes`, replacing modes set there before."""
+    for w, mode in overrides.items():
+        modes = over.get(w)
+        if modes is None:
+            over[w] = {mode: lanes}
+            continue
+        for m in modes:
+            modes[m] &= ~lanes
+        modes[mode] = modes.get(mode, 0) | lanes
+
+
+class _Installed:
+    """An attack effect armed in some lanes, with its stored-state capture."""
+
+    __slots__ = ("effect", "lanes", "captured", "snapshot")
+
+    def __init__(self, effect: AttackEffect, lanes: Optional[int]):
+        self.effect = effect
+        self.lanes = lanes  # None: every lane
+        self.captured = 0   # lanes whose stored-state snapshot has been taken
+        self.snapshot = ()  # pack_live values, each lane's from its engage cycle
 
 
 @dataclass
 class ChipCycleResult:
+    """One clock's pad values and verdicts, one bit per lane in every int.
+
+    monitor_attack and decode_attack are lane masks: bit j is set when lane
+    j's monitor or input decoder reports an attack (0 or 1 with one lane).
+    """
+
     outputs: Bits                # words leaving the chip pads
     out_check: Bits              # check bits leaving with subset 0
     out_checks: tuple[Bits, ...]
     error_signal: Bits
-    monitor_attack: bool
-    decode_attack: bool
+    monitor_attack: int
+    decode_attack: int
     ram: Optional[RamCycleResult] = None
 
 
@@ -298,40 +336,72 @@ class ProtectedChip:
         self.resolved = apply_config(detection, detection.intended)
         self._dstep = self.resolved.step_fn()
         self._fstep = f.step_fn()
-        self.attacks: list[AttackEffect] = []
+        self.attacks: list[_Installed] = []
         self.ram: Optional[ProtectedRam] = None
         self.reset(0)
 
     # state management ------------------------------------------------------------
 
-    def reset(self, session_seed: Rng = None) -> None:
-        """Fresh run state; initial chained check bits drawn from the seed.
+    def reset(self, session_seeds: Union[Rng, Sequence[Rng]] = None) -> None:
+        """Fresh run state; initial chained check bits drawn from the seeds.
 
-        The harness is trusted to hand the same initial values to whoever
-        encodes this chip's input stream and decodes its output stream.
+        A list or tuple holds one session seed per lane; any other seed runs
+        one lane. Lane j draws from its seed exactly what a one-lane reset
+        draws, so it starts as that session does. A chip with a RAM runs one
+        lane, since its RAM model is scalar. The harness is trusted to hand
+        the same initial values to whoever encodes this chip's input stream
+        and decodes its output stream.
         """
-        rng = as_rng(session_seed)
+        seeds = list(session_seeds) if isinstance(session_seeds, (list, tuple)) else [session_seeds]
+        if not seeds:
+            raise ValueError("need a session seed per lane")
+        if self.options.ram_depth and len(seeds) > 1:
+            raise ValueError("a chip with a RAM runs one lane")
         r = self.r
-        self.prev_in_check: Bits = tuple(rng.getrandbits(1) for _ in range(r))
+        n_chain = r * (1 + len(self.out_codes))
+        rows = []
+        self._trigger_seeds: list[int] = []
+        drawn: dict[int, tuple[list[int], int]] = {}  # lanes that share an int seed share draws
+        for seed in seeds:
+            got = drawn.get(seed) if isinstance(seed, int) else None
+            if got is None:
+                rng = as_rng(seed)
+                got = [rng.getrandbits(1) for _ in range(n_chain)], rng.getrandbits(64)
+                if isinstance(seed, int):
+                    drawn[seed] = got
+            rows.append(got[0])
+            self._trigger_seeds.append(got[1])
+        chain = pack_lanes(rows)
+        self.mask = (1 << len(seeds)) - 1
+        self._trigger_rngs: list[Optional[random.Random]] = [None] * len(seeds)
+        self.prev_in_check: Bits = tuple(chain[:r])
         self.prev_out_checks: list[Bits] = [
-            tuple(rng.getrandbits(1) for _ in range(r)) for _ in self.out_codes
+            tuple(chain[i:i + r]) for i in range(r, len(chain), r)
         ]
         self.initial_prev_in_check = self.prev_in_check
         self.initial_prev_out_checks = list(self.prev_out_checks)
         self.lfsr_state = self.lfsr_spec.seed
-        self.monitor = ErrorMonitor(self.lfsr_spec)
+        self.monitor = ErrorMonitor(self.lfsr_spec, self.mask)
         self.d_state: Bits = (0,) * self.resolved.state_width
         self.f_state: Bits = (0,) * self.f.state_width
         self.cycle_count = 0
-        self._trigger_rng = random.Random(rng.getrandbits(64))
         self._history: deque = deque(maxlen=HISTORY_DEPTH)
+        self._replay_key: list = []  # the stored states merged into _replay_snapshot
+        self._replay_snapshot: tuple = ()
         self._last_tx_checks: list[Bits] = list(self.prev_out_checks)
         for a in self.attacks:
-            a.captured_state = None
+            a.captured, a.snapshot = 0, ()
         if self.options.ram_depth:
             self.ram = ProtectedRam(
                 self.options.ram_depth, self.options.ram_word_width, code=self.h_mem
             )
+
+    def _lane_rng(self, j: int) -> random.Random:
+        """Lane j's trigger generator, seeded at reset and built on first use."""
+        rng = self._trigger_rngs[j]
+        if rng is None:
+            rng = self._trigger_rngs[j] = random.Random(self._trigger_seeds[j])
+        return rng
 
     def sync_input_chain(self, prev_check: Bits) -> None:
         """Adopt a sender's chain start for this chip's input decoder."""
@@ -340,8 +410,11 @@ class ProtectedChip:
         self.prev_in_check = tuple(prev_check)
         self.initial_prev_in_check = tuple(prev_check)
 
-    def install_attack(self, effect: AttackEffect) -> None:
-        self.attacks.append(effect)
+    def install_attack(self, effect: AttackEffect, lanes: Optional[int] = None) -> None:
+        """Arm effect in the lanes of the `lanes` mask (default: every lane)."""
+        if lanes is not None and (lanes <= 0 or lanes & ~self.mask):
+            raise ValueError(f"lane mask {lanes:#x} is not a nonempty subset of {self.mask:#x}")
+        self.attacks.append(_Installed(effect, lanes))
 
     def clear_attacks(self) -> None:
         self.attacks = []
@@ -354,99 +427,125 @@ class ProtectedChip:
         recv_check: Sequence[int],
         ram_op: Optional[tuple] = None,
     ) -> ChipCycleResult:
+        """One clock in every lane; inputs and recv_check hold one bit per lane."""
         if len(inputs) != len(self.f.inputs):
             raise WidthError("primary input width mismatch")
         if len(recv_check) != self.r:
             raise WidthError("input check width mismatch")
-        r = self.r
+        mask = self.mask
         taps = lfsr_taps(self.lfsr_state, self.lfsr_spec)
-        active = [a for a in self.attacks if a.triggered(self.cycle_count, self._trigger_rng)]
+        if mask != 1:  # every lane's LFSR starts at the spec's seed
+            taps = tuple(-t & mask for t in taps)
 
         x = list(inputs)
         rc = list(recv_check)
-        for a in active:
-            for i in a.input_flips:
-                x[i] ^= 1
-            for i in a.recv_flips:
-                rc[i] ^= 1
-
-        f_over: dict[int, str] = {}
-        d_over: dict[int, str] = {}
+        f_over: dict[int, dict[str, int]] = {}
+        d_over: dict[int, dict[str, int]] = {}
         ram_trojan = None
-        replay = None
-        parity_null = False
-        for a in active:
-            f_over.update(a.f_overrides)
-            d_over.update(a.d_overrides)
-            if a.ram_trojan:
-                ram_trojan = a.ram_trojan
-            if a.kind == "decoupling_stored_state":
+        replay = null = 0  # lanes replaying a stored state / nulling parity
+        stored = []  # (lanes, snapshot) each active stored-state attack replays
+        out_flips = []
+        for a in self.attacks:
+            eff = a.effect
+            on = eff.triggered(self.cycle_count, mask if a.lanes is None else a.lanes,
+                               self._lane_rng)
+            if not on:
+                continue
+            for i in eff.input_flips:
+                x[i] ^= on
+            for i in eff.recv_flips:
+                rc[i] ^= on
+            if eff.output_flips:
+                out_flips.append((eff.output_flips, on))
+            if eff.f_overrides:
+                _override(f_over, eff.f_overrides, on)
+            if eff.d_overrides:
+                _override(d_over, eff.d_overrides, on)
+            if eff.ram_trojan:
+                ram_trojan = eff.ram_trojan
+            if eff.kind == "decoupling_stored_state":
                 # the trojan's extra flip-flops hold one earlier consistent
                 # state; from engagement on, the CED path sees only that
-                if a.captured_state is None and len(self._history) >= a.replay_depth > 0:
-                    a.captured_state = self._history[-a.replay_depth]
-                replay = a.captured_state
-            if a.kind == "decoupling_parity_null":
-                parity_null = True
+                fresh = on & ~a.captured
+                if fresh and len(self._history) >= eff.replay_depth > 0:
+                    past = self._history[-eff.replay_depth]
+                    a.snapshot = select(fresh, past, a.snapshot) if a.snapshot else past
+                    a.captured |= fresh
+                taken = on & a.captured
+                replay = replay & ~on | taken
+                if taken:
+                    stored.append((taken, a.snapshot))
+            if eff.kind == "decoupling_parity_null":
+                null |= on
 
         if f_over:
-            f_out, self.f_state = eval_wires(self.f, x, self.f_state, f_over)
+            f_out, self.f_state = eval_wires(self.f, x, self.f_state, f_over, mask)
         else:
-            f_out, self.f_state = self._fstep(tuple(x), self.f_state, 1)
+            f_out, self.f_state = self._fstep(x, self.f_state, mask)
 
         ram_res = None
-        ram_sig: Bits = taps
-        if self.ram is not None and ram_op is not None:
-            op, addr, data = (ram_op + (None, None))[:3]
-            ram_res = self.ram.cycle(op, addr, data, trojan=ram_trojan)
-            if ram_res.attack:
-                ram_sig = (taps[0] ^ 1,) + taps[1:]
+        ram_sig: Bits = ()
+        if self.layout.has_ram:
+            ram_sig = taps
+            if self.ram is not None and ram_op is not None:
+                op, addr, data = (ram_op + (None, None))[:3]
+                ram_res = self.ram.cycle(op, addr, data, trojan=ram_trojan)
+                if ram_res.attack:
+                    ram_sig = (taps[0] ^ mask,) + taps[1:]
 
-        # the detection netlist sees either live values or, under a stored
-        # state decoupling attack, a recorded snapshot of an earlier cycle
-        if replay is not None:
-            ced_x, ced_rc, ced_prev_in, ced_fout, ced_prev_outs = replay
-        else:
-            ced_x, ced_rc, ced_prev_in, ced_fout, ced_prev_outs = (
-                tuple(x), tuple(rc), self.prev_in_check, f_out,
-                tuple(self.prev_out_checks),
-            )
-        packed = self.layout.pack_inputs(
-            ced_x, ced_rc, ced_prev_in, ced_fout, ced_prev_outs, taps, ram_sig
-        )
+        # the detection netlist sees either live values or, in lanes under a
+        # stored state decoupling attack, a recorded snapshot of an earlier cycle
+        live = self.layout.pack_live(x, rc, self.prev_in_check, f_out, self.prev_out_checks)
+        ced = live
+        if replay:
+            if stored != self._replay_key:  # a stored state usually replays for many cycles
+                snapshot = stored[0][1]
+                for taken, snap in stored[1:]:
+                    snapshot = select(taken, snap, snapshot)
+                self._replay_key, self._replay_snapshot = stored, snapshot
+            ced = select(replay, self._replay_snapshot, live)
+        packed = ced + taps + ram_sig
         if d_over:
-            d_out, self.d_state = eval_wires(self.resolved, packed, self.d_state, d_over)
+            d_out, self.d_state = eval_wires(self.resolved, packed, self.d_state, d_over, mask)
         else:
-            d_out, self.d_state = self._dstep(packed, self.d_state, 1)
+            d_out, self.d_state = self._dstep(packed, self.d_state, mask)
         error_signal, in_sig, out_checks = self.layout.unpack_outputs(d_out)
-        decode_attack = in_sig != taps
-
-        self._history.append((tuple(x), tuple(rc), self.prev_in_check, f_out,
-                              tuple(self.prev_out_checks)))
+        decode_attack = 0
+        for got, tap in zip(in_sig, taps):
+            decode_attack |= got ^ tap
+        self._history.append(live)
 
         # transmitted values
-        tx_out = list(f_out)
-        tx_checks = [list(c) for c in out_checks]
-        if replay is not None:
-            tx_out = [b ^ 1 for b in f_out]  # hijacked main outputs
-        if parity_null:
-            tx_out = [0] * len(f_out)
-            tx_checks = [list(c) for c in self._last_tx_checks]
-        for a in active:
-            for i in a.output_flips:
-                tx_out[i] ^= 1
+        tx_out = f_out
+        tx_checks = out_checks
+        if replay:
+            tx_out = tuple(b ^ replay for b in tx_out)  # hijacked main outputs
+        if null:
+            tx_out = tuple(b & ~null for b in tx_out)
+            tx_checks = [select(null, last, c) for last, c in zip(self._last_tx_checks, out_checks)]
+        if out_flips:
+            tx_out = list(tx_out)
+            for flips, on in out_flips:
+                for i in flips:
+                    tx_out[i] ^= on
+            tx_out = tuple(tx_out)
 
-        if replay is None:
+        if replay:
+            self.prev_in_check = select(replay, self.prev_in_check, rc)
+            self.prev_out_checks = [
+                select(replay, old, new) for old, new in zip(self.prev_out_checks, out_checks)
+            ]
+        else:
             self.prev_in_check = tuple(rc)
-            self.prev_out_checks = [tuple(c) for c in out_checks]
-        self._last_tx_checks = [tuple(c) for c in tx_checks]
+            self.prev_out_checks = out_checks
+        self._last_tx_checks = tx_checks
         self.lfsr_state = step_lfsr(self.lfsr_state, self.lfsr_spec)
         monitor_attack = self.monitor.check(error_signal)
         self.cycle_count += 1
         return ChipCycleResult(
-            outputs=tuple(tx_out),
-            out_check=tuple(tx_checks[0]) if tx_checks else (),
-            out_checks=tuple(tuple(c) for c in tx_checks),
+            outputs=tx_out,
+            out_check=tx_checks[0] if tx_checks else (),
+            out_checks=tuple(tx_checks),
             error_signal=error_signal,
             monitor_attack=monitor_attack,
             decode_attack=decode_attack,
@@ -589,6 +688,14 @@ def save_chip_bundle(chip: ProtectedChip, path: Union[str, Path]) -> None:
         (root / name).write_text(text)
         manifest["files"][name] = _sha256(text.encode())
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    # a chip saved here before may have had more output codes or a RAM code,
+    # which load_chip_bundle would refuse as files the manifest does not list
+    i = len(chip.out_codes)
+    while (root / f"output{i}.code").is_file():
+        (root / f"output{i}.code").unlink()
+        i += 1
+    if chip.h_mem is None and (root / "ram.code").is_file():
+        (root / "ram.code").unlink()
 
 
 _MANIFEST_KEYS = ("files", "t", "pipeline_stages", "ram_depth", "ram_word_width", "output_subsets")
@@ -599,8 +706,9 @@ _BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
 def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     """Read a bundle back.
 
-    A manifest missing a key or a file, or listing a file a bundle does not
-    have, raises ValueError before any listed file is read.
+    A manifest missing a key or a file, listing a file a bundle does not
+    have, or leaving out a file the directory holds raises ValueError before
+    any listed file is read.
     """
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
@@ -619,6 +727,11 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     unexpected = [name for name in manifest["files"] if name not in expected]
     if unexpected:
         raise ValueError(f"bundle manifest lists unexpected file(s): {', '.join(unexpected)}")
+    unlisted = sorted(p.name for p in root.iterdir()
+                      if p.name != "manifest.json" and p.name not in manifest["files"])
+    if unlisted:
+        raise ValueError(f"bundle directory holds file(s) its manifest does not list: "
+                         f"{', '.join(unlisted)}")
     texts: dict[str, str] = {}
     for name, digest in manifest["files"].items():
         text = (root / name).read_text()

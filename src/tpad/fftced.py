@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,25 +47,36 @@ def _require_power_of_two(n: int) -> int:
     return n.bit_length() - 1
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def _bit_reverse_permutation(n: int) -> np.ndarray:
+    """Bit-reversal order of 0..n-1; cached per n, so the array is read-only."""
     bits = _require_power_of_two(n)
     idx = np.arange(n)
     rev = np.zeros(n, dtype=np.int64)
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
-    return rev
+    return _read_only(rev)
 
 
-def _twiddles(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-stage twiddle factors, pre-rounded to half precision."""
+@lru_cache(maxsize=None)
+def _twiddles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-stage twiddle factors, pre-rounded to half precision.
+
+    Cached per n, so the arrays are read-only.
+    """
     out = []
     size = 2
     while size <= n:
         ang = -2.0 * np.pi * np.arange(size // 2) / size
-        out.append((np.cos(ang).astype(HALF), np.sin(ang).astype(HALF)))
+        out.append((_read_only(np.cos(ang).astype(HALF)), _read_only(np.sin(ang).astype(HALF))))
         size *= 2
-    return out
+    return tuple(out)
 
 
 StageHook = Optional[Callable[[int, np.ndarray, np.ndarray], None]]

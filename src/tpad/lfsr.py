@@ -135,27 +135,35 @@ def combine_error_signals(taps: Sequence[int], signals: Sequence[ErrorSignal]) -
 
 
 class ErrorMonitor:
-    """Trusted mirror of a chip's LFSR; flags mismatching error signals."""
+    """Trusted mirror of a chip's LFSR; flags mismatching error signals.
 
-    def __init__(self, spec: LfsrSpec):
+    With a lane mask wider than 1, each received bit is a lane int and every
+    lane expects the same taps (every lane's LFSR starts at the spec's seed).
+    """
+
+    def __init__(self, spec: LfsrSpec, mask: int = 1):
         self.spec = spec
+        self.mask = mask
         self.state = spec.seed
         self.cycle = 0
 
     def expected(self) -> Bits:
         return lfsr_taps(self.state, self.spec)
 
-    def check(self, received: Sequence[int]) -> bool:
-        """True when the received signal signals an attack; always advances."""
+    def check(self, received: Sequence[int]) -> int:
+        """Mask of the lanes whose signal reports an attack (0 if none); always advances."""
         if len(received) != self.spec.r:
             raise WidthError("error signal width mismatch")
-        attack = tuple(received) != self.expected()
+        mask = self.mask
+        attack = 0
+        for got, tap in zip(received, self.expected()):
+            attack |= got ^ (-tap & mask)
         self.state = step_lfsr(self.state, self.spec)
         self.cycle += 1
         return attack
 
 
-def monitor_check(monitor_spec: LfsrSpec, received: Iterable[Sequence[int]]) -> list[bool]:
+def monitor_check(monitor_spec: LfsrSpec, received: Iterable[Sequence[int]]) -> list[int]:
     """Per-cycle verdicts for a whole received error-signal stream."""
     mon = ErrorMonitor(monitor_spec)
     return [mon.check(sig) for sig in received]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 
@@ -325,22 +325,24 @@ def _compile_step(
     return ns["step"]
 
 
-_FAULTS = {"flip": (-1, 1), "stuck0": (0, 0), "stuck1": (0, 1)}  # mode -> (a, b), b times mask
+_FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes
 
 
 def eval_wires(
     net: Netlist,
     inputs: Sequence[int],
     state: Sequence[int] = (),
-    overrides: Optional[dict[int, str]] = None,
+    overrides: Optional[dict[int, Union[str, dict[str, int]]]] = None,
     mask: int = 1,
 ) -> tuple[Bits, Bits]:
     """Evaluation with per-wire fault overrides, on the compiled fault step.
 
     overrides maps wire id -> 'flip' | 'stuck0' | 'stuck1', applied in every
-    lane of mask to the value right after the wire is driven (inputs and DFF
-    outputs included). An unknown mode or a wire the netlist does not have
-    raises ValueError before anything is evaluated.
+    lane of mask, or -> {mode: lanes}, applying each mode in its own lanes;
+    a fault acts on the value right after the wire is driven (inputs and DFF
+    outputs included). An unknown mode, a wire the netlist does not have, or
+    lanes outside mask or shared by two modes of one wire raise ValueError
+    before anything is evaluated.
     """
     if len(inputs) != len(net.inputs):
         raise WidthError(f"expected {len(net.inputs)} input bits, got {len(inputs)}")
@@ -349,13 +351,20 @@ def eval_wires(
     step, slots = net.fault_step_fn()
     a = [-1] * len(slots)
     b = [0] * len(slots)
-    for w, mode in (overrides or {}).items():
+    for w, modes in (overrides or {}).items():
         k = slots.get(w)
         if k is None:
             raise ValueError(f"override on wire {w}, which {net.name} does not have")
-        if mode not in _FAULTS:
-            raise ValueError(f"unknown override {mode!r} on wire {net.wire_name(w)}")
-        a[k], b[k] = _FAULTS[mode][0], _FAULTS[mode][1] * mask
+        seen = 0
+        for mode, lanes in (modes.items() if isinstance(modes, dict) else ((modes, mask),)):
+            if mode not in _FAULTS:
+                raise ValueError(f"unknown override {mode!r} on wire {net.wire_name(w)}")
+            if lanes & (seen | ~mask):
+                raise ValueError(f"{mode} lanes {lanes:#x} on wire {net.wire_name(w)} "
+                                 f"lie outside mask {mask:#x} or under another mode")
+            seen |= lanes
+            a[k] &= _FAULTS[mode][0] | ~lanes
+            b[k] |= _FAULTS[mode][1] & lanes
     return step(inputs, state, a, b, mask)
 
 

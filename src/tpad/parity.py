@@ -9,7 +9,7 @@ predictor as a netlist and estimates detection probability by Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ class ParityCheckMatrix:
     """
 
     rows: tuple[Bits, ...]
+    _cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows or not self.rows[0]:
@@ -39,6 +40,8 @@ class ParityCheckMatrix:
         for j in range(k):
             if not any(row[j] for row in self.rows):
                 raise ValueError(f"zero column {j} in parity-check matrix")
+        cols = tuple(tuple(j for j, a in enumerate(row) if a) for row in self.rows)
+        object.__setattr__(self, "_cols", cols)
 
     @property
     def k(self) -> int:
@@ -60,13 +63,14 @@ class ParityCheckMatrix:
         )
 
     def check_bits(self, info: Sequence[int]) -> Bits:
+        """Check bits of info; on lane ints (one bit per lane), per lane."""
         if len(info) != self.k:
             raise WidthError(f"expected {self.k} info bits, got {len(info)}")
         out = []
-        for row in self.rows:
+        for cols in self._cols:
             acc = 0
-            for a, x in zip(row, info):
-                acc ^= a & x
+            for j in cols:
+                acc ^= info[j]
             out.append(acc)
         return tuple(out)
 

@@ -211,7 +211,11 @@ class TestCompileValidation:
 
 class TestCampaigns:
     def test_reliability_stays_permanent(self, wide_chip, monkeypatch):
-        """A campaign trial matches inject cycle for cycle, past activation."""
+        """A campaign trial matches inject cycle for cycle, past activation.
+
+        Campaigns run a trial armed in lane 0 and as its control in lane 1 of
+        one chip, so the armed run is bit 0 of every value the spy sees.
+        """
         chip = wide_chip
         chip.clear_attacks()
         atk = parse_attack_line("reliability stuck1 target=fout:0 trigger=at_cycle:2")
@@ -220,21 +224,25 @@ class TestCampaigns:
 
         def spy_cycle(*args, **kwargs):
             res = cycle(*args, **kwargs)
-            cycles.append((args, kwargs, res))
+            cycles.append((args, res))
             return res
 
-        monkeypatch.setattr(chip, "reset", lambda seed: (sessions.append(seed), reset(seed)))
+        monkeypatch.setattr(chip, "reset", lambda seeds: (sessions.append(seeds), reset(seeds)))
         monkeypatch.setattr(chip, "cycle", spy_cycle)
         run_campaign(chip, lambda rng: atk, trials=1, cycles_per_trial=12, rng_seed=5)
         monkeypatch.undo()
 
-        armed = cycles[:12]  # the armed run comes before its control
-        chip.reset(sessions[0])
+        def lane0(values):
+            return tuple(v & 1 for v in values)
+
+        assert len(cycles) == 12 and len(sessions) == 1
+        chip.reset(sessions[0][0])
         inject(chip, atk)
         try:
-            for args, kwargs, res in armed:
-                again = chip.cycle(*args, **kwargs)
-                assert (again.outputs, again.error_signal) == (res.outputs, res.error_signal)
+            for (x, rc), res in cycles:
+                again = chip.cycle(lane0(x), lane0(rc))
+                assert (again.outputs, again.error_signal) == (lane0(res.outputs),
+                                                               lane0(res.error_signal))
         finally:
             chip.clear_attacks()
 

@@ -19,7 +19,7 @@ from tpad.chip import (
     load_chip_bundle,
     save_chip_bundle,
 )
-from tpad.netlist import WidthError, parse_netlist, random_netlist
+from tpad.netlist import WidthError, parse_netlist, random_netlist, serialize_netlist
 from tpad.parity import ParityCheckMatrix, sample_parity_code
 from tpad.switchbox import UnsatisfiableError
 
@@ -345,6 +345,29 @@ class TestBundle:
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"unexpected file.*{re.escape(entry)}"):
             load_chip_bundle(root)
+
+    @pytest.mark.parametrize("name", ["notes.txt", "output1.code", "ram.code"])
+    def test_unlisted_file_on_disk_named(self, adder_chip, tmp_path, name):
+        """A file the manifest leaves out is refused, not silently ignored."""
+        root = tmp_path / "b"
+        save_chip_bundle(adder_chip, root)
+        (root / name).write_text("stray\n")
+        with pytest.raises(ValueError, match=f"does not list: {re.escape(name)}$"):
+            load_chip_bundle(root)
+
+    def test_resave_over_a_larger_bundle(self, pipelined_ram_chip, adder_chip, tmp_path):
+        """Saving over a bundle drops the output and RAM codes the new chip lacks."""
+        from conftest import FULL_ADDER
+
+        two = build_protected_chip(parse_netlist(FULL_ADDER), r=1, t=2, lfsr_spec=lfsr16(1),
+                                   rng_seed=42, options=ChipOptions(output_subsets=((0,), (1,))))
+        root = tmp_path / "b"
+        save_chip_bundle(two, root)
+        save_chip_bundle(pipelined_ram_chip, root)
+        assert (root / "ram.code").is_file() and not (root / "output1.code").exists()
+        save_chip_bundle(adder_chip, root)
+        assert not (root / "ram.code").exists()
+        assert serialize_netlist(load_chip_bundle(root).f) == serialize_netlist(adder_chip.f)
 
     @pytest.mark.parametrize("key", [
         "files", "t", "pipeline_stages", "ram_depth", "ram_word_width", "output_subsets",

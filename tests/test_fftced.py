@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpad import fftced
 from tpad.fftced import (
     CHECKER_ALIVE,
     CHECKER_COMPROMISED,
@@ -59,6 +60,29 @@ class TestFft:
         x = np.full((16, 2), 30000, dtype=np.float16)
         with pytest.raises(FftOverflowError):
             fft(x)
+
+
+class TestTables:
+    """Twiddles and the bit-reversal order are computed once per N."""
+
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_cached_tables_are_read_only(self, n):
+        tables = [fftced._bit_reverse_permutation(n)]
+        tables += [a for pair in fftced._twiddles(n) for a in pair]
+        assert fftced._twiddles(n) is fftced._twiddles(n)
+        for a in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    @pytest.mark.parametrize("n", [4, 64, 128])
+    def test_output_bit_identical_to_fresh_tables(self, n, monkeypatch):
+        x = white_noise_input(n, np.random.default_rng(n))
+        cached = fft(x)
+        fft(x)  # a second call reads the cache
+        monkeypatch.setattr(fftced, "_twiddles", fftced._twiddles.__wrapped__)
+        monkeypatch.setattr(fftced, "_bit_reverse_permutation",
+                            fftced._bit_reverse_permutation.__wrapped__)
+        assert fft(x).tobytes() == cached.tobytes()
 
 
 class TestReference:

@@ -1,0 +1,391 @@
+"""The lane engine against the scalar one.
+
+A chip runs W lanes at once, bit j of every value belonging to lane j. These
+tests run the same sessions one lane at a time and in lanes and require the
+same bits, and keep run_campaign's former per-trial loop as the scalar
+reference for batched campaigns.
+"""
+
+import hashlib
+import random
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tpad.attacks import (
+    AttackDescriptor,
+    DetectionReport,
+    TrialRecord,
+    _materialize,
+    compile_attack,
+    pin_flip_attacks,
+    run_campaign,
+    uniform_output_flip_attacks,
+)
+from tpad.chip import (
+    ChipOptions,
+    OutputReceiver,
+    StimulusEncoder,
+    build_protected_chip,
+)
+from tpad.lanes import pack_lanes
+from tpad.netlist import parse_netlist, random_netlist
+from tpad.parity import sample_parity_code
+from tpad.rng import as_rng
+
+from conftest import FULL_ADDER, lfsr16
+
+
+def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=None):
+    """run_campaign as it ran before lanes: each trial armed, then its control."""
+    rng = as_rng(rng_seed)
+    detected = 0
+    false_positives = 0
+    by_kind: dict[str, list[int]] = {}
+    records: list[TrialRecord] = []
+    m = len(chip.f.inputs)
+    for trial in range(trials):
+        atk = attack_generator(rng)
+        stim_seed = rng.getrandbits(64)
+        session_seed = rng.getrandbits(64)
+        effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
+
+        hit = control_fired = False
+        first_cycle: Optional[int] = None
+        for armed in (True, False):
+            chip.clear_attacks()
+            chip.reset(session_seed)
+            if armed and effect is not None:
+                chip.install_attack(effect)
+            enc = StimulusEncoder(chip)
+            rec = OutputReceiver(chip)
+            srng = random.Random(stim_seed)
+            fired = False
+            for cyc in range(cycles_per_trial):
+                x = tuple(srng.getrandbits(1) for _ in range(m))
+                ram_op = None
+                if chip.ram is not None:
+                    roll = srng.random()
+                    if roll < 0.4:
+                        ram_op = ("write", srng.randrange(chip.ram.depth),
+                                  srng.randrange(1 << chip.ram.word_width))
+                    elif roll < 0.8:
+                        ram_op = ("read", srng.randrange(chip.ram.depth), None)
+                    else:
+                        ram_op = ("idle", None, None)
+                res = chip.cycle(x, enc.send(x), ram_op=ram_op)
+                bad = res.monitor_attack or res.decode_attack
+                bad = rec.receive(res.outputs, res.out_check) or bad
+                if bad:
+                    fired = True
+                    if armed and first_cycle is None:
+                        first_cycle = cyc
+            if armed:
+                hit = fired
+            else:
+                control_fired = fired
+        chip.clear_attacks()
+        if effect is not None:
+            detected += hit
+            key = effect.kind
+            agg = by_kind.setdefault(key, [0, 0])
+            agg[0] += 1
+            agg[1] += hit
+            records.append(TrialRecord(trial, key, hit, first_cycle))
+        else:
+            records.append(TrialRecord(trial, "none", False, None))
+        false_positives += control_fired
+    return DetectionReport(
+        trials, detected, false_positives,
+        {k: (v[0], v[1]) for k, v in by_kind.items()},
+        records,
+    )
+
+
+# -- chips ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def adder_r1():
+    return build_protected_chip(parse_netlist(FULL_ADDER), r=1, t=2, lfsr_spec=lfsr16(1),
+                                rng_seed=42)
+
+
+@pytest.fixture(scope="module")
+def wide_pipelined():
+    f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
+    return build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=33,
+                                options=ChipOptions(pipeline_stages=1))
+
+
+@pytest.fixture(scope="module")
+def two_subsets():
+    f = random_netlist(8, 30, 6, rng_seed=3, name="core")
+    return build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=5,
+                                options=ChipOptions(output_subsets=((0, 1, 2, 3), (2, 3, 4, 5))))
+
+
+CHIPS = ("adder_r1", "wide_pipelined", "two_subsets")
+
+
+def gate_names(net, count: int) -> list[str]:
+    """Names of `count` gate outputs spread over the netlist."""
+    outs = [g.out for g in net.gates]
+    step = max(1, len(outs) // count)
+    return [net.wire_name(w) for w in outs[::step][:count]]
+
+
+def attack_pool(chip) -> list[AttackDescriptor]:
+    """Every attack kind a chip campaign runs, with repeated gate targets."""
+    fg = gate_names(chip.f, 2)
+    dg = gate_names(chip.resolved, 2)
+    k = len(chip.f.outputs)
+    pool = [
+        AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:2"),
+        AttackDescriptor("pin", "input:*", ("at_cycle", -1), "pins:0"),
+        AttackDescriptor("pin", "recv_check:0", ("at_cycle", -1)),
+        AttackDescriptor("pin", f"output:{k - 1}", ("at_cycle", -1)),
+        AttackDescriptor("reliability", "fout:0", ("at_cycle", -1), "stuck1"),
+        AttackDescriptor("reliability", f"fgate:{fg[0]}", ("at_cycle", -1), "stuck0"),
+        AttackDescriptor("electrical", f"fout:{k // 2}", ("random", 0.3), "flip"),
+        AttackDescriptor("electrical", f"dgate:{dg[1]}", ("random", 0.5), "stuck1"),
+        AttackDescriptor("decoupling_stored_state", "-", ("after_cycle", 2), "replay:2"),
+        AttackDescriptor("decoupling_stored_state", "-", ("after_cycle", 1), "replay:1"),
+        AttackDescriptor("decoupling_stored_state", "-", ("random", 0.4), "replay:3"),
+        AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 1)),
+    ]
+    # the same wire under flip, stuck0 and stuck1, so lanes of one batch
+    # override one wire in different modes
+    for net_kind, name in (("fgate", fg[1]), ("dgate", dg[0])):
+        for mode in ("flip", "stuck0", "stuck1"):
+            pool.append(AttackDescriptor("logic", f"{net_kind}:{name}", ("at_cycle", -1), mode))
+    return pool
+
+
+# -- campaigns -------------------------------------------------------------------------
+
+
+class TestCampaignDifferential:
+    """run_campaign's batches give the scalar loop's records and CSV."""
+
+    @pytest.mark.parametrize("chip_name", CHIPS)
+    def test_mixed_attacks(self, request, chip_name):
+        chip = request.getfixturevalue(chip_name)
+        pool = attack_pool(chip)
+        for seed, trials in ((1, 150), (2, 7)):  # several batches; one partial batch
+            args = (chip, lambda rng: rng.choice(pool), trials, 6)
+            lanes = run_campaign(*args, rng_seed=seed)
+            scalar = scalar_campaign(*args, rng_seed=seed)
+            assert lanes.records == scalar.records
+            assert lanes.to_csv() == scalar.to_csv()
+            assert lanes.by_kind == scalar.by_kind
+
+    @pytest.mark.parametrize("chip_name", CHIPS)
+    @pytest.mark.parametrize("gen", [uniform_output_flip_attacks(2), pin_flip_attacks()],
+                             ids=["fout-multibit", "input-pins"])
+    def test_generators(self, request, chip_name, gen):
+        chip = request.getfixturevalue(chip_name)
+        lanes = run_campaign(chip, gen, 100, 4, rng_seed=3)
+        assert lanes.to_csv() == scalar_campaign(chip, gen, 100, 4, rng_seed=3).to_csv()
+
+    def test_attack_free_trials(self, wide_pipelined):
+        def gen(rng):
+            return None if rng.random() < 0.5 else AttackDescriptor(
+                "logic", "fout:*", ("at_cycle", -1), "multi:1:1")
+
+        lanes = run_campaign(wide_pipelined, gen, 80, 5, rng_seed=4)
+        assert lanes.to_csv() == scalar_campaign(wide_pipelined, gen, 80, 5, rng_seed=4).to_csv()
+
+    def test_ram_chip_runs_one_trial_per_batch(self):
+        f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")
+        chip = build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=52,
+                                    options=ChipOptions(ram_depth=32))
+        rows = ("read_wrong_data", "does_not_write", "write_instead_of_idle")
+        pool = [AttackDescriptor("logic", f"ram:{row}", ("always",)) for row in rows]
+        pool.append(AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:2"))
+        args = (chip, lambda rng: rng.choice(pool), 30, 8)
+        assert run_campaign(*args, rng_seed=6).to_csv() == scalar_campaign(*args, rng_seed=6).to_csv()
+        with pytest.raises(ValueError, match="RAM"):
+            chip.reset([1, 2])
+
+
+# -- cycles ----------------------------------------------------------------------------
+
+
+def run_scalar_lane(chip, seed, effects, stimulus):
+    """One session at one lane; per cycle the values a lane is compared on."""
+    chip.clear_attacks()
+    chip.reset(seed)
+    for eff in effects:
+        chip.install_attack(eff)
+    enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+    out = []
+    for x in stimulus:
+        res = chip.cycle(x, enc.send(x))
+        out.append((res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
+                    res.decode_attack, rec.receive(res.outputs, res.out_check)))
+    chip.clear_attacks()
+    return out
+
+
+def lane_bits(value, j: int):
+    """Lane j of a lane int or of a nested tuple of them."""
+    if isinstance(value, int):
+        return (value >> j) & 1
+    return tuple(lane_bits(v, j) for v in value)
+
+
+def sessions(chip, count: int, cycles: int = 12, seed: int = 0) -> list:
+    """Seeded one-lane sessions: (session seed, up to three effects, stimulus)."""
+    rng = random.Random(seed)
+    pool = attack_pool(chip)
+    # a later stored-state attack that engages before it can capture stops
+    # an earlier one's replay until it does
+    two_stored = [AttackDescriptor("decoupling_stored_state", "-", ("after_cycle", 1), "replay:1"),
+                  AttackDescriptor("decoupling_stored_state", "-", ("after_cycle", 3), "replay:6")]
+    m = len(chip.f.inputs)
+    out = []
+    for i in range(count):
+        picks = two_stored if i == 0 else [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+        effects = [_materialize(chip, p, rng, cycles) for p in picks]
+        stimulus = [tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(cycles)]
+        out.append((rng.getrandbits(32), effects, stimulus))
+    return out
+
+
+def digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(tuple(int(v) if isinstance(v, int) else v for v in row)).encode())
+    return h.hexdigest()
+
+
+# sha256 of the one-lane sessions' per-cycle values, recorded with the scalar
+# chip model that came before lanes
+GOLDEN = {
+    "wide_pipelined": "8b8b3949161af9202fb7313b8eb714f118bbe57880229d8191bf73574105e6b5",
+    "two_subsets": "48fa0df79d4f69cd410e57f07f032492b40999e14015e99bc6f9ef34666d7b3d",
+}
+
+
+class TestCycleDifferential:
+    """Every lane of a W-lane run equals that session run alone."""
+
+    @pytest.mark.parametrize("chip_name", sorted(GOLDEN))
+    def test_sessions_match_golden_and_lanes(self, request, chip_name):
+        chip = request.getfixturevalue(chip_name)
+        runs = sessions(chip, 24)
+        scalar = [run_scalar_lane(chip, seed, effects, stim) for seed, effects, stim in runs]
+        assert digest(row for rows in scalar for row in rows) == GOLDEN[chip_name]
+
+        chip.reset([seed for seed, _, _ in runs])
+        for k in range(3):
+            for j, (_, effects, _) in enumerate(runs):
+                if k < len(effects):
+                    chip.install_attack(effects[k], 1 << j)
+        enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+        try:
+            for c in range(12):
+                x = pack_lanes([stim[c] for _, _, stim in runs])
+                res = chip.cycle(x, enc.send(x))
+                got = (res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
+                       res.decode_attack, rec.receive(res.outputs, res.out_check))
+                assert [lane_bits(got, j) for j in range(len(runs))] == [s[c] for s in scalar]
+        finally:
+            chip.clear_attacks()
+
+    @pytest.mark.parametrize("chip_name", CHIPS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_lanes_equal_scalar_runs(self, request, chip_name, data):
+        chip = request.getfixturevalue(chip_name)
+        pool = attack_pool(chip)
+        cycles = 10
+        width = data.draw(st.integers(1, 6), label="lanes")
+        seeds = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                          label="session seeds")  # repeats share draws at reset
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+        # up to three attacks per lane; two in one lane may override one wire
+        picks = [data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=3), label=f"lane {j}")
+                 for j in range(width)]
+        effects = [[_materialize(chip, pool[p], rng, cycles) for p in lane] for lane in picks]
+        m = len(chip.f.inputs)
+        stimuli = [[tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(cycles)]
+                   for _ in range(width)]
+
+        expected = [run_scalar_lane(chip, seeds[j], effects[j], stimuli[j]) for j in range(width)]
+
+        chip.clear_attacks()
+        chip.reset(seeds)
+        for k in range(3):  # lane j's attacks keep their order, as in its scalar run
+            for j in range(width):
+                if k < len(effects[j]):
+                    chip.install_attack(effects[j][k], 1 << j)
+        enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+        try:
+            for c in range(cycles):
+                x = pack_lanes([stimuli[j][c] for j in range(width)])
+                res = chip.cycle(x, enc.send(x))
+                got = (res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
+                       res.decode_attack, rec.receive(res.outputs, res.out_check))
+                for j in range(width):
+                    assert lane_bits(got, j) == expected[j][c], (c, j)
+        finally:
+            chip.clear_attacks()
+
+    @pytest.mark.parametrize("first_seed", [7, 20, 40])
+    def test_one_attack_in_several_lanes(self, wide_pipelined, first_seed):
+        """An effect armed in a lane mask acts in those lanes and no other.
+
+        Its random trigger engages lanes 0 and 2 on cycles of their own, so
+        each lane captures its own stored state.
+        """
+        chip = wide_pipelined
+        eff = compile_attack(chip, AttackDescriptor("decoupling_stored_state", "-",
+                                                    ("random", 0.3), "replay:2"))
+        rng = random.Random(first_seed)
+        stimuli = [[tuple(rng.getrandbits(1) for _ in range(10)) for _ in range(12)]
+                   for _ in range(3)]
+        seeds = [first_seed + j for j in range(3)]
+        expected = [run_scalar_lane(chip, seeds[j], [eff] if j != 1 else [], stimuli[j])
+                    for j in range(3)]
+        chip.reset(seeds)
+        chip.install_attack(eff, 0b101)
+        enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+        try:
+            for c in range(12):
+                x = pack_lanes([s[c] for s in stimuli])
+                res = chip.cycle(x, enc.send(x))
+                got = (res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
+                       res.decode_attack, rec.receive(res.outputs, res.out_check))
+                assert [lane_bits(got, j) for j in range(3)] == [e[c] for e in expected]
+        finally:
+            chip.clear_attacks()
+
+    def test_lane_mask_must_fit(self, adder_r1):
+        adder_r1.reset([1, 2])
+        with pytest.raises(ValueError, match="lane mask"):
+            adder_r1.install_attack(compile_attack(adder_r1, AttackDescriptor("pin", "input:0")),
+                                    0b100)
+        adder_r1.clear_attacks()
+
+
+# -- lane-safe helpers -----------------------------------------------------------------
+
+
+class TestCheckBitsOnLanes:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 24), r=st.integers(1, 6), width=st.integers(1, 130),
+           seed=st.integers(0, 2**32))
+    def test_lane_ints_equal_per_lane_scalar(self, k, r, width, seed):
+        h = sample_parity_code(k, r, seed)
+        rng = random.Random(seed)
+        words = [tuple(rng.getrandbits(1) for _ in range(k)) for _ in range(width)]
+        lanes = h.check_bits(pack_lanes(words))
+        for j, word in enumerate(words):
+            assert lane_bits(lanes, j) == h.check_bits(word)
+
+    def test_pack_lanes_transposes(self):
+        assert pack_lanes([(1, 0, 1), (0, 0, 1), (1, 1, 1)]) == [0b101, 0b100, 0b111]

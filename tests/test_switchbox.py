@@ -123,6 +123,25 @@ class TestInsertion:
             flipped[sb.id] = CROSSED if flipped[sb.id] == PARALLEL else PARALLEL
             assert not check_equivalence(apply_config(obf, flipped), baseline).equivalent
 
+    @settings(max_examples=20, deadline=None)
+    @given(net_seed=st.integers(0, 10_000), sb_seed=st.integers(0, 10_000),
+           t=st.integers(1, 2))
+    def test_random_insertion_keeps_function_and_every_box(self, net_seed, sb_seed, t):
+        """The intended config realizes the original; crossing any one box does not."""
+        net = random_netlist(6, 20, 3, rng_seed=net_seed)
+        try:
+            # a small cap: an unsatisfiable draw runs every round before it fails
+            obf = insert_switchboxes(net, t, rng_seed=sb_seed, max_iterations=40)
+        except UnsatisfiableError:
+            assume(False)
+        baseline = apply_config(obf, obf.intended)
+        assert check_equivalence(baseline, net).equivalent
+        assert obf.switchboxes
+        for sb in obf.switchboxes:
+            flipped = dict(obf.intended)
+            flipped[sb.id] = CROSSED if flipped[sb.id] == PARALLEL else PARALLEL
+            assert not check_equivalence(apply_config(obf, flipped), baseline).equivalent
+
     def test_deterministic_under_seed(self, alu2):
         a = insert_switchboxes(alu2, t=2, rng_seed=9)
         b = insert_switchboxes(alu2, t=2, rng_seed=9)
