@@ -11,7 +11,6 @@ from .netlist import (
     Netlist,
     NetlistBuilder,
     check_equivalence,
-    evaluate,
     output_cone,
     parse_netlist,
     random_netlist,
@@ -19,19 +18,15 @@ from .netlist import (
     simplify_netlist,
 )
 from .parity import (
-    Codeword,
     ParityCheckMatrix,
     build_ocp,
-    compute_check_bits,
     estimate_detection_probability,
     sample_parity_code,
-    verify_codeword,
 )
 from .switchbox import (
     ObfuscatedNetlist,
     Switchbox,
     apply_config,
-    count_cone_switchboxes,
     degeneracy_scan,
     insert_switchboxes,
 )
@@ -43,19 +38,13 @@ from .lfsr import (
     combine_error_signals,
     is_primitive,
     lfsr_taps,
-    monitor_check,
     step_lfsr,
 )
-from .ram import ProtectedRam, ram_cycle
+from .ram import ProtectedRam
 from .chip import (
     ChipOptions,
-    InputDecoderState,
-    OutputEncoderState,
     ProtectedChip,
     build_protected_chip,
-    chip_cycle,
-    decode_inputs,
-    encode_outputs,
     load_chip_bundle,
     save_chip_bundle,
 )

@@ -491,14 +491,14 @@ def subcircuit_match_attack(
     rng_seed: Rng = None,
     max_size: int = 6,
     min_size: int = 2,
-    probe_vectors: int = 64,
 ) -> float:
     """Attacker success rate for matched-subcircuit double flips.
 
     Per trial: pick a random connected subcircuit of f (up to max_size
     gates), search the predictor netlist for a node-kind-preserving
     occurrence, flip the outputs of both, and test whether any probe input
-    still satisfies predictor == recomputed check bits. No match counts as
+    (every input pattern when f has at most 12 inputs, else 64 random ones)
+    still exposes predictor != recomputed check bits. No match counts as
     an attacker failure. Success means the tampering was never detected.
     """
     import networkx as nx
@@ -544,7 +544,7 @@ def subcircuit_match_attack(
             detected = any(a ^ b for a, b in zip(po, expect))
         else:
             detected = False
-            for _ in range(probe_vectors):
+            for _ in range(64):
                 x = tuple(rng.getrandbits(1) for _ in range(m))
                 fo, _ = eval_wires(f, x, (), {root_f: "flip"})
                 po, _ = eval_wires(ocp, x, (), {root_ocp: "flip"})

@@ -25,11 +25,10 @@ stimulus and attacks. A scalar session is the one-lane case.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -65,83 +64,12 @@ from .switchbox import (
 
 # cycles of inputs and chain state a chip keeps for stored-state replay
 HISTORY_DEPTH = 4096
-
-
-# -- stateless coding steps ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OutputEncoderState:
-    code: ParityCheckMatrix
-    prev_check: Bits
-
-
-def encode_outputs(state: OutputEncoderState, outputs: Sequence[int]) -> tuple[Bits, OutputEncoderState]:
-    """Check bits of the word XORed with the previous cycle's check bits."""
-    raw = state.code.check_bits(outputs)
-    if len(state.prev_check) != state.code.r:
-        raise WidthError("encoder chain width mismatch")
-    check = tuple(a ^ b for a, b in zip(raw, state.prev_check))
-    return check, OutputEncoderState(state.code, check)
-
-
-@dataclass(frozen=True)
-class InputDecoderState:
-    code: ParityCheckMatrix
-    prev_check: Bits
-
-
-def decode_inputs(
-    state: InputDecoderState, inputs: Sequence[int], recv_check: Sequence[int]
-) -> tuple[int, InputDecoderState]:
-    """Attack verdict for one received (inputs, check bits) pair.
-
-    On lane ints the verdict is the mask of lanes whose pair fails (0 when
-    every lane is clean); on single bits it is 0 or 1.
-    """
-    if len(recv_check) != state.code.r:
-        raise WidthError("decoder chain width mismatch")
-    attack = 0
-    for got, prev, actual in zip(recv_check, state.prev_check, state.code.check_bits(inputs)):
-        attack |= got ^ prev ^ actual
-    return attack, InputDecoderState(state.code, tuple(recv_check))
+# sampled vectors per switchbox non-degeneracy test when the detection
+# netlist has too many inputs for a truth table
+INSERTION_SAMPLE_COUNT = 4096
 
 
 # -- detection netlist -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DetectionLayout:
-    """Index bookkeeping for the combined detection netlist ports."""
-
-    m: int
-    r: int
-    k: int
-    subsets: tuple[tuple[int, ...], ...]
-    has_ram: bool
-
-    def pack_live(
-        self,
-        x: Sequence[int],
-        recv_check: Sequence[int],
-        prev_in: Sequence[int],
-        f_out: Sequence[int],
-        prev_outs: Sequence[Sequence[int]],
-    ) -> tuple[int, ...]:
-        """The input ports before the taps (the values a stored state replays)."""
-        parts = [*x, *recv_check, *prev_in, *f_out]
-        for p in prev_outs:
-            parts.extend(p)
-        return tuple(parts)
-
-    def unpack_outputs(self, outs: Sequence[int]) -> tuple[Bits, Bits, list[Bits]]:
-        r = self.r
-        err = tuple(outs[0:r])
-        in_sig = tuple(outs[r:2 * r])
-        checks = []
-        for s in range(len(self.subsets)):
-            checks.append(tuple(outs[2 * r + s * r: 2 * r + (s + 1) * r]))
-        return err, in_sig, checks
 
 
 def build_detection_netlist(
@@ -152,10 +80,16 @@ def build_detection_netlist(
     out_codes: Sequence[tuple[tuple[int, ...], ParityCheckMatrix]],
     pipeline_stages: int = 0,
     has_ram: bool = False,
-) -> tuple[Netlist, DetectionLayout]:
-    """One netlist holding decoder, OCP, checker, output encoders, combiner."""
+) -> Netlist:
+    """One netlist holding decoder, OCP, checker, output encoders, combiner.
+
+    Its inputs are the primary inputs, the received input check bits, the
+    previous input check bits, the function outputs, each subset's previous
+    output check bits, the taps and (with a RAM) the RAM signal; its outputs
+    are the error signal, the input decoder signal and each subset's check
+    bits, r bits each.
+    """
     m, k, r = len(f.inputs), len(f.outputs), h_logic.r
-    layout = DetectionLayout(m, r, k, tuple(tuple(s) for s, _ in out_codes), has_ram)
     b = NetlistBuilder(f"{f.name}.det")
 
     x = [b.input(f"x{i}") for i in range(m)]
@@ -208,7 +142,7 @@ def build_detection_netlist(
     for checks in out_checks:
         outs.extend(checks)
     b.set_outputs(outs)
-    return b.build(), layout
+    return b.build()
 
 
 # -- runtime attacks ---------------------------------------------------------------
@@ -271,7 +205,7 @@ class _Installed:
         self.effect = effect
         self.lanes = lanes  # None: every lane
         self.captured = 0   # lanes whose stored-state snapshot has been taken
-        self.snapshot = ()  # pack_live values, each lane's from its engage cycle
+        self.snapshot = ()  # live detection inputs, each lane's from its engage cycle
 
 
 @dataclass
@@ -299,8 +233,6 @@ class ChipOptions:
     output_subsets: Optional[tuple[tuple[int, ...], ...]] = None
     h_in: Optional[ParityCheckMatrix] = None
     insertion_max_iterations: int = 1000
-    insertion_min_switchboxes: int = 0
-    insertion_sample_count: int = 4096
 
 
 class ProtectedChip:
@@ -311,12 +243,10 @@ class ProtectedChip:
         f: Netlist,
         ocp: Netlist,
         detection: ObfuscatedNetlist,
-        layout: DetectionLayout,
         h_logic: ParityCheckMatrix,
         h_in: ParityCheckMatrix,
         out_codes: list[tuple[tuple[int, ...], ParityCheckMatrix]],
         lfsr_spec: LfsrSpec,
-        r: int,
         t: int,
         options: ChipOptions,
         h_mem: Optional[ParityCheckMatrix] = None,
@@ -324,12 +254,11 @@ class ProtectedChip:
         self.f = f
         self.ocp = ocp
         self.detection = detection
-        self.layout = layout
         self.h_logic = h_logic
         self.h_in = h_in
         self.out_codes = out_codes
         self.lfsr_spec = lfsr_spec
-        self.r = r
+        self.r = h_logic.r
         self.t = t
         self.options = options
         self.h_mem = h_mem
@@ -338,6 +267,8 @@ class ProtectedChip:
         self._fstep = f.step_fn()
         self.attacks: list[_Installed] = []
         self.ram: Optional[ProtectedRam] = None
+        if options.ram_depth:
+            self.ram = ProtectedRam(options.ram_depth, options.ram_word_width, code=h_mem)
         self.reset(0)
 
     # state management ------------------------------------------------------------
@@ -355,7 +286,7 @@ class ProtectedChip:
         seeds = list(session_seeds) if isinstance(session_seeds, (list, tuple)) else [session_seeds]
         if not seeds:
             raise ValueError("need a session seed per lane")
-        if self.options.ram_depth and len(seeds) > 1:
+        if self.ram is not None and len(seeds) > 1:
             raise ValueError("a chip with a RAM runs one lane")
         r = self.r
         n_chain = r * (1 + len(self.out_codes))
@@ -371,12 +302,12 @@ class ProtectedChip:
                     drawn[seed] = got
             rows.append(got[0])
             self._trigger_seeds.append(got[1])
-        chain = pack_lanes(rows)
+        start = pack_lanes(rows)
         self.mask = (1 << len(seeds)) - 1
         self._trigger_rngs: list[Optional[random.Random]] = [None] * len(seeds)
-        self.prev_in_check: Bits = tuple(chain[:r])
+        self.prev_in_check: Bits = tuple(start[:r])
         self.prev_out_checks: list[Bits] = [
-            tuple(chain[i:i + r]) for i in range(r, len(chain), r)
+            tuple(start[i:i + r]) for i in range(r, len(start), r)
         ]
         self.initial_prev_in_check = self.prev_in_check
         self.initial_prev_out_checks = list(self.prev_out_checks)
@@ -391,10 +322,8 @@ class ProtectedChip:
         self._last_tx_checks: list[Bits] = list(self.prev_out_checks)
         for a in self.attacks:
             a.captured, a.snapshot = 0, ()
-        if self.options.ram_depth:
-            self.ram = ProtectedRam(
-                self.options.ram_depth, self.options.ram_word_width, code=self.h_mem
-            )
+        if self.ram is not None:
+            self.ram.reset()
 
     def _lane_rng(self, j: int) -> random.Random:
         """Lane j's trigger generator, seeded at reset and built on first use."""
@@ -485,7 +414,7 @@ class ProtectedChip:
 
         ram_res = None
         ram_sig: Bits = ()
-        if self.layout.has_ram:
+        if self.h_mem is not None:
             ram_sig = taps
             if self.ram is not None and ram_op is not None:
                 op, addr, data = (ram_op + (None, None))[:3]
@@ -495,7 +424,7 @@ class ProtectedChip:
 
         # the detection netlist sees either live values or, in lanes under a
         # stored state decoupling attack, a recorded snapshot of an earlier cycle
-        live = self.layout.pack_live(x, rc, self.prev_in_check, f_out, self.prev_out_checks)
+        live = (*x, *rc, *self.prev_in_check, *f_out, *chain.from_iterable(self.prev_out_checks))
         ced = live
         if replay:
             if stored != self._replay_key:  # a stored state usually replays for many cycles
@@ -509,7 +438,9 @@ class ProtectedChip:
             d_out, self.d_state = eval_wires(self.resolved, packed, self.d_state, d_over, mask)
         else:
             d_out, self.d_state = self._dstep(packed, self.d_state, mask)
-        error_signal, in_sig, out_checks = self.layout.unpack_outputs(d_out)
+        r = self.r
+        error_signal, in_sig = d_out[:r], d_out[r:2 * r]
+        out_checks = [d_out[i:i + r] for i in range(2 * r, len(d_out), r)]
         decode_attack = 0
         for got, tap in zip(in_sig, taps):
             decode_attack |= got ^ tap
@@ -591,7 +522,7 @@ def build_protected_chip(
         h_mem = sample_parity_code(addr_bits + options.ram_word_width, r, rng.getrandbits(64))
 
     ocp = build_ocp(f, h_logic)
-    det, layout = build_detection_netlist(
+    det = build_detection_netlist(
         f, ocp, h_logic, h_in, out_codes,
         pipeline_stages=options.pipeline_stages,
         has_ram=bool(options.ram_depth),
@@ -601,22 +532,9 @@ def build_protected_chip(
         t,
         rng_seed=rng.getrandbits(64),
         max_iterations=options.insertion_max_iterations,
-        min_switchboxes=options.insertion_min_switchboxes,
-        sample_count=options.insertion_sample_count,
+        sample_count=INSERTION_SAMPLE_COUNT,
     )
-    return ProtectedChip(
-        f, ocp, obf, layout, h_logic, h_in, out_codes, lfsr_spec, r, t, options, h_mem
-    )
-
-
-def chip_cycle(
-    chip: ProtectedChip,
-    inputs: Sequence[int],
-    recv_check: Sequence[int],
-    ram_op: Optional[tuple] = None,
-) -> ChipCycleResult:
-    """Advance a protected chip by one clock."""
-    return chip.cycle(inputs, recv_check, ram_op)
+    return ProtectedChip(f, ocp, obf, h_logic, h_in, out_codes, lfsr_spec, t, options, h_mem)
 
 
 # -- trusted harness helpers --------------------------------------------------------
@@ -626,10 +544,13 @@ class StimulusEncoder:
     """Trusted sender for a chip's input channel (same code, synced chain)."""
 
     def __init__(self, chip: ProtectedChip):
-        self.state = OutputEncoderState(chip.h_in, chip.initial_prev_in_check)
+        self.code = chip.h_in
+        self.prev_check = chip.initial_prev_in_check
 
     def send(self, x: Sequence[int]) -> Bits:
-        check, self.state = encode_outputs(self.state, x)
+        """Check bits of x XORed with the previous word's (one bit per lane)."""
+        check = tuple(a ^ b for a, b in zip(self.code.check_bits(x), self.prev_check))
+        self.prev_check = check
         return check
 
 
@@ -637,13 +558,18 @@ class OutputReceiver:
     """Trusted receiver decoding one of the chip's output subsets."""
 
     def __init__(self, chip: ProtectedChip, subset_index: int = 0):
-        subset, code = chip.out_codes[subset_index]
-        self.subset = subset
-        self.state = InputDecoderState(code, chip.initial_prev_out_checks[subset_index])
+        self.subset, self.code = chip.out_codes[subset_index]
+        self.prev_check = chip.initial_prev_out_checks[subset_index]
 
-    def receive(self, outputs: Sequence[int], check: Sequence[int]) -> bool:
+    def receive(self, outputs: Sequence[int], check: Sequence[int]) -> int:
+        """Mask of the lanes whose (outputs, check) pair breaks the chain (0 if none)."""
+        if len(check) != self.code.r:
+            raise WidthError("receiver chain width mismatch")
+        attack = 0
         word = [outputs[j] for j in self.subset]
-        attack, self.state = decode_inputs(self.state, word, check)
+        for got, prev, actual in zip(check, self.prev_check, self.code.check_bits(word)):
+            attack |= got ^ prev ^ actual
+        self.prev_check = tuple(check)
         return attack
 
 
@@ -651,14 +577,19 @@ class OutputReceiver:
 
 
 def _sha256(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
 def save_chip_bundle(chip: ProtectedChip, path: Union[str, Path]) -> None:
     """Write a chip as a directory of netlists, codes and specs + manifest."""
+    import json
+
+    from .lfsr import format_lfsr_spec
+
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    from .lfsr import format_lfsr_spec
 
     files: dict[str, str] = {
         "function.net": serialize_netlist(chip.f),
@@ -710,6 +641,8 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     have, or leaving out a file the directory holds raises ValueError before
     any listed file is read.
     """
+    import json
+
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     if not isinstance(manifest, dict) or manifest.get("format") != "tpad-chip/1":
@@ -756,11 +689,7 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
         ram_word_width=manifest["ram_word_width"],
         output_subsets=tuple(subsets),
     )
-    layout = DetectionLayout(
-        len(f.inputs), h_logic.r, len(f.outputs), tuple(subsets), h_mem is not None
-    )
     lfsr_spec = parse_lfsr_spec(texts["lfsr.spec"])
     return ProtectedChip(
-        f, ocp, detection, layout, h_logic, h_in, out_codes, lfsr_spec,
-        h_logic.r, manifest["t"], options, h_mem,
+        f, ocp, detection, h_logic, h_in, out_codes, lfsr_spec, manifest["t"], options, h_mem
     )

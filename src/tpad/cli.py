@@ -82,7 +82,8 @@ def _cmd_run(args) -> int:
     for cyc in range(args.cycles):
         x = tuple(rng.getrandbits(1) for _ in range(m))
         res = chip.cycle(x, enc.send(x))
-        bad = res.monitor_attack or res.decode_attack or rec.receive(res.outputs, res.out_check)
+        # the receiver sees every word, or its chain would go stale
+        bad = rec.receive(res.outputs, res.out_check) or res.monitor_attack or res.decode_attack
         reports += bad
         if args.trace_csv:
             rows.append(

@@ -16,7 +16,6 @@ post-manufacture self-test with a deliberate non-transform pair exposes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -178,10 +177,10 @@ class PlancherelReference:
         return obj
 
 
-def make_reference(n: int, rng_seed: Rng = None, scale: float = 0.25,
-                   periodic: bool = False) -> PlancherelReference:
+def make_reference(n: int, rng_seed: Rng = None, periodic: bool = False) -> PlancherelReference:
     """Seeded white-noise reference with small norm and no zero entries.
 
+    Real and imaginary parts are normal with standard deviation 0.25.
     periodic=True instead builds a unit-norm quadratic-phase chirp, whose
     transform has flat magnitude, a lower-roundoff alternative to white
     noise (a pure tone would not do: its transform is a delta, and zero
@@ -196,7 +195,7 @@ def make_reference(n: int, rng_seed: Rng = None, scale: float = 0.25,
             i = np.arange(n)
             y = np.exp(1j * (np.pi * i * i / n + phase)) / np.sqrt(n)
         else:
-            y = (npr.standard_normal(n) + 1j * npr.standard_normal(n)) * scale
+            y = (npr.standard_normal(n) + 1j * npr.standard_normal(n)) * 0.25
         y16 = from_complex(y)
         bigY = np.fft.fft(to_complex(y16))
         Y16 = from_complex(bigY)

@@ -13,7 +13,7 @@ differs from its own taps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .netlist import Bits, WidthError
 
@@ -161,12 +161,6 @@ class ErrorMonitor:
         self.state = step_lfsr(self.state, self.spec)
         self.cycle += 1
         return attack
-
-
-def monitor_check(monitor_spec: LfsrSpec, received: Iterable[Sequence[int]]) -> list[int]:
-    """Per-cycle verdicts for a whole received error-signal stream."""
-    mon = ErrorMonitor(monitor_spec)
-    return [mon.check(sig) for sig in received]
 
 
 # -- spec file -------------------------------------------------------------------

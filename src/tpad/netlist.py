@@ -238,17 +238,13 @@ class Netlist:
         return self._fault_step
 
     def evaluate(self, inputs: Sequence[int], state: Sequence[int] = ()) -> tuple[Bits, Bits]:
+        """Cycle-accurate evaluation: outputs plus next DFF state."""
         if len(inputs) != len(self.inputs):
             raise WidthError(f"expected {len(self.inputs)} input bits, got {len(inputs)}")
         if len(state) != self.state_width:
             raise WidthError(f"expected {self.state_width} state bits, got {len(state)}")
         out, nxt = self.step_fn()(tuple(inputs), tuple(state), 1)
         return out, nxt
-
-
-def evaluate(net: Netlist, inputs: Sequence[int], state: Sequence[int] = ()) -> tuple[Bits, Bits]:
-    """Cycle-accurate evaluation: outputs plus next DFF state."""
-    return net.evaluate(inputs, state)
 
 
 def _gate_expr(g: Gate) -> str:

@@ -75,12 +75,6 @@ class ParityCheckMatrix:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    info: Bits
-    check: Bits
-
-
 def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatrix:
     """Uniform sample over matrices with nonzero rows and columns.
 
@@ -103,16 +97,6 @@ def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatri
                 tuple((c >> i) & 1 for c in cols) for i in range(r)
             )
             return ParityCheckMatrix(rows)
-
-
-def compute_check_bits(h: ParityCheckMatrix, info: Sequence[int]) -> Bits:
-    return h.check_bits(info)
-
-
-def verify_codeword(h: ParityCheckMatrix, word: Codeword) -> bool:
-    if len(word.check) != h.r:
-        raise WidthError(f"expected {h.r} check bits, got {len(word.check)}")
-    return h.check_bits(word.info) == tuple(word.check)
 
 
 def build_ocp(f: Netlist, h: ParityCheckMatrix) -> Netlist:

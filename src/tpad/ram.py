@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .netlist import Bits
-from .parity import ParityCheckMatrix, sample_parity_code
-from .rng import Rng
+from .parity import ParityCheckMatrix
 
 READ = "read"
 WRITE = "write"
@@ -93,26 +92,24 @@ class RamCycleResult:
 class ProtectedRam:
     """Cycle-stepped model of the protected memory plus its checker."""
 
-    def __init__(
-        self,
-        depth: int,
-        word_width: int = 16,
-        code: Optional[ParityCheckMatrix] = None,
-        rng_seed: Rng = None,
-    ):
+    def __init__(self, depth: int, word_width: int, code: ParityCheckMatrix):
         if depth < 2 or depth & (depth - 1):
             raise ValueError("depth must be a power of two >= 2")
         self.depth = depth
         self.word_width = word_width
         self.addr_bits = depth.bit_length() - 1
         k = self.addr_bits + word_width
-        self.code = code if code is not None else sample_parity_code(k, 3, rng_seed)
+        self.code = code
         if self.code.k != k:
             raise ValueError(f"memory code must cover {k} bits, has {self.code.k}")
-        # cells start consistent: data 0 with matching check bits per address
-        self.cells = [
-            RamWord(0, self._check(a, 0)) for a in range(depth)
-        ]
+        # cells start consistent: data 0 with matching check bits per address;
+        # a RamWord is replaced, never changed in place, so resets share them
+        self._initial_cells = tuple(RamWord(0, self._check(a, 0)) for a in range(depth))
+        self.reset()
+
+    def reset(self) -> None:
+        """Every cell back to data 0 with its check bits, outputs to cell 0."""
+        self.cells = list(self._initial_cells)
         self.ram_out = RamWord(self.cells[0].data, self.cells[0].check)
         self.data_out = self.ram_out.data
 
@@ -231,13 +228,3 @@ class ProtectedRam:
 
         return RamCycleResult(op, self.data_out, bool(symptoms), tuple(symptoms))
 
-
-def ram_cycle(
-    ram: ProtectedRam,
-    op: str,
-    addr: Optional[int] = None,
-    data_in: Optional[int] = None,
-    trojan: Optional[str] = None,
-) -> RamCycleResult:
-    """One memory operation against a protected RAM instance."""
-    return ram.cycle(op, addr, data_in, trojan)

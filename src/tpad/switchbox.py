@@ -87,15 +87,12 @@ class ObfuscatedNetlist:
             raise SwitchboxError("duplicate switchbox ids")
         if set(self.intended) != set(ids):
             raise ConfigCoverageError("intended config must cover every switchbox exactly once")
-        # single-driver and acyclicity (in the union sense) via apply()
-        self.apply(self.intended)
+        # single-driver and acyclicity (in the union sense) via apply_config
+        apply_config(self, self.intended)
 
     @property
     def n_switchboxes(self) -> int:
         return len(self.switchboxes)
-
-    def apply(self, cfg: dict[int, str]) -> Netlist:
-        return apply_config(self, cfg)
 
     @property
     def per_output_sb_count(self) -> tuple[int, ...]:
@@ -160,7 +157,12 @@ def _cone_switchboxes(
     sb_driver: Mapping[int, int],
     sb_ins: Mapping[int, Sequence[int]],
 ) -> int:
-    """Switchboxes in the transitive fan-in of one wire (see count_cone_switchboxes)."""
+    """Switchboxes in the transitive fan-in of one wire.
+
+    A switchbox belongs to a cone when either of its output wires feeds the
+    cone; both of its inputs are then traversed, since either may drive the
+    cone depending on the configuration.
+    """
     seen_g: set[int] = set()
     seen_sb: set[int] = set()
     stack = [root]
@@ -177,18 +179,6 @@ def _cone_switchboxes(
             seen_sb.add(sid)
             stack.extend(sb_ins[sid])
     return len(seen_sb)
-
-
-def count_cone_switchboxes(obf: ObfuscatedNetlist, output_index: int) -> int:
-    """Switchboxes in the transitive fan-in of one output.
-
-    A switchbox belongs to a cone when either of its output wires feeds the
-    cone; both of its inputs are then traversed, since either may drive the
-    cone depending on the configuration.
-    """
-    if not 0 <= output_index < len(obf.outputs):
-        raise IndexError(f"output index {output_index} out of range")
-    return _cone_switchboxes(obf.outputs[output_index], *_wiring(obf))
 
 
 @dataclass
@@ -403,15 +393,13 @@ class _ToggleCheck:
     both still route straight through and the step stays valid all round.
     """
 
-    def __init__(self, work: _Work, intended: dict[int, str],
-                 max_exhaustive_inputs: int, sample_count: int):
+    def __init__(self, work: _Work, intended: dict[int, str], sample_count: int):
         sbs = work.switchbox_list()
         self.step = union_step(work.inputs, work.outputs, work.gate_list(), sbs)
         self.index = {sb.id: i for i, sb in enumerate(sbs)}
         self.base = [-1 if intended.get(sb.id) == CROSSED else 0 for sb in sbs]
         self.n_inputs = len(work.inputs)
         self.state_width = sum(kind == "DFF" for kind in work.kind.values())
-        self.max_exhaustive_inputs = max_exhaustive_inputs
         self.sample_count = sample_count
 
     def verdict(self, sid: int, rng_seed: int) -> EquivalenceVerdict:
@@ -424,7 +412,6 @@ class _ToggleCheck:
             lambda x, s, mask: step(x, s, toggled, mask),
             self.n_inputs,
             (self.state_width, self.state_width),
-            max_exhaustive_inputs=self.max_exhaustive_inputs,
             sample_count=self.sample_count,
             rng_seed=rng_seed,
         )
@@ -436,7 +423,6 @@ def insert_switchboxes(
     rng_seed: Rng = None,
     max_iterations: int = 1000,
     min_switchboxes: int = 0,
-    max_exhaustive_inputs: int = 16,
     sample_count: int = 10000,
 ) -> ObfuscatedNetlist:
     """Randomized switchbox insertion until every output cone holds >= t SBs.
@@ -501,7 +487,7 @@ def insert_switchboxes(
                 round_sbs.append(sid)
 
         if round_sbs:
-            check = _ToggleCheck(work, intended, max_exhaustive_inputs, sample_count)
+            check = _ToggleCheck(work, intended, sample_count)
             for sid in round_sbs:
                 if check.verdict(sid, rng.getrandbits(32)).equivalent:
                     # degenerate (or not provably non-degenerate): drop it

@@ -12,8 +12,6 @@ harness receiver.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -111,13 +109,12 @@ class RunReport:
     first_detection: Optional[int]
     config_digest: str
 
-    @property
-    def any_detection(self) -> bool:
-        return self.first_detection is not None
-
 
 def config_digest(topology: SystemTopology, extra: Optional[dict] = None) -> str:
     """Hash of everything needed to reconstruct the run configuration."""
+    import hashlib
+    import json
+
     payload = {"chips": [], "extra": extra or {}}
     for chip in topology.chips:
         payload["chips"].append(

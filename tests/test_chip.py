@@ -1,26 +1,26 @@
+import hashlib
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpad.attacks import AttackDescriptor, run_campaign
 from tpad.chip import (
     AttackEffect,
     ChipOptions,
-    InputDecoderState,
-    OutputEncoderState,
     OutputReceiver,
     StimulusEncoder,
     build_protected_chip,
-    decode_inputs,
-    encode_outputs,
     load_chip_bundle,
     save_chip_bundle,
 )
 from tpad.netlist import WidthError, parse_netlist, random_netlist, serialize_netlist
 from tpad.parity import ParityCheckMatrix, sample_parity_code
+from tpad.ram import RAM_TROJANS, ProtectedRam
 from tpad.switchbox import UnsatisfiableError
 
 from conftest import lfsr16
@@ -30,19 +30,29 @@ def bits_msb(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
 
 
+def sender(h, prev):
+    """A trusted sender encoding with h from chain start prev."""
+    return StimulusEncoder(SimpleNamespace(h_in=h, initial_prev_in_check=prev))
+
+
+def receiver(h, prev):
+    """A trusted receiver decoding words of h's width from chain start prev."""
+    return OutputReceiver(SimpleNamespace(out_codes=[(tuple(range(h.k)), h)],
+                                          initial_prev_out_checks=[prev]))
+
+
 class TestOutputEncoding:
     def test_worked_hex_example(self):
         """Raw check 110101, previous 010101, transmitted 100000."""
         h = ParityCheckMatrix(tuple(bits_msb(1 << (5 - i), 6) for i in range(6)))
-        state = OutputEncoderState(h, bits_msb(0b010101, 6))
-        check, state2 = encode_outputs(state, bits_msb(0b110101, 6))
+        enc = sender(h, bits_msb(0b010101, 6))
+        check = enc.send(bits_msb(0b110101, 6))
         assert check == bits_msb(0b100000, 6)
-        assert state2.prev_check == check
+        assert enc.prev_check == check
 
     def test_zero_chain(self):
         h = sample_parity_code(4, 2, 0)
-        state = OutputEncoderState(h, (0, 0))
-        check, _ = encode_outputs(state, (0, 0, 0, 0))
+        check = sender(h, (0, 0)).send((0, 0, 0, 0))
         assert check == (0, 0)
 
     @given(st.integers(0, 10_000))
@@ -51,11 +61,11 @@ class TestOutputEncoding:
         """check(t) xor check(t-1) equals the raw parity of outputs(t)."""
         rng = random.Random(seed)
         h = sample_parity_code(6, 3, seed)
-        state = OutputEncoderState(h, tuple(rng.getrandbits(1) for _ in range(3)))
-        prev = state.prev_check
+        enc = sender(h, tuple(rng.getrandbits(1) for _ in range(3)))
+        prev = enc.prev_check
         for _ in range(16):
             word = tuple(rng.getrandbits(1) for _ in range(6))
-            check, state = encode_outputs(state, word)
+            check = enc.send(word)
             raw = h.check_bits(word)
             assert tuple(a ^ b for a, b in zip(check, prev)) == raw
             prev = check
@@ -73,33 +83,31 @@ class TestInputDecoding:
         h = ParityCheckMatrix(rows)
         inputs = bits_msb(0xFA, 8)
         assert h.check_bits(inputs) == bits_msb(0xA, 4)
-        state = InputDecoderState(h, bits_msb(0xB, 4))
-        attack, state2 = decode_inputs(state, inputs, bits_msb(0x1, 4))
+        rec = receiver(h, bits_msb(0xB, 4))
+        attack = rec.receive(inputs, bits_msb(0x1, 4))
         assert not attack
-        assert state2.prev_check == bits_msb(0x1, 4)
+        assert rec.prev_check == bits_msb(0x1, 4)
 
     def test_flipped_input_bit_detected(self):
         h = sample_parity_code(8, 4, 3)
         rng = random.Random(1)
         prev = tuple(rng.getrandbits(1) for _ in range(4))
-        sender = OutputEncoderState(h, prev)
-        receiver = InputDecoderState(h, prev)
+        enc, rec = sender(h, prev), receiver(h, prev)
         x = tuple(rng.getrandbits(1) for _ in range(8))
-        check, sender = encode_outputs(sender, x)
+        check = enc.send(x)
         tampered = (x[0] ^ 1,) + x[1:]
-        attack, _ = decode_inputs(receiver, tampered, check)
+        attack = rec.receive(tampered, check)
         assert attack
 
     def test_lockstep_clean_channel(self):
         h = sample_parity_code(8, 3, 9)
         rng = random.Random(2)
         start = tuple(rng.getrandbits(1) for _ in range(3))
-        sender = OutputEncoderState(h, start)
-        receiver = InputDecoderState(h, start)
+        enc, rec = sender(h, start), receiver(h, start)
         for _ in range(10_000):
             x = tuple(rng.getrandbits(1) for _ in range(8))
-            check, sender = encode_outputs(sender, x)
-            attack, receiver = decode_inputs(receiver, x, check)
+            check = enc.send(x)
+            attack = rec.receive(x, check)
             assert not attack
 
     def test_stale_pair_replay_detected(self):
@@ -107,17 +115,16 @@ class TestInputDecoding:
         h = sample_parity_code(8, 3, 4)
         rng = random.Random(3)
         start = tuple(rng.getrandbits(1) for _ in range(3))
-        sender = OutputEncoderState(h, start)
-        receiver = InputDecoderState(h, start)
+        enc, rec = sender(h, start), receiver(h, start)
         seen = []
         for _ in range(6):
             x = tuple(rng.getrandbits(1) for _ in range(8))
-            check, sender = encode_outputs(sender, x)
-            attack, receiver = decode_inputs(receiver, x, check)
+            check = enc.send(x)
+            attack = rec.receive(x, check)
             assert not attack
             seen.append((x, check))
         stale_x, stale_check = seen[1]
-        attack, _ = decode_inputs(receiver, stale_x, stale_check)
+        attack = rec.receive(stale_x, stale_check)
         assert attack  # chain context moved on; replay without it fails
 
 
@@ -164,6 +171,36 @@ def clean_run(chip, cycles, seed, with_ram=False):
         if res.ram is not None:
             fires += res.ram.attack
     return fires
+
+
+class TestRamReset:
+    def test_reset_computes_no_check_bits(self, pipelined_ram_chip, monkeypatch):
+        """The cells' initial check bits are computed once per chip, not per reset."""
+        calls = []
+        check_bits = ParityCheckMatrix.check_bits
+        monkeypatch.setattr(ParityCheckMatrix, "check_bits",
+                            lambda h, info: calls.append(h) or check_bits(h, info))
+        pipelined_ram_chip.reset(1)
+        pipelined_ram_chip.reset(2)
+        assert calls == []
+
+    def test_reset_restores_cells(self, pipelined_ram_chip):
+        assert clean_run(pipelined_ram_chip, 200, seed=3, with_ram=True) == 0
+        pipelined_ram_chip.reset(4)
+        ram = pipelined_ram_chip.ram
+        fresh = ProtectedRam(ram.depth, ram.word_width, code=ram.code)
+        assert ram.cells == fresh.cells
+        assert (ram.ram_out, ram.data_out) == (fresh.ram_out, fresh.data_out)
+
+    def test_ram_campaign_csv_unchanged(self, pipelined_ram_chip):
+        # sha256 recorded when every reset still built a new ProtectedRam
+        pool = [AttackDescriptor("logic", f"ram:{row}", ("always",)) for row in RAM_TROJANS]
+        pool.append(AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:2"))
+        report = run_campaign(pipelined_ram_chip, lambda rng: rng.choice(pool), 60, 8, rng_seed=12)
+        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == RAM_CAMPAIGN_SHA256
+
+
+RAM_CAMPAIGN_SHA256 = "cbb99899ee7d976f3b3ed4a9dffb55fb24ddfa73957e0028c78d544e0af851cf"
 
 
 class TestChipBuild:
@@ -385,3 +422,7 @@ class TestWidthChecks:
             adder_chip.cycle((1, 0), (0,))
         with pytest.raises(WidthError):
             adder_chip.cycle((1, 0, 1), (0, 0))
+
+    def test_receiver_width_validation(self, adder_chip):
+        with pytest.raises(WidthError):
+            OutputReceiver(adder_chip).receive((1, 0), (0, 0))

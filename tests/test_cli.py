@@ -1,8 +1,17 @@
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tpad
+from tpad.chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 from tpad.cli import main
+from tpad.netlist import random_netlist, serialize_netlist
 
 from conftest import FULL_ADDER, ALU2
 
@@ -81,6 +90,56 @@ def test_build_run_attack_flow(tmp_path, adder_file, capsys):
     assert rows[0] == "trial,attack_kind,detected,first_detect_cycle"
     assert rows[-1].startswith("summary,all,")
     assert len(rows) == 42  # 40 trials + header + summary
+
+
+def test_run_receives_every_word(tmp_path, capsys):
+    """`tpad run` reports what a harness calling receive on every cycle does.
+
+    One switchbox of the bundle is set against its intended setting (the
+    manifest re-hashed), so the monitor fires on some cycles; a receiver
+    that skipped those words would report stale-chain failures after them.
+    """
+    src = tmp_path / "wide.net"
+    src.write_text(serialize_netlist(random_netlist(10, 48, 16, rng_seed=21, name="wide")))
+    bundle = tmp_path / "chip"
+    assert main(["build-chip", "--in", str(src), "--out", str(bundle),
+                 "--r", "3", "--t", "2", "--seed", "9"]) == 0
+    cfg = (bundle / "detection.cfg").read_text().splitlines()
+    name, mode = cfg[0].split(" = ")
+    cfg[0] = f"{name} = {'crossed' if mode == 'parallel' else 'parallel'}"
+    text = "\n".join(cfg) + "\n"
+    (bundle / "detection.cfg").write_text(text)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["files"]["detection.cfg"] = hashlib.sha256(text.encode()).hexdigest()
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+    trace = tmp_path / "trace.csv"
+    assert main(["run", "--chip", str(bundle), "--cycles", "200", "--seed", "1",
+                 "--trace-csv", str(trace)]) == 1
+    got = [int(row.rsplit(",", 1)[1]) for row in trace.read_text().splitlines()[1:]]
+
+    chip = load_chip_bundle(bundle)
+    chip.reset(1)
+    enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+    rng = random.Random(2)
+    want, monitor_cycles = [], 0
+    for _ in range(200):
+        x = tuple(rng.getrandbits(1) for _ in range(10))
+        res = chip.cycle(x, enc.send(x))
+        received = rec.receive(res.outputs, res.out_check)
+        want.append(int(bool(received or res.monitor_attack or res.decode_attack)))
+        monitor_cycles += bool(res.monitor_attack)
+    assert 0 < monitor_cycles < 200
+    assert got == want
+
+
+def test_import_leaves_out_hashlib_and_json():
+    """Only bundle files and config digests need them; they import on use."""
+    code = "import sys, tpad; print(sorted({'hashlib', 'json'} & set(sys.modules)))"
+    src = str(Path(tpad.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_destructive_prints_probability(capsys):

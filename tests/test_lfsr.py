@@ -15,7 +15,6 @@ from tpad.lfsr import (
     format_lfsr_spec,
     is_primitive,
     lfsr_taps,
-    monitor_check,
     parse_lfsr_spec,
     step_lfsr,
 )
@@ -157,7 +156,8 @@ class TestMonitor:
                 bits[1] ^= 1
             stream.append(tuple(bits))
             s = step_lfsr(s, spec)
-        verdicts = monitor_check(spec, stream)
+        mon = ErrorMonitor(spec)
+        verdicts = [mon.check(sig) for sig in stream]
         assert verdicts[123] and sum(verdicts) == 1
 
     def test_misconfigured_monitor_fires_from_start(self):

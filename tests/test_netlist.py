@@ -15,7 +15,6 @@ from tpad.netlist import (
     UndrivenWireError,
     WidthError,
     check_equivalence,
-    evaluate,
     eval_wires,
     output_cone,
     parse_netlist,
@@ -36,8 +35,8 @@ class TestParse:
     def test_identity_buffer(self):
         net = parse_netlist(".inputs a\n.outputs y\ny = BUF(a)\n")
         assert net.n_gates == 1
-        assert evaluate(net, (1,))[0] == (1,)
-        assert evaluate(net, (0,))[0] == (0,)
+        assert net.evaluate((1,))[0] == (1,)
+        assert net.evaluate((0,))[0] == (0,)
 
     def test_multiple_drivers_rejected(self):
         src = ".inputs a b\n.outputs y\ny = AND(a, b)\ny = OR(a, b)\n"
@@ -105,22 +104,22 @@ class TestEvaluate:
         ],
     )
     def test_full_adder_truth(self, full_adder, abc, expect):
-        assert evaluate(full_adder, abc)[0] == expect
+        assert full_adder.evaluate(abc)[0] == expect
 
     def test_width_check(self, full_adder):
         with pytest.raises(WidthError):
-            evaluate(full_adder, (1, 0))
+            full_adder.evaluate((1, 0))
 
     def test_dff_state_advance(self):
         net = parse_netlist(".inputs d\n.outputs q\nq = DFF(d)\n")
-        out, nxt = evaluate(net, (1,), (0,))
+        out, nxt = net.evaluate((1,), (0,))
         assert out == (0,) and nxt == (1,)
-        out, nxt = evaluate(net, (0,), nxt)
+        out, nxt = net.evaluate((0,), nxt)
         assert out == (1,) and nxt == (0,)
 
     def test_determinism(self, full_adder):
         for _ in range(3):
-            assert evaluate(full_adder, (1, 0, 1))[0] == evaluate(full_adder, (1, 0, 1))[0]
+            assert full_adder.evaluate((1, 0, 1))[0] == full_adder.evaluate((1, 0, 1))[0]
 
     def test_overrides(self, full_adder):
         s_wire = full_adder.outputs[0]
@@ -243,7 +242,7 @@ class TestCones:
         assert sorted(g.kind for g in cone.gates) == ["XOR", "XOR"]
         for v in range(8):
             x = ((v >> 2) & 1, (v >> 1) & 1, v & 1)
-            assert evaluate(cone, x)[0][0] == evaluate(full_adder, x)[0][0]
+            assert cone.evaluate(x)[0][0] == full_adder.evaluate(x)[0][0]
 
     def test_identity_cone_is_whole_netlist(self):
         net = parse_netlist(".inputs a\n.outputs y\ny = BUF(a)\n")
@@ -269,7 +268,7 @@ class TestCones:
             cone = output_cone(net, i)
             for vseed in range(8):
                 x = tuple((vseed * 7 + j) % 2 for j in range(5))
-                assert evaluate(cone, x)[0][0] == evaluate(net, x)[0][i]
+                assert cone.evaluate(x)[0][0] == net.evaluate(x)[0][i]
 
 
 class TestEquivalence:
@@ -287,8 +286,8 @@ class TestEquivalence:
         bad = parse_netlist(FULL_ADDER.replace("s = XOR(x1, cin)", "s = OR(x1, cin)"))
         v = check_equivalence(full_adder, bad)
         assert not v.equivalent and v.counterexample is not None
-        o1 = evaluate(full_adder, v.counterexample)[0]
-        o2 = evaluate(bad, v.counterexample)[0]
+        o1 = full_adder.evaluate(v.counterexample)[0]
+        o2 = bad.evaluate(v.counterexample)[0]
         assert o1 != o2
 
     def test_sampled_mode_on_wide_inputs(self):
@@ -324,6 +323,30 @@ class TestEquivalence:
         assert isinstance(v2.counterexample[0], tuple)
 
 
+def with_gates_spliced(net, rng, kinds):
+    """net with one gate of each kind in kinds feeding a random pin of one of
+    its gates: CONST0 and CONST1 read nothing, a BUF reads a constant or a
+    wire from before that gate, a DFF reads any wire (it cuts the cycle)."""
+    gates = list(net.gates)  # random_netlist gates read only earlier wires
+    n = len(gates)
+    q = max([*net.inputs, *(g.out for g in gates)]) + 1
+    consts = []
+    for j, kind in enumerate(kinds):
+        i = rng.randrange(n)
+        g = gates[i]
+        p = rng.randrange(len(g.ins))
+        gates[i] = Gate(g.out, g.kind, g.ins[:p] + (q + j,) + g.ins[p + 1:])
+        if kind == "BUF":
+            ins = (rng.choice([*net.inputs, *(h.out for h in gates[:i]), *consts]),)
+        elif kind == "DFF":
+            ins = (rng.choice([*net.inputs, *(h.out for h in gates)]),)
+        else:
+            ins = ()
+            consts.append(q + j)
+        gates.append(Gate(q + j, kind, ins))
+    return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
+
+
 class TestSimplify:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -332,6 +355,15 @@ class TestSimplify:
         slim = simplify_netlist(net)
         assert slim.n_gates <= net.n_gates
         assert check_equivalence(net, slim).equivalent
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           kinds=st.lists(st.sampled_from(["CONST0", "CONST1", "BUF", "DFF"]),
+                          min_size=1, max_size=6))
+    def test_preserves_function_with_constants_buffers_and_dffs(self, seed, kinds):
+        net = with_gates_spliced(random_netlist(6, 25, 3, rng_seed=seed), random.Random(seed),
+                                 kinds)
+        assert check_equivalence(simplify_netlist(net), net).equivalent
 
     def test_constant_folding(self):
         src = (

@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpad.netlist import check_equivalence, evaluate
+from tpad.netlist import check_equivalence
 from tpad.parity import (
-    Codeword,
     ParityCheckMatrix,
     build_ocp,
-    compute_check_bits,
     estimate_detection_probability,
     format_matrix,
     parse_matrix,
     sample_parity_code,
-    verify_codeword,
 )
 
 
@@ -76,15 +73,15 @@ class TestSampling:
 class TestCheckBits:
     def test_worked_example(self):
         h = ParityCheckMatrix(((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)))
-        assert compute_check_bits(h, (1, 0, 1, 1)) == (1, 0, 0)
+        assert h.check_bits((1, 0, 1, 1)) == (1, 0, 0)
 
     def test_zero_info_gives_zero_checks(self):
         h = sample_parity_code(6, 3, 1)
-        assert compute_check_bits(h, (0,) * 6) == (0, 0, 0)
+        assert h.check_bits((0,) * 6) == (0, 0, 0)
 
     def test_identity_matrix_copies(self):
         h = ParityCheckMatrix(((1, 0), (0, 1)))
-        assert compute_check_bits(h, (1, 0)) == (1, 0)
+        assert h.check_bits((1, 0)) == (1, 0)
 
     @given(st.integers(0, 1000), st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1))
     @settings(max_examples=40, deadline=None)
@@ -93,8 +90,8 @@ class TestCheckBits:
         a = tuple((xa >> i) & 1 for i in range(8))
         b = tuple((xb >> i) & 1 for i in range(8))
         ab = tuple(p ^ q for p, q in zip(a, b))
-        ca, cb = compute_check_bits(h, a), compute_check_bits(h, b)
-        assert compute_check_bits(h, ab) == tuple(p ^ q for p, q in zip(ca, cb))
+        ca, cb = h.check_bits(a), h.check_bits(b)
+        assert h.check_bits(ab) == tuple(p ^ q for p, q in zip(ca, cb))
 
 
 class TestVerify:
@@ -103,12 +100,14 @@ class TestVerify:
         rng = random.Random(0)
         for _ in range(20):
             info = tuple(rng.getrandbits(1) for _ in range(10))
-            assert verify_codeword(h, Codeword(info, compute_check_bits(h, info)))
+            check = h.check_bits(info)
+            # a verifier holding its own copy of the code recomputes them
+            assert ParityCheckMatrix(h.rows).check_bits(info) == check
 
     def test_any_single_flip_fails(self):
         h = sample_parity_code(10, 4, 8)
         info = tuple(i % 2 for i in range(10))
-        check = compute_check_bits(h, info)
+        check = h.check_bits(info)
         n = 14
         for pos in range(n):
             i2, c2 = list(info), list(check)
@@ -116,24 +115,24 @@ class TestVerify:
                 i2[pos] ^= 1
             else:
                 c2[pos - 10] ^= 1
-            assert not verify_codeword(h, Codeword(tuple(i2), tuple(c2))), pos
+            assert h.check_bits(tuple(i2)) != tuple(c2), pos
 
     def test_zero_codeword_always_valid(self):
         """Linearity keeps all-zero a codeword; the parity-null attack needs this."""
         for seed in range(10):
             h = sample_parity_code(9, 3, seed)
-            assert verify_codeword(h, Codeword((0,) * 9, (0, 0, 0)))
+            assert h.check_bits((0,) * 9) == (0, 0, 0)
 
 
 class TestBuildOcp:
     def test_adder_parity_of_both_outputs(self, full_adder):
         h = ParityCheckMatrix(((1, 1),))
         ocp = build_ocp(full_adder, h)
-        assert evaluate(ocp, (1, 1, 0))[0] == (1,)  # s=0, cout=1
+        assert ocp.evaluate((1, 1, 0))[0] == (1,)  # s=0, cout=1
         for v in range(8):
             x = ((v >> 2) & 1, (v >> 1) & 1, v & 1)
-            fo = evaluate(full_adder, x)[0]
-            assert evaluate(ocp, x)[0] == compute_check_bits(h, fo)
+            fo = full_adder.evaluate(x)[0]
+            assert ocp.evaluate(x)[0] == h.check_bits(fo)
 
     def test_identity_code_reproduces_function(self, full_adder):
         ocp = build_ocp(full_adder, ParityCheckMatrix(((1, 0), (0, 1))))
@@ -149,7 +148,7 @@ class TestBuildOcp:
         ocp = build_ocp(f, h)
         for v in range(32):
             x = tuple((v >> j) & 1 for j in range(5))
-            assert evaluate(ocp, x)[0] == compute_check_bits(h, evaluate(f, x)[0])
+            assert ocp.evaluate(x)[0] == h.check_bits(f.evaluate(x)[0])
 
     def test_arity_check(self, full_adder):
         with pytest.raises(Exception):

@@ -25,7 +25,6 @@ from tpad.switchbox import (
     SwitchboxError,
     UnsatisfiableError,
     apply_config,
-    count_cone_switchboxes,
     degeneracy_scan,
     format_config,
     insert_switchboxes,
@@ -163,20 +162,20 @@ class TestConeCounts:
     def test_single_sb_feeding_both_outputs(self, full_adder):
         obf = adder_with_manual_sb(full_adder)
         # sb output 8 feeds the sum xor; output 9 feeds the carry and
-        assert count_cone_switchboxes(obf, 0) == 1
-        assert count_cone_switchboxes(obf, 1) == 1
+        assert obf.per_output_sb_count[0] == 1
+        assert obf.per_output_sb_count[1] == 1
 
     def test_zero_sb_netlist(self, full_adder):
         obf = ObfuscatedNetlist(
             "plain", full_adder.inputs, full_adder.outputs, full_adder.gates,
             (), {}, full_adder.wire_names,
         )
-        assert count_cone_switchboxes(obf, 0) == 0
+        assert obf.per_output_sb_count[0] == 0
 
     def test_index_range(self, full_adder):
         obf = adder_with_manual_sb(full_adder)
         with pytest.raises(IndexError):
-            count_cone_switchboxes(obf, 2)
+            obf.per_output_sb_count[2]
 
 
 class TestDegeneracyScan:
@@ -339,19 +338,18 @@ class TestCandidateVerdicts:
         seen = []
         init, verdict = switchbox._ToggleCheck.__init__, switchbox._ToggleCheck.verdict
 
-        def spy_init(self, work, intended, max_exhaustive_inputs, sample_count):
-            init(self, work, intended, max_exhaustive_inputs, sample_count)
-            self.spied = (work, intended, max_exhaustive_inputs, sample_count)
+        def spy_init(self, work, intended, sample_count):
+            init(self, work, intended, sample_count)
+            self.spied = (work, intended, sample_count)
 
         def spy_verdict(self, sid, rng_seed):
             got = verdict(self, sid, rng_seed)
-            work, intended, max_exhaustive_inputs, sample_count = self.spied
+            work, intended, sample_count = self.spied
             base = {i: intended.get(i, PARALLEL) for i in work.sb_ins}
             snap = work.snapshot({**base, sid: PARALLEL}, "spy")
             want = check_equivalence(
                 apply_config(snap, {**base, sid: PARALLEL}),
                 apply_config(snap, {**base, sid: CROSSED}),
-                max_exhaustive_inputs=max_exhaustive_inputs,
                 sample_count=sample_count,
                 rng_seed=rng_seed,
             )
