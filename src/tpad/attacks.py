@@ -64,7 +64,7 @@ class AttackDescriptor:
             raise ValueError(f"unknown attack kind {self.kind!r}")
 
 
-_TRIGGER_RE = re.compile(r"^(always|at_cycle:(\d+)|after_cycle:(\d+)|random:([0-9.eE+-]+))$")
+_TRIGGER_RE = re.compile(r"^(always|at_cycle:\d+|after_cycle:\d+|random:[0-9.eE+-]+)$")
 
 
 def parse_attack_line(line: str) -> AttackDescriptor:
@@ -82,17 +82,10 @@ def parse_attack_line(line: str) -> AttackDescriptor:
         if key in ("gate", "target", "wire"):
             target = val
         elif key == "trigger":
-            m = _TRIGGER_RE.match(val)
-            if not m:
+            if not _TRIGGER_RE.match(val):
                 raise ValueError(f"bad trigger {val!r}")
-            if val == "always":
-                trigger = ("always",)
-            elif val.startswith("at_cycle"):
-                trigger = ("at_cycle", int(m.group(2)))
-            elif val.startswith("after_cycle"):
-                trigger = ("after_cycle", int(m.group(3)))
-            else:
-                trigger = ("random", float(m.group(4)))
+            mode, _, arg = val.partition(":")
+            trigger = (mode, float(arg) if mode == "random" else int(arg)) if arg else (mode,)
         else:
             raise ValueError(f"unknown attack key {key!r}")
     return AttackDescriptor(kind, target, trigger, payload)
@@ -344,7 +337,9 @@ def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[At
     fired = 0
     for cyc in range(cycles):
         x = columns[cyc * m:(cyc + 1) * m]
-        res = chip.cycle(x, enc.send(x), ram_op=stimuli[0][1][cyc])  # only a RAM chip draws one
+        # lane c * n + i runs trial i's memory operation
+        ram_op = None if chip.ram is None else [ops[cyc] for _ in armed for _, ops in stimuli]
+        res = chip.cycle(x, enc.send(x), ram_op=ram_op)
         bad = rec.receive(res.outputs, res.out_check) | res.monitor_attack | res.decode_attack
         new = bad & ~fired
         fired |= new
@@ -370,9 +365,8 @@ def run_campaign(
     protected RAM also see random memory traffic each cycle.
 
     Trials run CAMPAIGN_BATCH at a time, each armed run and its control in
-    lanes of one chip, and give the records a one-lane run per trial gives.
-    A chip with a RAM runs one trial per batch, its armed run and control
-    one after the other, since its RAM model is scalar.
+    lanes of one chip (each lane with its own memory on a RAM chip), and give
+    the records a one-lane run per trial gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -381,20 +375,15 @@ def run_campaign(
     false_positives = 0
     by_kind: dict[str, list[int]] = {}
     records: list[TrialRecord] = []
-    has_ram = bool(chip.options.ram_depth)
-    batch = 1 if has_ram else CAMPAIGN_BATCH
-    for start in range(0, trials, batch):
+    for start in range(0, trials, CAMPAIGN_BATCH):
         plans = []
-        for _ in range(min(batch, trials - start)):
+        for _ in range(min(CAMPAIGN_BATCH, trials - start)):
             atk = attack_generator(rng)
             stim_seed = rng.getrandbits(64)
             session_seed = rng.getrandbits(64)
             effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
             plans.append((stim_seed, session_seed, effect))
-        if has_ram:
-            first = [_run_lanes(chip, plans, (arm,), cycles_per_trial)[0] for arm in (True, False)]
-        else:
-            first = _run_lanes(chip, plans, (True, False), cycles_per_trial)
+        first = _run_lanes(chip, plans, (True, False), cycles_per_trial)
         n = len(plans)
         for i, (_, _, effect) in enumerate(plans):
             trial = start + i

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -214,6 +215,7 @@ class ChipCycleResult:
 
     monitor_attack and decode_attack are lane masks: bit j is set when lane
     j's monitor or input decoder reports an attack (0 or 1 with one lane).
+    ram is the RAM's result, or for a list of ops each lane's (None without one).
     """
 
     outputs: Bits                # words leaving the chip pads
@@ -222,7 +224,7 @@ class ChipCycleResult:
     error_signal: Bits
     monitor_attack: int
     decode_attack: int
-    ram: Optional[RamCycleResult] = None
+    ram: Union[RamCycleResult, list[Optional[RamCycleResult]], None] = None
 
 
 @dataclass
@@ -261,13 +263,15 @@ class ProtectedChip:
         self.r = h_logic.r
         self.t = t
         self.options = options
+        if (h_mem is None) != (not options.ram_depth):
+            raise ValueError("a chip takes a memory code exactly when it has a RAM")
         self.h_mem = h_mem
         self.resolved = apply_config(detection, detection.intended)
         self._dstep = self.resolved.step_fn()
         self._fstep = f.step_fn()
         self.attacks: list[_Installed] = []
-        self.ram: Optional[ProtectedRam] = None
-        if options.ram_depth:
+        self.ram: Optional[ProtectedRam] = None  # lane 0's memory
+        if h_mem is not None:
             self.ram = ProtectedRam(options.ram_depth, options.ram_word_width, code=h_mem)
         self.reset(0)
 
@@ -278,16 +282,15 @@ class ProtectedChip:
 
         A list or tuple holds one session seed per lane; any other seed runs
         one lane. Lane j draws from its seed exactly what a one-lane reset
-        draws, so it starts as that session does. A chip with a RAM runs one
-        lane, since its RAM model is scalar. The harness is trusted to hand
-        the same initial values to whoever encodes this chip's input stream
-        and decodes its output stream.
+        draws, so it starts as that session does. A chip with a RAM gives
+        each lane its own memory (`rams[j]`, with `ram` lane 0's), all at the
+        initial cells. The harness is trusted to hand the same initial values
+        to whoever encodes this chip's input stream and decodes its output
+        stream.
         """
         seeds = list(session_seeds) if isinstance(session_seeds, (list, tuple)) else [session_seeds]
         if not seeds:
             raise ValueError("need a session seed per lane")
-        if self.ram is not None and len(seeds) > 1:
-            raise ValueError("a chip with a RAM runs one lane")
         r = self.r
         n_chain = r * (1 + len(self.out_codes))
         rows = []
@@ -322,8 +325,10 @@ class ProtectedChip:
         self._last_tx_checks: list[Bits] = list(self.prev_out_checks)
         for a in self.attacks:
             a.captured, a.snapshot = 0, ()
-        if self.ram is not None:
-            self.ram.reset()
+        # lane copies share the initial cells, so no check bits are recomputed
+        self.rams = [] if self.ram is None else [self.ram, *(copy(self.ram) for _ in seeds[1:])]
+        for ram in self.rams:
+            ram.reset()
 
     def _lane_rng(self, j: int) -> random.Random:
         """Lane j's trigger generator, seeded at reset and built on first use."""
@@ -354,13 +359,20 @@ class ProtectedChip:
         self,
         inputs: Sequence[int],
         recv_check: Sequence[int],
-        ram_op: Optional[tuple] = None,
+        ram_op: Union[tuple, list[Optional[tuple]], None] = None,
     ) -> ChipCycleResult:
-        """One clock in every lane; inputs and recv_check hold one bit per lane."""
+        """One clock in every lane; inputs and recv_check hold one bit per lane.
+
+        ram_op is one (op, addr, data) for a one-lane chip, or a list of one
+        op (or None) per lane, run by that lane's RAM under its RAM trojan.
+        """
         if len(inputs) != len(self.f.inputs):
             raise WidthError("primary input width mismatch")
         if len(recv_check) != self.r:
             raise WidthError("input check width mismatch")
+        ops = ram_op if isinstance(ram_op, list) else (ram_op,)
+        if ram_op is not None and len(ops) != len(self.rams):
+            raise WidthError(f"{len(ops)} RAM op(s) for {len(self.rams)} RAM lane(s)")
         mask = self.mask
         taps = lfsr_taps(self.lfsr_state, self.lfsr_spec)
         if mask != 1:  # every lane's LFSR starts at the spec's seed
@@ -370,7 +382,7 @@ class ProtectedChip:
         rc = list(recv_check)
         f_over: dict[int, dict[str, int]] = {}
         d_over: dict[int, dict[str, int]] = {}
-        ram_trojan = None
+        ram_trojans: dict[int, str] = {}  # lane -> RAM trojan active there
         replay = null = 0  # lanes replaying a stored state / nulling parity
         stored = []  # (lanes, snapshot) each active stored-state attack replays
         out_flips = []
@@ -391,7 +403,8 @@ class ProtectedChip:
             if eff.d_overrides:
                 _override(d_over, eff.d_overrides, on)
             if eff.ram_trojan:
-                ram_trojan = eff.ram_trojan
+                for j in lanes_of(on):
+                    ram_trojans[j] = eff.ram_trojan
             if eff.kind == "decoupling_stored_state":
                 # the trojan's extra flip-flops hold one earlier consistent
                 # state; from engagement on, the CED path sees only that
@@ -414,13 +427,20 @@ class ProtectedChip:
 
         ram_res = None
         ram_sig: Bits = ()
-        if self.h_mem is not None:
+        if self.ram is not None:
             ram_sig = taps
-            if self.ram is not None and ram_op is not None:
-                op, addr, data = (ram_op + (None, None))[:3]
-                ram_res = self.ram.cycle(op, addr, data, trojan=ram_trojan)
-                if ram_res.attack:
-                    ram_sig = (taps[0] ^ mask,) + taps[1:]
+            if ram_op is not None:
+                results, reports = [], 0
+                for j, lane_op in enumerate(ops):
+                    res = None
+                    if lane_op is not None:
+                        op, addr, data = (lane_op + (None, None))[:3]
+                        res = self.rams[j].cycle(op, addr, data, trojan=ram_trojans.get(j))
+                        reports |= res.attack << j
+                    results.append(res)
+                if reports:
+                    ram_sig = (taps[0] ^ reports,) + taps[1:]
+                ram_res = results if ops is ram_op else results[0]
 
         # the detection netlist sees either live values or, in lanes under a
         # stored state decoupling attack, a recorded snapshot of an earlier cycle
@@ -638,8 +658,9 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     """Read a bundle back.
 
     A manifest missing a key or a file, listing a file a bundle does not
-    have, or leaving out a file the directory holds raises ValueError before
-    any listed file is read.
+    have (such as a `ram.code` for a chip without a RAM), or leaving out a
+    file the directory holds raises ValueError before any listed file is
+    read.
     """
     import json
 
@@ -656,8 +677,7 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     missing = [name for name in required if name not in manifest["files"]]
     if missing:
         raise ValueError(f"bundle manifest lists no file(s): {', '.join(missing)}")
-    expected = {*required, "ram.code"}
-    unexpected = [name for name in manifest["files"] if name not in expected]
+    unexpected = [name for name in manifest["files"] if name not in required]
     if unexpected:
         raise ValueError(f"bundle manifest lists unexpected file(s): {', '.join(unexpected)}")
     unlisted = sorted(p.name for p in root.iterdir()

@@ -616,17 +616,18 @@ def input_patterns(m: int) -> tuple[list[int], int]:
     return pats, full
 
 
-def _bit_of(v: int, idx: int) -> int:
-    return (v >> idx) & 1
+# vector schedule: truth tables up to 16 input bits, sequential netlists unrolled 4 cycles
+EXHAUSTIVE_INPUTS = 16
+HORIZON = 4
 
 
 def check_equivalence(
     n1: Netlist,
     n2: Netlist,
-    max_exhaustive_inputs: int = 16,
+    max_exhaustive_inputs: int = EXHAUSTIVE_INPUTS,
     sample_count: int = 10000,
     rng_seed: Optional[int] = None,
-    horizon: int = 4,
+    horizon: int = HORIZON,
 ) -> EquivalenceVerdict:
     """Compare two netlists, exhaustively when the input space is small.
 
@@ -653,10 +654,10 @@ def compare_steps(
     f2: Callable,
     n_inputs: int,
     state_widths: tuple[int, int] = (0, 0),
-    max_exhaustive_inputs: int = 16,
+    max_exhaustive_inputs: int = EXHAUSTIVE_INPUTS,
     sample_count: int = 10000,
     rng_seed: Optional[int] = None,
-    horizon: int = 4,
+    horizon: int = HORIZON,
 ) -> EquivalenceVerdict:
     """check_equivalence's vector schedule over two (inp, state, mask) steps.
 
@@ -685,7 +686,7 @@ def compare_steps(
 
     def refuted(mode, checked, cyc_inputs, lane):
         seq_cex = tuple(
-            tuple(_bit_of(cyc_inputs[c][j], lane) for j in range(m)) for c in range(cycles)
+            tuple((cyc_inputs[c][j] >> lane) & 1 for j in range(m)) for c in range(cycles)
         )
         _assert_replays(f1, f2, zero1, zero2, seq_cex)
         cex = seq_cex if sequential else seq_cex[0]

@@ -34,19 +34,6 @@ READ = "read"
 WRITE = "write"
 IDLE = "idle"
 
-RAM_TROJANS = (
-    "read_wrong_address",
-    "read_wrong_data",
-    "write_instead_of_read",
-    "does_not_read",
-    "write_wrong_address",
-    "write_wrong_data",
-    "read_instead_of_write",
-    "does_not_write",
-    "read_instead_of_idle",
-    "write_instead_of_idle",
-)
-
 # checker symptoms (columns of the detection table)
 CHECK_BITS_INCORRECT = "check_bits_at_ram_out_incorrect"
 IN_NEQ_OUT = "ram_in_neq_ram_out"
@@ -66,6 +53,7 @@ EXPECTED_SYMPTOM = {
     "read_instead_of_idle": IDLE_READ_ACTIVITY,
     "write_instead_of_idle": IDLE_WRITE_ACTIVITY,
 }
+RAM_TROJANS = tuple(EXPECTED_SYMPTOM)
 
 
 def addr_data_bits(addr: int, data: int, addr_bits: int, word_width: int) -> Bits:
@@ -103,14 +91,14 @@ class ProtectedRam:
         if self.code.k != k:
             raise ValueError(f"memory code must cover {k} bits, has {self.code.k}")
         # cells start consistent: data 0 with matching check bits per address;
-        # a RamWord is replaced, never changed in place, so resets share them
+        # RamWords are replaced, never changed in place, so resets, lanes and RAM_Out share them
         self._initial_cells = tuple(RamWord(0, self._check(a, 0)) for a in range(depth))
         self.reset()
 
     def reset(self) -> None:
         """Every cell back to data 0 with its check bits, outputs to cell 0."""
         self.cells = list(self._initial_cells)
-        self.ram_out = RamWord(self.cells[0].data, self.cells[0].check)
+        self.ram_out = self.cells[0]
         self.data_out = self.ram_out.data
 
     def _check(self, addr: int, data: int) -> Bits:
@@ -138,7 +126,7 @@ class ProtectedRam:
         if data_in is not None and not 0 <= data_in < (1 << self.word_width):
             raise ValueError("data word out of range")
 
-        prev_ram_out = RamWord(self.ram_out.data, self.ram_out.check)
+        prev_ram_out = self.ram_out
         prev_data_out = self.data_out
         symptoms: list[str] = []
 
@@ -147,7 +135,7 @@ class ProtectedRam:
             if trojan == "read_wrong_address":
                 # the row decoder selects a neighboring word line
                 cell = self.cells[addr ^ 1]
-                self.ram_out = RamWord(cell.data, cell.check)
+                self.ram_out = cell
             elif trojan == "read_wrong_data":
                 cell = self.cells[addr]
                 self.ram_out = RamWord(cell.data ^ 1, cell.check)
@@ -156,13 +144,13 @@ class ProtectedRam:
                 rogue = 0 if data_in is None else data_in
                 word = RamWord(rogue, self._check(addr, rogue))
                 self.cells[addr] = word
-                self.ram_out = RamWord(word.data, word.check)
+                self.ram_out = word
             elif trojan == "does_not_read":
                 did_read = False
                 self.ram_out = prev_ram_out
             else:
                 cell = self.cells[addr]
-                self.ram_out = RamWord(cell.data, cell.check)
+                self.ram_out = cell
             if did_read:
                 # latch control follows the actual array read; rogue writes
                 # and silent no-ops leave Data_Out holding its old value
@@ -179,7 +167,7 @@ class ProtectedRam:
                 eff = addr ^ 1
                 word = RamWord(data_in, self._check(eff, data_in))
                 self.cells[eff] = word
-                self.ram_out = RamWord(word.data, word.check)
+                self.ram_out = word
             elif trojan == "write_wrong_data":
                 # cell upset after the write-through sample: clean at the
                 # write cycle, caught by check bits on the next read
@@ -188,14 +176,14 @@ class ProtectedRam:
                 self.ram_out = word
             elif trojan == "read_instead_of_write":
                 cell = self.cells[addr]
-                self.ram_out = RamWord(cell.data, cell.check)
+                self.ram_out = cell
                 self.data_out = self.ram_out.data
             elif trojan == "does_not_write":
                 self.ram_out = prev_ram_out
             else:
                 word = RamWord(data_in, self._check(addr, data_in))
                 self.cells[addr] = word
-                self.ram_out = RamWord(word.data, word.check)
+                self.ram_out = word
             if self.ram_out.data != data_in:
                 symptoms.append(IN_NEQ_OUT)
             if self._check(addr, self.ram_out.data) != self.ram_out.check:
@@ -204,14 +192,14 @@ class ProtectedRam:
         else:  # IDLE
             if trojan == "read_instead_of_idle":
                 cell = self.cells[0 if addr is None else addr]
-                self.ram_out = RamWord(cell.data, cell.check)
+                self.ram_out = cell
                 self.data_out = self.ram_out.data
             elif trojan == "write_instead_of_idle":
                 rogue_addr = 0 if addr is None else addr
                 rogue = 0 if data_in is None else data_in
                 word = RamWord(rogue, self._check(rogue_addr, rogue))
                 self.cells[rogue_addr] = word
-                self.ram_out = RamWord(word.data, word.check)
+                self.ram_out = word
             out_changed = (
                 self.ram_out.data != prev_ram_out.data
                 or self.ram_out.check != prev_ram_out.check

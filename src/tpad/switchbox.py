@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 from .netlist import (
+    EXHAUSTIVE_INPUTS,
+    HORIZON,
     EquivalenceVerdict,
     Gate,
     Netlist,
     NetlistError,
-    check_equivalence,
+    check_equivalence,  # noqa: F401 - part of this module's namespace, which perfbench traces
     compare_steps,
     input_patterns,
     parse_text,
@@ -517,8 +519,9 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     """Sample incorrect configurations and count functional matches.
 
     Draws `samples` uniform configurations different from the intended one,
-    applies each, and reports the fraction equivalent to the intended
-    function together with every offending configuration.
+    compares each with it on the union step over check_equivalence's vectors
+    (a sequential or sampled compare draws its seed after the configuration),
+    and reports the fraction equivalent with every offending configuration.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -526,42 +529,41 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     if nsb == 0:
         raise NoIncorrectConfigsError("no incorrect configs exist")
     rng = as_rng(rng_seed)
-    intended_bits = 0
-    for i, sb in enumerate(obf.switchboxes):
-        if obf.intended[sb.id] == CROSSED:
-            intended_bits |= 1 << i
+    intended_bits = sum(1 << i for i, sb in enumerate(obf.switchboxes)
+                        if obf.intended[sb.id] == CROSSED)
+    step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+    intended = _selects(intended_bits, nsb)
+    m, width = len(obf.inputs), sum(g.kind == "DFF" for g in obf.gates)
+    cycles = HORIZON if width else 1
+    exhaustive = m * cycles <= EXHAUSTIVE_INPUTS
+    # truth-table lanes as compare_steps lays them out; the intended outputs once
+    pats, full = input_patterns(m * cycles) if exhaustive else ([], 0)
+    vectors = [tuple(pats[c * m:(c + 1) * m]) for c in range(cycles)]
 
-    baseline = apply_config(obf, obf.intended)
-    m = len(obf.inputs)
-    fast = not baseline.has_state and m <= 16
+    def outputs(sel: list[int]) -> list[tuple]:
+        state, outs = (0,) * width, []
+        for x in vectors:
+            out, state = step(x, state, sel, full)
+            outs.append(out)
+        return outs
+
+    reference = outputs(intended) if exhaustive else None
     hits: list[dict[int, str]] = []
-    equivalent = 0
-
-    if fast:
-        # one compiled union step; each sample only changes the select vector
-        step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
-        pats, full = input_patterns(m)
-        reference = step(pats, (), _selects(intended_bits, nsb), full)[0]
-        for _ in range(samples):
+    for _ in range(samples):
+        bits = rng.getrandbits(nsb)
+        while bits == intended_bits:
             bits = rng.getrandbits(nsb)
-            while bits == intended_bits:
-                bits = rng.getrandbits(nsb)
-            if step(pats, (), _selects(bits, nsb), full)[0] == reference:
-                equivalent += 1
-                hits.append(_bits_to_cfg(obf, bits))
-    else:
-        for _ in range(samples):
-            bits = rng.getrandbits(nsb)
-            while bits == intended_bits:
-                bits = rng.getrandbits(nsb)
-            cfg = _bits_to_cfg(obf, bits)
-            verdict = check_equivalence(
-                apply_config(obf, cfg), baseline, rng_seed=rng.getrandbits(32)
-            )
-            if verdict.equivalent:
-                equivalent += 1
-                hits.append(cfg)
-    return ScanReport(samples, equivalent, hits)
+        sel = _selects(bits, nsb)
+        seed = rng.getrandbits(32) if width or not exhaustive else None
+        if exhaustive:
+            same = outputs(sel) == reference
+        else:
+            same = compare_steps(lambda x, s, mask: step(x, s, intended, mask),
+                                 lambda x, s, mask: step(x, s, sel, mask),
+                                 m, (width, width), rng_seed=seed).equivalent
+        if same:
+            hits.append(_bits_to_cfg(obf, bits))
+    return ScanReport(samples, len(hits), hits)
 
 
 def _bits_to_cfg(obf: ObfuscatedNetlist, bits: int) -> dict[int, str]:

@@ -13,13 +13,14 @@ from tpad.chip import (
     AttackEffect,
     ChipOptions,
     OutputReceiver,
+    ProtectedChip,
     StimulusEncoder,
     build_protected_chip,
     load_chip_bundle,
     save_chip_bundle,
 )
 from tpad.netlist import WidthError, parse_netlist, random_netlist, serialize_netlist
-from tpad.parity import ParityCheckMatrix, sample_parity_code
+from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
 from tpad.switchbox import UnsatisfiableError
 
@@ -383,6 +384,20 @@ class TestBundle:
         with pytest.raises(ValueError, match=f"unexpected file.*{re.escape(entry)}"):
             load_chip_bundle(root)
 
+    def test_stray_ram_code_refused(self, tmp_path):
+        """A hashed ram.code on a chip without a RAM is refused, not misread."""
+        f = random_netlist(6, 20, 4, rng_seed=51, name="plain")
+        chip = build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=52)
+        root = tmp_path / "b"
+        save_chip_bundle(chip, root)
+        text = format_matrix(sample_parity_code(5 + 16, 2, 1))
+        (root / "ram.code").write_text(text)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["files"]["ram.code"] = hashlib.sha256(text.encode()).hexdigest()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape("ram.code")):
+            load_chip_bundle(root)
+
     @pytest.mark.parametrize("name", ["notes.txt", "output1.code", "ram.code"])
     def test_unlisted_file_on_disk_named(self, adder_chip, tmp_path, name):
         """A file the manifest leaves out is refused, not silently ignored."""
@@ -416,6 +431,20 @@ class TestBundle:
 
 
 class TestWidthChecks:
+    def test_memory_code_exactly_with_a_ram(self, adder_chip, pipelined_ram_chip):
+        for c, options, h_mem in (
+            (adder_chip, ChipOptions(ram_depth=16), None),
+            (pipelined_ram_chip, ChipOptions(pipeline_stages=1), pipelined_ram_chip.h_mem),
+        ):
+            with pytest.raises(ValueError, match="memory code"):
+                ProtectedChip(c.f, c.ocp, c.detection, c.h_logic, c.h_in, c.out_codes,
+                              c.lfsr_spec, c.t, options, h_mem)
+
+    def test_ram_op_needs_a_ram(self, adder_chip):
+        adder_chip.reset(0)
+        with pytest.raises(WidthError, match="RAM op"):
+            adder_chip.cycle((1, 0, 1), (0,), ram_op=("read", 0, None))
+
     def test_cycle_width_validation(self, adder_chip):
         adder_chip.reset(0)
         with pytest.raises(WidthError):

@@ -27,15 +27,18 @@ from tpad.attacks import (
 from tpad.chip import (
     ChipOptions,
     OutputReceiver,
+    ProtectedChip,
     StimulusEncoder,
     build_protected_chip,
 )
 from tpad.lanes import pack_lanes
-from tpad.netlist import parse_netlist, random_netlist
-from tpad.parity import sample_parity_code
+from tpad.netlist import WidthError, parse_netlist, random_netlist
+from tpad.parity import ParityCheckMatrix, sample_parity_code
+from tpad.ram import EXPECTED_SYMPTOM, RAM_TROJANS, ProtectedRam
 from tpad.rng import as_rng
 
 from conftest import FULL_ADDER, lfsr16
+from test_ram import STAGES, WORKED_ROWS
 
 
 def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=None):
@@ -65,17 +68,7 @@ def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=N
             fired = False
             for cyc in range(cycles_per_trial):
                 x = tuple(srng.getrandbits(1) for _ in range(m))
-                ram_op = None
-                if chip.ram is not None:
-                    roll = srng.random()
-                    if roll < 0.4:
-                        ram_op = ("write", srng.randrange(chip.ram.depth),
-                                  srng.randrange(1 << chip.ram.word_width))
-                    elif roll < 0.8:
-                        ram_op = ("read", srng.randrange(chip.ram.depth), None)
-                    else:
-                        ram_op = ("idle", None, None)
-                res = chip.cycle(x, enc.send(x), ram_op=ram_op)
+                res = chip.cycle(x, enc.send(x), ram_op=ram_traffic(chip, srng))
                 bad = res.monitor_attack or res.decode_attack
                 bad = rec.receive(res.outputs, res.out_check) or bad
                 if bad:
@@ -104,6 +97,18 @@ def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=N
     )
 
 
+def ram_traffic(chip, rng):
+    """One cycle's memory operation, as run_campaign draws it (None without a RAM)."""
+    if chip.ram is None:
+        return None
+    roll = rng.random()
+    if roll < 0.4:
+        return ("write", rng.randrange(chip.ram.depth), rng.randrange(1 << chip.ram.word_width))
+    if roll < 0.8:
+        return ("read", rng.randrange(chip.ram.depth), None)
+    return ("idle", None, None)
+
+
 # -- chips ---------------------------------------------------------------------------
 
 
@@ -127,7 +132,14 @@ def two_subsets():
                                 options=ChipOptions(output_subsets=((0, 1, 2, 3), (2, 3, 4, 5))))
 
 
-CHIPS = ("adder_r1", "wide_pipelined", "two_subsets")
+@pytest.fixture(scope="module")
+def ram_pipelined():
+    f = random_netlist(8, 30, 6, rng_seed=3, name="core")
+    return build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=5,
+                                options=ChipOptions(pipeline_stages=1, ram_depth=64))
+
+
+CHIPS = ("adder_r1", "wide_pipelined", "two_subsets", "ram_pipelined")
 
 
 def gate_names(net, count: int) -> list[str]:
@@ -161,6 +173,10 @@ def attack_pool(chip) -> list[AttackDescriptor]:
     for net_kind, name in (("fgate", fg[1]), ("dgate", dg[0])):
         for mode in ("flip", "stuck0", "stuck1"):
             pool.append(AttackDescriptor("logic", f"{net_kind}:{name}", ("at_cycle", -1), mode))
+    if chip.ram is not None:  # every RAM trojan row, permanent, from a random cycle and flaky
+        for i, row in enumerate(RAM_TROJANS):
+            trigger = (("always",), ("at_cycle", -1), ("random", 0.4))[i % 3]
+            pool.append(AttackDescriptor("logic", f"ram:{row}", trigger))
     return pool
 
 
@@ -198,7 +214,7 @@ class TestCampaignDifferential:
         lanes = run_campaign(wide_pipelined, gen, 80, 5, rng_seed=4)
         assert lanes.to_csv() == scalar_campaign(wide_pipelined, gen, 80, 5, rng_seed=4).to_csv()
 
-    def test_ram_chip_runs_one_trial_per_batch(self):
+    def test_ram_chip_runs_trials_in_lanes(self):
         f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")
         chip = build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=52,
                                     options=ChipOptions(ram_depth=32))
@@ -207,25 +223,39 @@ class TestCampaignDifferential:
         pool.append(AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:2"))
         args = (chip, lambda rng: rng.choice(pool), 30, 8)
         assert run_campaign(*args, rng_seed=6).to_csv() == scalar_campaign(*args, rng_seed=6).to_csv()
-        with pytest.raises(ValueError, match="RAM"):
-            chip.reset([1, 2])
+        # several lanes: a memory each, all at the initial cells, one op per lane
+        chip.ram.cycle("write", 3, 0xBEEF)
+        chip.reset([1, 2])
+        assert chip.rams[0] is chip.ram and chip.rams[1] is not chip.ram
+        fresh = ProtectedRam(chip.ram.depth, chip.ram.word_width, code=chip.h_mem)
+        assert chip.rams[0].cells == chip.rams[1].cells == fresh.cells
+        with pytest.raises(WidthError, match="RAM op"):
+            chip.cycle((0,) * 6, (0, 0), ram_op=("read", 3, None))
+        res = chip.cycle((0,) * 6, StimulusEncoder(chip).send((0,) * 6),
+                         ram_op=[("write", 3, 7), ("read", 3, None)])
+        assert [r.data_out for r in res.ram] == [0, 0]
+        assert (chip.rams[0].cells[3].data, chip.rams[1].cells[3].data) == (7, 0)
 
 
 # -- cycles ----------------------------------------------------------------------------
 
 
-def run_scalar_lane(chip, seed, effects, stimulus):
-    """One session at one lane; per cycle the values a lane is compared on."""
+def run_scalar_lane(chip, seed, effects, stimulus, ram_ops=None):
+    """One session at one lane; per cycle the values a lane is compared on.
+
+    With memory operations, one per cycle, the RAM's result joins them.
+    """
     chip.clear_attacks()
     chip.reset(seed)
     for eff in effects:
         chip.install_attack(eff)
     enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
     out = []
-    for x in stimulus:
-        res = chip.cycle(x, enc.send(x))
-        out.append((res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
-                    res.decode_attack, rec.receive(res.outputs, res.out_check)))
+    for c, x in enumerate(stimulus):
+        res = chip.cycle(x, enc.send(x), ram_op=ram_ops[c] if ram_ops else None)
+        row = (res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
+               res.decode_attack, rec.receive(res.outputs, res.out_check))
+        out.append(row + (res.ram,) if ram_ops else row)
     chip.clear_attacks()
     return out
 
@@ -314,8 +344,12 @@ class TestCycleDifferential:
         m = len(chip.f.inputs)
         stimuli = [[tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(cycles)]
                    for _ in range(width)]
+        ops = None  # with a RAM, each lane's memory traffic
+        if chip.ram is not None:
+            ops = [[ram_traffic(chip, rng) for _ in range(cycles)] for _ in range(width)]
 
-        expected = [run_scalar_lane(chip, seeds[j], effects[j], stimuli[j]) for j in range(width)]
+        expected = [run_scalar_lane(chip, seeds[j], effects[j], stimuli[j], ops and ops[j])
+                    for j in range(width)]
 
         chip.clear_attacks()
         chip.reset(seeds)
@@ -327,11 +361,12 @@ class TestCycleDifferential:
         try:
             for c in range(cycles):
                 x = pack_lanes([stimuli[j][c] for j in range(width)])
-                res = chip.cycle(x, enc.send(x))
+                res = chip.cycle(x, enc.send(x), ram_op=ops and [lane[c] for lane in ops])
                 got = (res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
                        res.decode_attack, rec.receive(res.outputs, res.out_check))
                 for j in range(width):
-                    assert lane_bits(got, j) == expected[j][c], (c, j)
+                    lane = lane_bits(got, j) + ((res.ram[j],) if ops else ())
+                    assert lane == expected[j][c], (c, j)
         finally:
             chip.clear_attacks()
 
@@ -370,6 +405,74 @@ class TestCycleDifferential:
             adder_r1.install_attack(compile_attack(adder_r1, AttackDescriptor("pin", "input:0")),
                                     0b100)
         adder_r1.clear_attacks()
+
+
+# -- per-lane memories -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def worked_ram_chip():
+    """A chip whose 256-word RAM uses the worked memory code of tests/test_ram.py."""
+    f = random_netlist(6, 20, 4, rng_seed=8, name="host")
+    c = build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=9,
+                             options=ChipOptions(pipeline_stages=1, ram_depth=256))
+    return ProtectedChip(c.f, c.ocp, c.detection, c.h_logic, c.h_in, c.out_codes, c.lfsr_spec,
+                         c.t, c.options, ParityCheckMatrix(WORKED_ROWS))
+
+
+def staged_run(chip, seeds, rows, armed=None):
+    """Lane j stages trojan row rows[j] (as in tests/test_ram.py), its last step
+    on the last cycle, with the trojan armed unless j is left out of `armed`;
+    per cycle the RAM results and the monitor's lane mask."""
+    cycles = max(len(stage) for stage in STAGES.values())
+    ops = [[None] * (cycles - len(STAGES[row])) + [step[:3] for step in STAGES[row]]
+           for row in rows]
+    chip.clear_attacks()
+    chip.reset(seeds)
+    for j, row in enumerate(rows):
+        if armed is not None and j not in armed:
+            continue
+        armed_step = [step[3] for step in STAGES[row]].index(row)
+        at = ("at_cycle", cycles - len(STAGES[row]) + armed_step)
+        chip.install_attack(compile_attack(chip, AttackDescriptor("logic", f"ram:{row}", at)),
+                            1 << j)
+    enc = StimulusEncoder(chip)
+    streams = [random.Random(seed) for seed in seeds]  # lane j's inputs come from its seed
+    out = []
+    try:
+        for c in range(cycles):
+            x = pack_lanes([[g.getrandbits(1) for _ in chip.f.inputs] for g in streams])
+            if len(rows) > 1:
+                res = chip.cycle(x, enc.send(x), ram_op=[lane[c] for lane in ops])
+                out.append((res.ram, res.monitor_attack))
+            else:
+                res = chip.cycle(x, enc.send(x), ram_op=ops[0][c])
+                out.append(([res.ram], res.monitor_attack))
+    finally:
+        chip.clear_attacks()
+    return out
+
+
+class TestRamLanes:
+    def test_criterion_4_per_lane(self, worked_ram_chip):
+        """Each trojan row armed in its own lane of one chip gives that lane the
+        symptoms and data_out of the row run at one lane, and its exact symptom."""
+        chip = worked_ram_chip
+        lanes = staged_run(chip, list(range(len(RAM_TROJANS))), RAM_TROJANS)
+        for j, row in enumerate(RAM_TROJANS):
+            alone = staged_run(chip, [j], [row])
+            got = [(rams[j], (monitor >> j) & 1) for rams, monitor in lanes]
+            assert got == [(rams[0], monitor) for rams, monitor in alone], row
+        last = lanes[-1][0]
+        assert [res.symptoms for res in last] == [(EXPECTED_SYMPTOM[row],) for row in RAM_TROJANS]
+
+    def test_monitor_flags_exactly_the_reporting_lanes(self, worked_ram_chip):
+        armed = range(0, len(RAM_TROJANS), 2)
+        run = staged_run(worked_ram_chip, list(range(len(RAM_TROJANS))), RAM_TROJANS, armed)
+        for rams, monitor in run:
+            reports = sum(1 << j for j, res in enumerate(rams) if res is not None and res.attack)
+            assert monitor == reports
+        assert run[-1][1] == sum(1 << j for j in armed)
 
 
 # -- lane-safe helpers -----------------------------------------------------------------

@@ -55,34 +55,35 @@ class TestWorkedValues:
         assert res.attack and res.symptoms == (CHECK_BITS_INCORRECT,)
 
 
+# Each trojan row's staging, so exactly its table symptom can fire: one
+# (op, addr, data_in, trojan) per cycle, the last cycle showing the symptom.
+STAGES = {
+    "read_wrong_address": ((WRITE, 0x10, 0x1111, None), (READ, 0x10, None, None),
+                           (READ, 0x11, None, "read_wrong_address")),
+    "read_wrong_data": ((WRITE, 0x10, 0x1111, None), (READ, 0x10, None, None),
+                        (READ, 0x10, None, "read_wrong_data")),
+    "write_instead_of_read": ((WRITE, 0x10, 0x1111, None), (READ, 0x10, None, None),
+                              (READ, 0x10, 0x2222, "write_instead_of_read")),
+    "does_not_read": ((WRITE, 0x10, 0x1111, None), (READ, 0x10, None, None),
+                      (READ, 0x11, None, "does_not_read")),
+    "write_wrong_address": ((WRITE, 0x20, 0x3333, "write_wrong_address"),),
+    "write_wrong_data": ((WRITE, 0x20, 0x3333, "write_wrong_data"), (READ, 0x20, None, None)),
+    "read_instead_of_write": ((WRITE, 0x20, 0x3333, None),
+                              (WRITE, 0x20, 0x4444, "read_instead_of_write")),
+    "does_not_write": ((WRITE, 0x20, 0x3333, None), (WRITE, 0x20, 0x4444, "does_not_write")),
+    "read_instead_of_idle": ((WRITE, 0x30, 0x5555, None), (WRITE, 0x31, 0x6666, None),
+                             (IDLE, 0x30, None, "read_instead_of_idle")),
+    "write_instead_of_idle": ((WRITE, 0x30, 0x5555, None),
+                              (IDLE, 0x31, 0x7777, "write_instead_of_idle")),
+}
+
+
 def _staged(worked_code, trojan):
-    """Stage each trojan so exactly its table symptom can fire."""
+    """The result of the last cycle of the trojan row's staging."""
     ram = ProtectedRam(256, 16, code=worked_code)
-    if trojan in ("read_wrong_address", "read_wrong_data", "does_not_read"):
-        ram.cycle(WRITE, 0x10, 0x1111)
-        ram.cycle(READ, 0x10)
-        addr = 0x11 if trojan in ("read_wrong_address", "does_not_read") else 0x10
-        return ram.cycle(READ, addr, trojan=trojan)
-    if trojan == "write_instead_of_read":
-        ram.cycle(WRITE, 0x10, 0x1111)
-        ram.cycle(READ, 0x10)
-        return ram.cycle(READ, 0x10, data_in=0x2222, trojan=trojan)
-    if trojan == "write_wrong_address":
-        return ram.cycle(WRITE, 0x20, 0x3333, trojan=trojan)
-    if trojan == "write_wrong_data":
-        ram.cycle(WRITE, 0x20, 0x3333, trojan=trojan)
-        return ram.cycle(READ, 0x20)
-    if trojan in ("read_instead_of_write", "does_not_write"):
-        ram.cycle(WRITE, 0x20, 0x3333)
-        return ram.cycle(WRITE, 0x20, 0x4444, trojan=trojan)
-    if trojan == "read_instead_of_idle":
-        ram.cycle(WRITE, 0x30, 0x5555)
-        ram.cycle(WRITE, 0x31, 0x6666)
-        return ram.cycle(IDLE, 0x30, trojan=trojan)
-    if trojan == "write_instead_of_idle":
-        ram.cycle(WRITE, 0x30, 0x5555)
-        return ram.cycle(IDLE, 0x31, data_in=0x7777, trojan=trojan)
-    raise AssertionError(trojan)
+    for op, addr, data_in, armed in STAGES[trojan]:
+        res = ram.cycle(op, addr, data_in, trojan=armed)
+    return res
 
 
 class TestDetectionTable:

@@ -396,6 +396,82 @@ def test_golden_insertions(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
+# sequential, three inputs: exhaustive over the unrolled horizon; sb0 and sb2
+# each feed one commutative gate, so they are degenerate
+SEQ_SB = """\
+.model seqsb
+.inputs a b c
+.outputs y z
+sb0 = SB2(a, b -> p, q)
+x1 = XOR(p, q)
+d1 = DFF(x1)
+sb1 = SB2(d1, c -> r, s)
+y = AND(r, b)
+d2 = DFF(s)
+sb2 = SB2(d2, a -> t, u)
+z = OR(t, u)
+"""
+# the same with five inputs, so its compares are sampled
+SEQ5_SB = SEQ_SB.replace(".model seqsb", ".model seqsb5").replace("a b c\n", "a b c d e\n") \
+    .replace("AND(r, b)", "AND(r, b, d)").replace("OR(t, u)", "OR(t, u, e)")
+# combinational, twenty inputs (sampled); sb0 and sb2 are degenerate
+COMB20_SB = (".model comb20\n.inputs " + " ".join(f"i{k}" for k in range(20)) + """
+.outputs y z
+sb0 = SB2(i0, i1 -> p, q)
+x1 = AND(p, q, i2, i3, i4, i5, i6, i7, i8, i9)
+sb1 = SB2(x1, i10 -> r, s)
+y = OR(r, i11, i12, i13, i14)
+x2 = NOR(s, i15, i16, i17, i18)
+sb2 = SB2(x2, i19 -> t, u)
+z = XOR(t, u)
+""")
+
+
+def scan_case(name):
+    """(obfuscated netlist, scan seed) of one golden degeneracy scan."""
+    if name == "wide_chip":
+        f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
+        chip = build_protected_chip(f, 3, 2, lfsr16(3), rng_seed=33,
+                                    options=ChipOptions(pipeline_stages=1))
+        return chip.detection, 1
+    if name == "pipelined":
+        return pipelined_chip().detection, 4
+    text, cfg, seed = {
+        "seq3": (SEQ_SB, (PARALLEL, PARALLEL, PARALLEL), 2),
+        "seq5": (SEQ5_SB, (PARALLEL, CROSSED, PARALLEL), 5),
+        "comb20": (COMB20_SB, (CROSSED, PARALLEL, PARALLEL), 6),
+    }[name]
+    return parse_obfuscated(text, dict(enumerate(cfg))), seed
+
+
+# (equivalent, sha256 of (samples, equivalent, sorted hits)) of 200-sample
+# scans, recorded when each sample of a sequential or wide netlist built its
+# configuration as a netlist and ran check_equivalence on it
+SCAN_GOLDEN = {
+    "wide_chip": (0, "07c64a3cea78fb119f2c19b110602bee134e6930faf0e53b68abb11128a75953"),
+    "pipelined": (0, "07c64a3cea78fb119f2c19b110602bee134e6930faf0e53b68abb11128a75953"),
+    "seq3": (86, "2714306cdbaf92b4743803fd820adc71e0819f47d12a537c82ae1a8406c711bd"),
+    "seq5": (87, "d2754214e0e02d662a1493f48c86eea6083eca5acc2d89a37279982f39ecb18d"),
+    "comb20": (82, "6b785b450b7ec062f7f0188a4e9658d1343eae857438c114bf0ff7e9c085ac2f"),
+}
+
+
+class TestScanGolden:
+    @pytest.mark.parametrize("name", sorted(SCAN_GOLDEN))
+    def test_reports_match_golden(self, name, monkeypatch):
+        obf, seed = scan_case(name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan builds no netlist per sample")
+
+        monkeypatch.setattr(switchbox, "apply_config", refuse)
+        monkeypatch.setattr(switchbox, "check_equivalence", refuse)
+        report = degeneracy_scan(obf, 200, rng_seed=seed)
+        key = (report.samples, report.equivalent, [sorted(h.items()) for h in report.hits])
+        digest = hashlib.sha256(repr(key).encode()).hexdigest()
+        assert (report.equivalent, digest) == SCAN_GOLDEN[name]
+
+
 class TestWorkIndexes:
     """The fanout and driver indexes stay equal to a rescan after any edit."""
 
