@@ -64,7 +64,8 @@ class AttackDescriptor:
             raise ValueError(f"unknown attack kind {self.kind!r}")
 
 
-_TRIGGER_RE = re.compile(r"^(always|at_cycle:\d+|after_cycle:\d+|random:[0-9.eE+-]+)$")
+_TRIGGER_RE = re.compile(
+    r"^(always|at_cycle:\d+|after_cycle:\d+|random:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)$")
 
 
 def parse_attack_line(line: str) -> AttackDescriptor:
@@ -73,30 +74,36 @@ def parse_attack_line(line: str) -> AttackDescriptor:
     if len(parts) < 2:
         raise ValueError(f"bad attack line {line!r}")
     kind, payload = parts[0], parts[1]
-    target = "-"
-    trigger: tuple = ("always",)
+    given: dict[str, str] = {}
     for tok in parts[2:]:
         if "=" not in tok:
             raise ValueError(f"bad attack token {tok!r}")
         key, val = tok.split("=", 1)
-        if key in ("gate", "target", "wire"):
-            target = val
-        elif key == "trigger":
-            if not _TRIGGER_RE.match(val):
-                raise ValueError(f"bad trigger {val!r}")
-            mode, _, arg = val.partition(":")
-            trigger = (mode, float(arg) if mode == "random" else int(arg)) if arg else (mode,)
-        else:
+        name = "target" if key in ("gate", "target", "wire") else key
+        if name not in ("target", "trigger"):
             raise ValueError(f"unknown attack key {key!r}")
-    return AttackDescriptor(kind, target, trigger, payload)
+        if name in given:
+            raise ValueError(f"repeated attack key {key!r}")
+        given[name] = val
+    val = given.get("trigger", "always")
+    mode, _, arg = val.partition(":")
+    if not _TRIGGER_RE.match(val) or mode == "random" and float(arg) > 1.0:
+        raise ValueError(f"bad trigger {val!r}: expected always, at_cycle:N, "
+                         "after_cycle:N or random:P with 0 <= P <= 1")
+    trigger = (mode, float(arg) if mode == "random" else int(arg)) if arg else (mode,)
+    return AttackDescriptor(kind, given.get("target", "-"), trigger, payload)
 
 
 def parse_attack_file(text: str) -> list[AttackDescriptor]:
+    """One attack per line, `#` comments; a bad line's error starts with `line N:`."""
     out = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(parse_attack_line(line))
+            try:
+                out.append(parse_attack_line(line))
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
     return out
 
 
@@ -125,7 +132,7 @@ def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
     ValueError that names it rather than mid-simulation.
     """
     kind, target, payload = atk.kind, atk.target, atk.payload
-    eff = AttackEffect(kind=kind, trigger=atk.trigger, descriptor=atk)
+    eff = AttackEffect(kind=kind, trigger=atk.trigger)
     mode = payload if payload in ("flip", "stuck0", "stuck1") else "flip"
 
     def idx(size: int) -> int:
@@ -269,7 +276,7 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
             w = 1
         wires = rng.sample(list(chip.f.outputs), min(w, k))
         return AttackEffect(kind="logic", trigger=trigger,
-                            f_overrides={wv: "flip" for wv in wires}, descriptor=atk)
+                            f_overrides={wv: "flip" for wv in wires})
     if atk.target == "input:*":
         m = len(chip.f.inputs)
         if atk.payload.startswith("pins:"):
@@ -278,7 +285,7 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
             cap = m
         w = rng.randint(1, max(1, min(cap, m)))
         pins = tuple(rng.sample(range(m), w))
-        return AttackEffect(kind="pin", trigger=trigger, input_flips=pins, descriptor=atk)
+        return AttackEffect(kind="pin", trigger=trigger, input_flips=pins)
     # compile with the drawn cycle, so a reliability attack stays permanent
     return compile_attack(chip, AttackDescriptor(atk.kind, atk.target, trigger, atk.payload))
 

@@ -162,7 +162,6 @@ class AttackEffect:
     d_overrides: dict[int, str] = field(default_factory=dict)
     ram_trojan: Optional[str] = None
     replay_depth: int = 0
-    descriptor: Optional[object] = None
 
     def triggered(self, cycle: int, lanes: int, lane_rng: Callable[[int], random.Random]) -> int:
         """The lanes of `lanes` in which the attack is active at `cycle`.

@@ -16,7 +16,8 @@ post-manufacture self-test with a deliberate non-transform pair exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -26,6 +27,7 @@ from .rng import Rng, as_rng
 
 HALF = np.float16
 _CHECK = np.complex64  # checker accumulates one precision wider
+_HEX_WORD = re.compile(r"[0-9a-fA-F]{1,4}")
 
 
 class FftError(ValueError):
@@ -215,14 +217,22 @@ def format_reference(ref: PlancherelReference) -> str:
 
 
 def parse_reference(text: str) -> PlancherelReference:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    n = int(lines[0])
+    """format_reference's text; a malformed N or row raises FftError naming its line."""
+    lines = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(i, ln) for i, ln in lines if ln] or [(1, "")]
+    lineno, head = lines[0]
+    n = int(head) if head.isdecimal() else 0
+    if n < 1:
+        raise FftError(f"line {lineno}: expected a length N >= 1, got {head!r}")
     if len(lines) != n + 1:
         raise FftError(f"expected {n} reference rows, found {len(lines) - 1}")
-    rows = np.array(
-        [[int(w, 16) for w in ln.split()] for ln in lines[1:]], dtype=np.uint16
-    ).view(HALF)
+    words = []
+    for lineno, ln in lines[1:]:
+        row = ln.split()
+        if len(row) != 4 or not all(_HEX_WORD.fullmatch(w) for w in row):
+            raise FftError(f"line {lineno}: expected four 16-bit hex words, got {ln!r}")
+        words.append([int(w, 16) for w in row])
+    rows = np.array(words, dtype=np.uint16).view(HALF)
     y = np.stack([rows[:, 0], rows[:, 1]], axis=-1)
     bigY = np.stack([rows[:, 2], rows[:, 3]], axis=-1)
     return PlancherelReference(y, bigY)
@@ -380,7 +390,6 @@ class FftCampaignReport:
     trials: int
     detected: int
     false_positives: int
-    undetected_examples: list[tuple] = field(default_factory=list)
 
     @property
     def detection_rate(self) -> float:
@@ -426,7 +435,6 @@ def fft_attack_campaign(
     npr = np.random.default_rng(rng.getrandbits(64))
     detected = 0
     false_positives = 0
-    misses = []
     for _ in range(trials):
         if attack == "butterfly_flip":
             fault = single_butterfly_flip(npr, n)
@@ -462,6 +470,4 @@ def fft_attack_campaign(
                 break
         detected += hit
         false_positives += clean_hit
-        if not hit and len(misses) < 32:
-            misses.append(fault)
-    return FftCampaignReport(trials, detected, false_positives, misses)
+    return FftCampaignReport(trials, detected, false_positives)

@@ -176,20 +176,30 @@ def format_lfsr_spec(spec: LfsrSpec) -> str:
 
 
 def parse_lfsr_spec(text: str) -> LfsrSpec:
+    """format_lfsr_spec's text; errors name the line or the field."""
     fields: dict[str, str] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise LfsrError(f"bad spec line {line!r}")
+            raise LfsrError(f"line {lineno}: bad spec line {line!r}")
         key, val = (p.strip() for p in line.split("=", 1))
+        if key in fields:
+            raise LfsrError(f"line {lineno}: repeated field {key!r}")
         fields[key] = val
+
+    def num(key: str, text: str, base: int = 10) -> int:
+        try:
+            return int(text, base)
+        except ValueError:
+            raise LfsrError(f"field {key!r}: expected a base-{base} integer, got {text!r}") from None
+
     try:
-        degree = int(fields["L"])
-        poly = int(fields["poly"], 16)
-        seed = int(fields["seed"], 16)
-        taps = tuple(int(t) for t in fields["taps"].split())
+        degree = num("L", fields["L"])
+        poly = num("poly", fields["poly"], 16)
+        seed = num("seed", fields["seed"], 16)
+        taps = tuple(num("taps", t) for t in fields["taps"].split())
     except KeyError as e:
         raise LfsrError(f"missing field {e.args[0]!r}") from e
     return LfsrSpec(degree, poly, seed, taps)

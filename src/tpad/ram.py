@@ -7,19 +7,14 @@ RAM_Out immediately, letting the checker compare RAM_In against RAM_Out in
 the same cycle. Data_Out sits behind a latch that loads only on an actual
 read, and on idle cycles neither RAM_Out nor Data_Out may change.
 
-Trojan behaviors are injectable per cycle; each maps to the checker symptom
-that exposes it:
-
-    read   wrong_address / wrong_data / does_not  -> check bits at RAM_Out bad
-    read   write_instead                          -> RAM_Out != Data_Out
-    write  wrong_address / wrong_data             -> check bits at RAM_Out bad
-    write  read_instead / does_not                -> RAM_In != RAM_Out
-    idle   read_instead                           -> RAM_Out = Data_Out (changed)
-    idle   write_instead                          -> RAM_In = RAM_Out (changed)
-
-Address-corrupting trojans act on the internal address bus feeding both the
-cell array and the in-macro check-bit encoder, while the checker works from
-the requested address; data-corrupting trojans act downstream of the encoder.
+A cycle performs one action. A trojan's row in `TROJAN_ACTIONS` names the
+requested op it acts on and what the array does instead: a read, a write or
+nothing. Armed on any other op, the trojan does nothing. Address-corrupting
+trojans act on the internal address bus feeding both the cell array and the
+in-macro check-bit encoder; data-corrupting ones act downstream of the
+encoder. The checker derives its symptoms from the requested op, address and
+RAM_In and from RAM_Out and Data_Out before and after the cycle. It never
+learns which trojan is armed; each row names the symptom that exposes it.
 """
 
 from __future__ import annotations
@@ -41,19 +36,21 @@ OUT_NEQ_DATAOUT = "ram_out_neq_data_out"
 IDLE_READ_ACTIVITY = "idle_ram_out_eq_data_out"
 IDLE_WRITE_ACTIVITY = "idle_ram_in_eq_ram_out"
 
-EXPECTED_SYMPTOM = {
-    "read_wrong_address": CHECK_BITS_INCORRECT,
-    "read_wrong_data": CHECK_BITS_INCORRECT,
-    "write_instead_of_read": OUT_NEQ_DATAOUT,
-    "does_not_read": CHECK_BITS_INCORRECT,
-    "write_wrong_address": CHECK_BITS_INCORRECT,
-    "write_wrong_data": CHECK_BITS_INCORRECT,
-    "read_instead_of_write": IN_NEQ_OUT,
-    "does_not_write": IN_NEQ_OUT,
-    "read_instead_of_idle": IDLE_READ_ACTIVITY,
-    "write_instead_of_idle": IDLE_WRITE_ACTIVITY,
+# trojan -> (op it acts on, op the array performs instead, symptom that exposes it)
+TROJAN_ACTIONS = {
+    "read_wrong_address": (READ, READ, CHECK_BITS_INCORRECT),
+    "read_wrong_data": (READ, READ, CHECK_BITS_INCORRECT),
+    "write_instead_of_read": (READ, WRITE, OUT_NEQ_DATAOUT),
+    "does_not_read": (READ, IDLE, CHECK_BITS_INCORRECT),
+    "write_wrong_address": (WRITE, WRITE, CHECK_BITS_INCORRECT),
+    "write_wrong_data": (WRITE, WRITE, CHECK_BITS_INCORRECT),
+    "read_instead_of_write": (WRITE, READ, IN_NEQ_OUT),
+    "does_not_write": (WRITE, IDLE, IN_NEQ_OUT),
+    "read_instead_of_idle": (IDLE, READ, IDLE_READ_ACTIVITY),
+    "write_instead_of_idle": (IDLE, WRITE, IDLE_WRITE_ACTIVITY),
 }
-RAM_TROJANS = tuple(EXPECTED_SYMPTOM)
+EXPECTED_SYMPTOM = {trojan: row[2] for trojan, row in TROJAN_ACTIONS.items()}
+RAM_TROJANS = tuple(TROJAN_ACTIONS)
 
 
 def addr_data_bits(addr: int, data: int, addr_bits: int, word_width: int) -> Bits:
@@ -71,7 +68,6 @@ class RamWord:
 
 @dataclass
 class RamCycleResult:
-    op: str
     data_out: Optional[int]
     attack: bool
     symptoms: tuple[str, ...]
@@ -113,7 +109,7 @@ class ProtectedRam:
         data_in: Optional[int] = None,
         trojan: Optional[str] = None,
     ) -> RamCycleResult:
-        """One memory operation with an optional trojan behavior injected."""
+        """One requested op: the trojan's row picks the array's action; then the checker runs."""
         if op not in (READ, WRITE, IDLE):
             raise ValueError(f"unknown op {op!r}")
         if trojan is not None and trojan not in RAM_TROJANS:
@@ -128,91 +124,48 @@ class ProtectedRam:
 
         prev_ram_out = self.ram_out
         prev_data_out = self.data_out
+
+        # a rogue action on an idle cycle uses address 0 and data 0 by default
+        act, where = op, 0 if addr is None else addr
+        if trojan is not None and TROJAN_ACTIONS[trojan][0] == op:
+            act = TROJAN_ACTIONS[trojan][1]
+            if trojan.endswith("_wrong_address"):
+                where ^= 1  # the neighboring word line, and its check bits
+        else:
+            trojan = None  # a trojan acts only on the op its row names
+        if act == READ:
+            word = self.cells[where]
+            if trojan == "read_wrong_data":
+                word = RamWord(word.data ^ 1, word.check)
+            self.ram_out = word
+            self.data_out = word.data  # the latch loads only on an actual read
+        elif act == WRITE:
+            data = 0 if data_in is None else data_in
+            word = RamWord(data, self._check(where, data))
+            self.cells[where] = self.ram_out = word
+            if trojan == "write_wrong_data":
+                # a data upset after the write-through sample, caught on the next read
+                self.cells[where] = RamWord(data ^ 1, word.check)
+
+        out = self.ram_out
         symptoms: list[str] = []
-
-        if op == READ:
-            did_read = True
-            if trojan == "read_wrong_address":
-                # the row decoder selects a neighboring word line
-                cell = self.cells[addr ^ 1]
-                self.ram_out = cell
-            elif trojan == "read_wrong_data":
-                cell = self.cells[addr]
-                self.ram_out = RamWord(cell.data ^ 1, cell.check)
-            elif trojan == "write_instead_of_read":
-                did_read = False
-                rogue = 0 if data_in is None else data_in
-                word = RamWord(rogue, self._check(addr, rogue))
-                self.cells[addr] = word
-                self.ram_out = word
-            elif trojan == "does_not_read":
-                did_read = False
-                self.ram_out = prev_ram_out
-            else:
-                cell = self.cells[addr]
-                self.ram_out = cell
-            if did_read:
-                # latch control follows the actual array read; rogue writes
-                # and silent no-ops leave Data_Out holding its old value
-                self.data_out = self.ram_out.data
-            if self._check(addr, self.ram_out.data) != self.ram_out.check:
-                symptoms.append(CHECK_BITS_INCORRECT)
-            if self.ram_out.data != self.data_out:
-                symptoms.append(OUT_NEQ_DATAOUT)
-
-        elif op == WRITE:
-            if trojan == "write_wrong_address":
-                # internal address bus corrupted ahead of the check-bit
-                # encoder; the checker works from the requested address
-                eff = addr ^ 1
-                word = RamWord(data_in, self._check(eff, data_in))
-                self.cells[eff] = word
-                self.ram_out = word
-            elif trojan == "write_wrong_data":
-                # cell upset after the write-through sample: clean at the
-                # write cycle, caught by check bits on the next read
-                word = RamWord(data_in, self._check(addr, data_in))
-                self.cells[addr] = RamWord(data_in ^ 1, word.check)
-                self.ram_out = word
-            elif trojan == "read_instead_of_write":
-                cell = self.cells[addr]
-                self.ram_out = cell
-                self.data_out = self.ram_out.data
-            elif trojan == "does_not_write":
-                self.ram_out = prev_ram_out
-            else:
-                word = RamWord(data_in, self._check(addr, data_in))
-                self.cells[addr] = word
-                self.ram_out = word
-            if self.ram_out.data != data_in:
+        if op != IDLE:
+            if op == WRITE and out.data != data_in:
                 symptoms.append(IN_NEQ_OUT)
-            if self._check(addr, self.ram_out.data) != self.ram_out.check:
+            if self._check(addr, out.data) != out.check:
                 symptoms.append(CHECK_BITS_INCORRECT)
-
-        else:  # IDLE
-            if trojan == "read_instead_of_idle":
-                cell = self.cells[0 if addr is None else addr]
-                self.ram_out = cell
-                self.data_out = self.ram_out.data
-            elif trojan == "write_instead_of_idle":
-                rogue_addr = 0 if addr is None else addr
-                rogue = 0 if data_in is None else data_in
-                word = RamWord(rogue, self._check(rogue_addr, rogue))
-                self.cells[rogue_addr] = word
-                self.ram_out = word
-            out_changed = (
-                self.ram_out.data != prev_ram_out.data
-                or self.ram_out.check != prev_ram_out.check
-            )
+            if op == READ and out.data != self.data_out:
+                symptoms.append(OUT_NEQ_DATAOUT)
+        else:
+            out_changed = out != prev_ram_out
             latch_changed = self.data_out != prev_data_out
-            if (out_changed or latch_changed) and self.ram_out.data == self.data_out:
+            if (out_changed or latch_changed) and out.data == self.data_out:
                 symptoms.append(IDLE_READ_ACTIVITY)
-            if out_changed and (data_in is not None and self.ram_out.data == data_in):
+            if out_changed and (data_in is not None and out.data == data_in):
                 symptoms.append(IDLE_WRITE_ACTIVITY)
             elif out_changed and not symptoms:
                 # any unexpected idle activity is an attack even if it matches
                 # neither signature exactly
                 symptoms.append(IDLE_WRITE_ACTIVITY)
 
-        return RamCycleResult(op, self.data_out, bool(symptoms), tuple(symptoms))
-
+        return RamCycleResult(self.data_out, bool(symptoms), tuple(symptoms))

@@ -45,6 +45,8 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
         if "=" not in line:
             raise SweepSpecError(f"line {lineno}: expected key = value")
         key, val = (p.strip() for p in line.split("=", 1))
+        if key in spec:
+            raise SweepSpecError(f"line {lineno}: repeated key {key!r}")
         spec[key] = val
     if "kind" not in spec:
         raise SweepSpecError("spec needs a kind")

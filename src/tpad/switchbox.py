@@ -626,5 +626,7 @@ def parse_config(text: str) -> dict[int, str]:
         m = _CFG_RE.match(line)
         if not m:
             raise NetlistSyntaxError("expected 'sbN = parallel|crossed'", lineno)
+        if int(m.group(1)) in cfg:
+            raise NetlistSyntaxError(f"repeated switchbox sb{m.group(1)}", lineno)
         cfg[int(m.group(1))] = m.group(2)
     return cfg

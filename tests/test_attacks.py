@@ -61,6 +61,26 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             parse_attack_line("pin flip target=input:0 trigger=sometimes")
 
+    @pytest.mark.parametrize("token", ["random:7", "random:-.5", "random:1e"])
+    def test_bad_probability_names_line_and_token(self, token):
+        text = f"pin flip target=input:0\npin flip target=input:1 trigger={token}\n"
+        with pytest.raises(ValueError, match=rf"^line 2: bad trigger '{token}'"):
+            parse_attack_file(text)
+
+    def test_probability_bounds_accepted(self):
+        for p, value in (("0", 0.0), ("1", 1.0), ("1.0", 1.0), (".25", 0.25), ("2.5e-1", 0.25)):
+            assert parse_attack_line(f"electrical flip trigger=random:{p}").trigger == ("random", value)
+
+    def test_unknown_kind_names_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: unknown attack kind 'quantum'"):
+            parse_attack_file("# header\nquantum flip target=input:0\n")
+
+    @pytest.mark.parametrize("tokens", ["target=input:0 target=input:1", "gate=g1 wire=g2",
+                                        "trigger=always trigger=at_cycle:3"])
+    def test_repeated_key_rejected(self, tokens):
+        with pytest.raises(ValueError, match=r"^line 1: repeated attack key"):
+            parse_attack_file(f"logic flip {tokens}\n")
+
 
 @pytest.fixture(scope="module")
 def wide_chip():

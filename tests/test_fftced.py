@@ -102,6 +102,18 @@ class TestReference:
         assert (ref.y.view(np.uint16) == again.y.view(np.uint16)).all()
         assert (ref.Y.view(np.uint16) == again.Y.view(np.uint16)).all()
 
+    @pytest.mark.parametrize("lineno, text, where", [
+        (0, "eight", "line 1: expected a length N"),
+        (3, "0000 0000 0000 0000 0000", "line 4: expected four"),
+        (5, "0000 0000 0000", "line 6: expected four"),
+        (2, "0000 zz 0000 0000", "line 3: expected four"),
+    ], ids=["N", "five-words", "three-words", "non-hex"])
+    def test_malformed_file_names_line(self, lineno, text, where):
+        lines = format_reference(make_reference(8, rng_seed=7)).splitlines()
+        lines[lineno] = text
+        with pytest.raises(FftError, match=f"^{where}"):
+            parse_reference("\n".join(lines))
+
     def test_zero_entries_rejected(self):
         y = np.ones((4, 2), dtype=np.float16)
         bad = y.copy()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tpad.lfsr import (
     ErrorMonitor,
     ErrorSignal,
+    LfsrError,
     LfsrSpec,
     UnsupportedDegreeError,
     ZeroStateError,
@@ -173,6 +174,18 @@ class TestSpecFile:
     def test_round_trip(self):
         spec = LfsrSpec(16, 0x1002D, 0xACE1, (0, 2, 4))
         assert parse_lfsr_spec(format_lfsr_spec(spec)) == spec
+
+    def test_repeated_field_rejected(self):
+        text = format_lfsr_spec(LfsrSpec(16, 0x1002D, 0xACE1, (0, 2, 4))) + "seed = 0x1\n"
+        with pytest.raises(LfsrError, match=r"^line 5: repeated field 'seed'"):
+            parse_lfsr_spec(text)
+
+    @pytest.mark.parametrize("field, bad", [("seed", "zz"), ("L", "x16"), ("taps", "0 two")])
+    def test_bad_value_names_field(self, field, bad):
+        lines = format_lfsr_spec(LfsrSpec(16, 0x1002D, 0xACE1, (0, 2, 4))).splitlines()
+        text = "\n".join(f"{field} = {bad}" if ln.startswith(f"{field} ") else ln for ln in lines)
+        with pytest.raises(LfsrError, match=rf"^field '{field}': expected a base-1[06] integer"):
+            parse_lfsr_spec(text)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from tpad.parity import ParityCheckMatrix
+from tpad.parity import ParityCheckMatrix, sample_parity_code
 from tpad.ram import (
     CHECK_BITS_INCORRECT,
     EXPECTED_SYMPTOM,
@@ -11,6 +12,7 @@ from tpad.ram import (
     OUT_NEQ_DATAOUT,
     RAM_TROJANS,
     READ,
+    TROJAN_ACTIONS,
     WRITE,
     ProtectedRam,
     addr_data_bits,
@@ -93,6 +95,16 @@ class TestDetectionTable:
         assert res.attack
         assert res.symptoms == (EXPECTED_SYMPTOM[trojan],)
 
+    @pytest.mark.parametrize("trojan", RAM_TROJANS)
+    def test_trojan_leaves_other_ops_alone(self, worked_code, trojan):
+        rng = random.Random(5)
+        armed, clean = (ProtectedRam(256, 16, code=worked_code) for _ in range(2))
+        others = [op for op in (READ, WRITE, IDLE) if op != TROJAN_ACTIONS[trojan][0]]
+        for _ in range(300):
+            op, addr, data_in = rng.choice(others), rng.randrange(256), rng.randrange(1 << 16)
+            assert armed.cycle(op, addr, data_in, trojan=trojan) == clean.cycle(op, addr, data_in)
+            assert armed.cells == clean.cells
+
     def test_latent_write_corruption_clean_at_write_time(self, worked_code):
         ram = ProtectedRam(256, 16, code=worked_code)
         assert not ram.cycle(WRITE, 0x20, 0x3333, trojan="write_wrong_data").attack
@@ -141,3 +153,38 @@ class TestValidation:
     def test_code_width_must_cover_addr_and_data(self, worked_code):
         with pytest.raises(ValueError):
             ProtectedRam(512, 16, code=worked_code)  # 9 addr bits != 8
+
+
+def _fuzz_digest(depth: int, width: int, r: int, seed: int, cycles: int = 20_000) -> str:
+    """sha256 of a seeded op stream's results and RAM state after every cycle.
+
+    Every trojan is armed on every op, including ops its row does not name,
+    idles come with and without an address, and reads and idles sometimes
+    carry a data word.
+    """
+    rng = random.Random(seed)
+    code = sample_parity_code(depth.bit_length() - 1 + width, r, seed)
+    ram = ProtectedRam(depth, width, code=code)
+    h = hashlib.sha256()
+    for _ in range(cycles):
+        op = rng.choice((READ, WRITE, IDLE))
+        trojan = rng.choice(RAM_TROJANS) if rng.random() < 0.5 else None
+        addr = rng.randrange(depth) if op != IDLE or rng.random() < 0.5 else None
+        data_in = rng.randrange(1 << width) if op == WRITE or rng.random() < 0.5 else None
+        res = ram.cycle(op, addr, data_in, trojan=trojan)
+        cells = [(c.data, c.check) for c in ram.cells]
+        h.update(repr((res.data_out, res.attack, res.symptoms, cells,
+                       ram.ram_out.data, ram.ram_out.check, ram.data_out)).encode())
+    return h.hexdigest()
+
+
+# recorded with the per-op trojan branches the action table replaced
+FUZZ_GOLDEN = {
+    (2, 1, 2, 11): "b3f7cd6e4d01dd759b91268164df3d3551f91f3c46e066ff32877dd1e143f663",
+    (64, 16, 6, 12): "ef55e7dc59c1b488ae33e3f09c7d5908b888f064362c3059286c68beb9588841",
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(FUZZ_GOLDEN))
+def test_fuzzed_cycles_match_golden(geometry):
+    assert _fuzz_digest(*geometry) == FUZZ_GOLDEN[geometry]

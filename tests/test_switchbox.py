@@ -216,6 +216,10 @@ class TestFiles:
         cfg = {0: PARALLEL, 3: CROSSED, 7: PARALLEL}
         assert parse_config(format_config(cfg)) == cfg
 
+    def test_repeated_switchbox_rejected(self):
+        with pytest.raises(NetlistSyntaxError, match=r"^line 3, column 1: repeated switchbox sb0"):
+            parse_config("sb0 = parallel\nsb1 = crossed\nsb0 = crossed\n")
+
     @settings(max_examples=15, deadline=None)
     @given(net_seed=st.integers(0, 10_000), sb_seed=st.integers(0, 10_000))
     def test_parse_serialize_fixed_point(self, net_seed, sb_seed):

@@ -107,6 +107,10 @@ class TestSweep:
         b = run_sweep(parse_experiment_spec(text))
         assert a == b
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(SweepSpecError, match=r"^line 4: repeated key 'r'"):
+            parse_experiment_spec("kind = single_bit\nsweep = r\nr = 3:8\nr = 3\n")
+
     def test_malformed_specs_rejected(self):
         with pytest.raises(SweepSpecError):
             parse_experiment_spec("sweep = r\n")
