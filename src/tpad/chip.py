@@ -15,7 +15,9 @@ All of that checking circuitry is synthesized into a single detection
 netlist which then receives random switchbox obfuscation; the function f
 itself stays untouched. The per-cycle dataflow is: decode inputs, evaluate
 f and the detection netlist, encode outputs, advance the LFSR, and let the
-trusted monitor compare the emitted error signal against its mirror.
+trusted monitor compare the emitted error signal against its mirror. Each
+chip runs it as one straight-line function generated on its first cycle,
+with both netlists' gates inlined (compiled-code simulation).
 
 The chip is a W-lane model in the bit-parallel style of PPSFP fault
 simulation: bit j of every wire value, chained check bit, DFF state and
@@ -29,18 +31,21 @@ import random
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import itemgetter, xor
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .lanes import lanes_of, pack_lanes, select
-from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr
+# lfsr_taps is not called here, but perfbench's tracer times it and step_lfsr
+# under this module's names
+from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr  # noqa: F401
 from .netlist import (
     Bits,
     Netlist,
     NetlistBuilder,
     WidthError,
     eval_wires,
+    inline_step,
     parse_netlist,
     serialize_netlist,
 )
@@ -208,7 +213,7 @@ class _Installed:
         self.snapshot = ()  # live detection inputs, each lane's from its engage cycle
 
 
-@dataclass
+@dataclass(slots=True)
 class ChipCycleResult:
     """One clock's pad values and verdicts, one bit per lane in every int.
 
@@ -262,12 +267,13 @@ class ProtectedChip:
         self.r = h_logic.r
         self.t = t
         self.options = options
+        if f.has_state:
+            raise ValueError("chip function netlist must be combinational")
         if (h_mem is None) != (not options.ram_depth):
             raise ValueError("a chip takes a memory code exactly when it has a RAM")
         self.h_mem = h_mem
         self.resolved = apply_config(detection, detection.intended)
-        self._dstep = self.resolved.step_fn()
-        self._fstep = f.step_fn()
+        self._cycle_fn: Optional[Callable] = None  # generated on the first cycle
         self.attacks: list[_Installed] = []
         self.ram: Optional[ProtectedRam] = None  # lane 0's memory
         if h_mem is not None:
@@ -308,20 +314,19 @@ class ProtectedChip:
         self.mask = (1 << len(seeds)) - 1
         self._trigger_rngs: list[Optional[random.Random]] = [None] * len(seeds)
         self.prev_in_check: Bits = tuple(start[:r])
-        self.prev_out_checks: list[Bits] = [
+        self.prev_out_checks: tuple[Bits, ...] = tuple(
             tuple(start[i:i + r]) for i in range(r, len(start), r)
-        ]
+        )
         self.initial_prev_in_check = self.prev_in_check
         self.initial_prev_out_checks = list(self.prev_out_checks)
         self.lfsr_state = self.lfsr_spec.seed
         self.monitor = ErrorMonitor(self.lfsr_spec, self.mask)
         self.d_state: Bits = (0,) * self.resolved.state_width
-        self.f_state: Bits = (0,) * self.f.state_width
         self.cycle_count = 0
         self._history: deque = deque(maxlen=HISTORY_DEPTH)
         self._replay_key: list = []  # the stored states merged into _replay_snapshot
         self._replay_snapshot: tuple = ()
-        self._last_tx_checks: list[Bits] = list(self.prev_out_checks)
+        self._last_tx_checks: tuple[Bits, ...] = self.prev_out_checks
         for a in self.attacks:
             a.captured, a.snapshot = 0, ()
         # lane copies share the initial cells, so no check bits are recomputed
@@ -364,19 +369,24 @@ class ProtectedChip:
 
         ram_op is one (op, addr, data) for a one-lane chip, or a list of one
         op (or None) per lane, run by that lane's RAM under its RAM trojan.
+        The clock runs on a function generated for this chip on its first
+        cycle (see `_compile_cycle`).
         """
-        if len(inputs) != len(self.f.inputs):
-            raise WidthError("primary input width mismatch")
-        if len(recv_check) != self.r:
-            raise WidthError("input check width mismatch")
-        ops = ram_op if isinstance(ram_op, list) else (ram_op,)
-        if ram_op is not None and len(ops) != len(self.rams):
-            raise WidthError(f"{len(ops)} RAM op(s) for {len(self.rams)} RAM lane(s)")
-        mask = self.mask
-        taps = lfsr_taps(self.lfsr_state, self.lfsr_spec)
-        if mask != 1:  # every lane's LFSR starts at the spec's seed
-            taps = tuple(-t & mask for t in taps)
+        step = self._cycle_fn
+        if step is None:
+            step = self._cycle_fn = _compile_cycle(self)
+        return step(self, inputs, recv_check, ram_op)
 
+    def _attack_data(self, inputs: Sequence[int], recv_check: Sequence[int]) -> tuple:
+        """This cycle's armed attacks as data for the clock function.
+
+        Returns the inputs and received check bits with pin flips applied,
+        the function and detection fault overrides, each lane's RAM trojan,
+        the lanes that replay a stored state (with the snapshots they
+        replay) or null the parity outputs, and per output pad its flip mask
+        (None if no pad flips).
+        """
+        mask = self.mask
         x = list(inputs)
         rc = list(recv_check)
         f_over: dict[int, dict[str, int]] = {}
@@ -384,7 +394,7 @@ class ProtectedChip:
         ram_trojans: dict[int, str] = {}  # lane -> RAM trojan active there
         replay = null = 0  # lanes replaying a stored state / nulling parity
         stored = []  # (lanes, snapshot) each active stored-state attack replays
-        out_flips = []
+        pads = None
         for a in self.attacks:
             eff = a.effect
             on = eff.triggered(self.cycle_count, mask if a.lanes is None else a.lanes,
@@ -396,7 +406,9 @@ class ProtectedChip:
             for i in eff.recv_flips:
                 rc[i] ^= on
             if eff.output_flips:
-                out_flips.append((eff.output_flips, on))
+                pads = pads or [0] * len(self.f.outputs)
+                for i in eff.output_flips:
+                    pads[i] ^= on
             if eff.f_overrides:
                 _override(f_over, eff.f_overrides, on)
             if eff.d_overrides:
@@ -418,89 +430,168 @@ class ProtectedChip:
                     stored.append((taken, a.snapshot))
             if eff.kind == "decoupling_parity_null":
                 null |= on
+        return x, rc, f_over, d_over, ram_trojans, replay, null, stored, pads
 
-        if f_over:
-            f_out, self.f_state = eval_wires(self.f, x, self.f_state, f_over, mask)
-        else:
-            f_out, self.f_state = self._fstep(x, self.f_state, mask)
+    def _ram_lanes(self, ops: list, trojans: Optional[dict[int, str]]) -> tuple[list, int]:
+        """Each lane's op (or None) on its RAM; the results and the reporting lanes."""
+        results, reports = [], 0
+        for j, (ram, op) in enumerate(zip(self.rams, ops)):
+            res = None
+            if op is not None:
+                res = ram.cycle(*op, trojan=trojans.get(j) if trojans else None)
+                reports |= res.attack << j
+            results.append(res)
+        return results, reports
 
-        ram_res = None
-        ram_sig: Bits = ()
-        if self.ram is not None:
-            ram_sig = taps
-            if ram_op is not None:
-                results, reports = [], 0
-                for j, lane_op in enumerate(ops):
-                    res = None
-                    if lane_op is not None:
-                        op, addr, data = (lane_op + (None, None))[:3]
-                        res = self.rams[j].cycle(op, addr, data, trojan=ram_trojans.get(j))
-                        reports |= res.attack << j
-                    results.append(res)
-                if reports:
-                    ram_sig = (taps[0] ^ reports,) + taps[1:]
-                ram_res = results if ops is ram_op else results[0]
+    def _replayed(self, replay: int, stored: list, live: tuple) -> tuple:
+        """The detection inputs: the stored snapshot in the `replay` lanes, live elsewhere."""
+        if stored != self._replay_key:  # a stored state usually replays for many cycles
+            snapshot = stored[0][1]
+            for taken, snap in stored[1:]:
+                snapshot = select(taken, snap, snapshot)
+            self._replay_key, self._replay_snapshot = stored, snapshot
+        return select(replay, self._replay_snapshot, live)
 
-        # the detection netlist sees either live values or, in lanes under a
-        # stored state decoupling attack, a recorded snapshot of an earlier cycle
-        live = (*x, *rc, *self.prev_in_check, *f_out, *chain.from_iterable(self.prev_out_checks))
-        ced = live
+    def _transmit(self, outputs: Bits, checks: tuple, replay: int, null: int,
+                  pads: Optional[list[int]]) -> tuple[Bits, tuple]:
+        """Pad values under attack: hijacked by a replay, nulled, then flipped."""
         if replay:
-            if stored != self._replay_key:  # a stored state usually replays for many cycles
-                snapshot = stored[0][1]
-                for taken, snap in stored[1:]:
-                    snapshot = select(taken, snap, snapshot)
-                self._replay_key, self._replay_snapshot = stored, snapshot
-            ced = select(replay, self._replay_snapshot, live)
-        packed = ced + taps + ram_sig
-        if d_over:
-            d_out, self.d_state = eval_wires(self.resolved, packed, self.d_state, d_over, mask)
-        else:
-            d_out, self.d_state = self._dstep(packed, self.d_state, mask)
-        r = self.r
-        error_signal, in_sig = d_out[:r], d_out[r:2 * r]
-        out_checks = [d_out[i:i + r] for i in range(2 * r, len(d_out), r)]
-        decode_attack = 0
-        for got, tap in zip(in_sig, taps):
-            decode_attack |= got ^ tap
-        self._history.append(live)
-
-        # transmitted values
-        tx_out = f_out
-        tx_checks = out_checks
-        if replay:
-            tx_out = tuple(b ^ replay for b in tx_out)  # hijacked main outputs
+            outputs = tuple(b ^ replay for b in outputs)
         if null:
-            tx_out = tuple(b & ~null for b in tx_out)
-            tx_checks = [select(null, last, c) for last, c in zip(self._last_tx_checks, out_checks)]
-        if out_flips:
-            tx_out = list(tx_out)
-            for flips, on in out_flips:
-                for i in flips:
-                    tx_out[i] ^= on
-            tx_out = tuple(tx_out)
+            outputs = tuple(b & ~null for b in outputs)
+            checks = tuple(select(null, last, c) for last, c in zip(self._last_tx_checks, checks))
+        if pads:
+            outputs = tuple(map(xor, outputs, pads))
+        return outputs, checks
 
-        if replay:
-            self.prev_in_check = select(replay, self.prev_in_check, rc)
-            self.prev_out_checks = [
-                select(replay, old, new) for old, new in zip(self.prev_out_checks, out_checks)
-            ]
-        else:
-            self.prev_in_check = tuple(rc)
-            self.prev_out_checks = out_checks
-        self._last_tx_checks = tx_checks
-        self.lfsr_state = step_lfsr(self.lfsr_state, self.lfsr_spec)
-        monitor_attack = self.monitor.check(error_signal)
-        self.cycle_count += 1
-        return ChipCycleResult(
-            outputs=tx_out,
-            out_check=tx_checks[0] if tx_checks else (),
-            out_checks=tuple(tx_checks),
-            error_signal=error_signal,
-            monitor_attack=monitor_attack,
-            decode_attack=decode_attack,
-            ram=ram_res,
-        )
+
+def _compile_cycle(chip: ProtectedChip) -> Callable:
+    """Generate chip's clock: cycle(chip, inputs, recv_check, ram_op) -> ChipCycleResult.
+
+    Compiled-code simulation, as Netlist.step_fn does for one netlist: a
+    straight-line function with the chip's widths, tap positions and LFSR
+    polynomial as constants and both netlists' gates inlined. It broadcasts
+    the taps, runs the armed attacks' data (`_attack_data`) if any, steps
+    the function netlist, the lanes' RAMs and the detection netlist, splits
+    the error, input-decoder and output-check words, updates the chained
+    check bits, advances the LFSR and hands the error signal to the chip's
+    monitor. A netlist with fault overrides this cycle runs on eval_wires.
+    The registers are written after the RAM ops, so an op a RAM refuses
+    leaves them as they were.
+    """
+    f, d, r, spec = chip.f, chip.resolved, chip.r, chip.lfsr_spec
+    m, k, n_sub = len(f.inputs), len(f.outputs), len(chip.out_codes)
+    x = [f"x{i}" for i in range(m)]
+    rc = [f"rc{i}" for i in range(r)]
+    pin = [f"pin{i}" for i in range(r)]
+    fo = [f"fo{j}" for j in range(k)]
+    po = [[f"po{s}_{i}" for i in range(r)] for s in range(n_sub)]
+    taps = [f"t{i}" for i in range(r)]
+    ram_sig = ["g0", *taps[1:]] if chip.ram is not None else []  # tap 0 flips in reporting lanes
+    live = [*x, *rc, *pin, *fo, *(name for sub in po for name in sub)]
+    packed = [*live, *taps, *ram_sig]
+    if len(d.inputs) != len(packed):
+        raise WidthError(f"detection netlist has {len(d.inputs)} inputs, "
+                         f"the chip feeds it {len(packed)}")
+    do = [f"do{j}" for j in range(len(d.outputs))]
+    ds = [f"ds{i}" for i in range(d.state_width)]
+    f_lines, _ = inline_step(f, x, [], fo, "f")
+    d_lines, d_next = inline_step(d, packed, ds, do, "d")
+    error, in_sig = do[:r], do[r:2 * r]
+    checks = [do[i:i + r] for i in range(2 * r, len(do), r)]
+
+    def tup(names: list[str]) -> str:
+        return f"({', '.join(names)},)" if names else "()"
+
+    def unpack(names: list[str]) -> str:
+        return f"{', '.join(names)}," if names else "_"
+
+    low = spec.poly & ((1 << spec.degree) - 1)
+    body = [
+        f"if len(inp) != {m}:",
+        "    raise WidthError('primary input width mismatch')",
+        f"if len(rc) != {r}:",
+        "    raise WidthError('input check width mismatch')",
+        "if ram_op is not None:",
+        "    ops = ram_op if isinstance(ram_op, list) else (ram_op,)",
+        "    if len(ops) != len(chip.rams):",
+        "        raise WidthError(f'{len(ops)} RAM op(s) for {len(chip.rams)} RAM lane(s)')",
+        "mask = chip.mask",
+        "s = chip.lfsr_state",
+        "if not s:",
+        "    step_lfsr(s, SPEC)  # refuses the zero state",
+        *(f"{t} = -(s >> {p} & 1) & mask" for t, p in zip(taps, spec.taps)),
+        "if chip.attacks:",
+        "    inp, rc, f_over, d_over, trojans, replay, null, stored, pads = chip._attack_data(inp, rc)",
+        "else:",
+        "    f_over = d_over = trojans = pads = None",
+        "    replay = null = 0",
+        f"{unpack(x)} = inp",
+        f"{unpack(rc)} = rc",
+        f"{unpack(pin)} = chip.prev_in_check",
+        *([f"{unpack([tup(sub) for sub in po])} = chip.prev_out_checks"] if po else []),
+        "if f_over:",
+        f"    {tup(fo)}, _ = eval_wires(F, inp, (), f_over, mask)",
+        "else:",
+        *(f"    {line}" for line in f_lines or ["pass"]),
+        f"outputs = {tup(fo)}",
+        f"live = {tup(live)}",
+        "ram_res = None",
+    ]
+    if chip.ram is not None:
+        body += [
+            "g0 = t0",
+            "if ram_op is not None:",
+            "    if ops is ram_op:",
+            "        ram_res, reports = chip._ram_lanes(ram_op, trojans)",
+            "    else:",
+            "        ram_res = chip.ram.cycle(*ram_op, trojan=trojans.get(0) if trojans else None)",
+            "        reports = ram_res.attack",
+            "    if reports:",
+            "        g0 = t0 ^ reports",
+        ]
+    body += [
+        "if replay:",
+        f"    {unpack(live)} = chip._replayed(replay, stored, live)",
+        "if d_over:",
+        f"    {tup(do)}, {'d_next' if ds else '_'} = eval_wires(",
+        f"        D, {tup(packed)}, chip.d_state, d_over, mask)",
+        "else:",
+        *([f"    {unpack(ds)} = chip.d_state"] if ds else []),
+        *(f"    {line}" for line in d_lines or ["pass"]),
+        *([f"    d_next = {tup(d_next)}"] if ds else []),
+        f"error = {tup(error)}",
+        f"checks = {tup([tup(c) for c in checks])}",
+        f"decode = {' | '.join(f'({i} ^ {t})' for i, t in zip(in_sig, taps))}",
+        "if replay or null or pads:",
+        "    outputs, tx = chip._transmit(outputs, checks, replay, null, pads)",
+        "else:",
+        "    tx = checks",
+        "if replay:",
+        "    chip.prev_in_check = select(replay, chip.prev_in_check, rc)",
+        "    chip.prev_out_checks = tuple(",
+        "        select(replay, old, new) for old, new in zip(chip.prev_out_checks, checks))",
+        "else:",
+        f"    chip.prev_in_check = {tup(rc)}",
+        "    chip.prev_out_checks = checks",
+        "chip._last_tx_checks = tx",
+        *(["chip.d_state = d_next"] if ds else []),
+        "chip._history.append(live)",
+        f"chip.lfsr_state = s >> 1 | ((s & {low:#x}).bit_count() & 1) << {spec.degree - 1}",
+        "chip.cycle_count += 1",
+        f"return ChipCycleResult(outputs, {'tx[0]' if n_sub else '()'}, tx, error,",
+        "                       chip.monitor.check(error), decode, ram_res)",
+    ]
+    src = "\n".join([
+        "def make(F, D, SPEC):",
+        "    def cycle(chip, inp, rc, ram_op):",
+        *(f"        {line}" for line in body),
+        "    return cycle",
+    ])
+    ns: dict = {}
+    # module globals, so eval_wires, select and the rest resolve at call time
+    exec(src, globals(), ns)  # noqa: S102 - generated from validated netlists and specs
+    return ns["make"](f, d, spec)
 
 
 def build_protected_chip(
@@ -568,7 +659,7 @@ class StimulusEncoder:
 
     def send(self, x: Sequence[int]) -> Bits:
         """Check bits of x XORed with the previous word's (one bit per lane)."""
-        check = tuple(a ^ b for a, b in zip(self.code.check_bits(x), self.prev_check))
+        check = tuple(map(xor, self.code.check_bits(x), self.prev_check))
         self.prev_check = check
         return check
 
@@ -579,15 +670,17 @@ class OutputReceiver:
     def __init__(self, chip: ProtectedChip, subset_index: int = 0):
         self.subset, self.code = chip.out_codes[subset_index]
         self.prev_check = chip.initial_prev_out_checks[subset_index]
+        pick = itemgetter(*self.subset)
+        self._word = pick if len(self.subset) > 1 else lambda outputs: (pick(outputs),)
 
     def receive(self, outputs: Sequence[int], check: Sequence[int]) -> int:
         """Mask of the lanes whose (outputs, check) pair breaks the chain (0 if none)."""
         if len(check) != self.code.r:
             raise WidthError("receiver chain width mismatch")
         attack = 0
-        word = [outputs[j] for j in self.subset]
-        for got, prev, actual in zip(check, self.prev_check, self.code.check_bits(word)):
-            attack |= got ^ prev ^ actual
+        actual = self.code.check_bits(self._word(outputs))
+        for got, prev, bit in zip(check, self.prev_check, actual):
+            attack |= got ^ prev ^ bit
         self.prev_check = tuple(check)
         return attack
 

@@ -147,18 +147,15 @@ class ErrorMonitor:
         self.state = spec.seed
         self.cycle = 0
 
-    def expected(self) -> Bits:
-        return lfsr_taps(self.state, self.spec)
-
     def check(self, received: Sequence[int]) -> int:
         """Mask of the lanes whose signal reports an attack (0 if none); always advances."""
-        if len(received) != self.spec.r:
+        spec, state, mask = self.spec, self.state, self.mask
+        if len(received) != len(spec.taps):
             raise WidthError("error signal width mismatch")
-        mask = self.mask
         attack = 0
-        for got, tap in zip(received, self.expected()):
-            attack |= got ^ (-tap & mask)
-        self.state = step_lfsr(self.state, self.spec)
+        for got, p in zip(received, spec.taps):
+            attack |= got ^ (-(state >> p & 1) & mask)
+        self.state = step_lfsr(state, spec)
         self.cycle += 1
         return attack
 
@@ -175,8 +172,14 @@ def format_lfsr_spec(spec: LfsrSpec) -> str:
     )
 
 
+_SPEC_FIELDS = ("L", "poly", "seed", "taps")
+
+
 def parse_lfsr_spec(text: str) -> LfsrSpec:
-    """format_lfsr_spec's text; errors name the line or the field."""
+    """format_lfsr_spec's text; errors name the line or the field.
+
+    A field other than L, poly, seed and taps is refused.
+    """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,6 +188,8 @@ def parse_lfsr_spec(text: str) -> LfsrSpec:
         if "=" not in line:
             raise LfsrError(f"line {lineno}: bad spec line {line!r}")
         key, val = (p.strip() for p in line.split("=", 1))
+        if key not in _SPEC_FIELDS:
+            raise LfsrError(f"line {lineno}: unknown field {key!r}")
         if key in fields:
             raise LfsrError(f"line {lineno}: repeated field {key!r}")
         fields[key] = val

@@ -247,8 +247,9 @@ class Netlist:
         return out, nxt
 
 
-def _gate_expr(g: Gate) -> str:
-    args = [f"v{w}" for w in g.ins]
+def _gate_expr(g: Gate, ref: Callable[[int], str] = "v{}".format) -> str:
+    """g's value as a Python expression over the variables ref(w) of its inputs."""
+    args = [ref(w) for w in g.ins]
     if g.kind == "AND":
         return " & ".join(args)
     if g.kind == "OR":
@@ -319,6 +320,37 @@ def _compile_step(
     ns: dict = {}
     exec("\n".join(lines), ns)  # noqa: S102 - generated from validated gate list
     return ns["step"]
+
+
+def inline_step(
+    net: Netlist, inputs: Sequence[str], state: Sequence[str], outputs: Sequence[str], var: str
+) -> tuple[list[str], list[str]]:
+    """Statements that run one step of net inside a generated function.
+
+    inputs[i] and state[i] name the variables that hold input i and DFF i's
+    output, and mask must be a variable too. The statements leave output j in
+    outputs[j] and every other wire w in f"{var}{w}"; with them come the
+    names of the next-state values. A gate that drives exactly one output
+    assigns that output's variable itself, and a BUF's wire reads its
+    input's variable, so only an output that no gate can name gets a copy.
+    """
+    names = dict(zip(net.inputs, inputs))
+    names.update(zip((g.out for g in net._dffs), state))
+    for j, w in enumerate(net.outputs):
+        if w not in names and net.outputs.count(w) == 1:
+            names[w] = outputs[j]
+
+    def ref(w: int) -> str:
+        return names.get(w) or f"{var}{w}"
+
+    lines = []
+    for g in net._topo:
+        if g.kind == "BUF" and g.out not in names:
+            names[g.out] = ref(g.ins[0])
+        else:
+            lines.append(f"{ref(g.out)} = {_gate_expr(g, ref)}")
+    lines += [f"{name} = {ref(w)}" for name, w in zip(outputs, net.outputs) if ref(w) != name]
+    return lines, [ref(g.ins[0]) for g in net._dffs]
 
 
 _FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes

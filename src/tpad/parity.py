@@ -9,8 +9,8 @@ predictor as a netlist and estimates detection probability by Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class ParityCheckMatrix:
     """
 
     rows: tuple[Bits, ...]
-    _cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows or not self.rows[0]:
@@ -40,8 +39,6 @@ class ParityCheckMatrix:
         for j in range(k):
             if not any(row[j] for row in self.rows):
                 raise ValueError(f"zero column {j} in parity-check matrix")
-        cols = tuple(tuple(j for j, a in enumerate(row) if a) for row in self.rows)
-        object.__setattr__(self, "_cols", cols)
 
     @property
     def k(self) -> int:
@@ -63,16 +60,34 @@ class ParityCheckMatrix:
         )
 
     def check_bits(self, info: Sequence[int]) -> Bits:
-        """Check bits of info; on lane ints (one bit per lane), per lane."""
-        if len(info) != self.k:
-            raise WidthError(f"expected {self.k} info bits, got {len(info)}")
-        out = []
-        for cols in self._cols:
-            acc = 0
-            for j in cols:
-                acc ^= info[j]
-            out.append(acc)
-        return tuple(out)
+        """Check bits of info; on lane ints (one bit per lane), per lane.
+
+        The first call compiles the matrix to one straight-line function,
+        `(v0 ^ v3 ^ ..., ...)` with a width check, and binds it on this
+        matrix as `check_bits`, so later calls run it directly.
+        """
+        kernel = _compile_check_bits(self.rows)
+        object.__setattr__(self, "check_bits", kernel)
+        return kernel(info)
+
+    def __getstate__(self) -> dict:
+        return {"rows": self.rows}  # a copy compiles its own kernel on first use
+
+
+def _compile_check_bits(rows: tuple[Bits, ...]) -> Callable[[Sequence[int]], Bits]:
+    k = len(rows[0])
+    names = [f"v{j}" for j in range(k)]
+    parities = [" ^ ".join(n for n, a in zip(names, row) if a) for row in rows]
+    src = (
+        "def check_bits(info):\n"
+        f"    if len(info) != {k}:\n"
+        f"        raise WidthError(f'expected {k} info bits, got {{len(info)}}')\n"
+        f"    {', '.join(names)}, = info\n"
+        f"    return ({', '.join(parities)},)\n"
+    )
+    ns = {"WidthError": WidthError}
+    exec(src, ns)  # noqa: S102 - generated from a validated 0/1 matrix
+    return ns["check_bits"]
 
 
 def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatrix:

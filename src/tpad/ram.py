@@ -60,13 +60,21 @@ def addr_data_bits(addr: int, data: int, addr_bits: int, word_width: int) -> Bit
     return a + d
 
 
-@dataclass
+def _span(cols: list[int]) -> tuple[int, ...]:
+    """table[v] = XOR of cols[b] over the set bits b of v, for every v < 2**len(cols)."""
+    table = [0]
+    for c in cols:
+        table += [t ^ c for t in table]
+    return tuple(table)
+
+
+@dataclass(slots=True)
 class RamWord:
     data: int
     check: Bits
 
 
-@dataclass
+@dataclass(slots=True)
 class RamCycleResult:
     data_out: Optional[int]
     attack: bool
@@ -86,6 +94,14 @@ class ProtectedRam:
         self.code = code
         if self.code.k != k:
             raise ValueError(f"memory code must cover {k} bits, has {self.code.k}")
+        # The code is linear, so check(addr || data) is the XOR of one entry per
+        # address and one per data byte, each r check bits packed into an int
+        # (check bit i at bit i); _unpack turns a packed int back into Bits.
+        cols = [sum(row[j] << i for i, row in enumerate(code.rows)) for j in range(k)]
+        addr_cols, data_cols = cols[:self.addr_bits][::-1], cols[self.addr_bits:][::-1]
+        self._addr_checks = _span(addr_cols)
+        self._data_checks = tuple((b, _span(data_cols[b:b + 8])) for b in range(0, word_width, 8))
+        self._unpack = tuple(tuple(c >> i & 1 for i in range(code.r)) for c in range(1 << code.r))
         # cells start consistent: data 0 with matching check bits per address;
         # RamWords are replaced, never changed in place, so resets, lanes and RAM_Out share them
         self._initial_cells = tuple(RamWord(0, self._check(a, 0)) for a in range(depth))
@@ -98,9 +114,11 @@ class ProtectedRam:
         self.data_out = self.ram_out.data
 
     def _check(self, addr: int, data: int) -> Bits:
-        return self.code.check_bits(
-            addr_data_bits(addr, data, self.addr_bits, self.word_width)
-        )
+        """code.check_bits(addr_data_bits(addr, data, ...)), from the tables."""
+        c = self._addr_checks[addr]
+        for shift, table in self._data_checks:
+            c ^= table[data >> shift & 0xFF]
+        return self._unpack[c]
 
     def cycle(
         self,
@@ -114,9 +132,11 @@ class ProtectedRam:
             raise ValueError(f"unknown op {op!r}")
         if trojan is not None and trojan not in RAM_TROJANS:
             raise ValueError(f"unknown trojan {trojan!r}")
-        if op != IDLE:
-            if addr is None or not 0 <= addr < self.depth:
+        if addr is None:
+            if op != IDLE:
                 raise ValueError("address out of range")
+        elif not 0 <= addr < self.depth:
+            raise ValueError("address out of range")
         if op == WRITE and data_in is None:
             raise ValueError("write needs data_in")
         if data_in is not None and not 0 <= data_in < (1 << self.word_width):

@@ -11,6 +11,11 @@ Spec grammar (one `key = value` per line, `#` comments):
     trials = 30000
     seed = 7
 
+Besides kind, sweep and seed, each kind takes only the keys it reads:
+parity_detection r, w, k, trials; single_bit r, k, trials; destructive t,
+a, N, trials; cp_attack theta, x; per_sb_attack p, x. Any other key is
+refused with its line.
+
 All randomness funnels through the one seed; identical spec text yields a
 byte-identical CSV. Monte Carlo rows carry a normal-approximation 95%
 confidence half width, closed-form rows do not.
@@ -36,8 +41,19 @@ class SweepSpecError(ValueError):
     pass
 
 
+# the keys run_sweep reads for each kind, besides kind, sweep and seed
+_KEYS = {
+    "parity_detection": {"r", "w", "k", "trials"},
+    "single_bit": {"r", "k", "trials"},
+    "destructive": {"t", "a", "N", "trials"},
+    "cp_attack": {"theta", "x"},
+    "per_sb_attack": {"p", "x"},
+}
+
+
 def parse_experiment_spec(text: str) -> dict[str, str]:
     spec: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,10 +64,17 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
         if key in spec:
             raise SweepSpecError(f"line {lineno}: repeated key {key!r}")
         spec[key] = val
+        lines[key] = lineno
     if "kind" not in spec:
         raise SweepSpecError("spec needs a kind")
     if "sweep" not in spec:
         raise SweepSpecError("spec needs a sweep variable")
+    kind = spec["kind"]
+    if kind not in _KEYS:
+        raise SweepSpecError(f"line {lines['kind']}: unknown sweep kind {kind!r}")
+    for key, lineno in lines.items():
+        if key not in _KEYS[kind] and key not in ("kind", "sweep", "seed"):
+            raise SweepSpecError(f"line {lineno}: {kind} takes no key {key!r}")
     return spec
 
 

@@ -19,6 +19,7 @@ from tpad.chip import (
     load_chip_bundle,
     save_chip_bundle,
 )
+from tpad.lfsr import ZeroStateError
 from tpad.netlist import WidthError, parse_netlist, random_netlist, serialize_netlist
 from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
@@ -236,6 +237,25 @@ class TestChipBuild:
         seq = parse_netlist(".inputs d\n.outputs q\nq = DFF(d)\n")
         with pytest.raises(ValueError):
             build_protected_chip(seq, r=1, t=1, lfsr_spec=lfsr16(1))
+
+    def test_chip_refuses_a_sequential_function(self, adder_chip):
+        c = adder_chip
+        seq = parse_netlist(".inputs a b cin\n.outputs s cout\ns = DFF(a)\ncout = XOR(b, cin)\n")
+        with pytest.raises(ValueError, match="combinational"):
+            ProtectedChip(seq, c.ocp, c.detection, c.h_logic, c.h_in, c.out_codes,
+                          c.lfsr_spec, c.t, c.options)
+
+    def test_zero_lfsr_state_refused_before_any_register_changes(self, adder_chip):
+        chip = adder_chip
+        chip.clear_attacks()
+        chip.reset(3)
+        chip.lfsr_state = 0
+        before = (chip.prev_in_check, chip.prev_out_checks, chip.d_state, chip.cycle_count)
+        with pytest.raises(ZeroStateError):
+            chip.cycle((1, 0, 1), (0,))
+        assert (chip.prev_in_check, chip.prev_out_checks, chip.d_state,
+                chip.cycle_count) == before
+        chip.reset(3)
 
     def test_tap_width_must_match_r(self, full_adder):
         with pytest.raises(ValueError):

@@ -300,6 +300,37 @@ GOLDEN = {
 }
 
 
+def clean_ram_session_digest(cycles: int = 20_000) -> str:
+    """sha256 of a clean session on the wide chip with a 64-word RAM.
+
+    The traffic is 40% writes, 40% reads and 20% idles; per cycle the hash
+    takes the pads, every subset's check bits, the error signal, the
+    monitor, decoder and receiver masks, and the RAM's data_out and symptoms.
+    """
+    f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
+    chip = build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=33,
+                                options=ChipOptions(pipeline_stages=1, ram_depth=64))
+    chip.reset(1505)
+    enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+    rng = random.Random(1506)
+    h = hashlib.sha256()
+    for _ in range(cycles):
+        x = tuple(rng.getrandbits(1) for _ in range(10))
+        res = chip.cycle(x, enc.send(x), ram_op=ram_traffic(chip, rng))
+        h.update(repr((res.outputs, res.out_checks, res.error_signal, res.monitor_attack,
+                       res.decode_attack, rec.receive(res.outputs, res.out_check),
+                       res.ram.data_out, res.ram.symptoms)).encode())
+    return h.hexdigest()
+
+
+# recorded with the hand-written cycle and per-call check bits
+RAM_SESSION_GOLDEN = "fcd1244e7ea348f81f53e5585915de075c718c0eaba5faa33acd7a435f7d53c2"
+
+
+def test_clean_ram_session_matches_golden():
+    assert clean_ram_session_digest() == RAM_SESSION_GOLDEN
+
+
 class TestCycleDifferential:
     """Every lane of a W-lane run equals that session run alone."""
 

@@ -180,6 +180,11 @@ class TestSpecFile:
         with pytest.raises(LfsrError, match=r"^line 5: repeated field 'seed'"):
             parse_lfsr_spec(text)
 
+    def test_unknown_field_rejected(self):
+        text = format_lfsr_spec(LfsrSpec(16, 0x1002D, 0xACE1, (0, 2, 4))) + "tapz = 1 2\n"
+        with pytest.raises(LfsrError, match=r"^line 5: unknown field 'tapz'"):
+            parse_lfsr_spec(text)
+
     @pytest.mark.parametrize("field, bad", [("seed", "zz"), ("L", "x16"), ("taps", "0 two")])
     def test_bad_value_names_field(self, field, bad):
         lines = format_lfsr_spec(LfsrSpec(16, 0x1002D, 0xACE1, (0, 2, 4))).splitlines()

@@ -16,6 +16,7 @@ from tpad.netlist import (
     WidthError,
     check_equivalence,
     eval_wires,
+    inline_step,
     output_cone,
     parse_netlist,
     random_netlist,
@@ -345,6 +346,43 @@ def with_gates_spliced(net, rng, kinds):
             consts.append(q + j)
         gates.append(Gate(q + j, kind, ins))
     return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
+
+
+def inlined(net):
+    """net's step as a function made of inline_step's statements."""
+    ins = [f"i{j}" for j in range(len(net.inputs))]
+    state = [f"s{j}" for j in range(net.state_width)]
+    outs = [f"o{j}" for j in range(len(net.outputs))]
+    lines, nxt = inline_step(net, ins, state, outs, "w")
+    body = [*(f"{n} = inp[{j}]" for j, n in enumerate(ins)),
+            *(f"{n} = st[{j}]" for j, n in enumerate(state)),
+            *lines,
+            f"return ({''.join(o + ', ' for o in outs)}), ({''.join(n + ', ' for n in nxt)})"]
+    ns = {}
+    exec("def step(inp, st, mask):\n" + "".join(f"    {line}\n" for line in body), ns)
+    return ns["step"]
+
+
+class TestInlineStep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           kinds=st.lists(st.sampled_from(["CONST0", "CONST1", "BUF", "DFF"]),
+                          min_size=1, max_size=6))
+    def test_equals_step_fn(self, seed, kinds):
+        rng = random.Random(seed)
+        net = with_gates_spliced(random_netlist(6, 25, 3, rng_seed=seed), rng, kinds)
+        # extra outputs that read an input, a DFF or BUF, and a wire listed twice
+        extra = [net.inputs[0], net.outputs[0],
+                 *[g.out for g in net.gates if g.kind in ("DFF", "BUF")][:2]]
+        net = Netlist(net.name, net.inputs, (*net.outputs, *extra), net.gates, net.wire_names)
+        step, ref = inlined(net), net.step_fn()
+        mask = (1 << 16) - 1
+        state = ref_state = tuple(rng.getrandbits(16) for _ in range(net.state_width))
+        for _ in range(4):
+            inp = tuple(rng.getrandbits(16) for _ in net.inputs)
+            got, expected = step(inp, state, mask), ref(inp, ref_state, mask)
+            assert got == expected
+            state, ref_state = got[1], expected[1]
 
 
 class TestSimplify:

@@ -1,12 +1,13 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpad.netlist import check_equivalence
+from tpad.netlist import WidthError, check_equivalence
 from tpad.parity import (
     ParityCheckMatrix,
     build_ocp,
@@ -92,6 +93,36 @@ class TestCheckBits:
         ab = tuple(p ^ q for p, q in zip(a, b))
         ca, cb = h.check_bits(a), h.check_bits(b)
         assert h.check_bits(ab) == tuple(p ^ q for p, q in zip(ca, cb))
+
+
+class TestCompiledCheckBits:
+    """The compiled kernel against a per-column XOR reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(k=st.integers(1, 40), r=st.integers(1, 8), lanes=st.integers(1, 70),
+           seed=st.integers(0, 2**32))
+    def test_matches_column_reference(self, k, r, lanes, seed):
+        h = sample_parity_code(k, r, seed)
+        rng = random.Random(seed)
+        for width in (1, lanes):  # bits, then lane ints
+            info = [rng.getrandbits(width) for _ in range(k)]
+            expected = [0] * r
+            for j, v in enumerate(info):  # column j adds info bit j to its check bits
+                for i in range(r):
+                    if h.rows[i][j]:
+                        expected[i] ^= v
+            assert h.check_bits(info) == tuple(expected)
+            assert h.check_bits(tuple(info)) == tuple(expected)
+        for bad in (k - 1, k + 1):
+            with pytest.raises(WidthError, match=f"^expected {k} info bits, got {bad}$"):
+                h.check_bits([0] * bad)
+
+    def test_compiled_matrix_pickles(self):
+        h = sample_parity_code(12, 4, 5)
+        word = (1, 0) * 6
+        expected = h.check_bits(word)
+        again = pickle.loads(pickle.dumps(h))
+        assert again == h and again.check_bits(word) == expected
 
 
 class TestVerify:

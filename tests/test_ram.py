@@ -146,6 +146,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ram.cycle(READ, 256)
 
+    @pytest.mark.parametrize("addr", [-1, 256])
+    @pytest.mark.parametrize("op", [READ, WRITE, IDLE])
+    def test_address_range_on_every_op(self, ram, op, addr):
+        """Refused before any state changes, whatever the op or the armed trojan."""
+        ram.cycle(WRITE, 0xFF, 0x1234)
+        before = (list(ram.cells), ram.ram_out, ram.data_out)
+        for trojan in (None, "write_instead_of_idle", "read_instead_of_idle"):
+            with pytest.raises(ValueError, match="^address out of range$"):
+                ram.cycle(op, addr, 5, trojan=trojan)
+        assert (ram.cells, ram.ram_out, ram.data_out) == before
+
     def test_write_needs_data(self, ram):
         with pytest.raises(ValueError):
             ram.cycle(WRITE, 3)
@@ -153,6 +164,29 @@ class TestValidation:
     def test_code_width_must_cover_addr_and_data(self, worked_code):
         with pytest.raises(ValueError):
             ProtectedRam(512, 16, code=worked_code)  # 9 addr bits != 8
+
+
+class TestCheckTables:
+    """The per-address and per-byte tables against the code on address || data."""
+
+    @pytest.mark.parametrize("depth", [2, 4, 8, 16])
+    def test_every_word_of_small_geometries(self, depth):
+        addr_bits = depth.bit_length() - 1
+        for width in range(1, 9):
+            code = sample_parity_code(addr_bits + width, 1 + (depth + width) % 6, depth * 16 + width)
+            ram = ProtectedRam(depth, width, code=code)
+            for addr in range(depth):
+                for data in range(1 << width):
+                    expected = code.check_bits(addr_data_bits(addr, data, addr_bits, width))
+                    assert ram._check(addr, data) == expected, (width, addr, data)
+
+    def test_sampled_words_at_64_by_16(self):
+        code = sample_parity_code(6 + 16, 6, 64)
+        ram = ProtectedRam(64, 16, code=code)
+        rng = random.Random(64)
+        for _ in range(10_000):
+            addr, data = rng.randrange(64), rng.randrange(1 << 16)
+            assert ram._check(addr, data) == code.check_bits(addr_data_bits(addr, data, 6, 16))
 
 
 def _fuzz_digest(depth: int, width: int, r: int, seed: int, cycles: int = 20_000) -> str:

@@ -111,6 +111,14 @@ class TestSweep:
         with pytest.raises(SweepSpecError, match=r"^line 4: repeated key 'r'"):
             parse_experiment_spec("kind = single_bit\nsweep = r\nr = 3:8\nr = 3\n")
 
+    def test_unknown_key_rejected(self):
+        text = "kind = parity_detection\nsweep = r\nr = 3:5\ntrails = 10\n"
+        with pytest.raises(SweepSpecError, match=r"^line 4: parity_detection takes no key 'trails'"):
+            parse_experiment_spec(text)
+        # single_bit always uses weight 1, so a weight would be silently ignored
+        with pytest.raises(SweepSpecError, match=r"^line 3: single_bit takes no key 'w'"):
+            parse_experiment_spec("kind = single_bit\nsweep = r\nw = 5\nr = 3:4\n")
+
     def test_malformed_specs_rejected(self):
         with pytest.raises(SweepSpecError):
             parse_experiment_spec("sweep = r\n")
