@@ -27,6 +27,7 @@ from .rng import Rng, as_rng
 
 HALF = np.float16
 _CHECK = np.complex64  # checker accumulates one precision wider
+_CALIBRATION_ROWS = 128  # transforms per batched calibration call
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{1,4}")
 
 
@@ -67,15 +68,18 @@ def _bit_reverse_permutation(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _twiddles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-stage twiddle factors, pre-rounded to half precision.
+    """Per-stage twiddle factors (cos, [-sin, sin]), pre-rounded to half precision.
 
-    Cached per n, so the arrays are read-only.
+    The sine pair is shaped (2, 1, 1, half) to meet the (re, im) planes of a
+    stage. Cached per n, so the arrays are read-only.
     """
     out = []
     size = 2
     while size <= n:
         ang = -2.0 * np.pi * np.arange(size // 2) / size
-        out.append((_read_only(np.cos(ang).astype(HALF)), _read_only(np.sin(ang).astype(HALF))))
+        wim = np.sin(ang).astype(HALF)
+        wim = np.stack([-wim, wim]).reshape(2, 1, 1, size // 2)
+        out.append((_read_only(np.cos(ang).astype(HALF)), _read_only(wim)))
         size *= 2
     return tuple(out)
 
@@ -83,62 +87,68 @@ def _twiddles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 StageHook = Optional[Callable[[int, np.ndarray, np.ndarray], None]]
 
 
-def _fft_stages(re: np.ndarray, im: np.ndarray, hook: StageHook = None) -> tuple[np.ndarray, np.ndarray]:
-    """In-place style staged FFT on (..., N) float16 arrays.
+def _fft_stages(pairs: np.ndarray, hook: StageHook = None) -> np.ndarray:
+    """Staged FFT of (..., N, 2) float16 (re, im) pairs; returns fresh pairs.
 
-    The hook runs after each stage (stage index counted from 0) and may
-    mutate the arrays; fault-injection campaigns use it.
+    A stage is the same few calls on one (2, rows, N) array of re and im
+    planes, so a single vector is a batch of one. The hook runs after each
+    stage (counted from 0) with the (..., N) re and im planes as views it
+    may mutate; fault-injection campaigns use it.
     """
-    n = re.shape[-1]
-    perm = _bit_reverse_permutation(n)
-    re = np.ascontiguousarray(re[..., perm])
-    im = np.ascontiguousarray(im[..., perm])
+    shape = pairs.shape
+    n = shape[-2]
+    v = pairs.reshape(-1, n, 2).transpose(2, 0, 1)[..., _bit_reverse_permutation(n)]
+    rows = v.shape[1]
     # injected faults can push lanes to inf/nan; that is data, not an error
     with np.errstate(invalid="ignore", over="ignore"):
         for stage, (wre, wim) in enumerate(_twiddles(n)):
-            size = 2 << stage
-            half = size // 2
-            shape = re.shape[:-1] + (n // size, size)
-            re = re.reshape(shape)
-            im = im.reshape(shape)
-            a_re, b_re = re[..., :half], re[..., half:]
-            a_im, b_im = im[..., :half], im[..., half:]
-            # complex multiply and butterfly, each operation rounded to half
-            t_re = (wre * b_re) - (wim * b_im)
-            t_im = (wre * b_im) + (wim * b_re)
-            new_re = np.concatenate([a_re + t_re, a_re - t_re], axis=-1)
-            new_im = np.concatenate([a_im + t_im, a_im - t_im], axis=-1)
-            re = new_re.reshape(re.shape[:-2] + (n,))
-            im = new_im.reshape(im.shape[:-2] + (n,))
+            half = 1 << stage
+            v = v.reshape(2, rows, n // (2 * half), 2 * half)
+            a, b = v[..., :half], v[..., half:]
+            # complex multiply and butterfly, each operation rounded to half;
+            # negation is exact, so t_re = b_re*wre + b_im*(-wim) rounds as a difference
+            t = b * wre
+            t += b[::-1] * wim
+            out = np.empty(shape, HALF)
+            v = out.reshape(v.shape[1:] + (2,)).transpose(3, 0, 1, 2)
+            np.add(a, t, out=v[..., :half])
+            np.subtract(a, t, out=v[..., half:])
             if hook is not None:
-                hook(stage, re, im)
-    return re, im
+                hook(stage, out[..., 0], out[..., 1])
+    return out
+
+
+def _require_finite(words: np.ndarray) -> None:
+    if not np.isfinite(words).all():
+        raise FftOverflowError("half-precision overflow during transform")
+
+
+def _is_pairs(a: np.ndarray) -> bool:
+    """A real array whose last axis is (re, im); complex arrays are values."""
+    return a.ndim >= 1 and a.shape[-1] == 2 and a.dtype.kind != "c"
 
 
 def fft(x: np.ndarray) -> np.ndarray:
-    """Half-precision FFT of a complex vector; raises on overflow to infinity.
+    """Half-precision FFT; raises on overflow to infinity.
 
-    Accepts any complex-like array of shape (N,); returns an (N, 2) float16
-    array of (re, im) pairs, the exact datapath words.
+    Accepts (re, im) pairs of shape (..., N, 2) or complex-like values of
+    shape (..., N) (a vector is always N values, even a real one of length
+    2); returns (..., N, 2) float16 pairs, the exact datapath words.
     """
     x = np.asarray(x)
-    if x.ndim == 2 and x.shape[-1] == 2:
-        re = x[..., 0].astype(HALF)
-        im = x[..., 1].astype(HALF)
+    if x.ndim >= 2 and _is_pairs(x):
+        x = x.astype(HALF, copy=False)
     else:
-        re = x.real.astype(HALF)
-        im = np.imag(x).astype(HALF)
-    _require_power_of_two(re.shape[-1])
-    re, im = _fft_stages(re, im)
-    out = np.stack([re, im], axis=-1)
-    if not np.isfinite(out.astype(np.float32)).all():
-        raise FftOverflowError("half-precision overflow during transform")
+        x = np.stack([x.real, np.imag(x)], axis=-1).astype(HALF)
+    _require_power_of_two(x.shape[-2])
+    out = _fft_stages(x)
+    _require_finite(out)
     return out
 
 
 def to_complex(hc: np.ndarray) -> np.ndarray:
     hc = np.asarray(hc)
-    if hc.ndim >= 1 and hc.shape[-1] == 2:
+    if _is_pairs(hc):
         with np.errstate(invalid="ignore"):
             return hc[..., 0].astype(np.float64) + 1j * hc[..., 1].astype(np.float64)
     return hc.astype(np.complex128)
@@ -146,15 +156,29 @@ def to_complex(hc: np.ndarray) -> np.ndarray:
 
 def from_complex(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
-    return np.stack([z.real.astype(HALF), z.imag.astype(HALF)], axis=-1)
+    return np.ascontiguousarray(z).view(np.float64).reshape(z.shape + (2,)).astype(HALF)
 
 
 # -- reference pairs -----------------------------------------------------------------
 
 
-@dataclass
+def _as_check(a: np.ndarray) -> np.ndarray:
+    """(..., N, 2) pairs or (..., N) values as the checker's complex64 words.
+
+    Every half value is exact in float32, so pairs are read by a view.
+    """
+    a = np.asarray(a)
+    if _is_pairs(a):
+        return np.ascontiguousarray(a, dtype=np.float32).view(_CHECK)[..., 0]
+    return a.astype(_CHECK)
+
+
+@dataclass(frozen=True)
 class PlancherelReference:
-    """Programmed (y, Y) pair; Y is the rounded exact transform of y."""
+    """Programmed (y, Y) pair; Y is the rounded exact transform of y.
+
+    Frozen, so the conjugates cached for the checker always belong to it.
+    """
 
     y: np.ndarray  # (N, 2) float16
     Y: np.ndarray  # (N, 2) float16
@@ -165,6 +189,11 @@ class PlancherelReference:
             raise FftError("reference lengths differ")
         if (to_complex(self.y) == 0).any() or (to_complex(self.Y) == 0).any():
             raise FftError("reference entries must all be nonzero")
+        self._cache_conjugates()
+
+    def _cache_conjugates(self) -> None:
+        object.__setattr__(self, "_conj_y", _read_only(np.conj(_as_check(self.y))))
+        object.__setattr__(self, "_conj_Y", _read_only(np.conj(_as_check(self.Y))))
 
     @property
     def n(self) -> int:
@@ -174,8 +203,9 @@ class PlancherelReference:
     def unchecked(cls, y: np.ndarray, Y: np.ndarray) -> "PlancherelReference":
         """Skip the nonzero-entry validation (degenerate test fixtures)."""
         obj = object.__new__(cls)
-        obj.y = y
-        obj.Y = Y
+        object.__setattr__(obj, "y", y)
+        object.__setattr__(obj, "Y", Y)
+        obj._cache_conjugates()
         return obj
 
 
@@ -248,22 +278,28 @@ class CheckVerdict:
     attack: bool
 
 
+def _residuals(xc: np.ndarray, oc: np.ndarray, ref: PlancherelReference) -> np.ndarray:
+    """Row residuals of (..., N) complex64 inputs and outputs; inf where not finite.
+
+    The magnitude is np.hypot of the double-precision difference, the value
+    Python's abs(complex) gives (np.abs can differ in the last bit).
+    """
+    if not xc.shape[-1] == oc.shape[-1] == ref.n:
+        raise FftError("length mismatch")
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = np.sum(xc * ref._conj_y, axis=-1, dtype=_CHECK)
+        rhs = np.sum(oc * ref._conj_Y, axis=-1, dtype=_CHECK) / _CHECK(ref.n)
+        diff = lhs.astype(np.complex128) - rhs
+        return np.fmin(np.hypot(diff.real, diff.imag), np.inf)  # fmin reads NaN as inf
+
+
 def plancherel_residual(x: np.ndarray, x_observed: np.ndarray,
                         ref: PlancherelReference) -> float:
     """|<x, y*> - (1/N) <X_observed, Y*>| accumulated in single precision."""
-    xc = to_complex(x).astype(_CHECK)
-    oc = to_complex(x_observed).astype(_CHECK)
-    yc = to_complex(ref.y).astype(_CHECK)
-    bigyc = to_complex(ref.Y).astype(_CHECK)
-    if not (len(xc) == len(oc) == ref.n):
+    xc, oc = _as_check(x), _as_check(x_observed)
+    if xc.ndim != 1 or oc.ndim != 1:
         raise FftError("length mismatch")
-    with np.errstate(invalid="ignore", over="ignore"):
-        lhs = np.sum(xc * np.conj(yc), dtype=_CHECK)
-        rhs = np.sum(oc * np.conj(bigyc), dtype=_CHECK) / _CHECK(ref.n)
-        resid = abs(complex(lhs) - complex(rhs))
-    if not np.isfinite(resid):
-        return float("inf")
-    return float(resid)
+    return float(_residuals(xc, oc, ref))
 
 
 def plancherel_check(x: np.ndarray, x_observed: np.ndarray, ref: PlancherelReference,
@@ -299,6 +335,8 @@ def calibrate_threshold(
         raise FftError("calibration needs at least 100 trials")
     if margin < 1:
         raise FftError("margin must be >= 1")
+    if ref is not None and ref.n != n:
+        raise FftError(f"ref: reference length {ref.n} differs from n = {n}")
     rng = as_rng(rng_seed)
     ref_bits = rng.getrandbits(64)  # consumed either way, keeping the input
     if ref is None:                 # stream identical for a supplied reference
@@ -306,10 +344,12 @@ def calibrate_threshold(
     npr = np.random.default_rng(rng.getrandbits(64))
     dist = input_distribution or white_noise_input
     worst = 0.0
-    for _ in range(trials):
-        x = dist(n, npr)
-        bigx = fft(x)
-        worst = max(worst, plancherel_residual(x, bigx, ref))
+    for start in range(0, trials, _CALIBRATION_ROWS):
+        xs = np.stack([dist(n, npr) for _ in range(min(_CALIBRATION_ROWS, trials - start))])
+        xc = _as_check(xs)
+        if xc.ndim != 2:  # a draw read as one value, not a vector
+            raise FftError("input_distribution must return (n, 2) pairs or n values")
+        worst = max(worst, float(_residuals(xc, _as_check(fft(xs)), ref).max()))
     return margin * worst, ref
 
 
@@ -327,21 +367,18 @@ class FftCedEngine:
         _require_power_of_two(n)
         if ref.n != n:
             raise FftError("reference length mismatch")
+        if threshold < 0:
+            raise FftError("threshold must be nonnegative")
         self.n = n
         self.ref = ref
         self.threshold = threshold
         self.zeroed = False
-
-    def _active_ref(self) -> PlancherelReference:
-        if not self.zeroed:
-            return self.ref
-        zero = np.zeros((self.n, 2), dtype=HALF)
-        return PlancherelReference.unchecked(zero, zero)
+        zero = _read_only(np.zeros((n, 2), dtype=HALF))
+        self._zero_ref = PlancherelReference.unchecked(zero, zero)
 
     def run(self, x: np.ndarray) -> tuple[np.ndarray, CheckVerdict]:
         bigx = fft(x)
-        ref = self._active_ref()
-        resid = plancherel_residual(x, bigx, ref)
+        resid = plancherel_residual(x, bigx, self._zero_ref if self.zeroed else self.ref)
         return bigx, CheckVerdict(resid, self.threshold, resid > self.threshold)
 
     def program_reference(self, ref: PlancherelReference) -> None:
@@ -431,41 +468,43 @@ def fft_attack_campaign(
     run of the same probes must stay silent; violations count as false
     positives.
     """
+    if attack not in ("butterfly_flip", "permutation"):
+        raise FftError(f"attack: unknown attack {attack!r}")
+    if trials < 0:
+        raise FftError(f"trials: must be >= 0, got {trials}")
+    if probes_per_trial < 1:
+        raise FftError(f"probes_per_trial: must be >= 1, got {probes_per_trial}")
+    if ref.n != n:
+        raise FftError(f"ref: reference length {ref.n} differs from n = {n}")
     rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
     detected = 0
     false_positives = 0
     for _ in range(trials):
         if attack == "butterfly_flip":
-            fault = single_butterfly_flip(npr, n)
-            stage_f, elem, word, bit = fault
-        elif attack == "permutation":
-            fault = tuple(npr.permutation(n))
-            while all(fault[i] == i for i in range(n)):
-                fault = tuple(npr.permutation(n))
+            stage_f, elem, word, bit = single_butterfly_flip(npr, n)
+
+            def hook(stage, re, im):  # row 0 runs clean, row 1 carries the fault
+                if stage == stage_f:
+                    (re if word == 0 else im)[1].view(np.uint16)[elem] ^= 1 << bit
         else:
-            raise FftError(f"unknown attack {attack!r}")
+            fault = npr.permutation(n)
+            while (fault == np.arange(n)).all():
+                fault = npr.permutation(n)
+            rows = np.stack([np.arange(n), fault])  # clean output, permuted output
         hit = False
         clean_hit = False
         for _ in range(probes_per_trial):
             x = white_noise_input(n, npr)
             if attack == "butterfly_flip":
-                def hook(stage, re, im, _f=fault):
-                    s, e, w, b = _f
-                    if stage == s:
-                        arr = re if w == 0 else im
-                        view = arr.view(np.uint16)
-                        view[..., e] ^= 1 << b
-                re, im = _fft_stages(x[:, 0].copy(), x[:, 1].copy(), hook=hook)
-                observed = np.stack([re, im], axis=-1)
+                out = _fft_stages(np.stack([x, x]), hook=hook)
+                _require_finite(out[0])  # the faulted row may hold inf/nan as data
+                outs = _as_check(out)
             else:
-                observed = fft(x)[list(fault), :]
-            resid = plancherel_residual(x, observed, ref)
-            if resid > threshold:
-                hit = True
-            clean = fft(x)
-            if plancherel_residual(x, clean, ref) > threshold:
-                clean_hit = True
+                outs = _as_check(fft(x))[rows]
+            clean_resid, resid = _residuals(_as_check(x), outs, ref)
+            hit |= bool(resid > threshold)
+            clean_hit |= bool(clean_resid > threshold)
             if hit and not clean_hit:
                 break
         detected += hit

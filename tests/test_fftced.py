@@ -1,5 +1,10 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpad import fftced
 from tpad.fftced import (
@@ -60,6 +65,78 @@ class TestFft:
         x = np.full((16, 2), 30000, dtype=np.float16)
         with pytest.raises(FftOverflowError):
             fft(x)
+
+    def test_complex_length_two_vector_is_two_values(self):
+        z = np.array([1 + 2j, 3 + 4j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(to_complex(z)) == [1 + 2j, 3 + 4j]
+        assert list(to_complex(from_complex(z))) == [1 + 2j, 3 + 4j]
+        # a real (re, im) pair is still one value
+        assert to_complex(np.array([1.0, 2.0])) == 1 + 2j
+
+    def test_complex_length_two_residual_matches_pairs(self):
+        y = from_complex(np.array([1 + 0j, 2 + 0j]))
+        ref = PlancherelReference(y, from_complex(np.fft.fft(to_complex(y))))
+        z = np.array([0.5 - 1j, 2 + 0.25j])
+        bigz = to_complex(fft(z))
+        assert plancherel_residual(z, bigz, ref) == plancherel_residual(
+            from_complex(z), from_complex(bigz), ref)
+
+
+def _flip_hook(stage, row, elem, word, bit):
+    """Flip one bit of one stage output; row None addresses a single vector."""
+    def hook(s, re, im):
+        if s == stage:
+            plane = re if word == 0 else im
+            (plane if row is None else plane[row]).view(np.uint16)[elem] ^= 1 << bit
+    return hook
+
+
+class TestBatches:
+    """A batch runs the same stage and residual calls as its rows one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([2.0**-8, 1.0, 2.0**5]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_stages_batch_equals_single_calls(self, log_n, rows, scale, seed, flip):
+        n = 1 << log_n
+        npr = np.random.default_rng(seed)
+        xs = np.stack([white_noise_input(n, npr) for _ in range(rows)]) * np.float16(scale)
+        fault = None
+        if flip:
+            fault = (int(npr.integers(log_n)), int(npr.integers(rows)), int(npr.integers(n)),
+                     int(npr.integers(2)), int(npr.integers(16)))
+        stage, row, elem, word, bit = fault or (None, None, None, None, None)
+        before = xs.tobytes()
+        batch = fftced._fft_stages(xs, _flip_hook(stage, row, elem, word, bit) if flip else None)
+        for r, x in enumerate(xs):
+            hook = _flip_hook(stage, None, elem, word, bit) if flip and r == row else None
+            single = fftced._fft_stages(x, hook)
+            assert batch[r].view(np.uint16).tolist() == single.view(np.uint16).tolist()
+        if flip and stage == log_n - 1:  # the hook's change is in the output
+            clean = fftced._fft_stages(xs[row])
+            assert batch[row, elem, word].view(np.uint16) == clean[elem, word].view(np.uint16) ^ (1 << bit)
+        assert xs.tobytes() == before  # the hook only sees stage outputs
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_batched_residuals_equal_single_residuals(self, log_n, rows, seed):
+        n = 1 << log_n
+        npr = np.random.default_rng(seed)
+        ref = make_reference(n, rng_seed=seed)
+        xs = np.stack([white_noise_input(n, npr) for _ in range(rows)])
+        outs = fft(xs)
+        outs[0] = outs[0, npr.permutation(n)]  # a tampered row
+        if rows > 1:
+            outs[-1, 0, 0] = np.inf  # a faulted row
+        batch = fftced._residuals(fftced._as_check(xs), fftced._as_check(outs), ref)
+        single = [plancherel_residual(x, o, ref) for x, o in zip(xs, outs)]
+        assert [float(r).hex() for r in batch] == [r.hex() for r in single]
+
+    def test_fft_of_a_batch_equals_fft_of_each_row(self):
+        xs = np.stack([white_noise_input(64, np.random.default_rng(i)) for i in range(5)])
+        assert fft(xs).tobytes() == b"".join(fft(x).tobytes() for x in xs)
 
 
 class TestTables:
@@ -145,6 +222,15 @@ class TestChecker:
         resid_bad = plancherel_residual(x, tampered, ref)
         assert resid_bad > 50 * max(resid_clean, 1e-6)
 
+    def test_engine_refuses_negative_threshold(self):
+        with pytest.raises(FftError, match="threshold"):
+            FftCedEngine(16, make_reference(16, rng_seed=0), -1.0)
+
+    def test_reference_is_frozen(self):
+        ref = make_reference(8, rng_seed=0)
+        with pytest.raises(AttributeError):
+            ref.y = ref.Y
+
     def test_zeroed_reference_silences_checker(self):
         ref = make_reference(32, rng_seed=2)
         engine = FftCedEngine(32, ref, threshold=0.01)
@@ -187,6 +273,10 @@ class TestCalibration:
         with pytest.raises(FftError):
             calibrate_threshold(16, 50, 2.0)
 
+    def test_reference_length_checked_before_any_draw(self):
+        with pytest.raises(FftError, match="^ref:"):
+            calibrate_threshold(32, 100, 2.0, ref=make_reference(16, rng_seed=0))
+
 
 class TestSelftest:
     def test_healthy_engine_reports_alive(self):
@@ -226,6 +316,18 @@ class TestCampaign:
         assert rep.false_positives == 0
         assert rep.detection_rate >= 0.99
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("attack", dict(attack="bogus", trials=0)),
+        ("probes_per_trial", dict(probes_per_trial=0)),
+        ("trials", dict(trials=-3)),
+        ("ref", dict(n=32, trials=0)),
+    ])
+    def test_arguments_checked_before_any_draw(self, field, kwargs):
+        args = dict(n=16, trials=5, threshold=0.01, ref=make_reference(16, rng_seed=0))
+        args.update(kwargs)
+        with pytest.raises(FftError, match=f"^{field}:"):
+            fft_attack_campaign(**args)
+
     def test_identity_preserving_tamper_evades(self):
         """Adding a vector orthogonal to Y* keeps the identity: undetected."""
         t, ref = calibrate_threshold(64, 300, 2.0, rng_seed=14)
@@ -240,3 +342,58 @@ class TestCampaign:
         assert (to_complex(tampered) != to_complex(bigx)).any()
         resid = plancherel_residual(x, tampered, ref)
         assert resid <= max(4 * t, 0.2)  # stays near the noise floor
+
+
+# -- goldens recorded with the unbatched, per-vector implementation -------------------
+
+
+def _transforms_digest() -> str:
+    """2,000 seeded N=128 transforms at three scales: words and residuals."""
+    ref = make_reference(128, rng_seed=2024)
+    npr = np.random.default_rng(2025)
+    h = hashlib.sha256()
+    for i in range(2000):
+        x = white_noise_input(128, npr) * np.float16((2.0**-6, 1.0, 2.0**4)[i % 3])
+        bigx = fft(x)
+        h.update(bigx.view(np.uint16).tobytes())
+        h.update(float(plancherel_residual(x, bigx, ref)).hex().encode())
+    return h.hexdigest()
+
+
+def _calibration_digest() -> str:
+    h = hashlib.sha256()
+    for n in (16, 128):
+        threshold, ref = calibrate_threshold(n, 1000, 2.0, rng_seed=n + 1)
+        h.update(float(threshold).hex().encode())
+        h.update(format_reference(ref).encode())
+    return h.hexdigest()
+
+
+def _campaign_digest() -> str:
+    """Flip and permutation reports; the raised and lowered thresholds make
+    the detected and false-positive counts depend on every draw."""
+    threshold, ref = calibrate_threshold(128, 1000, 2.0, rng_seed=129)
+    runs = [("butterfly_flip", 1, 24), ("butterfly_flip", 4, 3),
+            ("permutation", 64, 1), ("permutation", 0.25, 3)]
+    reports = [
+        fft_attack_campaign(128, 300, threshold * scale, ref, rng_seed=seed, attack=attack,
+                            probes_per_trial=probes)
+        for seed in (31, 32) for attack, scale, probes in runs
+    ]
+    return hashlib.sha256(repr(reports).encode()).hexdigest()
+
+
+FFT_GOLDEN = {
+    "transforms": "848f46c99ee3612cb08cad5abd1cc5bbfe74fcd883f3051a3589978253299e10",
+    "calibration": "cc57c88b613537516c189b45dc80487e379fb96eac118e9822dc52bf96e3bf79",
+    "campaigns": "35a1d4891facf46c551323787b128ac31e55288151f19d9b78ece4425b3056e2",
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("transforms", _transforms_digest),
+    ("calibration", _calibration_digest),
+    ("campaigns", _campaign_digest),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_golden(name, digest):
+    assert digest() == FFT_GOLDEN[name]
