@@ -135,6 +135,16 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_fft(args) -> int:
+    from .fftced import FftError
+
+    try:
+        return _fft_workflow(args)
+    except FftError as e:
+        print(f"fft: {e}", file=sys.stderr)
+        return 2
+
+
+def _fft_workflow(args) -> int:
     from .fftced import (
         CHECKER_ALIVE,
         FftCedEngine,

@@ -124,8 +124,12 @@ def _require_finite(words: np.ndarray) -> None:
 
 
 def _is_pairs(a: np.ndarray) -> bool:
-    """A real array whose last axis is (re, im); complex arrays are values."""
-    return a.ndim >= 1 and a.shape[-1] == 2 and a.dtype.kind != "c"
+    """A real array of (re, im) rows along its last axis.
+
+    Complex arrays are values, and so is a 1-D real array: N values, never
+    one pair, even when N = 2.
+    """
+    return a.ndim >= 2 and a.shape[-1] == 2 and a.dtype.kind != "c"
 
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -136,7 +140,7 @@ def fft(x: np.ndarray) -> np.ndarray:
     2); returns (..., N, 2) float16 pairs, the exact datapath words.
     """
     x = np.asarray(x)
-    if x.ndim >= 2 and _is_pairs(x):
+    if _is_pairs(x):
         x = x.astype(HALF, copy=False)
     else:
         x = np.stack([x.real, np.imag(x)], axis=-1).astype(HALF)

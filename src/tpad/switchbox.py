@@ -6,6 +6,9 @@ disjoint radius-1 gate neighborhoods with matching boundary shape, places
 switchboxes on their incoming wires and outputs, drops any switchbox whose
 two settings compute the same function, coin-flips the intended setting of
 the survivors, and stops once every output cone holds at least t of them.
+Each round's boxes are tested one toggle at a time on a step compiled over
+only the wires those boxes can reach; every other wire is read from the
+original netlist's step, compiled once per insertion.
 
 Every insertion keeps the union dependency graph (a switchbox output
 depending on both its inputs) acyclic, so all 2^#SB configurations yield
@@ -17,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 from .netlist import (
@@ -202,7 +206,10 @@ class _Work:
 
     Two indexes keep the wiring queries local: `sb_driver` maps each
     switchbox output wire to its box, and `fanout` maps each wire to the
-    (kind, ref, pin) sites reading it.
+    (kind, ref, pin) sites reading it. `origin` maps every output wire a
+    box ever had to the original netlist's wire it carries when the boxes
+    route as intended; chains of boxes are resolved as each box is added,
+    and entries outlive removed boxes, since wire ids are never reused.
     """
 
     def __init__(self, net: Netlist):
@@ -213,6 +220,7 @@ class _Work:
         self.sb_ins: dict[int, list[int]] = {}
         self.sb_outs: dict[int, tuple[int, int]] = {}
         self.sb_driver: dict[int, int] = {}
+        self.origin: dict[int, int] = {}
         self.fanout: dict[int, set[tuple]] = defaultdict(set)
         for o, pins in self.ins.items():
             for p, w in enumerate(pins):
@@ -228,19 +236,19 @@ class _Work:
         self.next_wire += 1
         return w
 
-    def gate_list(self) -> list[Gate]:
-        return [Gate(o, self.kind[o], tuple(self.ins[o])) for o in self.kind]
+    def gate(self, o: int) -> Gate:
+        return Gate(o, self.kind[o], tuple(self.ins[o]))
 
-    def switchbox_list(self) -> list[Switchbox]:
-        return [Switchbox(i, tuple(self.sb_ins[i]), self.sb_outs[i]) for i in sorted(self.sb_ins)]
+    def switchbox(self, sid: int) -> Switchbox:
+        return Switchbox(sid, tuple(self.sb_ins[sid]), self.sb_outs[sid])
 
     def snapshot(self, intended: dict[int, str], name: str) -> ObfuscatedNetlist:
         return ObfuscatedNetlist(
             name,
             tuple(self.inputs),
             tuple(self.outputs),
-            tuple(self.gate_list()),
-            tuple(self.switchbox_list()),
+            tuple(self.gate(o) for o in self.kind),
+            tuple(self.switchbox(i) for i in sorted(self.sb_ins)),
             dict(intended),
             dict(self.wire_names),
         )
@@ -349,6 +357,8 @@ class _Work:
             self._detach(sid)
             return None
         self.next_sb += 1
+        self.origin[z] = self.origin.get(x, x)
+        self.origin[w] = self.origin.get(y, y)
         self.wire_names[z] = f"sb{sid}_a"
         self.wire_names[w] = f"sb{sid}_b"
         return sid
@@ -386,29 +396,78 @@ class _Work:
         self.wire_names.pop(w, None)
 
 
+def _wire_step(net: Netlist) -> tuple[Callable, dict[int, int]]:
+    """net's step(inp, state, mask=1) returning every wire's value, and each wire's index."""
+    wires = (*net.inputs, *(g.out for g in net.gates))
+    step = _compile_step(net.inputs, net._topo, net._dffs, wires)
+    return step, {w: k for k, w in enumerate(wires)}
+
+
 class _ToggleCheck:
     """Non-degeneracy test for the switchboxes one insertion round added.
 
-    The union step is compiled once, with earlier boxes at their intended
-    setting and this round's boxes parallel. Dropping a box rewires it as
-    parallel, and a kept box whose inputs are reversed is marked crossed, so
-    both still route straight through and the step stays valid all round.
+    At the base selection (earlier boxes at their intended setting, this
+    round's boxes parallel) every union wire carries the value of the
+    original wire it stands for (`_Work.origin`), from any state. Toggling
+    one of this round's boxes changes only wires in the forward closure of
+    the round's box outputs through gates and boxes: the region. So each
+    round compiles only the region, with the earlier boxes in it as buffers
+    at their intended setting, and reads every other wire it needs from
+    `original`, the original netlist's step with every wire as an output
+    (_wire_step, compiled once per insertion), run on the same inputs and
+    state. A DFF whose D input lies in the region takes its next state from
+    it; every DFF's Q is read from the state by both steps, so the closure
+    stops at DFFs. Verdicts and counterexamples are those the whole union
+    step would give.
+
+    Dropping a box rewires it as parallel, and a kept box whose inputs are
+    reversed is marked crossed, so both still route straight through and the
+    region step stays valid all round.
     """
 
-    def __init__(self, work: _Work, intended: dict[int, str], sample_count: int):
-        sbs = work.switchbox_list()
-        self.step = union_step(work.inputs, work.outputs, work.gate_list(), sbs)
+    def __init__(self, original: tuple[Callable, dict[int, int]], work: _Work,
+                 round_sbs: Sequence[int], intended: dict[int, str], sample_count: int):
+        wire_step, index = original
+        boxes, gates, reached = set(round_sbs), set(), set()
+        stack = [w for sid in round_sbs for w in work.sb_outs[sid]]
+        while stack:
+            for kind, ref, _ in work.fanout.get(stack.pop(), ()):
+                if kind == "sb" and ref not in boxes:
+                    boxes.add(ref)
+                    stack.extend(work.sb_outs[ref])
+                elif kind == "gate" and work.kind[ref] == "DFF":
+                    reached.add(ref)
+                elif kind == "gate" and ref not in gates:
+                    gates.add(ref)
+                    stack.append(ref)
+        sbs = [work.switchbox(i) for i in round_sbs]
+        bufs = []
+        for sid in sorted(boxes.difference(round_sbs)):
+            (x, y), (z, w) = work.sb_ins[sid], work.sb_outs[sid]
+            if intended[sid] == CROSSED:
+                x, y = y, x
+            bufs += [Gate(z, "BUF", (x,)), Gate(w, "BUF", (y,))]
+        order = topo_order([*map(work.gate, sorted(gates)), *bufs, *sbs],
+                           lambda _: SwitchboxError("union graph cycle"))
+        dffs = [work.gate(o) for o, kind in work.kind.items() if kind == "DFF"]
+        driven = {w for node in (*order, *dffs) for w in node.outs}
+        read = {w for node in (*order, *dffs) for w in node.ins}
+        inputs = sorted(read.union(work.outputs) - driven)
+        # a spare trailing index keeps itemgetter returning a tuple for one input
+        get = itemgetter(*(index[work.origin.get(w, w)] for w in inputs), 0)
         self.index = {sb.id: i for i, sb in enumerate(sbs)}
-        self.base = [-1 if intended.get(sb.id) == CROSSED else 0 for sb in sbs]
+        region = _compile_step(inputs, order, dffs, work.outputs, self.index)
+        self.step = lambda x, s, sel, mask: region(get(wire_step(x, s, mask)[0]), s, sel, mask)
+        self.region_dffs = len(reached)
         self.n_inputs = len(work.inputs)
-        self.state_width = sum(kind == "DFF" for kind in work.kind.values())
+        self.state_width = len(dffs)
         self.sample_count = sample_count
 
     def verdict(self, sid: int, rng_seed: int) -> EquivalenceVerdict:
         """check_equivalence of the base selection against sid toggled alone."""
-        step, base, i = self.step, self.base, self.index[sid]
+        step, base = self.step, [0] * len(self.index)
         toggled = list(base)
-        toggled[i] = ~base[i]
+        toggled[self.index[sid]] = -1
         return compare_steps(
             lambda x, s, mask: step(x, s, base, mask),
             lambda x, s, mask: step(x, s, toggled, mask),
@@ -442,6 +501,7 @@ def insert_switchboxes(
         raise ValueError("t must be >= 1")
     rng = as_rng(rng_seed)
     work = _Work(net)
+    original = _wire_step(net)
     intended: dict[int, str] = {}
     name = f"{net.name}.obf"
 
@@ -489,7 +549,7 @@ def insert_switchboxes(
                 round_sbs.append(sid)
 
         if round_sbs:
-            check = _ToggleCheck(work, intended, sample_count)
+            check = _ToggleCheck(original, work, round_sbs, intended, sample_count)
             for sid in round_sbs:
                 if check.verdict(sid, rng.getrandbits(32)).equivalent:
                     # degenerate (or not provably non-degenerate): drop it

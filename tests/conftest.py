@@ -1,7 +1,7 @@
 import pytest
 
 from tpad.lfsr import LfsrSpec
-from tpad.netlist import parse_netlist
+from tpad.netlist import Gate, Netlist, parse_netlist
 
 FULL_ADDER = """\
 .model adder
@@ -48,3 +48,17 @@ def alu2():
 def lfsr16(r: int) -> LfsrSpec:
     """Degree-16 primitive polynomial with an r-bit tap subset."""
     return LfsrSpec(16, 0x1002D, 0xACE1, tuple(range(0, 2 * r, 2))[:r])
+
+
+def with_dffs(net, rng, k):
+    """net with k DFFs: each feeds one random gate pin and reads a random wire."""
+    gates = list(net.gates)
+    wires = [*net.inputs, *(g.out for g in gates)]
+    q = max(wires) + 1
+    for j in range(k):
+        i = rng.randrange(len(gates))
+        g = gates[i]
+        p = rng.randrange(len(g.ins))
+        gates[i] = Gate(g.out, g.kind, g.ins[:p] + (q + j,) + g.ins[p + 1:])
+        gates.append(Gate(q + j, "DFF", (rng.choice(wires),)))
+    return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)

@@ -166,3 +166,13 @@ def test_fft_calibrate_and_selftest(tmp_path, capsys):
     assert main(["fft", "--n", "32", "--calibrate", "--trials", "150", "--seed", "1"]) == 0
     assert "threshold" in capsys.readouterr().out
     assert main(["fft", "--n", "32", "--selftest", "--trials", "120", "--seed", "1"]) == 0
+
+
+def test_fft_input_error_is_one_line_and_exit_2(tmp_path, capsys):
+    ref = tmp_path / "ref32.txt"
+    assert main(["fft", "--n", "32", "--calibrate", "--trials", "150", "--ref-out", str(ref)]) == 0
+    capsys.readouterr()
+    # a 32-point reference for a 16-point check is an input error, not a compromised checker
+    assert main(["fft", "--n", "16", "--selftest", "--ref", str(ref)]) == 2
+    err = capsys.readouterr().err
+    assert err == "fft: ref: reference length 32 differs from n = 16\n"

@@ -72,8 +72,16 @@ class TestFft:
             warnings.simplefilter("error")
             assert list(to_complex(z)) == [1 + 2j, 3 + 4j]
         assert list(to_complex(from_complex(z))) == [1 + 2j, 3 + 4j]
-        # a real (re, im) pair is still one value
-        assert to_complex(np.array([1.0, 2.0])) == 1 + 2j
+
+    def test_real_length_two_vector_is_two_values(self):
+        # a 1-D real array is N values for to_complex as for fft, never one pair
+        x = np.array([1.0, 2.0])
+        assert list(to_complex(x)) == [1, 2]
+        assert list(to_complex(fft(x))) == [3, -1]
+        y = from_complex(np.array([1 + 0j, 2 + 0j]))
+        ref = PlancherelReference(y, from_complex(np.fft.fft(to_complex(y))))
+        assert plancherel_residual(x, fft(x), ref) == plancherel_residual(
+            from_complex(x), fft(x), ref)
 
     def test_complex_length_two_residual_matches_pairs(self):
         y = from_complex(np.array([1 + 0j, 2 + 0j]))

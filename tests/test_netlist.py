@@ -24,7 +24,7 @@ from tpad.netlist import (
     simplify_netlist,
 )
 
-from conftest import FULL_ADDER
+from conftest import FULL_ADDER, with_dffs
 
 
 class TestParse:
@@ -126,20 +126,6 @@ class TestEvaluate:
         s_wire = full_adder.outputs[0]
         out, _ = eval_wires(full_adder, (1, 1, 0), overrides={s_wire: "flip"})
         assert out[0] == 1  # healthy s would be 0
-
-
-def with_dffs(net, rng, k):
-    """net with k DFFs: each feeds one random gate pin and reads a random wire."""
-    gates = list(net.gates)
-    wires = [*net.inputs, *(g.out for g in gates)]
-    q = max(wires) + 1
-    for j in range(k):
-        i = rng.randrange(len(gates))
-        g = gates[i]
-        p = rng.randrange(len(g.ins))
-        gates[i] = Gate(g.out, g.kind, g.ins[:p] + (q + j,) + g.ins[p + 1:])
-        gates.append(Gate(q + j, "DFF", (rng.choice(wires),)))
-    return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
 
 
 def with_faults_spliced(net, overrides):

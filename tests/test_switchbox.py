@@ -34,7 +34,7 @@ from tpad.switchbox import (
     union_step,
 )
 
-from conftest import lfsr16
+from conftest import lfsr16, with_dffs
 
 
 def adder_with_manual_sb(full_adder):
@@ -152,6 +152,15 @@ class TestInsertion:
         with pytest.raises(UnsatisfiableError) as e:
             insert_switchboxes(full_adder, t=2, rng_seed=1, max_iterations=40)
         assert len(e.value.per_output_counts) == 2
+
+    @pytest.mark.parametrize("rounds, counts", [(300, (0, 33, 33)), (1000, (0, 114, 114))])
+    def test_unsatisfiable_draw_keeps_its_counts(self, rounds, counts):
+        # a cone that never gains a box; counts recorded while every round
+        # still compiled the whole union netlist, so the same rounds run
+        with pytest.raises(UnsatisfiableError) as e:
+            insert_switchboxes(random_netlist(6, 20, 3, rng_seed=8376), 1, rng_seed=7961,
+                               max_iterations=rounds)
+        assert e.value.per_output_counts == counts
 
     def test_config_space_is_all_sbs(self, alu2):
         obf = insert_switchboxes(alu2, t=2, rng_seed=5)
@@ -339,12 +348,15 @@ class TestCandidateVerdicts:
     """Every candidate test equals check_equivalence on two applied configs."""
 
     def spy(self, monkeypatch):
-        seen = []
+        seen, regions = [], []
         init, verdict = switchbox._ToggleCheck.__init__, switchbox._ToggleCheck.verdict
 
-        def spy_init(self, work, intended, sample_count):
-            init(self, work, intended, sample_count)
+        def spy_init(self, original, work, round_sbs, intended, sample_count):
+            init(self, original, work, round_sbs, intended, sample_count)
             self.spied = (work, intended, sample_count)
+            outs = {w for sid in round_sbs for w in work.sb_outs[sid]}
+            chained = any(w in outs for sid in round_sbs for w in work.sb_ins[sid])
+            regions.append((self.region_dffs, chained))
 
         def spy_verdict(self, sid, rng_seed):
             got = verdict(self, sid, rng_seed)
@@ -362,21 +374,47 @@ class TestCandidateVerdicts:
 
         monkeypatch.setattr(switchbox._ToggleCheck, "__init__", spy_init)
         monkeypatch.setattr(switchbox._ToggleCheck, "verdict", spy_verdict)
-        return seen
+        return seen, regions
 
-    @pytest.mark.parametrize("build", [
-        lambda: insert_switchboxes(random_netlist(10, 50, 4, rng_seed=7), 2, rng_seed=8),
-        lambda: insert_switchboxes(random_netlist(18, 50, 4, rng_seed=9), 2, rng_seed=1,
-                                   sample_count=600),
-        lambda: pipelined_chip(seed=11),
-    ], ids=["exhaustive", "sampled", "sequential"])
-    def test_verdicts_match_check_equivalence(self, monkeypatch, build):
-        seen = self.spy(monkeypatch)
-        build()
+    BUILDS = {
+        "exhaustive": lambda: insert_switchboxes(random_netlist(10, 50, 4, rng_seed=7), 2,
+                                                 rng_seed=8),
+        "sampled": lambda: insert_switchboxes(random_netlist(18, 50, 4, rng_seed=9), 2,
+                                              rng_seed=1, sample_count=600),
+        "sequential": lambda: pipelined_chip(seed=11),
+        # first round: sb2 and sb3 read sb4's outputs, so a box inside the
+        # round's region takes another new box's output as an input
+        "chained": lambda: insert_switchboxes(random_netlist(6, 20, 3, rng_seed=238), 1,
+                                              rng_seed=1, max_iterations=40),
+    }
+
+    @pytest.mark.parametrize("case", list(BUILDS))
+    def test_verdicts_match_check_equivalence(self, monkeypatch, case):
+        seen, regions = self.spy(monkeypatch)
+        self.BUILDS[case]()
         assert seen
         for got, want in seen:
             assert got == want
         assert {got.equivalent for got, _ in seen} == {True, False}
+        if case == "sequential":
+            assert any(dffs for dffs, _ in regions)  # some region ends in a DFF's D input
+        if case == "chained":
+            assert regions[0][1]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_dffs=st.integers(1, 3))
+    def test_sequential_verdicts_match_check_equivalence(self, seed, n_dffs):
+        # four inputs over the 4-cycle horizon: exhaustive, so a box whose
+        # effect shows only through a DFF's next state is refuted
+        net = with_dffs(random_netlist(4, 20, 3, rng_seed=seed), random.Random(seed), n_dffs)
+        with pytest.MonkeyPatch.context() as mp:
+            seen, _ = self.spy(mp)
+            try:
+                insert_switchboxes(net, 1, rng_seed=seed, max_iterations=10)
+            except UnsatisfiableError:
+                pass
+        for got, want in seen:
+            assert got == want
 
 
 # sha256 of serialize_obfuscated + format_config, recorded before insertion
