@@ -31,14 +31,14 @@ import random
 from collections import deque
 from copy import copy
 from dataclasses import dataclass, field
-from operator import itemgetter, xor
+from operator import xor
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .lanes import lanes_of, pack_lanes, select
 # lfsr_taps is not called here, but perfbench's tracer times it and step_lfsr
 # under this module's names
-from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr  # noqa: F401
+from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr, step_source  # noqa: F401
 from .netlist import (
     Bits,
     Netlist,
@@ -506,7 +506,6 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     def unpack(names: list[str]) -> str:
         return f"{', '.join(names)}," if names else "_"
 
-    low = spec.poly & ((1 << spec.degree) - 1)
     body = [
         f"if len(inp) != {m}:",
         "    raise WidthError('primary input width mismatch')",
@@ -577,7 +576,7 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
         "chip._last_tx_checks = tx",
         *(["chip.d_state = d_next"] if ds else []),
         "chip._history.append(live)",
-        f"chip.lfsr_state = s >> 1 | ((s & {low:#x}).bit_count() & 1) << {spec.degree - 1}",
+        f"chip.lfsr_state = {step_source(spec, 's')}",
         "chip.cycle_count += 1",
         f"return ChipCycleResult(outputs, {'tx[0]' if n_sub else '()'}, tx, error,",
         "                       chip.monitor.check(error), decode, ram_res)",
@@ -656,11 +655,14 @@ class StimulusEncoder:
     def __init__(self, chip: ProtectedChip):
         self.code = chip.h_in
         self.prev_check = chip.initial_prev_in_check
+        self._chain: Optional[Callable] = None  # the code's kernel, fetched on the first send
 
     def send(self, x: Sequence[int]) -> Bits:
         """Check bits of x XORed with the previous word's (one bit per lane)."""
-        check = tuple(map(xor, self.code.check_bits(x), self.prev_check))
-        self.prev_check = check
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = self.code.chain_fn()
+        check = self.prev_check = chain(x, self.prev_check)
         return check
 
 
@@ -670,17 +672,19 @@ class OutputReceiver:
     def __init__(self, chip: ProtectedChip, subset_index: int = 0):
         self.subset, self.code = chip.out_codes[subset_index]
         self.prev_check = chip.initial_prev_out_checks[subset_index]
-        pick = itemgetter(*self.subset)
-        self._word = pick if len(self.subset) > 1 else lambda outputs: (pick(outputs),)
+        self.width = len(chip.f.outputs)
+        self._breaks: Optional[Callable] = None  # the code's kernel, fetched on the first receive
 
     def receive(self, outputs: Sequence[int], check: Sequence[int]) -> int:
-        """Mask of the lanes whose (outputs, check) pair breaks the chain (0 if none)."""
-        if len(check) != self.code.r:
-            raise WidthError("receiver chain width mismatch")
-        attack = 0
-        actual = self.code.check_bits(self._word(outputs))
-        for got, prev, bit in zip(check, self.prev_check, actual):
-            attack |= got ^ prev ^ bit
+        """Mask of the lanes whose (outputs, check) pair breaks the chain (0 if none).
+
+        outputs holds one value per chip output and check one per check bit;
+        any other width raises WidthError and leaves the chain as it was.
+        """
+        breaks = self._breaks
+        if breaks is None:
+            breaks = self._breaks = self.code.break_fn(self.subset, self.width)
+        attack = breaks(outputs, check, self.prev_check)
         self.prev_check = tuple(check)
         return attack
 

@@ -12,8 +12,8 @@ differs from its own taps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Optional, Sequence
 
 from .netlist import Bits, WidthError
 
@@ -61,6 +61,27 @@ class LfsrSpec:
     @property
     def r(self) -> int:
         return len(self.taps)
+
+    def monitor_fn(self) -> Callable[[ErrorMonitor, Sequence[int]], int]:
+        """check(monitor, received), ErrorMonitor.check's straight-line body.
+
+        Generated on first use and kept on this spec.
+        """
+        kernel = self.__dict__.get("_monitor_fn")
+        if kernel is None:
+            kernel = _compile_monitor_check(self)
+            object.__setattr__(self, "_monitor_fn", kernel)
+        return kernel
+
+    def __getstate__(self) -> dict:
+        # the fields only: a copy compiles its own monitor kernel on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def step_source(spec: LfsrSpec, state: str) -> str:
+    """step_lfsr(state, spec) as a Python expression on a nonzero `state`."""
+    low_mask = spec.poly & ((1 << spec.degree) - 1)
+    return f"{state} >> 1 | (({state} & {low_mask:#x}).bit_count() & 1) << {spec.degree - 1}"
 
 
 def step_lfsr(state: int, spec: LfsrSpec) -> int:
@@ -139,6 +160,7 @@ class ErrorMonitor:
 
     With a lane mask wider than 1, each received bit is a lane int and every
     lane expects the same taps (every lane's LFSR starts at the spec's seed).
+    The check runs its spec's generated kernel (`LfsrSpec.monitor_fn`).
     """
 
     def __init__(self, spec: LfsrSpec, mask: int = 1):
@@ -146,18 +168,39 @@ class ErrorMonitor:
         self.mask = mask
         self.state = spec.seed
         self.cycle = 0
+        self._check: Optional[Callable] = None  # the spec's kernel, fetched on the first check
 
     def check(self, received: Sequence[int]) -> int:
-        """Mask of the lanes whose signal reports an attack (0 if none); always advances."""
-        spec, state, mask = self.spec, self.state, self.mask
-        if len(received) != len(spec.taps):
-            raise WidthError("error signal width mismatch")
-        attack = 0
-        for got, p in zip(received, spec.taps):
-            attack |= got ^ (-(state >> p & 1) & mask)
-        self.state = step_lfsr(state, spec)
-        self.cycle += 1
-        return attack
+        """Mask of the lanes whose signal reports an attack (0 if none); always advances.
+
+        A zero mirror state raises ZeroStateError and leaves the monitor as it was.
+        """
+        check = self._check
+        if check is None:
+            check = self._check = self.spec.monitor_fn()
+        return check(self, received)
+
+
+def _compile_monitor_check(spec: LfsrSpec) -> Callable[[ErrorMonitor, Sequence[int]], int]:
+    """check(monitor, received): the tap compare and the mirror's step, straight-line."""
+    got = [f"g{i}" for i in range(spec.r)]
+    differs = [f"({g} ^ (-(s >> {p} & 1) & mask))" for g, p in zip(got, spec.taps)]
+    lines = [
+        "def check(mon, received):",
+        f"    if len(received) != {spec.r}:",
+        "        raise WidthError('error signal width mismatch')",
+        "    s = mon.state",
+        "    if not s:",
+        "        raise ZeroStateError('LFSR state must be nonzero')",
+        "    mask = mon.mask",
+        *([f"    {', '.join(got)}, = received"] if got else []),
+        f"    mon.state = {step_source(spec, 's')}",
+        "    mon.cycle += 1",
+        f"    return {' | '.join(differs) or '0'}",
+    ]
+    ns = {"WidthError": WidthError, "ZeroStateError": ZeroStateError}
+    exec("\n".join(lines), ns)  # noqa: S102 - generated from a validated spec
+    return ns["check"]
 
 
 # -- spec file -------------------------------------------------------------------

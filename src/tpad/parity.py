@@ -10,6 +10,7 @@ predictor as a netlist and estimates detection probability by Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,24 +71,78 @@ class ParityCheckMatrix:
         object.__setattr__(self, "check_bits", kernel)
         return kernel(info)
 
+    def chain_fn(self) -> Callable[[Sequence[int], Bits], Bits]:
+        """chain(info, prev): the check bits of info XOR prev, one tuple expression.
+
+        Generated on first use and kept on this code, as `break_fn`'s are.
+        """
+        return self._kernel(("chain",), partial(_compile_check_bits, chained=True))
+
+    def break_fn(self, subset: tuple[int, ...], width: int
+                 ) -> Callable[[Sequence[int], Sequence[int], Bits], int]:
+        """breaks(outputs, check, prev): the lanes where check differs from prev
+        XOR the check bits of outputs[subset].
+
+        outputs of another width than `width`, or a check of another width
+        than r, raise WidthError.
+        """
+        return self._kernel(("break", subset, width), _compile_break)
+
+    def _kernel(self, key: tuple, compile_kernel: Callable) -> Callable:
+        kernels = self.__dict__.setdefault("_kernels", {})
+        kernel = kernels.get(key)
+        if kernel is None:
+            kernel = kernels[key] = compile_kernel(self.rows, *key[1:])
+        return kernel
+
     def __getstate__(self) -> dict:
-        return {"rows": self.rows}  # a copy compiles its own kernel on first use
+        return {"rows": self.rows}  # a copy compiles its own kernels on first use
 
 
-def _compile_check_bits(rows: tuple[Bits, ...]) -> Callable[[Sequence[int]], Bits]:
-    k = len(rows[0])
-    names = [f"v{j}" for j in range(k)]
-    parities = [" ^ ".join(n for n, a in zip(names, row) if a) for row in rows]
-    src = (
-        "def check_bits(info):\n"
-        f"    if len(info) != {k}:\n"
-        f"        raise WidthError(f'expected {k} info bits, got {{len(info)}}')\n"
-        f"    {', '.join(names)}, = info\n"
-        f"    return ({', '.join(parities)},)\n"
-    )
+def _row_parities(rows: Sequence[Bits], names: Sequence[str]) -> list[str]:
+    """Each row's parity over the named values, as source: `v0 ^ v3 ^ ...`.
+
+    Rows of a ParityCheckMatrix are nonzero, so no parity is empty.
+    """
+    return [" ^ ".join(n for n, a in zip(names, row) if a) for row in rows]
+
+
+def _define(lines: list[str]) -> Callable:
+    """The function `kernel` that the generated source `lines` defines."""
     ns = {"WidthError": WidthError}
-    exec(src, ns)  # noqa: S102 - generated from a validated 0/1 matrix
-    return ns["check_bits"]
+    exec("\n".join(lines), ns)  # noqa: S102 - generated from a validated 0/1 matrix
+    return ns["kernel"]
+
+
+def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callable:
+    k, r = len(rows[0]), len(rows)
+    parities = _row_parities(rows, [f"v{j}" for j in range(k)])
+    if chained:
+        parities = [f"p{i} ^ {par}" for i, par in enumerate(parities)]
+    return _define([
+        f"def kernel(info{', prev' if chained else ''}):",
+        f"    if len(info) != {k}:",
+        f"        raise WidthError(f'expected {k} info bits, got {{len(info)}}')",
+        f"    {', '.join(f'v{j}' for j in range(k))}, = info",
+        *([f"    {', '.join(f'p{i}' for i in range(r))}, = prev"] if chained else []),
+        f"    return ({', '.join(parities)},)",
+    ])
+
+
+def _compile_break(rows: tuple[Bits, ...], subset: tuple[int, ...], width: int) -> Callable:
+    r = len(rows)
+    parities = _row_parities(rows, [f"o{j}" for j in subset])
+    return _define([
+        "def kernel(outputs, check, prev):",
+        f"    if len(outputs) != {width}:",
+        f"        raise WidthError(f'expected {width} output values, got {{len(outputs)}}')",
+        f"    if len(check) != {r}:",
+        "        raise WidthError('receiver chain width mismatch')",
+        f"    {', '.join(f'o{j}' for j in range(width))}, = outputs",
+        f"    {', '.join(f'c{i}' for i in range(r))}, = check",
+        f"    {', '.join(f'p{i}' for i in range(r))}, = prev",
+        f"    return {' | '.join(f'(c{i} ^ p{i} ^ {par})' for i, par in enumerate(parities))}",
+    ])
 
 
 def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatrix:

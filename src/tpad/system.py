@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .attacks import AttackDescriptor, compile_attack
@@ -158,49 +159,51 @@ def run_system(
     for idx, atk in attacks:
         chips[idx].install_attack(compile_attack(chips[idx], atk))
 
-    # trusted key distribution: receivers inherit the sender's chain start
-    chan_reg: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    # trusted key distribution: receivers inherit the sender's chain start;
+    # regs[i] is chip i's input channel register, written a cycle before it is read
+    regs: list = [None] * len(chips)
+    outgoing: list[list] = [[] for _ in chips]  # (receiver, word getter, subset index)
     for ch in topology.channels:
         sender = chips[ch.sender]
         start = sender.initial_prev_out_checks[ch.subset_index]
         chips[ch.receiver].sync_input_chain(start)
-        width = len(sender.out_codes[ch.subset_index][0])
-        chan_reg[ch.receiver] = ((0,) * width, start)
-
-    encoders = {i: StimulusEncoder(chips[i]) for i in topology.source_chips}
-    receivers = {i: OutputReceiver(chips[i]) for i in topology.terminal_chips}
+        subset = sender.out_codes[ch.subset_index][0]
+        regs[ch.receiver] = ((0,) * len(subset), start)
+        word = itemgetter(*subset) if len(subset) > 1 else lambda out, j=subset[0]: (out[j],)
+        outgoing[ch.sender].append((ch.receiver, word, ch.subset_index))
+    sources, terminals = set(topology.source_chips), set(topology.terminal_chips)
+    plan = [
+        (i, chip, StimulusEncoder(chip) if i in sources else None, len(chip.f.inputs),
+         OutputReceiver(chip) if i in terminals else None, outgoing[i])
+        for i, chip in enumerate(chips)
+    ]
     stim_rng = random.Random(rng.getrandbits(64))
+    draw = stim_rng.getrandbits
 
     monitor_fires: list[list[int]] = [[] for _ in chips]
     terminal_fires: list[int] = []
     first_detection: Optional[int] = None
 
+    incoming = regs.copy()
     for cyc in range(cycles):
-        next_reg: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for i, chip in enumerate(chips):
-            if i in encoders:
-                m = len(chip.f.inputs)
-                x = tuple(stimulus(cyc, stim_rng)) if stimulus else tuple(
-                    stim_rng.getrandbits(1) for _ in range(m)
-                )
-                rc = encoders[i].send(x)
+        for i, chip, encoder, m, receiver, sends in plan:
+            if encoder is not None:
+                x = tuple(stimulus(cyc, stim_rng)) if stimulus else tuple([draw(1) for _ in range(m)])
+                rc = encoder.send(x)
             else:
-                x, rc = chan_reg[i]
+                x, rc = regs[i]
             res = chip.cycle(x, rc)
             fired = res.monitor_attack
-            if i in receivers and receivers[i].receive(res.outputs, res.out_check):
+            if receiver is not None and receiver.receive(res.outputs, res.out_check):
                 terminal_fires.append(cyc)
                 fired = True
             if res.monitor_attack:
                 monitor_fires[i].append(cyc)
             if fired and first_detection is None:
                 first_detection = cyc
-            for ch in topology.channels:
-                if ch.sender == i:
-                    subset = chip.out_codes[ch.subset_index][0]
-                    word = tuple(res.outputs[j] for j in subset)
-                    next_reg[ch.receiver] = (word, res.out_checks[ch.subset_index])
-        chan_reg.update(next_reg)
+            for rx, word, s in sends:
+                incoming[rx] = (word(res.outputs), res.out_checks[s])
+        regs, incoming = incoming, regs
 
     return RunReport(
         cycles, monitor_fires, terminal_fires, first_detection, config_digest(topology)

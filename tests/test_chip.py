@@ -39,7 +39,8 @@ def sender(h, prev):
 
 def receiver(h, prev):
     """A trusted receiver decoding words of h's width from chain start prev."""
-    return OutputReceiver(SimpleNamespace(out_codes=[(tuple(range(h.k)), h)],
+    return OutputReceiver(SimpleNamespace(f=SimpleNamespace(outputs=range(h.k)),
+                                          out_codes=[(tuple(range(h.k)), h)],
                                           initial_prev_out_checks=[prev]))
 
 
@@ -473,5 +474,11 @@ class TestWidthChecks:
             adder_chip.cycle((1, 0, 1), (0, 0))
 
     def test_receiver_width_validation(self, adder_chip):
+        rec = OutputReceiver(adder_chip)
+        start = rec.prev_check
         with pytest.raises(WidthError):
-            OutputReceiver(adder_chip).receive((1, 0), (0, 0))
+            rec.receive((1, 0), (0, 0))
+        for word in ((1,), (1, 0, 1)):
+            with pytest.raises(WidthError, match=rf"^expected 2 output values, got {len(word)}$"):
+                rec.receive(word, (0,))
+        assert rec.prev_check == start

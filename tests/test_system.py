@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tpad.attacks import AttackDescriptor
@@ -19,6 +21,15 @@ def pipeline():
     f1 = random_netlist(6, 24, 6, rng_seed=1, name="stage1")
     f2 = random_netlist(6, 22, 4, rng_seed=2, name="stage2")
     return build_pipeline_system([f1, f2], r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=9)
+
+
+@pytest.fixture(scope="module")
+def pipeline3():
+    """Three chips, so chip 1 is neither a source nor a terminal."""
+    fs = [random_netlist(6, 24, 5, rng_seed=1, name="stage1"),
+          random_netlist(5, 22, 6, rng_seed=2, name="stage2"),
+          random_netlist(6, 20, 4, rng_seed=3, name="stage3")]
+    return build_pipeline_system(fs, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=11)
 
 
 class TestTopology:
@@ -60,6 +71,21 @@ class TestRunSystem:
         a = run_system(pipeline, None, [], cycles=500, rng_seed=12)
         b = run_system(pipeline, None, [], cycles=500, rng_seed=12)
         assert a == b
+
+    @pytest.mark.parametrize("attacks, digest", [
+        ([], "df431ece4d3ce9ae0f854437b99bd864730a08ddcf6d4ddf39bf2c0341a08926"),
+        ([(0, AttackDescriptor("pin", "output:3", ("random", 0.02), "flip"))],
+         "4215418c4bbbb3047ef6a5d1194255b3163ee5e0ad55d2ea7af4aa5d4e21a828"),
+        ([(1, AttackDescriptor("logic", "fout:2", ("random", 0.02), "flip"))],
+         "6daeb284d41f2ee1e181ea6df91eab906ba64f40f0497a630e9336f5c3623f61"),
+        ([(2, AttackDescriptor("pin", "output:1", ("random", 0.02), "flip"))],
+         "8f99625db758fafb9ad3b34555b28640aeddcd66d82ba08927c72e93525c9173"),
+    ], ids=["clean", "output_pin_chip0", "fout_chip1", "output_pin_chip2"])
+    def test_three_chip_golden(self, pipeline3, attacks, digest):
+        """Every monitor's and the terminal receiver's verdicts, pinned by sha256."""
+        rep = run_system(pipeline3, None, attacks, cycles=3000, rng_seed=5)
+        blob = repr((rep.monitor_fires, rep.terminal_decode_fires, rep.first_detection))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
     def test_config_digest_stable(self, pipeline):
         assert config_digest(pipeline) == config_digest(pipeline)
