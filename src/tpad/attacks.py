@@ -238,27 +238,6 @@ def uniform_output_flip_attacks(min_flips: int = 2) -> AttackGenerator:
     return gen
 
 
-def single_output_flip_attacks() -> AttackGenerator:
-    def gen(rng: random.Random) -> AttackDescriptor:
-        return AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:1:1")
-
-    return gen
-
-
-def pin_flip_attacks(max_flips: Optional[int] = None) -> AttackGenerator:
-    def gen(rng: random.Random) -> AttackDescriptor:
-        return AttackDescriptor("pin", "input:*", ("at_cycle", -1), f"pins:{max_flips or 0}")
-
-    return gen
-
-
-def attack_free() -> AttackGenerator:
-    def gen(rng: random.Random) -> Optional[AttackDescriptor]:
-        return None
-
-    return gen
-
-
 def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
                  cycles: int) -> AttackEffect:
     """Expand campaign wildcards (random position / weight / cycle) to an effect."""

@@ -33,7 +33,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from operator import xor
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .lanes import lanes_of, pack_lanes, select
 # lfsr_taps is not called here, but perfbench's tracer times it and step_lfsr
@@ -593,6 +593,20 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     return ns["make"](f, d, spec)
 
 
+def _check_output_subsets(k: int, subsets: Sequence, widths: Iterable[int]) -> None:
+    """Refuse an output subset that is empty, repeats an index or leaves range(k).
+
+    Each subset's code must be len(subset) bits wide; the error names the subset.
+    """
+    if not subsets:
+        raise ValueError("a chip needs at least one output subset")
+    for s, width in zip(subsets, widths):
+        if not s or len(set(s)) != len(s) or width != len(s) \
+                or not all(type(j) is int and 0 <= j < k for j in s):
+            raise ValueError(f"output subset {list(s)} needs distinct indices in range({k}) "
+                             f"and a code as wide as itself (code width {width})")
+
+
 def build_protected_chip(
     f: Netlist,
     r: int,
@@ -614,14 +628,14 @@ def build_protected_chip(
     options = options or ChipOptions()
     rng = as_rng(rng_seed)
     m, k = len(f.inputs), len(f.outputs)
+    subsets = [tuple(s) for s in options.output_subsets or (range(k),)]
+    _check_output_subsets(k, subsets, map(len, subsets))
 
     h_logic = sample_parity_code(k, r, rng.getrandbits(64))
     h_in = options.h_in or sample_parity_code(m, r, rng.getrandbits(64))
-    subsets = options.output_subsets or (tuple(range(k)),)
     seen: dict[tuple[int, ...], ParityCheckMatrix] = {}
     out_codes: list[tuple[tuple[int, ...], ParityCheckMatrix]] = []
     for s in subsets:
-        s = tuple(s)
         if s not in seen:
             seen[s] = sample_parity_code(len(s), r, rng.getrandbits(64))
         out_codes.append((s, seen[s]))
@@ -798,6 +812,7 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     out_codes = [
         (subsets[i], parse_matrix(texts[f"output{i}.code"])) for i in range(len(subsets))
     ]
+    _check_output_subsets(len(f.outputs), subsets, (code.k for _, code in out_codes))
     h_mem = parse_matrix(texts["ram.code"]) if "ram.code" in texts else None
     options = ChipOptions(
         pipeline_stages=manifest["pipeline_stages"],

@@ -53,13 +53,6 @@ class ParityCheckMatrix:
     def n(self) -> int:
         return self.k + self.r
 
-    def full_rows(self) -> tuple[Bits, ...]:
-        """Rows of [A | I_r]."""
-        return tuple(
-            row + tuple(1 if i == j else 0 for j in range(self.r))
-            for i, row in enumerate(self.rows)
-        )
-
     def check_bits(self, info: Sequence[int]) -> Bits:
         """Check bits of info; on lane ints (one bit per lane), per lane.
 

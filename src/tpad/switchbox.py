@@ -575,6 +575,9 @@ def insert_switchboxes(
 # -- degeneracy scanning ---------------------------------------------------------
 
 
+PACK = 64  # configurations per union-step call of a truth-table scan
+
+
 def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) -> ScanReport:
     """Sample incorrect configurations and count functional matches.
 
@@ -582,6 +585,12 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     compares each with it on the union step over check_equivalence's vectors
     (a sequential or sampled compare draws its seed after the configuration),
     and reports the fraction equivalent with every offending configuration.
+
+    A truth-table scan runs PACK configurations per union-step call: box i's
+    select is a lane int whose block c is all ones when configuration c
+    crosses box i, and every block holds one fixed probe of max(PACK, boxes)
+    table points. Only configurations whose probe outputs match the intended
+    selection's are compared on the whole table, so the report is unchanged.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -596,34 +605,50 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     m, width = len(obf.inputs), sum(g.kind == "DFF" for g in obf.gates)
     cycles = HORIZON if width else 1
     exhaustive = m * cycles <= EXHAUSTIVE_INPUTS
-    # truth-table lanes as compare_steps lays them out; the intended outputs once
-    pats, full = input_patterns(m * cycles) if exhaustive else ([], 0)
-    vectors = [tuple(pats[c * m:(c + 1) * m]) for c in range(cycles)]
-
-    def outputs(sel: list[int]) -> list[tuple]:
-        state, outs = (0,) * width, []
-        for x in vectors:
-            out, state = step(x, state, sel, full)
-            outs.append(out)
-        return outs
-
-    reference = outputs(intended) if exhaustive else None
-    hits: list[dict[int, str]] = []
+    configs, seeds = [], []
     for _ in range(samples):
         bits = rng.getrandbits(nsb)
         while bits == intended_bits:
             bits = rng.getrandbits(nsb)
-        sel = _selects(bits, nsb)
-        seed = rng.getrandbits(32) if width or not exhaustive else None
-        if exhaustive:
-            same = outputs(sel) == reference
-        else:
-            same = compare_steps(lambda x, s, mask: step(x, s, intended, mask),
-                                 lambda x, s, mask: step(x, s, sel, mask),
-                                 m, (width, width), rng_seed=seed).equivalent
-        if same:
-            hits.append(_bits_to_cfg(obf, bits))
-    return ScanReport(samples, len(hits), hits)
+        configs.append(bits)
+        seeds.append(rng.getrandbits(32) if width or not exhaustive else None)
+    hits = []
+    if not exhaustive:
+        for bits, seed in zip(configs, seeds):
+            sel = _selects(bits, nsb)
+            if compare_steps(lambda x, s, mask: step(x, s, intended, mask),
+                             lambda x, s, mask: step(x, s, sel, mask),
+                             m, (width, width), rng_seed=seed).equivalent:
+                hits.append(bits)
+        return ScanReport(samples, len(hits), [_bits_to_cfg(obf, b) for b in hits])
+
+    def outputs(variables: Sequence[int], sel: Sequence[int], mask: int) -> list[int]:
+        """Every cycle's outputs, with variable c*m+j as input j in cycle c."""
+        state, outs = (0,) * width, []
+        for c in range(cycles):
+            out, state = step(tuple(variables[c * m:(c + 1) * m]), state, sel, mask)
+            outs += out
+        return outs
+
+    # truth-table lanes as compare_steps lays them out, and the probe's
+    pats, full = input_patterns(m * cycles)
+    size, w = full.bit_length(), max(PACK, nsb)
+    points = [k % size for k in range(w)] if size <= w else as_rng(0).sample(range(size), w)
+    block, lanes = (1 << w) - 1, (1 << PACK * w) - 1
+    rep = lanes // block  # bit 0 of every block
+    probe = [sum(((p >> v) & 1) << k for k, p in enumerate(points)) * rep
+             for v in range(m * cycles)]
+    probe_ref, reference = outputs(probe, intended, lanes), outputs(pats, intended, full)
+    for start in range(0, samples, PACK):
+        chunk = configs[start:start + PACK]
+        y = sum(bits << c * w for c, bits in enumerate(chunk))
+        diff = 0
+        for a, b in zip(outputs(probe, [((y >> i) & rep) * block for i in range(nsb)], lanes),
+                        probe_ref):
+            diff |= a ^ b
+        hits += [bits for c, bits in enumerate(chunk) if not (diff >> c * w) & block
+                 and outputs(pats, _selects(bits, nsb), full) == reference]
+    return ScanReport(samples, len(hits), [_bits_to_cfg(obf, b) for b in hits])
 
 
 def _bits_to_cfg(obf: ObfuscatedNetlist, bits: int) -> dict[int, str]:

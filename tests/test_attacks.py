@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tpad.attacks import (
     AttackDescriptor,
-    attack_free,
     compile_attack,
     cp_attack_probability,
     decoupling_cost,
@@ -18,10 +17,8 @@ from tpad.attacks import (
     parse_attack_file,
     parse_attack_line,
     per_sb_attack_probability,
-    pin_flip_attacks,
     run_campaign,
     simulate_destructive_sampling,
-    single_output_flip_attacks,
     subcircuit_match_attack,
     uniform_output_flip_attacks,
 )
@@ -38,6 +35,16 @@ from tpad.parity import ParityCheckMatrix, build_ocp, sample_parity_code
 from tpad.switchbox import apply_config, insert_switchboxes
 
 from conftest import lfsr16
+
+
+def pin_flips(rng):
+    """Flips on a random set of input pins at a random cycle."""
+    return AttackDescriptor("pin", "input:*", ("at_cycle", -1), "pins:0")
+
+
+def single_output_flips(rng):
+    """One flipped function output at a random cycle."""
+    return AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:1:1")
 
 
 class TestDescriptors:
@@ -272,16 +279,16 @@ class TestCampaigns:
         assert abs(rep.detection_rate - 0.875) <= 0.01
 
     def test_pin_r8_rate(self, wide_chip_r8):
-        rep = run_campaign(wide_chip_r8, pin_flip_attacks(), 4000, 4, rng_seed=8)
+        rep = run_campaign(wide_chip_r8, pin_flips, 4000, 4, rng_seed=8)
         assert rep.false_positives == 0
         assert abs(rep.detection_rate - 0.996) <= 0.003
 
     def test_single_bit_rate_is_one(self, wide_chip):
-        rep = run_campaign(wide_chip, single_output_flip_attacks(), 1200, 4, rng_seed=9)
+        rep = run_campaign(wide_chip, single_output_flips, 1200, 4, rng_seed=9)
         assert rep.detection_rate == 1.0 and rep.false_positives == 0
 
     def test_attack_free_is_silent(self, wide_chip):
-        rep = run_campaign(wide_chip, attack_free(), 300, 6, rng_seed=10)
+        rep = run_campaign(wide_chip, lambda rng: None, 300, 6, rng_seed=10)
         assert rep.detected == 0 and rep.false_positives == 0
 
     def test_confidence_interval_brackets_rate(self, wide_chip):

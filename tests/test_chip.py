@@ -442,6 +442,17 @@ class TestBundle:
         assert not (root / "ram.code").exists()
         assert serialize_netlist(load_chip_bundle(root).f) == serialize_netlist(adder_chip.f)
 
+    @pytest.mark.parametrize("subset", [[0, 5], [1, 1], [], [0], [0, "1"]])
+    def test_bad_output_subset_named(self, adder_chip, tmp_path, subset):
+        """A subset the two-output adder's one 2-bit code cannot check is refused at load."""
+        root = tmp_path / "b"
+        save_chip_bundle(adder_chip, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["output_subsets"] = [subset]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"output subset {subset} ")):
+            load_chip_bundle(root)
+
     @pytest.mark.parametrize("key", [
         "files", "t", "pipeline_stages", "ram_depth", "ram_word_width", "output_subsets",
     ])
@@ -460,6 +471,19 @@ class TestWidthChecks:
             with pytest.raises(ValueError, match="memory code"):
                 ProtectedChip(c.f, c.ocp, c.detection, c.h_logic, c.h_in, c.out_codes,
                               c.lfsr_spec, c.t, options, h_mem)
+
+    @pytest.mark.parametrize("subsets", [((0, 5),), ((1, 1),), ((),), ((0, 1), (-1,))])
+    def test_bad_output_subset_refused_before_build(self, monkeypatch, subsets):
+        from conftest import FULL_ADDER
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a netlist was built")
+
+        monkeypatch.setattr("tpad.chip.build_ocp", refuse)
+        bad = list(subsets[-1])
+        with pytest.raises(ValueError, match=re.escape(f"output subset {bad} ")):
+            build_protected_chip(parse_netlist(FULL_ADDER), r=1, t=2, lfsr_spec=lfsr16(1),
+                                 rng_seed=42, options=ChipOptions(output_subsets=subsets))
 
     def test_ram_op_needs_a_ram(self, adder_chip):
         adder_chip.reset(0)

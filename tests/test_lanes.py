@@ -20,7 +20,6 @@ from tpad.attacks import (
     TrialRecord,
     _materialize,
     compile_attack,
-    pin_flip_attacks,
     run_campaign,
     uniform_output_flip_attacks,
 )
@@ -199,7 +198,9 @@ class TestCampaignDifferential:
             assert lanes.by_kind == scalar.by_kind
 
     @pytest.mark.parametrize("chip_name", CHIPS)
-    @pytest.mark.parametrize("gen", [uniform_output_flip_attacks(2), pin_flip_attacks()],
+    @pytest.mark.parametrize("gen", [uniform_output_flip_attacks(2),
+                                     lambda rng: AttackDescriptor("pin", "input:*", ("at_cycle", -1),
+                                                                  "pins:0")],
                              ids=["fout-multibit", "input-pins"])
     def test_generators(self, request, chip_name, gen):
         chip = request.getfixturevalue(chip_name)

