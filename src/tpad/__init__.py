@@ -32,10 +32,7 @@ from .switchbox import (
 )
 from .lfsr import (
     ErrorMonitor,
-    ErrorSignal,
     LfsrSpec,
-    checker_output,
-    combine_error_signals,
     is_primitive,
     lfsr_taps,
     step_lfsr,
@@ -54,7 +51,6 @@ from .attacks import (
     cp_attack_probability,
     decoupling_cost,
     destructive_detection_probability,
-    inject,
     per_sb_attack_probability,
     run_campaign,
     simulate_destructive_sampling,

@@ -107,11 +107,6 @@ def parse_attack_file(text: str) -> list[AttackDescriptor]:
     return out
 
 
-def format_attack_line(atk: AttackDescriptor) -> str:
-    trig = atk.trigger[0] if atk.trigger[0] == "always" else f"{atk.trigger[0]}:{atk.trigger[1]}"
-    return f"{atk.kind} {atk.payload} target={atk.target} trigger={trig}"
-
-
 def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
     """text as an integer in [lo, hi], else a ValueError that names `what`."""
     try:
@@ -177,13 +172,13 @@ def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
     return eff
 
 
-def inject(chip: ProtectedChip, atk: AttackDescriptor) -> ProtectedChip:
-    """Install an attack on the chip (mutating it) and return it."""
-    chip.install_attack(compile_attack(chip, atk))
-    return chip
-
-
 # -- campaigns -----------------------------------------------------------------------
+
+
+def normal_interval(p: float, trials: int) -> tuple[float, float]:
+    """Normal-approximation 95% binomial interval for a rate p over trials, within [0, 1]."""
+    half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / trials)
+    return max(0.0, p - half), min(1.0, p + half)
 
 
 @dataclass(frozen=True)
@@ -206,13 +201,9 @@ class DetectionReport:
     def detection_rate(self) -> float:
         return self.detected / self.trials if self.trials else 0.0
 
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation binomial interval for the detection rate."""
-        if not self.trials:
-            return (0.0, 0.0)
-        p = self.detection_rate
-        half = z * math.sqrt(max(p * (1 - p), 1e-12) / self.trials)
-        return (max(0.0, p - half), min(1.0, p + half))
+    def confidence_interval(self) -> tuple[float, float]:
+        """normal_interval of the detection rate; (0, 0) for no trials."""
+        return normal_interval(self.detection_rate, self.trials) if self.trials else (0.0, 0.0)
 
     def to_csv(self) -> str:
         lines = ["trial,attack_kind,detected,first_detect_cycle"]
@@ -269,8 +260,7 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
     return compile_attack(chip, AttackDescriptor(atk.kind, atk.target, trigger, atk.payload))
 
 
-# Trials per campaign batch. Trial i of a batch of n runs armed in lane i and
-# as its own control in lane n + i of one chip.
+# Trials per campaign batch; see _run_lanes.
 CAMPAIGN_BATCH = 64
 
 
@@ -297,34 +287,31 @@ def _stimulus(chip: ProtectedChip, seed: int, cycles: int) -> tuple[list[int], l
 
 
 def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[AttackEffect]]],
-               armed: Sequence[bool], cycles: int) -> list[Optional[int]]:
-    """Run every (stimulus seed, session seed, effect) trial once per entry of
-    `armed`, side by side in lanes.
+               cycles: int) -> list[Optional[int]]:
+    """Run every (stimulus seed, session seed, effect) trial twice, side by side in lanes.
 
-    Lane c * n + i runs trial i of n, with its effect when armed[c] is true
-    and without it otherwise. Returns each lane's first cycle on which the
-    monitor, the input decoder or the trusted receiver reported (None if
-    none did).
+    Lane i runs trial i of n with its effect and lane n + i runs it without,
+    as its control. Returns each lane's first cycle on which the monitor,
+    the input decoder or the trusted receiver reported (None if none did).
     """
     n = len(trials)
     chip.clear_attacks()
-    chip.reset([session for _ in armed for _, session, _ in trials])
-    for c, arm in enumerate(armed):
-        for i, (_, _, effect) in enumerate(trials):
-            if arm and effect is not None:
-                chip.install_attack(effect, 1 << (c * n + i))
+    chip.reset([session for _, session, _ in trials] * 2)
+    for i, (_, _, effect) in enumerate(trials):
+        if effect is not None:
+            chip.install_attack(effect, 1 << i)
     enc = StimulusEncoder(chip)
     rec = OutputReceiver(chip)
     stimuli = [_stimulus(chip, stim, cycles) for stim, _, _ in trials]
-    spread = sum(1 << (c * n) for c in range(len(armed)))  # copies n lanes to each run
+    spread = 1 | 1 << n  # copies the n armed lanes to the n control lanes
     columns = [v * spread for v in pack_lanes([bits for bits, _ in stimuli])]
     m = len(chip.f.inputs)
-    first: list[Optional[int]] = [None] * (n * len(armed))
+    first: list[Optional[int]] = [None] * (2 * n)
     fired = 0
     for cyc in range(cycles):
         x = columns[cyc * m:(cyc + 1) * m]
-        # lane c * n + i runs trial i's memory operation
-        ram_op = None if chip.ram is None else [ops[cyc] for _ in armed for _, ops in stimuli]
+        # lanes i and n + i run trial i's memory operation
+        ram_op = None if chip.ram is None else [ops[cyc] for _, ops in stimuli] * 2
         res = chip.cycle(x, enc.send(x), ram_op=ram_op)
         bad = rec.receive(res.outputs, res.out_check) | res.monitor_attack | res.decode_attack
         new = bad & ~fired
@@ -369,7 +356,7 @@ def run_campaign(
             session_seed = rng.getrandbits(64)
             effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
             plans.append((stim_seed, session_seed, effect))
-        first = _run_lanes(chip, plans, (True, False), cycles_per_trial)
+        first = _run_lanes(chip, plans, cycles_per_trial)
         n = len(plans)
         for i, (_, _, effect) in enumerate(plans):
             trial = start + i
@@ -429,10 +416,10 @@ def _as_digraph(net: Netlist):
 
 
 def _random_subcircuit(net: Netlist, rng: random.Random, max_size: int,
-                       min_size: int = 2, attempts: int = 16) -> Optional[list[int]]:
+                       min_size: int = 2) -> Optional[list[int]]:
     """Connected gate set grown backward from a random root.
 
-    Growth retries a few roots until the subcircuit reaches min_size; a lone
+    Growth retries up to 16 roots until the subcircuit reaches min_size; a lone
     gate matches anywhere of the same kind and carries no structure worth
     calling a subcircuit.
     """
@@ -440,7 +427,7 @@ def _random_subcircuit(net: Netlist, rng: random.Random, max_size: int,
         return None
     by_out = {g.out: g for g in net.gates}
     best: Optional[list[int]] = None
-    for _ in range(attempts):
+    for _ in range(16):
         root = rng.choice(net.gates).out
         chosen = [root]
         frontier = [w for w in by_out[root].ins if w in by_out]

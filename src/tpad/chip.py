@@ -681,11 +681,11 @@ class StimulusEncoder:
 
 
 class OutputReceiver:
-    """Trusted receiver decoding one of the chip's output subsets."""
+    """Trusted receiver decoding the chip's first output subset."""
 
-    def __init__(self, chip: ProtectedChip, subset_index: int = 0):
-        self.subset, self.code = chip.out_codes[subset_index]
-        self.prev_check = chip.initial_prev_out_checks[subset_index]
+    def __init__(self, chip: ProtectedChip):
+        self.subset, self.code = chip.out_codes[0]
+        self.prev_check = chip.initial_prev_out_checks[0]
         self.width = len(chip.f.outputs)
         self._breaks: Optional[Callable] = None  # the code's kernel, fetched on the first receive
 
@@ -764,13 +764,25 @@ _BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
                  "logic.code", "input.code", "lfsr.spec")
 
 
+# each manifest value's check, and what it must be; `type(v) is int` refuses
+# the bools that JSON true and false load as
+_MANIFEST_VALUES = (
+    ("t", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    ("pipeline_stages", lambda v: type(v) is int and v in (0, 1), "0 or 1"),
+    ("ram_depth", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("ram_word_width", lambda v: type(v) is int, "an integer"),
+    ("output_subsets", lambda v: isinstance(v, list), "a list of lists of integers"),
+)
+
+
 def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     """Read a bundle back.
 
-    A manifest missing a key or a file, listing a file a bundle does not
-    have (such as a `ram.code` for a chip without a RAM), or leaving out a
-    file the directory holds raises ValueError before any listed file is
-    read.
+    A manifest missing a key or a file, holding a bad value, listing a file a
+    bundle does not have (such as a `ram.code` for a chip without a RAM), or
+    leaving out a file the directory holds raises ValueError before any
+    listed file is read; one whose `pipeline_stages` disagrees with
+    `detection.net`, before the chip is built.
     """
     import json
 
@@ -781,6 +793,14 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"bundle manifest lacks key(s): {', '.join(missing)}")
+    for key, ok, expected in _MANIFEST_VALUES:
+        if not ok(manifest[key]):
+            raise ValueError(f"bundle manifest key {key!r}: expected {expected}, "
+                             f"got {manifest[key]!r}")
+    for s in manifest["output_subsets"]:
+        if not isinstance(s, list) or not all(type(j) is int for j in s):
+            raise ValueError(f"bundle manifest key 'output_subsets': output subset {s!r} "
+                             "is not a list of integers")
     required = [*_BUNDLE_FILES, *(f"output{i}.code" for i in range(len(manifest["output_subsets"])))]
     if manifest["ram_depth"]:
         required.append("ram.code")
@@ -806,6 +826,9 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     f = parse_netlist(texts["function.net"])
     ocp = parse_netlist(texts["ocp.net"])
     detection = parse_obfuscated(texts["detection.net"], parse_config(texts["detection.cfg"]))
+    if manifest["pipeline_stages"] != any(g.kind == "DFF" for g in detection.gates):
+        raise ValueError(f"bundle manifest key 'pipeline_stages': {manifest['pipeline_stages']} "
+                         "disagrees with whether detection.net has DFFs")
     h_logic = parse_matrix(texts["logic.code"])
     h_in = parse_matrix(texts["input.code"])
     subsets = [tuple(s) for s in manifest["output_subsets"]]

@@ -213,25 +213,16 @@ class PlancherelReference:
         return obj
 
 
-def make_reference(n: int, rng_seed: Rng = None, periodic: bool = False) -> PlancherelReference:
+def make_reference(n: int, rng_seed: Rng = None) -> PlancherelReference:
     """Seeded white-noise reference with small norm and no zero entries.
 
     Real and imaginary parts are normal with standard deviation 0.25.
-    periodic=True instead builds a unit-norm quadratic-phase chirp, whose
-    transform has flat magnitude, a lower-roundoff alternative to white
-    noise (a pure tone would not do: its transform is a delta, and zero
-    reference entries are forbidden).
     """
     _require_power_of_two(n)
     rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
     while True:
-        if periodic:
-            phase = npr.uniform(0, 2 * np.pi)
-            i = np.arange(n)
-            y = np.exp(1j * (np.pi * i * i / n + phase)) / np.sqrt(n)
-        else:
-            y = (npr.standard_normal(n) + 1j * npr.standard_normal(n)) * 0.25
+        y = (npr.standard_normal(n) + 1j * npr.standard_normal(n)) * 0.25
         y16 = from_complex(y)
         bigY = np.fft.fft(to_complex(y16))
         Y16 = from_complex(bigY)
@@ -326,14 +317,12 @@ def calibrate_threshold(
     margin: float,
     rng_seed: Rng = None,
     ref: Optional[PlancherelReference] = None,
-    input_distribution: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None,
 ) -> tuple[float, PlancherelReference]:
     """Threshold = margin times the worst attack-free residual observed.
 
-    Runs `trials` clean transforms on the calibration distribution (unit
-    complex white noise unless overridden) against the reference pair and
-    returns (threshold, reference). Raises on overflow: the distribution
-    must be representable in the datapath.
+    Runs `trials` clean transforms on unit complex white noise (the
+    calibration distribution) against the reference pair and returns
+    (threshold, reference); a transform that overflows raises.
     """
     if trials < 100:
         raise FftError("calibration needs at least 100 trials")
@@ -346,14 +335,11 @@ def calibrate_threshold(
     if ref is None:                 # stream identical for a supplied reference
         ref = make_reference(n, ref_bits)
     npr = np.random.default_rng(rng.getrandbits(64))
-    dist = input_distribution or white_noise_input
     worst = 0.0
     for start in range(0, trials, _CALIBRATION_ROWS):
-        xs = np.stack([dist(n, npr) for _ in range(min(_CALIBRATION_ROWS, trials - start))])
-        xc = _as_check(xs)
-        if xc.ndim != 2:  # a draw read as one value, not a vector
-            raise FftError("input_distribution must return (n, 2) pairs or n values")
-        worst = max(worst, float(_residuals(xc, _as_check(fft(xs)), ref).max()))
+        xs = np.stack([white_noise_input(n, npr)
+                       for _ in range(min(_CALIBRATION_ROWS, trials - start))])
+        worst = max(worst, float(_residuals(_as_check(xs), _as_check(fft(xs)), ref).max()))
     return margin * worst, ref
 
 
@@ -382,8 +368,8 @@ class FftCedEngine:
 
     def run(self, x: np.ndarray) -> tuple[np.ndarray, CheckVerdict]:
         bigx = fft(x)
-        resid = plancherel_residual(x, bigx, self._zero_ref if self.zeroed else self.ref)
-        return bigx, CheckVerdict(resid, self.threshold, resid > self.threshold)
+        return bigx, plancherel_check(x, bigx, self._zero_ref if self.zeroed else self.ref,
+                                      self.threshold)
 
     def program_reference(self, ref: PlancherelReference) -> None:
         if ref.n != self.n:

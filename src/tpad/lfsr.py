@@ -2,17 +2,15 @@
 
 A Fibonacci LFSR with a programmable feedback polynomial drives the error
 signal: an r-bit tap subset of the register is the "all clear" value each
-cycle. A checker XORs its tap bits with predicted and actual check bits,
-so its output equals the taps exactly when prediction matches reality.
-Multiple checker outputs combine per bit through OR (tap bit 0) or AND
-(tap bit 1), both of which pull any deviation away from the tap value.
-A monitor mirrors the LFSR and flags any cycle whose received signal
-differs from its own taps.
+cycle, around which the chip's detection netlist combines its checkers. A
+monitor mirrors the LFSR and flags any cycle whose received signal differs
+from its own taps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .netlist import Bits, WidthError
@@ -62,21 +60,6 @@ class LfsrSpec:
     def r(self) -> int:
         return len(self.taps)
 
-    def monitor_fn(self) -> Callable[[ErrorMonitor, Sequence[int]], int]:
-        """check(monitor, received), ErrorMonitor.check's straight-line body.
-
-        Generated on first use and kept on this spec.
-        """
-        kernel = self.__dict__.get("_monitor_fn")
-        if kernel is None:
-            kernel = _compile_monitor_check(self)
-            object.__setattr__(self, "_monitor_fn", kernel)
-        return kernel
-
-    def __getstate__(self) -> dict:
-        # the fields only: a copy compiles its own monitor kernel on first use
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def step_source(spec: LfsrSpec, state: str) -> str:
     """step_lfsr(state, spec) as a Python expression on a nonzero `state`."""
@@ -97,17 +80,15 @@ def lfsr_taps(state: int, spec: LfsrSpec) -> Bits:
     return tuple((state >> p) & 1 for p in spec.taps)
 
 
-def is_primitive(poly: int, degree: int, max_degree: int = 24) -> bool:
+def is_primitive(poly: int, degree: int) -> bool:
     """Exhaustive period test: primitive iff the cycle of state 1 has length 2^L - 1.
 
-    Degrees above max_degree are refused (the walk is exponential); callers
-    there must supply an externally vetted polynomial.
+    Degrees above 24 are refused (the walk is exponential); callers there
+    must supply an externally vetted polynomial.
     """
     _validate_poly(poly, degree)
-    if degree > max_degree:
-        raise UnsupportedDegreeError(
-            f"degree {degree} exceeds the exhaustive test limit {max_degree}"
-        )
+    if degree > 24:
+        raise UnsupportedDegreeError(f"degree {degree} exceeds the exhaustive test limit 24")
     spec = LfsrSpec(degree, poly, 1, ())
     target = (1 << degree) - 1
     state = 1
@@ -118,49 +99,12 @@ def is_primitive(poly: int, degree: int, max_degree: int = 24) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ErrorSignal:
-    bits: Bits
-    cycle: int = 0
-
-
-def checker_output(taps: Sequence[int], predicted: Sequence[int], actual: Sequence[int],
-                   cycle: int = 0) -> ErrorSignal:
-    """Per-bit taps XOR predicted XOR actual; equals taps iff they agree."""
-    if not len(taps) == len(predicted) == len(actual):
-        raise WidthError("taps, predicted and actual must share a width")
-    return ErrorSignal(tuple(t ^ p ^ a for t, p, a in zip(taps, predicted, actual)), cycle)
-
-
-def combine_error_signals(taps: Sequence[int], signals: Sequence[ErrorSignal]) -> ErrorSignal:
-    """Bitwise OR where the tap bit is 0, AND where it is 1."""
-    if not signals:
-        raise ValueError("need at least one checker signal")
-    for s in signals:
-        if len(s.bits) != len(taps):
-            raise WidthError("checker signal width mismatch")
-    out = []
-    for i, t in enumerate(taps):
-        bits = [s.bits[i] for s in signals]
-        if t:
-            v = 1
-            for b in bits:
-                v &= b
-        else:
-            v = 0
-            for b in bits:
-                v |= b
-        out.append(v)
-    cycle = signals[0].cycle
-    return ErrorSignal(tuple(out), cycle)
-
-
 class ErrorMonitor:
     """Trusted mirror of a chip's LFSR; flags mismatching error signals.
 
     With a lane mask wider than 1, each received bit is a lane int and every
     lane expects the same taps (every lane's LFSR starts at the spec's seed).
-    The check runs its spec's generated kernel (`LfsrSpec.monitor_fn`).
+    The check runs its spec's generated kernel (`_compile_monitor_check`).
     """
 
     def __init__(self, spec: LfsrSpec, mask: int = 1):
@@ -177,10 +121,11 @@ class ErrorMonitor:
         """
         check = self._check
         if check is None:
-            check = self._check = self.spec.monitor_fn()
+            check = self._check = _compile_monitor_check(self.spec)
         return check(self, received)
 
 
+@lru_cache(maxsize=None)
 def _compile_monitor_check(spec: LfsrSpec) -> Callable[[ErrorMonitor, Sequence[int]], int]:
     """check(monitor, received): the tap compare and the mirror's step, straight-line."""
     got = [f"g{i}" for i in range(spec.r)]

@@ -656,18 +656,16 @@ HORIZON = 4
 def check_equivalence(
     n1: Netlist,
     n2: Netlist,
-    max_exhaustive_inputs: int = EXHAUSTIVE_INPUTS,
     sample_count: int = 10000,
     rng_seed: Optional[int] = None,
-    horizon: int = HORIZON,
 ) -> EquivalenceVerdict:
     """Compare two netlists, exhaustively when the input space is small.
 
     Combinational netlists are compared over all input vectors when the
-    input count is at most max_exhaustive_inputs, otherwise over
-    sample_count uniform random vectors (verdict tagged 'sampled').
-    Sequential netlists are unrolled for `horizon` cycles from the all-zero
-    state; the exhaustive bound then applies to inputs * horizon.
+    input count is at most EXHAUSTIVE_INPUTS, otherwise over sample_count
+    uniform random vectors (verdict tagged 'sampled'). Sequential netlists
+    are unrolled for HORIZON cycles from the all-zero state; the exhaustive
+    bound then applies to inputs * HORIZON.
     Non-equivalence verdicts always carry a replayable counterexample.
     """
     if len(n1.inputs) != len(n2.inputs) or len(n1.outputs) != len(n2.outputs):
@@ -675,10 +673,8 @@ def check_equivalence(
             f"{n1.name}: {len(n1.inputs)}->{len(n1.outputs)}, "
             f"{n2.name}: {len(n2.inputs)}->{len(n2.outputs)}"
         )
-    return compare_steps(
-        n1.step_fn(), n2.step_fn(), len(n1.inputs), (n1.state_width, n2.state_width),
-        max_exhaustive_inputs, sample_count, rng_seed, horizon,
-    )
+    return compare_steps(n1.step_fn(), n2.step_fn(), len(n1.inputs),
+                         (n1.state_width, n2.state_width), sample_count, rng_seed)
 
 
 def compare_steps(
@@ -686,10 +682,8 @@ def compare_steps(
     f2: Callable,
     n_inputs: int,
     state_widths: tuple[int, int] = (0, 0),
-    max_exhaustive_inputs: int = EXHAUSTIVE_INPUTS,
     sample_count: int = 10000,
     rng_seed: Optional[int] = None,
-    horizon: int = HORIZON,
 ) -> EquivalenceVerdict:
     """check_equivalence's vector schedule over two (inp, state, mask) steps.
 
@@ -699,7 +693,7 @@ def compare_steps(
     """
     m = n_inputs
     sequential = any(state_widths)
-    cycles = horizon if sequential else 1
+    cycles = HORIZON if sequential else 1
     total_vars = m * cycles
     seq_horizon = cycles if sequential else None
     zero1, zero2 = (0,) * state_widths[0], (0,) * state_widths[1]
@@ -724,7 +718,7 @@ def compare_steps(
         cex = seq_cex if sequential else seq_cex[0]
         return EquivalenceVerdict(False, mode, checked, cex, horizon=seq_horizon)
 
-    if total_vars <= max_exhaustive_inputs:
+    if total_vars <= EXHAUSTIVE_INPUTS:
         # truth-table lanes: lane v holds bit c*m+j of v for input j in cycle c
         pats, full = input_patterns(total_vars)
         cyc_inputs = [tuple(pats[c * m:(c + 1) * m]) for c in range(cycles)]

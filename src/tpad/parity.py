@@ -10,7 +10,7 @@ predictor as a netlist and estimates detection probability by Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,20 +56,14 @@ class ParityCheckMatrix:
     def check_bits(self, info: Sequence[int]) -> Bits:
         """Check bits of info; on lane ints (one bit per lane), per lane.
 
-        The first call compiles the matrix to one straight-line function,
-        `(v0 ^ v3 ^ ..., ...)` with a width check, and binds it on this
-        matrix as `check_bits`, so later calls run it directly.
+        Runs the matrix compiled to one straight-line function,
+        `(v0 ^ v3 ^ ..., ...)` with a width check.
         """
-        kernel = _compile_check_bits(self.rows)
-        object.__setattr__(self, "check_bits", kernel)
-        return kernel(info)
+        return _compile_check_bits(self.rows)(info)
 
     def chain_fn(self) -> Callable[[Sequence[int], Bits], Bits]:
-        """chain(info, prev): the check bits of info XOR prev, one tuple expression.
-
-        Generated on first use and kept on this code, as `break_fn`'s are.
-        """
-        return self._kernel(("chain",), partial(_compile_check_bits, chained=True))
+        """chain(info, prev): the check bits of info XOR prev, one tuple expression."""
+        return _compile_check_bits(self.rows, True)
 
     def break_fn(self, subset: tuple[int, ...], width: int
                  ) -> Callable[[Sequence[int], Sequence[int], Bits], int]:
@@ -79,17 +73,7 @@ class ParityCheckMatrix:
         outputs of another width than `width`, or a check of another width
         than r, raise WidthError.
         """
-        return self._kernel(("break", subset, width), _compile_break)
-
-    def _kernel(self, key: tuple, compile_kernel: Callable) -> Callable:
-        kernels = self.__dict__.setdefault("_kernels", {})
-        kernel = kernels.get(key)
-        if kernel is None:
-            kernel = kernels[key] = compile_kernel(self.rows, *key[1:])
-        return kernel
-
-    def __getstate__(self) -> dict:
-        return {"rows": self.rows}  # a copy compiles its own kernels on first use
+        return _compile_break(self.rows, subset, width)
 
 
 def _row_parities(rows: Sequence[Bits], names: Sequence[str]) -> list[str]:
@@ -107,6 +91,9 @@ def _define(lines: list[str]) -> Callable:
     return ns["kernel"]
 
 
+# Kernels are cached by matrix rows (and subset and width), as
+# lfsr._compile_monitor_check caches by spec: equal codes share one kernel.
+@lru_cache(maxsize=None)
 def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callable:
     k, r = len(rows[0]), len(rows)
     parities = _row_parities(rows, [f"v{j}" for j in range(k)])
@@ -122,6 +109,7 @@ def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callab
     ])
 
 
+@lru_cache(maxsize=None)
 def _compile_break(rows: tuple[Bits, ...], subset: tuple[int, ...], width: int) -> Callable:
     r = len(rows)
     parities = _row_parities(rows, [f"o{j}" for j in subset])

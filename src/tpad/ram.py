@@ -53,13 +53,6 @@ EXPECTED_SYMPTOM = {trojan: row[2] for trojan, row in TROJAN_ACTIONS.items()}
 RAM_TROJANS = tuple(TROJAN_ACTIONS)
 
 
-def addr_data_bits(addr: int, data: int, addr_bits: int, word_width: int) -> Bits:
-    """Info vector for the memory code: address then data, high bits first."""
-    a = tuple((addr >> (addr_bits - 1 - i)) & 1 for i in range(addr_bits))
-    d = tuple((data >> (word_width - 1 - i)) & 1 for i in range(word_width))
-    return a + d
-
-
 def _span(cols: list[int]) -> tuple[int, ...]:
     """table[v] = XOR of cols[b] over the set bits b of v, for every v < 2**len(cols)."""
     table = [0]
@@ -114,7 +107,7 @@ class ProtectedRam:
         self.data_out = self.ram_out.data
 
     def _check(self, addr: int, data: int) -> Bits:
-        """code.check_bits(addr_data_bits(addr, data, ...)), from the tables."""
+        """code.check_bits of addr then data, high bits first, from the tables."""
         c = self._addr_checks[addr]
         for shift, table in self._data_checks:
             c ^= table[data >> shift & 0xFF]

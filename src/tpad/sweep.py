@@ -11,10 +11,8 @@ Spec grammar (one `key = value` per line, `#` comments):
     trials = 30000
     seed = 7
 
-Besides kind, sweep and seed, each kind takes only the keys it reads:
-parity_detection r, w, k, trials; single_bit r, k, trials; destructive t,
-a, N, trials; cp_attack theta, x; per_sb_attack p, x. Any other key is
-refused with its line.
+Besides kind, sweep and seed, each kind takes only the keys it reads (see
+_KINDS); any other key is refused with its line.
 
 All randomness funnels through the one seed; identical spec text yields a
 byte-identical CSV. Monte Carlo rows carry a normal-approximation 95%
@@ -23,12 +21,12 @@ confidence half width, closed-form rows do not.
 
 from __future__ import annotations
 
-import math
 from typing import Union
 
 from .attacks import (
     cp_attack_probability,
     destructive_detection_probability,
+    normal_interval,
     per_sb_attack_probability,
     simulate_destructive_sampling,
 )
@@ -41,13 +39,17 @@ class SweepSpecError(ValueError):
     pass
 
 
-# the keys run_sweep reads for each kind, besides kind, sweep and seed
-_KEYS = {
-    "parity_detection": {"r", "w", "k", "trials"},
-    "single_bit": {"r", "k", "trials"},
-    "destructive": {"t", "a", "N", "trials"},
-    "cp_attack": {"theta", "x"},
-    "per_sb_attack": {"p", "x"},
+# Per kind: each key run_sweep reads besides kind, sweep and seed, with its
+# default (None where the spec must set it), the keys it can sweep, and its
+# CSV columns after the swept variable. theta and p are floats, every other
+# key an int.
+_KINDS = {
+    "parity_detection": ({"k": 100, "trials": 30000, "w": 50, "r": 3}, {"r", "w"},
+                         "detection_rate,ci_low,ci_high"),
+    "single_bit": ({"k": 100, "trials": 30000, "r": 3}, {"r"}, "detection_rate,ci_low,ci_high"),
+    "destructive": ({"N": None, "a": None, "t": 0, "trials": 0}, {"t", "a"}, "probability"),
+    "cp_attack": ({"x": 64, "theta": 0.1}, {"theta", "x"}, "probability"),
+    "per_sb_attack": ({"x": 64, "p": 0.5}, {"p", "x"}, "probability"),
 }
 
 
@@ -70,10 +72,10 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
     if "sweep" not in spec:
         raise SweepSpecError("spec needs a sweep variable")
     kind = spec["kind"]
-    if kind not in _KEYS:
+    if kind not in _KINDS:
         raise SweepSpecError(f"line {lines['kind']}: unknown sweep kind {kind!r}")
     for key, lineno in lines.items():
-        if key not in _KEYS[kind] and key not in ("kind", "sweep", "seed"):
+        if key not in _KINDS[kind][0] and key not in ("kind", "sweep", "seed"):
             raise SweepSpecError(f"line {lineno}: {kind} takes no key {key!r}")
     return spec
 
@@ -100,86 +102,51 @@ def _fmt(x) -> str:
     return format(x, ".10g")
 
 
-_SWEEPABLE = {
-    "parity_detection": {"r", "w"},
-    "single_bit": {"r"},
-    "destructive": {"t", "a"},
-    "cp_attack": {"theta", "x"},
-    "per_sb_attack": {"p", "x"},
-}
+def _row(kind: str, p: dict, seed: int) -> list:
+    """One grid point's values after the swept variable, at the parameters p."""
+    if kind in ("parity_detection", "single_bit"):
+        rate = estimate_detection_probability(p["k"], p["r"], p.get("w", 1), p["trials"],
+                                              rng_seed=seed)
+        return [rate, *normal_interval(rate, p["trials"])]
+    if kind == "destructive":
+        row = [destructive_detection_probability(p["N"], p["a"], p["t"])]
+        if p["trials"]:
+            est = simulate_destructive_sampling(p["N"], p["a"], p["t"], p["trials"], rng_seed=seed)
+            row += [est, *normal_interval(est, p["trials"])]
+        return row
+    if kind == "cp_attack":
+        return [cp_attack_probability(p["theta"], p["x"])]
+    return [per_sb_attack_probability(p["p"], p["x"])]
 
 
 def run_sweep(spec: dict[str, str]) -> str:
     """Evaluate one grid and return the CSV text."""
     kind = spec["kind"]
     var = spec["sweep"]
-    if kind not in _SWEEPABLE:
+    if kind not in _KINDS:
         raise SweepSpecError(f"unknown sweep kind {kind!r}")
-    if var not in _SWEEPABLE[kind]:
-        raise SweepSpecError(f"{kind} cannot sweep {var!r} (allowed: {sorted(_SWEEPABLE[kind])})")
+    defaults, sweepable, columns = _KINDS[kind]
+    if var not in sweepable:
+        raise SweepSpecError(f"{kind} cannot sweep {var!r} (allowed: {sorted(sweepable)})")
     if var not in spec:
         raise SweepSpecError(f"swept variable {var!r} has no value list")
     grid = _values(spec[var])
     seed = int(spec.get("seed", "0"))
 
-    def fixed(name: str, default=None):
-        if name in spec:
-            return _values(spec[name])[0]
-        if default is None:
-            raise SweepSpecError(f"{kind} needs {name}")
-        return default
+    def typed(name: str, value) -> Union[int, float]:
+        return float(value) if name in ("theta", "p") else int(value)
 
-    lines = [f"# schema={SCHEMA} kind={kind} sweep={var} seed={seed}"]
-
-    if kind in ("parity_detection", "single_bit"):
-        k = int(fixed("k", 100))
-        trials = int(fixed("trials", 30000))
-        w = 1 if kind == "single_bit" else int(fixed("w", 50))
-        r = int(fixed("r", 3)) if var != "r" else None
-        lines.append(f"{var},detection_rate,ci_low,ci_high")
-        for i, v in enumerate(grid):
-            rr = int(v) if var == "r" else r
-            ww = int(v) if var == "w" else w
-            rate = estimate_detection_probability(k, rr, ww, trials, rng_seed=seed + i)
-            half = 1.96 * math.sqrt(max(rate * (1 - rate), 1e-12) / trials)
-            lines.append(
-                f"{_fmt(v)},{_fmt(rate)},{_fmt(max(0.0, rate - half))},{_fmt(min(1.0, rate + half))}"
-            )
-    elif kind == "destructive":
-        n = int(fixed("N"))
-        a = int(fixed("a")) if var != "a" else None
-        t = int(fixed("t", 0)) if var != "t" else None
-        mc_trials = int(spec.get("trials", "0"))
-        header = f"{var},probability"
-        if mc_trials:
-            header += ",mc_estimate,ci_low,ci_high"
-        lines.append(header)
-        for i, v in enumerate(grid):
-            aa = int(v) if var == "a" else a
-            tt = int(v) if var == "t" else t
-            p = destructive_detection_probability(n, aa, tt)
-            row = f"{_fmt(v)},{_fmt(p)}"
-            if mc_trials:
-                est = simulate_destructive_sampling(n, aa, tt, mc_trials, rng_seed=seed + i)
-                half = 1.96 * math.sqrt(max(est * (1 - est), 1e-12) / mc_trials)
-                row += f",{_fmt(est)},{_fmt(max(0.0, est - half))},{_fmt(min(1.0, est + half))}"
-            lines.append(row)
-    elif kind == "cp_attack":
-        x = int(fixed("x", 64)) if var != "x" else None
-        theta = float(fixed("theta", 0.1)) if var != "theta" else None
-        lines.append(f"{var},probability")
-        for v in grid:
-            th = float(v) if var == "theta" else theta
-            xx = int(v) if var == "x" else x
-            lines.append(f"{_fmt(v)},{_fmt(cp_attack_probability(th, xx))}")
-    elif kind == "per_sb_attack":
-        x = int(fixed("x", 64)) if var != "x" else None
-        p = float(fixed("p", 0.5)) if var != "p" else None
-        lines.append(f"{var},probability")
-        for v in grid:
-            pp = float(v) if var == "p" else p
-            xx = int(v) if var == "x" else x
-            lines.append(f"{_fmt(v)},{_fmt(per_sb_attack_probability(pp, xx))}")
-    else:
-        raise SweepSpecError(f"unknown sweep kind {kind!r}")
+    fixed = {}
+    for name, default in defaults.items():
+        if name != var:
+            value = _values(spec[name])[0] if name in spec else default
+            if value is None:
+                raise SweepSpecError(f"{kind} needs {name}")
+            fixed[name] = typed(name, value)
+    if kind == "destructive" and fixed["trials"]:
+        columns += ",mc_estimate,ci_low,ci_high"
+    lines = [f"# schema={SCHEMA} kind={kind} sweep={var} seed={seed}", f"{var},{columns}"]
+    for i, v in enumerate(grid):
+        row = _row(kind, dict(fixed, **{var: typed(var, v)}), seed + i)
+        lines.append(",".join(map(_fmt, [v, *row])))
     return "\n".join(lines) + "\n"

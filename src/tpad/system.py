@@ -111,12 +111,12 @@ class RunReport:
     config_digest: str
 
 
-def config_digest(topology: SystemTopology, extra: Optional[dict] = None) -> str:
+def config_digest(topology: SystemTopology) -> str:
     """Hash of everything needed to reconstruct the run configuration."""
     import hashlib
     import json
 
-    payload = {"chips": [], "extra": extra or {}}
+    payload = {"chips": [], "extra": {}}  # "extra" keeps earlier digests valid
     for chip in topology.chips:
         payload["chips"].append(
             {

@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+from typing import Sequence
+
 import pytest
 
 from tpad.lfsr import LfsrSpec
-from tpad.netlist import Gate, Netlist, parse_netlist
+from tpad.netlist import Bits, Gate, Netlist, WidthError, parse_netlist
 
 FULL_ADDER = """\
 .model adder
@@ -62,3 +65,43 @@ def with_dffs(net, rng, k):
         gates[i] = Gate(g.out, g.kind, g.ins[:p] + (q + j,) + g.ins[p + 1:])
         gates.append(Gate(q + j, "DFF", (rng.choice(wires),)))
     return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
+
+
+# -- error-signal oracles: the reference for the detection netlist's combiner ----
+
+
+@dataclass(frozen=True)
+class ErrorSignal:
+    bits: Bits
+    cycle: int = 0
+
+
+def checker_output(taps: Sequence[int], predicted: Sequence[int], actual: Sequence[int],
+                   cycle: int = 0) -> ErrorSignal:
+    """Per-bit taps XOR predicted XOR actual; equals taps iff they agree."""
+    if not len(taps) == len(predicted) == len(actual):
+        raise WidthError("taps, predicted and actual must share a width")
+    return ErrorSignal(tuple(t ^ p ^ a for t, p, a in zip(taps, predicted, actual)), cycle)
+
+
+def combine_error_signals(taps: Sequence[int], signals: Sequence[ErrorSignal]) -> ErrorSignal:
+    """Bitwise OR where the tap bit is 0, AND where it is 1."""
+    if not signals:
+        raise ValueError("need at least one checker signal")
+    for s in signals:
+        if len(s.bits) != len(taps):
+            raise WidthError("checker signal width mismatch")
+    out = []
+    for i, t in enumerate(taps):
+        bits = [s.bits[i] for s in signals]
+        if t:
+            v = 1
+            for b in bits:
+                v &= b
+        else:
+            v = 0
+            for b in bits:
+                v |= b
+        out.append(v)
+    cycle = signals[0].cycle
+    return ErrorSignal(tuple(out), cycle)

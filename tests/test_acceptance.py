@@ -19,8 +19,8 @@ from tpad.attacks import (
     AttackDescriptor,
     cp_attack_probability,
     decoupling_cost,
+    compile_attack,
     destructive_detection_probability,
-    inject,
     per_sb_attack_probability,
     simulate_destructive_sampling,
 )
@@ -333,7 +333,8 @@ def test_criterion_9_decoupling_accounting():
     f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
     chip = build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=33)
     chip.reset(55)
-    inject(chip, AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 2)))
+    null = AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 2))
+    chip.install_attack(compile_attack(chip, null))
     enc = StimulusEncoder(chip)
     rec = OutputReceiver(chip)
     rng = random.Random(56)

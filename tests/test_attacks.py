@@ -3,17 +3,16 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpad.attacks import (
+    ATTACK_KINDS,
     AttackDescriptor,
     compile_attack,
     cp_attack_probability,
     decoupling_cost,
     destructive_detection_probability,
-    format_attack_line,
-    inject,
     parse_attack_file,
     parse_attack_line,
     per_sb_attack_probability,
@@ -31,6 +30,7 @@ from tpad.chip import (
     save_chip_bundle,
 )
 from tpad.netlist import random_netlist
+from tpad.ram import RAM_TROJANS
 from tpad.parity import ParityCheckMatrix, build_ocp, sample_parity_code
 from tpad.switchbox import apply_config, insert_switchboxes
 
@@ -47,11 +47,45 @@ def single_output_flips(rng):
     return AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:1:1")
 
 
+def format_attack_line(atk: AttackDescriptor) -> str:
+    """The attack-file line that parse_attack_line reads back as atk."""
+    trig = atk.trigger[0] if atk.trigger[0] == "always" else f"{atk.trigger[0]}:{atk.trigger[1]}"
+    return f"{atk.kind} {atk.payload} target={atk.target} trigger={trig}"
+
+
+_WIRE_NAME = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.", min_size=1, max_size=8)
+DESCRIPTORS = st.builds(
+    AttackDescriptor,
+    st.sampled_from(ATTACK_KINDS),
+    st.one_of(
+        st.just("-"),
+        st.builds("{}:{}".format, st.sampled_from(["input", "recv_check", "output", "fout"]),
+                  st.one_of(st.just("*"), st.integers(0, 999))),
+        st.builds("{}:{}".format, st.sampled_from(["fgate", "dgate"]), _WIRE_NAME),
+        st.builds("ram:{}".format, st.sampled_from(RAM_TROJANS)),
+    ),
+    st.one_of(
+        st.just(("always",)),
+        st.tuples(st.sampled_from(["at_cycle", "after_cycle"]), st.integers(0, 10**9)),
+        st.tuples(st.just("random"), st.floats(0.0, 1.0)),
+    ),
+    st.one_of(
+        st.sampled_from(["flip", "stuck0", "stuck1", "pins:0", "multi:1:1"]),
+        st.builds("replay:{}".format, st.integers(1, 4096)),
+    ),
+)
+
+
 class TestDescriptors:
-    def test_parse_format_round_trip(self):
-        line = "logic flip target=fout:3 trigger=at_cycle:120"
-        atk = parse_attack_line(line)
+    def test_parse_line(self):
+        atk = parse_attack_line("logic flip target=fout:3 trigger=at_cycle:120")
         assert atk.kind == "logic" and atk.trigger == ("at_cycle", 120)
+
+    @given(DESCRIPTORS)
+    @example(AttackDescriptor("logic", "fout:3", ("at_cycle", 120), "flip"))
+    @example(AttackDescriptor("electrical", "-", ("random", 5e-324), "flip"))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_format_round_trip(self, atk):
         assert parse_attack_line(format_attack_line(atk)) == atk
 
     def test_parse_file_skips_comments(self):
@@ -108,7 +142,8 @@ class TestInjection:
         for trial in range(24):
             chip.clear_attacks()
             chip.reset(trial)
-            inject(chip, AttackDescriptor("logic", f"fout:{trial % 16}", ("at_cycle", 2), "flip"))
+            atk = AttackDescriptor("logic", f"fout:{trial % 16}", ("at_cycle", 2), "flip")
+            chip.install_attack(compile_attack(chip, atk))
             enc = StimulusEncoder(chip)
             detected = False
             for _ in range(4):
@@ -122,7 +157,8 @@ class TestInjection:
         chip = wide_chip
         chip.clear_attacks()
         chip.reset(99)
-        inject(chip, AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 3)))
+        atk = AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 3))
+        chip.install_attack(compile_attack(chip, atk))
         enc = StimulusEncoder(chip)
         rec = OutputReceiver(chip)
         rng = random.Random(1)
@@ -143,7 +179,8 @@ class TestInjection:
         chip = wide_chip
         chip.clear_attacks()
         chip.reset(64)
-        inject(chip, AttackDescriptor("electrical", "fout:3", ("random", 0.5), "flip"))
+        atk = AttackDescriptor("electrical", "fout:3", ("random", 0.5), "flip")
+        chip.install_attack(compile_attack(chip, atk))
         enc = StimulusEncoder(chip)
         rng = random.Random(65)
         detections = 0
@@ -170,7 +207,8 @@ class TestInjection:
         chip = wide_chip
         chip.clear_attacks()
         chip.reset(7)
-        inject(chip, AttackDescriptor("reliability", "fout:0", ("after_cycle", 500), "stuck0"))
+        atk = AttackDescriptor("reliability", "fout:0", ("after_cycle", 500), "stuck0")
+        chip.install_attack(compile_attack(chip, atk))
         enc = StimulusEncoder(chip)
         rng = random.Random(2)
         for c in range(500):
@@ -238,7 +276,8 @@ class TestCompileValidation:
 
 class TestCampaigns:
     def test_reliability_stays_permanent(self, wide_chip, monkeypatch):
-        """A campaign trial matches inject cycle for cycle, past activation.
+        """A campaign trial matches a one-lane run with the attack installed,
+        cycle for cycle, past activation.
 
         Campaigns run a trial armed in lane 0 and as its control in lane 1 of
         one chip, so the armed run is bit 0 of every value the spy sees.
@@ -264,7 +303,7 @@ class TestCampaigns:
 
         assert len(cycles) == 12 and len(sessions) == 1
         chip.reset(sessions[0][0])
-        inject(chip, atk)
+        chip.install_attack(compile_attack(chip, atk))
         try:
             for (x, rc), res in cycles:
                 again = chip.cycle(lane0(x), lane0(rc))

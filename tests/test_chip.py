@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpad import chip as chip_module
 from tpad.attacks import AttackDescriptor, run_campaign
 from tpad.chip import (
     AttackEffect,
@@ -25,7 +26,7 @@ from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
 from tpad.switchbox import UnsatisfiableError
 
-from conftest import lfsr16
+from conftest import checker_output, combine_error_signals, lfsr16
 
 
 def bits_msb(value: int, width: int) -> tuple[int, ...]:
@@ -263,6 +264,60 @@ class TestChipBuild:
             build_protected_chip(full_adder, r=2, t=1, lfsr_spec=lfsr16(1))
 
 
+@pytest.fixture(scope="module", params=["adder_chip", "pipelined_ram_chip"])
+def fixture_chip(request):
+    return request.getfixturevalue(request.param)
+
+
+def xor_bits(a, b):
+    return tuple(p ^ q for p, q in zip(a, b))
+
+
+class TestErrorCombiner:
+    @given(seed=st.integers(0, 2**32 - 1), tamper=st.tuples(st.booleans(), st.booleans(),
+                                                            st.booleans()))
+    @settings(max_examples=60, deadline=None)
+    def test_detection_error_word_matches_oracles(self, fixture_chip, seed, tamper):
+        """The detection netlist's error word is combine_error_signals of the
+        logic, input (and RAM) checkers' checker_output signals.
+
+        Each cycle draws random taps and inputs; tamper[c] makes checker c's
+        actual bits differ from its prediction at random. A pipelined chip's
+        logic checker compares the previous cycle's words.
+        """
+        chip, rng = fixture_chip, random.Random(seed)
+        det, r = chip.resolved, chip.r
+        pipelined = chip.options.pipeline_stages
+        held = ((0,) * r, (0,) * r)  # the pipeline registers' reset value
+        state = (0,) * det.state_width
+
+        def draw(n, flip=True):
+            return tuple(rng.getrandbits(1) & flip for _ in range(n))
+
+        for _ in range(3):
+            x = draw(len(chip.f.inputs))
+            fo = xor_bits(chip.f.evaluate(x)[0], draw(len(chip.f.outputs), tamper[0]))
+            pin, taps = draw(r), draw(r)
+            rc = xor_bits(xor_bits(chip.h_in.check_bits(x), pin), draw(r, tamper[1]))
+            now = (chip.ocp.evaluate(x)[0], chip.h_logic.check_bits(fo))
+            (pred, actual), held = (held if pipelined else now), now
+            signals = [checker_output(taps, pred, actual),
+                       checker_output(taps, xor_bits(rc, pin), chip.h_in.check_bits(x))]
+            ram = ()
+            if chip.ram is not None:
+                ram_pred = draw(r)
+                signals.append(checker_output(taps, ram_pred, xor_bits(ram_pred, draw(r, tamper[2]))))
+                ram = signals[-1].bits
+            values = dict(zip(
+                [f"x{i}" for i in range(len(x))] + [f"rc{i}" for i in range(r)]
+                + [f"pin{i}" for i in range(r)] + [f"fo{i}" for i in range(len(fo))]
+                + [f"tap{i}" for i in range(r)] + [f"ram{i}" for i in range(len(ram))],
+                x + rc + pin + fo + taps + ram))
+            inputs = [values.get(det.wire_name(w), 0) for w in det.inputs]  # pout*: any value
+            out, state = det.evaluate(inputs, state)
+            assert out[:r] == combine_error_signals(taps, signals).bits
+
+
 class TestChainIdentity:
     def test_transmitted_checks_chain_over_function_outputs(self, adder_chip):
         """out_check(t) xor out_check(t-1) recovers the raw output parity."""
@@ -451,6 +506,31 @@ class TestBundle:
         manifest["output_subsets"] = [subset]
         (root / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(f"output subset {subset} ")):
+            load_chip_bundle(root)
+
+    @pytest.mark.parametrize("chip_name, key, value", [
+        ("adder_chip", "t", "x"),
+        ("adder_chip", "t", 0),
+        ("adder_chip", "t", True),
+        ("adder_chip", "pipeline_stages", -1),
+        ("adder_chip", "pipeline_stages", 3),
+        ("adder_chip", "pipeline_stages", 1),  # its detection netlist has no DFFs
+        ("pipelined_ram_chip", "pipeline_stages", 0),  # its detection netlist has DFFs
+        ("pipelined_ram_chip", "ram_depth", "64"),
+        ("pipelined_ram_chip", "ram_word_width", 16.0),
+        ("adder_chip", "output_subsets", [5]),
+        ("adder_chip", "output_subsets", None),
+        ("adder_chip", "output_subsets", [[0, 1.0]]),
+    ])
+    def test_bad_manifest_value_named(self, request, monkeypatch, tmp_path, chip_name, key, value):
+        """Each bad value is refused with its key's name before a chip is built."""
+        root = tmp_path / "b"
+        save_chip_bundle(request.getfixturevalue(chip_name), root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest[key] = value
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr(chip_module, "ProtectedChip", None)  # building one would fail
+        with pytest.raises(ValueError, match=f"^bundle manifest key '{key}'"):
             load_chip_bundle(root)
 
     @pytest.mark.parametrize("key", [

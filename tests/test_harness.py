@@ -9,6 +9,7 @@ bit for bit, on one lane and on lane ints up to 64 lanes wide.
 
 import pickle
 import random
+from dataclasses import fields, replace
 from operator import itemgetter, xor
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from tpad.chip import OutputReceiver, StimulusEncoder
 from tpad.lfsr import ErrorMonitor, LfsrSpec, ZeroStateError, step_lfsr
 from tpad.netlist import WidthError
-from tpad.parity import sample_parity_code
+from tpad.parity import ParityCheckMatrix, sample_parity_code
 
 
 class ReferenceEncoder:
@@ -171,15 +172,18 @@ def test_kernels_are_built_once_per_code_and_spec():
     (subset, code), = chip.out_codes
     enc, rec, mon = StimulusEncoder(chip), OutputReceiver(chip), ErrorMonitor(spec, 3)
     assert enc._chain is rec._breaks is mon._check is None  # nothing is fetched before use
-    assert "_kernels" not in vars(code) and "_monitor_fn" not in vars(spec)  # nor compiled
     enc.send((0,) * 6)
     rec.receive((0,) * 8, (0,) * 3)
     mon.check((0,) * 3)
-    assert enc._chain is chip.h_in.chain_fn() is StimulusEncoder(chip).code.chain_fn()
-    assert rec._breaks is code.break_fn(subset, 8)
-    assert mon._check is spec.monitor_fn() is ErrorMonitor(spec).spec.monitor_fn()
-    # kernels stay behind on a pickled copy, which builds its own
+    # one kernel per matrix rows (and subset and width) or spec, shared by equal copies
+    assert enc._chain is chip.h_in.chain_fn() is ParityCheckMatrix(chip.h_in.rows).chain_fn()
+    assert rec._breaks is code.break_fn(subset, 8) is ParityCheckMatrix(code.rows).break_fn(subset, 8)
+    twin = ErrorMonitor(replace(spec), 3)  # an equal spec, not the same object
+    twin.check((0,) * 3)
+    assert mon._check is twin._check and twin.spec is not spec
+    # no kernel is kept on the code or the spec, so a pickled copy holds the fields only
+    assert vars(code).keys() == {"rows"} and vars(spec).keys() == {f.name for f in fields(spec)}
     assert pickle.loads(pickle.dumps(chip.h_in)) == chip.h_in
     again = pickle.loads(pickle.dumps(spec))
-    assert again == spec and "_monitor_fn" not in vars(again)
+    assert again == spec and vars(again) == vars(spec)
     assert ErrorMonitor(again).check([-(spec.seed >> p & 1) & 1 for p in spec.taps]) == 0

@@ -6,19 +6,18 @@ from hypothesis import strategies as st
 
 from tpad.lfsr import (
     ErrorMonitor,
-    ErrorSignal,
     LfsrError,
     LfsrSpec,
     UnsupportedDegreeError,
     ZeroStateError,
-    checker_output,
-    combine_error_signals,
     format_lfsr_spec,
     is_primitive,
     lfsr_taps,
     parse_lfsr_spec,
     step_lfsr,
 )
+
+from conftest import ErrorSignal, checker_output, combine_error_signals
 
 # small primitive polynomials, coefficient mask bit i = coeff of x^i
 PRIMITIVE = {1: 0x3, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 7: 0x83, 8: 0x11D}

@@ -15,8 +15,15 @@ from tpad.ram import (
     TROJAN_ACTIONS,
     WRITE,
     ProtectedRam,
-    addr_data_bits,
 )
+
+
+def addr_data_bits(addr: int, data: int, addr_bits: int, word_width: int) -> tuple[int, ...]:
+    """Info vector for the memory code: address then data, high bits first."""
+    a = tuple((addr >> (addr_bits - 1 - i)) & 1 for i in range(addr_bits))
+    d = tuple((data >> (word_width - 1 - i)) & 1 for i in range(word_width))
+    return a + d
+
 
 # Fixture code over 8 address + 16 data bits reproducing the worked values:
 # check(BE||0124) = 110 = 6h and check(BF||0124) = 010 = 2h.

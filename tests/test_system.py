@@ -92,7 +92,43 @@ class TestRunSystem:
         assert len(config_digest(pipeline)) == 64
 
 
+# sha256 of each kind's CSV, swept on each variable it allows, and of
+# destructive with and without Monte Carlo trials; recorded before the
+# per-kind tables in tpad.sweep were merged into one
+SWEEP_GOLDEN = {
+    "kind = parity_detection\nsweep = r\nr = 2:5\nk = 40\nw = 20\ntrials = 2000\nseed = 3\n":
+        "9fca3a6b7d145c037611168912b5f3ed2564c2bf7a6cc7c4187e2b5fa020eb19",
+    "kind = parity_detection\nsweep = w\nw = 1,3,10\nk = 40\nr = 3\ntrials = 2000\nseed = 4\n":
+        "61b478969263985f158bcc37add65137c2dd5bec3f16ed5de84e0161c692674f",
+    "kind = single_bit\nsweep = r\nr = 1:4\nk = 30\ntrials = 2000\nseed = 5\n":
+        "d3f81f30130b3f96b6ed42fe5f35f0730c0100462fc2dbafd539e8a38ca5ed82",
+    "kind = destructive\nsweep = t\nt = 0:4000:1000\nN = 10000\na = 20\n":
+        "c7edfe0973df8b403a85045c3a8769fd83b03a7f81f595d01a2a4a46c62a5896",
+    "kind = destructive\nsweep = t\nt = 0:600:200\nN = 2000\na = 10\ntrials = 300\nseed = 6\n":
+        "f5d1d1ed7b2bb884f7ed570cddbb142d68bc8919753cd6758696db0cad9ae63a",
+    "kind = destructive\nsweep = a\na = 1,5,25\nN = 10000\nt = 500\n":
+        "17c2bb68e289e6f1f0284690e9eda1345fed3a31cc7d8d90bd1143484323d8ce",
+    "kind = destructive\nsweep = a\na = 1,5,25\nN = 10000\nt = 500\ntrials = 500\nseed = 7\n":
+        "03a7fc78d12767212c7b5d17fc1fa69e2387f13bb4ed5a6aae5f58f0a70f4727",
+    "kind = cp_attack\nsweep = theta\ntheta = 0.01,0.05,0.1,0.3\nx = 64\n":
+        "09465cd19a002ea7027da39d60d8ce120e324e692a558c38df3abb0b94c50287",
+    "kind = cp_attack\nsweep = x\nx = 8:64:8\ntheta = 0.1\n":
+        "b06b5dd0ccc3870630eb6e269ca7b7ad6aabd5cdf9f631c5ba0d0891ffeda5a1",
+    "kind = per_sb_attack\nsweep = p\np = 0.5,0.6,0.9\nx = 32\n":
+        "9342241d1525cfd72fb5aa7641ef7b75378df53087b2c1d13b25f9ac0c101139",
+    "kind = per_sb_attack\nsweep = x\nx = 1,16,128\np = 0.55\n":
+        "f812146db28453034f618f88084a453fabed4e51c6214e7267ba0d7a7d7ebd5c",
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("text", list(SWEEP_GOLDEN),
+                             ids=[t.split("\n")[0][7:] + "-" + t.split("\n")[1][8:]
+                                  + ("-mc" if "trials" in t else "") for t in SWEEP_GOLDEN])
+    def test_csv_golden(self, text):
+        csv = run_sweep(parse_experiment_spec(text))
+        assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_GOLDEN[text]
+
     def test_parity_detection_sweep_matches_table(self):
         spec = parse_experiment_spec(
             "kind = parity_detection\nsweep = r\nr = 3:8\nk = 100\nw = 50\n"
