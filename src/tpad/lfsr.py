@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .netlist import Bits, WidthError
+from .parity import KERNEL_CACHE_SIZE
 
 
 class LfsrError(ValueError):
@@ -47,6 +48,7 @@ class LfsrSpec:
     taps: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "taps", tuple(self.taps))  # hashable, to key the kernel cache
         _validate_poly(self.poly, self.degree)
         if not 0 < self.seed < (1 << self.degree):
             raise LfsrError("seed must be a nonzero state")
@@ -125,7 +127,7 @@ class ErrorMonitor:
         return check(self, received)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _compile_monitor_check(spec: LfsrSpec) -> Callable[[ErrorMonitor, Sequence[int]], int]:
     """check(monitor, received): the tap compare and the mirror's step, straight-line."""
     got = [f"g{i}" for i in range(spec.r)]

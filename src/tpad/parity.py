@@ -23,12 +23,14 @@ from .rng import Rng, as_rng
 class ParityCheckMatrix:
     """The A block of a systematic [A | I_r] parity-check matrix.
 
-    rows[i][j] is the coefficient of info bit j in check bit i.
+    rows[i][j] is the coefficient of info bit j in check bit i. Rows given
+    as lists are stored as tuples, so a matrix can key the kernel caches.
     """
 
     rows: tuple[Bits, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
         if not self.rows or not self.rows[0]:
             raise ValueError("need at least one row and one column")
         k = len(self.rows[0])
@@ -93,7 +95,12 @@ def _define(lines: list[str]) -> Callable:
 
 # Kernels are cached by matrix rows (and subset and width), as
 # lfsr._compile_monitor_check caches by spec: equal codes share one kernel.
-@lru_cache(maxsize=None)
+# A chip needs a handful; the bound keeps a process that builds many chips
+# from holding every kernel it ever made.
+KERNEL_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callable:
     k, r = len(rows[0]), len(rows)
     parities = _row_parities(rows, [f"v{j}" for j in range(k)])
@@ -109,7 +116,7 @@ def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callab
     ])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _compile_break(rows: tuple[Bits, ...], subset: tuple[int, ...], width: int) -> Callable:
     r = len(rows)
     parities = _row_parities(rows, [f"o{j}" for j in subset])

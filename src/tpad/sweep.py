@@ -41,8 +41,8 @@ class SweepSpecError(ValueError):
 
 # Per kind: each key run_sweep reads besides kind, sweep and seed, with its
 # default (None where the spec must set it), the keys it can sweep, and its
-# CSV columns after the swept variable. theta and p are floats, every other
-# key an int.
+# CSV columns after the swept variable. A key with a float default takes
+# floats, every other key ints.
 _KINDS = {
     "parity_detection": ({"k": 100, "trials": 30000, "w": 50, "r": 3}, {"r", "w"},
                          "detection_rate,ci_low,ci_high"),
@@ -134,7 +134,7 @@ def run_sweep(spec: dict[str, str]) -> str:
     seed = int(spec.get("seed", "0"))
 
     def typed(name: str, value) -> Union[int, float]:
-        return float(value) if name in ("theta", "p") else int(value)
+        return float(value) if isinstance(defaults[name], float) else int(value)
 
     fixed = {}
     for name, default in defaults.items():

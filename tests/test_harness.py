@@ -17,10 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpad.chip import OutputReceiver, StimulusEncoder
+from tpad import lfsr, parity
+from tpad.chip import (
+    OutputReceiver,
+    StimulusEncoder,
+    build_protected_chip,
+    load_chip_bundle,
+    save_chip_bundle,
+)
 from tpad.lfsr import ErrorMonitor, LfsrSpec, ZeroStateError, step_lfsr
 from tpad.netlist import WidthError
 from tpad.parity import ParityCheckMatrix, sample_parity_code
+
+from conftest import lfsr16
 
 
 class ReferenceEncoder:
@@ -165,16 +174,39 @@ def test_width_errors_leave_the_chain(k, r, extra, seed):
     assert (mon.state, mon.cycle) == (spec.seed, 0)
 
 
+def kernel_lookups():
+    """Calls so far, hits and misses, on the three kernel caches."""
+    caches = (parity._compile_check_bits, parity._compile_break, lfsr._compile_monitor_check)
+    return sum(c.cache_info().hits + c.cache_info().misses for c in caches)
+
+
+def test_built_or_saved_chip_compiles_no_kernel(full_adder, tmp_path):
+    before = kernel_lookups()
+    chip = build_protected_chip(full_adder, r=1, t=2, lfsr_spec=lfsr16(1), rng_seed=42)
+    save_chip_bundle(chip, tmp_path / "bundle")
+    chip = load_chip_bundle(tmp_path / "bundle")
+    enc, rec, mon = StimulusEncoder(chip), OutputReceiver(chip), ErrorMonitor(chip.lfsr_spec)
+    assert kernel_lookups() == before
+    enc.send((0,) * 3)
+    assert kernel_lookups() == before + 1
+    rec.receive((0,) * 2, (0,))
+    mon.check((0,))
+    assert kernel_lookups() == before + 3
+
+
 def test_kernels_are_built_once_per_code_and_spec():
     rng = random.Random(3)
+    before = kernel_lookups()
     chip = channel(6, 3, 8, rng)
     spec = random_spec(10, 3, rng)
     (subset, code), = chip.out_codes
     enc, rec, mon = StimulusEncoder(chip), OutputReceiver(chip), ErrorMonitor(spec, 3)
     assert enc._chain is rec._breaks is mon._check is None  # nothing is fetched before use
+    assert kernel_lookups() == before  # nor compiled
     enc.send((0,) * 6)
     rec.receive((0,) * 8, (0,) * 3)
     mon.check((0,) * 3)
+    assert kernel_lookups() == before + 3
     # one kernel per matrix rows (and subset and width) or spec, shared by equal copies
     assert enc._chain is chip.h_in.chain_fn() is ParityCheckMatrix(chip.h_in.rows).chain_fn()
     assert rec._breaks is code.break_fn(subset, 8) is ParityCheckMatrix(code.rows).break_fn(subset, 8)
@@ -187,3 +219,15 @@ def test_kernels_are_built_once_per_code_and_spec():
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec and vars(again) == vars(spec)
     assert ErrorMonitor(again).check([-(spec.seed >> p & 1) & 1 for p in spec.taps]) == 0
+
+
+def test_list_rows_and_taps_key_the_kernel_caches():
+    """Rows and taps given as lists are kept as tuples, so they can key a kernel."""
+    code = ParityCheckMatrix([[1, 0, 1], [0, 1, 1]])
+    assert code == ParityCheckMatrix(((1, 0, 1), (0, 1, 1)))
+    assert code.check_bits((1, 1, 0)) == (1, 1)
+    assert code.chain_fn() is ParityCheckMatrix(((1, 0, 1), (0, 1, 1))).chain_fn()
+    assert code.break_fn((0, 1, 2), 3)((1, 1, 0), (1, 1), (0, 0)) == 0
+    spec = LfsrSpec(8, 0x11D, 0x5A, [0, 3, 6])
+    assert spec.taps == (0, 3, 6) and spec == LfsrSpec(8, 0x11D, 0x5A, (0, 3, 6))
+    assert ErrorMonitor(spec).check([-(spec.seed >> p & 1) & 1 for p in spec.taps]) == 0
