@@ -23,14 +23,14 @@ from .rng import Rng, as_rng
 class ParityCheckMatrix:
     """The A block of a systematic [A | I_r] parity-check matrix.
 
-    rows[i][j] is the coefficient of info bit j in check bit i. Rows given
-    as lists are stored as tuples, so a matrix can key the kernel caches.
+    rows[i][j] is the coefficient of info bit j in check bit i.
     """
 
     rows: tuple[Bits, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        # kept as tuples, even if given lists, so the rows can key the kernel caches
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if not self.rows or not self.rows[0]:
             raise ValueError("need at least one row and one column")
         k = len(self.rows[0])
@@ -95,9 +95,7 @@ def _define(lines: list[str]) -> Callable:
 
 # Kernels are cached by matrix rows (and subset and width), as
 # lfsr._compile_monitor_check caches by spec: equal codes share one kernel.
-# A chip needs a handful; the bound keeps a process that builds many chips
-# from holding every kernel it ever made.
-KERNEL_CACHE_SIZE = 128
+KERNEL_CACHE_SIZE = 128  # a chip needs a handful, so a process keeps its latest chips'
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)

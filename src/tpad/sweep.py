@@ -81,25 +81,20 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
 
 
 def _values(raw: str) -> list[Union[int, float]]:
-    def num(s: str) -> Union[int, float]:
-        s = s.strip()
+    def num(s: str) -> Union[int, float]:  # int() and float() skip the spaces around s
         try:
             return int(s)
         except ValueError:
             return float(s)
 
     if ":" in raw:
-        parts = [int(p) for p in raw.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
+        lo, hi, step, *_ = [int(p) for p in raw.split(":")] + [1]  # step 1 by default
         return list(range(lo, hi + 1, step))
     return [num(p) for p in raw.split(",")]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".10g")
+    return str(x) if isinstance(x, int) else format(x, ".10g")
 
 
 def _row(kind: str, p: dict, seed: int) -> list:
