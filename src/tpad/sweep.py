@@ -115,11 +115,9 @@ def _row(kind: str, p: dict, seed: int) -> list:
 
 
 def run_sweep(spec: dict[str, str]) -> str:
-    """Evaluate one grid and return the CSV text."""
+    """Evaluate the grid of a spec from parse_experiment_spec; return the CSV text."""
     kind = spec["kind"]
     var = spec["sweep"]
-    if kind not in _KINDS:
-        raise SweepSpecError(f"unknown sweep kind {kind!r}")
     defaults, sweepable, columns = _KINDS[kind]
     if var not in sweepable:
         raise SweepSpecError(f"{kind} cannot sweep {var!r} (allowed: {sorted(sweepable)})")
