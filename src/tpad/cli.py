@@ -196,8 +196,11 @@ def _cmd_destructive(args) -> int:
 def _cmd_sweep(args) -> int:
     from .sweep import parse_experiment_spec, run_sweep
 
-    spec = parse_experiment_spec(Path(args.spec).read_text())
-    csv = run_sweep(spec)
+    try:
+        csv = run_sweep(parse_experiment_spec(Path(args.spec).read_text()))
+    except ValueError as e:  # a SweepSpecError, or a value outside a kind's domain
+        print(f"sweep: {e}", file=sys.stderr)
+        return 2
     if args.out:
         Path(args.out).write_text(csv)
     else:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
@@ -271,12 +272,6 @@ def _gate_expr(g: Gate, ref: Callable[[int], str] = "v{}".format) -> str:
     raise AssertionError(g.kind)
 
 
-def _tuple_src(items: list[str]) -> str:
-    if len(items) == 1:
-        return f"({items[0]},)"
-    return "(" + ", ".join(items) + ")"
-
-
 def _compile_step(
     inputs: Sequence[int],
     order: Sequence,
@@ -293,30 +288,42 @@ def _compile_step(
     switchbox's inputs parallel and -1 (every lane) to cross them. With
     `faults` (wire -> slot k) it takes two more vectors, step(inp, state,
     [sel,] a, b, mask=1), and drives each such wire as `value & a[k] ^ b[k]`.
+    Without `faults`, inp and state are unpacked whole, so a tuple of the
+    wrong length raises ValueError, and a BUF's wire reads its input's
+    variable, as in inline_step.
     """
     params = ["inp", "state", *(["sel"] if selects is not None else []),
               *(["a", "b"] if faults is not None else []), "mask=1"]
     lines = [f"def step({', '.join(params)}):"]
+    names: dict[int, str] = {}  # BUF wire -> the variable of its input
+
+    def ref(w: int) -> str:
+        return names.get(w) or f"v{w}"
+
+    def seq(wires) -> str:  # "vX, vY," to unpack into or to put in parentheses; "()" for none
+        return "".join(f"{ref(w)}, " for w in wires)[:-1] or "()"
 
     def drive(w: int, expr: str) -> None:
         k = None if faults is None else faults.get(w)
         lines.append(f" v{w} = {expr}" if k is None else f" v{w} = ({expr}) & a[{k}] ^ b[{k}]")
 
-    for i, w in enumerate(inputs):
-        drive(w, f"inp[{i}]")
-    for i, g in enumerate(dffs):
-        drive(g.out, f"state[{i}]")
+    for vec, wires in (("inp", inputs), ("state", [g.out for g in dffs])):
+        if faults is None:
+            lines.append(f" {seq(wires)} = {vec}")
+        else:
+            for i, w in enumerate(wires):
+                drive(w, f"{vec}[{i}]")
     for g in order:
         if g.kind == "SB2":
             (x, y), (z, w) = g.ins, g.outs
-            lines.append(f" t = (v{x} ^ v{y}) & sel[{selects[g.id]}]")
-            drive(z, f"v{x} ^ t")
-            drive(w, f"v{y} ^ t")
+            lines.append(f" t = ({ref(x)} ^ {ref(y)}) & sel[{selects[g.id]}]")
+            drive(z, f"{ref(x)} ^ t")
+            drive(w, f"{ref(y)} ^ t")
+        elif g.kind == "BUF" and faults is None:
+            names[g.out] = ref(g.ins[0])
         else:
-            drive(g.out, _gate_expr(g))
-    outs = _tuple_src([f"v{w}" for w in outputs])
-    nxt = _tuple_src([f"v{g.ins[0]}" for g in dffs])
-    lines.append(f" return {outs}, {nxt}")
+            drive(g.out, _gate_expr(g, ref))
+    lines.append(f" return ({seq(outputs)}), ({seq(g.ins[0] for g in dffs)})")
     ns: dict = {}
     exec("\n".join(lines), ns)  # noqa: S102 - generated from validated gate list
     return ns["step"]
@@ -635,7 +642,8 @@ class EquivalenceVerdict:
     horizon: Optional[int] = None  # set for sequential (unrolled) compares
 
 
-def input_patterns(m: int) -> tuple[list[int], int]:
+@lru_cache(maxsize=32)  # every exhaustive compare of an insertion asks for the same m
+def input_patterns(m: int) -> tuple[tuple[int, ...], int]:
     """Truth-table bit patterns for m variables over all 2^m points."""
     size = 1 << m
     full = (1 << size) - 1
@@ -645,7 +653,7 @@ def input_patterns(m: int) -> tuple[list[int], int]:
         unit = ((1 << (1 << j)) - 1) << (1 << j)
         rep = full // ((1 << period) - 1)
         pats.append(unit * rep)
-    return pats, full
+    return tuple(pats), full
 
 
 # vector schedule: truth tables up to 16 input bits, sequential netlists unrolled 4 cycles

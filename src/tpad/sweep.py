@@ -12,7 +12,8 @@ Spec grammar (one `key = value` per line, `#` comments):
     seed = 7
 
 Besides kind, sweep and seed, each kind takes only the keys it reads (see
-_KINDS); any other key is refused with its line.
+_KINDS); any other key, or a value that is not a nonempty list of the key's
+type (an integer for seed), is refused with its line.
 
 All randomness funnels through the one seed; identical spec text yields a
 byte-identical CSV. Monte Carlo rows carry a normal-approximation 95%
@@ -74,9 +75,20 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
     kind = spec["kind"]
     if kind not in _KINDS:
         raise SweepSpecError(f"line {lines['kind']}: unknown sweep kind {kind!r}")
+    defaults = _KINDS[kind][0]
     for key, lineno in lines.items():
-        if key not in _KINDS[kind][0] and key not in ("kind", "sweep", "seed"):
+        if key not in defaults and key not in ("kind", "sweep", "seed"):
             raise SweepSpecError(f"line {lineno}: {kind} takes no key {key!r}")
+        if key in ("kind", "sweep"):
+            continue
+        kind_of = "numbers" if isinstance(defaults.get(key), float) else "integers"
+        try:
+            values = [int(spec[key])] if key == "seed" else _values(spec[key])
+        except ValueError:
+            values = []
+        if not values or not (kind_of == "numbers" or all(isinstance(v, int) for v in values)):
+            what = "an integer" if key == "seed" else f"a nonempty list of {kind_of}"
+            raise SweepSpecError(f"line {lineno}: {key} takes {what}, not {spec[key]!r}")
     return spec
 
 
@@ -88,7 +100,8 @@ def _values(raw: str) -> list[Union[int, float]]:
             return float(s)
 
     if ":" in raw:
-        lo, hi, step, *_ = [int(p) for p in raw.split(":")] + [1]  # step 1 by default
+        bounds = [int(p) for p in raw.split(":")]
+        lo, hi, step = bounds if len(bounds) == 3 else [*bounds, 1]  # step 1 by default
         return list(range(lo, hi + 1, step))
     return [num(p) for p in raw.split(",")]
 

@@ -8,7 +8,8 @@ two settings compute the same function, coin-flips the intended setting of
 the survivors, and stops once every output cone holds at least t of them.
 Each round's boxes are tested one toggle at a time on a step compiled over
 only the wires those boxes can reach; every other wire is read from the
-original netlist's step, compiled once per insertion.
+original netlist's step, compiled once per insertion and run once per
+cycle of a compare while the two sides' states agree.
 
 Every insertion keeps the union dependency graph (a switchbox output
 depending on both its inputs) acyclic, so all 2^#SB configurations yield
@@ -20,7 +21,6 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
 
 from .netlist import (
@@ -102,8 +102,10 @@ class ObfuscatedNetlist:
 
     @property
     def per_output_sb_count(self) -> tuple[int, ...]:
-        wiring = _wiring(self)
-        return tuple(_cone_switchboxes(w, *wiring) for w in self.outputs)
+        gate_ins = {g.out: g.ins for g in self.gates}
+        sb_driver = {w: sb.id for sb in self.switchboxes for w in sb.outs}
+        sb_ins = {sb.id: sb.ins for sb in self.switchboxes}
+        return tuple(_cone_switchboxes(w, gate_ins, sb_driver, sb_ins) for w in self.outputs)
 
 
 def apply_config(obf: ObfuscatedNetlist, cfg: dict[int, str]) -> Netlist:
@@ -146,15 +148,6 @@ def union_step(
 def _selects(bits: int, n: int) -> list[int]:
     """Select vector of n switchboxes, box i crossed when bit i of bits is set."""
     return [-((bits >> i) & 1) for i in range(n)]
-
-
-def _wiring(obf: ObfuscatedNetlist) -> tuple[dict, dict, dict]:
-    """(gate inputs by output wire, box by output wire, box inputs by id)."""
-    return (
-        {g.out: g.ins for g in obf.gates},
-        {w: sb.id for sb in obf.switchboxes for w in sb.outs},
-        {sb.id: sb.ins for sb in obf.switchboxes},
-    )
 
 
 def _cone_switchboxes(
@@ -305,14 +298,10 @@ class _Work:
 
     # neighborhood machinery -----------------------------------------------------
 
-    def gate_preds(self, g: int) -> list[int]:
-        return sorted({w for w in self.ins[g] if w in self.kind})
-
-    def gate_succs(self, g: int) -> list[int]:
-        return sorted({o for kind, o, _ in self.fanout.get(g, ()) if kind == "gate"})
-
     def neighborhood(self, v: int) -> set[int]:
-        return {v, *self.gate_preds(v), *self.gate_succs(v)}
+        """Gate v with the gates driving it and the gates reading it."""
+        return {v, *(w for w in self.ins[v] if w in self.kind),
+                *(o for kind, o, _ in self.fanout.get(v, ()) if kind == "gate")}
 
     def incoming_edges(self, nb: set[int]) -> list[tuple[int, int, int]]:
         """(wire, gate, pin) edges entering the neighborhood, sorted."""
@@ -411,11 +400,14 @@ class _ToggleCheck:
     original wire it stands for (`_Work.origin`), from any state. Toggling
     one of this round's boxes changes only wires in the forward closure of
     the round's box outputs through gates and boxes: the region. So each
-    round compiles only the region, with the earlier boxes in it as buffers
-    at their intended setting, and reads every other wire it needs from
-    `original`, the original netlist's step with every wire as an output
-    (_wire_step, compiled once per insertion), run on the same inputs and
-    state. A DFF whose D input lies in the region takes its next state from
+    round compiles only the region, less the nodes that feed no output and
+    no DFF's D input, with the earlier boxes in it as buffers at their
+    intended setting, and reads every other wire it needs from `original`,
+    the original netlist's step with every wire as an output (_wire_step,
+    compiled once per insertion), run on the same inputs and state. Both are
+    pure, so `original` runs only when (inputs, state, mask) differ from its
+    last run: once per cycle for a base and a toggled step whose states
+    agree. A DFF whose D input lies in the region takes its next state from
     it; every DFF's Q is read from the state by both steps, so the closure
     stops at DFFs. Verdicts and counterexamples are those the whole union
     step would give.
@@ -428,16 +420,14 @@ class _ToggleCheck:
     def __init__(self, original: tuple[Callable, dict[int, int]], work: _Work,
                  round_sbs: Sequence[int], intended: dict[int, str], sample_count: int):
         wire_step, index = original
-        boxes, gates, reached = set(round_sbs), set(), set()
+        boxes, gates = set(round_sbs), set()
         stack = [w for sid in round_sbs for w in work.sb_outs[sid]]
         while stack:
             for kind, ref, _ in work.fanout.get(stack.pop(), ()):
                 if kind == "sb" and ref not in boxes:
                     boxes.add(ref)
                     stack.extend(work.sb_outs[ref])
-                elif kind == "gate" and work.kind[ref] == "DFF":
-                    reached.add(ref)
-                elif kind == "gate" and ref not in gates:
+                elif kind == "gate" and ref not in gates and work.kind[ref] != "DFF":
                     gates.add(ref)
                     stack.append(ref)
         sbs = [work.switchbox(i) for i in round_sbs]
@@ -450,15 +440,26 @@ class _ToggleCheck:
         order = topo_order([*map(work.gate, sorted(gates)), *bufs, *sbs],
                            lambda _: SwitchboxError("union graph cycle"))
         dffs = [work.gate(o) for o, kind in work.kind.items() if kind == "DFF"]
+        live = {*work.outputs, *(g.ins[0] for g in dffs)}  # the wires a compare reads
+        for node in reversed(order):
+            if live.intersection(node.outs):
+                live.update(node.ins)
+        order = [node for node in order if live.intersection(node.outs)]
         driven = {w for node in (*order, *dffs) for w in node.outs}
         read = {w for node in (*order, *dffs) for w in node.ins}
         inputs = sorted(read.union(work.outputs) - driven)
-        # a spare trailing index keeps itemgetter returning a tuple for one input
-        get = itemgetter(*(index[work.origin.get(w, w)] for w in inputs), 0)
+        pos = [index[work.origin.get(w, w)] for w in inputs]
         self.index = {sb.id: i for i, sb in enumerate(sbs)}
         region = _compile_step(inputs, order, dffs, work.outputs, self.index)
-        self.step = lambda x, s, sel, mask: region(get(wire_step(x, s, mask)[0]), s, sel, mask)
-        self.region_dffs = len(reached)
+        last = [None, ()]  # the last boundary run's (inputs, state, mask) and its values
+
+        def step(x, s, sel, mask):
+            if last[0] != (x, s, mask):
+                wires = wire_step(x, s, mask)[0]
+                last[:] = (x, s, mask), tuple([wires[k] for k in pos])
+            return region(last[1], s, sel, mask)
+
+        self.step = step
         self.n_inputs = len(work.inputs)
         self.state_width = len(dffs)
         self.sample_count = sample_count
@@ -504,11 +505,6 @@ def insert_switchboxes(
     original = _wire_step(net)
     intended: dict[int, str] = {}
     name = f"{net.name}.obf"
-
-    def satisfied() -> bool:
-        if len(work.sb_ins) < min_switchboxes:
-            return False
-        return all(c >= t for c in work.cone_counts())
 
     for _ in range(max_iterations):
         gates = sorted(work.kind)
@@ -561,7 +557,7 @@ def insert_switchboxes(
                 else:
                     intended[sid] = PARALLEL
 
-        if satisfied():
+        if len(work.sb_ins) >= min_switchboxes and all(c >= t for c in work.cone_counts()):
             return work.snapshot(intended, name)
 
     counts = tuple(work.cone_counts())

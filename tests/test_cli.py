@@ -157,6 +157,17 @@ def test_sweep_to_file(tmp_path):
     assert rows[2].startswith("0.5,5.42101")
 
 
+@pytest.mark.parametrize("line,key", [("x = 8:", "x"), ("theta = lots", "theta"),
+                                      ("seed = q", "seed")])
+def test_sweep_spec_error_exits_2(tmp_path, capsys, line, key):
+    spec = tmp_path / "bad.spec"
+    body = line if key == "x" else f"x = 64\n{line}"
+    spec.write_text(f"kind = cp_attack\nsweep = x\n{body}\n")
+    assert main(["sweep", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: line ") and f" {key} takes " in err
+
+
 def test_lfsr_primitive_check(capsys):
     assert main(["lfsr", "--check-primitive", "--poly", "0x13", "--L", "4"]) == 0
     assert main(["lfsr", "--check-primitive", "--poly", "0x15", "--L", "4"]) == 1

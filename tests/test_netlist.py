@@ -23,6 +23,7 @@ from tpad.netlist import (
     serialize_netlist,
     simplify_netlist,
 )
+from tpad.switchbox import CROSSED, PARALLEL, _Work, apply_config, union_step
 
 from conftest import FULL_ADDER, with_dffs
 
@@ -110,6 +111,15 @@ class TestEvaluate:
     def test_width_check(self, full_adder):
         with pytest.raises(WidthError):
             full_adder.evaluate((1, 0))
+
+    def test_generated_step_refuses_wrong_widths(self):
+        # the step unpacks inp and state whole; indexing them ignored extra bits
+        net = parse_netlist(".inputs a b\n.outputs y q\ny = AND(a, q)\nq = DFF(b)\n")
+        step = net.step_fn()
+        assert step((1, 1), (1,)) == ((1, 1), (1,))
+        for inp, state in [((1, 1, 0), (1,)), ((1,), (1,)), ((1, 1), (1, 0)), ((1, 1), ())]:
+            with pytest.raises(ValueError):
+                step(inp, state)
 
     def test_dff_state_advance(self):
         net = parse_netlist(".inputs d\n.outputs q\nq = DFF(d)\n")
@@ -369,6 +379,100 @@ class TestInlineStep:
             got, expected = step(inp, state, mask), ref(inp, ref_state, mask)
             assert got == expected
             state, ref_state = got[1], expected[1]
+
+
+_REFERENCE_OPS = {
+    "AND": all, "OR": any, "XOR": lambda a: sum(a) % 2,
+    "NAND": lambda a: not all(a), "NOR": lambda a: not any(a),
+    "NOT": lambda a: not a[0], "BUF": lambda a: a[0],
+    "CONST0": lambda a: 0, "CONST1": lambda a: 1,
+}
+
+
+def reference_step(net, inp, state, mask):
+    """net's step one lane at a time: each wire's bit by recursion over its
+    driver, DFF outputs from state; no generated code and no gate order."""
+    assert len(inp) == len(net.inputs) and len(state) == net.state_width
+    drivers = {g.out: g for g in net.gates}
+    dffs = [g for g in net.gates if g.kind == "DFF"]
+    outs, nxt = [0] * len(net.outputs), [0] * len(dffs)
+    for lane in range(mask.bit_length()):
+        bit = {w: v >> lane & 1 for w, v in zip(net.inputs, inp)}
+        bit.update((g.out, v >> lane & 1) for g, v in zip(dffs, state))
+
+        def value(w):
+            if w not in bit:
+                g = drivers[w]
+                bit[w] = int(_REFERENCE_OPS[g.kind]([value(i) for i in g.ins]))
+            return bit[w]
+
+        for j, w in enumerate(net.outputs):
+            outs[j] |= value(w) << lane
+        for j, g in enumerate(dffs):
+            nxt[j] |= value(g.ins[0]) << lane
+    return tuple(outs), tuple(nxt)
+
+
+def with_buf_corners(net, rng):
+    """net plus the BUF corners of a generated step: a chain of three BUFs on
+    an input, the last feeding a DFF's D; a BUF on another DFF's Q, read by
+    a gate pin; and BUF outputs, one listed twice."""
+    gates = list(net.gates)
+    wires = [*net.inputs, *(g.out for g in gates)]
+    b1, b2, b3, dq, bq, dd = range(max(wires) + 1, max(wires) + 7)
+    i = rng.choice([k for k, g in enumerate(gates) if g.ins])
+    g = gates[i]
+    p = rng.randrange(len(g.ins))
+    gates[i] = Gate(g.out, g.kind, g.ins[:p] + (bq,) + g.ins[p + 1:])
+    gates += [Gate(b1, "BUF", (net.inputs[0],)), Gate(b2, "BUF", (b1,)), Gate(b3, "BUF", (b2,)),
+              Gate(dq, "DFF", (rng.choice(wires),)), Gate(bq, "BUF", (dq,)),
+              Gate(dd, "DFF", (b3,))]
+    return Netlist(net.name, net.inputs, (*net.outputs, b3, bq, b3, dd), gates, net.wire_names)
+
+
+class TestStepReference:
+    """Generated steps against reference_step, bit for bit at 1-64 lanes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), lanes=st.integers(1, 64),
+           kinds=st.lists(st.sampled_from(["CONST0", "CONST1", "BUF", "DFF"]), max_size=4))
+    def test_step_fn(self, seed, lanes, kinds):
+        rng = random.Random(seed)
+        net = with_gates_spliced(random_netlist(5, 20, 3, rng_seed=seed), rng, kinds)
+        net = with_buf_corners(net, rng)
+        step, mask = net.step_fn(), (1 << lanes) - 1
+        state = want_state = tuple(rng.getrandbits(lanes) for _ in range(net.state_width))
+        for _ in range(3):  # a few cycles, so DFF state feeds back
+            x = tuple(rng.getrandbits(lanes) for _ in net.inputs)
+            got, state = step(x, state, mask)
+            want, want_state = reference_step(net, x, want_state, mask)
+            assert (got, state) == (want, want_state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), lanes=st.integers(1, 64), cfg_bits=st.integers(min_value=0))
+    def test_union_step(self, seed, lanes, cfg_bits):
+        # boxes over random wire pairs, each rerouting every reader of its two
+        # wires (output ports too), so applied configurations hold BUF chains
+        rng = random.Random(seed)
+        net = with_buf_corners(random_netlist(5, 20, 3, rng_seed=seed), rng)
+        work = _Work(net)
+        for _ in range(8):
+            x, y = rng.sample([*work.inputs, *sorted(work.kind)], 2)
+            work.add_switchbox(x, y, work.consumers(x), work.consumers(y))
+        obf = work.snapshot({sid: rng.choice([PARALLEL, CROSSED]) for sid in work.sb_ins}, "u")
+        n = obf.n_switchboxes
+        cfg = {sb.id: CROSSED if cfg_bits >> i & 1 else PARALLEL
+               for i, sb in enumerate(obf.switchboxes)}
+        sel = [-(cfg_bits >> i & 1) for i in range(n)]
+        step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+        reference = apply_config(obf, cfg)
+        mask = (1 << lanes) - 1
+        state = want_state = tuple(rng.getrandbits(lanes) for _ in range(reference.state_width))
+        for _ in range(3):
+            x = tuple(rng.getrandbits(lanes) for _ in obf.inputs)
+            got, state = step(x, state, sel, mask)
+            want, want_state = reference_step(reference, x, want_state, mask)
+            assert (got, state) == (want, want_state)
 
 
 class TestSimplify:

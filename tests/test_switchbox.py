@@ -339,6 +339,14 @@ class TestUnionStep:
             want, state = expect(x, state, mask)
             assert (got, got_state) == (want, state)
 
+    def test_wrong_widths_refused(self, full_adder):
+        obf = adder_with_manual_sb(full_adder)
+        step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+        assert step((1, 1, 0), (), [0]) == ((0, 1), ())
+        for inp, state in [((1, 1, 0, 1), ()), ((1, 1), ()), ((1, 1, 0), (0,))]:
+            with pytest.raises(ValueError):
+                step(inp, state, [0])
+
     def test_union_cycle_raises(self):
         # crossed routes the input into the NOT; parallel would feed the NOT
         # its own output, so the union graph has a cycle
@@ -360,8 +368,7 @@ class TestCandidateVerdicts:
             init(self, original, work, round_sbs, intended, sample_count)
             self.spied = (work, intended, sample_count)
             outs = {w for sid in round_sbs for w in work.sb_outs[sid]}
-            chained = any(w in outs for sid in round_sbs for w in work.sb_ins[sid])
-            regions.append((self.region_dffs, chained))
+            regions.append(any(w in outs for sid in round_sbs for w in work.sb_ins[sid]))
 
         def spy_verdict(self, sid, rng_seed):
             got = verdict(self, sid, rng_seed)
@@ -401,10 +408,8 @@ class TestCandidateVerdicts:
         for got, want in seen:
             assert got == want
         assert {got.equivalent for got, _ in seen} == {True, False}
-        if case == "sequential":
-            assert any(dffs for dffs, _ in regions)  # some region ends in a DFF's D input
         if case == "chained":
-            assert regions[0][1]
+            assert regions[0]  # a box of the first round reads another's output
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), n_dffs=st.integers(1, 3))
@@ -420,6 +425,50 @@ class TestCandidateVerdicts:
                 pass
         for got, want in seen:
             assert got == want
+
+    @pytest.mark.parametrize("case", ["exhaustive", "sequential"])
+    def test_boundary_runs_once_per_cycle(self, monkeypatch, case):
+        # per round: the (inputs, state, mask) of every region-step call, and
+        # of every run of the original netlist's step (the region's boundary)
+        rounds = []
+        wire_step, init = switchbox._wire_step, switchbox._ToggleCheck.__init__
+
+        def spy_wire_step(net):
+            step, index = wire_step(net)
+
+            def counted(x, s, mask):
+                rounds[-1][1].append((x, s, mask))
+                return step(x, s, mask)
+            return counted, index
+
+        def spy_init(self, *args):
+            init(self, *args)
+            rounds.append(([], []))
+            step = self.step
+
+            def logged(x, s, sel, mask):
+                rounds[-1][0].append((x, s, mask))
+                return step(x, s, sel, mask)
+            self.step = logged
+
+        monkeypatch.setattr(switchbox, "_wire_step", spy_wire_step)
+        monkeypatch.setattr(switchbox._ToggleCheck, "__init__", spy_init)
+        self.BUILDS[case]()
+        calls = [c for region_calls, _ in rounds for c in region_calls]
+        assert calls
+        diverged = 0
+        for region_calls, runs in rounds:
+            # the boundary runs exactly when a call's (inputs, state, mask) differ
+            # from the call before it in the same round
+            fresh = [c for i, c in enumerate(region_calls) if i == 0 or c != region_calls[i - 1]]
+            assert runs == fresh
+            diverged += sum(a[0] == b[0] and a[2] == b[2] and a[1] != b[1]
+                            for a, b in zip(region_calls, region_calls[1:]))
+        if case == "exhaustive":
+            # one run per cycle: a base and a toggled call share it
+            assert 2 * sum(len(runs) for _, runs in rounds) <= len(calls)
+        else:
+            assert diverged  # a toggled state that diverged ran the boundary again
 
 
 # sha256 of serialize_obfuscated + format_config, recorded before insertion

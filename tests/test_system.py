@@ -181,6 +181,21 @@ class TestSweep:
         with pytest.raises(SweepSpecError, match=r"^line 3: single_bit takes no key 'w'"):
             parse_experiment_spec("kind = single_bit\nsweep = r\nw = 5\nr = 3:4\n")
 
+    @pytest.mark.parametrize("line,match", [
+        ("x = 8:", r"^line 3: x takes a nonempty list of integers, not '8:'$"),
+        ("theta = lots", r"^line 3: theta takes a nonempty list of numbers, not 'lots'$"),
+        ("seed = q", r"^line 3: seed takes an integer, not 'q'$"),
+        ("x = 2.5", r"^line 3: x takes a nonempty list of integers, not '2.5'$"),
+        ("x = 1:9:2:4", r"^line 3: x takes a nonempty list of integers"),
+        ("x = 9:1", r"^line 3: x takes a nonempty list of integers"),
+    ])
+    def test_bad_value_names_line_and_key(self, line, match):
+        text = f"kind = cp_attack\nsweep = x\n{line}\n"
+        if not line.startswith("x "):
+            text += "x = 64\n"
+        with pytest.raises(SweepSpecError, match=match):
+            parse_experiment_spec(text)
+
     def test_malformed_specs_rejected(self):
         with pytest.raises(SweepSpecError):
             parse_experiment_spec("sweep = r\n")
