@@ -194,11 +194,11 @@ def _cmd_destructive(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import parse_experiment_spec, run_sweep
+    from .sweep import SweepSpecError, parse_experiment_spec, run_sweep
 
     try:
         csv = run_sweep(parse_experiment_spec(Path(args.spec).read_text()))
-    except ValueError as e:  # a SweepSpecError, or a value outside a kind's domain
+    except SweepSpecError as e:
         print(f"sweep: {e}", file=sys.stderr)
         return 2
     if args.out:

@@ -17,6 +17,7 @@ post-manufacture self-test with a deliberate non-transform pair exposes.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -85,37 +86,66 @@ def _twiddles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 StageHook = Optional[Callable[[int, np.ndarray, np.ndarray], None]]
+_PLAN_CACHE_SIZE = 16  # a campaign uses a handful of shapes: 1, 2 and 128 rows, a last chunk
+_plans: OrderedDict = OrderedDict()  # idle stage plans by (n, rows), least recently used first
+
+
+def _stage_plan(n: int, rows: int) -> tuple[np.ndarray, list[tuple]]:
+    """Buffers and per-stage views for transforms of `rows` vectors of length n.
+
+    Stage s reads one of two ping-pong (rows, n, 2) buffers and writes the
+    other. Its (2, rows, n/2h, h) products hold rows*n words at every h, so
+    two flat temporaries serve every stage.
+    """
+    bufs = np.empty((2, rows, n, 2), HALF)
+    temps = np.empty((2, rows * n), HALF)
+    stages = []
+    for stage, (wre, wim) in enumerate(_twiddles(n)):
+        half = 1 << stage
+        planes = (rows, n // (2 * half), 2 * half, 2)
+        v, out = (bufs[(stage + i) % 2].reshape(planes).transpose(3, 0, 1, 2) for i in (0, 1))
+        t, t2 = temps.reshape(2, 2, rows, n // (2 * half), half)
+        a, b = v[..., :half], v[..., half:]
+        stages.append((a, b, b[::-1], wre, wim, t, t2, out[..., :half], out[..., half:]))
+    return bufs, stages
 
 
 def _fft_stages(pairs: np.ndarray, hook: StageHook = None) -> np.ndarray:
     """Staged FFT of (..., N, 2) float16 (re, im) pairs; returns fresh pairs.
 
-    A stage is the same few calls on one (2, rows, N) array of re and im
-    planes, so a single vector is a batch of one. The hook runs after each
-    stage (counted from 0) with the (..., N) re and im planes as views it
-    may mutate; fault-injection campaigns use it.
+    A stage is the same five calls on (2, rows, N) re and im planes, so a
+    single vector is a batch of one. The hook runs after each stage (counted
+    from 0) with the (..., N) re and im planes as views it may mutate;
+    fault-injection campaigns use it. With N = 1 there is no stage, and the
+    words come back unchanged, the identity DFT.
     """
     shape = pairs.shape
     n = shape[-2]
-    v = pairs.reshape(-1, n, 2).transpose(2, 0, 1)[..., _bit_reverse_permutation(n)]
-    rows = v.shape[1]
+    key = (n, pairs.size // (2 * n))
+    # a plan in use is out of the cache, so a hook that transforms its own
+    # shape gets a plan of its own
+    bufs, stages = _plans.pop(key, None) or _stage_plan(*key)
+    # the order is in range: clip only skips raise mode's buffered copy
+    np.take(pairs.reshape(-1, n, 2), _bit_reverse_permutation(n), axis=1, out=bufs[0],
+            mode="clip")
     # injected faults can push lanes to inf/nan; that is data, not an error
     with np.errstate(invalid="ignore", over="ignore"):
-        for stage, (wre, wim) in enumerate(_twiddles(n)):
-            half = 1 << stage
-            v = v.reshape(2, rows, n // (2 * half), 2 * half)
-            a, b = v[..., :half], v[..., half:]
+        for stage, (a, b, b_swapped, wre, wim, t, t2, out_a, out_b) in enumerate(stages):
             # complex multiply and butterfly, each operation rounded to half;
             # negation is exact, so t_re = b_re*wre + b_im*(-wim) rounds as a difference
-            t = b * wre
-            t += b[::-1] * wim
-            out = np.empty(shape, HALF)
-            v = out.reshape(v.shape[1:] + (2,)).transpose(3, 0, 1, 2)
-            np.add(a, t, out=v[..., :half])
-            np.subtract(a, t, out=v[..., half:])
+            np.multiply(b, wre, out=t)
+            np.multiply(b_swapped, wim, out=t2)
+            t += t2
+            np.add(a, t, out=out_a)
+            np.subtract(a, t, out=out_b)
             if hook is not None:
+                out = bufs[(stage + 1) % 2].reshape(shape)
                 hook(stage, out[..., 0], out[..., 1])
-    return out
+    result = bufs[len(stages) % 2].reshape(shape).copy()
+    _plans[key] = bufs, stages
+    if len(_plans) > _PLAN_CACHE_SIZE:
+        _plans.popitem(last=False)
+    return result
 
 
 def _require_finite(words: np.ndarray) -> None:
@@ -282,8 +312,8 @@ def _residuals(xc: np.ndarray, oc: np.ndarray, ref: PlancherelReference) -> np.n
     if not xc.shape[-1] == oc.shape[-1] == ref.n:
         raise FftError("length mismatch")
     with np.errstate(invalid="ignore", over="ignore"):
-        lhs = np.sum(xc * ref._conj_y, axis=-1, dtype=_CHECK)
-        rhs = np.sum(oc * ref._conj_Y, axis=-1, dtype=_CHECK) / _CHECK(ref.n)
+        lhs = np.add.reduce(xc * ref._conj_y, axis=-1, dtype=_CHECK)  # np.sum's call, less its glue
+        rhs = np.add.reduce(oc * ref._conj_Y, axis=-1, dtype=_CHECK) / _CHECK(ref.n)
         diff = lhs.astype(np.complex128) - rhs
         return np.fmin(np.hypot(diff.real, diff.imag), np.inf)  # fmin reads NaN as inf
 
@@ -440,6 +470,38 @@ def single_butterfly_flip(npr: np.random.Generator, n: int) -> tuple[int, int, i
     )
 
 
+def _nonidentity_permutation(npr: np.random.Generator, n: int) -> np.ndarray:
+    """An output permutation of n >= 2 words, redrawn until it moves one."""
+    fault = npr.permutation(n)
+    while (fault == np.arange(n)).all():
+        fault = npr.permutation(n)
+    return fault
+
+
+def _one_probe_permutations(n: int, trials: int, threshold: float, ref: PlancherelReference,
+                            npr: np.random.Generator) -> tuple[int, int]:
+    """(detected, false positives) over permutation trials of one probe each.
+
+    No draw depends on a result, so each chunk of trials draws its
+    permutations and inputs in the per-trial order, runs one transform call
+    and checks its clean and permuted rows in one residual call.
+    """
+    detected = false_positives = 0
+    for start in range(0, trials, _CALIBRATION_ROWS):
+        rows = min(_CALIBRATION_ROWS, trials - start)
+        faults = np.empty((rows, n), np.int64)
+        xs = np.empty((rows, n, 2), HALF)
+        for i in range(rows):
+            faults[i] = _nonidentity_permutation(npr, n)
+            xs[i] = white_noise_input(n, npr)
+        outs = _as_check(fft(xs))
+        outs = np.stack([outs, np.take_along_axis(outs, faults, axis=1)])
+        clean_hits, hits = _residuals(_as_check(xs), outs, ref) > threshold
+        detected += int(hits.sum())
+        false_positives += int(clean_hits.sum())
+    return detected, false_positives
+
+
 def fft_attack_campaign(
     n: int,
     trials: int,
@@ -457,7 +519,14 @@ def fft_attack_campaign(
     detection means any probe exceeded the threshold. A paired fault-free
     run of the same probes must stay silent; violations count as false
     positives.
+
+    One-probe permutation trials run in chunks. Flip trials run one
+    two-row (clean, faulted) transform per probe: most end after one
+    probe, but batching them would mean speculating on which, and the
+    discarded rows cost more than the calls saved.
     """
+    if n < 2:
+        raise FftError(f"n: a campaign needs n >= 2 to plant a fault, got {n}")
     if attack not in ("butterfly_flip", "permutation"):
         raise FftError(f"attack: unknown attack {attack!r}")
     if trials < 0:
@@ -468,6 +537,8 @@ def fft_attack_campaign(
         raise FftError(f"ref: reference length {ref.n} differs from n = {n}")
     rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
+    if attack == "permutation" and probes_per_trial == 1:
+        return FftCampaignReport(trials, *_one_probe_permutations(n, trials, threshold, ref, npr))
     detected = 0
     false_positives = 0
     for _ in range(trials):
@@ -477,11 +548,8 @@ def fft_attack_campaign(
             def hook(stage, re, im):  # row 0 runs clean, row 1 carries the fault
                 if stage == stage_f:
                     (re if word == 0 else im)[1].view(np.uint16)[elem] ^= 1 << bit
-        else:
-            fault = npr.permutation(n)
-            while (fault == np.arange(n)).all():
-                fault = npr.permutation(n)
-            rows = np.stack([np.arange(n), fault])  # clean output, permuted output
+        else:  # clean output, permuted output
+            rows = np.stack([np.arange(n), _nonidentity_permutation(npr, n)])
         hit = False
         clean_hit = False
         for _ in range(probes_per_trial):

@@ -13,7 +13,9 @@ Spec grammar (one `key = value` per line, `#` comments):
 
 Besides kind, sweep and seed, each kind takes only the keys it reads (see
 _KINDS); any other key, or a value that is not a nonempty list of the key's
-type (an integer for seed), is refused with its line.
+type (an integer for seed), is refused with its line, as is a sweep variable
+the kind cannot sweep or that has no value list. A grid point whose value
+the kind's calculator refuses is refused as "at theta = 2: <reason>".
 
 All randomness funnels through the one seed; identical spec text yields a
 byte-identical CSV. Monte Carlo rows carry a normal-approximation 95%
@@ -75,7 +77,13 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
     kind = spec["kind"]
     if kind not in _KINDS:
         raise SweepSpecError(f"line {lines['kind']}: unknown sweep kind {kind!r}")
-    defaults = _KINDS[kind][0]
+    defaults, sweepable, _ = _KINDS[kind]
+    var = spec["sweep"]
+    if var not in sweepable:
+        raise SweepSpecError(f"line {lines['sweep']}: {kind} cannot sweep {var!r} "
+                             f"(allowed: {sorted(sweepable)})")
+    if var not in spec:
+        raise SweepSpecError(f"line {lines['sweep']}: swept variable {var!r} has no value list")
     for key, lineno in lines.items():
         if key not in defaults and key not in ("kind", "sweep", "seed"):
             raise SweepSpecError(f"line {lineno}: {kind} takes no key {key!r}")
@@ -131,11 +139,7 @@ def run_sweep(spec: dict[str, str]) -> str:
     """Evaluate the grid of a spec from parse_experiment_spec; return the CSV text."""
     kind = spec["kind"]
     var = spec["sweep"]
-    defaults, sweepable, columns = _KINDS[kind]
-    if var not in sweepable:
-        raise SweepSpecError(f"{kind} cannot sweep {var!r} (allowed: {sorted(sweepable)})")
-    if var not in spec:
-        raise SweepSpecError(f"swept variable {var!r} has no value list")
+    defaults, _, columns = _KINDS[kind]
     grid = _values(spec[var])
     seed = int(spec.get("seed", "0"))
 
@@ -153,6 +157,9 @@ def run_sweep(spec: dict[str, str]) -> str:
         columns += ",mc_estimate,ci_low,ci_high"
     lines = [f"# schema={SCHEMA} kind={kind} sweep={var} seed={seed}", f"{var},{columns}"]
     for i, v in enumerate(grid):
-        row = _row(kind, dict(fixed, **{var: typed(var, v)}), seed + i)
+        try:
+            row = _row(kind, dict(fixed, **{var: typed(var, v)}), seed + i)
+        except ValueError as e:  # a calculator refuses a value outside its kind's domain
+            raise SweepSpecError(f"at {var} = {_fmt(v)}: {e}") from None
         lines.append(",".join(map(_fmt, [v, *row])))
     return "\n".join(lines) + "\n"

@@ -168,6 +168,13 @@ def test_sweep_spec_error_exits_2(tmp_path, capsys, line, key):
     assert err.startswith("sweep: line ") and f" {key} takes " in err
 
 
+def test_sweep_value_outside_domain_exits_2(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("kind = cp_attack\nsweep = theta\ntheta = 1:2\n")
+    assert main(["sweep", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == "sweep: at theta = 2: theta must be in [0, 1]\n"
+
+
 def test_lfsr_primitive_check(capsys):
     assert main(["lfsr", "--check-primitive", "--poly", "0x13", "--L", "4"]) == 0
     assert main(["lfsr", "--check-primitive", "--poly", "0x15", "--L", "4"]) == 1
@@ -187,3 +194,11 @@ def test_fft_input_error_is_one_line_and_exit_2(tmp_path, capsys):
     assert main(["fft", "--n", "16", "--selftest", "--ref", str(ref)]) == 2
     err = capsys.readouterr().err
     assert err == "fft: ref: reference length 32 differs from n = 16\n"
+
+
+def test_fft_length_one(capsys):
+    # a length-1 transform is the identity, so the clean residual is exactly 0
+    assert main(["fft", "--n", "1", "--calibrate"]) == 0
+    assert capsys.readouterr().out == "threshold = 0\n"
+    assert main(["fft", "--n", "1", "--campaign", "--trials", "20"]) == 2
+    assert capsys.readouterr().err == "fft: n: a campaign needs n >= 2 to plant a fault, got 1\n"

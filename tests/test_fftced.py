@@ -1,5 +1,7 @@
 import hashlib
 import warnings
+from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from tpad import fftced
 from tpad.fftced import (
     CHECKER_ALIVE,
     CHECKER_COMPROMISED,
+    FftCampaignReport,
     FftCedEngine,
     FftError,
     FftOverflowError,
@@ -28,6 +31,7 @@ from tpad.fftced import (
     to_complex,
     white_noise_input,
 )
+from tpad.rng import as_rng
 
 
 class TestFft:
@@ -56,6 +60,13 @@ class TestFft:
         a, b = fft(x), fft(x)
         assert (a.view(np.uint16) == b.view(np.uint16)).all()
         assert (x == x.astype(np.float16)).all()
+
+    def test_length_one_is_the_identity(self):
+        words = np.array([[0.5, -2.0], [-0.0, 2.0**-24], [65504, 3]], dtype=np.float16)
+        assert fft(words[:1]).tobytes() == words[:1].tobytes()
+        batch = words.reshape(3, 1, 2)
+        assert fft(batch).tobytes() == batch.tobytes()
+        assert list(to_complex(fft(np.array([3 + 1j])))) == [3 + 1j]
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(FftError):
@@ -167,7 +178,40 @@ class TestTables:
         monkeypatch.setattr(fftced, "_twiddles", fftced._twiddles.__wrapped__)
         monkeypatch.setattr(fftced, "_bit_reverse_permutation",
                             fftced._bit_reverse_permutation.__wrapped__)
+        monkeypatch.setattr(fftced, "_plans", OrderedDict())  # plan again from fresh tables
         assert fft(x).tobytes() == cached.tobytes()
+
+
+class TestStagePlans:
+    """Transforms of one shape share cached buffers, never their results."""
+
+    def test_calls_of_one_shape_return_independent_arrays(self):
+        xs = np.stack([white_noise_input(128, np.random.default_rng(i)) for i in range(2)])
+        first = fftced._fft_stages(xs)
+        second = fftced._fft_stages(xs)
+        words = second.tobytes()
+        first[...] = 0
+        assert second.tobytes() == words == fftced._fft_stages(xs).tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_hook_may_transform_its_own_shape(self):
+        x = white_noise_input(64, np.random.default_rng(7))
+        words = fftced._fft_stages(x).tobytes()  # leaves this shape's plan in the cache
+        inner = []
+
+        def hook(stage, re, im):
+            if stage == 2:
+                inner.append(fftced._fft_stages(x).tobytes())
+        assert fftced._fft_stages(x, hook).tobytes() == words
+        assert inner == [words]
+
+    def test_plan_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(fftced, "_plans", OrderedDict())
+        bound = fftced._PLAN_CACHE_SIZE
+        for rows in range(1, bound + 9):
+            fftced._fft_stages(np.zeros((rows, 8, 2), dtype=np.float16))
+            assert len(fftced._plans) == min(rows, bound)
+        assert list(fftced._plans) == [(8, rows) for rows in range(9, bound + 9)]
 
 
 class TestReference:
@@ -310,6 +354,8 @@ class TestCampaign:
         assert rep.detection_rate >= 0.99
 
     @pytest.mark.parametrize("field, kwargs", [
+        ("n", dict(n=1)),
+        ("n", dict(n=1, attack="permutation")),  # its identity redraw would never end
         ("attack", dict(attack="bogus", trials=0)),
         ("probes_per_trial", dict(probes_per_trial=0)),
         ("trials", dict(trials=-3)),
@@ -320,6 +366,16 @@ class TestCampaign:
         args.update(kwargs)
         with pytest.raises(FftError, match=f"^{field}:"):
             fft_attack_campaign(**args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 16, 128]), st.sampled_from([0, 1, 127, 128, 129, 300]),
+           st.sampled_from([64.0, 0.25]), st.integers(0, 2**32 - 1))
+    def test_one_probe_permutations_match_per_trial_loop(self, n, trials, scale, seed):
+        # the scaled thresholds make both counts depend on every trial's draws
+        threshold, ref = _calibrated(n)
+        args = (n, trials, threshold * scale, ref, seed)
+        assert fft_attack_campaign(*args, attack="permutation", probes_per_trial=1) \
+            == _one_probe_permutation_oracle(*args)
 
     def test_identity_preserving_tamper_evades(self):
         """Adding a vector orthogonal to Y* keeps the identity: undetected."""
@@ -335,6 +391,29 @@ class TestCampaign:
         assert (to_complex(tampered) != to_complex(bigx)).any()
         resid = plancherel_residual(x, tampered, ref)
         assert resid <= max(4 * t, 0.2)  # stays near the noise floor
+
+
+@lru_cache(maxsize=None)
+def _calibrated(n):
+    return calibrate_threshold(n, 200, 2.0, rng_seed=n)
+
+
+def _one_probe_permutation_oracle(n, trials, threshold, ref, rng_seed):
+    """The per-trial loop of a one-probe permutation campaign, as it ran before
+    trials were chunked: draw a non-identity permutation, then one input."""
+    npr = np.random.default_rng(as_rng(rng_seed).getrandbits(64))
+    detected = false_positives = 0
+    for _ in range(trials):
+        fault = npr.permutation(n)
+        while (fault == np.arange(n)).all():
+            fault = npr.permutation(n)
+        rows = np.stack([np.arange(n), fault])  # clean output, permuted output
+        x = white_noise_input(n, npr)
+        outs = fftced._as_check(fft(x))[rows]
+        clean_resid, resid = fftced._residuals(fftced._as_check(x), outs, ref)
+        detected += bool(resid > threshold)
+        false_positives += bool(clean_resid > threshold)
+    return FftCampaignReport(trials, detected, false_positives)
 
 
 # -- goldens recorded with the unbatched, per-vector implementation -------------------

@@ -196,6 +196,26 @@ class TestSweep:
         with pytest.raises(SweepSpecError, match=match):
             parse_experiment_spec(text)
 
+    @pytest.mark.parametrize("text,match", [
+        ("kind = cp_attack\nsweep = q\nq = 1\n", r"^line 2: cp_attack cannot sweep 'q' \(allowed"),
+        ("kind = cp_attack\n\nsweep = x\ntheta = 0.1\n",
+         r"^line 3: swept variable 'x' has no value list$"),
+    ])
+    def test_sweep_line_errors_name_the_line(self, text, match):
+        with pytest.raises(SweepSpecError, match=match):
+            parse_experiment_spec(text)
+
+    @pytest.mark.parametrize("text,match", [
+        ("kind = cp_attack\nsweep = theta\ntheta = 1:2\n", r"^at theta = 2: theta must be in \[0, 1\]$"),
+        ("kind = per_sb_attack\nsweep = p\np = 2\n", r"^at p = 2: p must be in \[0, 1\]$"),
+        ("kind = per_sb_attack\nsweep = x\nx = 4,-1\n", r"^at x = -1: x must be >= 0$"),
+        ("kind = destructive\nsweep = t\nt = 0:30:10\nN = 20\na = 2\n",
+         r"^at t = 30: need 0 <= a <= n and 0 <= t <= n$"),
+    ])
+    def test_value_outside_domain_names_key_and_value(self, text, match):
+        with pytest.raises(SweepSpecError, match=match):
+            run_sweep(parse_experiment_spec(text))
+
     def test_malformed_specs_rejected(self):
         with pytest.raises(SweepSpecError):
             parse_experiment_spec("sweep = r\n")
