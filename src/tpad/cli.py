@@ -148,6 +148,7 @@ def _fft_workflow(args) -> int:
     from .fftced import (
         CHECKER_ALIVE,
         FftCedEngine,
+        FftError,
         calibrate_threshold,
         fft_attack_campaign,
         format_reference,
@@ -164,6 +165,8 @@ def _fft_workflow(args) -> int:
         print(f"threshold = {threshold:.6g}")
         return 0
     if args.selftest:
+        if args.n < 2:  # the rolled transform below is then the pair itself
+            raise FftError(f"n: a selftest needs n >= 2 to build a non-pair, got {args.n}")
         ref = parse_reference(Path(args.ref).read_text()) if args.ref else make_reference(args.n, args.seed)
         threshold, ref = calibrate_threshold(args.n, max(args.trials, 100), args.margin,
                                              rng_seed=args.seed, ref=ref)

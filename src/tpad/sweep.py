@@ -14,7 +14,8 @@ Spec grammar (one `key = value` per line, `#` comments):
 Besides kind, sweep and seed, each kind takes only the keys it reads (see
 _KINDS); any other key, or a value that is not a nonempty list of the key's
 type (an integer for seed), is refused with its line, as is a sweep variable
-the kind cannot sweep or that has no value list. A grid point whose value
+the kind cannot sweep or that has no value list; a key the kind needs but
+the spec leaves out is refused with the kind line. A grid point whose value
 the kind's calculator refuses is refused as "at theta = 2: <reason>".
 
 All randomness funnels through the one seed; identical spec text yields a
@@ -97,6 +98,9 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
         if not values or not (kind_of == "numbers" or all(isinstance(v, int) for v in values)):
             what = "an integer" if key == "seed" else f"a nonempty list of {kind_of}"
             raise SweepSpecError(f"line {lineno}: {key} takes {what}, not {spec[key]!r}")
+    for key, default in defaults.items():
+        if default is None and key not in spec:
+            raise SweepSpecError(f"line {lines['kind']}: {kind} needs {key!r}")
     return spec
 
 
@@ -149,10 +153,7 @@ def run_sweep(spec: dict[str, str]) -> str:
     fixed = {}
     for name, default in defaults.items():
         if name != var:
-            value = _values(spec[name])[0] if name in spec else default
-            if value is None:
-                raise SweepSpecError(f"{kind} needs {name}")
-            fixed[name] = typed(name, value)
+            fixed[name] = typed(name, _values(spec[name])[0] if name in spec else default)
     if kind == "destructive" and fixed["trials"]:
         columns += ",mc_estimate,ci_low,ci_high"
     lines = [f"# schema={SCHEMA} kind={kind} sweep={var} seed={seed}", f"{var},{columns}"]

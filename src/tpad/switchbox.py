@@ -19,9 +19,10 @@ valid netlists, not just the intended one.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .netlist import (
     EXHAUSTIVE_INPUTS,
@@ -203,13 +204,23 @@ class _Work:
     box ever had to the original netlist's wire it carries when the boxes
     route as intended; chains of boxes are resolved as each box is added,
     and entries outlive removed boxes, since wire ids are never reused.
+
+    The union graph's nodes are ("gate", out) for each non-DFF gate and
+    ("sb", id) for each box, a site's first two fields. DFFs cut the graph,
+    so their outputs are sources, as are the inputs (rank 0). `rank` labels
+    every node above the nodes it reads, a topological order that is kept
+    as boxes come and go (Pearce and Kelly 2006), and `labels` holds the
+    labels in ascending order.
     """
+
+    GAP = 1 << 16  # the first labels' spacing, and the factor that spreads out worn-down gaps
 
     def __init__(self, net: Netlist):
         self.inputs = list(net.inputs)
         self.outputs = list(net.outputs)
         self.kind: dict[int, str] = {g.out: g.kind for g in net.gates}
         self.ins: dict[int, list[int]] = {g.out: list(g.ins) for g in net.gates}
+        self.dffs = [g.out for g in net.gates if g.kind == "DFF"]
         self.sb_ins: dict[int, list[int]] = {}
         self.sb_outs: dict[int, tuple[int, int]] = {}
         self.sb_driver: dict[int, int] = {}
@@ -220,9 +231,13 @@ class _Work:
                 self.fanout[w].add(("gate", o, p))
         for i, w in enumerate(self.outputs):
             self.fanout[w].add(("po", i, 0))
+        self.rank = {("gate", g.out): k * self.GAP for k, g in enumerate(net._topo, 1)}
+        self.labels = sorted(self.rank.values())
+        self.unmet = list(range(len(self.outputs)))  # every output whose cone holds < t boxes
         self.wire_names = dict(net.wire_names)
         self.next_wire = max([*net.inputs, *(g.out for g in net.gates), -1]) + 1
         self.next_sb = 0
+        self.gates: dict[int, Gate] = {}  # gate(o), until a pin of o is rewired
 
     def fresh_wire(self) -> int:
         w = self.next_wire
@@ -230,7 +245,10 @@ class _Work:
         return w
 
     def gate(self, o: int) -> Gate:
-        return Gate(o, self.kind[o], tuple(self.ins[o]))
+        g = self.gates.get(o)
+        if g is None:
+            g = self.gates[o] = Gate(o, self.kind[o], tuple(self.ins[o]))
+        return g
 
     def switchbox(self, sid: int) -> Switchbox:
         return Switchbox(sid, tuple(self.sb_ins[sid]), self.sb_outs[sid])
@@ -246,9 +264,20 @@ class _Work:
             dict(self.wire_names),
         )
 
-    def cone_counts(self) -> Iterator[int]:
-        """Switchboxes per output cone, as ObfuscatedNetlist.per_output_sb_count."""
-        return (_cone_switchboxes(w, self.ins, self.sb_driver, self.sb_ins) for w in self.outputs)
+    def cone_count(self, i: int) -> int:
+        """Switchboxes in output i's cone, as ObfuscatedNetlist.per_output_sb_count."""
+        return _cone_switchboxes(self.outputs[i], self.ins, self.sb_driver, self.sb_ins)
+
+    def satisfied(self, t: int) -> bool:
+        """True once every output cone holds at least t switchboxes.
+
+        Cone counts never fall: a box is spliced into wires and spliced back
+        out, and reversing it keeps its inputs. So only the first output on
+        `unmet` is counted, and dropped once it has t.
+        """
+        while self.unmet and self.cone_count(self.unmet[0]) >= t:
+            del self.unmet[0]
+        return not self.unmet
 
     # wiring queries ---------------------------------------------------------
 
@@ -262,6 +291,7 @@ class _Work:
         kind, ref, pin = site
         if kind == "gate":
             self.ins[ref][pin] = wire
+            self.gates.pop(ref, None)
         elif kind == "sb":
             self.sb_ins[ref][pin] = wire
         else:
@@ -277,24 +307,67 @@ class _Work:
 
     # union dependency graph ---------------------------------------------------
 
-    def union_cyclic_through(self, sb_id: int) -> bool:
-        """True when sb_id lies on a union-graph cycle (DFFs cut the graph)."""
-        stack = list(self.sb_ins[sb_id])
-        seen: set[int] = set()
+    def nodes(self, sites: Iterable[tuple]) -> list[tuple]:
+        """The union nodes of some sites; an output port or a DFF is none."""
+        kind = self.kind
+        return [s[:2] for s in sites if s[0] == "sb" or s[0] == "gate" and kind[s[1]] != "DFF"]
+
+    def driver(self, wire: int) -> Optional[tuple]:
+        """The union node driving a wire; None for a source."""
+        if wire in self.sb_driver:
+            return ("sb", self.sb_driver[wire])
+        return ("gate", wire) if self.kind.get(wire, "DFF") != "DFF" else None
+
+    def region(self, sbs: Sequence[int]) -> list[tuple]:
+        """The union nodes reachable from boxes sbs, in label order.
+
+        The walk stops at DFFs. The labels are a topological order and are
+        the same in every process, so the generated source is too.
+        """
+        fanout, kind, sb_outs = self.fanout, self.kind, self.sb_outs
+        seen, stack = {("sb", sid) for sid in sbs}, [w for sid in sbs for w in sb_outs[sid]]
         while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            if w in self.kind:
-                if self.kind[w] != "DFF":
-                    stack.extend(self.ins[w])
-            elif w in self.sb_driver:
-                sid = self.sb_driver[w]
-                if sid == sb_id:
-                    return True
-                stack.extend(self.sb_ins[sid])
-        return False
+            for k, ref, _ in fanout.get(stack.pop(), ()):
+                if (k, ref) in seen or k == "po" or k == "gate" and kind[ref] == "DFF":
+                    continue
+                seen.add((k, ref))
+                stack += sb_outs[ref] if k == "sb" else (ref,)
+        return sorted(seen, key=self.rank.__getitem__)
+
+    def _forward(self, starts: list[tuple], top: int, targets: list[tuple]) -> Optional[set]:
+        """Nodes reachable from starts with rank <= top; None if one is in targets."""
+        seen, stack = set(starts), list(starts)
+        while stack:
+            node = stack.pop()
+            if node in targets:
+                return None
+            for w in self.sb_outs[node[1]] if node[0] == "sb" else node[1:]:
+                for n in self.nodes(self.fanout.get(w, ())):
+                    if n not in seen and self.rank[n] <= top:
+                        seen.add(n)
+                        stack.append(n)
+        return seen
+
+    def _place(self, node: tuple, top: int, later: set) -> None:
+        """Label a new node just after `top`, the later of its drivers' labels.
+
+        `later` holds every node reading it, directly or not, labelled at or
+        before `top`; they move, in their order, to just after it. That is
+        the forward half of Pearce and Kelly's reorder; the backward half is
+        empty, since the new node may take any label after its drivers.
+        """
+        rank, labels = self.rank, self.labels
+        moved = [node, *sorted(later, key=rank.get)]
+        for n in later:
+            del labels[bisect_left(labels, rank[n])]
+        i = bisect_right(labels, top)
+        while i < len(labels) and labels[i] - top <= len(moved):  # no room: spread all out
+            self.rank = rank = {n: r * self.GAP for n, r in rank.items()}
+            self.labels = labels = [r * self.GAP for r in labels]
+            top *= self.GAP
+        step = (labels[i] - top) // (len(moved) + 1) if i < len(labels) else self.GAP
+        labels[i:i] = new = [top + step * k for k in range(1, len(moved) + 1)]
+        rank.update(zip(moved, new))
 
     # neighborhood machinery -----------------------------------------------------
 
@@ -317,15 +390,31 @@ class _Work:
         return [g for g in sorted(nb)
                 if any(kind != "gate" or o not in nb for kind, o, _ in self.fanout.get(g, ()))]
 
+    def shape(self, nb: set[int]) -> tuple[int, int]:
+        """(len(incoming_edges(nb)), len(output_gates(nb))), counted without the lists."""
+        n_in = n_out = 0
+        for g in nb:
+            for w in self.ins[g]:
+                if w not in nb:
+                    n_in += 1
+            for kind, o, _ in self.fanout.get(g, ()):
+                if kind != "gate" or o not in nb:
+                    n_out += 1
+                    break
+        return n_in, n_out
+
     # switchbox editing -----------------------------------------------------------
 
     def add_switchbox(self, x: int, y: int, sites_z: list[tuple], sites_w: list[tuple]) -> Optional[int]:
         """Insert an SB over (x, y), rerouting the given sites to its outputs.
 
-        Returns the new SB id, or None (with no state change) when the
-        insertion would let some configuration form a combinational cycle.
-        Stacking directly onto another SB's output pair is refused: crossing
-        both boxes would cancel out, a guaranteed two-SB degenerate config.
+        Returns the new SB id, or None (with no state change but two wire
+        ids spent) when the insertion would let some configuration form a
+        combinational cycle: when a rerouted site reaches either driver. Only
+        a site labelled at or before the later driver can, and only through
+        nodes labelled so, so the search stays in that window. Stacking
+        directly onto another SB's output pair is refused: crossing both
+        boxes would cancel out, a guaranteed two-SB degenerate config.
         """
         if x == y:
             return None
@@ -333,38 +422,30 @@ class _Work:
             return None
         z = self.fresh_wire()
         w = self.fresh_wire()
+        rank = self.rank
+        drivers = [d for d in (self.driver(x), self.driver(y)) if d]
+        top = max([rank[d] for d in drivers], default=0)
+        early = [n for n in self.nodes(sites_z + sites_w) if rank[n] <= top]
+        later = self._forward(early, top, drivers) if early else ()
+        if later is None:
+            return None
         sid = self.next_sb
-        undo = [(site, self.site_wire(site)) for site in sites_z + sites_w]
+        self.next_sb += 1
         for site in sites_z:
             self.rewire(site, z)
         for site in sites_w:
             self.rewire(site, w)
-        self._attach(sid, x, y, z, w)
-        if self.union_cyclic_through(sid):
-            for site, old in undo:
-                self.rewire(site, old)
-            self._detach(sid)
-            return None
-        self.next_sb += 1
-        self.origin[z] = self.origin.get(x, x)
-        self.origin[w] = self.origin.get(y, y)
-        self.wire_names[z] = f"sb{sid}_a"
-        self.wire_names[w] = f"sb{sid}_b"
-        return sid
-
-    def _attach(self, sid: int, x: int, y: int, z: int, w: int) -> None:
         self.sb_ins[sid] = [x, y]
         self.sb_outs[sid] = (z, w)
         self.sb_driver[z] = self.sb_driver[w] = sid
         self.fanout[x].add(("sb", sid, 0))
         self.fanout[y].add(("sb", sid, 1))
-
-    def _detach(self, sid: int) -> None:
-        for p, wire in enumerate(self.sb_ins.pop(sid)):
-            self.fanout[wire].discard(("sb", sid, p))
-        for wire in self.sb_outs.pop(sid):
-            del self.sb_driver[wire]
-            self.fanout.pop(wire, None)
+        self._place(("sb", sid), top, later)
+        self.origin[z] = self.origin.get(x, x)
+        self.origin[w] = self.origin.get(y, y)
+        self.wire_names[z] = f"sb{sid}_a"
+        self.wire_names[w] = f"sb{sid}_b"
+        return sid
 
     def reverse_switchbox(self, sid: int) -> None:
         """Swap an SB's inputs, so its crossed setting routes as parallel did."""
@@ -380,7 +461,12 @@ class _Work:
             self.rewire(site, x)
         for site in self.consumers(w):
             self.rewire(site, y)
-        self._detach(sid)
+        for p, wire in enumerate(self.sb_ins.pop(sid)):
+            self.fanout[wire].discard(("sb", sid, p))
+        for wire in self.sb_outs.pop(sid):
+            del self.sb_driver[wire]
+            self.fanout.pop(wire, None)
+        del self.labels[bisect_left(self.labels, self.rank.pop(("sb", sid)))]
         self.wire_names.pop(z, None)
         self.wire_names.pop(w, None)
 
@@ -420,26 +506,19 @@ class _ToggleCheck:
     def __init__(self, original: tuple[Callable, dict[int, int]], work: _Work,
                  round_sbs: Sequence[int], intended: dict[int, str], sample_count: int):
         wire_step, index = original
-        boxes, gates = set(round_sbs), set()
-        stack = [w for sid in round_sbs for w in work.sb_outs[sid]]
-        while stack:
-            for kind, ref, _ in work.fanout.get(stack.pop(), ()):
-                if kind == "sb" and ref not in boxes:
-                    boxes.add(ref)
-                    stack.extend(work.sb_outs[ref])
-                elif kind == "gate" and ref not in gates and work.kind[ref] != "DFF":
-                    gates.add(ref)
-                    stack.append(ref)
-        sbs = [work.switchbox(i) for i in round_sbs]
-        bufs = []
-        for sid in sorted(boxes.difference(round_sbs)):
-            (x, y), (z, w) = work.sb_ins[sid], work.sb_outs[sid]
-            if intended[sid] == CROSSED:
-                x, y = y, x
-            bufs += [Gate(z, "BUF", (x,)), Gate(w, "BUF", (y,))]
-        order = topo_order([*map(work.gate, sorted(gates)), *bufs, *sbs],
-                           lambda _: SwitchboxError("union graph cycle"))
-        dffs = [work.gate(o) for o, kind in work.kind.items() if kind == "DFF"]
+        self.index = {sid: i for i, sid in enumerate(round_sbs)}
+        order = []
+        for kind, ref in work.region(round_sbs):
+            if kind == "gate":
+                order.append(work.gate(ref))
+            elif ref in self.index:
+                order.append(work.switchbox(ref))
+            else:
+                (x, y), (z, w) = work.sb_ins[ref], work.sb_outs[ref]
+                if intended[ref] == CROSSED:
+                    x, y = y, x
+                order += [Gate(z, "BUF", (x,)), Gate(w, "BUF", (y,))]
+        dffs = [work.gate(o) for o in work.dffs]
         live = {*work.outputs, *(g.ins[0] for g in dffs)}  # the wires a compare reads
         for node in reversed(order):
             if live.intersection(node.outs):
@@ -449,7 +528,6 @@ class _ToggleCheck:
         read = {w for node in (*order, *dffs) for w in node.ins}
         inputs = sorted(read.union(work.outputs) - driven)
         pos = [index[work.origin.get(w, w)] for w in inputs]
-        self.index = {sb.id: i for i, sb in enumerate(sbs)}
         region = _compile_step(inputs, order, dffs, work.outputs, self.index)
         last = [None, ()]  # the last boundary run's (inputs, state, mask) and its values
 
@@ -506,29 +584,20 @@ def insert_switchboxes(
     intended: dict[int, str] = {}
     name = f"{net.name}.obf"
 
-    for _ in range(max_iterations):
-        gates = sorted(work.kind)
-        if not gates:
-            break
+    gates = sorted(work.kind)
+    for _ in range(max_iterations if gates else 0):
         v = rng.choice(gates)
         nb_v = work.neighborhood(v)
         inc_v = work.incoming_edges(nb_v)
         out_v = work.output_gates(nb_v)
+        shape = (len(inc_v), len(out_v))
 
-        partner = None
         for u in rng.sample(gates, len(gates)):
             nb_u = work.neighborhood(u)
-            if nb_u & nb_v:
-                continue
-            if len(work.incoming_edges(nb_u)) != len(inc_v):
-                continue
-            if len(work.output_gates(nb_u)) != len(out_v):
-                continue
-            partner = (u, nb_u)
-            break
-        if partner is None:
+            if not nb_u & nb_v and work.shape(nb_u) == shape:
+                break
+        else:
             continue
-        _, nb_u = partner
         inc_u = work.incoming_edges(nb_u)
         out_u = work.output_gates(nb_u)
 
@@ -557,10 +626,10 @@ def insert_switchboxes(
                 else:
                     intended[sid] = PARALLEL
 
-        if len(work.sb_ins) >= min_switchboxes and all(c >= t for c in work.cone_counts()):
+        if len(work.sb_ins) >= min_switchboxes and work.satisfied(t):
             return work.snapshot(intended, name)
 
-    counts = tuple(work.cone_counts())
+    counts = tuple(map(work.cone_count, range(len(work.outputs))))
     raise UnsatisfiableError(
         f"could not reach {t} switchboxes per output cone "
         f"within {max_iterations} iterations (best counts: {counts})",

@@ -202,3 +202,6 @@ def test_fft_length_one(capsys):
     assert capsys.readouterr().out == "threshold = 0\n"
     assert main(["fft", "--n", "1", "--campaign", "--trials", "20"]) == 2
     assert capsys.readouterr().err == "fft: n: a campaign needs n >= 2 to plant a fault, got 1\n"
+    # rolling a length-1 transform gives the pair back, so there is no non-pair to build
+    assert main(["fft", "--n", "1", "--selftest"]) == 2
+    assert capsys.readouterr().err == "fft: n: a selftest needs n >= 2 to build a non-pair, got 1\n"

@@ -1,5 +1,9 @@
+import copy
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +16,7 @@ from tpad.netlist import (
     HORIZON,
     Gate,
     MultipleDriverError,
+    Netlist,
     NetlistSyntaxError,
     UndrivenWireError,
     check_equivalence,
@@ -718,7 +723,11 @@ class TestPackedScan:
 
 
 class TestWorkIndexes:
-    """The fanout and driver indexes stay equal to a rescan after any edit."""
+    """The fanout and driver indexes stay equal to a rescan after any edit.
+
+    Any edit also keeps the ranks a topological order, and a box is refused
+    exactly when the old whole-fan-in walk finds it on a union cycle.
+    """
 
     @staticmethod
     def rescan(work):
@@ -746,8 +755,12 @@ class TestWorkIndexes:
                 x, y = rng.sample(wires, 2)
                 sites = sorted(work.fanout[x]) + sorted(work.fanout[y])
                 picked = rng.sample(sites, rng.randint(0, len(sites)))
-                work.add_switchbox(x, y, [s for s in picked if work.site_wire(s) == x],
-                                   [s for s in picked if work.site_wire(s) == y])
+                sites_z = [s for s in picked if work.site_wire(s) == x]
+                sites_w = [s for s in picked if work.site_wire(s) == y]
+                stacked = x in work.sb_driver and work.sb_driver[x] == work.sb_driver.get(y)
+                cyclic = not stacked and wired_in_cyclic(work, x, y, sites_z, sites_w)
+                sid = work.add_switchbox(x, y, sites_z, sites_w)
+                assert (sid is None) == (stacked or cyclic)
             elif roll < 0.8:
                 work.remove_switchbox(rng.choice(sorted(work.sb_ins)))
             else:
@@ -755,3 +768,187 @@ class TestWorkIndexes:
             fanout, driver = self.rescan(work)
             assert {w: sites for w, sites in work.fanout.items() if sites} == fanout
             assert work.sb_driver == driver
+            assert_ranks_topological(work)
+
+
+# -- insertion bookkeeping ---------------------------------------------------------
+
+
+def union_cyclic_through(work, sb_id):
+    """The whole-fan-in walk insertion once ran after wiring in each box.
+
+    True when sb_id lies on a union-graph cycle (DFFs cut the graph): the
+    oracle for the cycle test on the maintained topological order.
+    """
+    stack = list(work.sb_ins[sb_id])
+    seen = set()
+    while stack:
+        w = stack.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        if w in work.kind:
+            if work.kind[w] != "DFF":
+                stack.extend(work.ins[w])
+        elif w in work.sb_driver:
+            sid = work.sb_driver[w]
+            if sid == sb_id:
+                return True
+            stack.extend(work.sb_ins[sid])
+    return False
+
+
+def wired_in_cyclic(work, x, y, sites_z, sites_w):
+    """Whether the old walk refuses a box over (x, y), on a copy wired as the old code did."""
+    work = copy.deepcopy(work)
+    z, w, sid = work.fresh_wire(), work.fresh_wire(), work.next_sb
+    for site in sites_z:
+        work.rewire(site, z)
+    for site in sites_w:
+        work.rewire(site, w)
+    work.sb_ins[sid], work.sb_outs[sid] = [x, y], (z, w)
+    work.sb_driver[z] = work.sb_driver[w] = sid
+    return union_cyclic_through(work, sid)
+
+
+def union_readers(work, node):
+    """The union nodes reading a node's outputs, from the indexes alone."""
+    kind, ref = node
+    outs = work.sb_outs[ref] if kind == "sb" else (ref,)
+    return {(k, r) for w in outs for k, r, _ in work.fanout.get(w, ())
+            if k == "sb" or k == "gate" and work.kind[r] != "DFF"}
+
+
+def assert_ranks_topological(work):
+    """`rank` labels every union node, distinctly, above each node it reads."""
+    nodes = {("gate", o) for o, kind in work.kind.items() if kind != "DFF"}
+    nodes.update(("sb", sid) for sid in work.sb_ins)
+    assert set(work.rank) == nodes
+    assert work.labels == sorted(work.rank.values())
+    assert len(set(work.labels)) == len(work.labels)
+    for node in nodes:
+        for reader in union_readers(work, node):
+            assert work.rank[node] < work.rank[reader]
+
+
+class TestInsertionBookkeeping:
+    """Cone counts, the maintained order and the region order, checked every round."""
+
+    @staticmethod
+    def spy(monkeypatch, t):
+        seen = {"rounds": 0, "refused": 0, "searched": 0, "regions": 0}
+        counts = []
+        add, satisfied, region = (switchbox._Work.add_switchbox, switchbox._Work.satisfied,
+                                  switchbox._Work.region)
+        forward = switchbox._Work._forward
+
+        def spy_add(self, x, y, sites_z, sites_w):
+            old = None
+            if x != y and not (x in self.sb_driver and self.sb_driver[x] == self.sb_driver.get(y)):
+                old = wired_in_cyclic(self, x, y, sites_z, sites_w)
+            sid = add(self, x, y, sites_z, sites_w)
+            if old is not None:
+                assert (sid is None) == old
+                seen["refused"] += old
+            assert_ranks_topological(self)
+            return sid
+
+        def spy_forward(self, *args):
+            seen["searched"] += 1
+            return forward(self, *args)
+
+        def spy_satisfied(self, t_):
+            got = satisfied(self, t_)
+            now = [self.cone_count(i) for i in range(len(self.outputs))]
+            if counts:
+                assert all(c >= before for c, before in zip(now, counts[-1]))
+            counts.append(now)
+            below = [i for i, c in enumerate(now) if c < t]
+            # every output below t is pending, in output order, and the first pending one is
+            assert self.unmet == sorted(self.unmet) and set(below) <= set(self.unmet)
+            assert not self.unmet or now[self.unmet[0]] < t
+            assert got == (not below)
+            assert_ranks_topological(self)
+            seen["rounds"] += 1
+            return got
+
+        def spy_region(self, sbs):
+            order = region(self, sbs)
+            reach, stack = set(), [("sb", sid) for sid in sbs]
+            while stack:
+                node = stack.pop()
+                if node not in reach:
+                    reach.add(node)
+                    stack.extend(union_readers(self, node))
+            assert sorted(order) == sorted(reach)
+            pos = {node: i for i, node in enumerate(order)}
+            for node in order:
+                assert all(pos[node] < pos[reader] for reader in union_readers(self, node))
+            seen["regions"] += 1
+            return order
+
+        monkeypatch.setattr(switchbox._Work, "add_switchbox", spy_add)
+        monkeypatch.setattr(switchbox._Work, "_forward", spy_forward)
+        monkeypatch.setattr(switchbox._Work, "satisfied", spy_satisfied)
+        monkeypatch.setattr(switchbox._Work, "region", spy_region)
+        return seen
+
+    @settings(max_examples=25, deadline=None)
+    @given(net_seed=st.integers(0, 10_000), sb_seed=st.integers(0, 10_000),
+           n_dffs=st.integers(0, 3), t=st.integers(1, 2))
+    @example(net_seed=8376, sb_seed=7961, n_dffs=0, t=1)
+    def test_every_round(self, net_seed, sb_seed, n_dffs, t):
+        net = with_dffs(random_netlist(6, 20, 3, rng_seed=net_seed), random.Random(net_seed),
+                        n_dffs)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self.spy(mp, t)
+            try:
+                insert_switchboxes(net, t, rng_seed=sb_seed, max_iterations=40)
+            except UnsatisfiableError:
+                pass
+        assert seen["rounds"]
+
+    def test_unsatisfiable_draw(self, monkeypatch):
+        # the draw whose first cone never gains a box: cycle refusals and
+        # searches on the maintained order over 300 rounds
+        seen = self.spy(monkeypatch, 1)
+        with pytest.raises(UnsatisfiableError) as e:
+            insert_switchboxes(random_netlist(6, 20, 3, rng_seed=8376), 1, rng_seed=7961,
+                               max_iterations=300)
+        assert e.value.per_output_counts == (0, 33, 33)
+        assert seen["rounds"] > 100  # a round without a partner skips the count
+        assert seen["refused"] and seen["searched"] > seen["refused"] and seen["regions"]
+
+    def test_worn_down_labels_are_spread_out(self):
+        # each box reads the last one's output and feeds the same gate pin, so
+        # it lands between the last box and that gate, halving their gap
+        net = Netlist("chain", (0, 1), (2,), (Gate(2, "AND", (0, 1)),))
+        work = switchbox._Work(net)
+        x = 0
+        for _ in range(3 * switchbox._Work.GAP.bit_length()):
+            sid = work.add_switchbox(x, 1, [("gate", 2, 0)], [])
+            assert sid is not None
+            assert_ranks_topological(work)
+            x = work.sb_outs[sid][0]
+        assert work.labels[-1] >= switchbox._Work.GAP ** 3  # spread out at least twice
+
+    def test_region_source_is_the_same_in_every_process(self):
+        code = ("import hashlib\n"
+                "from tpad import netlist, switchbox\n"
+                "h = hashlib.sha256()\n"
+                "compile_step = switchbox._compile_step\n"
+                "def spy(inputs, order, *rest):\n"
+                "    h.update(repr([inputs, order]).encode())\n"
+                "    return compile_step(inputs, order, *rest)\n"
+                "switchbox._compile_step = spy\n"
+                "switchbox.insert_switchboxes(netlist.random_netlist(8, 40, 4, rng_seed=3), 2,"
+                " rng_seed=4)\n"
+                "print(h.hexdigest())\n")
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            digests.add(run.stdout)
+        assert len(digests) == 1

@@ -206,6 +206,15 @@ class TestSweep:
             parse_experiment_spec(text)
 
     @pytest.mark.parametrize("text,match", [
+        ("kind = destructive\nsweep = t\nt = 0:5\n", r"^line 1: destructive needs 'N'$"),
+        ("# no a\nsweep = t\nkind = destructive\nt = 0:5\nN = 20\n",
+         r"^line 3: destructive needs 'a'$"),
+    ])
+    def test_missing_key_names_the_kind_line(self, text, match):
+        with pytest.raises(SweepSpecError, match=match):
+            parse_experiment_spec(text)
+
+    @pytest.mark.parametrize("text,match", [
         ("kind = cp_attack\nsweep = theta\ntheta = 1:2\n", r"^at theta = 2: theta must be in \[0, 1\]$"),
         ("kind = per_sb_attack\nsweep = p\np = 2\n", r"^at p = 2: p must be in \[0, 1\]$"),
         ("kind = per_sb_attack\nsweep = x\nx = 4,-1\n", r"^at x = -1: x must be >= 0$"),
