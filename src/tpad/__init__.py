@@ -11,7 +11,6 @@ from .netlist import (
     Netlist,
     NetlistBuilder,
     check_equivalence,
-    output_cone,
     parse_netlist,
     random_netlist,
     serialize_netlist,

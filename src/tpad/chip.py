@@ -44,6 +44,7 @@ from .netlist import (
     Netlist,
     NetlistBuilder,
     WidthError,
+    define,
     eval_wires,
     inline_step,
     parse_netlist,
@@ -581,16 +582,16 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
         f"return ChipCycleResult(outputs, {'tx[0]' if n_sub else '()'}, tx, error,",
         "                       chip.monitor.check(error), decode, ram_res)",
     ]
-    src = "\n".join([
+    # module globals, so eval_wires, select and the rest resolve at call time
+    make = define([
         "def make(F, D, SPEC):",
         "    def cycle(chip, inp, rc, ram_op):",
         *(f"        {line}" for line in body),
         "    return cycle",
-    ])
-    ns: dict = {}
-    # module globals, so eval_wires, select and the rest resolve at call time
-    exec(src, globals(), ns)  # noqa: S102 - generated from validated netlists and specs
-    return ns["make"](f, d, spec)
+    ], "make", globals(), f"clock {f.name}")
+    cycle = make(f, d, spec)
+    cycle.make = make  # so the source stays in linecache while the clock lives
+    return cycle
 
 
 def _check_output_subsets(k: int, subsets: Sequence, widths: Iterable[int]) -> None:

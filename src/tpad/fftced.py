@@ -17,10 +17,9 @@ post-manufacture self-test with a deliberate non-transform pair exposes.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,17 +84,15 @@ def _twiddles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
-StageHook = Optional[Callable[[int, np.ndarray, np.ndarray], None]]
-_PLAN_CACHE_SIZE = 16  # a campaign uses a handful of shapes: 1, 2 and 128 rows, a last chunk
-_plans: OrderedDict = OrderedDict()  # idle stage plans by (n, rows), least recently used first
-
-
-def _stage_plan(n: int, rows: int) -> tuple[np.ndarray, list[tuple]]:
+@lru_cache(maxsize=16)  # a campaign uses a handful of shapes: 1, 2 and 128 rows, a last chunk
+def _stage_plan(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Buffers and per-stage views for transforms of `rows` vectors of length n.
 
     Stage s reads one of two ping-pong (rows, n, 2) buffers and writes the
     other. Its (2, rows, n/2h, h) products hold rows*n words at every h, so
-    two flat temporaries serve every stage.
+    two flat temporaries serve every stage. A planned flip lands in the
+    second item, the buffers as flat uint16 words. Plans are shared, so
+    transforms must not run in several threads at once.
     """
     bufs = np.empty((2, rows, n, 2), HALF)
     temps = np.empty((2, rows * n), HALF)
@@ -107,24 +104,22 @@ def _stage_plan(n: int, rows: int) -> tuple[np.ndarray, list[tuple]]:
         t, t2 = temps.reshape(2, 2, rows, n // (2 * half), half)
         a, b = v[..., :half], v[..., half:]
         stages.append((a, b, b[::-1], wre, wim, t, t2, out[..., :half], out[..., half:]))
-    return bufs, stages
+    return bufs, bufs.view(np.uint16).reshape(2, -1), stages
 
 
-def _fft_stages(pairs: np.ndarray, hook: StageHook = None) -> np.ndarray:
+def _fft_stages(pairs: np.ndarray, flip: Optional[tuple[int, int, int]] = None) -> np.ndarray:
     """Staged FFT of (..., N, 2) float16 (re, im) pairs; returns fresh pairs.
 
     A stage is the same five calls on (2, rows, N) re and im planes, so a
-    single vector is a batch of one. The hook runs after each stage (counted
-    from 0) with the (..., N) re and im planes as views it may mutate;
-    fault-injection campaigns use it. With N = 1 there is no stage, and the
-    words come back unchanged, the identity DFT.
+    single vector is a batch of one. A planned flip (stage, word, mask)
+    XORs mask into word `word` of the flattened (..., N, 2) output of that
+    stage (counted from 0); fault-injection campaigns use it. With N = 1
+    there is no stage, and the words come back unchanged, the identity DFT.
     """
     shape = pairs.shape
     n = shape[-2]
-    key = (n, pairs.size // (2 * n))
-    # a plan in use is out of the cache, so a hook that transforms its own
-    # shape gets a plan of its own
-    bufs, stages = _plans.pop(key, None) or _stage_plan(*key)
+    bufs, words, stages = _stage_plan(n, pairs.size // (2 * n))
+    flip_stage, flip_word, flip_mask = flip or (-1, 0, 0)
     # the order is in range: clip only skips raise mode's buffered copy
     np.take(pairs.reshape(-1, n, 2), _bit_reverse_permutation(n), axis=1, out=bufs[0],
             mode="clip")
@@ -138,14 +133,9 @@ def _fft_stages(pairs: np.ndarray, hook: StageHook = None) -> np.ndarray:
             t += t2
             np.add(a, t, out=out_a)
             np.subtract(a, t, out=out_b)
-            if hook is not None:
-                out = bufs[(stage + 1) % 2].reshape(shape)
-                hook(stage, out[..., 0], out[..., 1])
-    result = bufs[len(stages) % 2].reshape(shape).copy()
-    _plans[key] = bufs, stages
-    if len(_plans) > _PLAN_CACHE_SIZE:
-        _plans.popitem(last=False)
-    return result
+            if stage == flip_stage:
+                words[(stage + 1) % 2, flip_word] ^= flip_mask
+    return bufs[len(stages) % 2].reshape(shape).copy()
 
 
 def _require_finite(words: np.ndarray) -> None:
@@ -539,23 +529,18 @@ def fft_attack_campaign(
     npr = np.random.default_rng(rng.getrandbits(64))
     if attack == "permutation" and probes_per_trial == 1:
         return FftCampaignReport(trials, *_one_probe_permutations(n, trials, threshold, ref, npr))
-    detected = 0
-    false_positives = 0
+    detected = false_positives = 0
     for _ in range(trials):
         if attack == "butterfly_flip":
-            stage_f, elem, word, bit = single_butterfly_flip(npr, n)
-
-            def hook(stage, re, im):  # row 0 runs clean, row 1 carries the fault
-                if stage == stage_f:
-                    (re if word == 0 else im)[1].view(np.uint16)[elem] ^= 1 << bit
+            stage, elem, word, bit = single_butterfly_flip(npr, n)
+            flip = (stage, 2 * (n + elem) + word, 1 << bit)  # row 0 runs clean, row 1 faulted
         else:  # clean output, permuted output
             rows = np.stack([np.arange(n), _nonidentity_permutation(npr, n)])
-        hit = False
-        clean_hit = False
+        hit = clean_hit = False
         for _ in range(probes_per_trial):
             x = white_noise_input(n, npr)
             if attack == "butterfly_flip":
-                out = _fft_stages(np.stack([x, x]), hook=hook)
+                out = _fft_stages(np.stack([x, x]), flip)
                 _require_finite(out[0])  # the faulted row may hold inf/nan as data
                 outs = _as_check(out)
             else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .netlist import Bits, WidthError
+from .netlist import Bits, WidthError, define
 from .parity import KERNEL_CACHE_SIZE
 
 
@@ -145,9 +145,8 @@ def _compile_monitor_check(spec: LfsrSpec) -> Callable[[ErrorMonitor, Sequence[i
         "    mon.cycle += 1",
         f"    return {' | '.join(differs) or '0'}",
     ]
-    ns = {"WidthError": WidthError, "ZeroStateError": ZeroStateError}
-    exec("\n".join(lines), ns)  # noqa: S102 - generated from a validated spec
-    return ns["check"]
+    return define(lines, "check", {"WidthError": WidthError, "ZeroStateError": ZeroStateError},
+                  f"monitor L={spec.degree}")
 
 
 # -- spec file -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Gate-level netlist IR: text format, simulation, logic cones, equivalence.
+"""Gate-level netlist IR: text format, simulation, equivalence, generated code.
 
 The netlist text format is line oriented:
 
@@ -22,8 +22,11 @@ round-trips through the parser bit exactly.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import random
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -244,8 +247,7 @@ class Netlist:
             raise WidthError(f"expected {len(self.inputs)} input bits, got {len(inputs)}")
         if len(state) != self.state_width:
             raise WidthError(f"expected {self.state_width} state bits, got {len(state)}")
-        out, nxt = self.step_fn()(tuple(inputs), tuple(state), 1)
-        return out, nxt
+        return self.step_fn()(tuple(inputs), tuple(state), 1)
 
 
 def _gate_expr(g: Gate, ref: Callable[[int], str] = "v{}".format) -> str:
@@ -324,9 +326,28 @@ def _compile_step(
         else:
             drive(g.out, _gate_expr(g, ref))
     lines.append(f" return ({seq(outputs)}), ({seq(g.ins[0] for g in dffs)})")
-    ns: dict = {}
-    exec("\n".join(lines), ns)  # noqa: S102 - generated from validated gate list
-    return ns["step"]
+    kind = "fault step" if faults is not None else "union step" if selects is not None else "step"
+    return define(lines, "step", {}, f"{kind} {len(order)} gates")
+
+
+_kernel_ids = itertools.count()
+
+
+def define(lines: Sequence[str], name: str, namespace: dict, label: str) -> Callable:
+    """The function `name` that the generated source `lines` defines.
+
+    The source runs once with `namespace` as its globals, under the file name
+    `<tpad {label} #n>` (n unique in the process). linecache holds it while
+    the function lives, so tracebacks show its lines and profiles name it.
+    """
+    source = "\n".join(lines)
+    filename = f"<tpad {label} #{next(_kernel_ids)}>"
+    defined: dict = {}
+    exec(compile(source, filename, "exec"), namespace, defined)  # noqa: S102 - the one exec site
+    fn = defined[name]
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
+    return fn
 
 
 def inline_step(
@@ -597,37 +618,6 @@ def serialize_netlist(net: Netlist) -> str:
     for g in sorted(net._dffs, key=lambda g: g.out):
         lines.append(f"{names[g.out]} = DFF({names[g.ins[0]]})")
     return "\n".join(lines) + "\n"
-
-
-# -- logic cones ----------------------------------------------------------------
-
-
-def output_cone(net: Netlist, output_index: int) -> Netlist:
-    """Sub-netlist with exactly the transitive fan-in gates of one output.
-
-    The full ordered primary-input list is retained so the cone evaluates on
-    the same input vectors as the parent netlist.
-    """
-    if not 0 <= output_index < len(net.outputs):
-        raise IndexError(f"output index {output_index} out of range")
-    by_out = {g.out: g for g in net.gates}
-    keep: set[int] = set()
-    stack = [net.outputs[output_index]]
-    while stack:
-        w = stack.pop()
-        g = by_out.get(w)
-        if g is None or g.out in keep:
-            continue
-        keep.add(g.out)
-        stack.extend(g.ins)
-    gates = [g for g in net.gates if g.out in keep]
-    return Netlist(
-        f"{net.name}.cone{output_index}",
-        net.inputs,
-        (net.outputs[output_index],),
-        gates,
-        net.wire_names,
-    )
 
 
 # -- equivalence ----------------------------------------------------------------

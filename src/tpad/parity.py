@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .netlist import Bits, Netlist, NetlistBuilder, WidthError, simplify_netlist
+from .netlist import Bits, Netlist, NetlistBuilder, WidthError, define, simplify_netlist
 from .rng import Rng, as_rng
 
 
@@ -86,13 +86,6 @@ def _row_parities(rows: Sequence[Bits], names: Sequence[str]) -> list[str]:
     return [" ^ ".join(n for n, a in zip(names, row) if a) for row in rows]
 
 
-def _define(lines: list[str]) -> Callable:
-    """The function `kernel` that the generated source `lines` defines."""
-    ns = {"WidthError": WidthError}
-    exec("\n".join(lines), ns)  # noqa: S102 - generated from a validated 0/1 matrix
-    return ns["kernel"]
-
-
 # Kernels are cached by matrix rows (and subset and width), as
 # lfsr._compile_monitor_check caches by spec: equal codes share one kernel.
 KERNEL_CACHE_SIZE = 128  # a chip needs a handful, so a process keeps its latest chips'
@@ -104,21 +97,21 @@ def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callab
     parities = _row_parities(rows, [f"v{j}" for j in range(k)])
     if chained:
         parities = [f"p{i} ^ {par}" for i, par in enumerate(parities)]
-    return _define([
+    return define([
         f"def kernel(info{', prev' if chained else ''}):",
         f"    if len(info) != {k}:",
         f"        raise WidthError(f'expected {k} info bits, got {{len(info)}}')",
         f"    {', '.join(f'v{j}' for j in range(k))}, = info",
         *([f"    {', '.join(f'p{i}' for i in range(r))}, = prev"] if chained else []),
         f"    return ({', '.join(parities)},)",
-    ])
+    ], "kernel", {"WidthError": WidthError}, f"{'chain' if chained else 'check_bits'} {r}x{k}")
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _compile_break(rows: tuple[Bits, ...], subset: tuple[int, ...], width: int) -> Callable:
     r = len(rows)
     parities = _row_parities(rows, [f"o{j}" for j in subset])
-    return _define([
+    return define([
         "def kernel(outputs, check, prev):",
         f"    if len(outputs) != {width}:",
         f"        raise WidthError(f'expected {width} output values, got {{len(outputs)}}')",
@@ -128,7 +121,7 @@ def _compile_break(rows: tuple[Bits, ...], subset: tuple[int, ...], width: int) 
         f"    {', '.join(f'c{i}' for i in range(r))}, = check",
         f"    {', '.join(f'p{i}' for i in range(r))}, = prev",
         f"    return {' | '.join(f'(c{i} ^ p{i} ^ {par})' for i, par in enumerate(parities))}",
-    ])
+    ], "kernel", {"WidthError": WidthError}, f"break {r}x{len(rows[0])}")
 
 
 def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatrix:

