@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .chip import (
     HISTORY_DEPTH,
@@ -27,8 +27,9 @@ from .chip import (
     StimulusEncoder,
 )
 from .lanes import lanes_of, pack_lanes
-from .netlist import Netlist
+from .netlist import Netlist, text_lines
 from .parity import ParityCheckMatrix
+from .ram import RAM_TROJANS
 from .rng import Rng, as_rng
 
 ATTACK_KINDS = (
@@ -63,6 +64,11 @@ class AttackDescriptor:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
 
+    def __str__(self) -> str:
+        """The attack-file line parse_attack_line reads back as this descriptor."""
+        trigger = ":".join(map(str, self.trigger))
+        return f"{self.kind} {self.payload} target={self.target} trigger={trigger}"
+
 
 _TRIGGER_RE = re.compile(
     r"^(always|at_cycle:\d+|after_cycle:\d+|random:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)$")
@@ -96,15 +102,17 @@ def parse_attack_line(line: str) -> AttackDescriptor:
 
 def parse_attack_file(text: str) -> list[AttackDescriptor]:
     """One attack per line, `#` comments; a bad line's error starts with `line N:`."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            try:
-                out.append(parse_attack_line(line))
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
-    return out
+    return [atk for _, atk in _attack_lines(text)]
+
+
+def _attack_lines(text: str) -> Iterator[tuple[int, AttackDescriptor]]:
+    """parse_attack_file's descriptors, each with its line number."""
+    for lineno, line in text_lines(text):
+        try:
+            atk = parse_attack_line(line)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        yield lineno, atk
 
 
 def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
@@ -118,57 +126,82 @@ def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
     return value
 
 
+# target prefix -> the payloads it takes; pads and RAM trojans only flip
+_TARGET_PAYLOADS = {**dict.fromkeys(("input", "recv_check", "output", "ram"), ("flip",)),
+                    **dict.fromkeys(("fout", "fgate", "dgate"), ("flip", "stuck0", "stuck1"))}
+
+
 def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
     """Resolve a descriptor's symbolic target onto the chip's wires.
 
-    Pin and output indices are range-checked against the chip, gate names
-    resolved as the bundle's netlists write them, and a replay depth checked
-    against the history the chip keeps, so a bad target fails here with a
-    ValueError that names it rather than mid-simulation.
+    Indices are range-checked against the chip, gate names resolved as the
+    bundle's netlists write them, RAM trojans and replay depths checked, and
+    a payload the target does not take refused (_TARGET_PAYLOADS; decoupling
+    attacks take only target `-`), as is a random reliability trigger. So a
+    bad descriptor fails here, not mid-simulation or as another attack, with
+    a ValueError that starts with the descriptor and names the bad field.
     """
-    kind, target, payload = atk.kind, atk.target, atk.payload
-    eff = AttackEffect(kind=kind, trigger=atk.trigger)
-    mode = payload if payload in ("flip", "stuck0", "stuck1") else "flip"
+    try:
+        return _compile_attack(chip, atk)
+    except ValueError as e:
+        raise ValueError(f"attack '{atk}': {e}") from None
+
+
+def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
+    kind, target, payload, trigger = atk.kind, atk.target, atk.payload, atk.trigger
+    prefix, _, arg = target.partition(":")
 
     def idx(size: int) -> int:
-        return _bounded_int(target.split(":", 1)[1], 0, size - 1, f"target {target!r}")
+        return _bounded_int(arg, 0, size - 1, f"target {target!r}")
 
     def wire(net) -> int:
         try:
-            return net.wire(target.split(":", 1)[1])
+            return net.wire(arg)
         except KeyError:
             raise ValueError(f"target {target!r}: {net.name} has no such wire") from None
 
-    if kind == "decoupling_parity_null":
-        return eff
-    if kind == "decoupling_stored_state":
-        if payload.startswith("replay:"):
-            eff.replay_depth = _bounded_int(payload.split(":", 1)[1], 1, HISTORY_DEPTH,
-                                            f"replay depth of {payload!r}")
-        else:
-            eff.replay_depth = 1
-        return eff
     if kind == "decoupling_fft_zero":
         raise ValueError("fft reference zeroing applies to the FFT engine, not a chip")
+    if kind.startswith("decoupling_"):
+        if target != "-":
+            raise ValueError(f"target {target!r}: a decoupling attack takes target '-'")
+        stored = kind == "decoupling_stored_state"
+        depth = int(stored)  # the default payload, flip, replays the previous cycle
+        if stored and payload.startswith("replay:"):
+            depth = _bounded_int(payload[7:], 1, HISTORY_DEPTH, f"replay depth of {payload!r}")
+        elif payload != "flip":
+            raise ValueError(f"payload {payload!r}: {kind} takes flip" + " or replay:<j>" * stored)
+        return AttackEffect(kind=kind, trigger=trigger, replay_depth=depth)
 
-    if target.startswith("input:"):
-        eff.input_flips = (idx(len(chip.f.inputs)),)
-    elif target.startswith("recv_check:"):
-        eff.recv_flips = (idx(chip.r),)
-    elif target.startswith("output:"):
-        eff.output_flips = (idx(len(chip.f.outputs)),)
-    elif target.startswith("fout:"):
-        eff.f_overrides = {chip.f.outputs[idx(len(chip.f.outputs))]: mode}
-    elif target.startswith("fgate:"):
-        eff.f_overrides = {wire(chip.f): mode}
-    elif target.startswith("dgate:"):
-        eff.d_overrides = {wire(chip.resolved): mode}
-    elif target.startswith("ram:"):
-        eff.ram_trojan = target.split(":", 1)[1]
-    else:
+    modes = _TARGET_PAYLOADS.get(prefix)
+    if modes is None:
         raise ValueError(f"unknown target {target!r}")
-    if kind == "reliability" and atk.trigger[0] not in ("after_cycle",):
-        eff.trigger = ("after_cycle", atk.trigger[1] if len(atk.trigger) > 1 else 0)
+    if payload not in modes:
+        raise ValueError(f"payload {payload!r}: {prefix} targets take {'|'.join(modes)}")
+    if kind == "reliability":
+        if trigger[0] == "random":
+            raise ValueError(f"trigger 'random:{trigger[1]}': a reliability attack takes "
+                             "always, at_cycle:N or after_cycle:N")
+        trigger = ("after_cycle", trigger[1] if len(trigger) > 1 else 0)
+    eff = AttackEffect(kind=kind, trigger=trigger)
+    if prefix == "input":
+        eff.input_flips = (idx(len(chip.f.inputs)),)
+    elif prefix == "recv_check":
+        eff.recv_flips = (idx(chip.r),)
+    elif prefix == "output":
+        eff.output_flips = (idx(len(chip.f.outputs)),)
+    elif prefix == "fout":
+        eff.f_overrides = {chip.f.outputs[idx(len(chip.f.outputs))]: payload}
+    elif prefix == "fgate":
+        eff.f_overrides = {wire(chip.f): payload}
+    elif prefix == "dgate":
+        eff.d_overrides = {wire(chip.resolved): payload}
+    elif chip.ram is None:
+        raise ValueError(f"target {target!r}: the chip has no RAM")
+    elif arg not in RAM_TROJANS:
+        raise ValueError(f"target {target!r}: expected one of {', '.join(RAM_TROJANS)}")
+    else:
+        eff.ram_trojan = arg
     return eff
 
 
@@ -229,9 +262,19 @@ def uniform_output_flip_attacks(min_flips: int = 2) -> AttackGenerator:
     return gen
 
 
+# campaign wildcard target -> (the payloads it takes, and how to write them)
+_WILDCARD_PAYLOADS = {"fout:*": (re.compile(r"flip|multi:[1-9]\d*(:\d+)?"), "flip|multi:<lo>[:<hi>]"),
+                      "input:*": (re.compile(r"flip|pins:\d+"), "flip|pins:<cap>")}
+
+
 def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
                  cycles: int) -> AttackEffect:
     """Expand campaign wildcards (random position / weight / cycle) to an effect."""
+    if atk.target in _WILDCARD_PAYLOADS:
+        form, expected = _WILDCARD_PAYLOADS[atk.target]
+        if not form.fullmatch(atk.payload):
+            raise ValueError(f"attack '{atk}': payload {atk.payload!r}: "
+                             f"target {atk.target} takes {expected}")
     trigger = atk.trigger
     if trigger == ("at_cycle", -1):
         trigger = ("at_cycle", rng.randrange(cycles))
@@ -249,11 +292,8 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
                             f_overrides={wv: "flip" for wv in wires})
     if atk.target == "input:*":
         m = len(chip.f.inputs)
-        if atk.payload.startswith("pins:"):
-            cap = int(atk.payload.split(":")[1]) or m
-        else:
-            cap = m
-        w = rng.randint(1, max(1, min(cap, m)))
+        cap = int(atk.payload[5:]) if atk.payload.startswith("pins:") else 0
+        w = rng.randint(1, max(1, min(cap or m, m)))
         pins = tuple(rng.sample(range(m), w))
         return AttackEffect(kind="pin", trigger=trigger, input_flips=pins)
     # compile with the drawn cycle, so a reliability attack stays permanent

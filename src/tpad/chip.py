@@ -43,6 +43,7 @@ from .netlist import (
     Bits,
     Netlist,
     NetlistBuilder,
+    NetlistError,
     WidthError,
     define,
     eval_wires,
@@ -74,6 +75,8 @@ HISTORY_DEPTH = 4096
 # sampled vectors per switchbox non-degeneracy test when the detection
 # netlist has too many inputs for a truth table
 INSERTION_SAMPLE_COUNT = 4096
+# insertion rounds before a chip build gives up with UnsatisfiableError
+INSERTION_MAX_ITERATIONS = 1000
 
 
 # -- detection netlist -----------------------------------------------------------
@@ -239,7 +242,6 @@ class ChipOptions:
     ram_word_width: int = 16
     output_subsets: Optional[tuple[tuple[int, ...], ...]] = None
     h_in: Optional[ParityCheckMatrix] = None
-    insertion_max_iterations: int = 1000
 
 
 class ProtectedChip:
@@ -655,7 +657,7 @@ def build_protected_chip(
         det,
         t,
         rng_seed=rng.getrandbits(64),
-        max_iterations=options.insertion_max_iterations,
+        max_iterations=INSERTION_MAX_ITERATIONS,
         sample_count=INSERTION_SAMPLE_COUNT,
     )
     return ProtectedChip(f, ocp, obf, h_logic, h_in, out_codes, lfsr_spec, t, options, h_mem)
@@ -783,12 +785,16 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
     bundle does not have (such as a `ram.code` for a chip without a RAM), or
     leaving out a file the directory holds raises ValueError before any
     listed file is read; one whose `pipeline_stages` disagrees with
-    `detection.net`, before the chip is built.
+    `detection.net`, before the chip is built. A file that does not parse
+    raises ValueError starting `bundle file <name>: `.
     """
     import json
 
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
+    try:
+        manifest = json.loads((root / "manifest.json").read_text())
+    except ValueError as e:
+        raise ValueError(f"bundle file manifest.json: {e}") from e
     if not isinstance(manifest, dict) or manifest.get("format") != "tpad-chip/1":
         raise ValueError("not a chip bundle")
     missing = [key for key in _MANIFEST_KEYS if key not in manifest]
@@ -824,27 +830,31 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
         texts[name] = text
     from .lfsr import parse_lfsr_spec
 
-    f = parse_netlist(texts["function.net"])
-    ocp = parse_netlist(texts["ocp.net"])
-    detection = parse_obfuscated(texts["detection.net"], parse_config(texts["detection.cfg"]))
+    def parse(name: str, parser: Callable, *args):  # parser(text, *args), naming the file
+        try:
+            return parser(texts[name], *args)
+        except (ValueError, NetlistError) as e:
+            raise ValueError(f"bundle file {name}: {e}") from e
+
+    f = parse("function.net", parse_netlist)
+    ocp = parse("ocp.net", parse_netlist)
+    detection = parse("detection.net", parse_obfuscated, parse("detection.cfg", parse_config))
     if manifest["pipeline_stages"] != any(g.kind == "DFF" for g in detection.gates):
         raise ValueError(f"bundle manifest key 'pipeline_stages': {manifest['pipeline_stages']} "
                          "disagrees with whether detection.net has DFFs")
-    h_logic = parse_matrix(texts["logic.code"])
-    h_in = parse_matrix(texts["input.code"])
+    h_logic = parse("logic.code", parse_matrix)
+    h_in = parse("input.code", parse_matrix)
     subsets = [tuple(s) for s in manifest["output_subsets"]]
-    out_codes = [
-        (subsets[i], parse_matrix(texts[f"output{i}.code"])) for i in range(len(subsets))
-    ]
+    out_codes = [(s, parse(f"output{i}.code", parse_matrix)) for i, s in enumerate(subsets)]
     _check_output_subsets(len(f.outputs), subsets, (code.k for _, code in out_codes))
-    h_mem = parse_matrix(texts["ram.code"]) if "ram.code" in texts else None
+    h_mem = parse("ram.code", parse_matrix) if "ram.code" in texts else None
     options = ChipOptions(
         pipeline_stages=manifest["pipeline_stages"],
         ram_depth=manifest["ram_depth"],
         ram_word_width=manifest["ram_word_width"],
         output_subsets=tuple(subsets),
     )
-    lfsr_spec = parse_lfsr_spec(texts["lfsr.spec"])
+    lfsr_spec = parse("lfsr.spec", parse_lfsr_spec)
     return ProtectedChip(
         f, ocp, detection, h_logic, h_in, out_codes, lfsr_spec, manifest["t"], options, h_mem
     )

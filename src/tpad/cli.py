@@ -7,6 +7,8 @@ import random
 import sys
 from pathlib import Path
 
+from .netlist import NetlistError
+
 
 def _cmd_gen_code(args) -> int:
     from .parity import format_matrix, sample_parity_code
@@ -71,7 +73,11 @@ def _cmd_build_chip(args) -> int:
 def _cmd_run(args) -> int:
     from .chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 
-    chip = load_chip_bundle(args.chip)
+    try:
+        chip = load_chip_bundle(args.chip)
+    except (OSError, ValueError, NetlistError) as e:
+        print(f"run: {e}", file=sys.stderr)
+        return 2
     chip.reset(args.seed)
     enc = StimulusEncoder(chip)
     rec = OutputReceiver(chip)
@@ -106,13 +112,23 @@ def _hex(bits) -> str:
 
 
 def _cmd_attack(args) -> int:
-    from .attacks import parse_attack_file, run_campaign
+    from .attacks import _attack_lines, _materialize, run_campaign
     from .chip import load_chip_bundle
 
-    chip = load_chip_bundle(args.chip)
-    descriptors = parse_attack_file(Path(args.attacks).read_text())
+    try:
+        chip = load_chip_bundle(args.chip)
+        descriptors = []
+        for lineno, atk in _attack_lines(Path(args.attacks).read_text()):
+            try:  # with a throwaway rng, so the campaign's draws stay as they are
+                _materialize(chip, atk, random.Random(0), args.cycles)
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
+            descriptors.append(atk)
+    except (OSError, ValueError, NetlistError) as e:
+        print(f"attack: {e}", file=sys.stderr)
+        return 2
     if not descriptors:
-        print("no attacks in file", file=sys.stderr)
+        print("attack: no attacks in file", file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
 

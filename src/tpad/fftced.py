@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .netlist import text_lines
 from .rng import Rng, as_rng
 
 HALF = np.float16
@@ -263,8 +264,7 @@ def format_reference(ref: PlancherelReference) -> str:
 
 def parse_reference(text: str) -> PlancherelReference:
     """format_reference's text; a malformed N or row raises FftError naming its line."""
-    lines = [(i, ln.split("#", 1)[0].strip()) for i, ln in enumerate(text.splitlines(), start=1)]
-    lines = [(i, ln) for i, ln in lines if ln] or [(1, "")]
+    lines = text_lines(text) or [(1, "")]
     lineno, head = lines[0]
     n = int(head) if head.isdecimal() else 0
     if n < 1:

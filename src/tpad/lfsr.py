@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .netlist import Bits, WidthError, define
+from .netlist import Bits, WidthError, define, text_lines
 from .parity import KERNEL_CACHE_SIZE
 
 
@@ -170,10 +170,7 @@ def parse_lfsr_spec(text: str) -> LfsrSpec:
     A field other than L, poly, seed and taps is refused.
     """
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         if "=" not in line:
             raise LfsrError(f"line {lineno}: bad spec line {line!r}")
         key, val = (p.strip() for p in line.split("=", 1))

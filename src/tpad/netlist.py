@@ -28,8 +28,8 @@ import random
 import re
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 
@@ -142,7 +142,6 @@ class Netlist:
         self._dffs = tuple(g for g in self.gates if g.kind == "DFF")
         self._step: Optional[Callable] = None
         self._fault_step: Optional[tuple[Callable, dict[int, int]]] = None
-        self._names: Optional[tuple[dict[int, str], dict[str, int]]] = None  # as serialized
 
     # -- construction checks -------------------------------------------------
 
@@ -182,19 +181,20 @@ class Netlist:
     def _wn(self, w: int) -> str:
         return self.wire_names.get(w, f"w{w}")
 
+    @cached_property
     def _serial_names(self) -> tuple[dict[int, str], dict[str, int]]:
-        if self._names is None:
-            names = _stable_names(self)
-            self._names = names, {n: w for w, n in names.items()}
-        return self._names
+        """wire -> name and name -> wire, as serialize_netlist writes them."""
+        names = stable_names((*self.inputs, *self.outputs, *(g.out for g in self.gates)),
+                             self.wire_names)
+        return names, {n: w for w, n in names.items()}
 
     def wire_name(self, w: int) -> str:
         """The name serialize_netlist writes for w (w<id> for unnamed wires)."""
-        return self._serial_names()[0].get(w) or self._wn(w)
+        return self._serial_names[0].get(w) or self._wn(w)
 
     def wire(self, name: str) -> int:
         """The wire serialize_netlist writes as `name`; KeyError if there is none."""
-        by_name = self._serial_names()[1]
+        by_name = self._serial_names[1]
         if name not in by_name:
             raise KeyError(f"no wire named {name!r} in {self.name}")
         return by_name[name]
@@ -496,6 +496,12 @@ _GATE_RE = re.compile(r"^\s*([A-Za-z_][\w.$]*)\s*=\s*([A-Z][A-Z0-9]*)\s*\((.*)\)
 _NAME_RE = re.compile(r"^[A-Za-z_][\w.$]*$")
 
 
+def text_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text before any `#`, stripped) of each line with more than a comment."""
+    return [(n, line) for n, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
 def parse_text(text: str, name: str = "netlist", switchboxes: bool = False) -> tuple:
     """The one line parser of parse_netlist and switchbox.parse_obfuscated.
 
@@ -590,34 +596,39 @@ def parse_netlist(text: str, name: str = "netlist") -> Netlist:
     return Netlist(model, inputs, outputs, gates, names)
 
 
-def _stable_names(net: Netlist) -> dict[int, str]:
-    """Name of every wire of net as serialize_netlist writes it."""
-    used = set(net.wire_names.values())
-    names = {}
-    for w in sorted({*net.inputs, *net.outputs, *(g.out for g in net.gates)}):
-        cand = net.wire_names.get(w)
-        if cand is None:
-            cand = f"w{w}"
-            while cand in used:
-                cand += "_"
-            used.add(cand)
-        names[w] = cand
+def stable_names(wires: Iterable[int], given: dict[int, str]) -> dict[int, str]:
+    """The name a serializer writes for each wire, lowest wire first.
+
+    A wire keeps its given name (w<id> if it has none) unless a lower wire
+    already took it; then "_" is appended until the name is free.
+    """
+    names: dict[int, str] = {}
+    used: set[str] = set()
+    for w in sorted(set(wires)):
+        name = given.get(w, f"w{w}")
+        while name in used:
+            name += "_"
+        names[w] = name
+        used.add(name)
     return names
+
+
+def format_text(model: str, inputs: Sequence[int], outputs: Sequence[int],
+                gates: Iterable[Gate], names: dict[int, str], tail: Sequence[str] = ()) -> str:
+    """The directive lines, one line per gate in the given order, then the tail lines."""
+    lines = [f".model {model}"]
+    if inputs:
+        lines.append(".inputs " + " ".join(names[w] for w in inputs))
+    if outputs:
+        lines.append(".outputs " + " ".join(names[w] for w in outputs))
+    lines += (f"{names[g.out]} = {g.kind}(" + ", ".join(names[w] for w in g.ins) + ")" for g in gates)
+    return "\n".join([*lines, *tail]) + "\n"
 
 
 def serialize_netlist(net: Netlist) -> str:
     """Canonical text form: declarations, then gates in topological order."""
-    names = _stable_names(net)
-    lines = [f".model {net.name}"]
-    if net.inputs:
-        lines.append(".inputs " + " ".join(names[w] for w in net.inputs))
-    if net.outputs:
-        lines.append(".outputs " + " ".join(names[w] for w in net.outputs))
-    for g in net._topo:
-        lines.append(f"{names[g.out]} = {g.kind}(" + ", ".join(names[w] for w in g.ins) + ")")
-    for g in sorted(net._dffs, key=lambda g: g.out):
-        lines.append(f"{names[g.out]} = DFF({names[g.ins[0]]})")
-    return "\n".join(lines) + "\n"
+    dffs = sorted(net._dffs, key=lambda g: g.out)
+    return format_text(net.name, net.inputs, net.outputs, (*net._topo, *dffs), net._serial_names[0])
 
 
 # -- equivalence ----------------------------------------------------------------
@@ -751,6 +762,17 @@ def _assert_replays(f1: Callable, f2: Callable, s1: Bits, s2: Bits, seq_cex: tup
 # -- simplification --------------------------------------------------------------
 
 
+# kind -> (base kind, absorbing constant, inverted). An odd number of constant-1
+# inputs inverts an XOR; CONST0 and CONST1 are XORs of nothing and BUF and NOT
+# one-input ANDs and NANDs, so one fold handles every kind but DFF.
+_FOLD = {
+    "AND": ("AND", 0, False), "NAND": ("AND", 0, True),
+    "OR": ("OR", 1, False), "NOR": ("OR", 1, True), "XOR": ("XOR", None, False),
+    "BUF": ("AND", 0, False), "NOT": ("AND", 0, True),
+    "CONST0": ("XOR", None, False), "CONST1": ("XOR", None, True),
+}
+
+
 def simplify_netlist(net: Netlist) -> Netlist:
     """Constant folding, buffer forwarding, structural sharing, dead removal.
 
@@ -763,136 +785,68 @@ def simplify_netlist(net: Netlist) -> Netlist:
     gates: list[Gate] = []
     next_id = max([*net.inputs, *(g.out for g in net.gates), -1]) + 1
 
-    def fresh() -> int:
-        nonlocal next_id
-        w = next_id
-        next_id += 1
-        return w
-
     def canon(w: int) -> int:
         while w in repl:
             w = repl[w]
         return w
 
+    def share(out: Optional[int], kind: str, ins: tuple) -> int:
+        """The wire carrying kind(ins): out, recorded as a new gate (a fresh wire
+        when out is None), or an earlier identical gate's wire, forwarding out."""
+        nonlocal next_id
+        prev = seen.get((kind, ins))
+        if prev is None:
+            if out is None:
+                out, next_id = next_id, next_id + 1
+            prev = seen[kind, ins] = out
+            gates.append(Gate(out, kind, ins))
+        elif out is not None:
+            repl[out] = prev
+        return prev
+
     for g in net._topo + net._dffs:
         ins = tuple(canon(w) for w in g.ins)
-        kind = g.kind
-        if kind == "DFF":
-            key = ("DFF", ins)
-            prev = seen.get(key)
-            if prev is not None:
-                repl[g.out] = prev
-                continue
-            seen[key] = g.out
-            gates.append(Gate(g.out, "DFF", ins))
+        if g.kind == "DFF":
+            share(g.out, "DFF", ins)
             continue
-        vals = [const.get(w) for w in ins]
-        if kind in ("CONST0", "CONST1"):
-            const[g.out] = 1 if kind == "CONST1" else 0
+        base, absorb, inv = _FOLD[g.kind]
+        consts = [const[w] for w in ins if w in const]
+        if absorb in consts:
+            const[g.out] = absorb ^ inv
             continue
-        if kind == "BUF":
-            if vals[0] is not None:
-                const[g.out] = vals[0]
-            else:
-                repl[g.out] = ins[0]
-            continue
-        if kind == "NOT":
-            if vals[0] is not None:
-                const[g.out] = 1 - vals[0]
-                continue
-        if kind in ("AND", "NAND", "OR", "NOR", "XOR"):
-            live = []
-            acc = 0 if kind in ("OR", "NOR", "XOR") else 1
-            for w, v in zip(ins, vals):
-                if v is None:
-                    live.append(w)
-                elif kind in ("AND", "NAND"):
-                    acc &= v
-                elif kind in ("OR", "NOR"):
-                    acc |= v
-                else:
-                    acc ^= v
-            if kind in ("AND", "NAND") and acc == 0:
-                const[g.out] = 1 if kind == "NAND" else 0
-                continue
-            if kind in ("OR", "NOR") and acc == 1:
-                const[g.out] = 0 if kind == "NOR" else 1
-                continue
-            if not live:
-                v = acc
-                if kind in ("NAND", "NOR"):
-                    v = 1 - v
-                const[g.out] = v
-                continue
-            invert = kind in ("NAND", "NOR") or (kind == "XOR" and acc == 1)
-            base = {"NAND": "AND", "NOR": "OR"}.get(kind, kind)
-            if len(live) == 1:
-                kind2, ins2 = ("NOT", (live[0],)) if invert else ("BUF", (live[0],))
-            else:
-                ordered = tuple(sorted(live))
-                kind2, ins2 = base, ordered
-                if invert:
-                    kind2 = {"AND": "NAND", "OR": "NOR"}.get(base, base)
-                    if base == "XOR":
-                        # fold the inversion into a NOT after the shared XOR
-                        key = ("XOR", ordered)
-                        prev = seen.get(key)
-                        if prev is None:
-                            prev = fresh()
-                            seen[key] = prev
-                            gates.append(Gate(prev, "XOR", ordered))
-                        kind2, ins2 = "NOT", (prev,)
-            if kind2 == "BUF":
-                repl[g.out] = ins2[0]
-                continue
-            key = (kind2, ins2)
-            prev = seen.get(key)
-            if prev is not None:
-                repl[g.out] = prev
-                continue
-            seen[key] = g.out
-            gates.append(Gate(g.out, kind2, ins2))
-            continue
-        # NOT of a live wire
-        key = (kind, ins)
-        prev = seen.get(key)
-        if prev is not None:
-            repl[g.out] = prev
-            continue
-        seen[key] = g.out
-        gates.append(Gate(g.out, kind, ins))
+        if absorb is None:
+            inv ^= sum(consts) & 1
+        live = sorted(w for w in ins if w not in const)
+        if not live:
+            const[g.out] = int(inv) if absorb is None else 1 - absorb ^ inv
+        elif len(live) == 1 and not inv:
+            repl[g.out] = live[0]
+        elif len(live) == 1:
+            share(g.out, "NOT", (live[0],))
+        elif base == "XOR" and inv:  # fold the inversion into a NOT after the shared XOR
+            share(g.out, "NOT", (share(None, "XOR", tuple(live)),))
+        else:  # an inverted AND or OR is a NAND or NOR
+            share(g.out, "N" + base if inv else base, tuple(live))
+
+    def resolve(w: int) -> int:  # a constant's wire is one shared CONST0/CONST1 gate
+        w = canon(w)
+        return share(None, f"CONST{const[w]}", ()) if w in const else w
 
     # materialize constants that ended up driving outputs or live gate inputs
-    const_gate: dict[int, int] = {}
-    extra: list[Gate] = []
-
-    def resolve(w: int) -> int:
-        w = canon(w)
-        if w in const:
-            v = const[w]
-            if v not in const_gate:
-                const_gate[v] = fresh()
-                extra.append(Gate(const_gate[v], "CONST1" if v else "CONST0", ()))
-            return const_gate[v]
-        return w
-
-    fixed_gates = []
-    for g in gates:
-        fixed_gates.append(Gate(g.out, g.kind, tuple(resolve(w) for w in g.ins)))
+    n = len(gates)
+    fixed_gates = [Gate(g.out, g.kind, tuple(map(resolve, g.ins))) for g in gates[:n]]
     outputs = [resolve(w) for w in net.outputs]
-    fixed_gates.extend(extra)
+    fixed_gates += gates[n:]
 
     # dead-code removal: keep fan-in of outputs, following DFF data inputs
     by_out = {g.out: g for g in fixed_gates}
     keep: set[int] = set()
     stack = list(outputs)
     while stack:
-        w = stack.pop()
-        g = by_out.get(w)
-        if g is None or g.out in keep:
-            continue
-        keep.add(g.out)
-        stack.extend(g.ins)
+        g = by_out.get(stack.pop())
+        if g is not None and g.out not in keep:
+            keep.add(g.out)
+            stack.extend(g.ins)
     live_gates = [g for g in fixed_gates if g.out in keep]
     return Netlist(net.name, net.inputs, outputs, live_gates, net.wire_names)
 

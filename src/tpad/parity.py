@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .netlist import Bits, Netlist, NetlistBuilder, WidthError, define, simplify_netlist
+from .netlist import Bits, Netlist, NetlistBuilder, WidthError, define, simplify_netlist, text_lines
 from .rng import Rng, as_rng
 
 
@@ -227,19 +227,18 @@ def format_matrix(h: ParityCheckMatrix) -> str:
 
 
 def parse_matrix(text: str) -> ParityCheckMatrix:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """format_matrix's text, `#` comments allowed; a bad line's error starts with `line N:`."""
+    lines = text_lines(text)
     if not lines:
         raise ValueError("empty matrix file")
+    (n, head), *rows = lines
     try:
-        k, r = (int(p) for p in lines[0].split())
+        k, r = (int(p) for p in head.split())
     except ValueError as e:
-        raise ValueError(f"bad matrix header {lines[0]!r}") from e
-    if len(lines) != 1 + r:
-        raise ValueError(f"expected {r} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+        raise ValueError(f"line {n}: bad matrix header {head!r}") from e
+    if len(rows) != r:
+        raise ValueError(f"expected {r} matrix rows, found {len(rows)}")
+    for n, ln in rows:
         if len(ln) != k or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad matrix row {ln!r}")
-        rows.append(tuple(int(c) for c in ln))
-    return ParityCheckMatrix(tuple(rows))
+            raise ValueError(f"line {n}: bad matrix row {ln!r}")
+    return ParityCheckMatrix(tuple(tuple(map(int, ln)) for _, ln in rows))

@@ -34,6 +34,7 @@ from .attacks import (
     per_sb_attack_probability,
     simulate_destructive_sampling,
 )
+from .netlist import text_lines
 from .parity import estimate_detection_probability
 
 SCHEMA = "tpad.sweep/1"
@@ -61,10 +62,7 @@ _KINDS = {
 def parse_experiment_spec(text: str) -> dict[str, str]:
     spec: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         if "=" not in line:
             raise SweepSpecError(f"line {lineno}: expected key = value")
         key, val = (p.strip() for p in line.split("=", 1))

@@ -33,8 +33,11 @@ from .netlist import (
     NetlistError,
     check_equivalence,  # noqa: F401 - part of this module's namespace, which perfbench traces
     compare_steps,
+    format_text,
     input_patterns,
     parse_text,
+    stable_names,
+    text_lines,
     topo_order,
     _compile_step,
     NetlistSyntaxError,
@@ -730,30 +733,13 @@ _CFG_RE = re.compile(r"^\s*sb(\d+)\s*=\s*(parallel|crossed)\s*$")
 
 def serialize_obfuscated(obf: ObfuscatedNetlist) -> str:
     """Netlist text with one `sbN = SB2(x, y -> z, w)` line per switchbox."""
-    names: dict[int, str] = {}
-    used = set()
-    for w in sorted({*obf.inputs, *obf.outputs,
-                     *(g.out for g in obf.gates),
-                     *(w for sb in obf.switchboxes for w in (*sb.ins, *sb.outs)),
-                     *(w for g in obf.gates for w in g.ins)}):
-        cand = obf.wire_names.get(w, f"w{w}")
-        while cand in used:
-            cand += "_"
-        names[w] = cand
-        used.add(cand)
-    lines = [f".model {obf.name}"]
-    if obf.inputs:
-        lines.append(".inputs " + " ".join(names[w] for w in obf.inputs))
-    if obf.outputs:
-        lines.append(".outputs " + " ".join(names[w] for w in obf.outputs))
-    for g in obf.gates:
-        lines.append(f"{names[g.out]} = {g.kind}(" + ", ".join(names[w] for w in g.ins) + ")")
-    for sb in obf.switchboxes:
-        lines.append(
-            f"sb{sb.id} = SB2({names[sb.ins[0]]}, {names[sb.ins[1]]} -> "
-            f"{names[sb.outs[0]]}, {names[sb.outs[1]]})"
-        )
-    return "\n".join(lines) + "\n"
+    names = stable_names((*obf.inputs, *obf.outputs,
+                          *(w for g in obf.gates for w in (g.out, *g.ins)),
+                          *(w for sb in obf.switchboxes for w in (*sb.ins, *sb.outs))),
+                         obf.wire_names)
+    sbs = [f"sb{sb.id} = SB2({names[sb.ins[0]]}, {names[sb.ins[1]]} -> "
+           f"{names[sb.outs[0]]}, {names[sb.outs[1]]})" for sb in obf.switchboxes]
+    return format_text(obf.name, obf.inputs, obf.outputs, obf.gates, names, sbs)
 
 
 def parse_obfuscated(text: str, intended: dict[int, str], name: str = "netlist") -> ObfuscatedNetlist:
@@ -769,10 +755,7 @@ def format_config(intended: dict[int, str]) -> str:
 
 def parse_config(text: str) -> dict[int, str]:
     cfg: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         m = _CFG_RE.match(line)
         if not m:
             raise NetlistSyntaxError("expected 'sbN = parallel|crossed'", lineno)

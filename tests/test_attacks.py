@@ -47,12 +47,6 @@ def single_output_flips(rng):
     return AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:1:1")
 
 
-def format_attack_line(atk: AttackDescriptor) -> str:
-    """The attack-file line that parse_attack_line reads back as atk."""
-    trig = atk.trigger[0] if atk.trigger[0] == "always" else f"{atk.trigger[0]}:{atk.trigger[1]}"
-    return f"{atk.kind} {atk.payload} target={atk.target} trigger={trig}"
-
-
 _WIRE_NAME = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.", min_size=1, max_size=8)
 DESCRIPTORS = st.builds(
     AttackDescriptor,
@@ -86,7 +80,7 @@ class TestDescriptors:
     @example(AttackDescriptor("electrical", "-", ("random", 5e-324), "flip"))
     @settings(max_examples=200, deadline=None)
     def test_parse_format_round_trip(self, atk):
-        assert parse_attack_line(format_attack_line(atk)) == atk
+        assert parse_attack_line(str(atk)) == atk
 
     def test_parse_file_skips_comments(self):
         text = "# header\npin flip target=input:0\n\nreliability stuck0 target=fout:1 trigger=after_cycle:10\n"
@@ -267,6 +261,53 @@ class TestCompileValidation:
             (wire, mode), = (eff.f_overrides or eff.d_overrides).items()
             assert net_of(chip).wire_name(wire) == name and mode == "flip"
         assert net.wire(name) == w
+
+    @pytest.mark.parametrize("kind,target,trigger,payload,field", [
+        ("logic", "fout:0", ("always",), "stuk0", "payload 'stuk0'"),  # used to run as a flip
+        ("logic", "fout:0", ("always",), "multi:2", "payload 'multi:2'"),
+        ("electrical", "dgate:w0", ("always",), "replay:2", "payload 'replay:2'"),
+        ("logic", "input:0", ("always",), "stuck1", "payload 'stuck1'"),  # pads take only flip
+        ("electrical", "recv_check:0", ("always",), "bogus", "payload 'bogus'"),
+        ("pin", "output:0", ("always",), "stuck0", "payload 'stuck0'"),
+        ("logic", "ram:read_wrong_data", ("always",), "stuck0", "payload 'stuck0'"),
+        # used to drop its target and payload
+        ("decoupling_parity_null", "fout:0", ("always",), "stuck1", "target 'fout:0'"),
+        ("decoupling_parity_null", "-", ("always",), "stuck1", "payload 'stuck1'"),
+        ("decoupling_stored_state", "input:0", ("always",), "replay:2", "target 'input:0'"),
+        ("decoupling_stored_state", "-", ("always",), "stuck0", "payload 'stuck0'"),
+        # used to become ("after_cycle", 0.5), a float cycle
+        ("reliability", "fout:0", ("random", 0.5), "stuck0", "trigger 'random:0.5'"),
+        ("logic", "-", ("always",), "flip", "unknown target '-'"),
+        ("logic", "ram:read_wrong_data", ("always",), "flip",
+         "target 'ram:read_wrong_data': the chip has no RAM"),
+    ])
+    def test_misread_descriptor_refused(self, wide_chip, kind, target, trigger, payload, field):
+        atk = AttackDescriptor(kind, target, trigger, payload)
+        with pytest.raises(ValueError, match=f"^attack {re.escape(repr(str(atk)))}: "
+                                             f"{re.escape(field)}"):
+            compile_attack(wide_chip, atk)
+
+    def test_unknown_ram_trojan_refused(self):
+        f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")
+        chip = build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=52,
+                                    options=ChipOptions(ram_depth=16))
+        with pytest.raises(ValueError, match="target 'ram:read_everything': expected one of"):
+            compile_attack(chip, AttackDescriptor("logic", "ram:read_everything"))
+        compile_attack(chip, AttackDescriptor("logic", f"ram:{RAM_TROJANS[0]}"))
+
+    @pytest.mark.parametrize("target,payload", [("fout:*", "stuck0"), ("fout:*", "multi:0"),
+                                                ("fout:*", "multi:x"), ("input:*", "stuck1"),
+                                                ("input:*", "pins:-1")])
+    def test_misread_wildcard_refused(self, wide_chip, target, payload):
+        atk = AttackDescriptor("logic", target, ("at_cycle", -1), payload)
+        with pytest.raises(ValueError, match=f"^attack .*: payload {re.escape(repr(payload))}"):
+            run_campaign(wide_chip, lambda rng: atk, trials=1, cycles_per_trial=4, rng_seed=1)
+
+    @pytest.mark.parametrize("line", ["reliability stuck1 target=fout:0 trigger=at_cycle:2",
+                                      "reliability stuck0 target=fout:1 trigger=always"])
+    def test_reliability_engages_after_its_cycle(self, wide_chip, line):
+        eff = compile_attack(wide_chip, parse_attack_line(line))
+        assert eff.trigger == ("after_cycle", 2 if "at_cycle" in line else 0)
 
     def test_deepest_replay_accepted(self, wide_chip):
         eff = compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",

@@ -21,10 +21,11 @@ from tpad.chip import (
     save_chip_bundle,
 )
 from tpad.lfsr import ZeroStateError
-from tpad.netlist import WidthError, parse_netlist, random_netlist, serialize_netlist
+from tpad.netlist import (Gate, WidthError, parse_netlist, parse_text, random_netlist,
+                          serialize_netlist)
 from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
-from tpad.switchbox import UnsatisfiableError
+from tpad.switchbox import UnsatisfiableError, serialize_obfuscated
 
 from conftest import checker_output, combine_error_signals, lfsr16
 
@@ -228,12 +229,10 @@ class TestChipBuild:
             res = chip.cycle(x, enc.send(x))
             assert res.error_signal == taps
 
-    def test_unsatisfiable_insertion_surfaces(self, full_adder):
+    def test_unsatisfiable_insertion_surfaces(self, full_adder, monkeypatch):
+        monkeypatch.setattr(chip_module, "INSERTION_MAX_ITERATIONS", 30)
         with pytest.raises(UnsatisfiableError):
-            build_protected_chip(
-                full_adder, r=1, t=50, lfsr_spec=lfsr16(1), rng_seed=1,
-                options=ChipOptions(insertion_max_iterations=30),
-            )
+            build_protected_chip(full_adder, r=1, t=50, lfsr_spec=lfsr16(1), rng_seed=1)
 
     def test_sequential_function_rejected(self):
         seq = parse_netlist(".inputs d\n.outputs q\nq = DFF(d)\n")
@@ -397,6 +396,21 @@ class TestChipAttacks:
 
 
 class TestBundle:
+    def test_detection_names_resolve(self, fixture_chip):
+        """Every name detection.net writes resolves through chip.resolved.wire to
+        the wire it names: read back that way, the text is the chip's netlist."""
+        det = fixture_chip.detection
+        _, inputs, outputs, gates, sbs, names = parse_text(serialize_obfuscated(det),
+                                                           switchboxes=True)
+        wire = {w: fixture_chip.resolved.wire(n) for w, n in names.items()}
+        assert len(set(wire.values())) == len(wire)
+        assert [wire[w] for w in inputs] == list(det.inputs)
+        assert [wire[w] for w in outputs] == list(det.outputs)
+        assert [Gate(wire[g.out], g.kind, tuple(map(wire.get, g.ins))) for g in gates] \
+            == list(det.gates)
+        assert [(i, tuple(map(wire.get, x)), tuple(map(wire.get, z))) for i, x, z in sbs] \
+            == [(sb.id, sb.ins, sb.outs) for sb in det.switchboxes]
+
     def test_round_trip_lockstep(self, pipelined_ram_chip, tmp_path):
         chip = pipelined_ram_chip
         chip.clear_attacks()
@@ -482,6 +496,32 @@ class TestBundle:
         (root / name).write_text("stray\n")
         with pytest.raises(ValueError, match=f"does not list: {re.escape(name)}$"):
             load_chip_bundle(root)
+
+    @pytest.mark.parametrize("name,edit,error", [
+        ("logic.code", lambda t: t.replace(t.splitlines()[1], "2111", 1),
+         "line 2: bad matrix row '2111'"),
+        ("detection.cfg", lambda t: "sb0 = sideways\n" + t,
+         "line 1, column 1: expected 'sbN = parallel|crossed'"),
+        ("function.net", lambda t: t + "z = MAJ(a, b)\n", "line 9, column 5: unknown gate kind 'MAJ'"),
+        ("lfsr.spec", lambda t: t + "taps\n", "line 5: bad spec line 'taps'"),
+    ])
+    def test_file_parse_error_named(self, adder_chip, tmp_path, name, edit, error):
+        """A file that fails to parse is named, even with its manifest hash rewritten."""
+        root = tmp_path / "b"
+        save_chip_bundle(adder_chip, root)
+        text = edit((root / name).read_text())
+        (root / name).write_text(text)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["files"][name] = hashlib.sha256(text.encode()).hexdigest()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^bundle file {re.escape(name)}: {re.escape(error)}$"):
+            load_chip_bundle(root)
+
+    def test_manifest_json_error_named(self, adder_chip, tmp_path):
+        save_chip_bundle(adder_chip, tmp_path)
+        (tmp_path / "manifest.json").write_text('{"format": ')
+        with pytest.raises(ValueError, match="^bundle file manifest.json: Expecting value"):
+            load_chip_bundle(tmp_path)
 
     def test_resave_over_a_larger_bundle(self, pipelined_ram_chip, adder_chip, tmp_path):
         """Saving over a bundle drops the output and RAM codes the new chip lacks."""

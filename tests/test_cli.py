@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tpad
+import tpad.attacks
 from tpad.chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 from tpad.cli import main
 from tpad.netlist import random_netlist, serialize_netlist
@@ -131,6 +133,79 @@ def test_run_receives_every_word(tmp_path, capsys):
         monitor_cycles += bool(res.monitor_attack)
     assert 0 < monitor_cycles < 200
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def host_bundle(tmp_path_factory):
+    """A 6-input, 4-output chip bundle built through the CLI."""
+    root = tmp_path_factory.mktemp("host")
+    src = root / "host.net"
+    src.write_text(serialize_netlist(random_netlist(6, 20, 4, rng_seed=51, name="host")))
+    assert main(["build-chip", "--in", str(src), "--out", str(root / "chip"), "--r", "2"]) == 0
+    return root / "chip"
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("logic flip target=fout:0 trigger=sometimes", "bad trigger 'sometimes'"),
+    ("logic bogus", "unknown target '-'"),
+    ("logic flip target=fout:9", "target 'fout:9': expected an integer in [0, 3]"),
+    ("logic stuk0 target=fout:0", "payload 'stuk0'"),
+    ("decoupling_parity_null stuck1 target=fout:0", "target 'fout:0'"),
+    ("reliability stuck0 target=fout:1 trigger=random:0.5", "trigger 'random:0.5'"),
+    ("logic stuck0 target=fout:*", "payload 'stuck0'"),
+])
+def test_attack_file_error_exits_2_before_any_trial(host_bundle, tmp_path, capsys, monkeypatch,
+                                                    line, reason):
+    atks = tmp_path / "atks.txt"
+    atks.write_text(f"pin flip target=input:0\n{line}\n")
+    monkeypatch.setattr(tpad.attacks, "run_campaign", None)  # running a trial would fail
+    assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("attack: line 2: ") and reason in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "attack"])
+@pytest.mark.parametrize("name,text,error", [
+    ("logic.code", "2 2\n2111\n11\n", "line 2: bad matrix row '2111'"),
+    ("detection.cfg", "sb0 = sideways\n", "line 1, column 1: expected 'sbN = parallel|crossed'"),
+])
+def test_malformed_bundle_exits_2(host_bundle, tmp_path, capsys, command, name, text, error):
+    """A corrupted file whose manifest hash was rewritten to match is an input error."""
+    root = tmp_path / "chip"
+    shutil.copytree(host_bundle, root)
+    (root / name).write_text(text)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["files"][name] = hashlib.sha256(text.encode()).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    atks = tmp_path / "atks.txt"
+    atks.write_text("pin flip target=input:0\n")
+    extra = ["--cycles", "5"] if command == "run" else ["--attacks", str(atks)]
+    assert main([command, "--chip", str(root), *extra]) == 2
+    assert capsys.readouterr().err == f"{command}: bundle file {name}: {error}\n"
+
+
+def test_missing_bundle_exits_2(tmp_path, capsys):
+    assert main(["run", "--chip", str(tmp_path / "nothing")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "manifest.json" in err and err.count("\n") == 1
+
+
+def test_attack_csv_is_the_campaign_of_its_file(host_bundle, tmp_path, capsys):
+    """Checking every line against the chip first leaves the campaign's draws alone."""
+    atks = tmp_path / "atks.txt"
+    atks.write_text("logic flip target=fout:0 trigger=at_cycle:2\n"
+                    "pin pins:0 target=input:*\n"
+                    "logic multi:2 target=fout:*\n"
+                    "reliability stuck1 target=fout:1 trigger=at_cycle:1\n"
+                    "decoupling_stored_state replay:2 trigger=after_cycle:1\n")
+    out = tmp_path / "campaign.csv"
+    assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks), "--trials", "70",
+                 "--cycles", "6", "--seed", "4", "--out", str(out)]) == 0
+    descriptors = tpad.attacks.parse_attack_file(atks.read_text())
+    rng = random.Random(4)
+    report = tpad.attacks.run_campaign(load_chip_bundle(host_bundle),
+                                       lambda _: rng.choice(descriptors), 70, 6, rng_seed=4)
+    assert out.read_text() == report.to_csv()
 
 
 def test_import_leaves_out_hashlib_and_json():

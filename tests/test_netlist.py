@@ -11,6 +11,7 @@ from tpad.netlist import (
     Gate,
     MultipleDriverError,
     Netlist,
+    NetlistBuilder,
     NetlistSyntaxError,
     UndrivenWireError,
     WidthError,
@@ -22,6 +23,8 @@ from tpad.netlist import (
     serialize_netlist,
     simplify_netlist,
 )
+from tpad import parity
+from tpad.parity import build_ocp, sample_parity_code
 from tpad.switchbox import CROSSED, PARALLEL, _Work, apply_config, union_step
 
 from conftest import FULL_ADDER, with_dffs
@@ -211,12 +214,55 @@ class TestNames:
         assert net.wire("w1_") == 1 and net.wire("w1") == 0
         assert "w1_ = NOT(w1)" in serialize_netlist(net)
 
+    def test_lower_wire_keeps_a_shared_name(self):
+        # unnamed wire 0 is written w0, so wire 1, also given w0, is written w0_
+        net = Netlist("n", (0,), (1,), (Gate(1, "NOT", (0,)),), {1: "w0"})
+        assert serialize_netlist(net) == ".model n\n.inputs w0\n.outputs w0_\nw0_ = NOT(w0)\n"
+        assert net.wire("w0") == 0 and net.wire("w0_") == 1
+
     def test_unknown_name_raises_key_error(self, full_adder):
         with pytest.raises(KeyError, match="ghost"):
             full_adder.wire("ghost")
 
 
+_BUILDER_NAMES = st.one_of(st.none(), st.sampled_from(["a", "a_", "b"]),
+                           st.builds("w{}".format, st.integers(0, 12)))
+
+
+@st.composite
+def named_netlists(draw):
+    """Builder netlists whose wire names repeat and take the w<k> shape of
+    the names unnamed wires are written under."""
+    b = NetlistBuilder("named")
+    wires = [b.input(draw(_BUILDER_NAMES)) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["AND", "OR", "XOR", "NAND", "NOT", "BUF"]))
+        ins = [draw(st.sampled_from(wires)) for _ in range(1 if kind in ("NOT", "BUF") else 2)]
+        wires.append(b.gate(kind, *ins, name=draw(_BUILDER_NAMES)))
+    b.set_outputs(draw(st.lists(st.sampled_from(wires), min_size=1, max_size=3)))
+    return b.build()
+
+
 class TestRoundTrip:
+    def test_duplicate_input_names(self):
+        b = NetlistBuilder("dup")
+        x, y = b.input("a"), b.input("a")
+        b.set_outputs([b.gate("AND", x, y)])
+        text = serialize_netlist(b.build())
+        assert text == ".model dup\n.inputs a a_\n.outputs w2\nw2 = AND(a, a_)\n"
+        assert serialize_netlist(parse_netlist(text)) == text
+
+    @given(named_netlists())
+    @settings(max_examples=150, deadline=None)
+    def test_named_builders_round_trip(self, net):
+        text = serialize_netlist(net)
+        again = parse_netlist(text)
+        assert serialize_netlist(again) == text
+        assert check_equivalence(net, again).equivalent
+        for w in (*net.inputs, *(g.out for g in net.gates)):
+            assert net.wire(net.wire_name(w)) == w
+            assert again.wire_name(again.wire(net.wire_name(w))) == net.wire_name(w)
+
     def test_canonical_round_trip(self, full_adder):
         text = serialize_netlist(full_adder)
         again = parse_netlist(text)
@@ -502,7 +548,203 @@ class TestStepReference:
             assert (got, state) == (want, want_state)
 
 
+def _simplify_oracle(net: Netlist) -> Netlist:
+    """simplify_netlist as it was written before its table-driven fold: one
+    branch per gate kind and its own structural-sharing lookup in each. The
+    fold must build the same netlist: the same gates, wire ids, order and
+    outputs.
+    """
+    repl: dict[int, int] = {}  # wire -> canonical wire
+    const: dict[int, int] = {}  # wire -> 0/1
+    seen: dict[tuple, int] = {}
+    gates: list[Gate] = []
+    next_id = max([*net.inputs, *(g.out for g in net.gates), -1]) + 1
+
+    def fresh() -> int:
+        nonlocal next_id
+        w = next_id
+        next_id += 1
+        return w
+
+    def canon(w: int) -> int:
+        while w in repl:
+            w = repl[w]
+        return w
+
+    for g in net._topo + net._dffs:
+        ins = tuple(canon(w) for w in g.ins)
+        kind = g.kind
+        if kind == "DFF":
+            key = ("DFF", ins)
+            prev = seen.get(key)
+            if prev is not None:
+                repl[g.out] = prev
+                continue
+            seen[key] = g.out
+            gates.append(Gate(g.out, "DFF", ins))
+            continue
+        vals = [const.get(w) for w in ins]
+        if kind in ("CONST0", "CONST1"):
+            const[g.out] = 1 if kind == "CONST1" else 0
+            continue
+        if kind == "BUF":
+            if vals[0] is not None:
+                const[g.out] = vals[0]
+            else:
+                repl[g.out] = ins[0]
+            continue
+        if kind == "NOT":
+            if vals[0] is not None:
+                const[g.out] = 1 - vals[0]
+                continue
+        if kind in ("AND", "NAND", "OR", "NOR", "XOR"):
+            live = []
+            acc = 0 if kind in ("OR", "NOR", "XOR") else 1
+            for w, v in zip(ins, vals):
+                if v is None:
+                    live.append(w)
+                elif kind in ("AND", "NAND"):
+                    acc &= v
+                elif kind in ("OR", "NOR"):
+                    acc |= v
+                else:
+                    acc ^= v
+            if kind in ("AND", "NAND") and acc == 0:
+                const[g.out] = 1 if kind == "NAND" else 0
+                continue
+            if kind in ("OR", "NOR") and acc == 1:
+                const[g.out] = 0 if kind == "NOR" else 1
+                continue
+            if not live:
+                v = acc
+                if kind in ("NAND", "NOR"):
+                    v = 1 - v
+                const[g.out] = v
+                continue
+            invert = kind in ("NAND", "NOR") or (kind == "XOR" and acc == 1)
+            base = {"NAND": "AND", "NOR": "OR"}.get(kind, kind)
+            if len(live) == 1:
+                kind2, ins2 = ("NOT", (live[0],)) if invert else ("BUF", (live[0],))
+            else:
+                ordered = tuple(sorted(live))
+                kind2, ins2 = base, ordered
+                if invert:
+                    kind2 = {"AND": "NAND", "OR": "NOR"}.get(base, base)
+                    if base == "XOR":
+                        # fold the inversion into a NOT after the shared XOR
+                        key = ("XOR", ordered)
+                        prev = seen.get(key)
+                        if prev is None:
+                            prev = fresh()
+                            seen[key] = prev
+                            gates.append(Gate(prev, "XOR", ordered))
+                        kind2, ins2 = "NOT", (prev,)
+            if kind2 == "BUF":
+                repl[g.out] = ins2[0]
+                continue
+            key = (kind2, ins2)
+            prev = seen.get(key)
+            if prev is not None:
+                repl[g.out] = prev
+                continue
+            seen[key] = g.out
+            gates.append(Gate(g.out, kind2, ins2))
+            continue
+        # NOT of a live wire
+        key = (kind, ins)
+        prev = seen.get(key)
+        if prev is not None:
+            repl[g.out] = prev
+            continue
+        seen[key] = g.out
+        gates.append(Gate(g.out, kind, ins))
+
+    # materialize constants that ended up driving outputs or live gate inputs
+    const_gate: dict[int, int] = {}
+    extra: list[Gate] = []
+
+    def resolve(w: int) -> int:
+        w = canon(w)
+        if w in const:
+            v = const[w]
+            if v not in const_gate:
+                const_gate[v] = fresh()
+                extra.append(Gate(const_gate[v], "CONST1" if v else "CONST0", ()))
+            return const_gate[v]
+        return w
+
+    fixed_gates = []
+    for g in gates:
+        fixed_gates.append(Gate(g.out, g.kind, tuple(resolve(w) for w in g.ins)))
+    outputs = [resolve(w) for w in net.outputs]
+    fixed_gates.extend(extra)
+
+    # dead-code removal: keep fan-in of outputs, following DFF data inputs
+    by_out = {g.out: g for g in fixed_gates}
+    keep: set[int] = set()
+    stack = list(outputs)
+    while stack:
+        w = stack.pop()
+        g = by_out.get(w)
+        if g is None or g.out in keep:
+            continue
+        keep.add(g.out)
+        stack.extend(g.ins)
+    live_gates = [g for g in fixed_gates if g.out in keep]
+    return Netlist(net.name, net.inputs, outputs, live_gates, net.wire_names)
+
+
+_MIXED_KINDS = ["CONST0", "CONST1", "BUF", "NOT", "DFF", "AND", "NAND", "OR", "NOR", "XOR"]
+
+
+@st.composite
+def mixed_netlists(draw):
+    """Netlists of every gate kind, AND/NAND/OR/NOR/XOR of arity 2-4 with
+    repeated and constant inputs, shuffled wire ids and gate order, and DFFs
+    that may read any wire (loops through them included)."""
+    n_in = draw(st.integers(0, 4))
+    kinds = draw(st.lists(st.sampled_from(_MIXED_KINDS), max_size=14))
+    ids = draw(st.permutations(range(n_in + len(kinds))))
+    inputs, outs = ids[:n_in], ids[n_in:]
+    dffs = [w for w, kind in zip(outs, kinds) if kind == "DFF"]
+    avail, gates = [*inputs, *dffs], []
+    for w, kind in zip(outs, kinds):
+        if kind == "DFF":
+            continue
+        arity = 0 if kind in ("CONST0", "CONST1") else 1 if kind in ("BUF", "NOT") \
+            else draw(st.integers(2, 4))
+        if arity and not avail:
+            kind, arity = "CONST1", 0
+        gates.append(Gate(w, kind, tuple(draw(st.sampled_from(avail)) for _ in range(arity))))
+        avail.append(w)
+    gates += [Gate(w, "DFF", (draw(st.sampled_from(avail)),)) for w in dffs]
+    outputs = draw(st.lists(st.sampled_from(ids), max_size=4)) if ids else []
+    return Netlist("mixed", inputs, outputs, draw(st.permutations(gates)))
+
+
+def assert_same_netlist(got: Netlist, want: Netlist) -> None:
+    assert (got.gates, got.outputs, got.inputs) == (want.gates, want.outputs, want.inputs)
+
+
 class TestSimplify:
+
+    @given(mixed_netlists())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oracle(self, net):
+        assert_same_netlist(simplify_netlist(net), _simplify_oracle(net))
+
+    @pytest.mark.parametrize("m,n,k,r", [(4, 10, 2, 1), (6, 25, 3, 2), (10, 48, 16, 3),
+                                         (12, 60, 8, 4), (16, 120, 16, 3)])
+    def test_matches_oracle_on_ocps(self, monkeypatch, m, n, k, r):
+        """The netlist build_ocp hands to simplify_netlist, folded both ways."""
+        pre = []
+        monkeypatch.setattr(parity, "simplify_netlist", lambda net: pre.append(net) or net)
+        for seed in range(4):
+            f = random_netlist(m, n, k, rng_seed=seed)
+            build_ocp(f, sample_parity_code(k, r, seed))
+        assert len(pre) == 4
+        for net in pre:
+            assert_same_netlist(simplify_netlist(net), _simplify_oracle(net))
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_preserves_function(self, seed):

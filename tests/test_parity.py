@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +222,12 @@ class TestMatrixFile:
             parse_matrix("2 2\n11\n")
         with pytest.raises(ValueError):
             parse_matrix("2 1\n12\n")
+
+    @pytest.mark.parametrize("text,error", [
+        ("# k r\n3 2\n101\n\n2111\n", "line 5: bad matrix row '2111'"),
+        ("3 2\n10\n011\n", "line 2: bad matrix row '10'"),
+        ("\n3 x\n101\n", "line 2: bad matrix header '3 x'"),
+    ])
+    def test_bad_line_named(self, text, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            parse_matrix(text)
