@@ -262,19 +262,24 @@ def uniform_output_flip_attacks(min_flips: int = 2) -> AttackGenerator:
     return gen
 
 
-# campaign wildcard target -> (the payloads it takes, and how to write them)
-_WILDCARD_PAYLOADS = {"fout:*": (re.compile(r"flip|multi:[1-9]\d*(:\d+)?"), "flip|multi:<lo>[:<hi>]"),
-                      "input:*": (re.compile(r"flip|pins:\d+"), "flip|pins:<cap>")}
+# campaign wildcard target -> (the one kind it takes, the payloads it takes, and how to write them)
+_WILDCARDS = {
+    "fout:*": ("logic", re.compile(r"flip|multi:[1-9]\d*(:\d+)?"), "flip|multi:<lo>[:<hi>]"),
+    "input:*": ("pin", re.compile(r"flip|pins:\d+"), "flip|pins:<cap>"),
+}
 
 
 def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
                  cycles: int) -> AttackEffect:
     """Expand campaign wildcards (random position / weight / cycle) to an effect."""
-    if atk.target in _WILDCARD_PAYLOADS:
-        form, expected = _WILDCARD_PAYLOADS[atk.target]
+    if atk.target in _WILDCARDS:
+        kind, form, expected = _WILDCARDS[atk.target]
         if not form.fullmatch(atk.payload):
             raise ValueError(f"attack '{atk}': payload {atk.payload!r}: "
                              f"target {atk.target} takes {expected}")
+        if atk.kind != kind:
+            raise ValueError(f"attack '{atk}': kind {atk.kind!r}: "
+                             f"target {atk.target} takes only {kind} attacks")
     trigger = atk.trigger
     if trigger == ("at_cycle", -1):
         trigger = ("at_cycle", rng.randrange(cycles))

@@ -479,6 +479,11 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     the error, input-decoder and output-check words, updates the chained
     check bits, advances the LFSR and hands the error signal to the chip's
     monitor. A netlist with fault overrides this cycle runs on eval_wires.
+    On a quiet cycle (no overrides, no replay) the detection body reads the
+    function body's variable for every gate that repeats one of its values
+    (the OCP is a copy of f) and inlines its single-use temporaries; with
+    function overrides or a replay, the detection inputs are not the
+    function body's clean values, so a standalone detection body runs.
     The registers are written after the RAM ops, so an op a RAM refuses
     leaves them as they were.
     """
@@ -498,8 +503,10 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
                          f"the chip feeds it {len(packed)}")
     do = [f"do{j}" for j in range(len(d.outputs))]
     ds = [f"ds{i}" for i in range(d.state_width)]
-    f_lines, _ = inline_step(f, x, [], fo, "f")
+    values: dict[tuple, str] = {}  # f's gate values, which a quiet detection body reads
+    f_lines, _ = inline_step(f, x, [], fo, "f", values)
     d_lines, d_next = inline_step(d, packed, ds, do, "d")
+    q_lines, q_next = inline_step(d, packed, ds, do, "d", values, inline=True)
     error, in_sig = do[:r], do[r:2 * r]
     checks = [do[i:i + r] for i in range(2 * r, len(do), r)]
 
@@ -558,10 +565,15 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
         "if d_over:",
         f"    {tup(do)}, {'d_next' if ds else '_'} = eval_wires(",
         f"        D, {tup(packed)}, chip.d_state, d_over, mask)",
-        "else:",
-        *([f"    {unpack(ds)} = chip.d_state"] if ds else []),
-        *(f"    {line}" for line in d_lines or ["pass"]),
-        *([f"    d_next = {tup(d_next)}"] if ds else []),
+    ]
+    for test, lines, nxt in (("elif f_over or replay:", d_lines, d_next), ("else:", q_lines, q_next)):
+        body += [
+            test,
+            *([f"    {unpack(ds)} = chip.d_state"] if ds else []),
+            *(f"    {line}" for line in lines or ["pass"]),
+            *([f"    d_next = {tup(nxt)}"] if ds else []),
+        ]
+    body += [
         f"error = {tup(error)}",
         f"checks = {tup([tup(c) for c in checks])}",
         f"decode = {' | '.join(f'({i} ^ {t})' for i, t in zip(in_sig, taps))}",

@@ -22,8 +22,21 @@ def _cmd_gen_code(args) -> int:
     return 0
 
 
-def _cmd_insert_sb(args) -> int:
+def _read_netlist(command: str, path: str):
+    """The netlist in file `path`, or None after one line on stderr naming the file."""
     from .netlist import parse_netlist
+
+    try:
+        return parse_netlist(Path(path).read_text(), Path(path).stem)
+    except OSError as e:
+        message = e.strerror or str(e)
+    except (NetlistError, ValueError) as e:  # ValueError: text that is not UTF-8
+        message = str(e)
+    print(f"{command}: {path}: {message}", file=sys.stderr)
+    return None
+
+
+def _cmd_insert_sb(args) -> int:
     from .switchbox import (
         UnsatisfiableError,
         format_config,
@@ -31,7 +44,9 @@ def _cmd_insert_sb(args) -> int:
         serialize_obfuscated,
     )
 
-    net = parse_netlist(Path(args.infile).read_text(), Path(args.infile).stem)
+    net = _read_netlist("insert-sb", args.infile)
+    if net is None:
+        return 2
     try:
         obf = insert_switchboxes(net, args.t, rng_seed=args.seed,
                                  max_iterations=args.max_iterations)
@@ -55,9 +70,10 @@ def _default_lfsr(r: int):
 
 def _cmd_build_chip(args) -> int:
     from .chip import ChipOptions, build_protected_chip, save_chip_bundle
-    from .netlist import parse_netlist
 
-    net = parse_netlist(Path(args.infile).read_text(), Path(args.infile).stem)
+    net = _read_netlist("build-chip", args.infile)
+    if net is None:
+        return 2
     options = ChipOptions(
         pipeline_stages=args.pipeline,
         ram_depth=args.ram_depth,
@@ -115,6 +131,9 @@ def _cmd_attack(args) -> int:
     from .attacks import _attack_lines, _materialize, run_campaign
     from .chip import load_chip_bundle
 
+    if args.trials < 1:
+        print("attack: trials must be >= 1", file=sys.stderr)
+        return 2
     try:
         chip = load_chip_bundle(args.chip)
         descriptors = []

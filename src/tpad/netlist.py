@@ -27,6 +27,7 @@ import linecache
 import random
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -250,28 +251,27 @@ class Netlist:
         return self.step_fn()(tuple(inputs), tuple(state), 1)
 
 
-def _gate_expr(g: Gate, ref: Callable[[int], str] = "v{}".format) -> str:
-    """g's value as a Python expression over the variables ref(w) of its inputs."""
-    args = [ref(w) for w in g.ins]
-    if g.kind == "AND":
+def _gate_expr(kind: str, args: Sequence[str]) -> str:
+    """The Python expression of a `kind` gate over the operand expressions args."""
+    if kind == "AND":
         return " & ".join(args)
-    if g.kind == "OR":
+    if kind == "OR":
         return " | ".join(args)
-    if g.kind == "XOR":
+    if kind == "XOR":
         return " ^ ".join(args)
-    if g.kind == "NAND":
+    if kind == "NAND":
         return "mask ^ (" + " & ".join(args) + ")"
-    if g.kind == "NOR":
+    if kind == "NOR":
         return "mask ^ (" + " | ".join(args) + ")"
-    if g.kind == "NOT":
+    if kind == "NOT":
         return f"mask ^ {args[0]}"
-    if g.kind == "BUF":
+    if kind == "BUF":
         return args[0]
-    if g.kind == "CONST0":
+    if kind == "CONST0":
         return "0"
-    if g.kind == "CONST1":
+    if kind == "CONST1":
         return "mask"
-    raise AssertionError(g.kind)
+    raise AssertionError(kind)
 
 
 def _compile_step(
@@ -324,7 +324,7 @@ def _compile_step(
         elif g.kind == "BUF" and faults is None:
             names[g.out] = ref(g.ins[0])
         else:
-            drive(g.out, _gate_expr(g, ref))
+            drive(g.out, _gate_expr(g.kind, [ref(w) for w in g.ins]))
     lines.append(f" return ({seq(outputs)}), ({seq(g.ins[0] for g in dffs)})")
     kind = "fault step" if faults is not None else "union step" if selects is not None else "step"
     return define(lines, "step", {}, f"{kind} {len(order)} gates")
@@ -350,8 +350,14 @@ def define(lines: Sequence[str], name: str, namespace: dict, label: str) -> Call
     return fn
 
 
+# parenthesis levels an inlined temporary may reach; Python's parser refuses
+# about 200, so a long chain of single-use gates is cut into statements
+INLINE_DEPTH = 32
+
+
 def inline_step(
-    net: Netlist, inputs: Sequence[str], state: Sequence[str], outputs: Sequence[str], var: str
+    net: Netlist, inputs: Sequence[str], state: Sequence[str], outputs: Sequence[str], var: str,
+    values: Optional[dict[tuple, str]] = None, inline: bool = False,
 ) -> tuple[list[str], list[str]]:
     """Statements that run one step of net inside a generated function.
 
@@ -361,8 +367,16 @@ def inline_step(
     names of the next-state values. A gate that drives exactly one output
     assigns that output's variable itself, and a BUF's wire reads its
     input's variable, so only an output that no gate can name gets a copy.
+
+    `values` maps a gate's canonical expression, its kind and sorted operand
+    variables, to the variable that holds it (value numbering): a gate found
+    there reads that variable instead of being computed again (an output's
+    own variable copies it), and each gate computed here is added. With
+    `inline`, a temporary that exactly one statement reads goes into that
+    statement in parentheses, up to INLINE_DEPTH levels deep, and leaves
+    `values`.
     """
-    names = dict(zip(net.inputs, inputs))
+    names = dict(zip(net.inputs, inputs))  # wire -> the variable assigned its value
     names.update(zip((g.out for g in net._dffs), state))
     for j, w in enumerate(net.outputs):
         if w not in names and net.outputs.count(w) == 1:
@@ -371,14 +385,47 @@ def inline_step(
     def ref(w: int) -> str:
         return names.get(w) or f"{var}{w}"
 
-    lines = []
+    stmts = []  # (variable, gate kind, operand variables)
     for g in net._topo:
+        args = [ref(w) for w in g.ins]
         if g.kind == "BUF" and g.out not in names:
-            names[g.out] = ref(g.ins[0])
+            names[g.out] = args[0]
+            continue
+        if values is not None and g.kind != "BUF":
+            key = (g.kind, *sorted(args))
+            have = values.get(key)
+            if have is not None:  # an output's own variable copies it at the end
+                names[g.out] = have
+                continue
+            values[key] = ref(g.out)
+        stmts.append((ref(g.out), g.kind, args))
+    stmts += [(name, "BUF", [ref(w)]) for name, w in zip(outputs, net.outputs)
+              if names.get(w) != name]
+    nxt = [ref(g.ins[0]) for g in net._dffs]
+    if not inline:
+        return [f"{t} = {_gate_expr(kind, args)}" for t, kind, args in stmts], nxt
+
+    reads = Counter(a for _, _, args in stmts for a in args)
+    kept = {*outputs, *nxt}  # read after the statements
+    held: dict[str, tuple[str, int]] = {}  # temporary -> (its expression, its depth)
+    lines = []
+    for t, kind, args in stmts:
+        parts, inner = [], 0
+        for a in args:
+            if a in held:
+                expr, depth = held.pop(a)
+                parts.append(expr if kind == "BUF" else f"({expr})")
+                inner = max(inner, depth + (kind != "BUF"))
+            else:
+                parts.append(a)
+        expr, depth = _gate_expr(kind, parts), inner + (kind in ("NAND", "NOR"))
+        if reads[t] == 1 and t not in kept and depth < INLINE_DEPTH:
+            held[t] = expr, depth
+            if values:
+                values.pop((kind, *sorted(args)), None)
         else:
-            lines.append(f"{ref(g.out)} = {_gate_expr(g, ref)}")
-    lines += [f"{name} = {ref(w)}" for name, w in zip(outputs, net.outputs) if ref(w) != name]
-    return lines, [ref(g.ins[0]) for g in net._dffs]
+            lines.append(f"{t} = {expr}")
+    return lines, nxt
 
 
 _FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes

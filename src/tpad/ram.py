@@ -170,7 +170,7 @@ class ProtectedRam:
             if op == READ and out.data != self.data_out:
                 symptoms.append(OUT_NEQ_DATAOUT)
         else:
-            out_changed = out != prev_ram_out
+            out_changed = out is not prev_ram_out and out != prev_ram_out
             latch_changed = self.data_out != prev_data_out
             if (out_changed or latch_changed) and out.data == self.data_out:
                 symptoms.append(IDLE_READ_ACTIVITY)

@@ -299,8 +299,21 @@ class TestCompileValidation:
                                                 ("fout:*", "multi:x"), ("input:*", "stuck1"),
                                                 ("input:*", "pins:-1")])
     def test_misread_wildcard_refused(self, wide_chip, target, payload):
-        atk = AttackDescriptor("logic", target, ("at_cycle", -1), payload)
+        kind = "logic" if target == "fout:*" else "pin"
+        atk = AttackDescriptor(kind, target, ("at_cycle", -1), payload)
         with pytest.raises(ValueError, match=f"^attack .*: payload {re.escape(repr(payload))}"):
+            run_campaign(wide_chip, lambda rng: atk, trials=1, cycles_per_trial=4, rng_seed=1)
+
+    @pytest.mark.parametrize("kind,target,payload", [
+        ("reliability", "fout:*", "flip"), ("electrical", "fout:*", "multi:2"),
+        ("pin", "fout:*", "flip"), ("logic", "input:*", "flip"),
+        ("reliability", "input:*", "pins:0")])
+    def test_wildcard_of_another_kind_refused(self, wide_chip, kind, target, payload):
+        """A wildcard builds one kind of effect, so any other kind would be misread."""
+        atk = AttackDescriptor(kind, target, ("after_cycle", 3), payload)
+        expected = "logic" if target == "fout:*" else "pin"
+        with pytest.raises(ValueError, match=f"^attack '{re.escape(str(atk))}': kind '{kind}': "
+                                             f"target {re.escape(target)} takes only {expected} "):
             run_campaign(wide_chip, lambda rng: atk, trials=1, cycles_per_trial=4, rng_seed=1)
 
     @pytest.mark.parametrize("line", ["reliability stuck1 target=fout:0 trigger=at_cycle:2",

@@ -5,13 +5,14 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from tpad import chip as chip_module
 from tpad.attacks import AttackDescriptor, run_campaign
 from tpad.chip import (
     AttackEffect,
+    ChipCycleResult,
     ChipOptions,
     OutputReceiver,
     ProtectedChip,
@@ -20,8 +21,9 @@ from tpad.chip import (
     load_chip_bundle,
     save_chip_bundle,
 )
-from tpad.lfsr import ZeroStateError
-from tpad.netlist import (Gate, WidthError, parse_netlist, parse_text, random_netlist,
+from tpad.lanes import select
+from tpad.lfsr import ZeroStateError, step_lfsr
+from tpad.netlist import (Gate, WidthError, eval_wires, parse_netlist, parse_text, random_netlist,
                           serialize_netlist)
 from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
@@ -626,3 +628,118 @@ class TestWidthChecks:
             with pytest.raises(WidthError, match=rf"^expected 2 output values, got {len(word)}$"):
                 rec.receive(word, (0,))
         assert rec.prev_check == start
+
+
+# -- the generated clock against a reference -----------------------------------------
+
+
+def reference_cycle(chip, inputs, recv_check, ram_op=None):
+    """One clock of chip with both netlists evaluated by eval_wires every cycle.
+
+    It spells out what the generated clock (`chip._compile_cycle`) computes,
+    with no inlined netlist, no quiet-cycle body and no shared values; the
+    attack data, RAM lanes, replay and pad helpers are the chip's own.
+    """
+    mask, r = chip.mask, chip.r
+    taps = [-(chip.lfsr_state >> p & 1) & mask for p in chip.lfsr_spec.taps]
+    x, rc, f_over, d_over, trojans, replay, null, stored, pads = chip._attack_data(inputs, recv_check)
+    fo, _ = eval_wires(chip.f, tuple(x), (), f_over, mask)
+    live = (*x, *rc, *chip.prev_in_check, *fo, *(b for c in chip.prev_out_checks for b in c))
+    ram_res, ram_sig = None, []
+    if chip.ram is not None:
+        reports = 0
+        if isinstance(ram_op, list):
+            ram_res, reports = chip._ram_lanes(ram_op, trojans)
+        elif ram_op is not None:
+            ram_res = chip.ram.cycle(*ram_op, trojan=trojans.get(0))
+            reports = ram_res.attack
+        ram_sig = [taps[0] ^ reports, *taps[1:]]
+    det_in = chip._replayed(replay, stored, live) if replay else live
+    do, d_next = eval_wires(chip.resolved, (*det_in, *taps, *ram_sig), chip.d_state, d_over, mask)
+    error, in_sig = do[:r], do[r:2 * r]
+    checks = tuple(do[i:i + r] for i in range(2 * r, len(do), r))
+    decode = 0
+    for s, t in zip(in_sig, taps):
+        decode |= s ^ t
+    outputs, tx = chip._transmit(fo, checks, replay, null, pads)
+    chip.prev_in_check = select(replay, chip.prev_in_check, rc)
+    chip.prev_out_checks = tuple(select(replay, old, new)
+                                 for old, new in zip(chip.prev_out_checks, checks))
+    chip._last_tx_checks = tx
+    chip.d_state = d_next
+    chip._history.append(live)
+    chip.lfsr_state = step_lfsr(chip.lfsr_state, chip.lfsr_spec)
+    chip.cycle_count += 1
+    return ChipCycleResult(outputs, tx[0], tx, error, chip.monitor.check(error), decode, ram_res)
+
+
+def registers(chip):
+    """Everything a clock writes on the chip, its RAM lanes and its monitor."""
+    return (chip.prev_in_check, chip.prev_out_checks, chip._last_tx_checks, chip.d_state,
+            chip.lfsr_state, chip.cycle_count, list(chip._history), chip.monitor.state,
+            [(ram.cells, ram.ram_out, ram.data_out) for ram in chip.rams])
+
+
+# what one cycle of a drawn session does: nothing, or one kind of armed attack
+CYCLE_KINDS = ("quiet", "f_over", "d_over", "replay", "pads", "pins", "null", "ram")
+
+
+class TestClockReference:
+    """The generated clock equals reference_cycle on every field and register,
+    over sessions that mix quiet cycles with each kind of attacked cycle."""
+
+    @staticmethod
+    def effect(kind, cycle, chip, rng):
+        trigger = ("at_cycle", cycle)
+        if kind in ("f_over", "d_over"):
+            net = chip.f if kind == "f_over" else chip.resolved
+            over = {rng.choice([*net.inputs, *(g.out for g in net.gates)]):
+                    rng.choice(("flip", "stuck0", "stuck1"))}
+            return AttackEffect("logic", trigger, **{f"{kind[0]}_overrides": over})
+        if kind == "replay":
+            return AttackEffect("decoupling_stored_state", trigger, replay_depth=rng.randint(1, 3))
+        if kind == "pads":
+            return AttackEffect("pin", trigger, output_flips=(rng.randrange(len(chip.f.outputs)),))
+        if kind == "pins":
+            return AttackEffect("pin", trigger, input_flips=(rng.randrange(len(chip.f.inputs)),),
+                                recv_flips=(rng.randrange(chip.r),))
+        if kind == "null":
+            return AttackEffect("decoupling_parity_null", trigger)
+        return AttackEffect("logic", trigger, ram_trojan=rng.choice(RAM_TROJANS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), r=st.integers(1, 3), ram=st.booleans(),
+           stages=st.integers(0, 1), lanes=st.integers(1, 3),
+           kinds=st.lists(st.sampled_from(CYCLE_KINDS), min_size=4, max_size=24))
+    def test_matches_reference(self, seed, r, ram, stages, lanes, kinds):
+        rng = random.Random(seed)
+        f = random_netlist(5, 16, 4, rng_seed=seed % 1000)
+        options = ChipOptions(pipeline_stages=stages, ram_depth=8 if ram else None, ram_word_width=8)
+        try:
+            built = build_protected_chip(f, r, 1, lfsr16(r), rng_seed=seed % 1000, options=options)
+        except UnsatisfiableError:
+            reject()  # no insertion met t on this draw, so there is no chip
+        chip, ref = [ProtectedChip(built.f, built.ocp, built.detection, built.h_logic, built.h_in,
+                                   built.out_codes, built.lfsr_spec, built.t, options, built.h_mem)
+                     for _ in range(2)]
+        seeds = [rng.getrandbits(32) for _ in range(lanes)]
+        all_lanes = (1 << lanes) - 1
+        for c in (chip, ref):
+            c.reset(seeds if lanes > 1 else seeds[0])
+        for cycle, kind in enumerate(kinds):
+            if kind == "quiet" or (kind == "ram" and not ram):
+                continue
+            effect, lane_mask = self.effect(kind, cycle, chip, rng), rng.randint(1, all_lanes)
+            for c in (chip, ref):
+                c.install_attack(effect, lane_mask)
+        for cycle in range(len(kinds)):
+            x = tuple(rng.getrandbits(lanes) for _ in f.inputs)
+            rc = tuple(rng.getrandbits(lanes) for _ in range(r))
+            ops = None
+            if ram:
+                ops = [rng.choice([("read", rng.randrange(8), None), ("idle", None, None),
+                                   ("write", rng.randrange(8), rng.randrange(256))])
+                       for _ in range(lanes)]
+                ops = ops if lanes > 1 else ops[0]
+            assert chip.cycle(x, rc, ops) == reference_cycle(ref, x, rc, ops), (cycle, kinds[cycle])
+            assert registers(chip) == registers(ref), (cycle, kinds[cycle])

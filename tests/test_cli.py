@@ -153,6 +153,8 @@ def host_bundle(tmp_path_factory):
     ("decoupling_parity_null stuck1 target=fout:0", "target 'fout:0'"),
     ("reliability stuck0 target=fout:1 trigger=random:0.5", "trigger 'random:0.5'"),
     ("logic stuck0 target=fout:*", "payload 'stuck0'"),
+    ("reliability flip target=fout:* trigger=after_cycle:3", "kind 'reliability'"),
+    ("logic flip target=input:*", "kind 'logic': target input:* takes only pin attacks"),
 ])
 def test_attack_file_error_exits_2_before_any_trial(host_bundle, tmp_path, capsys, monkeypatch,
                                                     line, reason):
@@ -162,6 +164,36 @@ def test_attack_file_error_exits_2_before_any_trial(host_bundle, tmp_path, capsy
     assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("attack: line 2: ") and reason in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_attack_trials_below_one_exit_2(host_bundle, tmp_path, capsys, monkeypatch, trials):
+    atks = tmp_path / "atks.txt"
+    atks.write_text("pin flip target=input:0\n")
+    monkeypatch.setattr(tpad.attacks, "run_campaign", None)  # running a trial would fail
+    assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks),
+                 "--trials", trials]) == 2
+    assert capsys.readouterr().err == "attack: trials must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["build-chip", "insert-sb"])
+@pytest.mark.parametrize("text,error", [
+    (".inputs a\n.outputs y\ny = FOO(a)\n", "line 3, column 5: unknown gate kind 'FOO'"),
+    (".inputs a\n.outputs y\ny = AND(a, z)\nz = AND(a, y)\n", "combinational cycle through wire "),
+    (None, "No such file or directory"),
+])
+def test_bad_input_netlist_exits_2(tmp_path, capsys, command, text, error):
+    """A malformed or missing netlist is one line on stderr naming the file."""
+    src = tmp_path / "in.net"
+    if text is not None:
+        src.write_text(text)
+    out = tmp_path / "out"
+    args = ["--in", str(src), "--out", str(out)]
+    args += ["--config-out", str(tmp_path / "out.cfg"), "--t", "1"] if command == "insert-sb" else []
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: {src}: {error}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "attack"])

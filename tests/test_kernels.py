@@ -101,11 +101,12 @@ def test_dropped_region_steps_leave_linecache():
     assert left == []
 
 
-# sha256 of the generated source, recorded before the kernels were named, as
-# the string the chip and the union step passed to exec
+# sha256 of the generated source: the union step's as recorded before the
+# kernels were named, the clocks' as recorded when the quiet-cycle detection
+# body (shared function values, inlined single-use temporaries) came in
 SOURCE_SHA256 = {
-    "adder clock": "5df4ab0cdf1b541bd0c16d553adf2e3f4e5a42db2701994779152ea5ffac3f58",
-    "ram clock": "cea43281cdceff49b77b207a9cf2979b0f6c875198d3b1e987025f95737b0ae9",
+    "adder clock": "74ffcc01be35ac7fc0891a869a20bcf809f188e35f1fbf2d4affe71ab00b1d41",
+    "ram clock": "8b639da91fae6f5f204539e332bcb6820a9deaa74425de433ffd283364f4c9f3",
     "union step": "fbefa44fec6fb7e66f57b13688c5b2efe81b810d4c0ee46b183384d5da4b6d00",
 }
 

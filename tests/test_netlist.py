@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from tpad.netlist import (
     ArityError,
     ArityMismatchError,
+    INLINE_DEPTH,
     CombinationalCycleError,
     Gate,
     MultipleDriverError,
@@ -417,41 +419,125 @@ def with_gates_spliced(net, rng, kinds):
     return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
 
 
-def inlined(net):
-    """net's step as a function made of inline_step's statements."""
+def inlined(net, **shared):
+    """net's step as a function made of inline_step's statements (shared: its
+    values and inline arguments)."""
     ins = [f"i{j}" for j in range(len(net.inputs))]
     state = [f"s{j}" for j in range(net.state_width)]
     outs = [f"o{j}" for j in range(len(net.outputs))]
-    lines, nxt = inline_step(net, ins, state, outs, "w")
+    lines, nxt = inline_step(net, ins, state, outs, "w", **shared)
+    return as_step(ins, state, lines, [outs], nxt)
+
+
+def as_step(ins, state, lines, outs, nxt):
+    """step(inp, st, mask) running lines, returning each of the output lists and nxt."""
     body = [*(f"{n} = inp[{j}]" for j, n in enumerate(ins)),
             *(f"{n} = st[{j}]" for j, n in enumerate(state)),
             *lines,
-            f"return ({''.join(o + ', ' for o in outs)}), ({''.join(n + ', ' for n in nxt)})"]
+            "return " + "".join(f"({''.join(o + ', ' for o in names)}), "
+                                for names in (*outs, nxt))]
     ns = {}
     exec("def step(inp, st, mask):\n" + "".join(f"    {line}\n" for line in body), ns)
     return ns["step"]
+
+
+def with_twins(net, rng):
+    """net plus a second copy of every combinational gate, operands shuffled,
+    read by nothing: each value is computed twice."""
+    next_id = max([*net.inputs, *(g.out for g in net.gates)]) + 1
+    twin = {}
+    gates = list(net.gates)
+    for g in net._topo:
+        twin[g.out] = next_id
+        ins = [twin.get(w, w) if rng.random() < 0.5 else w for w in g.ins]
+        rng.shuffle(ins)
+        gates.append(Gate(next_id, g.kind, tuple(ins)))
+        next_id += 1
+    return Netlist(net.name, net.inputs, net.outputs, gates, net.wire_names)
 
 
 class TestInlineStep:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32),
            kinds=st.lists(st.sampled_from(["CONST0", "CONST1", "BUF", "DFF"]),
-                          min_size=1, max_size=6))
-    def test_equals_step_fn(self, seed, kinds):
+                          min_size=1, max_size=6),
+           table=st.booleans(), inline=st.booleans())
+    def test_equals_step_fn(self, seed, kinds, table, inline):
         rng = random.Random(seed)
         net = with_gates_spliced(random_netlist(6, 25, 3, rng_seed=seed), rng, kinds)
         # extra outputs that read an input, a DFF or BUF, and a wire listed twice
         extra = [net.inputs[0], net.outputs[0],
                  *[g.out for g in net.gates if g.kind in ("DFF", "BUF")][:2]]
         net = Netlist(net.name, net.inputs, (*net.outputs, *extra), net.gates, net.wire_names)
-        step, ref = inlined(net), net.step_fn()
+        step, ref = inlined(net, values={} if table else None, inline=inline), net.step_fn()
         mask = (1 << 16) - 1
         state = ref_state = tuple(rng.getrandbits(16) for _ in range(net.state_width))
         for _ in range(4):
             inp = tuple(rng.getrandbits(16) for _ in net.inputs)
             got, expected = step(inp, state, mask), ref(inp, ref_state, mask)
-            assert got == expected
+            assert got[:2] == expected
             state, ref_state = got[1], expected[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32),
+           kinds=st.lists(st.sampled_from(["CONST0", "CONST1", "BUF", "DFF"]), max_size=4))
+    def test_shared_table(self, seed, kinds):
+        """A second body over a table that holds every value of the first copies
+        each output; inside one body each distinct value is computed once."""
+        rng = random.Random(seed)
+        base = with_gates_spliced(random_netlist(6, 25, 4, rng_seed=seed), rng, kinds)
+        net = with_twins(base, rng)
+        ins = [f"i{j}" for j in range(len(net.inputs))]
+        state = [f"s{j}" for j in range(net.state_width)]
+        outs = [[f"{v}{j}" for j in range(len(net.outputs))] for v in "ab"]
+        values = {}
+        first, nxt = inline_step(net, ins, state, outs[0], "w", values)
+        # the twins add no statement
+        assert len(first) <= sum(g.kind != "BUF" for g in base._topo) + len(net.outputs)
+        second, nxt2 = inline_step(net, ins, state, outs[1], "x", values, inline=True)
+        assert nxt2 == nxt
+        assert all(re.fullmatch(r"b\d+ = [a-z]+\d+", line) for line in second), second
+        step, ref = as_step(ins, state, first + second, outs, nxt), net.step_fn()
+        mask = (1 << 16) - 1
+        inp = tuple(rng.getrandbits(16) for _ in net.inputs)
+        st_ = tuple(rng.getrandbits(16) for _ in range(net.state_width))
+        a, b, n = step(inp, st_, mask)
+        assert (a, n) == (b, n) == ref(inp, st_, mask)
+
+    def test_inlining_drops_moved_values(self):
+        net = parse_netlist(".inputs a b c\n.outputs y\nu = AND(a, b)\nv = XOR(u, c)\n"
+                            "y = OR(v, u)\n")
+        values = {}
+        lines, _ = inline_step(net, ["a", "b", "c"], [], ["y"], "w", values, inline=True)
+        # u has two readers and stays; v has one and moves into y's statement
+        assert lines == [f"w{net.wire('u')} = a & b", f"y = (w{net.wire('u')} ^ c) | w{net.wire('u')}"]
+        assert sorted(values.values()) == [f"w{net.wire('u')}", "y"]
+
+    @pytest.mark.parametrize("length", [1000, 3000])
+    def test_long_single_use_chain_compiles(self, length):
+        b = NetlistBuilder("chain")
+        x, y = b.input("x"), b.input("y")
+        w = x
+        for i in range(length):
+            w = b.gate(("XOR", "NAND", "NOT", "OR")[i % 4], *((w,) if i % 4 == 2 else (w, y)))
+        b.set_outputs([w])
+        net = b.build()
+        ins = ["x", "y"]
+        lines, _ = inline_step(net, ins, [], ["o0"], "w", inline=True)
+        assert len(lines) < length // 10
+        assert max(_nesting(line) for line in lines) <= INLINE_DEPTH + 1
+        step = as_step(ins, [], lines, [["o0"]], [])
+        for inp in [(0, 0), (0, 1), (1, 0), (1, 1), (0b0101, 0b0011)]:
+            assert step(inp, (), 15)[:1] == net.step_fn()(inp, (), 15)[:1]
+
+
+def _nesting(text):
+    """The deepest parenthesis nesting in text."""
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
 
 
 _REFERENCE_OPS = {

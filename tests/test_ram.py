@@ -15,6 +15,7 @@ from tpad.ram import (
     TROJAN_ACTIONS,
     WRITE,
     ProtectedRam,
+    RamWord,
 )
 
 
@@ -123,6 +124,26 @@ class TestDetectionTable:
     def test_does_not_write_symptom_names(self, worked_code):
         res = _staged(worked_code, "does_not_write")
         assert res.symptoms == (IN_NEQ_OUT,)
+
+
+class TestIdleCompare:
+    def test_clean_idle_cycle_compares_no_words(self, worked_code, monkeypatch):
+        """An idle cycle whose RAM_Out is the same word object skips RamWord.__eq__;
+        the detection table reads the same with the compare counted."""
+        calls = []
+        eq = RamWord.__eq__
+        monkeypatch.setattr(RamWord, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+        ram = ProtectedRam(256, 16, code=worked_code)
+        rng = random.Random(3)
+        for _ in range(200):
+            ram.cycle(WRITE, rng.randrange(256), rng.randrange(1 << 16))
+            ram.cycle(READ, rng.randrange(256))
+            assert not ram.cycle(IDLE).attack
+        assert calls == []
+        for trojan in RAM_TROJANS:
+            res = _staged(worked_code, trojan)
+            assert res.symptoms == (EXPECTED_SYMPTOM[trojan],)
+        assert calls  # a rogue write on an idle cycle is compared by value
 
 
 class TestHealthyTraffic:
