@@ -16,7 +16,6 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 from .chip import (
@@ -30,7 +29,7 @@ from .lanes import lanes_of, pack_lanes
 from .netlist import Netlist, text_lines
 from .parity import ParityCheckMatrix
 from .ram import RAM_TROJANS
-from .rng import Rng, as_rng
+from .rng import Rng, as_rng, random_bits
 
 ATTACK_KINDS = (
     "pin",
@@ -305,30 +304,36 @@ def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
     return compile_attack(chip, AttackDescriptor(atk.kind, atk.target, trigger, atk.payload))
 
 
-# Trials per campaign batch; see _run_lanes.
-CAMPAIGN_BATCH = 64
+# Trials per campaign batch; see _run_lanes. At 128 to 512 lanes, a call to the
+# clock, the encoder, the receiver or the fault interpreter costs about the same.
+CAMPAIGN_BATCH = 256
 
 
-def _stimulus(chip: ProtectedChip, seed: int, cycles: int) -> tuple[list[int], list[Optional[tuple]]]:
-    """One trial's input bits (cycle after cycle) and RAM operations, from random.Random(seed)."""
+def _stimulus(chip: ProtectedChip, seed: int, cycles: int) -> tuple[bytes, list[Optional[tuple]]]:
+    """One trial's input bits (cycle after cycle) and RAM operations, from random.Random(seed).
+
+    The bits are the getrandbits(1) draws of each cycle's inputs, taken in
+    one call (random_bits): for the whole trial, or on a RAM chip for each
+    cycle before that cycle's memory operation.
+    """
     srng = random.Random(seed)
     m = len(chip.f.inputs)
-    bits: list[int] = []
+    if chip.ram is None:
+        return random_bits(srng, m * cycles), [None] * cycles
+    bits: list[bytes] = []
     ram_ops: list[Optional[tuple]] = []
     for _ in range(cycles):
-        bits.extend(map(srng.getrandbits, repeat(1, m)))
-        ram_op = None
-        if chip.ram is not None:
-            roll = srng.random()
-            if roll < 0.4:
-                ram_op = ("write", srng.randrange(chip.ram.depth),
-                          srng.randrange(1 << chip.ram.word_width))
-            elif roll < 0.8:
-                ram_op = ("read", srng.randrange(chip.ram.depth), None)
-            else:
-                ram_op = ("idle", None, None)
+        bits.append(random_bits(srng, m))
+        roll = srng.random()
+        if roll < 0.4:
+            ram_op = ("write", srng.randrange(chip.ram.depth),
+                      srng.randrange(1 << chip.ram.word_width))
+        elif roll < 0.8:
+            ram_op = ("read", srng.randrange(chip.ram.depth), None)
+        else:
+            ram_op = ("idle", None, None)
         ram_ops.append(ram_op)
-    return bits, ram_ops
+    return b"".join(bits), ram_ops
 
 
 def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[AttackEffect]]],

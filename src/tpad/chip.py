@@ -59,7 +59,7 @@ from .parity import (
     sample_parity_code,
 )
 from .ram import ProtectedRam, RamCycleResult
-from .rng import Rng, as_rng
+from .rng import Rng, as_rng, random_bits
 from .switchbox import (
     ObfuscatedNetlist,
     apply_config,
@@ -303,12 +303,12 @@ class ProtectedChip:
         n_chain = r * (1 + len(self.out_codes))
         rows = []
         self._trigger_seeds: list[int] = []
-        drawn: dict[int, tuple[list[int], int]] = {}  # lanes that share an int seed share draws
+        drawn: dict[int, tuple[bytes, int]] = {}  # lanes that share an int seed share draws
         for seed in seeds:
             got = drawn.get(seed) if isinstance(seed, int) else None
             if got is None:
                 rng = as_rng(seed)
-                got = [rng.getrandbits(1) for _ in range(n_chain)], rng.getrandbits(64)
+                got = random_bits(rng, n_chain), rng.getrandbits(64)
                 if isinstance(seed, int):
                     drawn[seed] = got
             rows.append(got[0])
@@ -483,7 +483,8 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     function body's variable for every gate that repeats one of its values
     (the OCP is a copy of f) and inlines its single-use temporaries; with
     function overrides or a replay, the detection inputs are not the
-    function body's clean values, so a standalone detection body runs.
+    function body's clean values, so a standalone detection body runs,
+    with its own value table and the same inlining.
     The registers are written after the RAM ops, so an op a RAM refuses
     leaves them as they were.
     """
@@ -505,7 +506,7 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     ds = [f"ds{i}" for i in range(d.state_width)]
     values: dict[tuple, str] = {}  # f's gate values, which a quiet detection body reads
     f_lines, _ = inline_step(f, x, [], fo, "f", values)
-    d_lines, d_next = inline_step(d, packed, ds, do, "d")
+    d_lines, d_next = inline_step(d, packed, ds, do, "d", {}, inline=True)
     q_lines, q_next = inline_step(d, packed, ds, do, "d", values, inline=True)
     error, in_sig = do[:r], do[r:2 * r]
     checks = [do[i:i + r] for i in range(2 * r, len(do), r)]

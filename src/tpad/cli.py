@@ -74,6 +74,10 @@ def _cmd_build_chip(args) -> int:
     net = _read_netlist("build-chip", args.infile)
     if net is None:
         return 2
+    if net.has_state:
+        print(f"build-chip: {args.infile}: chip function netlist must be combinational",
+              file=sys.stderr)
+        return 2
     options = ChipOptions(
         pipeline_stages=args.pipeline,
         ram_depth=args.ram_depth,

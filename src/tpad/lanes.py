@@ -17,9 +17,15 @@ _ASCII_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def pack_lanes(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Transpose per-lane bit vectors: bit j of result[i] is rows[j][i]."""
-    # each column, lane 0 last, read as a binary numeral
-    return [int(bytes(col[::-1]).translate(_ASCII_BITS), 2) for col in zip(*rows)]
+    """Transpose per-lane bit vectors: bit j of result[i] is rows[j][i].
+
+    Rows are equally long sequences of 0/1 ints (bytes, as random_bits
+    draws them, need no copy).
+    """
+    width = len(rows[0])
+    # every row in one buffer, lane 0 last: column i, read as a binary numeral
+    flat = b"".join(map(bytes, reversed(rows))).translate(_ASCII_BITS)
+    return [int(flat[i::width], 2) for i in range(width)]
 
 
 def select(lanes: int, new: Sequence[int], old: Sequence[int]) -> tuple[int, ...]:

@@ -196,6 +196,16 @@ def test_bad_input_netlist_exits_2(tmp_path, capsys, command, text, error):
     assert not out.exists()
 
 
+def test_build_chip_on_sequential_netlist_exits_2(tmp_path, capsys):
+    """A chip's function netlist must be combinational: one line naming the file."""
+    src = tmp_path / "seq.net"
+    src.write_text(".inputs a b\n.outputs y\nq = DFF(a)\ny = XOR(q, b)\n")
+    out = tmp_path / "chip"
+    assert main(["build-chip", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"build-chip: {src}: chip function netlist must be combinational\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "attack"])
 @pytest.mark.parametrize("name,text,error", [
     ("logic.code", "2 2\n2111\n11\n", "line 2: bad matrix row '2111'"),

@@ -102,11 +102,11 @@ def test_dropped_region_steps_leave_linecache():
 
 
 # sha256 of the generated source: the union step's as recorded before the
-# kernels were named, the clocks' as recorded when the quiet-cycle detection
-# body (shared function values, inlined single-use temporaries) came in
+# kernels were named, the clocks' as recorded when the standalone detection
+# body (override and replay cycles) took its own value table and inlining
 SOURCE_SHA256 = {
-    "adder clock": "74ffcc01be35ac7fc0891a869a20bcf809f188e35f1fbf2d4affe71ab00b1d41",
-    "ram clock": "8b639da91fae6f5f204539e332bcb6820a9deaa74425de433ffd283364f4c9f3",
+    "adder clock": "f559ebfc78418f6ee1e3b22f10fa448a77e3585914f63c5a5cabbb81817c00d5",
+    "ram clock": "718cecc783f2c2cda817638b12ffa1b325bb74c89928aa2ef34b790dd9b06975",
     "union step": "fbefa44fec6fb7e66f57b13688c5b2efe81b810d4c0ee46b183384d5da4b6d00",
 }
 

@@ -8,17 +8,21 @@ reference for batched campaigns.
 
 import hashlib
 import random
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tpad.attacks
 from tpad.attacks import (
+    CAMPAIGN_BATCH,
     AttackDescriptor,
     DetectionReport,
     TrialRecord,
     _materialize,
+    _stimulus,
     compile_attack,
     run_campaign,
     uniform_output_flip_attacks,
@@ -34,7 +38,7 @@ from tpad.lanes import pack_lanes
 from tpad.netlist import WidthError, parse_netlist, random_netlist
 from tpad.parity import ParityCheckMatrix, sample_parity_code
 from tpad.ram import EXPECTED_SYMPTOM, RAM_TROJANS, ProtectedRam
-from tpad.rng import as_rng
+from tpad.rng import as_rng, random_bits
 
 from conftest import FULL_ADDER, lfsr16
 from test_ram import STAGES, WORKED_ROWS
@@ -189,7 +193,8 @@ class TestCampaignDifferential:
     def test_mixed_attacks(self, request, chip_name):
         chip = request.getfixturevalue(chip_name)
         pool = attack_pool(chip)
-        for seed, trials in ((1, 150), (2, 7)):  # several batches; one partial batch
+        # two batches, the second partial; then one partial batch
+        for seed, trials in ((1, CAMPAIGN_BATCH + 22), (2, 7)):
             args = (chip, lambda rng: rng.choice(pool), trials, 6)
             lanes = run_campaign(*args, rng_seed=seed)
             scalar = scalar_campaign(*args, rng_seed=seed)
@@ -214,6 +219,16 @@ class TestCampaignDifferential:
 
         lanes = run_campaign(wide_pipelined, gen, 80, 5, rng_seed=4)
         assert lanes.to_csv() == scalar_campaign(wide_pipelined, gen, 80, 5, rng_seed=4).to_csv()
+
+    @pytest.mark.parametrize("chip_name", ["two_subsets", "ram_pipelined"])
+    def test_batch_size_changes_nothing(self, request, monkeypatch, chip_name):
+        chip = request.getfixturevalue(chip_name)
+        pool = attack_pool(chip)
+        csvs = set()
+        for batch in (1, 5, 64, 256):
+            monkeypatch.setattr(tpad.attacks, "CAMPAIGN_BATCH", batch)
+            csvs.add(run_campaign(chip, lambda rng: rng.choice(pool), 70, 6, rng_seed=9).to_csv())
+        assert len(csvs) == 1
 
     def test_ram_chip_runs_trials_in_lanes(self):
         f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")
@@ -437,6 +452,77 @@ class TestCycleDifferential:
             adder_r1.install_attack(compile_attack(adder_r1, AttackDescriptor("pin", "input:0")),
                                     0b100)
         adder_r1.clear_attacks()
+
+
+# -- bulk draws ------------------------------------------------------------------------
+
+
+def scalar_stimulus(chip, seed, cycles):
+    """A trial's stimulus drawn bit by bit, as scalar_campaign draws it."""
+    srng = random.Random(seed)
+    bits, ram_ops = [], []
+    for _ in range(cycles):
+        bits += [srng.getrandbits(1) for _ in chip.f.inputs]
+        ram_ops.append(ram_traffic(chip, srng))
+    return bits, ram_ops
+
+
+def oracle_pack(rows):
+    """Column i of the rows as a lane int, bit by bit."""
+    return [sum(row[i] << j for j, row in enumerate(rows)) for i in range(len(rows[0]))]
+
+
+def stand_in(m, ram_depth):
+    """What _stimulus reads of a chip: its input count and its RAM's geometry."""
+    ram = None if ram_depth is None else SimpleNamespace(depth=ram_depth, word_width=16)
+    return SimpleNamespace(f=SimpleNamespace(inputs=range(m)), ram=ram)
+
+
+class TestBulkDraws:
+    """One getrandbits call per draw gives the bits, and the generator state,
+    of a getrandbits(1) call per bit (CPython's Mersenne Twister layout)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 600))
+    def test_random_bits_equal_single_draws(self, seed, count):
+        bulk, single = random.Random(seed), random.Random(seed)
+        bits = random_bits(bulk, count)
+        assert list(bits) == [single.getrandbits(1) for _ in range(count)]
+        assert bulk.getstate() == single.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 40), cycles=st.integers(0, 12), seed=st.integers(0, 2**64 - 1),
+           ram_depth=st.sampled_from([None, 16, 64]))
+    def test_stimulus_equals_bit_loop(self, m, cycles, seed, ram_depth):
+        chip = stand_in(m, ram_depth)
+        bits, ram_ops = _stimulus(chip, seed, cycles)
+        assert (list(bits), ram_ops) == scalar_stimulus(chip, seed, cycles)
+
+    @pytest.mark.parametrize("chip_name", CHIPS)
+    @settings(max_examples=20, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 5), min_size=1, max_size=9))
+    def test_reset_chain_equals_bit_lists(self, request, chip_name, seeds):
+        chip = request.getfixturevalue(chip_name)
+        chip.reset(seeds)
+        n_chain = chip.r * (1 + len(chip.out_codes))
+        rows, trigger_seeds = [], []
+        for seed in seeds:
+            rng = random.Random(seed)
+            rows.append([rng.getrandbits(1) for _ in range(n_chain)])
+            trigger_seeds.append(rng.getrandbits(64))
+        start = oracle_pack(rows)
+        assert chip.prev_in_check == tuple(start[:chip.r])
+        assert chip.prev_out_checks == tuple(tuple(start[i:i + chip.r])
+                                             for i in range(chip.r, n_chain, chip.r))
+        assert chip._trigger_seeds == trigger_seeds
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), lanes=st.integers(1, 300), width=st.integers(0, 40))
+    def test_pack_lanes_equals_bitwise_transpose(self, data, lanes, width):
+        words = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=lanes, max_size=lanes))
+        rows = [[w >> i & 1 for i in range(width)] for w in words]
+        assert pack_lanes(rows) == oracle_pack(rows)
+        assert pack_lanes([bytes(row) for row in rows]) == oracle_pack(rows)
 
 
 # -- per-lane memories -----------------------------------------------------------------
