@@ -324,15 +324,7 @@ def _stimulus(chip: ProtectedChip, seed: int, cycles: int) -> tuple[bytes, list[
     ram_ops: list[Optional[tuple]] = []
     for _ in range(cycles):
         bits.append(random_bits(srng, m))
-        roll = srng.random()
-        if roll < 0.4:
-            ram_op = ("write", srng.randrange(chip.ram.depth),
-                      srng.randrange(1 << chip.ram.word_width))
-        elif roll < 0.8:
-            ram_op = ("read", srng.randrange(chip.ram.depth), None)
-        else:
-            ram_op = ("idle", None, None)
-        ram_ops.append(ram_op)
+        ram_ops.append(chip.ram.random_op(srng))
     return b"".join(bits), ram_ops
 
 
@@ -393,6 +385,8 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if cycles_per_trial < 1:
+        raise ValueError("cycles_per_trial must be >= 1")
     rng = as_rng(rng_seed)
     detected = 0
     false_positives = 0

@@ -504,10 +504,13 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
                          f"the chip feeds it {len(packed)}")
     do = [f"do{j}" for j in range(len(d.outputs))]
     ds = [f"ds{i}" for i in range(d.state_width)]
+    d_in = dict(zip((*d.inputs, *(g.out for g in d._dffs)), (*packed, *ds)))
+    d_out = list(zip(d.outputs, do))
     values: dict[tuple, str] = {}  # f's gate values, which a quiet detection body reads
-    f_lines, _ = inline_step(f, x, [], fo, "f", values)
-    d_lines, d_next = inline_step(d, packed, ds, do, "d", {}, inline=True)
-    q_lines, q_next = inline_step(d, packed, ds, do, "d", values, inline=True)
+    f_lines, _, _ = inline_step(f._topo, (), dict(zip(f.inputs, x)), list(zip(f.outputs, fo)),
+                                "f", values)
+    d_lines, _, d_next = inline_step(d._topo, d._dffs, d_in, d_out, "d", {}, inline=True)
+    q_lines, _, q_next = inline_step(d._topo, d._dffs, d_in, d_out, "d", values, inline=True)
     error, in_sig = do[:r], do[r:2 * r]
     checks = [do[i:i + r] for i in range(2 * r, len(do), r)]
 

@@ -74,16 +74,13 @@ def _cmd_build_chip(args) -> int:
     net = _read_netlist("build-chip", args.infile)
     if net is None:
         return 2
-    if net.has_state:
-        print(f"build-chip: {args.infile}: chip function netlist must be combinational",
-              file=sys.stderr)
+    options = ChipOptions(pipeline_stages=args.pipeline, ram_depth=args.ram_depth)
+    try:
+        chip = build_protected_chip(net, args.r, args.t, _default_lfsr(args.r),
+                                    rng_seed=args.seed, options=options)
+    except (ValueError, NetlistError) as e:
+        print(f"build-chip: {args.infile}: {e}", file=sys.stderr)
         return 2
-    options = ChipOptions(
-        pipeline_stages=args.pipeline,
-        ram_depth=args.ram_depth,
-    )
-    chip = build_protected_chip(net, args.r, args.t, _default_lfsr(args.r),
-                                rng_seed=args.seed, options=options)
     save_chip_bundle(chip, args.out)
     print(f"chip bundle written to {args.out} "
           f"({chip.detection.n_switchboxes} switchboxes in detection logic)")
@@ -93,6 +90,9 @@ def _cmd_build_chip(args) -> int:
 def _cmd_run(args) -> int:
     from .chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 
+    if args.cycles < 1:
+        print("run: cycles must be >= 1", file=sys.stderr)
+        return 2
     try:
         chip = load_chip_bundle(args.chip)
     except (OSError, ValueError, NetlistError) as e:
@@ -102,12 +102,13 @@ def _cmd_run(args) -> int:
     enc = StimulusEncoder(chip)
     rec = OutputReceiver(chip)
     rng = random.Random(args.seed + 1)
+    ram_rng = random.Random(args.seed + 2)  # its own draws, so the inputs stay rng's
     m = len(chip.f.inputs)
     rows = []
     reports = 0
     for cyc in range(args.cycles):
         x = tuple(rng.getrandbits(1) for _ in range(m))
-        res = chip.cycle(x, enc.send(x))
+        res = chip.cycle(x, enc.send(x), chip.ram.random_op(ram_rng) if chip.ram else None)
         # the receiver sees every word, or its chain would go stale
         bad = rec.receive(res.outputs, res.out_check) or res.monitor_attack or res.decode_attack
         reports += bad
@@ -135,9 +136,10 @@ def _cmd_attack(args) -> int:
     from .attacks import _attack_lines, _materialize, run_campaign
     from .chip import load_chip_bundle
 
-    if args.trials < 1:
-        print("attack: trials must be >= 1", file=sys.stderr)
-        return 2
+    for name in ("trials", "cycles"):
+        if getattr(args, name) < 1:
+            print(f"attack: {name} must be >= 1", file=sys.stderr)
+            return 2
     try:
         chip = load_chip_bundle(args.chip)
         descriptors = []

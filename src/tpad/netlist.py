@@ -251,27 +251,16 @@ class Netlist:
         return self.step_fn()(tuple(inputs), tuple(state), 1)
 
 
+# kind -> (head, operand separator, tail) of a gate's Python expression
+_EXPR = {"AND": ("", " & ", ""), "OR": ("", " | ", ""), "XOR": ("", " ^ ", ""),
+         "NAND": ("mask ^ (", " & ", ")"), "NOR": ("mask ^ (", " | ", ")"), "BUF": ("", "", ""),
+         "NOT": ("mask ^ ", "", ""), "CONST0": ("0", "", ""), "CONST1": ("mask", "", "")}
+
+
 def _gate_expr(kind: str, args: Sequence[str]) -> str:
     """The Python expression of a `kind` gate over the operand expressions args."""
-    if kind == "AND":
-        return " & ".join(args)
-    if kind == "OR":
-        return " | ".join(args)
-    if kind == "XOR":
-        return " ^ ".join(args)
-    if kind == "NAND":
-        return "mask ^ (" + " & ".join(args) + ")"
-    if kind == "NOR":
-        return "mask ^ (" + " | ".join(args) + ")"
-    if kind == "NOT":
-        return f"mask ^ {args[0]}"
-    if kind == "BUF":
-        return args[0]
-    if kind == "CONST0":
-        return "0"
-    if kind == "CONST1":
-        return "mask"
-    raise AssertionError(kind)
+    head, sep, tail = _EXPR[kind]
+    return head + sep.join(args) + tail
 
 
 def _compile_step(
@@ -297,35 +286,19 @@ def _compile_step(
     params = ["inp", "state", *(["sel"] if selects is not None else []),
               *(["a", "b"] if faults is not None else []), "mask=1"]
     lines = [f"def step({', '.join(params)}):"]
-    names: dict[int, str] = {}  # BUF wire -> the variable of its input
 
-    def ref(w: int) -> str:
-        return names.get(w) or f"v{w}"
+    def seq(names: list[str]) -> str:  # "x, y," to unpack into or to put in parentheses
+        return ", ".join(names) + "," if names else "()"
 
-    def seq(wires) -> str:  # "vX, vY," to unpack into or to put in parentheses; "()" for none
-        return "".join(f"{ref(w)}, " for w in wires)[:-1] or "()"
-
-    def drive(w: int, expr: str) -> None:
-        k = None if faults is None else faults.get(w)
-        lines.append(f" v{w} = {expr}" if k is None else f" v{w} = ({expr}) & a[{k}] ^ b[{k}]")
-
-    for vec, wires in (("inp", inputs), ("state", [g.out for g in dffs])):
-        if faults is None:
-            lines.append(f" {seq(wires)} = {vec}")
-        else:
-            for i, w in enumerate(wires):
-                drive(w, f"{vec}[{i}]")
-    for g in order:
-        if g.kind == "SB2":
-            (x, y), (z, w) = g.ins, g.outs
-            lines.append(f" t = ({ref(x)} ^ {ref(y)}) & sel[{selects[g.id]}]")
-            drive(z, f"{ref(x)} ^ t")
-            drive(w, f"{ref(y)} ^ t")
-        elif g.kind == "BUF" and faults is None:
-            names[g.out] = ref(g.ins[0])
-        else:
-            drive(g.out, _gate_expr(g.kind, [ref(w) for w in g.ins]))
-    lines.append(f" return ({seq(outputs)}), ({seq(g.ins[0] for g in dffs)})")
+    vectors = (("inp", inputs), ("state", [g.out for g in dffs]))
+    if faults is None:  # each vector unpacked whole into its wires' own variables
+        lines += [f" {seq([f'v{w}' for w in wires])} = {vec}" for vec, wires in vectors]
+    given = {} if faults is None else {  # each element driven into its wire through its slot
+        w: f"{vec}[{i}]" for vec, wires in vectors for i, w in enumerate(wires)}
+    body, outs, nxt = inline_step(order, dffs, given, [(w, None) for w in outputs], "v",
+                                  selects=selects, faults=faults)
+    lines += [" " + "\n ".join(body)] if body else []  # one indented block
+    lines.append(f" return ({seq(outs)}), ({seq(nxt)})")
     kind = "fault step" if faults is not None else "union step" if selects is not None else "step"
     return define(lines, "step", {}, f"{kind} {len(order)} gates")
 
@@ -356,17 +329,22 @@ INLINE_DEPTH = 32
 
 
 def inline_step(
-    net: Netlist, inputs: Sequence[str], state: Sequence[str], outputs: Sequence[str], var: str,
+    order: Sequence, dffs: Sequence[Gate], inputs: dict[int, str],
+    outputs: Sequence[tuple[int, Optional[str]]], var: str,
     values: Optional[dict[tuple, str]] = None, inline: bool = False,
-) -> tuple[list[str], list[str]]:
-    """Statements that run one step of net inside a generated function.
+    selects: Optional[dict[int, int]] = None, faults: Optional[dict[int, int]] = None,
+) -> tuple[list[str], list[str], list[str]]:
+    """Statements that run one step over the nodes in `order` inside a generated function.
 
-    inputs[i] and state[i] name the variables that hold input i and DFF i's
-    output, and mask must be a variable too. The statements leave output j in
-    outputs[j] and every other wire w in f"{var}{w}"; with them come the
-    names of the next-state values. A gate that drives exactly one output
-    assigns that output's variable itself, and a BUF's wire reads its
-    input's variable, so only an output that no gate can name gets a copy.
+    inputs maps each wire set on entry (an input or a DFF output) to the
+    expression that holds it; outputs pairs each output wire with the
+    variable to leave it in, or None for its own; every other wire w goes in
+    f"{var}{w}", and mask must be a variable. Returns the statements, each
+    output's variable and the next-state values. A gate that drives exactly
+    one output assigns that output's variable, and a BUF's wire (an entry
+    wire too) reads its operand, so only an output no gate can name gets a
+    copy. A switchbox (kind "SB2") sets t = (x ^ y) & sel[selects[id]] and
+    drives x ^ t and y ^ t; a wire with a fault slot k drives (value) & a[k] ^ b[k].
 
     `values` maps a gate's canonical expression, its kind and sorted operand
     variables, to the variable that holds it (value numbering): a gate found
@@ -374,58 +352,70 @@ def inline_step(
     own variable copies it), and each gate computed here is added. With
     `inline`, a temporary that exactly one statement reads goes into that
     statement in parentheses, up to INLINE_DEPTH levels deep, and leaves
-    `values`.
+    `values`. Neither goes with switchboxes, which share t, or with faults.
     """
-    names = dict(zip(net.inputs, inputs))  # wire -> the variable assigned its value
-    names.update(zip((g.out for g in net._dffs), state))
-    for j, w in enumerate(net.outputs):
-        if w not in names and net.outputs.count(w) == 1:
-            names[w] = outputs[j]
-
-    def ref(w: int) -> str:
-        return names.get(w) or f"{var}{w}"
-
-    stmts = []  # (variable, gate kind, operand variables)
-    for g in net._topo:
-        args = [ref(w) for w in g.ins]
-        if g.kind == "BUF" and g.out not in names:
-            names[g.out] = args[0]
-            continue
-        if values is not None and g.kind != "BUF":
-            key = (g.kind, *sorted(args))
-            have = values.get(key)
-            if have is not None:  # an output's own variable copies it at the end
-                names[g.out] = have
-                continue
-            values[key] = ref(g.out)
-        stmts.append((ref(g.out), g.kind, args))
-    stmts += [(name, "BUF", [ref(w)]) for name, w in zip(outputs, net.outputs)
-              if names.get(w) != name]
-    nxt = [ref(g.ins[0]) for g in net._dffs]
-    if not inline:
-        return [f"{t} = {_gate_expr(kind, args)}" for t, kind, args in stmts], nxt
-
-    reads = Counter(a for _, _, args in stmts for a in args)
-    kept = {*outputs, *nxt}  # read after the statements
+    assert not (selects or faults) or (values is None and not inline)
+    names: dict[int, str] = {}  # wire -> the variable assigned its value, else f"{var}{w}"
+    lines: list[str] = []
+    rows: list[tuple] = []  # with inline: (variable, kind, operands, fault slot) until written
     held: dict[str, tuple[str, int]] = {}  # temporary -> (its expression, its depth)
-    lines = []
-    for t, kind, args in stmts:
-        parts, inner = [], 0
-        for a in args:
-            if a in held:
-                expr, depth = held.pop(a)
-                parts.append(expr if kind == "BUF" else f"({expr})")
-                inner = max(inner, depth + (kind != "BUF"))
-            else:
-                parts.append(a)
-        expr, depth = _gate_expr(kind, parts), inner + (kind in ("NAND", "NOR"))
-        if reads[t] == 1 and t not in kept and depth < INLINE_DEPTH:
-            held[t] = expr, depth
-            if values:
-                values.pop((kind, *sorted(args)), None)
-        else:
+
+    def emit(t: str, kind: str, args: list[str], k: Optional[int], depth: int = -1) -> None:
+        """Write t = kind over args through fault slot k, or with a depth hold it to inline."""
+        expr = _gate_expr(kind, args)
+        if k is not None:
+            expr = f"({expr}) & a[{k}] ^ b[{k}]"
+        if depth < 0:
             lines.append(f"{t} = {expr}")
-    return lines, nxt
+        else:
+            held[t] = expr, depth
+
+    put = (lambda *row: rows.append(row)) if inline else emit
+    for w, expr in inputs.items():  # a BUF of its expression, as below
+        if faults and w in faults:
+            put(f"{var}{w}", "BUF", [expr], faults[w])
+        else:
+            names[w] = expr
+    names.update({w: name for w, name in outputs if name is not None and w not in names
+                  and sum(v == w for v, _ in outputs) == 1})
+    for g in order:
+        kind = g.kind
+        if kind == "SB2":
+            (x, y), (z, w) = [names.get(i) or f"{var}{i}" for i in g.ins], g.outs
+            lines.append(f"t = ({x} ^ {y}) & sel[{selects[g.id]}]")  # no inlining with selects
+            put(names.get(z) or f"{var}{z}", "XOR", [x, "t"], faults.get(z) if faults else None)
+            put(names.get(w) or f"{var}{w}", "XOR", [y, "t"], faults.get(w) if faults else None)
+            continue
+        out = g.out
+        k = faults.get(out) if faults else None
+        if kind == "BUF" and k is None and out not in names:
+            names[out] = names.get(g.ins[0]) or f"{var}{g.ins[0]}"
+            continue
+        args = [names.get(w) or f"{var}{w}" for w in g.ins]
+        t = names.get(out) or f"{var}{out}"
+        if values is not None and kind != "BUF":
+            have = values.setdefault((kind, *sorted(args)), t)
+            if have is not t:  # an output's own variable copies it at the end
+                names[out] = have
+                continue
+        put(t, kind, args, k)
+    for w, name in outputs:
+        if name is not None and names.get(w) != name:
+            put(name, "BUF", [names.get(w) or f"{var}{w}"], None)
+    outs = [name or names.get(w) or f"{var}{w}" for w, name in outputs]
+    nxt = [names.get(g.ins[0]) or f"{var}{g.ins[0]}" for g in dffs]
+    if rows:  # how many rows read each variable; one read after the statements never moves
+        reads = {**Counter(a for row in rows for a in row[2]), **dict.fromkeys(outs + nxt, 0)}
+        for t, kind, args, k in rows:  # a held temporary goes into its reader in parentheses
+            got = [held.pop(a, (a, -1)) for a in args]  # (but not into a BUF's)
+            parts = [e if d < 0 or kind == "BUF" else f"({e})" for e, d in got]
+            depth = max([0, *(d + (kind != "BUF") for _, d in got)]) + (kind in ("NAND", "NOR"))
+            if reads.get(t) != 1 or depth >= INLINE_DEPTH:
+                depth = -1
+            elif values:
+                values.pop((kind, *sorted(args)), None)
+            emit(t, kind, parts, k, depth)
+    return lines, outs, nxt
 
 
 _FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes

@@ -19,6 +19,7 @@ learns which trojan is armed; each row names the symptom that exposes it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,6 +113,15 @@ class ProtectedRam:
         for shift, table in self._data_checks:
             c ^= table[data >> shift & 0xFF]
         return self._unpack[c]
+
+    def random_op(self, rng: random.Random) -> tuple:
+        """A random (op, addr, data_in): 40% writes of a random word, 40% reads, 20% idle."""
+        roll = rng.random()
+        if roll < 0.4:
+            return WRITE, rng.randrange(self.depth), rng.randrange(1 << self.word_width)
+        if roll < 0.8:
+            return READ, rng.randrange(self.depth), None
+        return IDLE, None, None
 
     def cycle(
         self,

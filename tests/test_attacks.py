@@ -366,6 +366,14 @@ class TestCampaigns:
         finally:
             chip.clear_attacks()
 
+    @pytest.mark.parametrize("trials,cycles,name", [(0, 4, "trials"), (-3, 4, "trials"),
+                                                    (5, 0, "cycles_per_trial"),
+                                                    (5, -3, "cycles_per_trial")])
+    def test_counts_below_one_refused(self, wide_chip, trials, cycles, name):
+        """Refused before any trial runs, not mid-campaign."""
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            run_campaign(wide_chip, uniform_output_flip_attacks(2), trials, cycles, rng_seed=1)
+
     def test_multibit_r3_rate(self, wide_chip):
         rep = run_campaign(wide_chip, uniform_output_flip_attacks(2), 4000, 4, rng_seed=7)
         assert rep.false_positives == 0

@@ -11,9 +11,11 @@ import pytest
 
 import tpad
 import tpad.attacks
+import tpad.chip
 from tpad.chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 from tpad.cli import main
 from tpad.netlist import random_netlist, serialize_netlist
+from tpad.ram import ProtectedRam
 
 from conftest import FULL_ADDER, ALU2
 
@@ -176,6 +178,16 @@ def test_attack_trials_below_one_exit_2(host_bundle, tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == "attack: trials must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", ["run", "attack"])
+@pytest.mark.parametrize("cycles", ["0", "-3"])
+def test_cycles_below_one_exit_2(tmp_path, capsys, monkeypatch, command, cycles):
+    """Refused before the bundle loads (there is none here) or any cycle runs."""
+    monkeypatch.setattr(tpad.chip, "load_chip_bundle", None)  # loading a bundle would fail
+    extra = ["--attacks", str(tmp_path / "atks.txt")] if command == "attack" else []
+    assert main([command, "--chip", str(tmp_path / "chip"), *extra, "--cycles", cycles]) == 2
+    assert capsys.readouterr().err == f"{command}: cycles must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", ["build-chip", "insert-sb"])
 @pytest.mark.parametrize("text,error", [
     (".inputs a\n.outputs y\ny = FOO(a)\n", "line 3, column 5: unknown gate kind 'FOO'"),
@@ -204,6 +216,37 @@ def test_build_chip_on_sequential_netlist_exits_2(tmp_path, capsys):
     assert main(["build-chip", "--in", str(src), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"build-chip: {src}: chip function netlist must be combinational\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,error", [
+    (["--r", "0"], "k and r must be >= 1"),
+    (["--r", "-1"], "LFSR tap subset width must equal r"),
+    (["--r", "9"], "tap position 16 out of range"),
+    (["--t", "0"], "t must be >= 1"),
+    (["--ram-depth", "12"], "depth must be a power of two >= 2"),
+])
+def test_build_chip_option_error_exits_2(adder_file, tmp_path, capsys, option, error):
+    """An option the library refuses is one line naming the input file, and no bundle."""
+    out = tmp_path / "chip"
+    assert main(["build-chip", "--in", str(adder_file), "--out", str(out), *option]) == 2
+    assert capsys.readouterr().err == f"build-chip: {adder_file}: {error}\n"
+    assert not out.exists()
+
+
+def test_run_cycles_the_ram(tmp_path, capsys, monkeypatch):
+    """`tpad run` on a RAM bundle puts one memory operation on every cycle."""
+    src = tmp_path / "core.net"
+    src.write_text(serialize_netlist(random_netlist(8, 30, 6, rng_seed=3, name="core")))
+    bundle = tmp_path / "chip"
+    assert main(["build-chip", "--in", str(src), "--out", str(bundle), "--r", "3",
+                 "--ram-depth", "64"]) == 0
+    ops = []
+    cycle = ProtectedRam.cycle
+    monkeypatch.setattr(ProtectedRam, "cycle",
+                        lambda ram, op, *rest, **kw: ops.append(op) or cycle(ram, op, *rest, **kw))
+    assert main(["run", "--chip", str(bundle), "--cycles", "300", "--seed", "4"]) == 0
+    assert len(ops) == 300
+    assert {"read", "write", "idle"} <= set(ops)
 
 
 @pytest.mark.parametrize("command", ["run", "attack"])

@@ -103,11 +103,15 @@ def test_dropped_region_steps_leave_linecache():
 
 # sha256 of the generated source: the union step's as recorded before the
 # kernels were named, the clocks' as recorded when the standalone detection
-# body (override and replay cycles) took its own value table and inlining
+# body (override and replay cycles) took its own value table and inlining,
+# the full adder's step and fault step as recorded before every step's
+# statements came from inline_step
 SOURCE_SHA256 = {
     "adder clock": "f559ebfc78418f6ee1e3b22f10fa448a77e3585914f63c5a5cabbb81817c00d5",
     "ram clock": "718cecc783f2c2cda817638b12ffa1b325bb74c89928aa2ef34b790dd9b06975",
     "union step": "fbefa44fec6fb7e66f57b13688c5b2efe81b810d4c0ee46b183384d5da4b6d00",
+    "step": "7a8f014ea789f985e507a3dff135e30886e500c5ba332d9259eca483ba4cbbb5",
+    "fault step": "1f5ed7af68802da4e69e14b93c29c83790726c1b6ab88bd63f49f1bfeb8dd4b8",
 }
 
 
@@ -116,6 +120,10 @@ def test_generated_source_unchanged(name, adder_chip, ram_chip):
     if name == "union step":
         obf = switchbox.insert_switchboxes(random_netlist(8, 40, 4, rng_seed=1), 2, rng_seed=2)
         fn = switchbox.union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+    elif name == "step":
+        fn = parse_netlist(FULL_ADDER).step_fn()
+    elif name == "fault step":
+        fn = parse_netlist(FULL_ADDER).fault_step_fn()[0]
     else:
         chip = adder_chip if name == "adder clock" else ram_chip
         chip.cycle((0,) * len(chip.f.inputs), chip.prev_in_check)  # compiles the clock

@@ -8,7 +8,7 @@ reference for batched campaigns.
 
 import hashlib
 import random
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -473,8 +473,10 @@ def oracle_pack(rows):
 
 
 def stand_in(m, ram_depth):
-    """What _stimulus reads of a chip: its input count and its RAM's geometry."""
+    """What _stimulus reads of a chip: its input count and its RAM's draw, at its geometry."""
     ram = None if ram_depth is None else SimpleNamespace(depth=ram_depth, word_width=16)
+    if ram is not None:
+        ram.random_op = MethodType(ProtectedRam.random_op, ram)
     return SimpleNamespace(f=SimpleNamespace(inputs=range(m)), ram=ram)
 
 

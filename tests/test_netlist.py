@@ -425,8 +425,17 @@ def inlined(net, **shared):
     ins = [f"i{j}" for j in range(len(net.inputs))]
     state = [f"s{j}" for j in range(net.state_width)]
     outs = [f"o{j}" for j in range(len(net.outputs))]
-    lines, nxt = inline_step(net, ins, state, outs, "w", **shared)
+    lines, nxt = body(net, ins, state, outs, "w", **shared)
     return as_step(ins, state, lines, [outs], nxt)
+
+
+def body(net, ins, state, outs, var, values=None, inline=False):
+    """inline_step's statements and next-state names for net, with input i in
+    ins[i], DFF i's output in state[i] and output j left in outs[j]."""
+    given = dict(zip((*net.inputs, *(g.out for g in net._dffs)), (*ins, *state)))
+    lines, _, nxt = inline_step(net._topo, net._dffs, given, list(zip(net.outputs, outs)), var,
+                                values, inline)
+    return lines, nxt
 
 
 def as_step(ins, state, lines, outs, nxt):
@@ -491,10 +500,10 @@ class TestInlineStep:
         state = [f"s{j}" for j in range(net.state_width)]
         outs = [[f"{v}{j}" for j in range(len(net.outputs))] for v in "ab"]
         values = {}
-        first, nxt = inline_step(net, ins, state, outs[0], "w", values)
+        first, nxt = body(net, ins, state, outs[0], "w", values)
         # the twins add no statement
         assert len(first) <= sum(g.kind != "BUF" for g in base._topo) + len(net.outputs)
-        second, nxt2 = inline_step(net, ins, state, outs[1], "x", values, inline=True)
+        second, nxt2 = body(net, ins, state, outs[1], "x", values, inline=True)
         assert nxt2 == nxt
         assert all(re.fullmatch(r"b\d+ = [a-z]+\d+", line) for line in second), second
         step, ref = as_step(ins, state, first + second, outs, nxt), net.step_fn()
@@ -508,7 +517,7 @@ class TestInlineStep:
         net = parse_netlist(".inputs a b c\n.outputs y\nu = AND(a, b)\nv = XOR(u, c)\n"
                             "y = OR(v, u)\n")
         values = {}
-        lines, _ = inline_step(net, ["a", "b", "c"], [], ["y"], "w", values, inline=True)
+        lines, _ = body(net, ["a", "b", "c"], [], ["y"], "w", values, inline=True)
         # u has two readers and stays; v has one and moves into y's statement
         assert lines == [f"w{net.wire('u')} = a & b", f"y = (w{net.wire('u')} ^ c) | w{net.wire('u')}"]
         assert sorted(values.values()) == [f"w{net.wire('u')}", "y"]
@@ -523,7 +532,7 @@ class TestInlineStep:
         b.set_outputs([w])
         net = b.build()
         ins = ["x", "y"]
-        lines, _ = inline_step(net, ins, [], ["o0"], "w", inline=True)
+        lines, _ = body(net, ins, [], ["o0"], "w", inline=True)
         assert len(lines) < length // 10
         assert max(_nesting(line) for line in lines) <= INLINE_DEPTH + 1
         step = as_step(ins, [], lines, [["o0"]], [])
