@@ -272,7 +272,7 @@ class ProtectedChip:
         self.options = options
         if f.has_state:
             raise ValueError("chip function netlist must be combinational")
-        if (h_mem is None) != (not options.ram_depth):
+        if (h_mem is None) != (options.ram_depth is None):
             raise ValueError("a chip takes a memory code exactly when it has a RAM")
         self.h_mem = h_mem
         self.resolved = apply_config(detection, detection.intended)
@@ -483,8 +483,8 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     function body's variable for every gate that repeats one of its values
     (the OCP is a copy of f) and inlines its single-use temporaries; with
     function overrides or a replay, the detection inputs are not the
-    function body's clean values, so a standalone detection body runs,
-    with its own value table and the same inlining.
+    function body's clean values, so the detection netlist runs on
+    eval_wires too.
     The registers are written after the RAM ops, so an op a RAM refuses
     leaves them as they were.
     """
@@ -509,7 +509,6 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     values: dict[tuple, str] = {}  # f's gate values, which a quiet detection body reads
     f_lines, _, _ = inline_step(f._topo, (), dict(zip(f.inputs, x)), list(zip(f.outputs, fo)),
                                 "f", values)
-    d_lines, _, d_next = inline_step(d._topo, d._dffs, d_in, d_out, "d", {}, inline=True)
     q_lines, _, q_next = inline_step(d._topo, d._dffs, d_in, d_out, "d", values, inline=True)
     error, in_sig = do[:r], do[r:2 * r]
     checks = [do[i:i + r] for i in range(2 * r, len(do), r)]
@@ -564,20 +563,14 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
             "        g0 = t0 ^ reports",
         ]
     body += [
-        "if replay:",
-        f"    {unpack(live)} = chip._replayed(replay, stored, live)",
-        "if d_over:",
-        f"    {tup(do)}, {'d_next' if ds else '_'} = eval_wires(",
-        f"        D, {tup(packed)}, chip.d_state, d_over, mask)",
-    ]
-    for test, lines, nxt in (("elif f_over or replay:", d_lines, d_next), ("else:", q_lines, q_next)):
-        body += [
-            test,
-            *([f"    {unpack(ds)} = chip.d_state"] if ds else []),
-            *(f"    {line}" for line in lines or ["pass"]),
-            *([f"    d_next = {tup(nxt)}"] if ds else []),
-        ]
-    body += [
+        "if f_over or d_over or replay:",
+        f"    {tup(do)}, {'d_next' if ds else '_'} = eval_wires(D, (",
+        "        *(chip._replayed(replay, stored, live) if replay else live),",
+        f"        {', '.join([*taps, *ram_sig])}), chip.d_state, d_over, mask)",
+        "else:",
+        *([f"    {unpack(ds)} = chip.d_state"] if ds else []),
+        *(f"    {line}" for line in q_lines or ["pass"]),
+        *([f"    d_next = {tup(q_next)}"] if ds else []),
         f"error = {tup(error)}",
         f"checks = {tup([tup(c) for c in checks])}",
         f"decode = {' | '.join(f'({i} ^ {t})' for i, t in zip(in_sig, taps))}",
@@ -642,15 +635,15 @@ def build_protected_chip(
     """
     if f.has_state:
         raise ValueError("chip function netlist must be combinational")
-    if lfsr_spec.r != r:
-        raise ValueError("LFSR tap subset width must equal r")
     options = options or ChipOptions()
     rng = as_rng(rng_seed)
     m, k = len(f.inputs), len(f.outputs)
     subsets = [tuple(s) for s in options.output_subsets or (range(k),)]
     _check_output_subsets(k, subsets, map(len, subsets))
 
-    h_logic = sample_parity_code(k, r, rng.getrandbits(64))
+    h_logic = sample_parity_code(k, r, rng.getrandbits(64))  # refuses r < 1
+    if lfsr_spec.r != r:
+        raise ValueError("LFSR tap subset width must equal r")
     h_in = options.h_in or sample_parity_code(m, r, rng.getrandbits(64))
     seen: dict[tuple[int, ...], ParityCheckMatrix] = {}
     out_codes: list[tuple[tuple[int, ...], ParityCheckMatrix]] = []
@@ -659,7 +652,7 @@ def build_protected_chip(
             seen[s] = sample_parity_code(len(s), r, rng.getrandbits(64))
         out_codes.append((s, seen[s]))
     h_mem = None
-    if options.ram_depth:
+    if options.ram_depth is not None:  # ProtectedChip refuses a depth the RAM cannot take
         addr_bits = options.ram_depth.bit_length() - 1
         h_mem = sample_parity_code(addr_bits + options.ram_word_width, r, rng.getrandbits(64))
 
@@ -667,7 +660,7 @@ def build_protected_chip(
     det = build_detection_netlist(
         f, ocp, h_logic, h_in, out_codes,
         pipeline_stages=options.pipeline_stages,
-        has_ram=bool(options.ram_depth),
+        has_ram=h_mem is not None,
     )
     obf = insert_switchboxes(
         det,
@@ -788,7 +781,8 @@ _BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
 _MANIFEST_VALUES = (
     ("t", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     ("pipeline_stages", lambda v: type(v) is int and v in (0, 1), "0 or 1"),
-    ("ram_depth", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("ram_depth", lambda v: v is None or type(v) is int and v >= 2 and not v & (v - 1),
+     "a power of two >= 2 or null"),
     ("ram_word_width", lambda v: type(v) is int, "an integer"),
     ("output_subsets", lambda v: isinstance(v, list), "a list of lists of integers"),
 )
@@ -825,7 +819,7 @@ def load_chip_bundle(path: Union[str, Path]) -> ProtectedChip:
             raise ValueError(f"bundle manifest key 'output_subsets': output subset {s!r} "
                              "is not a list of integers")
     required = [*_BUNDLE_FILES, *(f"output{i}.code" for i in range(len(manifest["output_subsets"])))]
-    if manifest["ram_depth"]:
+    if manifest["ram_depth"] is not None:
         required.append("ram.code")
     missing = [name for name in required if name not in manifest["files"]]
     if missing:

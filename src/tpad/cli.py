@@ -22,37 +22,23 @@ def _cmd_gen_code(args) -> int:
     return 0
 
 
-def _read_netlist(command: str, path: str):
-    """The netlist in file `path`, or None after one line on stderr naming the file."""
+def _read_netlist(path: str):
+    """The netlist in file `path`; a missing or malformed file raises ValueError naming it."""
     from .netlist import parse_netlist
 
     try:
         return parse_netlist(Path(path).read_text(), Path(path).stem)
     except OSError as e:
-        message = e.strerror or str(e)
+        raise ValueError(f"{path}: {e.strerror or e}") from None
     except (NetlistError, ValueError) as e:  # ValueError: text that is not UTF-8
-        message = str(e)
-    print(f"{command}: {path}: {message}", file=sys.stderr)
-    return None
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_insert_sb(args) -> int:
-    from .switchbox import (
-        UnsatisfiableError,
-        format_config,
-        insert_switchboxes,
-        serialize_obfuscated,
-    )
+    from .switchbox import format_config, insert_switchboxes, serialize_obfuscated
 
-    net = _read_netlist("insert-sb", args.infile)
-    if net is None:
-        return 2
-    try:
-        obf = insert_switchboxes(net, args.t, rng_seed=args.seed,
-                                 max_iterations=args.max_iterations)
-    except UnsatisfiableError as e:
-        print(f"unsatisfiable: {e}", file=sys.stderr)
-        return 2
+    obf = insert_switchboxes(_read_netlist(args.infile), args.t, rng_seed=args.seed,
+                             max_iterations=args.max_iterations)
     Path(args.out).write_text(serialize_obfuscated(obf))
     Path(args.config_out).write_text(format_config(obf.intended))
     counts = ",".join(str(c) for c in obf.per_output_sb_count)
@@ -71,16 +57,13 @@ def _default_lfsr(r: int):
 def _cmd_build_chip(args) -> int:
     from .chip import ChipOptions, build_protected_chip, save_chip_bundle
 
-    net = _read_netlist("build-chip", args.infile)
-    if net is None:
-        return 2
+    net = _read_netlist(args.infile)
     options = ChipOptions(pipeline_stages=args.pipeline, ram_depth=args.ram_depth)
     try:
         chip = build_protected_chip(net, args.r, args.t, _default_lfsr(args.r),
                                     rng_seed=args.seed, options=options)
     except (ValueError, NetlistError) as e:
-        print(f"build-chip: {args.infile}: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.infile}: {e}") from None
     save_chip_bundle(chip, args.out)
     print(f"chip bundle written to {args.out} "
           f"({chip.detection.n_switchboxes} switchboxes in detection logic)")
@@ -91,13 +74,8 @@ def _cmd_run(args) -> int:
     from .chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 
     if args.cycles < 1:
-        print("run: cycles must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        chip = load_chip_bundle(args.chip)
-    except (OSError, ValueError, NetlistError) as e:
-        print(f"run: {e}", file=sys.stderr)
-        return 2
+        raise ValueError("cycles must be >= 1")
+    chip = load_chip_bundle(args.chip)
     chip.reset(args.seed)
     enc = StimulusEncoder(chip)
     rec = OutputReceiver(chip)
@@ -138,23 +116,17 @@ def _cmd_attack(args) -> int:
 
     for name in ("trials", "cycles"):
         if getattr(args, name) < 1:
-            print(f"attack: {name} must be >= 1", file=sys.stderr)
-            return 2
-    try:
-        chip = load_chip_bundle(args.chip)
-        descriptors = []
-        for lineno, atk in _attack_lines(Path(args.attacks).read_text()):
-            try:  # with a throwaway rng, so the campaign's draws stay as they are
-                _materialize(chip, atk, random.Random(0), args.cycles)
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
-            descriptors.append(atk)
-    except (OSError, ValueError, NetlistError) as e:
-        print(f"attack: {e}", file=sys.stderr)
-        return 2
+            raise ValueError(f"{name} must be >= 1")
+    chip = load_chip_bundle(args.chip)
+    descriptors = []
+    for lineno, atk in _attack_lines(Path(args.attacks).read_text()):
+        try:  # with a throwaway rng, so the campaign's draws stay as they are
+            _materialize(chip, atk, random.Random(0), args.cycles)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
+        descriptors.append(atk)
     if not descriptors:
-        print("attack: no attacks in file", file=sys.stderr)
-        return 2
+        raise ValueError("no attacks in file")
     rng = random.Random(args.seed)
 
     def gen(r):
@@ -176,16 +148,6 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_fft(args) -> int:
-    from .fftced import FftError
-
-    try:
-        return _fft_workflow(args)
-    except FftError as e:
-        print(f"fft: {e}", file=sys.stderr)
-        return 2
-
-
-def _fft_workflow(args) -> int:
     from .fftced import (
         CHECKER_ALIVE,
         FftCedEngine,
@@ -225,8 +187,7 @@ def _fft_workflow(args) -> int:
             f"(rate {rep.detection_rate:.4f}), false positives {rep.false_positives}"
         )
         return 0 if rep.false_positives == 0 else 1
-    print("choose one of --calibrate, --selftest, --campaign", file=sys.stderr)
-    return 2
+    raise ValueError("choose one of --calibrate, --selftest, --campaign")
 
 
 def _cmd_destructive(args) -> int:
@@ -238,13 +199,9 @@ def _cmd_destructive(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SweepSpecError, parse_experiment_spec, run_sweep
+    from .sweep import parse_experiment_spec, run_sweep
 
-    try:
-        csv = run_sweep(parse_experiment_spec(Path(args.spec).read_text()))
-    except SweepSpecError as e:
-        print(f"sweep: {e}", file=sys.stderr)
-        return 2
+    csv = run_sweep(parse_experiment_spec(Path(args.spec).read_text()))
     if args.out:
         Path(args.out).write_text(csv)
     else:
@@ -253,21 +210,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lfsr(args) -> int:
-    from .lfsr import UnsupportedDegreeError, is_primitive
+    from .lfsr import is_primitive
 
     if not args.check_primitive:
-        print("only --check-primitive is supported", file=sys.stderr)
-        return 2
-    try:
-        ok = is_primitive(int(args.poly, 0), args.L)
-    except UnsupportedDegreeError as e:
-        print(f"unsupported degree: {e}", file=sys.stderr)
-        return 2
+        raise ValueError("only --check-primitive is supported")
+    ok = is_primitive(int(args.poly, 0), args.L)
     print("primitive" if ok else "not primitive")
     return 0 if ok else 1
 
 
 def main(argv=None) -> int:
+    """Run one `tpad` command and return its exit status.
+
+    A command returns 0, or 1 for a verdict: a report on a clean run, a
+    control trial that fired, a compromised checker. An input error it raises
+    (ValueError, NetlistError or OSError) exits 2 with one line on stderr,
+    `<command>: <message>`; any other exception is a bug and propagates.
+    """
     parser = argparse.ArgumentParser(
         prog="tpad",
         description="Gate-level lab for CED-hardened chips: randomized parity "
@@ -347,7 +306,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_lfsr)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, NetlistError, OSError) as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

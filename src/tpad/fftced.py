@@ -346,8 +346,8 @@ def calibrate_threshold(
     """
     if trials < 100:
         raise FftError("calibration needs at least 100 trials")
-    if margin < 1:
-        raise FftError("margin must be >= 1")
+    if not 1 <= margin < np.inf:  # refuses NaN too
+        raise FftError(f"margin must be a finite number >= 1, got {margin}")
     if ref is not None and ref.n != n:
         raise FftError(f"ref: reference length {ref.n} differs from n = {n}")
     rng = as_rng(rng_seed)

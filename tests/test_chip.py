@@ -559,6 +559,8 @@ class TestBundle:
         ("adder_chip", "pipeline_stages", 1),  # its detection netlist has no DFFs
         ("pipelined_ram_chip", "pipeline_stages", 0),  # its detection netlist has DFFs
         ("pipelined_ram_chip", "ram_depth", "64"),
+        ("pipelined_ram_chip", "ram_depth", 0),  # 0 is not "no RAM"
+        ("adder_chip", "ram_depth", 0),
         ("pipelined_ram_chip", "ram_word_width", 16.0),
         ("adder_chip", "output_subsets", [5]),
         ("adder_chip", "output_subsets", None),

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import tpad
 import tpad.attacks
 import tpad.chip
 from tpad.chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 from tpad.cli import main
+from tpad.fftced import format_reference, make_reference
 from tpad.netlist import random_netlist, serialize_netlist
 from tpad.ram import ProtectedRam
 
@@ -53,7 +58,7 @@ def test_insert_sb_and_config(tmp_path, alu_file, capsys):
     assert "= parallel" in cfg.read_text() or "= crossed" in cfg.read_text()
 
 
-def test_insert_sb_unsatisfiable_exit_code(tmp_path, adder_file):
+def test_insert_sb_unsatisfiable_exit_code(tmp_path, adder_file, capsys):
     out = tmp_path / "a.obf"
     cfg = tmp_path / "a.cfg"
     rc = main([
@@ -61,6 +66,8 @@ def test_insert_sb_unsatisfiable_exit_code(tmp_path, adder_file):
         "--in", str(adder_file), "--out", str(out), "--config-out", str(cfg),
     ])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("insert-sb: could not reach 2 switchboxes") and err.count("\n") == 1
 
 
 def test_build_run_attack_flow(tmp_path, adder_file, capsys):
@@ -220,10 +227,11 @@ def test_build_chip_on_sequential_netlist_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("option,error", [
     (["--r", "0"], "k and r must be >= 1"),
-    (["--r", "-1"], "LFSR tap subset width must equal r"),
+    (["--r", "-1"], "k and r must be >= 1"),
     (["--r", "9"], "tap position 16 out of range"),
     (["--t", "0"], "t must be >= 1"),
     (["--ram-depth", "12"], "depth must be a power of two >= 2"),
+    (["--ram-depth", "0"], "depth must be a power of two >= 2"),  # not "no RAM"
 ])
 def test_build_chip_option_error_exits_2(adder_file, tmp_path, capsys, option, error):
     """An option the library refuses is one line naming the input file, and no bundle."""
@@ -365,3 +373,146 @@ def test_fft_length_one(capsys):
     # rolling a length-1 transform gives the pair back, so there is no non-pair to build
     assert main(["fft", "--n", "1", "--selftest"]) == 2
     assert capsys.readouterr().err == "fft: n: a selftest needs n >= 2 to build a non-pair, got 1\n"
+
+
+@pytest.mark.parametrize("argv,error", [
+    ("gen-code --k 0 --r 3", "k and r must be >= 1"),
+    ("gen-code --k 4 --r 2 --out {tmp}/nodir/x.code",
+     "[Errno 2] No such file or directory: '{tmp}/nodir/x.code'"),
+    ("destructive --N 10 --a 20 --t 1", "need 0 <= a <= n and 0 <= t <= n"),
+    ("lfsr --check-primitive --poly zz --L 4", "invalid literal for int() with base 0: 'zz'"),
+    ("lfsr --check-primitive --poly 0x12 --L 4", "polynomial constant term must be 1"),
+    ("lfsr --check-primitive --poly 0x40000007 --L 30",
+     "degree 30 exceeds the exhaustive test limit 24"),
+    ("lfsr --poly 0x13 --L 4", "only --check-primitive is supported"),
+    ("insert-sb --t 0 --in {adder} --out {tmp}/a.obf --config-out {tmp}/a.cfg", "t must be >= 1"),
+    ("sweep --spec {tmp}/missing.spec", "[Errno 2] No such file or directory: '{tmp}/missing.spec'"),
+    ("fft --n 16 --selftest --ref {tmp}/missing.txt",
+     "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+    ("fft --n 16 --calibrate --margin nan", "margin must be a finite number >= 1, got nan"),
+    ("fft --n 16", "choose one of --calibrate, --selftest, --campaign"),
+])
+def test_input_error_exits_2_with_one_line(tmp_path, adder_file, capsys, argv, error):
+    """Each of these is an input error: `<command>: <message>` on stderr and exit 2."""
+    names = {"tmp": tmp_path, "adder": adder_file}
+    argv = argv.format(**names).split()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"{argv[0]}: {error.format(**names)}\n"
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory, host_bundle):
+    """Valid, malformed and missing inputs of every kind, and writable and blocked outputs."""
+    root = tmp_path_factory.mktemp("argv")
+
+    def put(name, text):
+        path = root / name
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
+        return str(path)
+
+    host = put("host.net", serialize_netlist(random_netlist(6, 20, 4, rng_seed=51, name="host")))
+    missing = str(root / "missing")
+    bad_bundle = root / "bad_chip"
+    shutil.copytree(host_bundle, bad_bundle)
+    (bad_bundle / "logic.code").write_text("2 2\n2111\n11\n")  # its manifest hash now differs
+    (root / "out").mkdir()
+    return {
+        "netlist": [host, put("adder.net", FULL_ADDER), missing, str(root),
+                    put("foo.net", ".inputs a\n.outputs y\ny = FOO(a)\n"),
+                    put("seq.net", ".inputs a b\n.outputs y\nq = DFF(a)\ny = XOR(q, b)\n"),
+                    put("binary.net", b"\xff\xfe\x00")],
+        "bundle": [str(host_bundle), str(bad_bundle), missing, host],
+        "attacks": [put("atks.txt", "pin flip target=input:0\n"
+                                    "logic flip target=fout:* trigger=at_cycle:2\n"
+                                    "reliability stuck1 target=fout:1 trigger=after_cycle:1\n"),
+                    put("stuk.txt", "logic stuk0 target=fout:0\n"),
+                    put("fout9.txt", "logic flip target=fout:9\n"),
+                    put("empty.txt", "# no attacks\n"), missing],
+        "spec": [put("cp.spec", "kind = cp_attack\nsweep = x\nx = 1,16\n"),
+                 put("parity.spec",
+                     "kind = parity_detection\nsweep = w\nw = 1,3\nk = 20\ntrials = 30\n"),
+                 put("open.spec", "kind = cp_attack\nsweep = x\nx = 8:\n"),
+                 put("theta.spec", "kind = cp_attack\nsweep = theta\ntheta = 1:2\n"),
+                 put("no_n.spec", "kind = destructive\nsweep = t\nt = 0:5\n"), missing],
+        "ref": [put("ref16.txt", format_reference(make_reference(16, 1))),
+                put("ref32.txt", format_reference(make_reference(32, 1))),
+                put("bad_ref.txt", "16\nzz\n"), missing],
+        # a path under a regular file can be neither written nor made
+        "out": [lambda name: str(root / "out" / name), lambda name: f"{host}/{name}"],
+    }
+
+
+@st.composite
+def argvs(draw, files, command):
+    """A syntactically valid `tpad` argv with small values, about half of them out of range.
+
+    Each file and output list starts with a valid entry, drawn about half the time.
+    """
+
+    def num(lo, hi):
+        return str(draw(st.one_of(st.integers(1, hi), st.integers(lo, hi))))
+
+    def pick(kind):
+        return draw(st.one_of(st.just(files[kind][0]), st.sampled_from(files[kind])))
+
+    def out(name):
+        return pick("out")(name)
+
+    def maybe(*option):
+        return list(option) if draw(st.booleans()) else []
+
+    seed = maybe("--seed", num(-3, 5))
+    if command == "gen-code":
+        return [command, "--k", num(-2, 64), "--r", num(-2, 10), *seed, *maybe("--out", out("m.code"))]
+    if command == "insert-sb":
+        return [command, "--t", num(-1, 3), "--in", pick("netlist"), "--out", out("x.obf"),
+                "--config-out", out("x.cfg"), *seed, *maybe("--max-iterations", num(-2, 50))]
+    if command == "build-chip":
+        depth = draw(st.sampled_from(["-4", "0", "1", "2", "3", "12", "16"]))
+        return [command, "--in", pick("netlist"), "--out", out("chip"), *seed,
+                *maybe("--r", num(-2, 9)), *maybe("--t", num(-1, 3)),
+                *maybe("--pipeline", draw(st.sampled_from(["0", "1"]))), *maybe("--ram-depth", depth)]
+    if command == "run":
+        return [command, "--chip", pick("bundle"), "--cycles", num(-3, 50), *seed,
+                *maybe("--trace-csv", out("trace.csv"))]
+    if command == "attack":
+        return [command, "--chip", pick("bundle"), "--attacks", pick("attacks"), "--trials", num(-2, 30),
+                "--cycles", num(-2, 50), *seed, *maybe("--out", out("attack.csv"))]
+    if command == "fft":
+        n = draw(st.one_of(st.sampled_from(["1", "2", "4", "16", "32", "64"]),
+                           st.integers(-2, 64).map(str)))
+        modes = draw(st.lists(st.sampled_from(["--calibrate", "--selftest", "--campaign"]),
+                              min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=2))
+        margin = draw(st.sampled_from(["nan", "inf", "-1", "0", "0.5", "1", "2", "1e300"]))
+        return [command, "--n", n, *modes, "--trials", num(-2, 30), *seed, *maybe("--margin", margin),
+                *maybe("--ref", pick("ref")), *maybe("--ref-out", out("ref.txt"))]
+    if command == "destructive":
+        return [command, "--N", num(-2, 50), "--a", num(-2, 60), "--t", num(-2, 60)]
+    if command == "sweep":
+        return [command, "--spec", pick("spec"), *maybe("--out", out("sweep.csv"))]
+    # the primitivity walk takes 2**L steps: accepted degrees stay <= 12, refused ones go past 24
+    degree = draw(st.one_of(st.integers(1, 12), st.integers(-2, 12), st.integers(25, 30)))
+    top = 1 << max(degree, 0)
+    poly = draw(st.one_of(st.integers(0, top - 1).map(lambda low: hex(top | low | 1)),
+                          st.sampled_from(["zz", "0x12", "0x13", "0", "-5", "07", "0b1011"])))
+    return [command, *maybe("--check-primitive"), "--poly", poly, "--L", str(degree)]
+
+
+@pytest.mark.parametrize("command", ["gen-code", "insert-sb", "build-chip", "run", "attack", "fft",
+                                     "destructive", "sweep", "lfsr"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_with_a_verdict_or_one_input_error_line(argv_files, command, data):
+    """Over syntactically valid argv: exit 0 or 1, or exit 2 with one `<command>: ` line.
+
+    Runs in-process; an exception escaping main fails the test.
+    """
+    argv = data.draw(argvs(argv_files, command), label="argv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    event(f"exit {rc}")
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith(f"{command}: ")
+    else:
+        assert rc in (0, 1)

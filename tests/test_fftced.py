@@ -291,6 +291,11 @@ class TestCalibration:
         with pytest.raises(FftError):
             calibrate_threshold(16, 50, 2.0)
 
+    @pytest.mark.parametrize("margin", [0.5, -1.0, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_at_least_one(self, margin):
+        with pytest.raises(FftError, match=f"^margin must be a finite number >= 1, got {margin}$"):
+            calibrate_threshold(16, 100, margin)
+
     def test_reference_length_checked_before_any_draw(self):
         with pytest.raises(FftError, match="^ref:"):
             calibrate_threshold(32, 100, 2.0, ref=make_reference(16, rng_seed=0))

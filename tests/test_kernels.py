@@ -102,13 +102,13 @@ def test_dropped_region_steps_leave_linecache():
 
 
 # sha256 of the generated source: the union step's as recorded before the
-# kernels were named, the clocks' as recorded when the standalone detection
-# body (override and replay cycles) took its own value table and inlining,
+# kernels were named, the clocks' as recorded when override and replay
+# cycles started running the detection netlist on eval_wires,
 # the full adder's step and fault step as recorded before every step's
 # statements came from inline_step
 SOURCE_SHA256 = {
-    "adder clock": "f559ebfc78418f6ee1e3b22f10fa448a77e3585914f63c5a5cabbb81817c00d5",
-    "ram clock": "718cecc783f2c2cda817638b12ffa1b325bb74c89928aa2ef34b790dd9b06975",
+    "adder clock": "4b9e1894c21e54049d471601ca7d7066e593a3a2a3c711682579e318a1deb901",
+    "ram clock": "62d31450f499286fd086f0a94168394e11781a8e654847db6e72854cb40b3f9b",
     "union step": "fbefa44fec6fb7e66f57b13688c5b2efe81b810d4c0ee46b183384d5da4b6d00",
     "step": "7a8f014ea789f985e507a3dff135e30886e500c5ba332d9259eca483ba4cbbb5",
     "fault step": "1f5ed7af68802da4e69e14b93c29c83790726c1b6ab88bd63f49f1bfeb8dd4b8",
