@@ -36,10 +36,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .lanes import lanes_of, pack_lanes, select
-# lfsr_taps is not called here, but perfbench's tracer times it and step_lfsr
-# under this module's names
+# lfsr_taps and eval_wires are not called here, but perfbench's tracer times
+# them and step_lfsr under this module's names
 from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr, step_source  # noqa: F401
-from .netlist import (
+from .netlist import (  # noqa: F401
+    _FAULTS,
     Bits,
     Netlist,
     NetlistBuilder,
@@ -58,7 +59,7 @@ from .parity import (
     parse_matrix,
     sample_parity_code,
 )
-from .ram import ProtectedRam, RamCycleResult
+from .ram import ProtectedRam, RamCycleResult, is_ram_depth
 from .rng import Rng, as_rng, random_bits
 from .switchbox import (
     ObfuscatedNetlist,
@@ -193,16 +194,17 @@ class AttackEffect:
         raise ValueError(f"unknown trigger {self.trigger!r}")
 
 
-def _override(over: dict[int, dict[str, int]], overrides: dict[int, str], lanes: int) -> None:
-    """Set each wire's fault mode in `lanes`, replacing modes set there before."""
+def _fault(vectors: Optional[tuple], slots: dict[int, int], overrides: dict[int, str],
+           on: int) -> tuple[list[int], list[int]]:
+    """Fault vectors (a, b), all clear if None, with each override's mode set
+    in the `on` lanes of its wire's slot: the last active mode on a wire wins."""
+    a, b = vectors or ([-1] * len(slots), [0] * len(slots))
     for w, mode in overrides.items():
-        modes = over.get(w)
-        if modes is None:
-            over[w] = {mode: lanes}
-            continue
-        for m in modes:
-            modes[m] &= ~lanes
-        modes[mode] = modes.get(mode, 0) | lanes
+        k = slots[w]
+        fa, fb = _FAULTS[mode]
+        a[k] = a[k] & ~on | fa & on
+        b[k] = b[k] & ~on | fb & on
+    return a, b
 
 
 class _Installed:
@@ -278,6 +280,7 @@ class ProtectedChip:
         self.resolved = apply_config(detection, detection.intended)
         self._cycle_fn: Optional[Callable] = None  # generated on the first cycle
         self.attacks: list[_Installed] = []
+        self._armed: Optional[tuple] = None  # see _arm
         self.ram: Optional[ProtectedRam] = None  # lane 0's memory
         if h_mem is not None:
             self.ram = ProtectedRam(options.ram_depth, options.ram_word_width, code=h_mem)
@@ -352,13 +355,33 @@ class ProtectedChip:
         self.initial_prev_in_check = tuple(prev_check)
 
     def install_attack(self, effect: AttackEffect, lanes: Optional[int] = None) -> None:
-        """Arm effect in the lanes of the `lanes` mask (default: every lane)."""
+        """Arm effect in the lanes of the `lanes` mask (default: every lane);
+        an override on a wire its netlist lacks, or of an unknown mode, is refused."""
         if lanes is not None and (lanes <= 0 or lanes & ~self.mask):
             raise ValueError(f"lane mask {lanes:#x} is not a nonempty subset of {self.mask:#x}")
+        if effect.f_overrides or effect.d_overrides:
+            for net, over in ((self.f, effect.f_overrides), (self.resolved, effect.d_overrides)):
+                for w, mode in over.items():
+                    if w not in net.wires:
+                        raise ValueError(f"override on wire {w}, which {net.name} does not have")
+                    if mode not in _FAULTS:
+                        raise ValueError(f"unknown override {mode!r} on wire {net.wire_name(w)}")
         self.attacks.append(_Installed(effect, lanes))
+        self._armed = None
 
     def clear_attacks(self) -> None:
         self.attacks = []
+        self._armed = None
+
+    def _arm(self) -> tuple:
+        """(F step, F slots, D step, D slots), kept until the attacks change: each
+        netlist's fault step slotted on the wires the attacks override (or None, {})."""
+        armed: list = []
+        for net, key in ((self.f, "f_overrides"), (self.resolved, "d_overrides")):
+            wires = frozenset(w for a in self.attacks for w in getattr(a.effect, key))
+            armed += net.fault_step_fn(wires) if wires else (None, {})
+        self._armed = tuple(armed)
+        return self._armed
 
     # per-cycle dataflow ------------------------------------------------------------
 
@@ -384,26 +407,29 @@ class ProtectedChip:
         """This cycle's armed attacks as data for the clock function.
 
         Returns the inputs and received check bits with pin flips applied,
-        the function and detection fault overrides, each lane's RAM trojan,
-        the lanes that replay a stored state (with the snapshots they
-        replay) or null the parity outputs, and per output pad its flip mask
-        (None if no pad flips).
+        F's and D's fault vectors for their armed steps (`_arm`; None
+        without an active override), each lane's RAM trojan, the lanes that
+        replay a stored state (with the snapshots they replay) or null the
+        parity outputs, and per output pad its flip mask (None if no pad
+        flips). Active lanes outside the mask raise ValueError.
         """
         mask = self.mask
+        _, f_slots, _, d_slots = self._armed or self._arm()
         x = list(inputs)
         rc = list(recv_check)
-        f_over: dict[int, dict[str, int]] = {}
-        d_over: dict[int, dict[str, int]] = {}
+        fv = dv = None
         ram_trojans: dict[int, str] = {}  # lane -> RAM trojan active there
         replay = null = 0  # lanes replaying a stored state / nulling parity
         stored = []  # (lanes, snapshot) each active stored-state attack replays
         pads = None
+        cycle, lane_rng = self.cycle_count, self._lane_rng
         for a in self.attacks:
             eff = a.effect
-            on = eff.triggered(self.cycle_count, mask if a.lanes is None else a.lanes,
-                               self._lane_rng)
+            on = eff.triggered(cycle, mask if a.lanes is None else a.lanes, lane_rng)
             if not on:
                 continue
+            if on > mask:
+                raise ValueError(f"attack lanes {on:#x} lie outside mask {mask:#x}")
             for i in eff.input_flips:
                 x[i] ^= on
             for i in eff.recv_flips:
@@ -413,9 +439,9 @@ class ProtectedChip:
                 for i in eff.output_flips:
                     pads[i] ^= on
             if eff.f_overrides:
-                _override(f_over, eff.f_overrides, on)
+                fv = _fault(fv, f_slots, eff.f_overrides, on)
             if eff.d_overrides:
-                _override(d_over, eff.d_overrides, on)
+                dv = _fault(dv, d_slots, eff.d_overrides, on)
             if eff.ram_trojan:
                 for j in lanes_of(on):
                     ram_trojans[j] = eff.ram_trojan
@@ -433,7 +459,7 @@ class ProtectedChip:
                     stored.append((taken, a.snapshot))
             if eff.kind == "decoupling_parity_null":
                 null |= on
-        return x, rc, f_over, d_over, ram_trojans, replay, null, stored, pads
+        return x, rc, fv, dv, ram_trojans, replay, null, stored, pads
 
     def _ram_lanes(self, ops: list, trojans: Optional[dict[int, str]]) -> tuple[list, int]:
         """Each lane's op (or None) on its RAM; the results and the reporting lanes."""
@@ -478,13 +504,13 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     the function netlist, the lanes' RAMs and the detection netlist, splits
     the error, input-decoder and output-check words, updates the chained
     check bits, advances the LFSR and hands the error signal to the chip's
-    monitor. A netlist with fault overrides this cycle runs on eval_wires.
-    On a quiet cycle (no overrides, no replay) the detection body reads the
-    function body's variable for every gate that repeats one of its values
-    (the OCP is a copy of f) and inlines its single-use temporaries; with
-    function overrides or a replay, the detection inputs are not the
-    function body's clean values, so the detection netlist runs on
-    eval_wires too.
+    monitor. A netlist with a fault override this cycle runs its armed step
+    (`_arm`). On a quiet cycle (no overrides, no replay) the detection body
+    reads the function body's variable for every gate that repeats one of
+    its values (the OCP is a copy of f) and inlines its single-use
+    temporaries; with function overrides or a replay, the detection inputs
+    are not the function body's clean values, so the detection netlist
+    runs on its armed step, or without detection overrides its step_fn.
     The registers are written after the RAM ops, so an op a RAM refuses
     leaves them as they were.
     """
@@ -534,16 +560,16 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
         "    step_lfsr(s, SPEC)  # refuses the zero state",
         *(f"{t} = -(s >> {p} & 1) & mask" for t, p in zip(taps, spec.taps)),
         "if chip.attacks:",
-        "    inp, rc, f_over, d_over, trojans, replay, null, stored, pads = chip._attack_data(inp, rc)",
+        "    inp, rc, fv, dv, trojans, replay, null, stored, pads = chip._attack_data(inp, rc)",
         "else:",
-        "    f_over = d_over = trojans = pads = None",
+        "    fv = dv = trojans = pads = None",
         "    replay = null = 0",
         f"{unpack(x)} = inp",
         f"{unpack(rc)} = rc",
         f"{unpack(pin)} = chip.prev_in_check",
         *([f"{unpack([tup(sub) for sub in po])} = chip.prev_out_checks"] if po else []),
-        "if f_over:",
-        f"    {tup(fo)}, _ = eval_wires(F, inp, (), f_over, mask)",
+        "if fv:",
+        f"    {tup(fo)}, _ = chip._armed[0](inp, (), *fv, mask)",
         "else:",
         *(f"    {line}" for line in f_lines or ["pass"]),
         f"outputs = {tup(fo)}",
@@ -563,10 +589,11 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
             "        g0 = t0 ^ reports",
         ]
     body += [
-        "if f_over or d_over or replay:",
-        f"    {tup(do)}, {'d_next' if ds else '_'} = eval_wires(D, (",
-        "        *(chip._replayed(replay, stored, live) if replay else live),",
-        f"        {', '.join([*taps, *ram_sig])}), chip.d_state, d_over, mask)",
+        "if fv or dv or replay:",
+        "    det = (*(chip._replayed(replay, stored, live) if replay else live),",
+        f"           {', '.join([*taps, *ram_sig])})",
+        f"    {tup(do)}, {'d_next' if ds else '_'} = (chip._armed[2](det, chip.d_state, *dv, mask)",
+        "        if dv else D.step_fn()(det, chip.d_state, mask))",
         "else:",
         *([f"    {unpack(ds)} = chip.d_state"] if ds else []),
         *(f"    {line}" for line in q_lines or ["pass"]),
@@ -593,14 +620,14 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
         f"return ChipCycleResult(outputs, {'tx[0]' if n_sub else '()'}, tx, error,",
         "                       chip.monitor.check(error), decode, ram_res)",
     ]
-    # module globals, so eval_wires, select and the rest resolve at call time
+    # module globals, so select, step_lfsr and the rest resolve at call time
     make = define([
-        "def make(F, D, SPEC):",
+        "def make(D, SPEC):",
         "    def cycle(chip, inp, rc, ram_op):",
         *(f"        {line}" for line in body),
         "    return cycle",
     ], "make", globals(), f"clock {f.name}")
-    cycle = make(f, d, spec)
+    cycle = make(d, spec)
     cycle.make = make  # so the source stays in linecache while the clock lives
     return cycle
 
@@ -640,6 +667,8 @@ def build_protected_chip(
     m, k = len(f.inputs), len(f.outputs)
     subsets = [tuple(s) for s in options.output_subsets or (range(k),)]
     _check_output_subsets(k, subsets, map(len, subsets))
+    if options.ram_depth is not None and not is_ram_depth(options.ram_depth):
+        raise ValueError("depth must be a power of two >= 2")  # as ProtectedRam, before any draw
 
     h_logic = sample_parity_code(k, r, rng.getrandbits(64))  # refuses r < 1
     if lfsr_spec.r != r:
@@ -652,7 +681,7 @@ def build_protected_chip(
             seen[s] = sample_parity_code(len(s), r, rng.getrandbits(64))
         out_codes.append((s, seen[s]))
     h_mem = None
-    if options.ram_depth is not None:  # ProtectedChip refuses a depth the RAM cannot take
+    if options.ram_depth is not None:
         addr_bits = options.ram_depth.bit_length() - 1
         h_mem = sample_parity_code(addr_bits + options.ram_word_width, r, rng.getrandbits(64))
 
@@ -781,8 +810,7 @@ _BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
 _MANIFEST_VALUES = (
     ("t", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     ("pipeline_stages", lambda v: type(v) is int and v in (0, 1), "0 or 1"),
-    ("ram_depth", lambda v: v is None or type(v) is int and v >= 2 and not v & (v - 1),
-     "a power of two >= 2 or null"),
+    ("ram_depth", lambda v: v is None or is_ram_depth(v), "a power of two >= 2 or null"),
     ("ram_word_width", lambda v: type(v) is int, "an integer"),
     ("output_subsets", lambda v: isinstance(v, list), "a list of lists of integers"),
 )

@@ -440,7 +440,7 @@ class FftCampaignReport:
 
     @property
     def detection_rate(self) -> float:
-        return self.detected / self.trials if self.trials else 0.0
+        return self.detected / self.trials
 
 
 def single_butterfly_flip(npr: np.random.Generator, n: int) -> tuple[int, int, int, int]:
@@ -519,8 +519,8 @@ def fft_attack_campaign(
         raise FftError(f"n: a campaign needs n >= 2 to plant a fault, got {n}")
     if attack not in ("butterfly_flip", "permutation"):
         raise FftError(f"attack: unknown attack {attack!r}")
-    if trials < 0:
-        raise FftError(f"trials: must be >= 0, got {trials}")
+    if trials < 1:
+        raise FftError(f"trials: must be >= 1, got {trials}")
     if probes_per_trial < 1:
         raise FftError(f"probes_per_trial: must be >= 1, got {probes_per_trial}")
     if ref.n != n:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .netlist import Bits, WidthError, define, text_lines
-from .parity import KERNEL_CACHE_SIZE
+from .netlist import KERNEL_CACHE_SIZE, Bits, WidthError, define, text_lines
 
 
 class LfsrError(ValueError):

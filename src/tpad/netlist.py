@@ -34,6 +34,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 Bits = tuple[int, ...]
 
+KERNEL_CACHE_SIZE = 128  # generated kernels kept per generator: a chip needs a handful
+
 GATE_KINDS = ("AND", "OR", "XOR", "NAND", "NOR", "NOT", "BUF", "CONST0", "CONST1", "DFF")
 _UNARY = ("NOT", "BUF", "DFF")
 _NULLARY = ("CONST0", "CONST1")
@@ -142,7 +144,6 @@ class Netlist:
         self._topo = self._topo_sort()
         self._dffs = tuple(g for g in self.gates if g.kind == "DFF")
         self._step: Optional[Callable] = None
-        self._fault_step: Optional[tuple[Callable, dict[int, int]]] = None
 
     # -- construction checks -------------------------------------------------
 
@@ -214,6 +215,11 @@ class Netlist:
     def n_gates(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def wires(self) -> frozenset[int]:
+        """Every wire: the inputs and each gate's output."""
+        return frozenset((*self.inputs, *(g.out for g in self.gates)))
+
     # -- evaluation -----------------------------------------------------------
 
     def step_fn(self) -> Callable:
@@ -226,21 +232,20 @@ class Netlist:
             self._step = _compile_step(self.inputs, self._topo, self._dffs, self.outputs)
         return self._step
 
-    def fault_step_fn(self) -> tuple[Callable, dict[int, int]]:
+    @lru_cache(maxsize=KERNEL_CACHE_SIZE)  # noqa: B019 - keyed by the netlist, as by its wires
+    def fault_step_fn(self, wires: Optional[frozenset] = None) -> tuple[Callable, dict[int, int]]:
         """Compiled step(inp, state, a, b, mask=1) with per-wire fault masks.
 
-        Returns the step and its slots (wire -> k). Every wire, inputs and
-        DFF outputs included, is driven as `value & a[k] ^ b[k]`, so per lane
-        (a[k], b[k]) = (-1, 0) leaves it alone, (-1, m) flips it and (0, m)
-        forces it to m; eval_wires builds a and b from named overrides.
-        Compiled on first use, like step_fn.
+        Returns the step and its slots (wire -> k): every wire, inputs and DFF
+        outputs included, or only those in `wires`. Each slotted wire is
+        driven as `value & a[k] ^ b[k]`, so per lane (a[k], b[k]) = (-1, 0)
+        leaves it alone, (-1, m) flips it and (0, m) forces it to m;
+        eval_wires builds a and b from named overrides on the all-wire step.
+        Compiled on first use; a process keeps its latest KERNEL_CACHE_SIZE.
         """
-        if self._fault_step is None:
-            wires = (*self.inputs, *(g.out for g in self._dffs), *(g.out for g in self._topo))
-            slots = {w: k for k, w in enumerate(wires)}
-            step = _compile_step(self.inputs, self._topo, self._dffs, self.outputs, faults=slots)
-            self._fault_step = (step, slots)
-        return self._fault_step
+        order = (*self.inputs, *(g.out for g in self._dffs), *(g.out for g in self._topo))
+        slots = {w: k for k, w in enumerate(w for w in order if wires is None or w in wires)}
+        return _compile_step(self.inputs, self._topo, self._dffs, self.outputs, faults=slots), slots
 
     def evaluate(self, inputs: Sequence[int], state: Sequence[int] = ()) -> tuple[Bits, Bits]:
         """Cycle-accurate evaluation: outputs plus next DFF state."""

@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .netlist import Bits, Netlist, NetlistBuilder, WidthError, define, simplify_netlist, text_lines
+from .netlist import (KERNEL_CACHE_SIZE, Bits, Netlist, NetlistBuilder, WidthError, define,
+                      simplify_netlist, text_lines)
 from .rng import Rng, as_rng
 
 
@@ -88,9 +89,6 @@ def _row_parities(rows: Sequence[Bits], names: Sequence[str]) -> list[str]:
 
 # Kernels are cached by matrix rows (and subset and width), as
 # lfsr._compile_monitor_check caches by spec: equal codes share one kernel.
-KERNEL_CACHE_SIZE = 128  # a chip needs a handful, so a process keeps its latest chips'
-
-
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callable:
     k, r = len(rows[0]), len(rows)

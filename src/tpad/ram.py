@@ -54,6 +54,11 @@ EXPECTED_SYMPTOM = {trojan: row[2] for trojan, row in TROJAN_ACTIONS.items()}
 RAM_TROJANS = tuple(TROJAN_ACTIONS)
 
 
+def is_ram_depth(depth) -> bool:
+    """The depth rule: an int (not a bool) that is a power of two >= 2."""
+    return type(depth) is int and depth >= 2 and not depth & (depth - 1)
+
+
 def _span(cols: list[int]) -> tuple[int, ...]:
     """table[v] = XOR of cols[b] over the set bits b of v, for every v < 2**len(cols)."""
     table = [0]
@@ -79,7 +84,7 @@ class ProtectedRam:
     """Cycle-stepped model of the protected memory plus its checker."""
 
     def __init__(self, depth: int, word_width: int, code: ParityCheckMatrix):
-        if depth < 2 or depth & (depth - 1):
+        if not is_ram_depth(depth):
             raise ValueError("depth must be a power of two >= 2")
         self.depth = depth
         self.word_width = word_width

@@ -397,6 +397,34 @@ class TestChipAttacks:
         assert fires > 10  # stuck line keeps disagreeing on many cycles
 
 
+    @pytest.mark.parametrize("side, wire, mode, match", [
+        ("f", 10_000, "flip", "override on wire 10000, which adder does not have"),
+        ("d", 10_000, "stuck1", r"override on wire 10000, which adder\.det\.obf does not have"),
+        ("f", None, "stuk0", "unknown override 'stuk0' on wire s$"),
+        ("d", None, "stuck2", "unknown override 'stuck2' on wire "),
+    ])
+    def test_bad_override_refused_at_install(self, adder_chip, side, wire, mode, match):
+        chip = adder_chip
+        chip.clear_attacks()
+        chip.reset(14)
+        net = chip.f if side == "f" else chip.resolved
+        bad = AttackEffect("logic", **{f"{side}_overrides": {wire or net.outputs[0]: mode}})
+        with pytest.raises(ValueError, match=match):
+            chip.install_attack(bad)
+        assert chip.attacks == [] and chip.cycle_count == 0
+
+    def test_lanes_outside_mask_refused_before_evaluation(self, adder_chip):
+        chip = adder_chip
+        chip.clear_attacks()
+        chip.reset([1, 2, 3])
+        chip.install_attack(AttackEffect("logic", f_overrides={chip.f.outputs[0]: "flip"}), 0b100)
+        chip.reset([1, 2])  # the attack's lane is gone
+        with pytest.raises(ValueError, match="attack lanes 0x4 lie outside mask 0x3"):
+            chip.cycle((0, 0, 0), chip.prev_in_check)
+        assert chip.cycle_count == 0 and not chip._history
+        chip.clear_attacks()
+
+
 class TestBundle:
     def test_detection_names_resolve(self, fixture_chip):
         """Every name detection.net writes resolves through chip.resolved.wire to
@@ -609,6 +637,17 @@ class TestWidthChecks:
             build_protected_chip(parse_netlist(FULL_ADDER), r=1, t=2, lfsr_spec=lfsr16(1),
                                  rng_seed=42, options=ChipOptions(output_subsets=subsets))
 
+    @pytest.mark.parametrize("depth", [12, 0, 1, -4, True])
+    def test_bad_ram_depth_refused_before_any_draw(self, monkeypatch, depth):
+        from conftest import FULL_ADDER
+
+        codes = []
+        monkeypatch.setattr("tpad.chip.sample_parity_code", lambda *args: codes.append(args))
+        with pytest.raises(ValueError, match="^depth must be a power of two >= 2$"):
+            build_protected_chip(parse_netlist(FULL_ADDER), r=1, t=2, lfsr_spec=lfsr16(1),
+                                 rng_seed=42, options=ChipOptions(ram_depth=depth))
+        assert codes == []
+
     def test_ram_op_needs_a_ram(self, adder_chip):
         adder_chip.reset(0)
         with pytest.raises(WidthError, match="RAM op"):
@@ -635,16 +674,38 @@ class TestWidthChecks:
 # -- the generated clock against a reference -----------------------------------------
 
 
+def merge_override(over, overrides, lanes):
+    """Set each wire's fault mode in `lanes` of over, a {wire: {mode: lanes}}
+    map, replacing the modes set there before (the last active mode wins)."""
+    for w, mode in overrides.items():
+        modes = over.get(w)
+        if modes is None:
+            over[w] = {mode: lanes}
+            continue
+        for m in modes:
+            modes[m] &= ~lanes
+        modes[mode] = modes.get(mode, 0) | lanes
+
+
 def reference_cycle(chip, inputs, recv_check, ram_op=None):
     """One clock of chip with both netlists evaluated by eval_wires every cycle.
 
     It spells out what the generated clock (`chip._compile_cycle`) computes,
-    with no inlined netlist, no quiet-cycle body and no shared values; the
-    attack data, RAM lanes, replay and pad helpers are the chip's own.
+    with no inlined netlist, no quiet-cycle body, no shared values and no
+    armed steps: it merges the active fault overrides itself, in install
+    order, and runs both netlists' all-wire fault steps. The pin flips, RAM
+    lanes, replay and pad helpers are the chip's own. Triggers must not be
+    random, since each is asked twice here.
     """
     mask, r = chip.mask, chip.r
     taps = [-(chip.lfsr_state >> p & 1) & mask for p in chip.lfsr_spec.taps]
-    x, rc, f_over, d_over, trojans, replay, null, stored, pads = chip._attack_data(inputs, recv_check)
+    f_over, d_over = {}, {}
+    for a in chip.attacks:
+        on = a.effect.triggered(chip.cycle_count, mask if a.lanes is None else a.lanes, None)
+        if on:
+            merge_override(f_over, a.effect.f_overrides, on)
+            merge_override(d_over, a.effect.d_overrides, on)
+    x, rc, _, _, trojans, replay, null, stored, pads = chip._attack_data(inputs, recv_check)
     fo, _ = eval_wires(chip.f, tuple(x), (), f_over, mask)
     live = (*x, *rc, *chip.prev_in_check, *fo, *(b for c in chip.prev_out_checks for b in c))
     ram_res, ram_sig = None, []
@@ -682,8 +743,11 @@ def registers(chip):
             [(ram.cells, ram.ram_out, ram.data_out) for ram in chip.rams])
 
 
-# what one cycle of a drawn session does: nothing, or one kind of armed attack
-CYCLE_KINDS = ("quiet", "f_over", "d_over", "replay", "pads", "pins", "null", "ram")
+# what one cycle of a drawn session does: nothing, or one kind of armed attack;
+# same_wire is two modes on one wire in shared lanes, f_replay an F override and a replay
+CYCLE_KINDS = ("quiet", "f_over", "d_over", "same_wire", "f_replay", "replay", "pads", "pins",
+               "null", "ram")
+MODES = ("flip", "stuck0", "stuck1")
 
 
 class TestClockReference:
@@ -691,23 +755,36 @@ class TestClockReference:
     over sessions that mix quiet cycles with each kind of attacked cycle."""
 
     @staticmethod
-    def effect(kind, cycle, chip, rng):
+    def effects(kind, cycle, chip, rng, all_lanes):
+        """The (effect, lane mask) pairs one cycle of `kind` installs, each active at `cycle`."""
         trigger = ("at_cycle", cycle)
-        if kind in ("f_over", "d_over"):
-            net = chip.f if kind == "f_over" else chip.resolved
-            over = {rng.choice([*net.inputs, *(g.out for g in net.gates)]):
-                    rng.choice(("flip", "stuck0", "stuck1"))}
-            return AttackEffect("logic", trigger, **{f"{kind[0]}_overrides": over})
+        lanes = rng.randint(1, all_lanes)
         if kind == "replay":
-            return AttackEffect("decoupling_stored_state", trigger, replay_depth=rng.randint(1, 3))
+            return [(AttackEffect("decoupling_stored_state", trigger,
+                                  replay_depth=rng.randint(1, 3)), lanes)]
         if kind == "pads":
-            return AttackEffect("pin", trigger, output_flips=(rng.randrange(len(chip.f.outputs)),))
+            return [(AttackEffect("pin", trigger,
+                                  output_flips=(rng.randrange(len(chip.f.outputs)),)), lanes)]
         if kind == "pins":
-            return AttackEffect("pin", trigger, input_flips=(rng.randrange(len(chip.f.inputs)),),
-                                recv_flips=(rng.randrange(chip.r),))
+            return [(AttackEffect("pin", trigger, input_flips=(rng.randrange(len(chip.f.inputs)),),
+                                  recv_flips=(rng.randrange(chip.r),)), lanes)]
         if kind == "null":
-            return AttackEffect("decoupling_parity_null", trigger)
-        return AttackEffect("logic", trigger, ram_trojan=rng.choice(RAM_TROJANS))
+            return [(AttackEffect("decoupling_parity_null", trigger), lanes)]
+        if kind == "ram":
+            return [(AttackEffect("logic", trigger, ram_trojan=rng.choice(RAM_TROJANS)), lanes)]
+        side = rng.choice("fd") if kind == "same_wire" else kind[0]
+        net = chip.f if side == "f" else chip.resolved
+        wire = rng.choice([*net.inputs, *(g.out for g in net.gates)])
+        first, second = rng.sample(MODES, 2)
+        pairs = [(AttackEffect("logic", trigger, **{f"{side}_overrides": {wire: first}}), lanes)]
+        if kind == "same_wire":  # the later mode wins in the lanes the two share
+            shared = rng.randint(1, all_lanes) | lanes & -lanes
+            pairs.append((AttackEffect("logic", trigger, **{f"{side}_overrides": {wire: second}}),
+                          shared))
+        if kind == "f_replay":
+            pairs.append((AttackEffect("decoupling_stored_state", trigger,
+                                       replay_depth=rng.randint(1, 3)), rng.randint(1, all_lanes)))
+        return pairs
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32), r=st.integers(1, 3), ram=st.booleans(),
@@ -731,9 +808,9 @@ class TestClockReference:
         for cycle, kind in enumerate(kinds):
             if kind == "quiet" or (kind == "ram" and not ram):
                 continue
-            effect, lane_mask = self.effect(kind, cycle, chip, rng), rng.randint(1, all_lanes)
-            for c in (chip, ref):
-                c.install_attack(effect, lane_mask)
+            for effect, lane_mask in self.effects(kind, cycle, chip, rng, all_lanes):
+                for c in (chip, ref):
+                    c.install_attack(effect, lane_mask)
         for cycle in range(len(kinds)):
             x = tuple(rng.getrandbits(lanes) for _ in f.inputs)
             rc = tuple(rng.getrandbits(lanes) for _ in range(r))

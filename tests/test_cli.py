@@ -375,6 +375,13 @@ def test_fft_length_one(capsys):
     assert capsys.readouterr().err == "fft: n: a selftest needs n >= 2 to build a non-pair, got 1\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fft_campaign_without_trials_exits_2(capsys, trials):
+    # a rate over no trials would read 0 with the status of a clean run
+    assert main(["fft", "--n", "16", "--campaign", "--trials", trials]) == 2
+    assert capsys.readouterr().err == f"fft: trials: must be >= 1, got {trials}\n"
+
+
 @pytest.mark.parametrize("argv,error", [
     ("gen-code --k 0 --r 3", "k and r must be >= 1"),
     ("gen-code --k 4 --r 2 --out {tmp}/nodir/x.code",

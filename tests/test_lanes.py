@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpad.attacks
+import tpad.netlist
 from tpad.attacks import (
     CAMPAIGN_BATCH,
     AttackDescriptor,
@@ -35,7 +36,7 @@ from tpad.chip import (
     build_protected_chip,
 )
 from tpad.lanes import pack_lanes
-from tpad.netlist import WidthError, parse_netlist, random_netlist
+from tpad.netlist import Netlist, WidthError, parse_netlist, random_netlist
 from tpad.parity import ParityCheckMatrix, sample_parity_code
 from tpad.ram import EXPECTED_SYMPTOM, RAM_TROJANS, ProtectedRam
 from tpad.rng import as_rng, random_bits
@@ -229,6 +230,26 @@ class TestCampaignDifferential:
             monkeypatch.setattr(tpad.attacks, "CAMPAIGN_BATCH", batch)
             csvs.add(run_campaign(chip, lambda rng: rng.choice(pool), 70, 6, rng_seed=9).to_csv())
         assert len(csvs) == 1
+
+    def test_fault_steps_compiled_per_batch_not_per_cycle(self, wide_pipelined, monkeypatch):
+        compiled = []  # the slot count of every fault step compiled
+
+        def spy(*args, faults=None, **kwargs):
+            if faults is not None:
+                compiled.append(len(faults))
+            return compile_step(*args, faults=faults, **kwargs)
+
+        compile_step = tpad.netlist._compile_step
+        monkeypatch.setattr(tpad.netlist, "_compile_step", spy)
+        Netlist.fault_step_fn.cache_clear()
+        pool = attack_pool(wide_pipelined)
+        trials, cycles = 1000, 8
+        run_campaign(wide_pipelined, lambda rng: rng.choice(pool), trials, cycles, rng_seed=5)
+        batches = -(-trials // CAMPAIGN_BATCH)
+        # at most one armed step per netlist and batch, each slotted only on
+        # the overridden wires (every output of f, two gates each side)
+        assert 1 <= len(compiled) <= 2 * batches < batches * cycles
+        assert max(compiled) <= len(wide_pipelined.f.outputs) + 2
 
     def test_ram_chip_runs_trials_in_lanes(self):
         f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")

@@ -160,7 +160,8 @@ def with_faults_spliced(net, overrides):
 
 
 class TestFaults:
-    """eval_wires against the clean compiled step of the fault built as gates."""
+    """eval_wires, and the fault step slotted only on the overridden wires,
+    against the clean compiled step of the fault built as gates."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32), n_dffs=st.integers(0, 3), lanes=st.integers(1, 64),
@@ -176,13 +177,21 @@ class TestFaults:
                      for site, mode in zip(sites, modes)}
         spliced = with_faults_spliced(net, overrides).step_fn()
         mask = (1 << lanes) - 1
+        armed, slots = net.fault_step_fn(frozenset(overrides))
+        assert sorted(slots) == sorted(overrides)
+        a, b = [-1] * len(slots), [0] * len(slots)
+        pairs = {"flip": (-1, mask), "stuck0": (0, 0), "stuck1": (0, mask)}
+        for w, mode in overrides.items():
+            a[slots[w]], b[slots[w]] = pairs[mode]
         state = tuple(rng.getrandbits(lanes) for _ in range(net.state_width))
-        want_state = state
+        want_state = armed_state = state
         for _ in range(3):  # a few cycles, so faulted DFF inputs feed back
             x = tuple(rng.getrandbits(lanes) for _ in net.inputs)
             got, state = eval_wires(net, x, state, overrides, mask)
             want, want_state = spliced(x, want_state, mask)
             assert (got, state) == (want, want_state)
+            got, armed_state = armed(x, armed_state, a, b, mask)
+            assert (got, armed_state) == (want, want_state)
 
     def test_unknown_mode_rejected_before_evaluation(self, full_adder):
         with pytest.raises(ValueError, match="'stuck2'"):
