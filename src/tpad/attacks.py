@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .chip import (
@@ -26,7 +26,7 @@ from .chip import (
     StimulusEncoder,
 )
 from .lanes import lanes_of, pack_lanes
-from .netlist import Netlist, text_lines
+from .netlist import _FAULTS, Netlist, text_lines
 from .parity import ParityCheckMatrix
 from .ram import RAM_TROJANS
 from .rng import Rng, as_rng, random_bits
@@ -127,7 +127,7 @@ def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
 
 # target prefix -> the payloads it takes; pads and RAM trojans only flip
 _TARGET_PAYLOADS = {**dict.fromkeys(("input", "recv_check", "output", "ram"), ("flip",)),
-                    **dict.fromkeys(("fout", "fgate", "dgate"), ("flip", "stuck0", "stuck1"))}
+                    **dict.fromkeys(("fout", "fgate", "dgate"), tuple(_FAULTS))}
 
 
 def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
@@ -223,11 +223,29 @@ class TrialRecord:
 
 @dataclass
 class DetectionReport:
-    trials: int
-    detected: int
+    """A campaign's fired controls and its records, one per trial; every
+    other count is read off the records, so none can disagree with them."""
+
     false_positives: int
-    by_kind: dict[str, tuple[int, int]] = field(default_factory=dict)
-    records: list[TrialRecord] = field(default_factory=list)
+    records: list[TrialRecord]
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
+
+    @property
+    def detected(self) -> int:
+        return sum(rec.detected for rec in self.records)
+
+    @property
+    def by_kind(self) -> dict[str, tuple[int, int]]:
+        """attack kind -> (trials, detected) over the trials that armed an attack."""
+        counts: dict[str, tuple[int, int]] = {}
+        for rec in self.records:
+            if rec.attack_kind != "none":
+                n, hits = counts.get(rec.attack_kind, (0, 0))
+                counts[rec.attack_kind] = (n + 1, hits + rec.detected)
+        return counts
 
     @property
     def detection_rate(self) -> float:
@@ -388,9 +406,7 @@ def run_campaign(
     if cycles_per_trial < 1:
         raise ValueError("cycles_per_trial must be >= 1")
     rng = as_rng(rng_seed)
-    detected = 0
     false_positives = 0
-    by_kind: dict[str, list[int]] = {}
     records: list[TrialRecord] = []
     for start in range(0, trials, CAMPAIGN_BATCH):
         plans = []
@@ -406,20 +422,11 @@ def run_campaign(
             trial = start + i
             hit = first[i] is not None
             if effect is not None:
-                detected += hit
-                key = effect.kind
-                agg = by_kind.setdefault(key, [0, 0])
-                agg[0] += 1
-                agg[1] += hit
-                records.append(TrialRecord(trial, key, hit, first[i]))
+                records.append(TrialRecord(trial, effect.kind, hit, first[i]))
             else:
                 records.append(TrialRecord(trial, "none", False, None))
             false_positives += first[n + i] is not None
-    return DetectionReport(
-        trials, detected, false_positives,
-        {k: (v[0], v[1]) for k, v in by_kind.items()},
-        records,
-    )
+    return DetectionReport(false_positives, records)
 
 
 # -- analytic reverse-engineering calculators ------------------------------------------
@@ -551,7 +558,7 @@ def subcircuit_match_attack(
         else:
             detected = False
             for _ in range(64):
-                x = tuple(rng.getrandbits(1) for _ in range(m))
+                x = tuple(random_bits(rng, m))
                 fo, _ = eval_wires(f, x, (), {root_f: "flip"})
                 po, _ = eval_wires(ocp, x, (), {root_ocp: "flip"})
                 if po != h_logic.check_bits(fo):

@@ -40,7 +40,6 @@ from .lanes import lanes_of, pack_lanes, select
 # them and step_lfsr under this module's names
 from .lfsr import ErrorMonitor, LfsrSpec, lfsr_taps, step_lfsr, step_source  # noqa: F401
 from .netlist import (  # noqa: F401
-    _FAULTS,
     Bits,
     Netlist,
     NetlistBuilder,
@@ -48,6 +47,7 @@ from .netlist import (  # noqa: F401
     WidthError,
     define,
     eval_wires,
+    fault_vectors,
     inline_step,
     parse_netlist,
     serialize_netlist,
@@ -185,26 +185,21 @@ class AttackEffect:
             return lanes if cycle == self.trigger[1] else 0
         if mode == "after_cycle":
             return lanes if cycle >= self.trigger[1] else 0
-        if mode == "random":
-            on = 0
-            for j in lanes_of(lanes):
-                if lane_rng(j).random() < self.trigger[1]:
-                    on |= 1 << j
-            return on
-        raise ValueError(f"unknown trigger {self.trigger!r}")
+        on = 0  # random, the one mode left (_check_trigger)
+        for j in lanes_of(lanes):
+            if lane_rng(j).random() < self.trigger[1]:
+                on |= 1 << j
+        return on
 
 
-def _fault(vectors: Optional[tuple], slots: dict[int, int], overrides: dict[int, str],
-           on: int) -> tuple[list[int], list[int]]:
-    """Fault vectors (a, b), all clear if None, with each override's mode set
-    in the `on` lanes of its wire's slot: the last active mode on a wire wins."""
-    a, b = vectors or ([-1] * len(slots), [0] * len(slots))
-    for w, mode in overrides.items():
-        k = slots[w]
-        fa, fb = _FAULTS[mode]
-        a[k] = a[k] & ~on | fa & on
-        b[k] = b[k] & ~on | fb & on
-    return a, b
+def _check_trigger(trigger: tuple) -> None:
+    """Refuse (ValueError) a trigger `triggered` cannot run: an unknown mode, a missing
+    or extra argument, a cycle that is not an int, a probability outside [0, 1]."""
+    mode, *args = trigger or ("",)
+    arg = args[0] if len(args) == 1 else None
+    if not (mode == "always" and not args or mode in ("at_cycle", "after_cycle") and type(arg) is int
+            or mode == "random" and isinstance(arg, (int, float)) and 0 <= arg <= 1):
+        raise ValueError(f"unknown trigger {trigger!r}")
 
 
 class _Installed:
@@ -355,17 +350,13 @@ class ProtectedChip:
         self.initial_prev_in_check = tuple(prev_check)
 
     def install_attack(self, effect: AttackEffect, lanes: Optional[int] = None) -> None:
-        """Arm effect in the lanes of the `lanes` mask (default: every lane);
-        an override on a wire its netlist lacks, or of an unknown mode, is refused."""
+        """Arm effect in the lanes of the `lanes` mask (default: every lane); a bad
+        trigger (_check_trigger) or override (check_overrides) is refused here."""
         if lanes is not None and (lanes <= 0 or lanes & ~self.mask):
             raise ValueError(f"lane mask {lanes:#x} is not a nonempty subset of {self.mask:#x}")
-        if effect.f_overrides or effect.d_overrides:
-            for net, over in ((self.f, effect.f_overrides), (self.resolved, effect.d_overrides)):
-                for w, mode in over.items():
-                    if w not in net.wires:
-                        raise ValueError(f"override on wire {w}, which {net.name} does not have")
-                    if mode not in _FAULTS:
-                        raise ValueError(f"unknown override {mode!r} on wire {net.wire_name(w)}")
+        _check_trigger(effect.trigger)
+        self.f.check_overrides(effect.f_overrides)
+        self.resolved.check_overrides(effect.d_overrides)
         self.attacks.append(_Installed(effect, lanes))
         self._armed = None
 
@@ -439,9 +430,9 @@ class ProtectedChip:
                 for i in eff.output_flips:
                     pads[i] ^= on
             if eff.f_overrides:
-                fv = _fault(fv, f_slots, eff.f_overrides, on)
+                fv = fault_vectors(fv, f_slots, eff.f_overrides, on)
             if eff.d_overrides:
-                dv = _fault(dv, d_slots, eff.d_overrides, on)
+                dv = fault_vectors(dv, d_slots, eff.d_overrides, on)
             if eff.ram_trojan:
                 for j in lanes_of(on):
                     ram_trojans[j] = eff.ram_trojan

@@ -72,6 +72,7 @@ def _cmd_build_chip(args) -> int:
 
 def _cmd_run(args) -> int:
     from .chip import OutputReceiver, StimulusEncoder, load_chip_bundle
+    from .rng import random_bits
 
     if args.cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -85,7 +86,7 @@ def _cmd_run(args) -> int:
     rows = []
     reports = 0
     for cyc in range(args.cycles):
-        x = tuple(rng.getrandbits(1) for _ in range(m))
+        x = tuple(random_bits(rng, m))
         res = chip.cycle(x, enc.send(x), chip.ram.random_op(ram_rng) if chip.ram else None)
         # the receiver sees every word, or its chain would go stale
         bad = rec.receive(res.outputs, res.out_check) or res.monitor_attack or res.decode_attack
@@ -153,6 +154,7 @@ def _cmd_fft(args) -> int:
         FftCedEngine,
         FftError,
         calibrate_threshold,
+        check_campaign_trials,
         fft_attack_campaign,
         format_reference,
         make_reference,
@@ -179,6 +181,7 @@ def _cmd_fft(args) -> int:
         print(verdict)
         return 0 if verdict == CHECKER_ALIVE else 1
     if args.campaign:
+        check_campaign_trials(args.trials)  # before the calibration it would waste
         threshold, ref = calibrate_threshold(args.n, max(args.trials // 10, 100), args.margin,
                                              rng_seed=args.seed)
         rep = fft_attack_campaign(args.n, args.trials, threshold, ref, rng_seed=args.seed)

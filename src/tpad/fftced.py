@@ -492,6 +492,12 @@ def _one_probe_permutations(n: int, trials: int, threshold: float, ref: Plancher
     return detected, false_positives
 
 
+def check_campaign_trials(trials: int) -> None:
+    """Refuse a campaign of no trials, whose rate would be over nothing."""
+    if trials < 1:
+        raise FftError(f"trials: must be >= 1, got {trials}")
+
+
 def fft_attack_campaign(
     n: int,
     trials: int,
@@ -519,8 +525,7 @@ def fft_attack_campaign(
         raise FftError(f"n: a campaign needs n >= 2 to plant a fault, got {n}")
     if attack not in ("butterfly_flip", "permutation"):
         raise FftError(f"attack: unknown attack {attack!r}")
-    if trials < 1:
-        raise FftError(f"trials: must be >= 1, got {trials}")
+    check_campaign_trials(trials)
     if probes_per_trial < 1:
         raise FftError(f"probes_per_trial: must be >= 1, got {probes_per_trial}")
     if ref.n != n:

@@ -30,7 +30,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 Bits = tuple[int, ...]
 
@@ -233,27 +233,27 @@ class Netlist:
         return self._step
 
     @lru_cache(maxsize=KERNEL_CACHE_SIZE)  # noqa: B019 - keyed by the netlist, as by its wires
-    def fault_step_fn(self, wires: Optional[frozenset] = None) -> tuple[Callable, dict[int, int]]:
-        """Compiled step(inp, state, a, b, mask=1) with per-wire fault masks.
+    def fault_step_fn(self, wires: frozenset) -> tuple[Callable, dict[int, int]]:
+        """Compiled step(inp, state, a, b, mask=1) with fault slots on `wires`.
 
-        Returns the step and its slots (wire -> k): every wire, inputs and DFF
-        outputs included, or only those in `wires`. Each slotted wire is
-        driven as `value & a[k] ^ b[k]`, so per lane (a[k], b[k]) = (-1, 0)
-        leaves it alone, (-1, m) flips it and (0, m) forces it to m;
-        eval_wires builds a and b from named overrides on the all-wire step.
+        Returns the step and its slots (wire -> k), in the order inputs, DFF
+        outputs, gates. Each slotted wire is driven as `value & a[k] ^ b[k]`,
+        so per lane (a[k], b[k]) = (-1, 0) leaves it alone, (-1, m) flips it
+        and (0, m) forces it to m; fault_vectors fills a and b from overrides.
         Compiled on first use; a process keeps its latest KERNEL_CACHE_SIZE.
         """
         order = (*self.inputs, *(g.out for g in self._dffs), *(g.out for g in self._topo))
-        slots = {w: k for k, w in enumerate(w for w in order if wires is None or w in wires)}
+        slots = {w: k for k, w in enumerate(w for w in order if w in wires)}
         return _compile_step(self.inputs, self._topo, self._dffs, self.outputs, faults=slots), slots
 
-    def evaluate(self, inputs: Sequence[int], state: Sequence[int] = ()) -> tuple[Bits, Bits]:
-        """Cycle-accurate evaluation: outputs plus next DFF state."""
-        if len(inputs) != len(self.inputs):
-            raise WidthError(f"expected {len(self.inputs)} input bits, got {len(inputs)}")
-        if len(state) != self.state_width:
-            raise WidthError(f"expected {self.state_width} state bits, got {len(state)}")
-        return self.step_fn()(tuple(inputs), tuple(state), 1)
+    def check_overrides(self, overrides: dict[int, str]) -> None:
+        """Refuse (ValueError) an override on a wire this netlist does not have
+        or of a mode other than 'flip', 'stuck0' and 'stuck1'."""
+        for w, mode in overrides.items():
+            if w not in self.wires:
+                raise ValueError(f"override on wire {w}, which {self.name} does not have")
+            if mode not in _FAULTS:
+                raise ValueError(f"unknown override {mode!r} on wire {self.wire_name(w)}")
 
 
 # kind -> (head, operand separator, tail) of a gate's Python expression
@@ -283,10 +283,10 @@ def _compile_step(
     the function is step(inp, state, sel, mask=1): sel[i] is 0 to route that
     switchbox's inputs parallel and -1 (every lane) to cross them. With
     `faults` (wire -> slot k) it takes two more vectors, step(inp, state,
-    [sel,] a, b, mask=1), and drives each such wire as `value & a[k] ^ b[k]`.
-    Without `faults`, inp and state are unpacked whole, so a tuple of the
-    wrong length raises ValueError, and a BUF's wire reads its input's
-    variable, as in inline_step.
+    [sel,] a, b, mask=1), and drives each such wire as `value & a[k] ^ b[k]`
+    (an input or DFF output is driven again from its unpacked value). inp
+    and state are unpacked whole, so a tuple of the wrong length raises
+    ValueError, and a BUF's wire reads its input's variable, as in inline_step.
     """
     params = ["inp", "state", *(["sel"] if selects is not None else []),
               *(["a", "b"] if faults is not None else []), "mask=1"]
@@ -295,11 +295,9 @@ def _compile_step(
     def seq(names: list[str]) -> str:  # "x, y," to unpack into or to put in parentheses
         return ", ".join(names) + "," if names else "()"
 
-    vectors = (("inp", inputs), ("state", [g.out for g in dffs]))
-    if faults is None:  # each vector unpacked whole into its wires' own variables
-        lines += [f" {seq([f'v{w}' for w in wires])} = {vec}" for vec, wires in vectors]
-    given = {} if faults is None else {  # each element driven into its wire through its slot
-        w: f"{vec}[{i}]" for vec, wires in vectors for i, w in enumerate(wires)}
+    entry = (("inp", inputs), ("state", [g.out for g in dffs]))
+    lines += [f" {seq([f'v{w}' for w in wires])} = {vec}" for vec, wires in entry]
+    given = {w: f"v{w}" for _, wires in entry for w in wires}
     body, outs, nxt = inline_step(order, dffs, given, [(w, None) for w in outputs], "v",
                                   selects=selects, faults=faults)
     lines += [" " + "\n ".join(body)] if body else []  # one indented block
@@ -426,44 +424,43 @@ def inline_step(
 _FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes
 
 
+def fault_vectors(vectors: Optional[tuple], slots: dict[int, int], overrides: dict[int, str],
+                  lanes: int) -> tuple[list[int], list[int]]:
+    """Fault vectors (a, b) for a step slotted as `slots`: `vectors`, or all clear
+    if None, with each override's mode set in `lanes` of its wire's slot, so the
+    last mode set on a wire wins. The vectors passed in are updated in place."""
+    a, b = vectors or ([-1] * len(slots), [0] * len(slots))
+    for w, mode in overrides.items():
+        k = slots[w]
+        fa, fb = _FAULTS[mode]
+        a[k] = a[k] & ~lanes | fa & lanes
+        b[k] = b[k] & ~lanes | fb & lanes
+    return a, b
+
+
 def eval_wires(
     net: Netlist,
     inputs: Sequence[int],
     state: Sequence[int] = (),
-    overrides: Optional[dict[int, Union[str, dict[str, int]]]] = None,
+    overrides: Optional[dict[int, str]] = None,
     mask: int = 1,
 ) -> tuple[Bits, Bits]:
-    """Evaluation with per-wire fault overrides, on the compiled fault step.
+    """Outputs and next DFF state, with per-wire fault overrides in every lane of mask.
 
-    overrides maps wire id -> 'flip' | 'stuck0' | 'stuck1', applied in every
-    lane of mask, or -> {mode: lanes}, applying each mode in its own lanes;
-    a fault acts on the value right after the wire is driven (inputs and DFF
-    outputs included). An unknown mode, a wire the netlist does not have, or
-    lanes outside mask or shared by two modes of one wire raise ValueError
-    before anything is evaluated.
+    overrides maps wire id -> 'flip' | 'stuck0' | 'stuck1'; a fault acts on
+    the value right after the wire is driven (inputs and DFF outputs
+    included). It runs the fault step slotted on every wire. A wrong input
+    or state width raises WidthError, and an override check_overrides
+    refuses raises ValueError, before anything is evaluated.
     """
     if len(inputs) != len(net.inputs):
         raise WidthError(f"expected {len(net.inputs)} input bits, got {len(inputs)}")
     if len(state) != net.state_width:
         raise WidthError(f"expected {net.state_width} state bits, got {len(state)}")
-    step, slots = net.fault_step_fn()
-    a = [-1] * len(slots)
-    b = [0] * len(slots)
-    for w, modes in (overrides or {}).items():
-        k = slots.get(w)
-        if k is None:
-            raise ValueError(f"override on wire {w}, which {net.name} does not have")
-        seen = 0
-        for mode, lanes in (modes.items() if isinstance(modes, dict) else ((modes, mask),)):
-            if mode not in _FAULTS:
-                raise ValueError(f"unknown override {mode!r} on wire {net.wire_name(w)}")
-            if lanes & (seen | ~mask):
-                raise ValueError(f"{mode} lanes {lanes:#x} on wire {net.wire_name(w)} "
-                                 f"lie outside mask {mask:#x} or under another mode")
-            seen |= lanes
-            a[k] &= _FAULTS[mode][0] | ~lanes
-            b[k] |= _FAULTS[mode][1] & lanes
-    return step(inputs, state, a, b, mask)
+    overrides = overrides or {}
+    net.check_overrides(overrides)
+    step, slots = net.fault_step_fn(net.wires)
+    return step(inputs, state, *fault_vectors(None, slots, overrides, mask), mask)
 
 
 # -- builder -------------------------------------------------------------------

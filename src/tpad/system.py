@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .attacks import AttackDescriptor, compile_attack
 from .chip import (
@@ -28,7 +28,7 @@ from .chip import (
 from .lfsr import LfsrSpec
 from .netlist import Netlist, serialize_netlist
 from .parity import format_matrix
-from .rng import Rng, as_rng
+from .rng import Rng, as_rng, random_bits
 
 
 @dataclass(frozen=True)
@@ -133,22 +133,18 @@ def config_digest(topology: SystemTopology) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-Stimulus = Callable[[int, random.Random], Sequence[int]]
-
-
 def run_system(
     topology: SystemTopology,
-    stimulus: Optional[Stimulus],
     attacks: Sequence[tuple[int, AttackDescriptor]],
     cycles: int,
     rng_seed: Rng = None,
 ) -> RunReport:
     """Lockstep simulation; channels add one cycle of latency.
 
-    stimulus(cycle, rng) supplies the source chips' raw input bits (random
-    bits when None). Attacks are (chip_index, descriptor) pairs installed
-    before the run. The report holds each monitor's firing cycles plus the
-    trusted decode verdicts on terminal chip outputs.
+    The source chips get random raw input bits. Attacks are (chip_index,
+    descriptor) pairs installed before the run. The report holds each
+    monitor's firing cycles plus the trusted decode verdicts on terminal
+    chip outputs.
     """
     rng = as_rng(rng_seed)
     chips = topology.chips
@@ -178,7 +174,6 @@ def run_system(
         for i, chip in enumerate(chips)
     ]
     stim_rng = random.Random(rng.getrandbits(64))
-    draw = stim_rng.getrandbits
 
     monitor_fires: list[list[int]] = [[] for _ in chips]
     terminal_fires: list[int] = []
@@ -188,7 +183,7 @@ def run_system(
     for cyc in range(cycles):
         for i, chip, encoder, m, receiver, sends in plan:
             if encoder is not None:
-                x = tuple(stimulus(cyc, stim_rng)) if stimulus else tuple([draw(1) for _ in range(m)])
+                x = tuple(random_bits(stim_rng, m))
                 rc = encoder.send(x)
             else:
                 x, rc = regs[i]

@@ -145,7 +145,7 @@ def test_criterion_3_zero_false_positives(zero_fp_chips):
     f1 = random_netlist(6, 24, 6, rng_seed=1, name="s1")
     f2 = random_netlist(6, 22, 4, rng_seed=2, name="s2")
     topo = build_pipeline_system([f1, f2], r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=9)
-    rep = run_system(topo, None, [], cycles=150_000, rng_seed=21)
+    rep = run_system(topo, [], cycles=150_000, rng_seed=21)
     fires += sum(len(m) for m in rep.monitor_fires) + len(rep.terminal_decode_fires)
     cycles += 150_000 * 2
     report(3, cycles >= 1_000_000 and fires == 0,

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from tpad.attacks import (
     ATTACK_KINDS,
     AttackDescriptor,
+    DetectionReport,
+    TrialRecord,
     compile_attack,
     cp_attack_probability,
     decoupling_cost,
@@ -238,6 +240,17 @@ class TestCompileValidation:
     def test_boundary_targets_accepted(self, wide_chip, kind, target):
         compile_attack(wide_chip, AttackDescriptor(kind, target))
 
+    @pytest.mark.parametrize("kind,target,payload,takes", [
+        ("logic", "dgate:", "stuck2", "dgate targets take flip|stuck0|stuck1"),
+        ("logic", "fout:0", "replay:1", "fout targets take flip|stuck0|stuck1"),
+        ("pin", "input:0", "stuck0", "input targets take flip"),
+    ])
+    def test_payload_outside_target_modes_rejected(self, wide_chip, kind, target, payload, takes):
+        if target == "dgate:":
+            target += wide_chip.resolved.wire_name(wide_chip.resolved.gates[0].out)
+        with pytest.raises(ValueError, match=re.escape(f"payload {payload!r}: {takes}") + "$"):
+            compile_attack(wide_chip, AttackDescriptor(kind, target, ("always",), payload))
+
     @pytest.mark.parametrize("payload", ["replay:0", "replay:-2", "replay:4097", "replay:deep"])
     def test_replay_depth_beyond_history_rejected(self, wide_chip, payload):
         # such an attack never engages, and would be scored as undetected
@@ -392,6 +405,14 @@ class TestCampaigns:
         rep = run_campaign(wide_chip, lambda rng: None, 300, 6, rng_seed=10)
         assert rep.detected == 0 and rep.false_positives == 0
 
+    def test_report_counts_come_from_its_records(self):
+        records = [TrialRecord(0, "logic", True, 2), TrialRecord(1, "none", False, None),
+                   TrialRecord(2, "pin", False, None), TrialRecord(3, "logic", False, None)]
+        rep = DetectionReport(1, records)
+        assert (rep.trials, rep.detected) == (4, 1)
+        assert rep.by_kind == {"logic": (2, 1), "pin": (1, 0)}
+        assert rep.to_csv().endswith("summary,all,1/4,rate=0.250000;false_positives=1\n")
+
     def test_confidence_interval_brackets_rate(self, wide_chip):
         rep = run_campaign(wide_chip, uniform_output_flip_attacks(2), 500, 4, rng_seed=11)
         lo, hi = rep.confidence_interval()
@@ -464,6 +485,16 @@ class TestSubcircuitMatching:
         rate = subcircuit_match_attack(f, hardened, h, trials=1000, rng_seed=3,
                                        max_size=6, min_size=3)
         assert rate == 0.0
+
+    def test_sampled_probes_draw_as_single_bits(self):
+        # more than 12 inputs: 64 random probes per trial; the rate and the
+        # generator's end state as recorded with one getrandbits(1) per bit
+        f = random_netlist(14, 60, 6, rng_seed=13, name="wide")
+        h = sample_parity_code(6, 2, 2)
+        rng = random.Random(3)
+        rate = subcircuit_match_attack(f, build_ocp(f, h), h, trials=200, rng_seed=rng,
+                                       max_size=4, min_size=2)
+        assert (rate, rng.getrandbits(64)) == (0.21, 9125985337596136000)
 
     def test_no_isomorphic_subcircuits_means_zero(self):
         # a predictor made of gates absent from f cannot host a match

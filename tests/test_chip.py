@@ -297,10 +297,10 @@ class TestErrorCombiner:
 
         for _ in range(3):
             x = draw(len(chip.f.inputs))
-            fo = xor_bits(chip.f.evaluate(x)[0], draw(len(chip.f.outputs), tamper[0]))
+            fo = xor_bits(eval_wires(chip.f, x)[0], draw(len(chip.f.outputs), tamper[0]))
             pin, taps = draw(r), draw(r)
             rc = xor_bits(xor_bits(chip.h_in.check_bits(x), pin), draw(r, tamper[1]))
-            now = (chip.ocp.evaluate(x)[0], chip.h_logic.check_bits(fo))
+            now = (eval_wires(chip.ocp, x)[0], chip.h_logic.check_bits(fo))
             (pred, actual), held = (held if pipelined else now), now
             signals = [checker_output(taps, pred, actual),
                        checker_output(taps, xor_bits(rc, pin), chip.h_in.check_bits(x))]
@@ -315,7 +315,7 @@ class TestErrorCombiner:
                 + [f"tap{i}" for i in range(r)] + [f"ram{i}" for i in range(len(ram))],
                 x + rc + pin + fo + taps + ram))
             inputs = [values.get(det.wire_name(w), 0) for w in det.inputs]  # pout*: any value
-            out, state = det.evaluate(inputs, state)
+            out, state = eval_wires(det, inputs, state)
             assert out[:r] == combine_error_signals(taps, signals).bits
 
 
@@ -412,6 +412,29 @@ class TestChipAttacks:
         with pytest.raises(ValueError, match=match):
             chip.install_attack(bad)
         assert chip.attacks == [] and chip.cycle_count == 0
+
+    @pytest.mark.parametrize("trigger", [
+        ("sometimes",), ("at_cycle",), ("always", 3), ("after_cycle", 2, 5), ("at_cycle", "2"),
+        ("random",), ("random", 1.5), ("random", -0.1), ("random", float("nan")), (),
+    ])
+    def test_bad_trigger_refused_at_install(self, adder_chip, trigger):
+        chip = adder_chip
+        chip.clear_attacks()
+        chip.reset(14)
+        bad = AttackEffect("pin", trigger=trigger, input_flips=(0,))
+        with pytest.raises(ValueError, match=re.escape(f"unknown trigger {trigger!r}")):
+            chip.install_attack(bad)
+        assert chip.attacks == [] and chip.cycle_count == 0
+
+    @pytest.mark.parametrize("trigger", [("always",), ("at_cycle", 0), ("after_cycle", 3),
+                                         ("random", 0), ("random", 1), ("random", 0.5)])
+    def test_good_trigger_installs(self, adder_chip, trigger):
+        chip = adder_chip
+        chip.clear_attacks()
+        chip.reset(14)
+        chip.install_attack(AttackEffect("pin", trigger=trigger, input_flips=(0,)))
+        chip.cycle((0, 0, 0), chip.prev_in_check)
+        chip.clear_attacks()
 
     def test_lanes_outside_mask_refused_before_evaluation(self, adder_chip):
         chip = adder_chip
@@ -687,8 +710,24 @@ def merge_override(over, overrides, lanes):
         modes[mode] = modes.get(mode, 0) | lanes
 
 
+# fault mode -> the (a, b) bits of the lanes it holds
+FAULT_PAIRS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}
+
+
+def faulted(net, inputs, state, over, mask):
+    """net's all-wire fault step, each wire's modes of over (a {wire: {mode:
+    lanes}} map, lanes disjoint per wire) filled into a and b in their lanes."""
+    step, slots = net.fault_step_fn(net.wires)
+    a, b = [-1] * len(slots), [0] * len(slots)
+    for w, modes in over.items():
+        for mode, lanes in modes.items():
+            a[slots[w]] &= FAULT_PAIRS[mode][0] | ~lanes
+            b[slots[w]] |= FAULT_PAIRS[mode][1] & lanes
+    return step(tuple(inputs), tuple(state), a, b, mask)
+
+
 def reference_cycle(chip, inputs, recv_check, ram_op=None):
-    """One clock of chip with both netlists evaluated by eval_wires every cycle.
+    """One clock of chip with both netlists on their all-wire fault steps every cycle.
 
     It spells out what the generated clock (`chip._compile_cycle`) computes,
     with no inlined netlist, no quiet-cycle body, no shared values and no
@@ -706,7 +745,7 @@ def reference_cycle(chip, inputs, recv_check, ram_op=None):
             merge_override(f_over, a.effect.f_overrides, on)
             merge_override(d_over, a.effect.d_overrides, on)
     x, rc, _, _, trojans, replay, null, stored, pads = chip._attack_data(inputs, recv_check)
-    fo, _ = eval_wires(chip.f, tuple(x), (), f_over, mask)
+    fo, _ = faulted(chip.f, x, (), f_over, mask)
     live = (*x, *rc, *chip.prev_in_check, *fo, *(b for c in chip.prev_out_checks for b in c))
     ram_res, ram_sig = None, []
     if chip.ram is not None:
@@ -718,7 +757,7 @@ def reference_cycle(chip, inputs, recv_check, ram_op=None):
             reports = ram_res.attack
         ram_sig = [taps[0] ^ reports, *taps[1:]]
     det_in = chip._replayed(replay, stored, live) if replay else live
-    do, d_next = eval_wires(chip.resolved, (*det_in, *taps, *ram_sig), chip.d_state, d_over, mask)
+    do, d_next = faulted(chip.resolved, (*det_in, *taps, *ram_sig), chip.d_state, d_over, mask)
     error, in_sig = do[:r], do[r:2 * r]
     checks = tuple(do[i:i + r] for i in range(2 * r, len(do), r))
     decode = 0

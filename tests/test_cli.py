@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import tpad
 import tpad.attacks
 import tpad.chip
+import tpad.fftced
 from tpad.chip import OutputReceiver, StimulusEncoder, load_chip_bundle
 from tpad.cli import main
 from tpad.fftced import format_reference, make_reference
@@ -241,6 +242,29 @@ def test_build_chip_option_error_exits_2(adder_file, tmp_path, capsys, option, e
     assert not out.exists()
 
 
+# sha256 of `tpad run --cycles 3000 --trace-csv` on a RAM bundle and a pipelined
+# bundle of one host netlist, recorded when each cycle's inputs were drawn one
+# getrandbits(1) call at a time
+RUN_TRACE_SHA256 = {
+    "ram": "3b7de03dbbc4bc7478a45cb7c5b86083e17e17ff3a3b0742b869f1bf9c1284e5",
+    "pipelined": "da4db344a2411cf9eee052059a6953501912cccf0a43c98135a91e069c7acdcb",
+}
+
+
+@pytest.mark.parametrize("bundle_kind, options", [
+    ("ram", ["--r", "2", "--ram-depth", "16"]),
+    ("pipelined", ["--r", "3", "--pipeline", "1"]),
+])
+def test_run_trace_unchanged(tmp_path, capsys, bundle_kind, options):
+    src = tmp_path / "host.net"
+    src.write_text(serialize_netlist(random_netlist(6, 20, 4, rng_seed=51, name="host")))
+    bundle, trace = tmp_path / "chip", tmp_path / "trace.csv"
+    assert main(["build-chip", "--in", str(src), "--out", str(bundle), *options]) == 0
+    assert main(["run", "--chip", str(bundle), "--cycles", "3000", "--seed", "6",
+                 "--trace-csv", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == RUN_TRACE_SHA256[bundle_kind]
+
+
 def test_run_cycles_the_ram(tmp_path, capsys, monkeypatch):
     """`tpad run` on a RAM bundle puts one memory operation on every cycle."""
     src = tmp_path / "core.net"
@@ -380,6 +404,14 @@ def test_fft_campaign_without_trials_exits_2(capsys, trials):
     # a rate over no trials would read 0 with the status of a clean run
     assert main(["fft", "--n", "16", "--campaign", "--trials", trials]) == 2
     assert capsys.readouterr().err == f"fft: trials: must be >= 1, got {trials}\n"
+
+
+def test_fft_campaign_refuses_trials_before_calibrating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(tpad.fftced, "calibrate_threshold", lambda *args, **kw: calls.append(args))
+    assert main(["fft", "--n", "16", "--campaign", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "fft: trials: must be >= 1, got 0\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv,error", [

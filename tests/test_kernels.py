@@ -104,14 +104,15 @@ def test_dropped_region_steps_leave_linecache():
 # sha256 of the generated source: the union step's as recorded before the
 # kernels were named, the clocks' as recorded when attacked cycles started
 # running armed-slot fault steps,
-# the full adder's step and fault step as recorded before every step's
-# statements came from inline_step
+# the full adder's step as recorded before every step's statements came from
+# inline_step, and its fault step as recorded when every step started
+# unpacking its inputs and state whole
 SOURCE_SHA256 = {
     "adder clock": "bee4e24dc3b6efb37577ba791a504f3e4002aa153beb22de992d2d008858bab7",
     "ram clock": "63abef353270df851167bb891b14dc98856aabe6e4f601444883b57ad4c16d1c",
     "union step": "fbefa44fec6fb7e66f57b13688c5b2efe81b810d4c0ee46b183384d5da4b6d00",
     "step": "7a8f014ea789f985e507a3dff135e30886e500c5ba332d9259eca483ba4cbbb5",
-    "fault step": "1f5ed7af68802da4e69e14b93c29c83790726c1b6ab88bd63f49f1bfeb8dd4b8",
+    "fault step": "8f1180287887d5a0f20ede67c89e32d26463fe0019181dcca38b3c571e762135",
 }
 
 
@@ -123,7 +124,8 @@ def test_generated_source_unchanged(name, adder_chip, ram_chip):
     elif name == "step":
         fn = parse_netlist(FULL_ADDER).step_fn()
     elif name == "fault step":
-        fn = parse_netlist(FULL_ADDER).fault_step_fn()[0]
+        adder = parse_netlist(FULL_ADDER)
+        fn = adder.fault_step_fn(adder.wires)[0]
     else:
         chip = adder_chip if name == "adder clock" else ram_chip
         chip.cycle((0,) * len(chip.f.inputs), chip.prev_in_check)  # compiles the clock

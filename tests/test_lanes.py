@@ -48,9 +48,7 @@ from test_ram import STAGES, WORKED_ROWS
 def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=None):
     """run_campaign as it ran before lanes: each trial armed, then its control."""
     rng = as_rng(rng_seed)
-    detected = 0
     false_positives = 0
-    by_kind: dict[str, list[int]] = {}
     records: list[TrialRecord] = []
     m = len(chip.f.inputs)
     for trial in range(trials):
@@ -85,20 +83,11 @@ def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=N
                 control_fired = fired
         chip.clear_attacks()
         if effect is not None:
-            detected += hit
-            key = effect.kind
-            agg = by_kind.setdefault(key, [0, 0])
-            agg[0] += 1
-            agg[1] += hit
-            records.append(TrialRecord(trial, key, hit, first_cycle))
+            records.append(TrialRecord(trial, effect.kind, hit, first_cycle))
         else:
             records.append(TrialRecord(trial, "none", False, None))
         false_positives += control_fired
-    return DetectionReport(
-        trials, detected, false_positives,
-        {k: (v[0], v[1]) for k, v in by_kind.items()},
-        records,
-    )
+    return DetectionReport(false_positives, records)
 
 
 def ram_traffic(chip, rng):

@@ -41,8 +41,8 @@ class TestParse:
     def test_identity_buffer(self):
         net = parse_netlist(".inputs a\n.outputs y\ny = BUF(a)\n")
         assert net.n_gates == 1
-        assert net.evaluate((1,))[0] == (1,)
-        assert net.evaluate((0,))[0] == (0,)
+        assert eval_wires(net, (1,))[0] == (1,)
+        assert eval_wires(net, (0,))[0] == (0,)
 
     def test_multiple_drivers_rejected(self):
         src = ".inputs a b\n.outputs y\ny = AND(a, b)\ny = OR(a, b)\n"
@@ -110,31 +110,34 @@ class TestEvaluate:
         ],
     )
     def test_full_adder_truth(self, full_adder, abc, expect):
-        assert full_adder.evaluate(abc)[0] == expect
+        assert eval_wires(full_adder, abc)[0] == expect
 
     def test_width_check(self, full_adder):
         with pytest.raises(WidthError):
-            full_adder.evaluate((1, 0))
+            eval_wires(full_adder, (1, 0))
 
     def test_generated_step_refuses_wrong_widths(self):
-        # the step unpacks inp and state whole; indexing them ignored extra bits
+        # every step, the fault step too, unpacks inp and state whole; indexing
+        # them ignored extra bits
         net = parse_netlist(".inputs a b\n.outputs y q\ny = AND(a, q)\nq = DFF(b)\n")
-        step = net.step_fn()
-        assert step((1, 1), (1,)) == ((1, 1), (1,))
-        for inp, state in [((1, 1, 0), (1,)), ((1,), (1,)), ((1, 1), (1, 0)), ((1, 1), ())]:
-            with pytest.raises(ValueError):
-                step(inp, state)
+        fault, slots = net.fault_step_fn(frozenset((net.wire("a"), net.wire("q"))))
+        clear = ([-1] * len(slots), [0] * len(slots))
+        for step in (net.step_fn(), lambda inp, state: fault(inp, state, *clear)):
+            assert step((1, 1), (1,)) == ((1, 1), (1,))
+            for inp, state in [((1, 1, 0), (1,)), ((1,), (1,)), ((1, 1), (1, 0)), ((1, 1), ())]:
+                with pytest.raises(ValueError):
+                    step(inp, state)
 
     def test_dff_state_advance(self):
         net = parse_netlist(".inputs d\n.outputs q\nq = DFF(d)\n")
-        out, nxt = net.evaluate((1,), (0,))
+        out, nxt = eval_wires(net, (1,), (0,))
         assert out == (0,) and nxt == (1,)
-        out, nxt = net.evaluate((0,), nxt)
+        out, nxt = eval_wires(net, (0,), nxt)
         assert out == (1,) and nxt == (0,)
 
     def test_determinism(self, full_adder):
         for _ in range(3):
-            assert full_adder.evaluate((1, 0, 1))[0] == full_adder.evaluate((1, 0, 1))[0]
+            assert eval_wires(full_adder, (1, 0, 1))[0] == eval_wires(full_adder, (1, 0, 1))[0]
 
     def test_overrides(self, full_adder):
         s_wire = full_adder.outputs[0]
@@ -323,7 +326,7 @@ class TestCones:
         assert sorted(g.kind for g in cone.gates) == ["XOR", "XOR"]
         for v in range(8):
             x = ((v >> 2) & 1, (v >> 1) & 1, v & 1)
-            assert cone.evaluate(x)[0][0] == full_adder.evaluate(x)[0][0]
+            assert eval_wires(cone, x)[0][0] == eval_wires(full_adder, x)[0][0]
 
     def test_identity_cone_is_whole_netlist(self):
         net = parse_netlist(".inputs a\n.outputs y\ny = BUF(a)\n")
@@ -349,7 +352,7 @@ class TestCones:
             cone = output_cone(net, i)
             for vseed in range(8):
                 x = tuple((vseed * 7 + j) % 2 for j in range(5))
-                assert cone.evaluate(x)[0][0] == net.evaluate(x)[0][i]
+                assert eval_wires(cone, x)[0][0] == eval_wires(net, x)[0][i]
 
 
 class TestEquivalence:
@@ -367,8 +370,8 @@ class TestEquivalence:
         bad = parse_netlist(FULL_ADDER.replace("s = XOR(x1, cin)", "s = OR(x1, cin)"))
         v = check_equivalence(full_adder, bad)
         assert not v.equivalent and v.counterexample is not None
-        o1 = full_adder.evaluate(v.counterexample)[0]
-        o2 = bad.evaluate(v.counterexample)[0]
+        o1 = eval_wires(full_adder, v.counterexample)[0]
+        o2 = eval_wires(bad, v.counterexample)[0]
         assert o1 != o2
 
     def test_sampled_mode_on_wide_inputs(self):

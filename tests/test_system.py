@@ -50,26 +50,26 @@ class TestTopology:
 
 class TestRunSystem:
     def test_untampered_pipeline_is_silent(self, pipeline):
-        rep = run_system(pipeline, None, [], cycles=20_000, rng_seed=4)
+        rep = run_system(pipeline, [], cycles=20_000, rng_seed=4)
         assert all(not fires for fires in rep.monitor_fires)
         assert rep.terminal_decode_fires == []
         assert rep.first_detection is None
 
     def test_channel_pin_attack_detected_next_cycle(self, pipeline):
         atk = AttackDescriptor("pin", "output:2", ("at_cycle", 100), "flip")
-        rep = run_system(pipeline, None, [(0, atk)], cycles=150, rng_seed=4)
+        rep = run_system(pipeline, [(0, atk)], cycles=150, rng_seed=4)
         assert rep.monitor_fires[1][0] == 101  # one cycle of channel latency
         assert rep.monitor_fires[0] == []
 
     def test_attack_localized_to_owning_chip(self, pipeline):
         atk = AttackDescriptor("logic", "fout:1", ("at_cycle", 50), "flip")
-        rep = run_system(pipeline, None, [(1, atk)], cycles=120, rng_seed=6)
+        rep = run_system(pipeline, [(1, atk)], cycles=120, rng_seed=6)
         assert rep.monitor_fires[0] == []
         assert 50 in rep.monitor_fires[1]
 
     def test_reproducible(self, pipeline):
-        a = run_system(pipeline, None, [], cycles=500, rng_seed=12)
-        b = run_system(pipeline, None, [], cycles=500, rng_seed=12)
+        a = run_system(pipeline, [], cycles=500, rng_seed=12)
+        b = run_system(pipeline, [], cycles=500, rng_seed=12)
         assert a == b
 
     @pytest.mark.parametrize("attacks, digest", [
@@ -83,7 +83,7 @@ class TestRunSystem:
     ], ids=["clean", "output_pin_chip0", "fout_chip1", "output_pin_chip2"])
     def test_three_chip_golden(self, pipeline3, attacks, digest):
         """Every monitor's and the terminal receiver's verdicts, pinned by sha256."""
-        rep = run_system(pipeline3, None, attacks, cycles=3000, rng_seed=5)
+        rep = run_system(pipeline3, attacks, cycles=3000, rng_seed=5)
         blob = repr((rep.monitor_fires, rep.terminal_decode_fires, rep.first_detection))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
