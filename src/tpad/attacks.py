@@ -24,6 +24,7 @@ from .chip import (
     OutputReceiver,
     ProtectedChip,
     StimulusEncoder,
+    check_trigger,
 )
 from .lanes import lanes_of, pack_lanes
 from .netlist import _FAULTS, Netlist, text_lines
@@ -52,6 +53,11 @@ class AttackDescriptor:
         fgate:<name> | dgate:<name>                gate by wire name
         ram:<trojan_row>                           protected-RAM behavior
         - (empty) for decoupling payloads
+        fout:* | input:*                           campaign wildcards, wires drawn per trial
+
+    trigger: ("always",) | ("at_cycle", n) | ("after_cycle", n) | ("random", p), where
+    ("at_cycle", -1) draws n per trial. A trigger must fire within the run: compile_attack
+    refuses at_cycle n outside [0, cycles) and after_cycle n >= cycles.
     """
 
     kind: str
@@ -129,26 +135,53 @@ def _bounded_int(text: str, lo: int, hi: int, what: str) -> int:
 _TARGET_PAYLOADS = {**dict.fromkeys(("input", "recv_check", "output", "ram"), ("flip",)),
                     **dict.fromkeys(("fout", "fgate", "dgate"), tuple(_FAULTS))}
 
+# campaign wildcard target -> (the one kind it takes, the payloads it takes, and how to write them)
+_WILDCARDS = {
+    "fout:*": ("logic", re.compile(r"flip|multi:[1-9]\d*(:\d+)?"), "flip|multi:<lo>[:<hi>]"),
+    "input:*": ("pin", re.compile(r"flip|pins:\d+"), "flip|pins:<cap>"),
+}
 
-def compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
-    """Resolve a descriptor's symbolic target onto the chip's wires.
 
-    Indices are range-checked against the chip, gate names resolved as the
-    bundle's netlists write them, RAM trojans and replay depths checked, and
-    a payload the target does not take refused (_TARGET_PAYLOADS; decoupling
-    attacks take only target `-`), as is a random reliability trigger. So a
-    bad descriptor fails here, not mid-simulation or as another attack, with
-    a ValueError that starts with the descriptor and names the bad field.
-    """
+def compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
+                   cycles: int) -> AttackEffect:
+    """The effect `atk` arms on `chip` in a run of `cycles` cycles, drawn from rng:
+    ("at_cycle", -1)'s cycle (rng.randrange(cycles)), then fout:*'s weight and wires
+    or input:*'s count and pins. Gate names resolve as bundle netlists write them.
+    Refused here, not mid-simulation, with a ValueError that starts with the
+    descriptor and names the bad field: a target the chip lacks, a bad replay depth or
+    RAM row, a payload the target does not take (_TARGET_PAYLOADS, _WILDCARDS; decoupling
+    takes `-`), a wildcard of another kind, a trigger check_trigger refuses, a random
+    reliability trigger and one that fires on no cycle of the run."""
     try:
-        return _compile_attack(chip, atk)
+        return _compile_attack(chip, atk, rng, cycles)
     except ValueError as e:
         raise ValueError(f"attack '{atk}': {e}") from None
 
 
-def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
+def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
+                    cycles: int) -> AttackEffect:
     kind, target, payload, trigger = atk.kind, atk.target, atk.payload, atk.trigger
     prefix, _, arg = target.partition(":")
+    check_trigger(trigger)
+    if target in _WILDCARDS:
+        only, form, expected = _WILDCARDS[target]
+        if not form.fullmatch(payload):
+            raise ValueError(f"payload {payload!r}: target {target} takes {expected}")
+        if kind != only:
+            raise ValueError(f"kind {kind!r}: target {target} takes only {only} attacks")
+    if trigger == ("at_cycle", -1):
+        trigger = ("at_cycle", rng.randrange(cycles))
+    if kind == "reliability":  # permanent from its (drawn) cycle on
+        if trigger[0] == "random":
+            raise ValueError(f"trigger 'random:{trigger[1]}': a reliability attack takes "
+                             "always, at_cycle:N or after_cycle:N")
+        trigger = ("after_cycle", trigger[1] if len(trigger) > 1 else 0)
+    mode = trigger[0]
+    if (mode == "at_cycle" and not 0 <= trigger[1] < cycles
+            or mode == "after_cycle" and trigger[1] >= cycles):
+        raise ValueError(f"trigger {':'.join(map(str, atk.trigger))!r}: "
+                         f"fires on no cycle of a run of {cycles} cycles")
+    eff = AttackEffect(kind=kind, trigger=trigger)
 
     def idx(size: int) -> int:
         return _bounded_int(arg, 0, size - 1, f"target {target!r}")
@@ -159,31 +192,35 @@ def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor) -> AttackEffect:
         except KeyError:
             raise ValueError(f"target {target!r}: {net.name} has no such wire") from None
 
-    if kind == "decoupling_fft_zero":
+    if target == "fout:*":
+        k = len(chip.f.outputs)
+        w = 1
+        if payload != "flip":  # multi:<lo>[:<hi>]
+            _, lo, *hi = payload.split(":")
+            lo = min(int(lo), k)
+            w = rng.randint(lo, max(lo, min(int(hi[0]) if hi else k, k)))
+        eff.f_overrides = dict.fromkeys(rng.sample(chip.f.outputs, min(w, k)), "flip")
+    elif target == "input:*":
+        m = len(chip.f.inputs)
+        cap = int(payload[5:]) if payload != "flip" else 0  # pins:<cap>, 0 for no cap
+        eff.input_flips = tuple(rng.sample(range(m), rng.randint(1, max(1, min(cap or m, m)))))
+    elif kind == "decoupling_fft_zero":
         raise ValueError("fft reference zeroing applies to the FFT engine, not a chip")
-    if kind.startswith("decoupling_"):
+    elif kind.startswith("decoupling_"):
         if target != "-":
             raise ValueError(f"target {target!r}: a decoupling attack takes target '-'")
         stored = kind == "decoupling_stored_state"
-        depth = int(stored)  # the default payload, flip, replays the previous cycle
+        eff.replay_depth = int(stored)  # the default payload, flip, replays the previous cycle
         if stored and payload.startswith("replay:"):
-            depth = _bounded_int(payload[7:], 1, HISTORY_DEPTH, f"replay depth of {payload!r}")
+            eff.replay_depth = _bounded_int(payload[7:], 1, HISTORY_DEPTH,
+                                            f"replay depth of {payload!r}")
         elif payload != "flip":
             raise ValueError(f"payload {payload!r}: {kind} takes flip" + " or replay:<j>" * stored)
-        return AttackEffect(kind=kind, trigger=trigger, replay_depth=depth)
-
-    modes = _TARGET_PAYLOADS.get(prefix)
-    if modes is None:
+    elif (modes := _TARGET_PAYLOADS.get(prefix)) is None:
         raise ValueError(f"unknown target {target!r}")
-    if payload not in modes:
+    elif payload not in modes:
         raise ValueError(f"payload {payload!r}: {prefix} targets take {'|'.join(modes)}")
-    if kind == "reliability":
-        if trigger[0] == "random":
-            raise ValueError(f"trigger 'random:{trigger[1]}': a reliability attack takes "
-                             "always, at_cycle:N or after_cycle:N")
-        trigger = ("after_cycle", trigger[1] if len(trigger) > 1 else 0)
-    eff = AttackEffect(kind=kind, trigger=trigger)
-    if prefix == "input":
+    elif prefix == "input":
         eff.input_flips = (idx(len(chip.f.inputs)),)
     elif prefix == "recv_check":
         eff.recv_flips = (idx(chip.r),)
@@ -272,54 +309,8 @@ AttackGenerator = Callable[[random.Random], Optional[AttackDescriptor]]
 
 def uniform_output_flip_attacks(min_flips: int = 2) -> AttackGenerator:
     """Uniform multi-bit flips on the function outputs at a random cycle."""
-
-    def gen(rng: random.Random) -> AttackDescriptor:
-        return AttackDescriptor("logic", "fout:*", ("at_cycle", -1), f"multi:{min_flips}")
-
-    return gen
-
-
-# campaign wildcard target -> (the one kind it takes, the payloads it takes, and how to write them)
-_WILDCARDS = {
-    "fout:*": ("logic", re.compile(r"flip|multi:[1-9]\d*(:\d+)?"), "flip|multi:<lo>[:<hi>]"),
-    "input:*": ("pin", re.compile(r"flip|pins:\d+"), "flip|pins:<cap>"),
-}
-
-
-def _materialize(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
-                 cycles: int) -> AttackEffect:
-    """Expand campaign wildcards (random position / weight / cycle) to an effect."""
-    if atk.target in _WILDCARDS:
-        kind, form, expected = _WILDCARDS[atk.target]
-        if not form.fullmatch(atk.payload):
-            raise ValueError(f"attack '{atk}': payload {atk.payload!r}: "
-                             f"target {atk.target} takes {expected}")
-        if atk.kind != kind:
-            raise ValueError(f"attack '{atk}': kind {atk.kind!r}: "
-                             f"target {atk.target} takes only {kind} attacks")
-    trigger = atk.trigger
-    if trigger == ("at_cycle", -1):
-        trigger = ("at_cycle", rng.randrange(cycles))
-    if atk.target == "fout:*":
-        k = len(chip.f.outputs)
-        if atk.payload.startswith("multi:"):
-            parts = atk.payload.split(":")
-            lo = min(int(parts[1]), k)
-            hi = int(parts[2]) if len(parts) > 2 else k
-            w = rng.randint(lo, max(lo, min(hi, k)))
-        else:
-            w = 1
-        wires = rng.sample(list(chip.f.outputs), min(w, k))
-        return AttackEffect(kind="logic", trigger=trigger,
-                            f_overrides={wv: "flip" for wv in wires})
-    if atk.target == "input:*":
-        m = len(chip.f.inputs)
-        cap = int(atk.payload[5:]) if atk.payload.startswith("pins:") else 0
-        w = rng.randint(1, max(1, min(cap or m, m)))
-        pins = tuple(rng.sample(range(m), w))
-        return AttackEffect(kind="pin", trigger=trigger, input_flips=pins)
-    # compile with the drawn cycle, so a reliability attack stays permanent
-    return compile_attack(chip, AttackDescriptor(atk.kind, atk.target, trigger, atk.payload))
+    atk = AttackDescriptor("logic", "fout:*", ("at_cycle", -1), f"multi:{min_flips}")
+    return lambda rng: atk
 
 
 # Trials per campaign batch; see _run_lanes. At 128 to 512 lanes, a call to the
@@ -414,7 +405,7 @@ def run_campaign(
             atk = attack_generator(rng)
             stim_seed = rng.getrandbits(64)
             session_seed = rng.getrandbits(64)
-            effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
+            effect = compile_attack(chip, atk, rng, cycles_per_trial) if atk is not None else None
             plans.append((stim_seed, session_seed, effect))
         first = _run_lanes(chip, plans, cycles_per_trial)
         n = len(plans)

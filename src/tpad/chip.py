@@ -185,14 +185,14 @@ class AttackEffect:
             return lanes if cycle == self.trigger[1] else 0
         if mode == "after_cycle":
             return lanes if cycle >= self.trigger[1] else 0
-        on = 0  # random, the one mode left (_check_trigger)
+        on = 0  # random, the one mode left (check_trigger)
         for j in lanes_of(lanes):
             if lane_rng(j).random() < self.trigger[1]:
                 on |= 1 << j
         return on
 
 
-def _check_trigger(trigger: tuple) -> None:
+def check_trigger(trigger: tuple) -> None:
     """Refuse (ValueError) a trigger `triggered` cannot run: an unknown mode, a missing
     or extra argument, a cycle that is not an int, a probability outside [0, 1]."""
     mode, *args = trigger or ("",)
@@ -351,10 +351,10 @@ class ProtectedChip:
 
     def install_attack(self, effect: AttackEffect, lanes: Optional[int] = None) -> None:
         """Arm effect in the lanes of the `lanes` mask (default: every lane); a bad
-        trigger (_check_trigger) or override (check_overrides) is refused here."""
+        trigger (check_trigger) or override (check_overrides) is refused here."""
         if lanes is not None and (lanes <= 0 or lanes & ~self.mask):
             raise ValueError(f"lane mask {lanes:#x} is not a nonempty subset of {self.mask:#x}")
-        _check_trigger(effect.trigger)
+        check_trigger(effect.trigger)
         self.f.check_overrides(effect.f_overrides)
         self.resolved.check_overrides(effect.d_overrides)
         self.attacks.append(_Installed(effect, lanes))
@@ -637,6 +637,10 @@ def _check_output_subsets(k: int, subsets: Sequence, widths: Iterable[int]) -> N
                              f"and a code as wide as itself (code width {width})")
 
 
+def _is_pipeline_stages(stages) -> bool:  # 0 or 1 register stages, an int (not a bool)
+    return type(stages) is int and stages in (0, 1)
+
+
 def build_protected_chip(
     f: Netlist,
     r: int,
@@ -660,6 +664,8 @@ def build_protected_chip(
     _check_output_subsets(k, subsets, map(len, subsets))
     if options.ram_depth is not None and not is_ram_depth(options.ram_depth):
         raise ValueError("depth must be a power of two >= 2")  # as ProtectedRam, before any draw
+    if not _is_pipeline_stages(options.pipeline_stages):  # as load_chip_bundle
+        raise ValueError(f"pipeline_stages: expected 0 or 1, got {options.pipeline_stages!r}")
 
     h_logic = sample_parity_code(k, r, rng.getrandbits(64))  # refuses r < 1
     if lfsr_spec.r != r:
@@ -800,7 +806,7 @@ _BUNDLE_FILES = ("function.net", "ocp.net", "detection.net", "detection.cfg",
 # the bools that JSON true and false load as
 _MANIFEST_VALUES = (
     ("t", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    ("pipeline_stages", lambda v: type(v) is int and v in (0, 1), "0 or 1"),
+    ("pipeline_stages", _is_pipeline_stages, "0 or 1"),
     ("ram_depth", lambda v: v is None or is_ram_depth(v), "a power of two >= 2 or null"),
     ("ram_word_width", lambda v: type(v) is int, "an integer"),
     ("output_subsets", lambda v: isinstance(v, list), "a list of lists of integers"),

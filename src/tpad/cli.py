@@ -112,7 +112,7 @@ def _hex(bits) -> str:
 
 
 def _cmd_attack(args) -> int:
-    from .attacks import _attack_lines, _materialize, run_campaign
+    from .attacks import _attack_lines, compile_attack, run_campaign
     from .chip import load_chip_bundle
 
     for name in ("trials", "cycles"):
@@ -122,7 +122,7 @@ def _cmd_attack(args) -> int:
     descriptors = []
     for lineno, atk in _attack_lines(Path(args.attacks).read_text()):
         try:  # with a throwaway rng, so the campaign's draws stay as they are
-            _materialize(chip, atk, random.Random(0), args.cycles)
+            compile_attack(chip, atk, random.Random(0), args.cycles)
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
         descriptors.append(atk)
@@ -181,7 +181,7 @@ def _cmd_fft(args) -> int:
         print(verdict)
         return 0 if verdict == CHECKER_ALIVE else 1
     if args.campaign:
-        check_campaign_trials(args.trials)  # before the calibration it would waste
+        check_campaign_trials(args.n, args.trials)  # before the calibration it would waste
         threshold, ref = calibrate_threshold(args.n, max(args.trials // 10, 100), args.margin,
                                              rng_seed=args.seed)
         rep = fft_attack_campaign(args.n, args.trials, threshold, ref, rng_seed=args.seed)

@@ -492,8 +492,10 @@ def _one_probe_permutations(n: int, trials: int, threshold: float, ref: Plancher
     return detected, false_positives
 
 
-def check_campaign_trials(trials: int) -> None:
-    """Refuse a campaign of no trials, whose rate would be over nothing."""
+def check_campaign_trials(n: int, trials: int) -> None:
+    """Refuse a campaign that cannot plant a fault (n < 2) or has no trials to rate."""
+    if n < 2:
+        raise FftError(f"n: a campaign needs n >= 2 to plant a fault, got {n}")
     if trials < 1:
         raise FftError(f"trials: must be >= 1, got {trials}")
 
@@ -521,11 +523,9 @@ def fft_attack_campaign(
     probe, but batching them would mean speculating on which, and the
     discarded rows cost more than the calls saved.
     """
-    if n < 2:
-        raise FftError(f"n: a campaign needs n >= 2 to plant a fault, got {n}")
     if attack not in ("butterfly_flip", "permutation"):
         raise FftError(f"attack: unknown attack {attack!r}")
-    check_campaign_trials(trials)
+    check_campaign_trials(n, trials)
     if probes_per_trial < 1:
         raise FftError(f"probes_per_trial: must be >= 1, got {probes_per_trial}")
     if ref.n != n:

@@ -142,9 +142,9 @@ def run_system(
     """Lockstep simulation; channels add one cycle of latency.
 
     The source chips get random raw input bits. Attacks are (chip_index,
-    descriptor) pairs installed before the run. The report holds each
-    monitor's firing cycles plus the trusted decode verdicts on terminal
-    chip outputs.
+    descriptor) pairs, compiled from the run's rng for `cycles` and installed
+    before it. The report holds each monitor's firing cycles plus the trusted
+    decode verdicts on terminal chip outputs.
     """
     rng = as_rng(rng_seed)
     chips = topology.chips
@@ -153,7 +153,7 @@ def run_system(
         chip.clear_attacks()
         chip.reset(session * 1000003 + i)
     for idx, atk in attacks:
-        chips[idx].install_attack(compile_attack(chips[idx], atk))
+        chips[idx].install_attack(compile_attack(chips[idx], atk, rng, cycles))
 
     # trusted key distribution: receivers inherit the sender's chain start;
     # regs[i] is chip i's input channel register, written a cycle before it is read

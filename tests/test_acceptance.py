@@ -334,7 +334,7 @@ def test_criterion_9_decoupling_accounting():
     chip = build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=33)
     chip.reset(55)
     null = AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 2))
-    chip.install_attack(compile_attack(chip, null))
+    chip.install_attack(compile_attack(chip, null, random.Random(0), 1000))
     enc = StimulusEncoder(chip)
     rec = OutputReceiver(chip)
     rng = random.Random(56)

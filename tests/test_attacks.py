@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tpad.attacks
 from tpad.attacks import (
     ATTACK_KINDS,
     AttackDescriptor,
@@ -24,6 +25,7 @@ from tpad.attacks import (
     uniform_output_flip_attacks,
 )
 from tpad.chip import (
+    AttackEffect,
     ChipOptions,
     OutputReceiver,
     StimulusEncoder,
@@ -139,7 +141,7 @@ class TestInjection:
             chip.clear_attacks()
             chip.reset(trial)
             atk = AttackDescriptor("logic", f"fout:{trial % 16}", ("at_cycle", 2), "flip")
-            chip.install_attack(compile_attack(chip, atk))
+            chip.install_attack(compile_attack(chip, atk, random.Random(0), 4))
             enc = StimulusEncoder(chip)
             detected = False
             for _ in range(4):
@@ -154,7 +156,7 @@ class TestInjection:
         chip.clear_attacks()
         chip.reset(99)
         atk = AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 3))
-        chip.install_attack(compile_attack(chip, atk))
+        chip.install_attack(compile_attack(chip, atk, random.Random(0), 300))
         enc = StimulusEncoder(chip)
         rec = OutputReceiver(chip)
         rng = random.Random(1)
@@ -176,7 +178,7 @@ class TestInjection:
         chip.clear_attacks()
         chip.reset(64)
         atk = AttackDescriptor("electrical", "fout:3", ("random", 0.5), "flip")
-        chip.install_attack(compile_attack(chip, atk))
+        chip.install_attack(compile_attack(chip, atk, random.Random(0), 64))
         enc = StimulusEncoder(chip)
         rng = random.Random(65)
         detections = 0
@@ -204,14 +206,17 @@ class TestInjection:
         chip.clear_attacks()
         chip.reset(7)
         atk = AttackDescriptor("reliability", "fout:0", ("after_cycle", 500), "stuck0")
-        chip.install_attack(compile_attack(chip, atk))
+        chip.install_attack(compile_attack(chip, atk, random.Random(0), 600))
         enc = StimulusEncoder(chip)
         rng = random.Random(2)
-        for c in range(500):
+        fired = []
+        for c in range(600):
             x = tuple(rng.getrandbits(1) for _ in range(10))
             res = chip.cycle(x, enc.send(x))
-            assert not res.monitor_attack, c
+            if res.monitor_attack:
+                fired.append(c)
         chip.clear_attacks()
+        assert fired and fired[0] >= 500, fired[:1]
 
 
 class TestCompileValidation:
@@ -231,14 +236,14 @@ class TestCompileValidation:
     ])
     def test_out_of_range_target_rejected(self, wide_chip, kind, target):
         with pytest.raises(ValueError, match=re.escape(repr(target))):
-            compile_attack(wide_chip, AttackDescriptor(kind, target))
+            compile_attack(wide_chip, AttackDescriptor(kind, target), random.Random(0), 8)
 
     @pytest.mark.parametrize("kind,target", [
         ("pin", "input:0"), ("pin", "input:9"), ("pin", "recv_check:2"),
         ("pin", "output:15"), ("logic", "fout:15"),
     ])
     def test_boundary_targets_accepted(self, wide_chip, kind, target):
-        compile_attack(wide_chip, AttackDescriptor(kind, target))
+        compile_attack(wide_chip, AttackDescriptor(kind, target), random.Random(0), 8)
 
     @pytest.mark.parametrize("kind,target,payload,takes", [
         ("logic", "dgate:", "stuck2", "dgate targets take flip|stuck0|stuck1"),
@@ -249,14 +254,15 @@ class TestCompileValidation:
         if target == "dgate:":
             target += wide_chip.resolved.wire_name(wide_chip.resolved.gates[0].out)
         with pytest.raises(ValueError, match=re.escape(f"payload {payload!r}: {takes}") + "$"):
-            compile_attack(wide_chip, AttackDescriptor(kind, target, ("always",), payload))
+            compile_attack(wide_chip, AttackDescriptor(kind, target, ("always",), payload),
+                           random.Random(0), 8)
 
     @pytest.mark.parametrize("payload", ["replay:0", "replay:-2", "replay:4097", "replay:deep"])
     def test_replay_depth_beyond_history_rejected(self, wide_chip, payload):
         # such an attack never engages, and would be scored as undetected
         with pytest.raises(ValueError, match=re.escape(repr(payload))):
             compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",
-                                                       ("always",), payload))
+                                                       ("always",), payload), random.Random(0), 8)
 
     @pytest.mark.parametrize("prefix", ["fgate", "dgate"])
     def test_unnamed_wire_names_resolve(self, wide_chip, tmp_path, prefix):
@@ -270,7 +276,8 @@ class TestCompileValidation:
         save_chip_bundle(wide_chip, tmp_path)
         twin = load_chip_bundle(tmp_path)
         for chip in (wide_chip, twin):
-            eff = compile_attack(chip, AttackDescriptor("logic", f"{prefix}:{name}"))
+            eff = compile_attack(chip, AttackDescriptor("logic", f"{prefix}:{name}"),
+                                 random.Random(0), 8)
             (wire, mode), = (eff.f_overrides or eff.d_overrides).items()
             assert net_of(chip).wire_name(wire) == name and mode == "flip"
         assert net.wire(name) == w
@@ -298,15 +305,17 @@ class TestCompileValidation:
         atk = AttackDescriptor(kind, target, trigger, payload)
         with pytest.raises(ValueError, match=f"^attack {re.escape(repr(str(atk)))}: "
                                              f"{re.escape(field)}"):
-            compile_attack(wide_chip, atk)
+            compile_attack(wide_chip, atk, random.Random(0), 8)
 
     def test_unknown_ram_trojan_refused(self):
         f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")
         chip = build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=52,
                                     options=ChipOptions(ram_depth=16))
         with pytest.raises(ValueError, match="target 'ram:read_everything': expected one of"):
-            compile_attack(chip, AttackDescriptor("logic", "ram:read_everything"))
-        compile_attack(chip, AttackDescriptor("logic", f"ram:{RAM_TROJANS[0]}"))
+            compile_attack(chip, AttackDescriptor("logic", "ram:read_everything"),
+                           random.Random(0), 8)
+        compile_attack(chip, AttackDescriptor("logic", f"ram:{RAM_TROJANS[0]}"),
+                       random.Random(0), 8)
 
     @pytest.mark.parametrize("target,payload", [("fout:*", "stuck0"), ("fout:*", "multi:0"),
                                                 ("fout:*", "multi:x"), ("input:*", "stuck1"),
@@ -332,13 +341,177 @@ class TestCompileValidation:
     @pytest.mark.parametrize("line", ["reliability stuck1 target=fout:0 trigger=at_cycle:2",
                                       "reliability stuck0 target=fout:1 trigger=always"])
     def test_reliability_engages_after_its_cycle(self, wide_chip, line):
-        eff = compile_attack(wide_chip, parse_attack_line(line))
+        eff = compile_attack(wide_chip, parse_attack_line(line), random.Random(0), 8)
         assert eff.trigger == ("after_cycle", 2 if "at_cycle" in line else 0)
 
     def test_deepest_replay_accepted(self, wide_chip):
         eff = compile_attack(wide_chip, AttackDescriptor("decoupling_stored_state", "-",
-                                                         ("always",), "replay:4096"))
+                                                         ("always",), "replay:4096"),
+                             random.Random(0), 8)
         assert eff.replay_depth == 4096
+
+
+@pytest.fixture(scope="module")
+def ram_chip():
+    f = random_netlist(6, 20, 4, rng_seed=51, name="ramhost")
+    return build_protected_chip(f, r=2, t=2, lfsr_spec=lfsr16(2), rng_seed=52,
+                                options=ChipOptions(ram_depth=16))
+
+
+# campaign wildcard target -> (the one kind it takes, the payloads it takes, and how to write them)
+ORACLE_WILDCARDS = {
+    "fout:*": ("logic", re.compile(r"flip|multi:[1-9]\d*(:\d+)?"), "flip|multi:<lo>[:<hi>]"),
+    "input:*": ("pin", re.compile(r"flip|pins:\d+"), "flip|pins:<cap>"),
+}
+
+
+def materialize(chip, atk, rng, cycles):
+    """run_campaign's former expansion of campaign wildcards (random position, weight and
+    cycle), the oracle of compile_attack's draws. Any other target goes to compile_attack
+    with the drawn cycle, so it draws nothing there."""
+    if atk.target in ORACLE_WILDCARDS:
+        kind, form, expected = ORACLE_WILDCARDS[atk.target]
+        if not form.fullmatch(atk.payload):
+            raise ValueError(f"attack '{atk}': payload {atk.payload!r}: "
+                             f"target {atk.target} takes {expected}")
+        if atk.kind != kind:
+            raise ValueError(f"attack '{atk}': kind {atk.kind!r}: "
+                             f"target {atk.target} takes only {kind} attacks")
+    trigger = atk.trigger
+    if trigger == ("at_cycle", -1):
+        trigger = ("at_cycle", rng.randrange(cycles))
+    if atk.target == "fout:*":
+        k = len(chip.f.outputs)
+        if atk.payload.startswith("multi:"):
+            parts = atk.payload.split(":")
+            lo = min(int(parts[1]), k)
+            hi = int(parts[2]) if len(parts) > 2 else k
+            w = rng.randint(lo, max(lo, min(hi, k)))
+        else:
+            w = 1
+        wires = rng.sample(list(chip.f.outputs), min(w, k))
+        return AttackEffect(kind="logic", trigger=trigger,
+                            f_overrides={wv: "flip" for wv in wires})
+    if atk.target == "input:*":
+        m = len(chip.f.inputs)
+        cap = int(atk.payload[5:]) if atk.payload.startswith("pins:") else 0
+        w = rng.randint(1, max(1, min(cap or m, m)))
+        pins = tuple(rng.sample(range(m), w))
+        return AttackEffect(kind="pin", trigger=trigger, input_flips=pins)
+    # compile with the drawn cycle, so a reliability attack stays permanent
+    return compile_attack(chip, AttackDescriptor(atk.kind, atk.target, trigger, atk.payload),
+                          rng, cycles)
+
+
+@st.composite
+def chip_descriptors(draw, chip, cycles):
+    """Descriptors of every target kind a campaign runs on `chip`, all valid for `cycles`."""
+    k, m = len(chip.f.outputs), len(chip.f.inputs)
+    names = {net: [net.wire_name(g.out) for g in net.gates[:6]] for net in (chip.f, chip.resolved)}
+    fixed = st.one_of(st.integers(0, cycles - 1).map(lambda c: ("at_cycle", c)),
+                      st.integers(0, cycles - 1).map(lambda c: ("after_cycle", c)),
+                      st.just(("always",)))
+    trigger = draw(st.one_of(st.just(("at_cycle", -1)), fixed,
+                             st.sampled_from([("random", 0.0), ("random", 0.3), ("random", 1.0)])))
+    wire_target = st.one_of(st.integers(0, k - 1).map(lambda i: f"fout:{i}"),
+                            st.sampled_from(names[chip.f]).map(lambda n: f"fgate:{n}"),
+                            st.sampled_from(names[chip.resolved]).map(lambda n: f"dgate:{n}"))
+    mode = st.sampled_from(["flip", "stuck0", "stuck1"])
+    shapes = [
+        st.tuples(st.just("logic"), st.just("fout:*"), st.one_of(
+            st.just("flip"), st.integers(1, k + 3).map(lambda lo: f"multi:{lo}"),
+            st.tuples(st.integers(1, k + 3), st.integers(0, k + 3)).map(
+                lambda lh: f"multi:{lh[0]}:{lh[1]}"))),
+        st.tuples(st.just("pin"), st.just("input:*"), st.one_of(
+            st.just("flip"), st.integers(0, m + 3).map(lambda cap: f"pins:{cap}"))),
+        st.tuples(st.sampled_from(["logic", "electrical"]), wire_target, mode),
+        st.tuples(st.just("pin"), st.one_of(
+            st.integers(0, m - 1).map(lambda i: f"input:{i}"),
+            st.integers(0, chip.r - 1).map(lambda i: f"recv_check:{i}"),
+            st.integers(0, k - 1).map(lambda i: f"output:{i}")), st.just("flip")),
+        st.tuples(st.just("decoupling_stored_state"), st.just("-"), st.one_of(
+            st.just("flip"), st.integers(1, 8).map(lambda j: f"replay:{j}"))),
+        st.tuples(st.just("decoupling_parity_null"), st.just("-"), st.just("flip")),
+    ]
+    if chip.ram is not None:
+        shapes.append(st.tuples(st.just("logic"), st.sampled_from(RAM_TROJANS).map(
+            lambda row: f"ram:{row}"), st.just("flip")))
+    kind, target, payload = draw(st.one_of(shapes))
+    if kind in ("logic", "electrical") and target != "fout:*" and draw(st.booleans()):
+        kind = "reliability"  # permanent from a cycle: no random trigger
+        if trigger[0] == "random":
+            trigger = draw(fixed)
+    return AttackDescriptor(kind, target, trigger, payload)
+
+
+class TestCompileDraws:
+    """compile_attack makes a campaign trial's draws as the former expansion did, and
+    refuses a trigger that fires on no cycle of the run."""
+
+    @pytest.mark.parametrize("chip_name", ["wide_chip", "ram_chip"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_effects_and_draws_as_the_former_expansion(self, request, chip_name, data):
+        chip = request.getfixturevalue(chip_name)
+        cycles = data.draw(st.integers(1, 40), label="cycles")
+        atk = data.draw(chip_descriptors(chip, cycles), label="descriptor")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = materialize(chip, atk, want_rng, cycles)
+        got = compile_attack(chip, atk, got_rng, cycles)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("kind,trigger,payload", [
+        ("logic", ("at_cycle", 8), "flip"), ("logic", ("at_cycle", 120), "flip"),
+        ("logic", ("at_cycle", -2), "flip"), ("logic", ("after_cycle", 8), "flip"),
+        ("reliability", ("at_cycle", 8), "stuck0"), ("reliability", ("after_cycle", 9), "stuck1"),
+    ])
+    def test_trigger_that_cannot_fire_refused(self, wide_chip, kind, trigger, payload):
+        """Such an attack installs and never fires, so its trials would read as missed."""
+        atk = AttackDescriptor(kind, "fout:0", trigger, payload)
+        shown = ":".join(map(str, trigger))
+        with pytest.raises(ValueError, match=f"^attack {re.escape(repr(str(atk)))}: trigger "
+                                             f"'{shown}': fires on no cycle of a run of 8 cycles$"):
+            compile_attack(wide_chip, atk, random.Random(0), 8)
+
+    def test_decoupling_trigger_that_cannot_fire_refused(self, wide_chip):
+        atk = AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 8))
+        with pytest.raises(ValueError, match="trigger 'after_cycle:8': fires on no cycle"):
+            compile_attack(wide_chip, atk, random.Random(0), 8)
+
+    @pytest.mark.parametrize("kind,trigger,compiled", [
+        ("logic", ("at_cycle", 0), ("at_cycle", 0)), ("logic", ("at_cycle", 7), ("at_cycle", 7)),
+        ("logic", ("after_cycle", 7), ("after_cycle", 7)),
+        ("logic", ("after_cycle", -3), ("after_cycle", -3)),  # fires from the first cycle
+        ("reliability", ("at_cycle", 7), ("after_cycle", 7)),
+    ])
+    def test_trigger_on_a_cycle_of_the_run_accepted(self, wide_chip, kind, trigger, compiled):
+        atk = AttackDescriptor(kind, "fout:0", trigger, "stuck1")
+        assert compile_attack(wide_chip, atk, random.Random(0), 8).trigger == compiled
+
+    @pytest.mark.parametrize("trigger", [("sometimes",), ("bogus", 3), ("at_cycle", 1.5)])
+    def test_malformed_reliability_trigger_refused(self, wide_chip, trigger):
+        """A reliability attack becomes after_cycle, so a bad trigger would be misread."""
+        atk = AttackDescriptor("reliability", "fout:0", trigger, "stuck0")
+        with pytest.raises(ValueError,
+                           match=f"^attack .*: unknown trigger {re.escape(repr(trigger))}$"):
+            compile_attack(wide_chip, atk, random.Random(0), 8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cycles=st.integers(1, 300), seed=st.integers(0, 2**32))
+    def test_random_cycle_falls_in_the_run(self, wide_chip, cycles, seed):
+        atk = AttackDescriptor("reliability", "fout:0", ("at_cycle", -1), "stuck0")
+        mode, cycle = compile_attack(wide_chip, atk, random.Random(seed), cycles).trigger
+        assert mode == "after_cycle" and 0 <= cycle < cycles
+
+    def test_campaign_refuses_before_any_trial(self, wide_chip, monkeypatch):
+        monkeypatch.setattr(tpad.attacks, "_run_lanes", None)  # running a trial would fail
+        atk = parse_attack_line("logic flip target=fout:0 trigger=at_cycle:9")
+        with pytest.raises(ValueError, match="^attack 'logic flip target=fout:0 trigger="
+                                             "at_cycle:9': trigger 'at_cycle:9': fires on no "
+                                             "cycle of a run of 8 cycles$"):
+            run_campaign(wide_chip, lambda rng: atk, trials=20, cycles_per_trial=8, rng_seed=1)
 
 
 class TestCampaigns:
@@ -370,7 +543,7 @@ class TestCampaigns:
 
         assert len(cycles) == 12 and len(sessions) == 1
         chip.reset(sessions[0][0])
-        chip.install_attack(compile_attack(chip, atk))
+        chip.install_attack(compile_attack(chip, atk, random.Random(0), 12))
         try:
             for (x, rc), res in cycles:
                 again = chip.cycle(lane0(x), lane0(rc))

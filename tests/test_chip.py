@@ -671,6 +671,19 @@ class TestWidthChecks:
                                  rng_seed=42, options=ChipOptions(ram_depth=depth))
         assert codes == []
 
+    @pytest.mark.parametrize("stages", [2, -1, True])
+    def test_bad_pipeline_stages_refused_before_any_draw(self, monkeypatch, stages):
+        """The rule load_chip_bundle holds a manifest to, so no build saves a bundle
+        it refuses; -1 used to build a pipelined chip."""
+        from conftest import FULL_ADDER
+
+        codes = []
+        monkeypatch.setattr("tpad.chip.sample_parity_code", lambda *args: codes.append(args))
+        with pytest.raises(ValueError, match=f"^pipeline_stages: expected 0 or 1, got {stages!r}$"):
+            build_protected_chip(parse_netlist(FULL_ADDER), r=1, t=2, lfsr_spec=lfsr16(1),
+                                 rng_seed=42, options=ChipOptions(pipeline_stages=stages))
+        assert codes == []
+
     def test_ram_op_needs_a_ram(self, adder_chip):
         adder_chip.reset(0)
         with pytest.raises(WidthError, match="RAM op"):

@@ -176,6 +176,45 @@ def test_attack_file_error_exits_2_before_any_trial(host_bundle, tmp_path, capsy
     assert err.startswith("attack: line 2: ") and reason in err and err.count("\n") == 1
 
 
+@pytest.fixture
+def lane_runs(monkeypatch):
+    """The argument tuples of every _run_lanes call a campaign makes, each still run."""
+    calls = []
+    run_lanes = tpad.attacks._run_lanes
+    monkeypatch.setattr(tpad.attacks, "_run_lanes",
+                        lambda *args: calls.append(args) or run_lanes(*args))
+    return calls
+
+
+@pytest.mark.parametrize("line", [
+    "logic flip target=fout:0 trigger=at_cycle:120",
+    "logic flip target=fout:0 trigger=at_cycle:8",
+    "logic flip target=fout:0 trigger=after_cycle:8",
+    "reliability stuck0 target=fout:0 trigger=at_cycle:8",
+])
+def test_trigger_that_cannot_fire_exits_2_before_any_trial(host_bundle, tmp_path, capsys,
+                                                           lane_runs, line):
+    """An attack that fires on no cycle of --cycles would be scored as missed in every trial."""
+    atks = tmp_path / "atks.txt"
+    atks.write_text(f"{line}\n")
+    assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks),
+                 "--trials", "50", "--cycles", "8"]) == 2
+    trigger = line.rsplit("=", 1)[1]
+    assert capsys.readouterr().err == (f"attack: line 1: attack '{line}': trigger '{trigger}': "
+                                       "fires on no cycle of a run of 8 cycles\n")
+    assert lane_runs == []
+
+
+def test_trigger_on_the_last_cycle_runs(host_bundle, tmp_path, capsys, lane_runs):
+    atks = tmp_path / "atks.txt"
+    atks.write_text("logic flip target=fout:0 trigger=at_cycle:7\n")
+    assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks),
+                 "--trials", "50", "--cycles", "8"]) == 0
+    assert len(lane_runs) == 1
+    # a single flipped output is always detected, on the cycle it is flipped
+    assert capsys.readouterr().out.splitlines()[1:3] == ["0,logic,1,7", "1,logic,1,7"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_attack_trials_below_one_exit_2(host_bundle, tmp_path, capsys, monkeypatch, trials):
     atks = tmp_path / "atks.txt"
@@ -411,6 +450,14 @@ def test_fft_campaign_refuses_trials_before_calibrating(capsys, monkeypatch):
     monkeypatch.setattr(tpad.fftced, "calibrate_threshold", lambda *args, **kw: calls.append(args))
     assert main(["fft", "--n", "16", "--campaign", "--trials", "0"]) == 2
     assert capsys.readouterr().err == "fft: trials: must be >= 1, got 0\n"
+    assert calls == []
+
+
+def test_fft_campaign_refuses_length_one_before_calibrating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(tpad.fftced, "calibrate_threshold", lambda *args, **kw: calls.append(args))
+    assert main(["fft", "--n", "1", "--campaign"]) == 2
+    assert capsys.readouterr().err == "fft: n: a campaign needs n >= 2 to plant a fault, got 1\n"
     assert calls == []
 
 

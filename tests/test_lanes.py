@@ -22,7 +22,6 @@ from tpad.attacks import (
     AttackDescriptor,
     DetectionReport,
     TrialRecord,
-    _materialize,
     _stimulus,
     compile_attack,
     run_campaign,
@@ -55,7 +54,7 @@ def scalar_campaign(chip, attack_generator, trials, cycles_per_trial, rng_seed=N
         atk = attack_generator(rng)
         stim_seed = rng.getrandbits(64)
         session_seed = rng.getrandbits(64)
-        effect = _materialize(chip, atk, rng, cycles_per_trial) if atk is not None else None
+        effect = compile_attack(chip, atk, rng, cycles_per_trial) if atk is not None else None
 
         hit = control_fired = False
         first_cycle: Optional[int] = None
@@ -305,7 +304,7 @@ def sessions(chip, count: int, cycles: int = 12, seed: int = 0) -> list:
     out = []
     for i in range(count):
         picks = two_stored if i == 0 else [rng.choice(pool) for _ in range(rng.randint(0, 3))]
-        effects = [_materialize(chip, p, rng, cycles) for p in picks]
+        effects = [compile_attack(chip, p, rng, cycles) for p in picks]
         stimulus = [tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(cycles)]
         out.append((rng.getrandbits(32), effects, stimulus))
     return out
@@ -397,7 +396,7 @@ class TestCycleDifferential:
         # up to three attacks per lane; two in one lane may override one wire
         picks = [data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=3), label=f"lane {j}")
                  for j in range(width)]
-        effects = [[_materialize(chip, pool[p], rng, cycles) for p in lane] for lane in picks]
+        effects = [[compile_attack(chip, pool[p], rng, cycles) for p in lane] for lane in picks]
         m = len(chip.f.inputs)
         stimuli = [[tuple(rng.getrandbits(1) for _ in range(m)) for _ in range(cycles)]
                    for _ in range(width)]
@@ -436,7 +435,8 @@ class TestCycleDifferential:
         """
         chip = wide_pipelined
         eff = compile_attack(chip, AttackDescriptor("decoupling_stored_state", "-",
-                                                    ("random", 0.3), "replay:2"))
+                                                    ("random", 0.3), "replay:2"),
+                             random.Random(0), 12)
         rng = random.Random(first_seed)
         stimuli = [[tuple(rng.getrandbits(1) for _ in range(10)) for _ in range(12)]
                    for _ in range(3)]
@@ -459,8 +459,8 @@ class TestCycleDifferential:
     def test_lane_mask_must_fit(self, adder_r1):
         adder_r1.reset([1, 2])
         with pytest.raises(ValueError, match="lane mask"):
-            adder_r1.install_attack(compile_attack(adder_r1, AttackDescriptor("pin", "input:0")),
-                                    0b100)
+            adder_r1.install_attack(compile_attack(adder_r1, AttackDescriptor("pin", "input:0"),
+                                                   random.Random(0), 8), 0b100)
         adder_r1.clear_attacks()
 
 
@@ -564,8 +564,8 @@ def staged_run(chip, seeds, rows, armed=None):
             continue
         armed_step = [step[3] for step in STAGES[row]].index(row)
         at = ("at_cycle", cycles - len(STAGES[row]) + armed_step)
-        chip.install_attack(compile_attack(chip, AttackDescriptor("logic", f"ram:{row}", at)),
-                            1 << j)
+        chip.install_attack(compile_attack(chip, AttackDescriptor("logic", f"ram:{row}", at),
+                                           random.Random(0), cycles), 1 << j)
     enc = StimulusEncoder(chip)
     streams = [random.Random(seed) for seed in seeds]  # lane j's inputs come from its seed
     out = []

@@ -67,6 +67,22 @@ class TestRunSystem:
         assert rep.monitor_fires[0] == []
         assert 50 in rep.monitor_fires[1]
 
+    @pytest.mark.parametrize("trigger", [("at_cycle", 120), ("after_cycle", 120)])
+    def test_trigger_that_cannot_fire_refused_before_any_cycle(self, pipeline, monkeypatch,
+                                                               trigger):
+        monkeypatch.setattr(pipeline.chips[0], "cycle", None)  # running a cycle would fail
+        atk = AttackDescriptor("logic", "fout:1", trigger, "flip")
+        with pytest.raises(ValueError, match="fires on no cycle of a run of 120 cycles$"):
+            run_system(pipeline, [(1, atk)], cycles=120, rng_seed=6)
+
+    def test_random_cycle_drawn_from_the_run(self, pipeline):
+        """("at_cycle", -1) is a cycle of the run drawn from its rng, not one that never comes."""
+        atk = AttackDescriptor("logic", "fout:1", ("at_cycle", -1), "flip")
+        reps = [run_system(pipeline, [(1, atk)], cycles=120, rng_seed=seed) for seed in range(4)]
+        fired = [rep.monitor_fires[1] for rep in reps]
+        assert all(len(f) == 1 for f in fired) and len({f[0] for f in fired}) > 1
+        assert all(rep.monitor_fires[0] == [] for rep in reps)
+
     def test_reproducible(self, pipeline):
         a = run_system(pipeline, [], cycles=500, rng_seed=12)
         b = run_system(pipeline, [], cycles=500, rng_seed=12)
