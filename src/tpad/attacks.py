@@ -21,10 +21,9 @@ from typing import Callable, Iterator, Optional, Sequence
 from .chip import (
     HISTORY_DEPTH,
     AttackEffect,
-    OutputReceiver,
     ProtectedChip,
-    StimulusEncoder,
     check_trigger,
+    closed_loop,
 )
 from .lanes import lanes_of, pack_lanes
 from .netlist import _FAULTS, Netlist, text_lines
@@ -342,8 +341,8 @@ def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[At
     """Run every (stimulus seed, session seed, effect) trial twice, side by side in lanes.
 
     Lane i runs trial i of n with its effect and lane n + i runs it without,
-    as its control. Returns each lane's first cycle on which the monitor,
-    the input decoder or the trusted receiver reported (None if none did).
+    as its control. Returns each lane's first reporting cycle under
+    `closed_loop` (None if it never reported).
     """
     n = len(trials)
     chip.clear_attacks()
@@ -351,20 +350,17 @@ def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[At
     for i, (_, _, effect) in enumerate(trials):
         if effect is not None:
             chip.install_attack(effect, 1 << i)
-    enc = StimulusEncoder(chip)
-    rec = OutputReceiver(chip)
     stimuli = [_stimulus(chip, stim, cycles) for stim, _, _ in trials]
     spread = 1 | 1 << n  # copies the n armed lanes to the n control lanes
     columns = [v * spread for v in pack_lanes([bits for bits, _ in stimuli])]
     m = len(chip.f.inputs)
+    # lanes i and n + i run trial i's memory operation
+    feed = ((columns[cyc * m:(cyc + 1) * m],
+             None if chip.ram is None else [ops[cyc] for _, ops in stimuli] * 2)
+            for cyc in range(cycles))
     first: list[Optional[int]] = [None] * (2 * n)
     fired = 0
-    for cyc in range(cycles):
-        x = columns[cyc * m:(cyc + 1) * m]
-        # lanes i and n + i run trial i's memory operation
-        ram_op = None if chip.ram is None else [ops[cyc] for _, ops in stimuli] * 2
-        res = chip.cycle(x, enc.send(x), ram_op=ram_op)
-        bad = rec.receive(res.outputs, res.out_check) | res.monitor_attack | res.decode_attack
+    for cyc, (_, bad) in enumerate(closed_loop(chip, feed)):
         new = bad & ~fired
         fired |= new
         for j in lanes_of(new):
@@ -382,11 +378,12 @@ def run_campaign(
 ) -> DetectionReport:
     """Seeded trials: fresh chip state, one sampled attack, fixed cycle budget.
 
-    Detection means the chip's monitor or the trusted receiver fired at any
-    cycle of the trial. Every trial is paired with an attack-free control
-    run over the same stimulus; any report there counts as a false positive
-    (the architecture's contract is that there are none). Chips with a
-    protected RAM also see random memory traffic each cycle.
+    Detection means a report (`chip.closed_loop`: receiver, monitor or input
+    decoder) on any cycle of the trial. Every trial is paired with an
+    attack-free control run over the same stimulus; any report there counts
+    as a false positive (the architecture's contract is that there are
+    none). Chips with a protected RAM also see random memory traffic each
+    cycle.
 
     Trials run CAMPAIGN_BATCH at a time, each armed run and its control in
     lanes of one chip (each lane with its own memory on a RAM chip), and give
@@ -501,9 +498,10 @@ def subcircuit_match_attack(
     Per trial: pick a random connected subcircuit of f (up to max_size
     gates), search the predictor netlist for a node-kind-preserving
     occurrence, flip the outputs of both, and test whether any probe input
-    (every input pattern when f has at most 12 inputs, else 64 random ones)
-    still exposes predictor != recomputed check bits. No match counts as
-    an attacker failure. Success means the tampering was never detected.
+    (every input pattern when f has at most 12 inputs, else 64 random ones,
+    one getrandbits(64) lane int per input) still exposes predictor !=
+    recomputed check bits. No match counts as an attacker failure. Success
+    means the tampering was never detected.
     """
     import networkx as nx
     from .netlist import eval_wires, input_patterns
@@ -514,8 +512,7 @@ def subcircuit_match_attack(
     success = 0
     m = len(f.inputs)
     exhaustive = m <= 12
-    if exhaustive:
-        pats, full = input_patterns(m)
+    pats, full = input_patterns(m) if exhaustive else ((), (1 << 64) - 1)
 
     for _ in range(trials):
         sub = _random_subcircuit(f, rng, max_size, min_size)
@@ -541,21 +538,11 @@ def subcircuit_match_attack(
         root_f = sub[0]
         root_ocp = next(big for big, small in mapping.items() if small == root_f)
 
-        if exhaustive:
-            fo, _ = eval_wires(f, pats, (), {root_f: "flip"}, mask=full)
-            po, _ = eval_wires(ocp, pats, (), {root_ocp: "flip"}, mask=full)
-            expect = h_logic.check_bits(fo)
-            detected = any(a ^ b for a, b in zip(po, expect))
-        else:
-            detected = False
-            for _ in range(64):
-                x = tuple(random_bits(rng, m))
-                fo, _ = eval_wires(f, x, (), {root_f: "flip"})
-                po, _ = eval_wires(ocp, x, (), {root_ocp: "flip"})
-                if po != h_logic.check_bits(fo):
-                    detected = True
-                    break
-        if not detected:
+        if not exhaustive:
+            pats = tuple(rng.getrandbits(64) for _ in range(m))
+        fo, _ = eval_wires(f, pats, (), {root_f: "flip"}, mask=full)
+        po, _ = eval_wires(ocp, pats, (), {root_ocp: "flip"}, mask=full)
+        if po == h_logic.check_bits(fo):  # no probe tells them apart
             success += 1
     return success / trials
 

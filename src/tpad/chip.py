@@ -33,7 +33,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from operator import xor
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .lanes import lanes_of, pack_lanes, select
 # lfsr_taps and eval_wires are not called here, but perfbench's tracer times
@@ -739,6 +739,18 @@ class OutputReceiver:
         attack = breaks(outputs, check, self.prev_check)
         self.prev_check = tuple(check)
         return attack
+
+
+def closed_loop(chip: ProtectedChip, stimulus: Iterable[tuple]
+                ) -> Iterator[tuple[ChipCycleResult, int]]:
+    """Clock chip on each (inputs, ram_op) and yield (result, report mask): the lanes
+    whose output word breaks the trusted receiver's chain or whose monitor or input
+    decoder fires. Sender and receiver are built when iteration starts, after the
+    caller's reset; the receiver sees every word, or its chain would go stale."""
+    enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
+    for x, ram_op in stimulus:
+        res = chip.cycle(x, enc.send(x), ram_op=ram_op)
+        yield res, rec.receive(res.outputs, res.out_check) | res.monitor_attack | res.decode_attack
 
 
 # -- chip bundles --------------------------------------------------------------------

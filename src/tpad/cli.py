@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -71,30 +72,27 @@ def _cmd_build_chip(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .chip import OutputReceiver, StimulusEncoder, load_chip_bundle
+    from .chip import closed_loop, load_chip_bundle
     from .rng import random_bits
 
     if args.cycles < 1:
         raise ValueError("cycles must be >= 1")
     chip = load_chip_bundle(args.chip)
     chip.reset(args.seed)
-    enc = StimulusEncoder(chip)
-    rec = OutputReceiver(chip)
     rng = random.Random(args.seed + 1)
     ram_rng = random.Random(args.seed + 2)  # its own draws, so the inputs stay rng's
     m = len(chip.f.inputs)
+    stimulus = ((tuple(random_bits(rng, m)), chip.ram.random_op(ram_rng) if chip.ram else None)
+                for _ in range(args.cycles))
+    traced, feed = itertools.tee(stimulus)  # the trace reads each cycle's inputs
     rows = []
     reports = 0
-    for cyc in range(args.cycles):
-        x = tuple(random_bits(rng, m))
-        res = chip.cycle(x, enc.send(x), chip.ram.random_op(ram_rng) if chip.ram else None)
-        # the receiver sees every word, or its chain would go stale
-        bad = rec.receive(res.outputs, res.out_check) or res.monitor_attack or res.decode_attack
+    for cyc, ((x, _), (res, bad)) in enumerate(zip(traced, closed_loop(chip, feed))):
         reports += bad
         if args.trace_csv:
             rows.append(
                 f"{cyc},{_hex(x)},{_hex(res.outputs)},{_hex(res.out_check)},"
-                f"{_hex(res.error_signal)},{int(bad)}"
+                f"{_hex(res.error_signal)},{bad}"
             )
     if args.trace_csv:
         Path(args.trace_csv).write_text(

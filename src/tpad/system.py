@@ -13,7 +13,7 @@ harness receiver.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -81,7 +81,6 @@ def build_pipeline_system(
     t: int,
     lfsr_spec: LfsrSpec,
     rng_seed: Rng = None,
-    options: Optional[Sequence[Optional[ChipOptions]]] = None,
 ) -> SystemTopology:
     """Chain of chips where each consumes the full outputs of the previous.
 
@@ -91,15 +90,10 @@ def build_pipeline_system(
     """
     rng = as_rng(rng_seed)
     chips: list[ProtectedChip] = []
-    channels: list[Channel] = []
-    for i, f in enumerate(functions):
-        opt = (options[i] if options and options[i] else ChipOptions())
-        if i > 0:
-            opt = replace(opt, h_in=chips[i - 1].out_codes[0][1])
+    for f in functions:
+        opt = ChipOptions(h_in=chips[-1].out_codes[0][1] if chips else None)
         chips.append(build_protected_chip(f, r, t, lfsr_spec, rng.getrandbits(64), opt))
-        if i > 0:
-            channels.append(Channel(i - 1, i, 0))
-    return SystemTopology(chips, channels)
+    return SystemTopology(chips, [Channel(i - 1, i, 0) for i in range(1, len(chips))])
 
 
 @dataclass
@@ -144,8 +138,12 @@ def run_system(
     The source chips get random raw input bits. Attacks are (chip_index,
     descriptor) pairs, compiled from the run's rng for `cycles` and installed
     before it. The report holds each monitor's firing cycles plus the trusted
-    decode verdicts on terminal chip outputs.
+    decode verdicts on terminal chip outputs. `cycles` below 1 is refused
+    before any draw. The loop is not `chip.closed_loop`: only source chips
+    have a trusted sender and only terminal chips a trusted receiver.
     """
+    if cycles < 1:
+        raise ValueError("cycles must be >= 1")
     rng = as_rng(rng_seed)
     chips = topology.chips
     session = rng.getrandbits(64)

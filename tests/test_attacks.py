@@ -659,15 +659,48 @@ class TestSubcircuitMatching:
                                        max_size=6, min_size=3)
         assert rate == 0.0
 
-    def test_sampled_probes_draw_as_single_bits(self):
-        # more than 12 inputs: 64 random probes per trial; the rate and the
-        # generator's end state as recorded with one getrandbits(1) per bit
+    def test_sampled_probes_draw_as_lane_ints(self):
+        # more than 12 inputs: 64 random probes per trial, one getrandbits(64)
+        # lane int per input; the rate and the generator's end state as recorded
         f = random_netlist(14, 60, 6, rng_seed=13, name="wide")
         h = sample_parity_code(6, 2, 2)
         rng = random.Random(3)
         rate = subcircuit_match_attack(f, build_ocp(f, h), h, trials=200, rng_seed=rng,
                                        max_size=4, min_size=2)
-        assert (rate, rng.getrandbits(64)) == (0.21, 9125985337596136000)
+        assert (rate, rng.getrandbits(64)) == (0.265, 12401331733024011112)
+
+    def test_packed_probes_detect_as_any_single_probe(self, monkeypatch):
+        """A trial's 64 packed probes detect exactly when one of them, run alone
+        through one-lane eval_wires, does; the rate counts the trials none did."""
+        import tpad.netlist
+
+        f = random_netlist(16, 50, 4, rng_seed=3, name="wide")
+        h = sample_parity_code(4, 2, 2)
+        ocp = build_ocp(f, h)
+        eval_wires = tpad.netlist.eval_wires
+        calls = []
+
+        def spy(net, inputs, state=(), overrides=None, mask=1):
+            calls.append((net, inputs, overrides, mask))
+            return eval_wires(net, inputs, state, overrides, mask)
+
+        monkeypatch.setattr(tpad.netlist, "eval_wires", spy)
+        rate = subcircuit_match_attack(f, ocp, h, trials=80, rng_seed=0, max_size=4, min_size=2)
+        monkeypatch.undo()
+
+        def detects(x, f_over, ocp_over):
+            return eval_wires(ocp, x, (), ocp_over)[0] != h.check_bits(eval_wires(f, x, (), f_over)[0])
+
+        verdicts = []  # per trial, which of its probes detect alone
+        for (net_f, pats, f_over, mask), (net_ocp, same, ocp_over, _) in zip(calls[::2], calls[1::2]):
+            assert (net_f, net_ocp, same, mask) == (f, ocp, pats, (1 << 64) - 1)
+            probes = [tuple(p >> j & 1 for p in pats) for j in range(64)]
+            verdicts.append([detects(x, f_over, ocp_over) for x in probes])
+        assert len(calls) == 2 * len(verdicts)
+        assert rate == sum(not any(v) for v in verdicts) / 80
+        # misses, and trials that only some probes after the first or before the last expose
+        assert any(not any(v) for v in verdicts)
+        assert any(not v[0] and any(v) for v in verdicts) and any(not v[-1] and any(v) for v in verdicts)
 
     def test_no_isomorphic_subcircuits_means_zero(self):
         # a predictor made of gates absent from f cannot host a match

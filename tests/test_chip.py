@@ -2,12 +2,14 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import tpad.attacks
 from tpad import chip as chip_module
 from tpad.attacks import AttackDescriptor, run_campaign
 from tpad.chip import (
@@ -18,9 +20,11 @@ from tpad.chip import (
     ProtectedChip,
     StimulusEncoder,
     build_protected_chip,
+    closed_loop,
     load_chip_bundle,
     save_chip_bundle,
 )
+from tpad.cli import main
 from tpad.lanes import select
 from tpad.lfsr import ZeroStateError, step_lfsr
 from tpad.netlist import (Gate, WidthError, eval_wires, parse_netlist, parse_text, random_netlist,
@@ -335,6 +339,67 @@ class TestChainIdentity:
             raw = h.check_bits(res.outputs)
             assert tuple(a ^ b for a, b in zip(res.out_check, prev)) == raw
             prev = res.out_check
+
+
+@pytest.fixture(scope="module")
+def miswired_chip():
+    """The wide chip `tpad build-chip --r 3 --t 2 --seed 9` makes in
+    tests/test_cli.py::test_run_receives_every_word, with its first switchbox
+    set against its intended setting: the monitor fires on some cycles while
+    the outputs and their check bits stay clean."""
+    f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
+    chip = build_protected_chip(f, r=3, t=2, lfsr_spec=lfsr16(3), rng_seed=9)
+    det = chip.detection
+    sb = det.switchboxes[0].id
+    flipped = {**det.intended, sb: "crossed" if det.intended[sb] == "parallel" else "parallel"}
+    return ProtectedChip(chip.f, chip.ocp, replace(det, intended=flipped), chip.h_logic,
+                         chip.h_in, chip.out_codes, chip.lfsr_spec, chip.t, chip.options)
+
+
+class TestClosedLoop:
+    def test_receiver_stays_in_step_when_the_monitor_fires(self, miswired_chip, monkeypatch):
+        """The receiver reads every word, so its chain start before each word is
+        the check bits of the one before, and it finds no clean word off its
+        chain: a cycle reports exactly when the monitor or the decoder fires,
+        also right after cycles on which they did."""
+        chip = miswired_chip
+        chip.reset(1)
+        rng = random.Random(2)
+        stimulus = [(tuple(rng.getrandbits(1) for _ in range(10)), None) for _ in range(200)]
+        chains = []  # each receive call's chain start
+        receive = OutputReceiver.receive
+        monkeypatch.setattr(OutputReceiver, "receive",
+                            lambda rec, out, check: chains.append(rec.prev_check)
+                            or receive(rec, out, check))
+        results = list(closed_loop(chip, stimulus))
+        monkeypatch.undo()
+        fired = [res.monitor_attack | res.decode_attack for res, _ in results]
+        assert [bad for _, bad in results] == fired
+        assert any(fired[c] and not fired[c + 1] for c in range(199))
+        assert not all(fired)
+        assert [tuple(c) for c in chains] == [tuple(chip.initial_prev_out_checks[0])] + [
+            tuple(res.out_check) for res, _ in results[:-1]]
+
+    def test_run_and_campaigns_drive_through_it(self, adder_chip, tmp_path, monkeypatch, capsys):
+        """`tpad run` and run_campaign clock every cycle through closed_loop."""
+        loops = []  # cycles driven by each closed_loop call
+
+        def spy(chip, stimulus):
+            loops.append(0)
+            for item in closed_loop(chip, stimulus):
+                loops[-1] += 1
+                yield item
+
+        # tpad.attacks binds the name at import; `tpad run` imports it when it runs
+        for module in (chip_module, tpad.attacks):
+            monkeypatch.setattr(module, "closed_loop", spy)
+        save_chip_bundle(adder_chip, tmp_path / "chip")
+        assert main(["run", "--chip", str(tmp_path / "chip"), "--cycles", "20"]) == 0
+        atk = AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "flip")
+        report = run_campaign(adder_chip, lambda rng: atk, trials=300, cycles_per_trial=4,
+                              rng_seed=3)
+        assert loops == [20, 4, 4]  # one run, then two campaign batches (256 + 44 trials)
+        assert report.trials == 300
 
 
 class TestChipAttacks:

@@ -1,7 +1,9 @@
 import hashlib
+import random
 
 import pytest
 
+import tpad.system
 from tpad.attacks import AttackDescriptor
 from tpad.netlist import random_netlist
 from tpad.sweep import SweepSpecError, parse_experiment_spec, run_sweep
@@ -74,6 +76,19 @@ class TestRunSystem:
         atk = AttackDescriptor("logic", "fout:1", trigger, "flip")
         with pytest.raises(ValueError, match="fires on no cycle of a run of 120 cycles$"):
             run_system(pipeline, [(1, atk)], cycles=120, rng_seed=6)
+
+    @pytest.mark.parametrize("cycles", [0, -5])
+    @pytest.mark.parametrize("attacks", [
+        [], [(1, AttackDescriptor("logic", "fout:1", ("at_cycle", -1), "flip"))],
+    ], ids=["no_attack", "random_cycle"])
+    def test_cycles_below_one_refused_before_any_draw(self, pipeline, monkeypatch, cycles, attacks):
+        monkeypatch.setattr(tpad.system, "compile_attack", None)  # compiling would fail
+        monkeypatch.setattr(pipeline.chips[0], "reset", None)
+        rng = random.Random(6)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="^cycles must be >= 1$"):
+            run_system(pipeline, attacks, cycles=cycles, rng_seed=rng)
+        assert rng.getstate() == state
 
     def test_random_cycle_drawn_from_the_run(self, pipeline):
         """("at_cycle", -1) is a cycle of the run drawn from its rng, not one that never comes."""
