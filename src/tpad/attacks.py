@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from copy import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -144,21 +145,28 @@ _WILDCARDS = {
 def compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
                    cycles: int) -> AttackEffect:
     """The effect `atk` arms on `chip` in a run of `cycles` cycles, drawn from rng:
+    plan_attack's checks, then its plan's draws."""
+    return plan_attack(chip, atk, cycles)(rng)
+
+
+def plan_attack(chip: ProtectedChip, atk: AttackDescriptor,
+                cycles: int) -> Callable[[random.Random], AttackEffect]:
+    """draw(rng), the effect `atk` arms on `chip` in one trial of `cycles` cycles:
     ("at_cycle", -1)'s cycle (rng.randrange(cycles)), then fout:*'s weight and wires
     or input:*'s count and pins. Gate names resolve as bundle netlists write them.
-    Refused here, not mid-simulation, with a ValueError that starts with the
-    descriptor and names the bad field: a target the chip lacks, a bad replay depth or
-    RAM row, a payload the target does not take (_TARGET_PAYLOADS, _WILDCARDS; decoupling
-    takes `-`), a wildcard of another kind, a trigger check_trigger refuses, a random
-    reliability trigger and one that fires on no cycle of the run."""
+    Every check is made here, with no draw, and refuses with a ValueError that starts
+    with the descriptor and names the bad field: a target the chip lacks, a bad replay
+    depth or RAM row, a payload the target does not take (_TARGET_PAYLOADS, _WILDCARDS;
+    decoupling takes `-`), a wildcard of another kind, a trigger check_trigger refuses,
+    a random reliability trigger and one that fires on no cycle of the run."""
     try:
-        return _compile_attack(chip, atk, rng, cycles)
+        return _plan_attack(chip, atk, cycles)
     except ValueError as e:
         raise ValueError(f"attack '{atk}': {e}") from None
 
 
-def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Random,
-                    cycles: int) -> AttackEffect:
+def _plan_attack(chip: ProtectedChip, atk: AttackDescriptor,
+                 cycles: int) -> Callable[[random.Random], AttackEffect]:
     kind, target, payload, trigger = atk.kind, atk.target, atk.payload, atk.trigger
     prefix, _, arg = target.partition(":")
     check_trigger(trigger)
@@ -168,8 +176,9 @@ def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Rand
             raise ValueError(f"payload {payload!r}: target {target} takes {expected}")
         if kind != only:
             raise ValueError(f"kind {kind!r}: target {target} takes only {only} attacks")
-    if trigger == ("at_cycle", -1):
-        trigger = ("at_cycle", rng.randrange(cycles))
+    drawn = trigger == ("at_cycle", -1)
+    if drawn:  # cycle 0 stands in for the drawn cycle, which lies in range(cycles)
+        trigger = ("at_cycle", 0)
     if kind == "reliability":  # permanent from its (drawn) cycle on
         if trigger[0] == "random":
             raise ValueError(f"trigger 'random:{trigger[1]}': a reliability attack takes "
@@ -180,7 +189,6 @@ def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Rand
             or mode == "after_cycle" and trigger[1] >= cycles):
         raise ValueError(f"trigger {':'.join(map(str, atk.trigger))!r}: "
                          f"fires on no cycle of a run of {cycles} cycles")
-    eff = AttackEffect(kind=kind, trigger=trigger)
 
     def idx(size: int) -> int:
         return _bounded_int(arg, 0, size - 1, f"target {target!r}")
@@ -191,28 +199,38 @@ def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Rand
         except KeyError:
             raise ValueError(f"target {target!r}: {net.name} has no such wire") from None
 
+    # the effect field the target sets: to `fixed` (copied), or a wildcard's draws(rng)
+    draws = None
     if target == "fout:*":
-        k = len(chip.f.outputs)
-        w = 1
-        if payload != "flip":  # multi:<lo>[:<hi>]
-            _, lo, *hi = payload.split(":")
+        outputs, k = chip.f.outputs, len(chip.f.outputs)
+        multi = payload != "flip"
+        lo = hi = 1
+        if multi:  # multi:<lo>[:<hi>]
+            _, lo, *rest = payload.split(":")
             lo = min(int(lo), k)
-            w = rng.randint(lo, max(lo, min(int(hi[0]) if hi else k, k)))
-        eff.f_overrides = dict.fromkeys(rng.sample(chip.f.outputs, min(w, k)), "flip")
+            hi = max(lo, min(int(rest[0]) if rest else k, k))
+
+        def draws(rng: random.Random) -> dict:
+            w = rng.randint(lo, hi) if multi else 1
+            return dict.fromkeys(rng.sample(outputs, min(w, k)), "flip")
+        field = "f_overrides"
     elif target == "input:*":
         m = len(chip.f.inputs)
         cap = int(payload[5:]) if payload != "flip" else 0  # pins:<cap>, 0 for no cap
-        eff.input_flips = tuple(rng.sample(range(m), rng.randint(1, max(1, min(cap or m, m)))))
+        most = max(1, min(cap or m, m))
+
+        def draws(rng: random.Random) -> tuple:
+            return tuple(rng.sample(range(m), rng.randint(1, most)))
+        field = "input_flips"
     elif kind == "decoupling_fft_zero":
         raise ValueError("fft reference zeroing applies to the FFT engine, not a chip")
     elif kind.startswith("decoupling_"):
         if target != "-":
             raise ValueError(f"target {target!r}: a decoupling attack takes target '-'")
         stored = kind == "decoupling_stored_state"
-        eff.replay_depth = int(stored)  # the default payload, flip, replays the previous cycle
+        field, fixed = "replay_depth", int(stored)  # flip, the default, replays the previous cycle
         if stored and payload.startswith("replay:"):
-            eff.replay_depth = _bounded_int(payload[7:], 1, HISTORY_DEPTH,
-                                            f"replay depth of {payload!r}")
+            fixed = _bounded_int(payload[7:], 1, HISTORY_DEPTH, f"replay depth of {payload!r}")
         elif payload != "flip":
             raise ValueError(f"payload {payload!r}: {kind} takes flip" + " or replay:<j>" * stored)
     elif (modes := _TARGET_PAYLOADS.get(prefix)) is None:
@@ -220,24 +238,29 @@ def _compile_attack(chip: ProtectedChip, atk: AttackDescriptor, rng: random.Rand
     elif payload not in modes:
         raise ValueError(f"payload {payload!r}: {prefix} targets take {'|'.join(modes)}")
     elif prefix == "input":
-        eff.input_flips = (idx(len(chip.f.inputs)),)
+        field, fixed = "input_flips", (idx(len(chip.f.inputs)),)
     elif prefix == "recv_check":
-        eff.recv_flips = (idx(chip.r),)
+        field, fixed = "recv_flips", (idx(chip.r),)
     elif prefix == "output":
-        eff.output_flips = (idx(len(chip.f.outputs)),)
+        field, fixed = "output_flips", (idx(len(chip.f.outputs)),)
     elif prefix == "fout":
-        eff.f_overrides = {chip.f.outputs[idx(len(chip.f.outputs))]: payload}
+        field, fixed = "f_overrides", {chip.f.outputs[idx(len(chip.f.outputs))]: payload}
     elif prefix == "fgate":
-        eff.f_overrides = {wire(chip.f): payload}
+        field, fixed = "f_overrides", {wire(chip.f): payload}
     elif prefix == "dgate":
-        eff.d_overrides = {wire(chip.resolved): payload}
+        field, fixed = "d_overrides", {wire(chip.resolved): payload}
     elif chip.ram is None:
         raise ValueError(f"target {target!r}: the chip has no RAM")
     elif arg not in RAM_TROJANS:
         raise ValueError(f"target {target!r}: expected one of {', '.join(RAM_TROJANS)}")
     else:
-        eff.ram_trojan = arg
-    return eff
+        field, fixed = "ram_trojan", arg
+
+    def draw(rng: random.Random) -> AttackEffect:
+        eff = AttackEffect(kind, (mode, rng.randrange(cycles)) if drawn else trigger)
+        setattr(eff, field, draws(rng) if draws else copy(fixed))
+        return eff
+    return draw
 
 
 # -- campaigns -----------------------------------------------------------------------
@@ -387,26 +410,30 @@ def run_campaign(
 
     Trials run CAMPAIGN_BATCH at a time, each armed run and its control in
     lanes of one chip (each lane with its own memory on a RAM chip), and give
-    the records a one-lane run per trial gives.
+    the records a one-lane run per trial gives. Each descriptor is planned
+    (plan_attack) once per call, when it first comes up.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if cycles_per_trial < 1:
         raise ValueError("cycles_per_trial must be >= 1")
     rng = as_rng(rng_seed)
+    plans: dict[AttackDescriptor, Callable[[random.Random], AttackEffect]] = {}
     false_positives = 0
     records: list[TrialRecord] = []
     for start in range(0, trials, CAMPAIGN_BATCH):
-        plans = []
+        batch = []
         for _ in range(min(CAMPAIGN_BATCH, trials - start)):
             atk = attack_generator(rng)
             stim_seed = rng.getrandbits(64)
             session_seed = rng.getrandbits(64)
-            effect = compile_attack(chip, atk, rng, cycles_per_trial) if atk is not None else None
-            plans.append((stim_seed, session_seed, effect))
-        first = _run_lanes(chip, plans, cycles_per_trial)
-        n = len(plans)
-        for i, (_, _, effect) in enumerate(plans):
+            if atk is not None and atk not in plans:
+                plans[atk] = plan_attack(chip, atk, cycles_per_trial)
+            effect = plans[atk](rng) if atk is not None else None
+            batch.append((stim_seed, session_seed, effect))
+        first = _run_lanes(chip, batch, cycles_per_trial)
+        n = len(batch)
+        for i, (_, _, effect) in enumerate(batch):
             trial = start + i
             hit = first[i] is not None
             if effect is not None:

@@ -47,6 +47,7 @@ from .netlist import (  # noqa: F401
     WidthError,
     define,
     eval_wires,
+    fault_fills,
     fault_vectors,
     inline_step,
     parse_netlist,
@@ -59,7 +60,7 @@ from .parity import (
     parse_matrix,
     sample_parity_code,
 )
-from .ram import ProtectedRam, RamCycleResult, is_ram_depth
+from .ram import RAM_TROJANS, ProtectedRam, RamCycleResult, is_ram_depth
 from .rng import Rng, as_rng, random_bits
 from .switchbox import (
     ObfuscatedNetlist,
@@ -173,27 +174,9 @@ class AttackEffect:
     ram_trojan: Optional[str] = None
     replay_depth: int = 0
 
-    def triggered(self, cycle: int, lanes: int, lane_rng: Callable[[int], random.Random]) -> int:
-        """The lanes of `lanes` in which the attack is active at `cycle`.
-
-        A random trigger draws once per lane from that lane's lane_rng(j).
-        """
-        mode = self.trigger[0]
-        if mode == "always":
-            return lanes
-        if mode == "at_cycle":
-            return lanes if cycle == self.trigger[1] else 0
-        if mode == "after_cycle":
-            return lanes if cycle >= self.trigger[1] else 0
-        on = 0  # random, the one mode left (check_trigger)
-        for j in lanes_of(lanes):
-            if lane_rng(j).random() < self.trigger[1]:
-                on |= 1 << j
-        return on
-
 
 def check_trigger(trigger: tuple) -> None:
-    """Refuse (ValueError) a trigger `triggered` cannot run: an unknown mode, a missing
+    """Refuse (ValueError) a trigger the chip cannot run: an unknown mode, a missing
     or extra argument, a cycle that is not an int, a probability outside [0, 1]."""
     mode, *args = trigger or ("",)
     arg = args[0] if len(args) == 1 else None
@@ -202,16 +185,50 @@ def check_trigger(trigger: tuple) -> None:
         raise ValueError(f"unknown trigger {trigger!r}")
 
 
-class _Installed:
-    """An attack effect armed in some lanes, with its stored-state capture."""
+class _Group:
+    """Installed attacks that apply as one: lane-disjoint, with one trigger and (for
+    stored-state attacks) one replay depth. It holds their pin, receiver and pad flip
+    masks by index (x, rc, pads), F's and D's fault fills by armed slot (f, d,
+    `fault_fills`), their RAM trojans by lane, their null lanes and one stored-state
+    capture."""
 
-    __slots__ = ("effect", "lanes", "captured", "snapshot")
+    __slots__ = ("p", "first", "last", "lanes", "x", "rc", "pads", "f", "d", "trojans",
+                 "null", "depth", "captured", "snapshot")
 
-    def __init__(self, effect: AttackEffect, lanes: Optional[int]):
-        self.effect = effect
-        self.lanes = lanes  # None: every lane
+    def __init__(self, effect: AttackEffect, depth: int):
+        mode, *arg = effect.trigger
+        self.p = arg[0] if mode == "random" else None  # a random trigger's odds per lane
+        self.first = arg[0] if mode in ("at_cycle", "after_cycle") else 0  # active cycles
+        self.last = arg[0] if mode == "at_cycle" else float("inf")
+        self.lanes = self.null = 0
+        self.x, self.rc, self.pads, self.f, self.d, self.trojans = {}, {}, {}, {}, {}, {}
+        self.depth = depth
         self.captured = 0   # lanes whose stored-state snapshot has been taken
         self.snapshot = ()  # live detection inputs, each lane's from its engage cycle
+
+    def add(self, eff: AttackEffect, lanes: int, f_slots: dict, d_slots: dict) -> None:
+        self.lanes |= lanes
+        for i in eff.input_flips:
+            self.x[i] = self.x.get(i, 0) ^ lanes
+        for i in eff.recv_flips:
+            self.rc[i] = self.rc.get(i, 0) ^ lanes
+        for i in eff.output_flips:
+            self.pads[i] = self.pads.get(i, 0) ^ lanes
+        if eff.f_overrides or eff.d_overrides:
+            fault_fills(self.f, f_slots, eff.f_overrides, lanes)
+            fault_fills(self.d, d_slots, eff.d_overrides, lanes)
+        if eff.ram_trojan:
+            self.trojans.update(dict.fromkeys(lanes_of(lanes), eff.ram_trojan))
+        if eff.kind == "decoupling_parity_null":
+            self.null |= lanes
+
+    def triggered(self, lane_rng: Callable[[int], random.Random]) -> int:
+        """The lanes a random group fires in now, one draw per lane j from lane_rng(j)."""
+        on = 0
+        for j in lanes_of(self.lanes):
+            if lane_rng(j).random() < self.p:
+                on |= 1 << j
+        return on
 
 
 @dataclass(slots=True)
@@ -274,7 +291,7 @@ class ProtectedChip:
         self.h_mem = h_mem
         self.resolved = apply_config(detection, detection.intended)
         self._cycle_fn: Optional[Callable] = None  # generated on the first cycle
-        self.attacks: list[_Installed] = []
+        self.attacks: list[tuple[AttackEffect, Optional[int]]] = []  # (effect, lanes or None)
         self._armed: Optional[tuple] = None  # see _arm
         self.ram: Optional[ProtectedRam] = None  # lane 0's memory
         if h_mem is not None:
@@ -325,11 +342,9 @@ class ProtectedChip:
         self.d_state: Bits = (0,) * self.resolved.state_width
         self.cycle_count = 0
         self._history: deque = deque(maxlen=HISTORY_DEPTH)
-        self._replay_key: list = []  # the stored states merged into _replay_snapshot
-        self._replay_snapshot: tuple = ()
         self._last_tx_checks: tuple[Bits, ...] = self.prev_out_checks
-        for a in self.attacks:
-            a.captured, a.snapshot = 0, ()
+        self._armed = None  # lanes=None reads the mask, and captures are per run
+        self._captures: list[tuple] = []  # each group's capture, kept over a later install
         # lane copies share the initial cells, so no check bits are recomputed
         self.rams = [] if self.ram is None else [self.ram, *(copy(self.ram) for _ in seeds[1:])]
         for ram in self.rams:
@@ -350,28 +365,67 @@ class ProtectedChip:
         self.initial_prev_in_check = tuple(prev_check)
 
     def install_attack(self, effect: AttackEffect, lanes: Optional[int] = None) -> None:
-        """Arm effect in the lanes of the `lanes` mask (default: every lane); a bad
-        trigger (check_trigger) or override (check_overrides) is refused here."""
+        """Arm effect in the lanes of the `lanes` mask (default: every lane). Refused
+        here with a ValueError: a bad trigger (check_trigger) or override
+        (check_overrides), a pin, receiver or pad index out of range, a stored-state
+        replay depth outside [1, HISTORY_DEPTH], and a RAM trojan that is not in
+        RAM_TROJANS or that the chip has no RAM for."""
         if lanes is not None and (lanes <= 0 or lanes & ~self.mask):
             raise ValueError(f"lane mask {lanes:#x} is not a nonempty subset of {self.mask:#x}")
         check_trigger(effect.trigger)
         self.f.check_overrides(effect.f_overrides)
         self.resolved.check_overrides(effect.d_overrides)
-        self.attacks.append(_Installed(effect, lanes))
+        for name, size in (("input_flips", len(self.f.inputs)), ("recv_flips", self.r),
+                           ("output_flips", len(self.f.outputs))):
+            for i in getattr(effect, name):
+                if type(i) is not int or not 0 <= i < size:
+                    raise ValueError(f"{name}: index {i!r} is outside range({size})")
+        depth = effect.replay_depth
+        if effect.kind == "decoupling_stored_state" and not 1 <= depth <= HISTORY_DEPTH:
+            raise ValueError(f"replay_depth: {depth!r} is outside [1, {HISTORY_DEPTH}]")
+        trojan = effect.ram_trojan
+        if trojan is not None and (self.ram is None or trojan not in RAM_TROJANS):
+            raise ValueError(f"ram_trojan {trojan!r}: " + ("the chip has no RAM" if self.ram is None
+                             else f"expected one of {', '.join(RAM_TROJANS)}"))
+        self.attacks.append((effect, lanes))
+        if self._armed:  # earlier attacks group as they did, so their groups keep captures
+            self._captures = [(g.captured, g.snapshot) for g in self._armed[4]]
         self._armed = None
 
     def clear_attacks(self) -> None:
         self.attacks = []
         self._armed = None
+        self._captures = []
 
     def _arm(self) -> tuple:
-        """(F step, F slots, D step, D slots), kept until the attacks change: each
-        netlist's fault step slotted on the wires the attacks override (or None, {})."""
+        """(F step, F slots, D step, D slots, groups), kept until the attacks change or a
+        reset: each netlist's fault step slotted on the wires the attacks override (or
+        None, {}), and the attacks as `_Group`s. An attack joins the latest group of its
+        trigger (and replay depth) if its lanes miss those of every attack installed
+        before it, so the groups, in creation order, give each lane what the attacks give
+        in install order. A random trigger never joins. Lanes outside the mask raise."""
+        mask = self.mask
         armed: list = []
         for net, key in ((self.f, "f_overrides"), (self.resolved, "d_overrides")):
-            wires = frozenset(w for a in self.attacks for w in getattr(a.effect, key))
+            wires = frozenset(w for eff, _ in self.attacks for w in getattr(eff, key))
             armed += net.fault_step_fn(wires) if wires else (None, {})
-        self._armed = tuple(armed)
+        groups: list[_Group] = []
+        latest: dict[tuple, _Group] = {}  # (trigger, replay depth) -> its latest group
+        seen = 0  # lanes of the attacks grouped so far
+        for eff, lanes in self.attacks:
+            lanes = mask if lanes is None else lanes
+            if lanes & ~mask:
+                raise ValueError(f"attack lanes {lanes:#x} lie outside mask {mask:#x}")
+            key = (eff.trigger, eff.replay_depth if eff.kind == "decoupling_stored_state" else 0)
+            group = None if lanes & seen or eff.trigger[0] == "random" else latest.get(key)
+            if group is None:
+                group = latest[key] = _Group(eff, key[1])
+                groups.append(group)
+            group.add(eff, lanes, armed[1], armed[3])
+            seen |= lanes
+        for g, (captured, snapshot) in zip(groups, self._captures):
+            g.captured, g.snapshot = captured, snapshot
+        self._armed = (*armed, groups)
         return self._armed
 
     # per-cycle dataflow ------------------------------------------------------------
@@ -395,62 +449,60 @@ class ProtectedChip:
         return step(self, inputs, recv_check, ram_op)
 
     def _attack_data(self, inputs: Sequence[int], recv_check: Sequence[int]) -> tuple:
-        """This cycle's armed attacks as data for the clock function.
+        """This cycle's active attack groups (`_arm`) as data for the clock function.
 
         Returns the inputs and received check bits with pin flips applied,
-        F's and D's fault vectors for their armed steps (`_arm`; None
-        without an active override), each lane's RAM trojan, the lanes that
-        replay a stored state (with the snapshots they replay) or null the
-        parity outputs, and per output pad its flip mask (None if no pad
-        flips). Active lanes outside the mask raise ValueError.
+        F's and D's fault vectors for their armed steps (None without an
+        active override), each lane's RAM trojan, the lanes that replay a
+        stored state (with the snapshots they replay) or null the parity
+        outputs, and per output pad its flip mask (None if no pad flips).
+        Only a random group is asked (`_Group.triggered`) which lanes it fires in.
         """
-        mask = self.mask
-        _, f_slots, _, d_slots = self._armed or self._arm()
+        _, f_slots, _, d_slots, groups = self._armed or self._arm()
         x = list(inputs)
         rc = list(recv_check)
-        fv = dv = None
-        ram_trojans: dict[int, str] = {}  # lane -> RAM trojan active there
+        fv = dv = pads = None
+        trojans: dict[int, str] = {}  # lane -> RAM trojan active there
         replay = null = 0  # lanes replaying a stored state / nulling parity
-        stored = []  # (lanes, snapshot) each active stored-state attack replays
-        pads = None
-        cycle, lane_rng = self.cycle_count, self._lane_rng
-        for a in self.attacks:
-            eff = a.effect
-            on = eff.triggered(cycle, mask if a.lanes is None else a.lanes, lane_rng)
-            if not on:
+        stored = []  # (lanes, snapshot) each active stored-state group replays
+        cycle = self.cycle_count
+        for g in groups:
+            if g.p is not None:
+                on = g.triggered(self._lane_rng)
+                if not on:
+                    continue
+            elif g.first <= cycle <= g.last:
+                on = g.lanes
+            else:
                 continue
-            if on > mask:
-                raise ValueError(f"attack lanes {on:#x} lie outside mask {mask:#x}")
-            for i in eff.input_flips:
-                x[i] ^= on
-            for i in eff.recv_flips:
-                rc[i] ^= on
-            if eff.output_flips:
+            for i, flip in g.x.items():
+                x[i] ^= flip & on
+            for i, flip in g.rc.items():
+                rc[i] ^= flip & on
+            if g.pads:
                 pads = pads or [0] * len(self.f.outputs)
-                for i in eff.output_flips:
-                    pads[i] ^= on
-            if eff.f_overrides:
-                fv = fault_vectors(fv, f_slots, eff.f_overrides, on)
-            if eff.d_overrides:
-                dv = fault_vectors(dv, d_slots, eff.d_overrides, on)
-            if eff.ram_trojan:
-                for j in lanes_of(on):
-                    ram_trojans[j] = eff.ram_trojan
-            if eff.kind == "decoupling_stored_state":
+                for i, flip in g.pads.items():
+                    pads[i] ^= flip & on
+            if g.f:
+                fv = fault_vectors(fv, len(f_slots), g.f, on)
+            if g.d:
+                dv = fault_vectors(dv, len(d_slots), g.d, on)
+            if g.trojans:
+                trojans.update((j, trojan) for j, trojan in g.trojans.items() if on >> j & 1)
+            null |= g.null & on
+            if g.depth:
                 # the trojan's extra flip-flops hold one earlier consistent
                 # state; from engagement on, the CED path sees only that
-                fresh = on & ~a.captured
-                if fresh and len(self._history) >= eff.replay_depth > 0:
-                    past = self._history[-eff.replay_depth]
-                    a.snapshot = select(fresh, past, a.snapshot) if a.snapshot else past
-                    a.captured |= fresh
-                taken = on & a.captured
+                fresh = on & ~g.captured
+                if fresh and len(self._history) >= g.depth:
+                    past = self._history[-g.depth]
+                    g.snapshot = select(fresh, past, g.snapshot) if g.snapshot else past
+                    g.captured |= fresh
+                taken = on & g.captured
                 replay = replay & ~on | taken
                 if taken:
-                    stored.append((taken, a.snapshot))
-            if eff.kind == "decoupling_parity_null":
-                null |= on
-        return x, rc, fv, dv, ram_trojans, replay, null, stored, pads
+                    stored.append((taken, g.snapshot))
+        return x, rc, fv, dv, trojans, replay, null, stored, pads
 
     def _ram_lanes(self, ops: list, trojans: Optional[dict[int, str]]) -> tuple[list, int]:
         """Each lane's op (or None) on its RAM; the results and the reporting lanes."""
@@ -464,13 +516,12 @@ class ProtectedChip:
         return results, reports
 
     def _replayed(self, replay: int, stored: list, live: tuple) -> tuple:
-        """The detection inputs: the stored snapshot in the `replay` lanes, live elsewhere."""
-        if stored != self._replay_key:  # a stored state usually replays for many cycles
-            snapshot = stored[0][1]
-            for taken, snap in stored[1:]:
-                snapshot = select(taken, snap, snapshot)
-            self._replay_key, self._replay_snapshot = stored, snapshot
-        return select(replay, self._replay_snapshot, live)
+        """The detection inputs: in the `replay` lanes, the snapshot of the last stored-state
+        group that took them (a campaign batch has one per trigger and depth), live elsewhere."""
+        snapshot = stored[0][1]
+        for taken, snap in stored[1:]:
+            snapshot = select(taken, snap, snapshot)
+        return select(replay, snapshot, live)
 
     def _transmit(self, outputs: Bits, checks: tuple, replay: int, null: int,
                   pads: Optional[list[int]]) -> tuple[Bits, tuple]:

@@ -110,7 +110,7 @@ def _hex(bits) -> str:
 
 
 def _cmd_attack(args) -> int:
-    from .attacks import _attack_lines, compile_attack, run_campaign
+    from .attacks import _attack_lines, plan_attack, run_campaign
     from .chip import load_chip_bundle
 
     for name in ("trials", "cycles"):
@@ -119,8 +119,8 @@ def _cmd_attack(args) -> int:
     chip = load_chip_bundle(args.chip)
     descriptors = []
     for lineno, atk in _attack_lines(Path(args.attacks).read_text()):
-        try:  # with a throwaway rng, so the campaign's draws stay as they are
-            compile_attack(chip, atk, random.Random(0), args.cycles)
+        try:
+            plan_attack(chip, atk, args.cycles)  # every check, no draw
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from None
         descriptors.append(atk)

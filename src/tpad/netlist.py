@@ -239,7 +239,7 @@ class Netlist:
         Returns the step and its slots (wire -> k), in the order inputs, DFF
         outputs, gates. Each slotted wire is driven as `value & a[k] ^ b[k]`,
         so per lane (a[k], b[k]) = (-1, 0) leaves it alone, (-1, m) flips it
-        and (0, m) forces it to m; fault_vectors fills a and b from overrides.
+        and (0, m) forces it to m; fault_fills and fault_vectors set a and b.
         Compiled on first use; a process keeps its latest KERNEL_CACHE_SIZE.
         """
         order = (*self.inputs, *(g.out for g in self._dffs), *(g.out for g in self._topo))
@@ -424,15 +424,26 @@ def inline_step(
 _FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes
 
 
-def fault_vectors(vectors: Optional[tuple], slots: dict[int, int], overrides: dict[int, str],
-                  lanes: int) -> tuple[list[int], list[int]]:
-    """Fault vectors (a, b) for a step slotted as `slots`: `vectors`, or all clear
-    if None, with each override's mode set in `lanes` of its wire's slot, so the
-    last mode set on a wire wins. The vectors passed in are updated in place."""
-    a, b = vectors or ([-1] * len(slots), [0] * len(slots))
+def fault_fills(fills: dict, slots: dict[int, int], overrides: dict[int, str],
+                lanes: int) -> dict[int, tuple[int, int, int]]:
+    """fills ({slot: (lanes, a, b)} for a step slotted as `slots`) with each override's
+    mode added in `lanes` of its wire's slot, lanes that must be new to that slot."""
     for w, mode in overrides.items():
-        k = slots[w]
         fa, fb = _FAULTS[mode]
+        k = slots[w]
+        filled, a, b = fills.get(k, (0, 0, 0))
+        fills[k] = (filled | lanes, a | fa & lanes, b | fb & lanes)
+    return fills
+
+
+def fault_vectors(vectors: Optional[tuple], n: int, fills: dict[int, tuple[int, int, int]],
+                  on: int = -1) -> tuple[list[int], list[int]]:
+    """Fault vectors (a, b) for n slots: `vectors`, or all clear if None, with each
+    fill's modes set in those of its lanes that lie in `on`, so the last mode set
+    on a slot wins. The vectors passed in are updated in place."""
+    a, b = vectors or ([-1] * n, [0] * n)
+    for k, (lanes, fa, fb) in fills.items():
+        lanes &= on
         a[k] = a[k] & ~lanes | fa & lanes
         b[k] = b[k] & ~lanes | fb & lanes
     return a, b
@@ -460,7 +471,8 @@ def eval_wires(
     overrides = overrides or {}
     net.check_overrides(overrides)
     step, slots = net.fault_step_fn(net.wires)
-    return step(inputs, state, *fault_vectors(None, slots, overrides, mask), mask)
+    a, b = fault_vectors(None, len(slots), fault_fills({}, slots, overrides, mask))
+    return step(inputs, state, a, b, mask)
 
 
 # -- builder -------------------------------------------------------------------

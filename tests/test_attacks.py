@@ -19,16 +19,19 @@ from tpad.attacks import (
     parse_attack_file,
     parse_attack_line,
     per_sb_attack_probability,
+    plan_attack,
     run_campaign,
     simulate_destructive_sampling,
     subcircuit_match_attack,
     uniform_output_flip_attacks,
 )
 from tpad.chip import (
+    HISTORY_DEPTH,
     AttackEffect,
     ChipOptions,
     OutputReceiver,
     StimulusEncoder,
+    _Group,
     build_protected_chip,
     load_chip_bundle,
     save_chip_bundle,
@@ -512,6 +515,121 @@ class TestCompileDraws:
                                              "at_cycle:9': trigger 'at_cycle:9': fires on no "
                                              "cycle of a run of 8 cycles$"):
             run_campaign(wide_chip, lambda rng: atk, trials=20, cycles_per_trial=8, rng_seed=1)
+
+
+# descriptors chip_descriptors never makes, many of them refused
+ANY_DESCRIPTORS = st.builds(
+    AttackDescriptor,
+    st.sampled_from(ATTACK_KINDS),
+    st.sampled_from(["-", "fout:0", "fout:99", "fout:*", "input:*", "input:-1", "recv_check:7",
+                     "output:2", "fgate:nosuch", "ram:nosuch", "ram:does_not_read", "bogus:1"]),
+    st.sampled_from([("at_cycle", -1), ("at_cycle", 3), ("at_cycle", 99), ("after_cycle", 50),
+                     ("always",), ("random", 0.5), ("bogus",)]),
+    st.sampled_from(["flip", "stuck0", "replay:0", "replay:3", "multi:2", "pins:3", "bogus"]))
+
+
+class TestPlanReuse:
+    """One plan_attack plan drawn k times makes what k compile_attack calls make."""
+
+    @pytest.mark.parametrize("chip_name", ["wide_chip", "ram_chip"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_plan_draws_as_fresh_compiles(self, request, chip_name, data):
+        chip = request.getfixturevalue(chip_name)
+        cycles = data.draw(st.integers(1, 40), label="cycles")
+        atk = data.draw(st.one_of(chip_descriptors(chip, cycles), ANY_DESCRIPTORS),
+                        label="descriptor")
+        k = data.draw(st.integers(1, 5), label="k")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        plan_rng, fresh_rng = random.Random(seed), random.Random(seed)
+        try:
+            draw = plan_attack(chip, atk, cycles)
+        except ValueError as e:
+            with pytest.raises(ValueError) as fresh:
+                compile_attack(chip, atk, fresh_rng, cycles)
+            assert str(fresh.value) == str(e)
+            assert fresh_rng.getstate() == plan_rng.getstate()  # refused before any draw
+            return
+        planned = [draw(plan_rng) for _ in range(k)]
+        assert planned == [compile_attack(chip, atk, fresh_rng, cycles) for _ in range(k)]
+        assert plan_rng.getstate() == fresh_rng.getstate()
+
+    def test_campaign_plans_each_descriptor_once(self, wide_chip, monkeypatch):
+        planned = []
+        plan = tpad.attacks.plan_attack
+        monkeypatch.setattr(tpad.attacks, "plan_attack",
+                            lambda chip, atk, cycles: planned.append(atk) or plan(chip, atk, cycles))
+        mix = [AttackDescriptor("logic", "fout:*", ("at_cycle", -1)),
+               AttackDescriptor("pin", "input:*", ("at_cycle", -1))]
+        report = run_campaign(wide_chip, lambda rng: rng.choice(mix), 300, 8, rng_seed=4)
+        assert report.trials == 300 and sorted(map(str, planned)) == sorted(map(str, mix))
+
+
+class TestInstallRefusals:
+    """install_attack refuses an effect it cannot run, naming the field, before any cycle."""
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"input_flips": (12,)}, r"^input_flips: index 12 is outside range\(10\)$"),
+        ({"input_flips": (-1,)}, r"^input_flips: index -1 is outside range\(10\)$"),
+        ({"input_flips": (0, 10)}, r"^input_flips: index 10 is outside range\(10\)$"),
+        ({"recv_flips": (3,)}, r"^recv_flips: index 3 is outside range\(3\)$"),
+        ({"recv_flips": (-4,)}, r"^recv_flips: index -4 is outside range\(3\)$"),
+        ({"output_flips": (40,)}, r"^output_flips: index 40 is outside range\(16\)$"),
+        ({"output_flips": (-1,)}, r"^output_flips: index -1 is outside range\(16\)$"),
+        ({"kind": "decoupling_stored_state", "replay_depth": 0},
+         rf"^replay_depth: 0 is outside \[1, {HISTORY_DEPTH}\]$"),
+        ({"kind": "decoupling_stored_state", "replay_depth": 5000},
+         rf"^replay_depth: 5000 is outside \[1, {HISTORY_DEPTH}\]$"),
+        ({"ram_trojan": "nosuch"}, r"^ram_trojan 'nosuch': the chip has no RAM$"),
+        ({"ram_trojan": "does_not_read"}, r"^ram_trojan 'does_not_read': the chip has no RAM$"),
+    ])
+    def test_bad_effect_refused(self, wide_chip, fields, match):
+        chip = wide_chip
+        chip.clear_attacks()
+        chip.reset(3)
+        with pytest.raises(ValueError, match=match):
+            chip.install_attack(AttackEffect(**{"kind": "pin", **fields}))
+        assert chip.attacks == [] and chip.cycle_count == 0
+
+    def test_unknown_ram_trojan_refused_on_a_ram_chip(self, ram_chip):
+        ram_chip.clear_attacks()
+        with pytest.raises(ValueError, match="^ram_trojan 'nosuch': expected one of read_wrong_"):
+            ram_chip.install_attack(AttackEffect("logic", ram_trojan="nosuch"))
+        assert ram_chip.attacks == []
+
+    @pytest.mark.parametrize("fields", [
+        {"input_flips": (0, 9)}, {"recv_flips": (2,)}, {"output_flips": (0, 15)},
+        {"kind": "decoupling_stored_state", "replay_depth": 1},
+        {"kind": "decoupling_stored_state", "replay_depth": HISTORY_DEPTH},
+    ])
+    def test_edge_of_range_installs(self, wide_chip, fields):
+        chip = wide_chip
+        chip.clear_attacks()
+        chip.reset(3)
+        chip.install_attack(AttackEffect(**{"kind": "pin", **fields}))
+        chip.cycle((0,) * 10, chip.prev_in_check)
+        chip.clear_attacks()
+
+
+class TestTriggerGroups:
+    def test_triggered_asked_only_for_random_groups(self, wide_chip, monkeypatch):
+        """A batch merges its attacks by trigger; only random triggers draw per lane."""
+        asked = []
+        triggered = _Group.triggered
+        monkeypatch.setattr(_Group, "triggered",
+                            lambda self, *args: asked.append(self.p) or triggered(self, *args))
+        dgate = wide_chip.resolved.wire_name(wide_chip.resolved.gates[0].out)
+        mix = [AttackDescriptor("logic", "fout:*", ("at_cycle", -1), "multi:2"),
+               AttackDescriptor("pin", "input:*", ("at_cycle", -1), "pins:0"),
+               AttackDescriptor("logic", f"dgate:{dgate}", ("at_cycle", -1)),
+               AttackDescriptor("decoupling_stored_state", "-", ("after_cycle", 2), "replay:2"),
+               AttackDescriptor("decoupling_parity_null", "-", ("after_cycle", 1)),
+               AttackDescriptor("logic", "fout:3", ("always",))]
+        run_campaign(wide_chip, lambda rng: rng.choice(mix), 100, 8, rng_seed=6)
+        assert asked == []
+        coin = parse_attack_line("pin flip target=input:0 trigger=random:0.5")
+        run_campaign(wide_chip, lambda rng: coin, 3, 8, rng_seed=6)
+        assert asked == [0.5] * 3 * 8  # one group per trial, asked each cycle
 
 
 class TestCampaigns:

@@ -804,25 +804,75 @@ def faulted(net, inputs, state, over, mask):
     return step(tuple(inputs), tuple(state), a, b, mask)
 
 
-def reference_cycle(chip, inputs, recv_check, ram_op=None):
+def attack_walk(chip, walk, inputs, recv_check):
+    """One clock's attack data, walked attack by attack in install order, as the chip
+    did before it merged attacks into trigger groups: the pins and check bits with
+    their flips, F's and D's {wire: {mode: lanes}} overrides, each lane's RAM trojan,
+    the replaying lanes with the (lanes, snapshot) they replay, the null lanes and
+    the pad flips. walk holds each stored-state attack's [captured lanes, snapshot]
+    by install index and each lane's trigger generator, which a random trigger draws
+    from once per lane it is installed in."""
+    captures, lane_rngs = walk
+    mask, cycle = chip.mask, chip.cycle_count
+    x, rc = list(inputs), list(recv_check)
+    f_over, d_over, trojans, stored = {}, {}, {}, []
+    replay = null = 0
+    pads = None
+    for n, (eff, lanes) in enumerate(chip.attacks):
+        lanes = mask if lanes is None else lanes
+        mode, *arg = eff.trigger
+        on = 0
+        for j in range(lanes.bit_length()):
+            if lanes >> j & 1 and (
+                    mode == "always" or mode == "at_cycle" and cycle == arg[0]
+                    or mode == "after_cycle" and cycle >= arg[0]
+                    or mode == "random" and lane_rngs.setdefault(
+                        j, random.Random(chip._trigger_seeds[j])).random() < arg[0]):
+                on |= 1 << j
+        if not on:
+            continue
+        for i in eff.input_flips:
+            x[i] ^= on
+        for i in eff.recv_flips:
+            rc[i] ^= on
+        if eff.output_flips:
+            pads = pads or [0] * len(chip.f.outputs)
+            for i in eff.output_flips:
+                pads[i] ^= on
+        merge_override(f_over, eff.f_overrides, on)
+        merge_override(d_over, eff.d_overrides, on)
+        if eff.ram_trojan:
+            trojans.update((j, eff.ram_trojan) for j in range(on.bit_length()) if on >> j & 1)
+        if eff.kind == "decoupling_stored_state":
+            cap = captures.setdefault(n, [0, ()])
+            fresh = on & ~cap[0]
+            if fresh and len(chip._history) >= eff.replay_depth:
+                past = chip._history[-eff.replay_depth]
+                cap[1] = select(fresh, past, cap[1]) if cap[1] else past
+                cap[0] |= fresh
+            taken = on & cap[0]
+            replay = replay & ~on | taken
+            if taken:
+                stored.append((taken, cap[1]))
+        if eff.kind == "decoupling_parity_null":
+            null |= on
+    return x, rc, f_over, d_over, trojans, replay, null, stored, pads
+
+
+def reference_cycle(chip, walk, inputs, recv_check, ram_op=None):
     """One clock of chip with both netlists on their all-wire fault steps every cycle.
 
     It spells out what the generated clock (`chip._compile_cycle`) computes,
-    with no inlined netlist, no quiet-cycle body, no shared values and no
-    armed steps: it merges the active fault overrides itself, in install
-    order, and runs both netlists' all-wire fault steps. The pin flips, RAM
-    lanes, replay and pad helpers are the chip's own. Triggers must not be
-    random, since each is asked twice here.
+    with no inlined netlist, no quiet-cycle body, no shared values, no armed
+    steps and no attack groups: `attack_walk` (with its state `walk`) gives the
+    attacks' data, a stored state replays in the lanes of the last stored-state
+    attack that took it, and both netlists run their all-wire fault steps. The
+    RAM lanes and pad helpers are the chip's own.
     """
     mask, r = chip.mask, chip.r
     taps = [-(chip.lfsr_state >> p & 1) & mask for p in chip.lfsr_spec.taps]
-    f_over, d_over = {}, {}
-    for a in chip.attacks:
-        on = a.effect.triggered(chip.cycle_count, mask if a.lanes is None else a.lanes, None)
-        if on:
-            merge_override(f_over, a.effect.f_overrides, on)
-            merge_override(d_over, a.effect.d_overrides, on)
-    x, rc, _, _, trojans, replay, null, stored, pads = chip._attack_data(inputs, recv_check)
+    x, rc, f_over, d_over, trojans, replay, null, stored, pads = attack_walk(
+        chip, walk, inputs, recv_check)
     fo, _ = faulted(chip.f, x, (), f_over, mask)
     live = (*x, *rc, *chip.prev_in_check, *fo, *(b for c in chip.prev_out_checks for b in c))
     ram_res, ram_sig = None, []
@@ -834,7 +884,9 @@ def reference_cycle(chip, inputs, recv_check, ram_op=None):
             ram_res = chip.ram.cycle(*ram_op, trojan=trojans.get(0))
             reports = ram_res.attack
         ram_sig = [taps[0] ^ reports, *taps[1:]]
-    det_in = chip._replayed(replay, stored, live) if replay else live
+    det_in = live
+    for taken, snapshot in stored:
+        det_in = select(taken & replay, snapshot, det_in)
     do, d_next = faulted(chip.resolved, (*det_in, *taps, *ram_sig), chip.d_state, d_over, mask)
     error, in_sig = do[:r], do[r:2 * r]
     checks = tuple(do[i:i + r] for i in range(2 * r, len(do), r))
@@ -860,11 +912,19 @@ def registers(chip):
             [(ram.cells, ram.ram_out, ram.data_out) for ram in chip.rams])
 
 
-# what one cycle of a drawn session does: nothing, or one kind of armed attack;
-# same_wire is two modes on one wire in shared lanes, f_replay an F override and a replay
-CYCLE_KINDS = ("quiet", "f_over", "d_over", "same_wire", "f_replay", "replay", "pads", "pins",
-               "null", "ram")
+# what one cycle of a drawn session arms: nothing, or one kind of attack; same_wire is
+# two modes on one wire in shared lanes, f_replay an F override and a replay,
+# two_replays two replay depths and two_trojans two RAM trojans, each in shared lanes
+CYCLE_KINDS = ("quiet", "f_over", "d_over", "same_wire", "f_replay", "replay", "two_replays",
+               "pads", "pins", "null", "ram", "two_trojans")
 MODES = ("flip", "stuck0", "stuck1")
+
+
+def twin_chips(built):
+    """Two fresh chips with built's netlists, codes and options."""
+    return [ProtectedChip(built.f, built.ocp, built.detection, built.h_logic, built.h_in,
+                          built.out_codes, built.lfsr_spec, built.t, built.options, built.h_mem)
+            for _ in range(2)]
 
 
 class TestClockReference:
@@ -873,12 +933,16 @@ class TestClockReference:
 
     @staticmethod
     def effects(kind, cycle, chip, rng, all_lanes):
-        """The (effect, lane mask) pairs one cycle of `kind` installs, each active at `cycle`."""
-        trigger = ("at_cycle", cycle)
+        """The (effect, lane mask) pairs one cycle of `kind` installs, all with one
+        trigger that fires at `cycle` (always, at or after it) or at random."""
+        trigger = rng.choice([("at_cycle", cycle), ("after_cycle", cycle), ("always",),
+                              ("random", rng.choice([0, 0.5, 1]))])
         lanes = rng.randint(1, all_lanes)
-        if kind == "replay":
-            return [(AttackEffect("decoupling_stored_state", trigger,
-                                  replay_depth=rng.randint(1, 3)), lanes)]
+        shared = rng.randint(1, all_lanes) | lanes & -lanes  # shares lanes' lowest lane
+        if kind in ("replay", "two_replays"):
+            depths = rng.sample(range(1, 4), 2)
+            return [(AttackEffect("decoupling_stored_state", trigger, replay_depth=depth), mask)
+                    for depth, mask in zip(depths, [lanes, shared][:1 + (kind == "two_replays")])]
         if kind == "pads":
             return [(AttackEffect("pin", trigger,
                                   output_flips=(rng.randrange(len(chip.f.outputs)),)), lanes)]
@@ -887,15 +951,16 @@ class TestClockReference:
                                   recv_flips=(rng.randrange(chip.r),)), lanes)]
         if kind == "null":
             return [(AttackEffect("decoupling_parity_null", trigger), lanes)]
-        if kind == "ram":
-            return [(AttackEffect("logic", trigger, ram_trojan=rng.choice(RAM_TROJANS)), lanes)]
+        if kind in ("ram", "two_trojans"):
+            rows = rng.sample(RAM_TROJANS, 2)
+            return [(AttackEffect("logic", trigger, ram_trojan=row), mask)
+                    for row, mask in zip(rows, [lanes, shared][:1 + (kind == "two_trojans")])]
         side = rng.choice("fd") if kind == "same_wire" else kind[0]
         net = chip.f if side == "f" else chip.resolved
         wire = rng.choice([*net.inputs, *(g.out for g in net.gates)])
         first, second = rng.sample(MODES, 2)
         pairs = [(AttackEffect("logic", trigger, **{f"{side}_overrides": {wire: first}}), lanes)]
         if kind == "same_wire":  # the later mode wins in the lanes the two share
-            shared = rng.randint(1, all_lanes) | lanes & -lanes
             pairs.append((AttackEffect("logic", trigger, **{f"{side}_overrides": {wire: second}}),
                           shared))
         if kind == "f_replay":
@@ -906,8 +971,9 @@ class TestClockReference:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32), r=st.integers(1, 3), ram=st.booleans(),
            stages=st.integers(0, 1), lanes=st.integers(1, 3),
-           kinds=st.lists(st.sampled_from(CYCLE_KINDS), min_size=4, max_size=24))
-    def test_matches_reference(self, seed, r, ram, stages, lanes, kinds):
+           kinds=st.lists(st.sampled_from(CYCLE_KINDS), min_size=4, max_size=24),
+           midrun=st.booleans())
+    def test_matches_reference(self, seed, r, ram, stages, lanes, kinds, midrun):
         rng = random.Random(seed)
         f = random_netlist(5, 16, 4, rng_seed=seed % 1000)
         options = ChipOptions(pipeline_stages=stages, ram_depth=8 if ram else None, ram_word_width=8)
@@ -915,20 +981,22 @@ class TestClockReference:
             built = build_protected_chip(f, r, 1, lfsr16(r), rng_seed=seed % 1000, options=options)
         except UnsatisfiableError:
             reject()  # no insertion met t on this draw, so there is no chip
-        chip, ref = [ProtectedChip(built.f, built.ocp, built.detection, built.h_logic, built.h_in,
-                                   built.out_codes, built.lfsr_spec, built.t, options, built.h_mem)
-                     for _ in range(2)]
+        chip, ref = twin_chips(built)
         seeds = [rng.getrandbits(32) for _ in range(lanes)]
         all_lanes = (1 << lanes) - 1
         for c in (chip, ref):
             c.reset(seeds if lanes > 1 else seeds[0])
-        for cycle, kind in enumerate(kinds):
-            if kind == "quiet" or (kind == "ram" and not ram):
-                continue
-            for effect, lane_mask in self.effects(kind, cycle, chip, rng, all_lanes):
+        # each cycle's attacks, installed all before the first cycle or each just before its own
+        arming = [[] if kind == "quiet" or (kind in ("ram", "two_trojans") and not ram)
+                  else self.effects(kind, cycle, chip, rng, all_lanes)
+                  for cycle, kind in enumerate(kinds)]
+        if not midrun:
+            arming = [[pair for pairs in arming for pair in pairs]] + [[]] * (len(kinds) - 1)
+        walk = ({}, {})
+        for cycle in range(len(kinds)):
+            for effect, lane_mask in arming[cycle]:
                 for c in (chip, ref):
                     c.install_attack(effect, lane_mask)
-        for cycle in range(len(kinds)):
             x = tuple(rng.getrandbits(lanes) for _ in f.inputs)
             rc = tuple(rng.getrandbits(lanes) for _ in range(r))
             ops = None
@@ -937,5 +1005,28 @@ class TestClockReference:
                                    ("write", rng.randrange(8), rng.randrange(256))])
                        for _ in range(lanes)]
                 ops = ops if lanes > 1 else ops[0]
-            assert chip.cycle(x, rc, ops) == reference_cycle(ref, x, rc, ops), (cycle, kinds[cycle])
+            assert chip.cycle(x, rc, ops) == reference_cycle(ref, walk, x, rc, ops), \
+                (cycle, kinds[cycle])
             assert registers(chip) == registers(ref), (cycle, kinds[cycle])
+
+    def test_later_install_keeps_engaged_captures(self, pipelined_ram_chip):
+        """A stored-state attack that has engaged replays the state it captured then,
+        also after more attacks are installed later in the run, one of them joining
+        its group."""
+        chip, ref = twin_chips(pipelined_ram_chip)
+        rng = random.Random(7)
+        replay = AttackEffect("decoupling_stored_state", ("after_cycle", 2), replay_depth=2)
+        for c in (chip, ref):
+            c.reset([11, 12, 13])
+            c.install_attack(replay, 0b001)
+        walk = ({}, {})
+        for cycle in range(10):
+            if cycle == 5:  # three cycles after the replay engaged in lane 0
+                for c in (chip, ref):
+                    c.install_attack(replay, 0b010)
+                    c.install_attack(AttackEffect("pin", input_flips=(0,)), 0b100)
+            x = tuple(rng.getrandbits(3) for _ in chip.f.inputs)
+            rc = tuple(rng.getrandbits(3) for _ in range(chip.r))
+            assert chip.cycle(x, rc) == reference_cycle(ref, walk, x, rc), cycle
+            assert registers(chip) == registers(ref), cycle
+        assert len(chip._armed[4]) == 2  # the second replay joined the first's group
