@@ -76,7 +76,7 @@ class AttackDescriptor:
 
 
 _TRIGGER_RE = re.compile(
-    r"^(always|at_cycle:\d+|after_cycle:\d+|random:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)$")
+    r"^(always|at_cycle:(?:\d+|-1)|after_cycle:\d+|random:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)$")
 
 
 def parse_attack_line(line: str) -> AttackDescriptor:
@@ -99,7 +99,7 @@ def parse_attack_line(line: str) -> AttackDescriptor:
     val = given.get("trigger", "always")
     mode, _, arg = val.partition(":")
     if not _TRIGGER_RE.match(val) or mode == "random" and float(arg) > 1.0:
-        raise ValueError(f"bad trigger {val!r}: expected always, at_cycle:N, "
+        raise ValueError(f"bad trigger {val!r}: expected always, at_cycle:N, at_cycle:-1, "
                          "after_cycle:N or random:P with 0 <= P <= 1")
     trigger = (mode, float(arg) if mode == "random" else int(arg)) if arg else (mode,)
     return AttackDescriptor(kind, given.get("target", "-"), trigger, payload)
@@ -368,7 +368,6 @@ def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[At
     `closed_loop` (None if it never reported).
     """
     n = len(trials)
-    chip.clear_attacks()
     chip.reset([session for _, session, _ in trials] * 2)
     for i, (_, _, effect) in enumerate(trials):
         if effect is not None:
@@ -388,7 +387,6 @@ def _run_lanes(chip: ProtectedChip, trials: Sequence[tuple[int, int, Optional[At
         fired |= new
         for j in lanes_of(new):
             first[j] = cyc
-    chip.clear_attacks()
     return first
 
 
@@ -623,7 +621,11 @@ def destructive_detection_probability(n: int, a: int, t: int) -> float:
 
 
 def simulate_destructive_sampling(n: int, a: int, t: int, trials: int, rng_seed: Rng = None) -> float:
-    """Monte Carlo oracle: draw t of n without replacement, count hits."""
+    """Monte Carlo oracle: draw t of n without replacement, count hits. Refuses trials < 1,
+    and n, a, t as destructive_detection_probability does, before any draw."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    destructive_detection_probability(n, a, t)  # for its refusals
     rng = as_rng(rng_seed)
     hits = 0
     population = list(range(n))

@@ -186,11 +186,10 @@ def check_trigger(trigger: tuple) -> None:
 
 
 class _Group:
-    """Installed attacks that apply as one: lane-disjoint, with one trigger and (for
-    stored-state attacks) one replay depth. It holds their pin, receiver and pad flip
-    masks by index (x, rc, pads), F's and D's fault fills by armed slot (f, d,
-    `fault_fills`), their RAM trojans by lane, their null lanes and one stored-state
-    capture."""
+    """Installed attacks that apply as one (`install_attack`): lane-disjoint, with one
+    trigger and (for stored-state attacks) one replay depth. It holds their pin, receiver
+    and pad flip masks by index (x, rc, pads), F's and D's fault fills by wire (f, d, which
+    install_attack fills), their RAM trojans by lane, their null lanes and one capture."""
 
     __slots__ = ("p", "first", "last", "lanes", "x", "rc", "pads", "f", "d", "trojans",
                  "null", "depth", "captured", "snapshot")
@@ -206,7 +205,7 @@ class _Group:
         self.captured = 0   # lanes whose stored-state snapshot has been taken
         self.snapshot = ()  # live detection inputs, each lane's from its engage cycle
 
-    def add(self, eff: AttackEffect, lanes: int, f_slots: dict, d_slots: dict) -> None:
+    def add(self, eff: AttackEffect, lanes: int) -> None:
         self.lanes |= lanes
         for i in eff.input_flips:
             self.x[i] = self.x.get(i, 0) ^ lanes
@@ -214,9 +213,6 @@ class _Group:
             self.rc[i] = self.rc.get(i, 0) ^ lanes
         for i in eff.output_flips:
             self.pads[i] = self.pads.get(i, 0) ^ lanes
-        if eff.f_overrides or eff.d_overrides:
-            fault_fills(self.f, f_slots, eff.f_overrides, lanes)
-            fault_fills(self.d, d_slots, eff.d_overrides, lanes)
         if eff.ram_trojan:
             self.trojans.update(dict.fromkeys(lanes_of(lanes), eff.ram_trojan))
         if eff.kind == "decoupling_parity_null":
@@ -291,8 +287,6 @@ class ProtectedChip:
         self.h_mem = h_mem
         self.resolved = apply_config(detection, detection.intended)
         self._cycle_fn: Optional[Callable] = None  # generated on the first cycle
-        self.attacks: list[tuple[AttackEffect, Optional[int]]] = []  # (effect, lanes or None)
-        self._armed: Optional[tuple] = None  # see _arm
         self.ram: Optional[ProtectedRam] = None  # lane 0's memory
         if h_mem is not None:
             self.ram = ProtectedRam(options.ram_depth, options.ram_word_width, code=h_mem)
@@ -309,7 +303,7 @@ class ProtectedChip:
         each lane its own memory (`rams[j]`, with `ram` lane 0's), all at the
         initial cells. The harness is trusted to hand the same initial values
         to whoever encodes this chip's input stream and decodes its output
-        stream.
+        stream. It ends the attack set (`clear_attacks`): an attack lives for one run.
         """
         seeds = list(session_seeds) if isinstance(session_seeds, (list, tuple)) else [session_seeds]
         if not seeds:
@@ -343,8 +337,7 @@ class ProtectedChip:
         self.cycle_count = 0
         self._history: deque = deque(maxlen=HISTORY_DEPTH)
         self._last_tx_checks: tuple[Bits, ...] = self.prev_out_checks
-        self._armed = None  # lanes=None reads the mask, and captures are per run
-        self._captures: list[tuple] = []  # each group's capture, kept over a later install
+        self.clear_attacks()
         # lane copies share the initial cells, so no check bits are recomputed
         self.rams = [] if self.ram is None else [self.ram, *(copy(self.ram) for _ in seeds[1:])]
         for ram in self.rams:
@@ -365,12 +358,16 @@ class ProtectedChip:
         self.initial_prev_in_check = tuple(prev_check)
 
     def install_attack(self, effect: AttackEffect, lanes: Optional[int] = None) -> None:
-        """Arm effect in the lanes of the `lanes` mask (default: every lane). Refused
-        here with a ValueError: a bad trigger (check_trigger) or override
-        (check_overrides), a pin, receiver or pad index out of range, a stored-state
-        replay depth outside [1, HISTORY_DEPTH], and a RAM trojan that is not in
-        RAM_TROJANS or that the chip has no RAM for."""
-        if lanes is not None and (lanes <= 0 or lanes & ~self.mask):
+        """Arm effect in the lanes of the `lanes` mask (default: every lane) until the next
+        `reset` or `clear_attacks`. Refused here with a ValueError: a bad trigger (check_trigger)
+        or override (check_overrides), a pin, receiver or pad index out of range, a stored-state
+        replay depth outside [1, HISTORY_DEPTH], and a RAM trojan that is not in RAM_TROJANS or
+        that the chip has no RAM for. The effect joins the latest `_Group` of its trigger (and
+        replay depth) if its lanes miss those of every earlier attack, else opens one, as a
+        random trigger always does; so the groups, in creation order, give each lane what the
+        attacks give in install order. No group is rebuilt, so its capture outlives installs."""
+        lanes = self.mask if lanes is None else lanes
+        if lanes <= 0 or lanes & ~self.mask:
             raise ValueError(f"lane mask {lanes:#x} is not a nonempty subset of {self.mask:#x}")
         check_trigger(effect.trigger)
         self.f.check_overrides(effect.f_overrides)
@@ -380,52 +377,41 @@ class ProtectedChip:
             for i in getattr(effect, name):
                 if type(i) is not int or not 0 <= i < size:
                     raise ValueError(f"{name}: index {i!r} is outside range({size})")
-        depth = effect.replay_depth
-        if effect.kind == "decoupling_stored_state" and not 1 <= depth <= HISTORY_DEPTH:
-            raise ValueError(f"replay_depth: {depth!r} is outside [1, {HISTORY_DEPTH}]")
+        stored = effect.kind == "decoupling_stored_state"
+        key = (effect.trigger, effect.replay_depth if stored else 0)  # the attack's group key
+        if stored and not 1 <= key[1] <= HISTORY_DEPTH:
+            raise ValueError(f"replay_depth: {key[1]!r} is outside [1, {HISTORY_DEPTH}]")
         trojan = effect.ram_trojan
         if trojan is not None and (self.ram is None or trojan not in RAM_TROJANS):
             raise ValueError(f"ram_trojan {trojan!r}: " + ("the chip has no RAM" if self.ram is None
                              else f"expected one of {', '.join(RAM_TROJANS)}"))
+        group = None if lanes & self._seen or effect.trigger[0] == "random" else self._latest.get(key)
+        if group is None:
+            group = self._latest[key] = _Group(effect, key[1])
+            self._groups.append(group)
+        group.add(effect, lanes)
+        self._seen |= lanes
         self.attacks.append((effect, lanes))
-        if self._armed:  # earlier attacks group as they did, so their groups keep captures
-            self._captures = [(g.captured, g.snapshot) for g in self._armed[4]]
-        self._armed = None
+        if effect.f_overrides or effect.d_overrides:  # a new wire needs new armed steps
+            fault_fills(group.f, effect.f_overrides, lanes)
+            fault_fills(group.d, effect.d_overrides, lanes)
+            self._armed = None
 
-    def clear_attacks(self) -> None:
-        self.attacks = []
-        self._armed = None
-        self._captures = []
+    def clear_attacks(self) -> None:  # ends the attack set
+        self.attacks: list[tuple[AttackEffect, int]] = []  # (effect, lanes), in install order
+        self._groups: list[_Group] = []  # in creation order
+        self._latest: dict[tuple, _Group] = {}  # (trigger, replay depth) -> its latest group
+        self._seen = 0  # lanes of the attacks installed so far
+        self._armed: Optional[tuple] = None  # see _arm
 
     def _arm(self) -> tuple:
-        """(F step, F slots, D step, D slots, groups), kept until the attacks change or a
-        reset: each netlist's fault step slotted on the wires the attacks override (or
-        None, {}), and the attacks as `_Group`s. An attack joins the latest group of its
-        trigger (and replay depth) if its lanes miss those of every attack installed
-        before it, so the groups, in creation order, give each lane what the attacks give
-        in install order. A random trigger never joins. Lanes outside the mask raise."""
-        mask = self.mask
+        """(F step, F slots, D step, D slots): each netlist's fault step slotted on the wires
+        the attacks override (or None, {}), kept until an override is installed or the set ends."""
         armed: list = []
         for net, key in ((self.f, "f_overrides"), (self.resolved, "d_overrides")):
             wires = frozenset(w for eff, _ in self.attacks for w in getattr(eff, key))
             armed += net.fault_step_fn(wires) if wires else (None, {})
-        groups: list[_Group] = []
-        latest: dict[tuple, _Group] = {}  # (trigger, replay depth) -> its latest group
-        seen = 0  # lanes of the attacks grouped so far
-        for eff, lanes in self.attacks:
-            lanes = mask if lanes is None else lanes
-            if lanes & ~mask:
-                raise ValueError(f"attack lanes {lanes:#x} lie outside mask {mask:#x}")
-            key = (eff.trigger, eff.replay_depth if eff.kind == "decoupling_stored_state" else 0)
-            group = None if lanes & seen or eff.trigger[0] == "random" else latest.get(key)
-            if group is None:
-                group = latest[key] = _Group(eff, key[1])
-                groups.append(group)
-            group.add(eff, lanes, armed[1], armed[3])
-            seen |= lanes
-        for g, (captured, snapshot) in zip(groups, self._captures):
-            g.captured, g.snapshot = captured, snapshot
-        self._armed = (*armed, groups)
+        self._armed = tuple(armed)
         return self._armed
 
     # per-cycle dataflow ------------------------------------------------------------
@@ -449,7 +435,7 @@ class ProtectedChip:
         return step(self, inputs, recv_check, ram_op)
 
     def _attack_data(self, inputs: Sequence[int], recv_check: Sequence[int]) -> tuple:
-        """This cycle's active attack groups (`_arm`) as data for the clock function.
+        """This cycle's active attack groups (`install_attack`) as data for the clock function.
 
         Returns the inputs and received check bits with pin flips applied,
         F's and D's fault vectors for their armed steps (None without an
@@ -458,7 +444,7 @@ class ProtectedChip:
         outputs, and per output pad its flip mask (None if no pad flips).
         Only a random group is asked (`_Group.triggered`) which lanes it fires in.
         """
-        _, f_slots, _, d_slots, groups = self._armed or self._arm()
+        _, f_slots, _, d_slots = self._armed or self._arm()
         x = list(inputs)
         rc = list(recv_check)
         fv = dv = pads = None
@@ -466,7 +452,7 @@ class ProtectedChip:
         replay = null = 0  # lanes replaying a stored state / nulling parity
         stored = []  # (lanes, snapshot) each active stored-state group replays
         cycle = self.cycle_count
-        for g in groups:
+        for g in self._groups:
             if g.p is not None:
                 on = g.triggered(self._lane_rng)
                 if not on:
@@ -484,9 +470,9 @@ class ProtectedChip:
                 for i, flip in g.pads.items():
                     pads[i] ^= flip & on
             if g.f:
-                fv = fault_vectors(fv, len(f_slots), g.f, on)
+                fv = fault_vectors(fv, f_slots, g.f, on)
             if g.d:
-                dv = fault_vectors(dv, len(d_slots), g.d, on)
+                dv = fault_vectors(dv, d_slots, g.d, on)
             if g.trojans:
                 trojans.update((j, trojan) for j, trojan in g.trojans.items() if on >> j & 1)
             null |= g.null & on

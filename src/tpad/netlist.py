@@ -424,26 +424,24 @@ def inline_step(
 _FAULTS = {"flip": (-1, -1), "stuck0": (0, 0), "stuck1": (0, -1)}  # mode -> (a, b) in its lanes
 
 
-def fault_fills(fills: dict, slots: dict[int, int], overrides: dict[int, str],
-                lanes: int) -> dict[int, tuple[int, int, int]]:
-    """fills ({slot: (lanes, a, b)} for a step slotted as `slots`) with each override's
-    mode added in `lanes` of its wire's slot, lanes that must be new to that slot."""
+def fault_fills(fills: dict, overrides: dict[int, str], lanes: int) -> dict[int, tuple[int, int, int]]:
+    """fills ({wire: (lanes, a, b)}, for any step slotted on those wires) with each
+    override's mode added in `lanes` of its wire, lanes that must be new to that wire."""
     for w, mode in overrides.items():
         fa, fb = _FAULTS[mode]
-        k = slots[w]
-        filled, a, b = fills.get(k, (0, 0, 0))
-        fills[k] = (filled | lanes, a | fa & lanes, b | fb & lanes)
+        filled, a, b = fills.get(w, (0, 0, 0))
+        fills[w] = (filled | lanes, a | fa & lanes, b | fb & lanes)
     return fills
 
 
-def fault_vectors(vectors: Optional[tuple], n: int, fills: dict[int, tuple[int, int, int]],
-                  on: int = -1) -> tuple[list[int], list[int]]:
-    """Fault vectors (a, b) for n slots: `vectors`, or all clear if None, with each
-    fill's modes set in those of its lanes that lie in `on`, so the last mode set
-    on a slot wins. The vectors passed in are updated in place."""
-    a, b = vectors or ([-1] * n, [0] * n)
-    for k, (lanes, fa, fb) in fills.items():
-        lanes &= on
+def fault_vectors(vectors: Optional[tuple], slots: dict[int, int],
+                  fills: dict[int, tuple[int, int, int]], on: int = -1) -> tuple[list[int], list[int]]:
+    """Fault vectors (a, b) for a step slotted as `slots`: `vectors` (updated in place),
+    or all clear if None, with each fill's modes set at its wire's slot in those of its
+    lanes that lie in `on`, so the last mode set on a wire wins."""
+    a, b = vectors or ([-1] * len(slots), [0] * len(slots))
+    for w, (lanes, fa, fb) in fills.items():
+        k, lanes = slots[w], lanes & on
         a[k] = a[k] & ~lanes | fa & lanes
         b[k] = b[k] & ~lanes | fb & lanes
     return a, b
@@ -471,7 +469,7 @@ def eval_wires(
     overrides = overrides or {}
     net.check_overrides(overrides)
     step, slots = net.fault_step_fn(net.wires)
-    a, b = fault_vectors(None, len(slots), fault_fills({}, slots, overrides, mask))
+    a, b = fault_vectors(None, slots, fault_fills({}, overrides, mask))
     return step(inputs, state, a, b, mask)
 
 

@@ -148,7 +148,6 @@ def run_system(
     chips = topology.chips
     session = rng.getrandbits(64)
     for i, chip in enumerate(chips):
-        chip.clear_attacks()
         chip.reset(session * 1000003 + i)
     for idx, atk in attacks:
         chips[idx].install_attack(compile_attack(chips[idx], atk, rng, cycles))

@@ -67,6 +67,7 @@ DESCRIPTORS = st.builds(
     ),
     st.one_of(
         st.just(("always",)),
+        st.just(("at_cycle", -1)),
         st.tuples(st.sampled_from(["at_cycle", "after_cycle"]), st.integers(0, 10**9)),
         st.tuples(st.just("random"), st.floats(0.0, 1.0)),
     ),
@@ -102,6 +103,13 @@ class TestDescriptors:
     def test_bad_trigger_rejected(self):
         with pytest.raises(ValueError):
             parse_attack_line("pin flip target=input:0 trigger=sometimes")
+
+    def test_drawn_cycle_round_trips_and_no_other_negative_cycle(self):
+        atk = uniform_output_flip_attacks()(None)
+        assert parse_attack_line(str(atk)) == atk and atk.trigger == ("at_cycle", -1)
+        for token in ("at_cycle:-2", "at_cycle:-0", "after_cycle:-1"):
+            with pytest.raises(ValueError, match=f"^bad trigger '{token}'"):
+                parse_attack_line(f"logic flip target=fout:0 trigger={token}")
 
     @pytest.mark.parametrize("token", ["random:7", "random:-.5", "random:1e"])
     def test_bad_probability_names_line_and_token(self, token):
@@ -896,3 +904,18 @@ class TestDestructiveSampling:
             destructive_detection_probability(10, 11, 0)
         with pytest.raises(ValueError):
             destructive_detection_probability(10, 1, 11)
+
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_simulation_refuses_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            simulate_destructive_sampling(10, 1, 2, trials)
+
+    @pytest.mark.parametrize("n, a, t", [(-1, 0, 0), (10, 11, 0), (10, -1, 0), (10, 1, 11),
+                                         (10, 1, -1)])
+    def test_simulation_refuses_what_the_formula_refuses(self, n, a, t):
+        """Refused with the formula's message before any draw."""
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=re.escape("need 0 <= a <= n and 0 <= t <= n")):
+            simulate_destructive_sampling(n, a, t, 100, rng_seed=rng)
+        assert rng.getstate() == state

@@ -501,16 +501,30 @@ class TestChipAttacks:
         chip.cycle((0, 0, 0), chip.prev_in_check)
         chip.clear_attacks()
 
-    def test_lanes_outside_mask_refused_before_evaluation(self, adder_chip):
-        chip = adder_chip
-        chip.clear_attacks()
+    def test_reset_ends_the_attack_set(self, adder_chip):
+        """An attack lives for one run: after reset it is gone, also from a lane the
+        new run lacks, and the next cycle is a never-attacked twin's."""
+        chip, twin = twin_chips(adder_chip)
         chip.reset([1, 2, 3])
         chip.install_attack(AttackEffect("logic", f_overrides={chip.f.outputs[0]: "flip"}), 0b100)
-        chip.reset([1, 2])  # the attack's lane is gone
-        with pytest.raises(ValueError, match="attack lanes 0x4 lie outside mask 0x3"):
-            chip.cycle((0, 0, 0), chip.prev_in_check)
-        assert chip.cycle_count == 0 and not chip._history
-        chip.clear_attacks()
+        chip.reset([1, 2])
+        twin.reset([1, 2])
+        assert chip.attacks == []
+        x, rc = (1, 2, 3), chip.prev_in_check
+        assert chip.cycle(x, rc) == twin.cycle(x, rc)
+        assert registers(chip) == registers(twin)
+
+    def test_attack_installed_before_reset_never_fires(self, adder_chip):
+        """A pin flip installed before reset(seed) is not armed in the run reset starts,
+        though in the run it was installed in it reports on every cycle."""
+        chip = twin_chips(adder_chip)[0]
+        rng = random.Random(9)
+        stimulus = [(tuple(rng.getrandbits(1) for _ in chip.f.inputs), None) for _ in range(20)]
+        chip.reset(9)
+        chip.install_attack(AttackEffect("pin", trigger=("always",), input_flips=(0,)))
+        assert [bad for _, bad in closed_loop(chip, stimulus)] == [1] * 20
+        chip.reset(9)
+        assert [bad for _, bad in closed_loop(chip, stimulus)] == [0] * 20
 
 
 class TestBundle:
@@ -1019,6 +1033,7 @@ class TestClockReference:
         for c in (chip, ref):
             c.reset([11, 12, 13])
             c.install_attack(replay, 0b001)
+        first = chip._groups[0]
         walk = ({}, {})
         for cycle in range(10):
             if cycle == 5:  # three cycles after the replay engaged in lane 0
@@ -1029,4 +1044,5 @@ class TestClockReference:
             rc = tuple(rng.getrandbits(3) for _ in range(chip.r))
             assert chip.cycle(x, rc) == reference_cycle(ref, walk, x, rc), cycle
             assert registers(chip) == registers(ref), cycle
-        assert len(chip._armed[4]) == 2  # the second replay joined the first's group
+        # the second replay joined the first's group, which no install rebuilt
+        assert len(chip._groups) == 2 and chip._groups[0] is first
