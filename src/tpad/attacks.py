@@ -169,6 +169,9 @@ def _plan_attack(chip: ProtectedChip, atk: AttackDescriptor,
                  cycles: int) -> Callable[[random.Random], AttackEffect]:
     kind, target, payload, trigger = atk.kind, atk.target, atk.payload, atk.trigger
     prefix, _, arg = target.partition(":")
+    drawn = trigger == ("at_cycle", -1)
+    if drawn:  # cycle 0 stands in for the drawn cycle, which lies in range(cycles)
+        trigger = ("at_cycle", 0)
     check_trigger(trigger)
     if target in _WILDCARDS:
         only, form, expected = _WILDCARDS[target]
@@ -176,9 +179,6 @@ def _plan_attack(chip: ProtectedChip, atk: AttackDescriptor,
             raise ValueError(f"payload {payload!r}: target {target} takes {expected}")
         if kind != only:
             raise ValueError(f"kind {kind!r}: target {target} takes only {only} attacks")
-    drawn = trigger == ("at_cycle", -1)
-    if drawn:  # cycle 0 stands in for the drawn cycle, which lies in range(cycles)
-        trigger = ("at_cycle", 0)
     if kind == "reliability":  # permanent from its (drawn) cycle on
         if trigger[0] == "random":
             raise ValueError(f"trigger 'random:{trigger[1]}': a reliability attack takes "

@@ -50,6 +50,7 @@ from .netlist import (  # noqa: F401
     fault_fills,
     fault_vectors,
     inline_step,
+    output_cone,
     parse_netlist,
     serialize_netlist,
 )
@@ -176,13 +177,15 @@ class AttackEffect:
 
 
 def check_trigger(trigger: tuple) -> None:
-    """Refuse (ValueError) a trigger the chip cannot run: an unknown mode, a missing
-    or extra argument, a cycle that is not an int, a probability outside [0, 1]."""
+    """Refuse (ValueError) a trigger the chip cannot run: an unknown mode, a missing or extra
+    argument, a cycle that is not an int, a probability outside [0, 1], a negative at_cycle."""
     mode, *args = trigger or ("",)
     arg = args[0] if len(args) == 1 else None
     if not (mode == "always" and not args or mode in ("at_cycle", "after_cycle") and type(arg) is int
             or mode == "random" and isinstance(arg, (int, float)) and 0 <= arg <= 1):
         raise ValueError(f"unknown trigger {trigger!r}")
+    if mode == "at_cycle" and arg < 0:
+        raise ValueError(f"trigger {trigger!r} fires on no cycle: at_cycle needs a cycle >= 0")
 
 
 class _Group:
@@ -533,14 +536,15 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     the error, input-decoder and output-check words, updates the chained
     check bits, advances the LFSR and hands the error signal to the chip's
     monitor. A netlist with a fault override this cycle runs its armed step
-    (`_arm`). On a quiet cycle (no overrides, no replay) the detection body
-    reads the function body's variable for every gate that repeats one of
-    its values (the OCP is a copy of f) and inlines its single-use
-    temporaries; with function overrides or a replay, the detection inputs
-    are not the function body's clean values, so the detection netlist
-    runs on its armed step, or without detection overrides its step_fn.
-    The registers are written after the RAM ops, so an op a RAM refuses
-    leaves them as they were.
+    (`_arm`) over every gate; otherwise the function body holds only f's
+    output cone (`output_cone`). On a quiet cycle (no overrides, no replay)
+    the detection body reads the function body's variable for every gate
+    that repeats one of its values (the OCP is a copy of f) and inlines its
+    single-use temporaries; with function overrides or a replay, the
+    detection inputs are not the function body's clean values, so the
+    detection netlist runs on its armed step, or without detection
+    overrides its step_fn. The registers are written after the RAM ops, so
+    an op a RAM refuses leaves them as they were.
     """
     f, d, r, spec = chip.f, chip.resolved, chip.r, chip.lfsr_spec
     m, k, n_sub = len(f.inputs), len(f.outputs), len(chip.out_codes)
@@ -561,8 +565,8 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
     d_in = dict(zip((*d.inputs, *(g.out for g in d._dffs)), (*packed, *ds)))
     d_out = list(zip(d.outputs, do))
     values: dict[tuple, str] = {}  # f's gate values, which a quiet detection body reads
-    f_lines, _, _ = inline_step(f._topo, (), dict(zip(f.inputs, x)), list(zip(f.outputs, fo)),
-                                "f", values)
+    f_lines, _, _ = inline_step(output_cone(f._topo, f.outputs), (), dict(zip(f.inputs, x)),
+                                list(zip(f.outputs, fo)), "f", values)
     q_lines, _, q_next = inline_step(d._topo, d._dffs, d_in, d_out, "d", values, inline=True)
     error, in_sig = do[:r], do[r:2 * r]
     checks = [do[i:i + r] for i in range(2 * r, len(do), r)]
@@ -611,7 +615,8 @@ def _compile_cycle(chip: ProtectedChip) -> Callable:
             "    if ops is ram_op:",
             "        ram_res, reports = chip._ram_lanes(ram_op, trojans)",
             "    else:",
-            "        ram_res = chip.ram.cycle(*ram_op, trojan=trojans.get(0) if trojans else None)",
+            "        ram_res = (chip.ram.cycle(*ram_op, trojan=trojans[0]) if trojans",
+            "                   else chip.ram.cycle(*ram_op))  # a trojan only by keyword",
             "        reports = ram_res.attack",
             "    if reports:",
             "        g0 = t0 ^ reports",

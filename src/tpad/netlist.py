@@ -124,6 +124,15 @@ def topo_order(nodes: Sequence, cycle_error: Callable) -> list:
     return order
 
 
+def output_cone(order: Sequence, roots: Iterable[int]) -> list:
+    """The nodes of a topological order whose outputs reach some root wire."""
+    live = set(roots)
+    for node in reversed(order):
+        if live.intersection(node.outs):
+            live.update(node.ins)
+    return [node for node in order if live.intersection(node.outs)]
+
+
 class Netlist:
     """Immutable single-driver gate graph with ordered input/output ports."""
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .netlist import Bits
@@ -52,6 +53,7 @@ TROJAN_ACTIONS = {
 }
 EXPECTED_SYMPTOM = {trojan: row[2] for trojan, row in TROJAN_ACTIONS.items()}
 RAM_TROJANS = tuple(TROJAN_ACTIONS)
+_OPS = (READ, WRITE, IDLE)
 
 
 def is_ram_depth(depth) -> bool:
@@ -90,6 +92,7 @@ class ProtectedRam:
         self.word_width = word_width
         self.addr_bits = depth.bit_length() - 1
         k = self.addr_bits + word_width
+        self._word_limit = 1 << word_width
         self.code = code
         if self.code.k != k:
             raise ValueError(f"memory code must cover {k} bits, has {self.code.k}")
@@ -136,7 +139,7 @@ class ProtectedRam:
         trojan: Optional[str] = None,
     ) -> RamCycleResult:
         """One requested op: the trojan's row picks the array's action; then the checker runs."""
-        if op not in (READ, WRITE, IDLE):
+        if op not in _OPS:
             raise ValueError(f"unknown op {op!r}")
         if trojan is not None and trojan not in RAM_TROJANS:
             raise ValueError(f"unknown trojan {trojan!r}")
@@ -147,11 +150,10 @@ class ProtectedRam:
             raise ValueError("address out of range")
         if op == WRITE and data_in is None:
             raise ValueError("write needs data_in")
-        if data_in is not None and not 0 <= data_in < (1 << self.word_width):
+        if data_in is not None and not 0 <= data_in < self._word_limit:
             raise ValueError("data word out of range")
 
-        prev_ram_out = self.ram_out
-        prev_data_out = self.data_out
+        prev_ram_out, prev_data_out = self.ram_out, self.data_out
 
         # a rogue action on an idle cycle uses address 0 and data 0 by default
         act, where = op, 0 if addr is None else addr
@@ -175,25 +177,21 @@ class ProtectedRam:
                 # a data upset after the write-through sample, caught on the next read
                 self.cells[where] = RamWord(data ^ 1, word.check)
 
-        out = self.ram_out
-        symptoms: list[str] = []
-        if op != IDLE:
-            if op == WRITE and out.data != data_in:
-                symptoms.append(IN_NEQ_OUT)
-            if self._check(addr, out.data) != out.check:
-                symptoms.append(CHECK_BITS_INCORRECT)
-            if op == READ and out.data != self.data_out:
-                symptoms.append(OUT_NEQ_DATAOUT)
+        out, latch = self.ram_out, self.data_out
+        if op != IDLE:  # a write compares RAM_In with RAM_Out, a read RAM_Out with Data_Out
+            bad_check = self._check(addr, out.data) != out.check
+            mismatch = out.data != (data_in if op == WRITE else latch)
+            if not (bad_check or mismatch):
+                return RamCycleResult(latch, False, ())
+            symptoms = tuple(compress((IN_NEQ_OUT, CHECK_BITS_INCORRECT, OUT_NEQ_DATAOUT),
+                                      (mismatch and op == WRITE, bad_check, mismatch and op == READ)))
         else:
             out_changed = out is not prev_ram_out and out != prev_ram_out
-            latch_changed = self.data_out != prev_data_out
-            if (out_changed or latch_changed) and out.data == self.data_out:
-                symptoms.append(IDLE_READ_ACTIVITY)
-            if out_changed and (data_in is not None and out.data == data_in):
-                symptoms.append(IDLE_WRITE_ACTIVITY)
-            elif out_changed and not symptoms:
-                # any unexpected idle activity is an attack even if it matches
-                # neither signature exactly
-                symptoms.append(IDLE_WRITE_ACTIVITY)
-
-        return RamCycleResult(self.data_out, bool(symptoms), tuple(symptoms))
+            if not out_changed and latch == prev_data_out:
+                return RamCycleResult(latch, False, ())  # nothing moved
+            read_activity = out.data == latch
+            # unexpected idle activity is an attack even if it matches neither signature
+            write_activity = out_changed and (data_in is not None and out.data == data_in or not read_activity)
+            symptoms = tuple(compress((IDLE_READ_ACTIVITY, IDLE_WRITE_ACTIVITY),
+                                      (read_activity, write_activity)))
+        return RamCycleResult(latch, bool(symptoms), symptoms)

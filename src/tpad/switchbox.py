@@ -35,6 +35,7 @@ from .netlist import (
     compare_steps,
     format_text,
     input_patterns,
+    output_cone,
     parse_text,
     stable_names,
     text_lines,
@@ -522,11 +523,7 @@ class _ToggleCheck:
                     x, y = y, x
                 order += [Gate(z, "BUF", (x,)), Gate(w, "BUF", (y,))]
         dffs = [work.gate(o) for o in work.dffs]
-        live = {*work.outputs, *(g.ins[0] for g in dffs)}  # the wires a compare reads
-        for node in reversed(order):
-            if live.intersection(node.outs):
-                live.update(node.ins)
-        order = [node for node in order if live.intersection(node.outs)]
+        order = output_cone(order, {*work.outputs, *(g.ins[0] for g in dffs)})  # what a compare reads
         driven = {w for node in (*order, *dffs) for w in node.outs}
         read = {w for node in (*order, *dffs) for w in node.ins}
         inputs = sorted(read.union(work.outputs) - driven)

@@ -475,7 +475,7 @@ class TestCompileDraws:
 
     @pytest.mark.parametrize("kind,trigger,payload", [
         ("logic", ("at_cycle", 8), "flip"), ("logic", ("at_cycle", 120), "flip"),
-        ("logic", ("at_cycle", -2), "flip"), ("logic", ("after_cycle", 8), "flip"),
+        ("logic", ("after_cycle", 8), "flip"),
         ("reliability", ("at_cycle", 8), "stuck0"), ("reliability", ("after_cycle", 9), "stuck1"),
     ])
     def test_trigger_that_cannot_fire_refused(self, wide_chip, kind, trigger, payload):
@@ -484,6 +484,14 @@ class TestCompileDraws:
         shown = ":".join(map(str, trigger))
         with pytest.raises(ValueError, match=f"^attack {re.escape(repr(str(atk)))}: trigger "
                                              f"'{shown}': fires on no cycle of a run of 8 cycles$"):
+            compile_attack(wide_chip, atk, random.Random(0), 8)
+
+    @pytest.mark.parametrize("kind", ["logic", "reliability"])
+    def test_negative_cycle_refused_by_check_trigger(self, wide_chip, kind):
+        """Only at_cycle:-1 is drawn; the plan checks the trigger after that stands in."""
+        atk = AttackDescriptor(kind, "fout:0", ("at_cycle", -2), "stuck0")
+        with pytest.raises(ValueError, match=re.escape(
+                f"attack '{atk}': trigger ('at_cycle', -2) fires on no cycle")):
             compile_attack(wide_chip, atk, random.Random(0), 8)
 
     def test_decoupling_trigger_that_cannot_fire_refused(self, wide_chip):

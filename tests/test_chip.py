@@ -1,5 +1,6 @@
 import hashlib
 import json
+import linecache
 import random
 import re
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import tpad.attacks
 from tpad import chip as chip_module
-from tpad.attacks import AttackDescriptor, run_campaign
+from tpad.attacks import AttackDescriptor, compile_attack, run_campaign
 from tpad.chip import (
     AttackEffect,
     ChipCycleResult,
@@ -27,8 +28,8 @@ from tpad.chip import (
 from tpad.cli import main
 from tpad.lanes import select
 from tpad.lfsr import ZeroStateError, step_lfsr
-from tpad.netlist import (Gate, WidthError, eval_wires, parse_netlist, parse_text, random_netlist,
-                          serialize_netlist)
+from tpad.netlist import (Gate, WidthError, eval_wires, output_cone, parse_netlist, parse_text,
+                          random_netlist, serialize_netlist)
 from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
 from tpad.switchbox import UnsatisfiableError, serialize_obfuscated
@@ -491,8 +492,19 @@ class TestChipAttacks:
             chip.install_attack(bad)
         assert chip.attacks == [] and chip.cycle_count == 0
 
+    def test_negative_at_cycle_refused_at_install(self, adder_chip):
+        """It would never fire (after_cycle:-3 fires from the first cycle and installs)."""
+        chip = adder_chip
+        chip.clear_attacks()
+        chip.reset(14)
+        bad = AttackEffect("pin", trigger=("at_cycle", -3), input_flips=(0,))
+        with pytest.raises(ValueError, match=re.escape("trigger ('at_cycle', -3) fires on no cycle")):
+            chip.install_attack(bad)
+        assert chip.attacks == [] and chip.cycle_count == 0
+
     @pytest.mark.parametrize("trigger", [("always",), ("at_cycle", 0), ("after_cycle", 3),
-                                         ("random", 0), ("random", 1), ("random", 0.5)])
+                                         ("after_cycle", -3), ("random", 0), ("random", 1),
+                                         ("random", 0.5)])
     def test_good_trigger_installs(self, adder_chip, trigger):
         chip = adder_chip
         chip.clear_attacks()
@@ -939,6 +951,60 @@ def twin_chips(built):
     return [ProtectedChip(built.f, built.ocp, built.detection, built.h_logic, built.h_in,
                           built.out_codes, built.lfsr_spec, built.t, built.options, built.h_mem)
             for _ in range(2)]
+
+
+@pytest.fixture(scope="module")
+def wide_ram_chip():
+    """The benchmark's wide chip: 10 inputs, 48 gates, 16 outputs, a 64-word RAM."""
+    f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
+    return build_protected_chip(f, 3, 2, lfsr16(3), rng_seed=33,
+                                options=ChipOptions(pipeline_stages=1, ram_depth=64))
+
+
+class TestClockCone:
+    """A quiet cycle computes only f's output cone; an attacked one runs the armed
+    all-gate step, so an override on a gate outside the cone still installs and runs."""
+
+    @staticmethod
+    def dead_wires(chip):
+        cone = {g.out for g in output_cone(chip.f._topo, chip.f.outputs)}
+        return [g.out for g in chip.f.gates if g.out not in cone]
+
+    def test_quiet_body_skips_gates_outside_the_cone(self, wide_ram_chip):
+        chip = twin_chips(wide_ram_chip)[0]
+        dead = self.dead_wires(chip)
+        assert len(dead) == 16
+        chip.reset(1)
+        chip.cycle((0,) * len(chip.f.inputs), chip.prev_in_check)  # compiles the clock
+        source = "".join(linecache.getlines(chip._cycle_fn.__code__.co_filename))
+        # a gate's variable is f<wire>, or fo<j> for the gate that drives output j
+        assigned = set(re.findall(r"^ +f(\d+) = ", source, re.M))
+        inner = {g.out for g in chip.f.gates} - set(dead) - set(chip.f.outputs)
+        assert {int(w) for w in assigned} == inner
+        assert not any(re.search(rf"\bf{w}\b", source) for w in dead)
+
+    def test_dead_gate_flip_runs_through_the_armed_step(self, wide_ram_chip):
+        chip, twin = twin_chips(wide_ram_chip)
+        rng = random.Random(4)
+        stimulus = [(tuple(rng.getrandbits(1) for _ in range(10)), chip.ram.random_op(rng))
+                    for _ in range(40)]
+        for seed, w in enumerate(self.dead_wires(chip)):
+            atk = AttackDescriptor("logic", f"fgate:{chip.f.wire_name(w)}", ("always",), "flip")
+            for c in (chip, twin):
+                c.reset(seed)
+            chip.install_attack(compile_attack(chip, atk, random.Random(0), 40))
+            runs = []
+
+            def arm(chip=chip):  # the armed F step, counting its runs
+                step, *rest = ProtectedChip._arm(chip)
+                chip._armed = (lambda *args: runs.append(1) or step(*args), *rest)
+                return chip._armed
+            chip._arm = arm
+            got = list(closed_loop(chip, stimulus))
+            assert w in chip._armed[1] and len(runs) == len(stimulus)
+            assert got == list(closed_loop(twin, stimulus))
+            assert not any(report for _, report in got)
+            assert registers(chip) == registers(twin)
 
 
 class TestClockReference:

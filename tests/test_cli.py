@@ -215,6 +215,19 @@ def test_trigger_on_the_last_cycle_runs(host_bundle, tmp_path, capsys, lane_runs
     assert capsys.readouterr().out.splitlines()[1:3] == ["0,logic,1,7", "1,logic,1,7"]
 
 
+def test_drawn_trigger_runs(host_bundle, tmp_path, capsys, lane_runs):
+    """at_cycle:-1 draws each trial's cycle in range(--cycles), and the attack plans."""
+    atks = tmp_path / "atks.txt"
+    atks.write_text("logic flip target=fout:0 trigger=at_cycle:-1\n")
+    assert main(["attack", "--chip", str(host_bundle), "--attacks", str(atks),
+                 "--trials", "50", "--cycles", "8"]) == 0
+    assert len(lane_runs) == 1
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    # a single flipped output is detected on the cycle it is flipped
+    cycles = [int(cycle) for _, kind, detected, cycle in rows if kind == "logic" and detected == "1"]
+    assert len(cycles) == 50 and set(cycles) <= set(range(8)) and len(set(cycles)) > 1
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_attack_trials_below_one_exit_2(host_bundle, tmp_path, capsys, monkeypatch, trials):
     atks = tmp_path / "atks.txt"

@@ -102,14 +102,16 @@ def test_dropped_region_steps_leave_linecache():
 
 
 # sha256 of the generated source: the union step's as recorded before the
-# kernels were named, the clocks' as recorded when attacked cycles started
-# running armed-slot fault steps,
+# kernels were named, the adder clock's as recorded when attacked cycles
+# started running armed-slot fault steps, the RAM clock's as recorded when the
+# quiet function body kept only f's output cone and a one-lane RAM op without
+# a trojan stopped passing one,
 # the full adder's step as recorded before every step's statements came from
 # inline_step, and its fault step as recorded when every step started
 # unpacking its inputs and state whole
 SOURCE_SHA256 = {
     "adder clock": "bee4e24dc3b6efb37577ba791a504f3e4002aa153beb22de992d2d008858bab7",
-    "ram clock": "63abef353270df851167bb891b14dc98856aabe6e4f601444883b57ad4c16d1c",
+    "ram clock": "ff32b2123737a65cec0b989ef4b91c640536581af24196493952498fd3633944",
     "union step": "fbefa44fec6fb7e66f57b13688c5b2efe81b810d4c0ee46b183384d5da4b6d00",
     "step": "7a8f014ea789f985e507a3dff135e30886e500c5ba332d9259eca483ba4cbbb5",
     "fault step": "8f1180287887d5a0f20ede67c89e32d26463fe0019181dcca38b3c571e762135",

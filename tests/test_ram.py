@@ -2,12 +2,16 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpad.parity import ParityCheckMatrix, sample_parity_code
 from tpad.ram import (
     CHECK_BITS_INCORRECT,
     EXPECTED_SYMPTOM,
     IDLE,
+    IDLE_READ_ACTIVITY,
+    IDLE_WRITE_ACTIVITY,
     IN_NEQ_OUT,
     OUT_NEQ_DATAOUT,
     RAM_TROJANS,
@@ -15,6 +19,7 @@ from tpad.ram import (
     TROJAN_ACTIONS,
     WRITE,
     ProtectedRam,
+    RamCycleResult,
     RamWord,
 )
 
@@ -250,3 +255,100 @@ FUZZ_GOLDEN = {
 @pytest.mark.parametrize("geometry", sorted(FUZZ_GOLDEN))
 def test_fuzzed_cycles_match_golden(geometry):
     assert _fuzz_digest(*geometry) == FUZZ_GOLDEN[geometry]
+
+
+class _OracleRam(ProtectedRam):
+    """ProtectedRam with cycle as it was written before its checker dropped the symptom
+    list: refusals, action and checker in one pass. The one RAM op path must agree."""
+
+    def cycle(self, op, addr=None, data_in=None, trojan=None):
+        if op not in (READ, WRITE, IDLE):
+            raise ValueError(f"unknown op {op!r}")
+        if trojan is not None and trojan not in RAM_TROJANS:
+            raise ValueError(f"unknown trojan {trojan!r}")
+        if addr is None:
+            if op != IDLE:
+                raise ValueError("address out of range")
+        elif not 0 <= addr < self.depth:
+            raise ValueError("address out of range")
+        if op == WRITE and data_in is None:
+            raise ValueError("write needs data_in")
+        if data_in is not None and not 0 <= data_in < (1 << self.word_width):
+            raise ValueError("data word out of range")
+
+        prev_ram_out = self.ram_out
+        prev_data_out = self.data_out
+
+        act, where = op, 0 if addr is None else addr
+        if trojan is not None and TROJAN_ACTIONS[trojan][0] == op:
+            act = TROJAN_ACTIONS[trojan][1]
+            if trojan.endswith("_wrong_address"):
+                where ^= 1
+        else:
+            trojan = None
+        if act == READ:
+            word = self.cells[where]
+            if trojan == "read_wrong_data":
+                word = RamWord(word.data ^ 1, word.check)
+            self.ram_out = word
+            self.data_out = word.data
+        elif act == WRITE:
+            data = 0 if data_in is None else data_in
+            word = RamWord(data, self._check(where, data))
+            self.cells[where] = self.ram_out = word
+            if trojan == "write_wrong_data":
+                self.cells[where] = RamWord(data ^ 1, word.check)
+
+        out = self.ram_out
+        symptoms = []
+        if op != IDLE:
+            if op == WRITE and out.data != data_in:
+                symptoms.append(IN_NEQ_OUT)
+            if self._check(addr, out.data) != out.check:
+                symptoms.append(CHECK_BITS_INCORRECT)
+            if op == READ and out.data != self.data_out:
+                symptoms.append(OUT_NEQ_DATAOUT)
+        else:
+            out_changed = out is not prev_ram_out and out != prev_ram_out
+            latch_changed = self.data_out != prev_data_out
+            if (out_changed or latch_changed) and out.data == self.data_out:
+                symptoms.append(IDLE_READ_ACTIVITY)
+            if out_changed and (data_in is not None and out.data == data_in):
+                symptoms.append(IDLE_WRITE_ACTIVITY)
+            elif out_changed and not symptoms:
+                symptoms.append(IDLE_WRITE_ACTIVITY)
+
+        return RamCycleResult(self.data_out, bool(symptoms), tuple(symptoms))
+
+
+def _outcome(ram, op):
+    """The result's fields, or the refusal's type and message."""
+    try:
+        res = ram.cycle(*op[:3], trojan=op[3])
+    except Exception as e:  # its type and message are part of the outcome
+        return type(e), str(e)
+    return res.data_out, res.attack, res.symptoms
+
+
+@st.composite
+def _ram_ops(draw, depth, width):
+    """(op, addr, data_in, trojan): any op, trojan row or None, with addresses and
+    words in and out of range, and an unknown op or trojan now and then."""
+    op = draw(st.sampled_from([READ, WRITE, IDLE, "erase"]))
+    addr = draw(st.sampled_from([None, -1, depth, *range(depth)]))
+    data = draw(st.sampled_from([None, -1, 1 << width, *range(1 << width)]))
+    trojan = draw(st.sampled_from([None, "read_everything", *RAM_TROJANS]))
+    return op, addr, data, trojan
+
+
+class TestOneOpPath:
+    @pytest.mark.parametrize("depth,width,r", [(2, 1, 2), (8, 3, 3)])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, depth, width, r, data):
+        code = sample_parity_code(depth.bit_length() - 1 + width, r, depth + width)
+        ram, oracle = ProtectedRam(depth, width, code=code), _OracleRam(depth, width, code=code)
+        for op in data.draw(st.lists(_ram_ops(depth, width), min_size=10, max_size=60), label="ops"):
+            assert _outcome(ram, op) == _outcome(oracle, op), op
+            assert ram.cells == oracle.cells
+            assert (ram.ram_out, ram.data_out) == (oracle.ram_out, oracle.data_out)
