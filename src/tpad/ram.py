@@ -146,14 +146,15 @@ class ProtectedRam:
         if addr is None:
             if op != IDLE:
                 raise ValueError("address out of range")
-        elif not 0 <= addr < self.depth:
+        elif type(addr) is not int or not 0 <= addr < self.depth:  # a bool or float is no address
             raise ValueError("address out of range")
-        if op == WRITE and data_in is None:
-            raise ValueError("write needs data_in")
-        if data_in is not None and not 0 <= data_in < self._word_limit:
+        if data_in is None:
+            if op == WRITE:
+                raise ValueError("write needs data_in")
+        elif type(data_in) is not int or not 0 <= data_in < self._word_limit:
             raise ValueError("data word out of range")
 
-        prev_ram_out, prev_data_out = self.ram_out, self.data_out
+        prev = (self.ram_out, self.data_out) if op == IDLE else None  # what an idle cycle compares
 
         # a rogue action on an idle cycle uses address 0 and data 0 by default
         act, where = op, 0 if addr is None else addr
@@ -186,8 +187,8 @@ class ProtectedRam:
             symptoms = tuple(compress((IN_NEQ_OUT, CHECK_BITS_INCORRECT, OUT_NEQ_DATAOUT),
                                       (mismatch and op == WRITE, bad_check, mismatch and op == READ)))
         else:
-            out_changed = out is not prev_ram_out and out != prev_ram_out
-            if not out_changed and latch == prev_data_out:
+            out_changed = out is not prev[0] and out != prev[0]
+            if not out_changed and latch == prev[1]:
                 return RamCycleResult(latch, False, ())  # nothing moved
             read_activity = out.data == latch
             # unexpected idle activity is an attack even if it matches neither signature

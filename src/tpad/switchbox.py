@@ -6,10 +6,11 @@ disjoint radius-1 gate neighborhoods with matching boundary shape, places
 switchboxes on their incoming wires and outputs, drops any switchbox whose
 two settings compute the same function, coin-flips the intended setting of
 the survivors, and stops once every output cone holds at least t of them.
-Each round's boxes are tested one toggle at a time on a step compiled over
-only the wires those boxes can reach; every other wire is read from the
-original netlist's step, compiled once per insertion and run once per
-cycle of a compare while the two sides' states agree.
+Each round's boxes are tested one toggle at a time against the original
+netlist's step, compiled once per insertion with every wire as an output:
+the untoggled side reads its outputs off those wire values, and the
+toggled side propagates only the difference the toggle makes, gate by
+gate, as a single fault is propagated in event-driven fault simulation.
 
 Every insertion keeps the union dependency graph (a switchbox output
 depending on both its inputs) acyclic, so all 2^#SB configurations yield
@@ -22,6 +23,8 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .netlist import (
@@ -33,14 +36,15 @@ from .netlist import (
     NetlistError,
     check_equivalence,  # noqa: F401 - part of this module's namespace, which perfbench traces
     compare_steps,
+    define,
     format_text,
     input_patterns,
-    output_cone,
     parse_text,
     stable_names,
     text_lines,
     topo_order,
     _compile_step,
+    _gate_expr,
     NetlistSyntaxError,
 )
 from .rng import Rng, as_rng
@@ -322,22 +326,6 @@ class _Work:
             return ("sb", self.sb_driver[wire])
         return ("gate", wire) if self.kind.get(wire, "DFF") != "DFF" else None
 
-    def region(self, sbs: Sequence[int]) -> list[tuple]:
-        """The union nodes reachable from boxes sbs, in label order.
-
-        The walk stops at DFFs. The labels are a topological order and are
-        the same in every process, so the generated source is too.
-        """
-        fanout, kind, sb_outs = self.fanout, self.kind, self.sb_outs
-        seen, stack = {("sb", sid) for sid in sbs}, [w for sid in sbs for w in sb_outs[sid]]
-        while stack:
-            for k, ref, _ in fanout.get(stack.pop(), ()):
-                if (k, ref) in seen or k == "po" or k == "gate" and kind[ref] == "DFF":
-                    continue
-                seen.add((k, ref))
-                stack += sb_outs[ref] if k == "sb" else (ref,)
-        return sorted(seen, key=self.rank.__getitem__)
-
     def _forward(self, starts: list[tuple], top: int, targets: list[tuple]) -> Optional[set]:
         """Nodes reachable from starts with rank <= top; None if one is in targets."""
         seen, stack = set(starts), list(starts)
@@ -482,79 +470,85 @@ def _wire_step(net: Netlist) -> tuple[Callable, dict[int, int]]:
     return step, {w: k for k, w in enumerate(wires)}
 
 
+@lru_cache(maxsize=None)
+def _gate_fn(kind: str, arity: int) -> Callable:
+    """gate(a0, ..., mask): one `kind` gate over `arity` operands, compiled once per process."""
+    args = [f"a{i}" for i in range(arity)]
+    return define([f"def gate({', '.join([*args, 'mask'])}):", f" return {_gate_expr(kind, args)}"],
+                  "gate", {}, f"gate {kind}/{arity}")
+
+
 class _ToggleCheck:
-    """Non-degeneracy test for the switchboxes one insertion round added.
+    """Non-degeneracy test of one undecided switchbox against the base selection.
 
-    At the base selection (earlier boxes at their intended setting, this
-    round's boxes parallel) every union wire carries the value of the
-    original wire it stands for (`_Work.origin`), from any state. Toggling
-    one of this round's boxes changes only wires in the forward closure of
-    the round's box outputs through gates and boxes: the region. So each
-    round compiles only the region, less the nodes that feed no output and
-    no DFF's D input, with the earlier boxes in it as buffers at their
-    intended setting, and reads every other wire it needs from `original`,
-    the original netlist's step with every wire as an output (_wire_step,
-    compiled once per insertion), run on the same inputs and state. Both are
-    pure, so `original` runs only when (inputs, state, mask) differ from its
-    last run: once per cycle for a base and a toggled step whose states
-    agree. A DFF whose D input lies in the region takes its next state from
-    it; every DFF's Q is read from the state by both steps, so the closure
-    stops at DFFs. Verdicts and counterexamples are those the whole union
-    step would give.
-
-    Dropping a box rewires it as parallel, and a kept box whose inputs are
-    reversed is marked crossed, so both still route straight through and the
-    region step stays valid all round.
+    At the base selection (decided boxes at their intended setting, the
+    round's undecided boxes parallel) every union wire carries the value of
+    the original wire it stands for (`_Work.origin`), from any state. So the
+    base side reads its outputs and DFF D inputs off `original`, the
+    original netlist's step with every wire as an output (_wire_step, the
+    one step an insertion compiles). The toggled side starts from the same
+    values, flips the box's outputs in the lanes where its inputs differ and
+    walks forward in `_Work.rank` order, evaluating a node again only when
+    an input of it changed, until no difference is left; DFFs read their Q
+    from the state, so the walk stops at them. `original` runs only when
+    (inputs, state, mask) differ from its last run: once per cycle while the
+    two sides' states agree. Verdicts and counterexamples are those the
+    whole union step would give. Dropping a box rewires it as parallel, and
+    a kept box whose inputs are reversed is marked crossed, so both still
+    route straight through.
     """
 
     def __init__(self, original: tuple[Callable, dict[int, int]], work: _Work,
-                 round_sbs: Sequence[int], intended: dict[int, str], sample_count: int):
-        wire_step, index = original
-        self.index = {sid: i for i, sid in enumerate(round_sbs)}
-        order = []
-        for kind, ref in work.region(round_sbs):
-            if kind == "gate":
-                order.append(work.gate(ref))
-            elif ref in self.index:
-                order.append(work.switchbox(ref))
-            else:
-                (x, y), (z, w) = work.sb_ins[ref], work.sb_outs[ref]
-                if intended[ref] == CROSSED:
-                    x, y = y, x
-                order += [Gate(z, "BUF", (x,)), Gate(w, "BUF", (y,))]
-        dffs = [work.gate(o) for o in work.dffs]
-        order = output_cone(order, {*work.outputs, *(g.ins[0] for g in dffs)})  # what a compare reads
-        driven = {w for node in (*order, *dffs) for w in node.outs}
-        read = {w for node in (*order, *dffs) for w in node.ins}
-        inputs = sorted(read.union(work.outputs) - driven)
-        pos = [index[work.origin.get(w, w)] for w in inputs]
-        region = _compile_step(inputs, order, dffs, work.outputs, self.index)
-        last = [None, ()]  # the last boundary run's (inputs, state, mask) and its values
+                 intended: dict[int, str], sample_count: int):
+        (self.wire_step, self.index), self.last = original, (None, ())
+        self.work, self.intended, self.sample_count = work, intended, sample_count
 
-        def step(x, s, sel, mask):
-            if last[0] != (x, s, mask):
-                wires = wire_step(x, s, mask)[0]
-                last[:] = (x, s, mask), tuple([wires[k] for k in pos])
-            return region(last[1], s, sel, mask)
+    def values(self, x: tuple, s: tuple, mask: int) -> tuple[int, ...]:
+        """Every original wire's value, from the last run if it had these arguments."""
+        if self.last[0] != (x, s, mask):
+            self.last = (x, s, mask), self.wire_step(x, s, mask)[0]
+        return self.last[1]
 
-        self.step = step
-        self.n_inputs = len(work.inputs)
-        self.state_width = len(dffs)
-        self.sample_count = sample_count
+    def steps(self, sid: int) -> tuple[Callable, Callable]:
+        """The union's step(inp, state, mask) at the base selection, and with sid crossed;
+        both hold until the wiring next changes."""
+        work, index, origin, rank, intended, values = (self.work, self.index, self.work.origin,
+                                                        self.work.rank, self.intended, self.values)
+        kinds, gate_ins, sb_ins, sb_outs, fanout = (work.kind, work.ins, work.sb_ins, work.sb_outs,
+                                                    work.fanout)
+        wires = [*work.outputs, *(gate_ins[o][0] for o in work.dffs)]  # what a compare reads
+        pos, n = [index[origin.get(w, w)] for w in wires], len(work.outputs)
+
+        def step(x, s, mask, toggle=False):
+            v, new = values(x, s, mask), {}
+            heap = [(rank["sb", sid], ("sb", sid))] if toggle else []  # the base side walks nothing
+            queued = {node for _, node in heap}
+            while heap:
+                kind, ref = heappop(heap)[1]
+                ins, outs = (gate_ins[ref], (ref,)) if kind == "gate" else (sb_ins[ref], sb_outs[ref])
+                got = [new[w] if w in new else v[index[origin.get(w, w)]] for w in ins]
+                if kind == "gate":
+                    got = (_gate_fn(kinds[ref], len(ins))(*got, mask),)
+                elif (intended.get(ref) == CROSSED) != (ref == sid):  # crossed as intended, or sid
+                    got.reverse()
+                for w, value in zip(outs, got):
+                    if value != v[index[origin.get(w, w)]]:  # a changed wire queues its readers
+                        new[w] = value
+                        for k, r, _ in fanout.get(w, ()):
+                            node = k, r
+                            if k != "po" and node not in queued and (k == "sb" or kinds[r] != "DFF"):
+                                queued.add(node)
+                                heappush(heap, (rank[node], node))
+            got = [new.get(w, v[k]) for w, k in zip(wires, pos)]
+            return got[:n], tuple(got[n:])
+
+        return step, lambda x, s, mask: step(x, s, mask, True)
 
     def verdict(self, sid: int, rng_seed: int) -> EquivalenceVerdict:
         """check_equivalence of the base selection against sid toggled alone."""
-        step, base = self.step, [0] * len(self.index)
-        toggled = list(base)
-        toggled[self.index[sid]] = -1
-        return compare_steps(
-            lambda x, s, mask: step(x, s, base, mask),
-            lambda x, s, mask: step(x, s, toggled, mask),
-            self.n_inputs,
-            (self.state_width, self.state_width),
-            sample_count=self.sample_count,
-            rng_seed=rng_seed,
-        )
+        width = len(self.work.dffs)
+        return compare_steps(*self.steps(sid), len(self.work.inputs), (width, width),
+                             sample_count=self.sample_count, rng_seed=rng_seed)
 
 
 def insert_switchboxes(
@@ -580,8 +574,8 @@ def insert_switchboxes(
         raise ValueError("t must be >= 1")
     rng = as_rng(rng_seed)
     work = _Work(net)
-    original = _wire_step(net)
     intended: dict[int, str] = {}
+    check = _ToggleCheck(_wire_step(net), work, intended, sample_count)
     name = f"{net.name}.obf"
 
     gates = sorted(work.kind)
@@ -613,18 +607,16 @@ def insert_switchboxes(
             if sid is not None:
                 round_sbs.append(sid)
 
-        if round_sbs:
-            check = _ToggleCheck(original, work, round_sbs, intended, sample_count)
-            for sid in round_sbs:
-                if check.verdict(sid, rng.getrandbits(32)).equivalent:
-                    # degenerate (or not provably non-degenerate): drop it
-                    work.remove_switchbox(sid)
-                    continue
-                if rng.random() < 0.5:
-                    work.reverse_switchbox(sid)
-                    intended[sid] = CROSSED
-                else:
-                    intended[sid] = PARALLEL
+        for sid in round_sbs:
+            if check.verdict(sid, rng.getrandbits(32)).equivalent:
+                # degenerate (or not provably non-degenerate): drop it
+                work.remove_switchbox(sid)
+                continue
+            if rng.random() < 0.5:
+                work.reverse_switchbox(sid)
+                intended[sid] = CROSSED
+            else:
+                intended[sid] = PARALLEL
 
         if len(work.sb_ins) >= min_switchboxes and work.satisfied(t):
             return work.snapshot(intended, name)

@@ -190,6 +190,24 @@ class TestValidation:
                 ram.cycle(op, addr, 5, trojan=trojan)
         assert (ram.cells, ram.ram_out, ram.data_out) == before
 
+    @pytest.mark.parametrize("op, addr, data_in, message", [
+        (READ, 2.5, None, "address out of range"),
+        (READ, True, None, "address out of range"),
+        (IDLE, 2.5, None, "address out of range"),
+        (IDLE, False, None, "address out of range"),
+        (WRITE, 1.5, 3, "address out of range"),
+        (WRITE, 2, 2.5, "data word out of range"),
+        (WRITE, 2, True, "data word out of range"),
+        (IDLE, None, 1.0, "data word out of range"),
+    ])
+    def test_non_int_refused(self, ram, op, addr, data_in, message):
+        """A bool, or a non-int that compares in range, is refused before any state changes."""
+        ram.cycle(WRITE, 2, 0x1234)
+        before = (list(ram.cells), ram.ram_out, ram.data_out)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ram.cycle(op, addr, data_in)
+        assert (ram.cells, ram.ram_out, ram.data_out) == before
+
     def test_write_needs_data(self, ram):
         with pytest.raises(ValueError):
             ram.cycle(WRITE, 3)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tpad import switchbox
+from tpad import netlist, switchbox
 from tpad.chip import ChipOptions, build_protected_chip
 from tpad.netlist import (
     EXHAUSTIVE_INPUTS,
@@ -366,32 +366,28 @@ class TestCandidateVerdicts:
     """Every candidate test equals check_equivalence on two applied configs."""
 
     def spy(self, monkeypatch):
-        seen, regions = [], []
-        init, verdict = switchbox._ToggleCheck.__init__, switchbox._ToggleCheck.verdict
-
-        def spy_init(self, original, work, round_sbs, intended, sample_count):
-            init(self, original, work, round_sbs, intended, sample_count)
-            self.spied = (work, intended, sample_count)
-            outs = {w for sid in round_sbs for w in work.sb_outs[sid]}
-            regions.append(any(w in outs for sid in round_sbs for w in work.sb_ins[sid]))
+        seen, chained = [], []
+        verdict = switchbox._ToggleCheck.verdict
 
         def spy_verdict(self, sid, rng_seed):
             got = verdict(self, sid, rng_seed)
-            work, intended, sample_count = self.spied
+            work, intended = self.work, self.intended
+            undecided = set(work.sb_ins) - set(intended)
+            outs = {w for i in undecided for w in work.sb_outs[i]}
+            chained.append(any(w in outs for i in undecided for w in work.sb_ins[i]))
             base = {i: intended.get(i, PARALLEL) for i in work.sb_ins}
             snap = work.snapshot({**base, sid: PARALLEL}, "spy")
             want = check_equivalence(
                 apply_config(snap, {**base, sid: PARALLEL}),
                 apply_config(snap, {**base, sid: CROSSED}),
-                sample_count=sample_count,
+                sample_count=self.sample_count,
                 rng_seed=rng_seed,
             )
             seen.append((got, want))
             return got
 
-        monkeypatch.setattr(switchbox._ToggleCheck, "__init__", spy_init)
         monkeypatch.setattr(switchbox._ToggleCheck, "verdict", spy_verdict)
-        return seen, regions
+        return seen, chained
 
     BUILDS = {
         "exhaustive": lambda: insert_switchboxes(random_netlist(10, 50, 4, rng_seed=7), 2,
@@ -399,22 +395,22 @@ class TestCandidateVerdicts:
         "sampled": lambda: insert_switchboxes(random_netlist(18, 50, 4, rng_seed=9), 2,
                                               rng_seed=1, sample_count=600),
         "sequential": lambda: pipelined_chip(seed=11),
-        # first round: sb2 and sb3 read sb4's outputs, so a box inside the
-        # round's region takes another new box's output as an input
+        # first round: sb2 and sb3 read sb4's outputs, so the walk from a
+        # toggled box passes another undecided box, routed parallel
         "chained": lambda: insert_switchboxes(random_netlist(6, 20, 3, rng_seed=238), 1,
                                               rng_seed=1, max_iterations=40),
     }
 
     @pytest.mark.parametrize("case", list(BUILDS))
     def test_verdicts_match_check_equivalence(self, monkeypatch, case):
-        seen, regions = self.spy(monkeypatch)
+        seen, chained = self.spy(monkeypatch)
         self.BUILDS[case]()
         assert seen
         for got, want in seen:
             assert got == want
         assert {got.equivalent for got, _ in seen} == {True, False}
         if case == "chained":
-            assert regions[0]  # a box of the first round reads another's output
+            assert chained[0]  # an undecided box of the first round reads another's output
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), n_dffs=st.integers(1, 3))
@@ -432,48 +428,102 @@ class TestCandidateVerdicts:
             assert got == want
 
     @pytest.mark.parametrize("case", ["exhaustive", "sequential"])
-    def test_boundary_runs_once_per_cycle(self, monkeypatch, case):
-        # per round: the (inputs, state, mask) of every region-step call, and
-        # of every run of the original netlist's step (the region's boundary)
-        rounds = []
-        wire_step, init = switchbox._wire_step, switchbox._ToggleCheck.__init__
+    def test_original_runs_once_per_cycle(self, monkeypatch, case):
+        # the (inputs, state, mask) of every call of either side's step, in
+        # order, each run of the original netlist's step with the number of
+        # calls made when it ran, and the number made when each verdict began
+        calls, runs, verdicts = [], [], []
+        wire_step, steps = switchbox._wire_step, switchbox._ToggleCheck.steps
 
         def spy_wire_step(net):
             step, index = wire_step(net)
 
             def counted(x, s, mask):
-                rounds[-1][1].append((x, s, mask))
+                runs.append((len(calls), (x, s, mask)))
                 return step(x, s, mask)
             return counted, index
 
-        def spy_init(self, *args):
-            init(self, *args)
-            rounds.append(([], []))
-            step = self.step
+        def spy_steps(self, sid):
+            verdicts.append(len(calls))
 
-            def logged(x, s, sel, mask):
-                rounds[-1][0].append((x, s, mask))
-                return step(x, s, sel, mask)
-            self.step = logged
+            def logged(side):
+                def step(x, s, mask):
+                    calls.append((x, s, mask))
+                    return side(x, s, mask)
+                return step
+            return tuple(map(logged, steps(self, sid)))
 
         monkeypatch.setattr(switchbox, "_wire_step", spy_wire_step)
-        monkeypatch.setattr(switchbox._ToggleCheck, "__init__", spy_init)
+        monkeypatch.setattr(switchbox._ToggleCheck, "steps", spy_steps)
         self.BUILDS[case]()
-        calls = [c for region_calls, _ in rounds for c in region_calls]
-        assert calls
-        diverged = 0
-        for region_calls, runs in rounds:
-            # the boundary runs exactly when a call's (inputs, state, mask) differ
-            # from the call before it in the same round
-            fresh = [c for i, c in enumerate(region_calls) if i == 0 or c != region_calls[i - 1]]
-            assert runs == fresh
-            diverged += sum(a[0] == b[0] and a[2] == b[2] and a[1] != b[1]
-                            for a, b in zip(region_calls, region_calls[1:]))
+        assert calls and len(verdicts) > 1
+        # the original step runs exactly when a call's (inputs, state, mask)
+        # differ from the call before it, which may end the verdict before
+        assert runs == [(i + 1, c) for i, c in enumerate(calls) if i == 0 or c != calls[i - 1]]
+        bounds = [*verdicts, len(calls)]
+        per_verdict = [sum(a < i <= b for i, _ in runs) for a, b in zip(bounds, bounds[1:])]
+        for (a, b), n in zip(zip(bounds, bounds[1:]), per_verdict):
+            assert n <= len(set(calls[a:b]))  # once per distinct (inputs, state, mask)
         if case == "exhaustive":
-            # one run per cycle: a base and a toggled call share it
-            assert 2 * sum(len(runs) for _, runs in rounds) <= len(calls)
+            # one run per cycle: a base and a toggled call share it, and a
+            # verdict after an equivalent one reuses that one's last run
+            assert 2 * len(runs) <= len(calls)
+            assert 0 in per_verdict
         else:
-            assert diverged  # a toggled state that diverged ran the boundary again
+            assert any(a[0] == b[0] and a[2] == b[2] and a[1] != b[1]  # a toggled state that
+                       for a, b in zip(calls, calls[1:]))  # diverged ran the original again
+
+
+class TestToggledSide:
+    """The toggle check's two sides equal the union step, in every lane."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_dffs=st.integers(0, 3), n_boxes=st.integers(1, 12),
+           lanes=st.integers(1, 70))
+    @example(seed=3, n_dffs=2, n_boxes=12, lanes=64)
+    def test_sides_match_union_step(self, seed, n_dffs, n_boxes, lanes):
+        # boxes over any two wires (box outputs too, so boxes chain), rerouting
+        # any of their readers (gate, box, DFF and output pins); about half
+        # are decided at random settings, the rest stay undecided and parallel
+        rng = random.Random(seed)
+        net = with_dffs(random_netlist(5, 20, 3, rng_seed=seed), rng, n_dffs)
+        work, intended = switchbox._Work(net), {}
+        for _ in range(n_boxes):
+            x, y = rng.sample(sorted({*work.inputs, *work.kind, *work.sb_driver}), 2)
+            sites = sorted(work.fanout[x]) + sorted(work.fanout[y])
+            picked = rng.sample(sites, rng.randint(0, len(sites)))
+            sid = work.add_switchbox(x, y, [s for s in picked if work.site_wire(s) == x],
+                                     [s for s in picked if work.site_wire(s) == y])
+            if sid is not None and rng.random() < 0.5:
+                intended[sid] = PARALLEL
+                if rng.random() < 0.5:
+                    work.reverse_switchbox(sid)
+                    intended[sid] = CROSSED
+        undecided = sorted(set(work.sb_ins) - set(intended))
+        assume(undecided)
+        sid = rng.choice(undecided)
+        check = switchbox._ToggleCheck(switchbox._wire_step(net), work, intended, 100)
+        obf = work.snapshot({**dict.fromkeys(undecided, PARALLEL), **intended}, "toggled")
+        union = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
+        mask = (1 << lanes) - 1
+        x = tuple(rng.getrandbits(lanes) for _ in obf.inputs)
+        s = tuple(rng.getrandbits(lanes) for _ in work.dffs)
+        for side, crossed in zip(check.steps(sid), (set(), {sid})):
+            sel = [-(intended.get(sb.id) == CROSSED or sb.id in crossed) for sb in obf.switchboxes]
+            out, state = side(x, s, mask)
+            assert (tuple(out), state) == union(x, s, sel, mask)
+
+    def test_one_step_kernel_per_insertion(self, monkeypatch):
+        labels = []
+        for module in (netlist, switchbox):  # define as netlist's steps and the gate kernels call it
+            monkeypatch.setattr(module, "define", lambda *args, define=module.define: (
+                labels.append(args[3]), define(*args))[1])
+        net = random_netlist(12, 150, 6, rng_seed=0)
+        for _ in range(2):
+            labels.clear()
+            insert_switchboxes(net, 2, rng_seed=1)
+            assert [label for label in labels if not label.startswith("gate ")] == ["step 150 gates"]
+        assert labels == ["step 150 gates"]  # gate kernels are compiled once per process
 
 
 # sha256 of serialize_obfuscated + format_config, recorded before insertion
@@ -832,15 +882,14 @@ def assert_ranks_topological(work):
 
 
 class TestInsertionBookkeeping:
-    """Cone counts, the maintained order and the region order, checked every round."""
+    """Cone counts, the maintained order and the base selection, checked every round."""
 
     @staticmethod
     def spy(monkeypatch, t):
-        seen = {"rounds": 0, "refused": 0, "searched": 0, "regions": 0}
+        seen = {"rounds": 0, "refused": 0, "searched": 0, "verdicts": 0, "round_start": 0}
         counts = []
-        add, satisfied, region = (switchbox._Work.add_switchbox, switchbox._Work.satisfied,
-                                  switchbox._Work.region)
-        forward = switchbox._Work._forward
+        add, satisfied = switchbox._Work.add_switchbox, switchbox._Work.satisfied
+        forward, steps = switchbox._Work._forward, switchbox._ToggleCheck.steps
 
         def spy_add(self, x, y, sites_z, sites_w):
             old = None
@@ -870,27 +919,23 @@ class TestInsertionBookkeeping:
             assert got == (not below)
             assert_ranks_topological(self)
             seen["rounds"] += 1
+            seen["round_start"] = self.next_sb
             return got
 
-        def spy_region(self, sbs):
-            order = region(self, sbs)
-            reach, stack = set(), [("sb", sid) for sid in sbs]
-            while stack:
-                node = stack.pop()
-                if node not in reach:
-                    reach.add(node)
-                    stack.extend(union_readers(self, node))
-            assert sorted(order) == sorted(reach)
-            pos = {node: i for i, node in enumerate(order)}
-            for node in order:
-                assert all(pos[node] < pos[reader] for reader in union_readers(self, node))
-            seen["regions"] += 1
-            return order
+        def spy_steps(check, sid):
+            # the undecided boxes, parallel at the base selection, are this
+            # round's, and no box that was decided has been dropped
+            work, intended = check.work, check.intended
+            undecided = set(work.sb_ins) - set(intended)
+            assert sid in undecided and min(undecided) >= seen["round_start"]
+            assert set(intended) <= set(work.sb_ins)
+            seen["verdicts"] += 1
+            return steps(check, sid)
 
         monkeypatch.setattr(switchbox._Work, "add_switchbox", spy_add)
         monkeypatch.setattr(switchbox._Work, "_forward", spy_forward)
         monkeypatch.setattr(switchbox._Work, "satisfied", spy_satisfied)
-        monkeypatch.setattr(switchbox._Work, "region", spy_region)
+        monkeypatch.setattr(switchbox._ToggleCheck, "steps", spy_steps)
         return seen
 
     @settings(max_examples=25, deadline=None)
@@ -917,7 +962,7 @@ class TestInsertionBookkeeping:
                                max_iterations=300)
         assert e.value.per_output_counts == (0, 33, 33)
         assert seen["rounds"] > 100  # a round without a partner skips the count
-        assert seen["refused"] and seen["searched"] > seen["refused"] and seen["regions"]
+        assert seen["refused"] and seen["searched"] > seen["refused"] and seen["verdicts"]
 
     def test_worn_down_labels_are_spread_out(self):
         # each box reads the last one's output and feeds the same gate pin, so
@@ -932,18 +977,15 @@ class TestInsertionBookkeeping:
             x = work.sb_outs[sid][0]
         assert work.labels[-1] >= switchbox._Work.GAP ** 3  # spread out at least twice
 
-    def test_region_source_is_the_same_in_every_process(self):
+    def test_insertion_is_the_same_in_every_process(self):
+        # `fanout` holds string-keyed tuples, so the order its sets are
+        # visited in varies with the hash seed; the insertion must not
         code = ("import hashlib\n"
                 "from tpad import netlist, switchbox\n"
-                "h = hashlib.sha256()\n"
-                "compile_step = switchbox._compile_step\n"
-                "def spy(inputs, order, *rest):\n"
-                "    h.update(repr([inputs, order]).encode())\n"
-                "    return compile_step(inputs, order, *rest)\n"
-                "switchbox._compile_step = spy\n"
-                "switchbox.insert_switchboxes(netlist.random_netlist(8, 40, 4, rng_seed=3), 2,"
+                "obf = switchbox.insert_switchboxes(netlist.random_netlist(8, 40, 4, rng_seed=3), 2,"
                 " rng_seed=4)\n"
-                "print(h.hexdigest())\n")
+                "text = switchbox.serialize_obfuscated(obf) + switchbox.format_config(obf.intended)\n"
+                "print(hashlib.sha256(text.encode()).hexdigest())\n")
         digests = set()
         for hash_seed in ("1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": hash_seed,
