@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 Bits = tuple[int, ...]
 
 KERNEL_CACHE_SIZE = 128  # generated kernels kept per generator: a chip needs a handful
@@ -718,6 +720,8 @@ def input_patterns(m: int) -> tuple[tuple[int, ...], int]:
 # vector schedule: truth tables up to 16 input bits, sequential netlists unrolled 4 cycles
 EXHAUSTIVE_INPUTS = 16
 HORIZON = 4
+BATCH = 512  # lanes of one batch of sampled vectors
+LANE_CAP = 1 << 16  # lanes of one packed compare call; the widest truth table is one block
 
 
 def check_equivalence(
@@ -740,8 +744,9 @@ def check_equivalence(
             f"{n1.name}: {len(n1.inputs)}->{len(n1.outputs)}, "
             f"{n2.name}: {len(n2.inputs)}->{len(n2.outputs)}"
         )
-    return compare_steps(n1.step_fn(), n2.step_fn(), len(n1.inputs),
-                         (n1.state_width, n2.state_width), sample_count, rng_seed)
+    step2 = n2.step_fn()
+    return compare_steps(n1.step_fn(), lambda x, s, mask, _: step2(x, s, mask), len(n1.inputs),
+                         (n1.state_width, n2.state_width), sample_count, (rng_seed,))[0]
 
 
 def compare_steps(
@@ -750,61 +755,119 @@ def compare_steps(
     n_inputs: int,
     state_widths: tuple[int, int] = (0, 0),
     sample_count: int = 10000,
-    rng_seed: Optional[int] = None,
-) -> EquivalenceVerdict:
-    """check_equivalence's vector schedule over two (inp, state, mask) steps.
+    rng_seeds: Sequence[Optional[int]] = (None,),
+) -> list[EquivalenceVerdict]:
+    """check_equivalence's vector schedule over two steps, one lane block per seed.
 
+    f1(inp, state, mask) is one step for every block; f2(inp, state, mask,
+    blocks) gets each block's lanes in the call as a mask (0 for a block
+    with none), so that block i can compare f1 with its own variant of f2.
     The steps take n_inputs input bits and DFF states of the given widths;
-    either width being nonzero makes the compare sequential. Every
-    counterexample is replayed through both steps at mask=1.
+    either width being nonzero makes the compare sequential.
+
+    Block i gets the verdict a compare of it alone gives: a truth table, or
+    batches of BATCH vectors drawn from random.Random(rng_seeds[i]) in turn,
+    and the first batch that differs in some cycle, then its first such
+    cycle, then that cycle's first differing output, then that output's
+    lowest lane. Every block's first batch runs in one call, side by side,
+    and a sampled block whose first batch shows no difference draws its
+    later batches and runs them side by side in a second call; a call that
+    would pass LANE_CAP lanes is split. Every counterexample is replayed
+    through both steps at mask=1, with only its own block's lane set.
     """
-    m = n_inputs
-    sequential = any(state_widths)
-    cycles = HORIZON if sequential else 1
-    total_vars = m * cycles
-    seq_horizon = cycles if sequential else None
+    m, n_blocks = n_inputs, len(rng_seeds)
+    cycles = HORIZON if any(state_widths) else 1
+    horizon, rows = (cycles if cycles > 1 else None), m * cycles
     zero1, zero2 = (0,) * state_widths[0], (0,) * state_widths[1]
+    exhaustive = rows <= EXHAUSTIVE_INPUTS
+    mode = "exhaustive" if exhaustive else "sampled"
+    lanes = 1 << rows if exhaustive else min(BATCH, sample_count)
+    slot = -(-lanes // 8)  # bytes a unit's input takes in a call
+    verdicts: list[Optional[EquivalenceVerdict]] = [None] * n_blocks
 
-    def first_diff(cyc_inputs, mask) -> Optional[int]:
-        """Lowest lane in which some output differs in some cycle, or None."""
-        s1, s2 = zero1, zero2
+    def run(units: list[tuple]) -> None:
+        """One call over units (block, vectors checked before, lanes, inputs): unit k holds
+        lanes 8*slot*k on, and its inputs are `rows` little-endian slots, input j of cycle c
+        at c*m + j. Sets the verdict of each block with a differing unit."""
+        table = np.frombuffer(b"".join(unit[3] for unit in units), np.uint8).reshape(
+            len(units), rows, slot)
+        flat, size = memoryview(table.transpose(1, 0, 2).tobytes()), len(units) * slot
+        x = [int.from_bytes(flat[r * size:(r + 1) * size], "little") for r in range(rows)]
+        x = [tuple(x[c * m:(c + 1) * m]) for c in range(cycles)]
+        blocks, spans = [0] * n_blocks, []
+        for k, (i, _, n, _) in enumerate(units):
+            ones = ((1 << n) - 1) << 8 * slot * k
+            blocks[i] |= ones
+            spans.append((i, k, ones))
+        pending, first = spans, {}  # first: block -> (its lowest differing unit, lane in it)
+        xc, s1, s2, live = x[0], zero1, zero2, sum(blocks)
         for c in range(cycles):
-            o1, s1 = f1(cyc_inputs[c], s1, mask)
-            o2, s2 = f2(cyc_inputs[c], s2, mask)
+            if c:  # later cycles run only the pending units' lanes, the rest zeroed
+                live = sum(span[2] for span in pending)
+                xc, s1, s2 = (tuple(v & live for v in vs) for vs in (x[c], s1, s2))
+                blocks = [b & live for b in blocks]
+            o1, s1 = f1(xc, s1, live)
+            o2, s2 = f2(xc, s2, live, blocks)
             for a, b in zip(o1, o2):
-                if a != b:
-                    d = a ^ b
-                    return (d & -d).bit_length() - 1
-        return None
+                d = a ^ b
+                if d:
+                    for i, k, ones in pending:
+                        bits = d & ones
+                        if bits and (i not in first or k < first[i][0]):
+                            first[i] = k, (bits & -bits).bit_length() - 1 - 8 * slot * k
+                    pending = [span for span in pending if span[0] not in first
+                               or span[1] < first[span[0]][0]]
+            if not pending:
+                break
+        for i in sorted(first):
+            k, lane = first[i]
+            bits = (table[k, :, lane >> 3] >> (lane & 7) & 1).tolist()
+            seq_cex = tuple(tuple(bits[c * m:(c + 1) * m]) for c in range(cycles))
+            alone = [int(b == i) for b in range(n_blocks)]
+            _assert_replays(f1, lambda inp, s, mask: f2(inp, s, mask, alone), zero1, zero2, seq_cex)
+            checked = 1 << rows if exhaustive else units[k][1] + lane + 1
+            verdicts[i] = EquivalenceVerdict(False, mode, checked, seq_cex if horizon else seq_cex[0],
+                                             horizon=horizon)
 
-    def refuted(mode, checked, cyc_inputs, lane):
-        seq_cex = tuple(
-            tuple((cyc_inputs[c][j] >> lane) & 1 for j in range(m)) for c in range(cycles)
-        )
-        _assert_replays(f1, f2, zero1, zero2, seq_cex)
-        cex = seq_cex if sequential else seq_cex[0]
-        return EquivalenceVerdict(False, mode, checked, cex, horizon=seq_horizon)
+    def packed(groups: list[list[tuple]]) -> None:
+        """Run each block's group of units, as many groups to a call as LANE_CAP lanes hold."""
+        call = []
+        for group in groups:
+            if call and 8 * slot * (len(call) + len(group)) > LANE_CAP:
+                run(call)
+                call = []
+            call += group
+        if call:
+            run(call)
 
-    if total_vars <= EXHAUSTIVE_INPUTS:
-        # truth-table lanes: lane v holds bit c*m+j of v for input j in cycle c
-        pats, full = input_patterns(total_vars)
-        cyc_inputs = [tuple(pats[c * m:(c + 1) * m]) for c in range(cycles)]
-        lane = first_diff(cyc_inputs, full)
-        if lane is None:
-            return EquivalenceVerdict(True, "exhaustive", 1 << total_vars, horizon=seq_horizon)
-        return refuted("exhaustive", 1 << total_vars, cyc_inputs, lane)
+    if exhaustive:
+        table = b"".join(p.to_bytes(slot, "little") for p in input_patterns(rows)[0])
+        packed([[(i, 0, lanes, table)] for i in range(n_blocks)])
+        checked = lanes
+    else:
+        rngs = [random.Random(seed) for seed in rng_seeds]
+        done = [0] * n_blocks
 
-    rng = random.Random(rng_seed)
-    done = 0
-    while done < sample_count:
-        batch = min(512, sample_count - done)
-        mask = (1 << batch) - 1
-        cyc_inputs = [tuple(rng.getrandbits(batch) for _ in range(m)) for _ in range(cycles)]
-        lane = first_diff(cyc_inputs, mask)
-        if lane is not None:
-            return refuted("sampled", done + lane + 1, cyc_inputs, lane)
-        done += batch
-    return EquivalenceVerdict(True, "sampled", sample_count, horizon=seq_horizon)
+        def draw(i: int, limit: int) -> list[tuple]:
+            """Block i's next batches, up to limit lanes but at least one batch. A batch of
+            a whole slot whose lanes are a multiple of 32 is one getrandbits call: it
+            draws the 32-bit words that its `rows` calls would, lowest first."""
+            group, rng = [], rngs[i]
+            while done[i] < sample_count and (not group or 8 * slot * (len(group) + 1) <= limit):
+                n = min(BATCH, sample_count - done[i])
+                raw = (rng.getrandbits(n * rows).to_bytes(rows * slot, "little")
+                       if n == 8 * slot and n % 32 == 0 else
+                       b"".join(rng.getrandbits(n).to_bytes(slot, "little") for _ in range(rows)))
+                group.append((i, done[i], n, raw))
+                done[i] += n
+            return group
+
+        limit = lanes  # the first batches, then the rest LANE_CAP lanes at a time
+        while todo := [i for i, v in enumerate(verdicts) if v is None and done[i] < sample_count]:
+            packed([draw(i, limit) for i in todo])
+            limit = LANE_CAP
+        checked = sample_count
+    return [v or EquivalenceVerdict(True, mode, checked, horizon=horizon) for v in verdicts]
 
 
 def _assert_replays(f1: Callable, f2: Callable, s1: Bits, s2: Bits, seq_cex: tuple) -> None:

@@ -19,15 +19,16 @@ valid netlists, not just the intended one.
 
 from __future__ import annotations
 
+import random
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .netlist import (
+    BATCH,
     EXHAUSTIVE_INPUTS,
     HORIZON,
     EquivalenceVerdict,
@@ -470,16 +471,36 @@ def _wire_step(net: Netlist) -> tuple[Callable, dict[int, int]]:
     return step, {w: k for k, w in enumerate(wires)}
 
 
-@lru_cache(maxsize=None)
-def _gate_fn(kind: str, arity: int) -> Callable:
-    """gate(a0, ..., mask): one `kind` gate over `arity` operands, compiled once per process."""
-    args = [f"a{i}" for i in range(arity)]
-    return define([f"def gate({', '.join([*args, 'mask'])}):", f" return {_gate_expr(kind, args)}"],
-                  "gate", {}, f"gate {kind}/{arity}")
+class _GateFns(dict):
+    """(kind, arity) -> gate(a0, ..., mask), one `kind` gate over `arity` operands,
+    compiled on first use, once per process."""
+
+    def __missing__(self, key: tuple[str, int]) -> Callable:
+        kind, arity = key
+        args = [f"a{i}" for i in range(arity)]
+        fn = self[key] = define([f"def gate({', '.join([*args, 'mask'])}):",
+                                 f" return {_gate_expr(kind, args)}"], "gate", {}, f"gate {kind}/{arity}")
+        return fn
+
+
+_GATES = _GateFns()
+
+
+class _Positions(dict):
+    """Union wire -> index of the original wire it carries (`_Work.origin`) in the values
+    of _wire_step; an entry holds for a whole insertion, since wire ids are never reused."""
+
+    def __init__(self, index: dict[int, int], origin: dict[int, int]):
+        super().__init__(index)
+        self.origin = origin
+
+    def __missing__(self, w: int) -> int:
+        k = self[w] = self[self.origin[w]]
+        return k
 
 
 class _ToggleCheck:
-    """Non-degeneracy test of one undecided switchbox against the base selection.
+    """Non-degeneracy tests of a round's undecided switchboxes against the base selection.
 
     At the base selection (decided boxes at their intended setting, the
     round's undecided boxes parallel) every union wire carries the value of
@@ -487,21 +508,26 @@ class _ToggleCheck:
     base side reads its outputs and DFF D inputs off `original`, the
     original netlist's step with every wire as an output (_wire_step, the
     one step an insertion compiles). The toggled side starts from the same
-    values, flips the box's outputs in the lanes where its inputs differ and
-    walks forward in `_Work.rank` order, evaluating a node again only when
-    an input of it changed, until no difference is left; DFFs read their Q
-    from the state, so the walk stops at them. `original` runs only when
-    (inputs, state, mask) differ from its last run: once per cycle while the
-    two sides' states agree. Verdicts and counterexamples are those the
-    whole union step would give. Dropping a box rewires it as parallel, and
-    a kept box whose inputs are reversed is marked crossed, so both still
-    route straight through.
+    values, flips each tested box's outputs in its own lane block where its
+    inputs differ, and walks forward in `_Work.rank` order, evaluating a node
+    again only when an input of it changed, until no difference is left; so
+    one walk over the union of the boxes' cones serves them all, as parallel
+    fault simulation runs one faulty machine per bit slice (Seshu 1965).
+    DFFs read their Q from the state, so the walk stops at them. `original`
+    runs only when (inputs, state, mask) differ from its last run: once per
+    call while the two sides' states agree. Each verdict and counterexample
+    is the one the whole union step gives with that box toggled alone.
+    Dropping a box rewires it as parallel, and a kept box whose inputs are
+    reversed is marked crossed, so both still route straight through and the
+    other boxes' verdicts stand.
     """
 
     def __init__(self, original: tuple[Callable, dict[int, int]], work: _Work,
                  intended: dict[int, str], sample_count: int):
-        (self.wire_step, self.index), self.last = original, (None, ())
+        (self.wire_step, index), self.last = original, (None, ())
         self.work, self.intended, self.sample_count = work, intended, sample_count
+        self.pos = _Positions(index, work.origin)
+        self.fns = {o: _GATES[kind, len(work.ins[o])] for o, kind in work.kind.items() if kind != "DFF"}
 
     def values(self, x: tuple, s: tuple, mask: int) -> tuple[int, ...]:
         """Every original wire's value, from the last run if it had these arguments."""
@@ -509,46 +535,69 @@ class _ToggleCheck:
             self.last = (x, s, mask), self.wire_step(x, s, mask)[0]
         return self.last[1]
 
-    def steps(self, sid: int) -> tuple[Callable, Callable]:
-        """The union's step(inp, state, mask) at the base selection, and with sid crossed;
-        both hold until the wiring next changes."""
-        work, index, origin, rank, intended, values = (self.work, self.index, self.work.origin,
-                                                        self.work.rank, self.intended, self.values)
+    def toggled(self, sids: Sequence[int]) -> Callable:
+        """The union's step(inp, state, mask, blocks=()) with sids[i] crossed in the lanes
+        of blocks[i], and so at the base selection without blocks; it holds until the
+        wiring next changes."""
+        work, pos, rank, intended, values, fns = (self.work, self.pos, self.work.rank,
+                                                  self.intended, self.values, self.fns)
         kinds, gate_ins, sb_ins, sb_outs, fanout = (work.kind, work.ins, work.sb_ins, work.sb_outs,
                                                     work.fanout)
         wires = [*work.outputs, *(gate_ins[o][0] for o in work.dffs)]  # what a compare reads
-        pos, n = [index[origin.get(w, w)] for w in wires], len(work.outputs)
+        at, n = [pos[w] for w in wires], len(work.outputs)
+        readers: dict[int, list[tuple]] = {}  # wire -> (rank, kind, ref) of the nodes walked from it
 
-        def step(x, s, mask, toggle=False):
-            v, new = values(x, s, mask), {}
-            heap = [(rank["sb", sid], ("sb", sid))] if toggle else []  # the base side walks nothing
-            queued = {node for _, node in heap}
+        def step(x, s, mask, blocks=()):
+            v = values(x, s, mask)
+            if not blocks:  # the base selection
+                return [v[k] for k in at[:n]], tuple(v[k] for k in at[n:])
+            new, cross = {}, {sid: lanes for sid, lanes in zip(sids, blocks) if lanes}
+            heap = sorted((rank["sb", sid], "sb", sid) for sid in cross)  # sorted: a heap
+            queued = set(heap)
             while heap:
-                kind, ref = heappop(heap)[1]
-                ins, outs = (gate_ins[ref], (ref,)) if kind == "gate" else (sb_ins[ref], sb_outs[ref])
-                got = [new[w] if w in new else v[index[origin.get(w, w)]] for w in ins]
+                _, kind, ref = heappop(heap)
                 if kind == "gate":
-                    got = (_gate_fn(kinds[ref], len(ins))(*got, mask),)
-                elif (intended.get(ref) == CROSSED) != (ref == sid):  # crossed as intended, or sid
-                    got.reverse()
-                for w, value in zip(outs, got):
-                    if value != v[index[origin.get(w, w)]]:  # a changed wire queues its readers
-                        new[w] = value
-                        for k, r, _ in fanout.get(w, ()):
-                            node = k, r
-                            if k != "po" and node not in queued and (k == "sb" or kinds[r] != "DFF"):
-                                queued.add(node)
-                                heappush(heap, (rank[node], node))
-            got = [new.get(w, v[k]) for w, k in zip(wires, pos)]
+                    value = fns[ref](*[new[w] if w in new else v[pos[w]] for w in gate_ins[ref]], mask)
+                    changed = () if value == v[pos[ref]] else ((ref, value),)
+                else:
+                    (a, b), outs = [new[w] if w in new else v[pos[w]] for w in sb_ins[ref]], sb_outs[ref]
+                    if intended.get(ref) == CROSSED:
+                        a, b = b, a
+                    if ref in cross:  # crossed again in its block
+                        t = (a ^ b) & cross[ref]
+                        a, b = a ^ t, b ^ t
+                    changed = [(w, c) for w, c in zip(outs, (a, b)) if c != v[pos[w]]]
+                for w, value in changed:  # a changed wire queues its readers
+                    new[w] = value
+                    if w not in readers:
+                        readers[w] = [(rank[k, r], k, r) for k, r, _ in fanout.get(w, ())
+                                      if k == "sb" or k == "gate" and kinds[r] != "DFF"]
+                    for node in readers[w]:
+                        if node not in queued:
+                            queued.add(node)
+                            heappush(heap, node)
+            got = [new[w] if w in new else v[k] for w, k in zip(wires, at)]
             return got[:n], tuple(got[n:])
 
-        return step, lambda x, s, mask: step(x, s, mask, True)
+        return step
 
-    def verdict(self, sid: int, rng_seed: int) -> EquivalenceVerdict:
-        """check_equivalence of the base selection against sid toggled alone."""
-        width = len(self.work.dffs)
-        return compare_steps(*self.steps(sid), len(self.work.inputs), (width, width),
-                             sample_count=self.sample_count, rng_seed=rng_seed)
+    def verdicts(self, sids: Sequence[int], seeds: Sequence[int],
+                 sample_count: Optional[int] = None) -> list[EquivalenceVerdict]:
+        """check_equivalence of the base selection against each sids[i] toggled alone,
+        its sampled vectors drawn from seeds[i], in one blocked compare."""
+        width, step = len(self.work.dffs), self.toggled(sids)
+        return compare_steps(step, step, len(self.work.inputs), (width, width),
+                             sample_count or self.sample_count, seeds)
+
+
+def _seeds(words: Sequence[int], keep: Sequence[bool]) -> list[int]:
+    """The seeds a round's boxes draw from a stream of 32-bit words when box k draws its
+    coin iff keep[k]: getrandbits(32) takes one word and random() two."""
+    seeds, at = [], 0
+    for kept in keep:
+        seeds.append(words[at])
+        at += 1 + 2 * kept
+    return seeds
 
 
 def insert_switchboxes(
@@ -576,6 +625,7 @@ def insert_switchboxes(
     work = _Work(net)
     intended: dict[int, str] = {}
     check = _ToggleCheck(_wire_step(net), work, intended, sample_count)
+    ahead = random.Random(0)  # set to rng's state to draw a round's seeds ahead
     name = f"{net.name}.obf"
 
     gates = sorted(work.kind)
@@ -607,16 +657,43 @@ def insert_switchboxes(
             if sid is not None:
                 round_sbs.append(sid)
 
-        for sid in round_sbs:
-            if check.verdict(sid, rng.getrandbits(32)).equivalent:
-                # degenerate (or not provably non-degenerate): drop it
-                work.remove_switchbox(sid)
-                continue
-            if rng.random() < 0.5:
-                work.reverse_switchbox(sid)
-                intended[sid] = CROSSED
-            else:
-                intended[sid] = PARALLEL
+        # Each box's seed is drawn after the box before it draws its coin, if it is kept. So
+        # the seeds are drawn ahead from a copy of the generator, first as if every box were
+        # kept. One batch of each box's vectors then guesses which boxes are kept (those it
+        # refutes), and the boxes whose seed that guess changes, or that the batch leaves
+        # open, are compared in full with the seeds drawn ahead again. The draws are then
+        # made in order; a box that breaks the guess leaves the later ones to be compared again.
+        pending = round_sbs
+        while pending:
+            ahead.setstate(rng.getstate())
+            stream = ahead.getrandbits(96 * len(pending))  # the next words, lowest first
+            words = [stream >> 32 * k & 0xFFFFFFFF for k in range(3 * len(pending))]
+            first = _seeds(words, [True] * len(pending))
+            got = check.verdicts(pending, first, min(BATCH, sample_count))
+            keep = [not v.equivalent for v in got]
+            seeds = _seeds(words, keep)
+            again = [k for k, v in enumerate(got) if v.mode == "sampled" and (
+                seeds[k] != first[k] or v.equivalent and v.vectors_checked < sample_count)]
+            if again:
+                for k, v in zip(again, check.verdicts([pending[k] for k in again],
+                                                      [seeds[k] for k in again])):
+                    got[k] = v
+            redo: list[int] = []
+            for k, (sid, verdict) in enumerate(zip(pending, got)):
+                rng.getrandbits(32)  # seeds[k]
+                if verdict.equivalent:
+                    # degenerate (or not provably non-degenerate): drop it
+                    work.remove_switchbox(sid)
+                else:
+                    if rng.random() < 0.5:
+                        work.reverse_switchbox(sid)
+                        intended[sid] = CROSSED
+                    else:
+                        intended[sid] = PARALLEL
+                if verdict.mode == "sampled" and verdict.equivalent == keep[k]:
+                    redo = pending[k + 1:]
+                    break
+            pending = redo
 
         if len(work.sb_ins) >= min_switchboxes and work.satisfied(t):
             return work.snapshot(intended, name)
@@ -674,8 +751,8 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
         for bits, seed in zip(configs, seeds):
             sel = _selects(bits, nsb)
             if compare_steps(lambda x, s, mask: step(x, s, intended, mask),
-                             lambda x, s, mask: step(x, s, sel, mask),
-                             m, (width, width), rng_seed=seed).equivalent:
+                             lambda x, s, mask, _: step(x, s, sel, mask),
+                             m, (width, width), rng_seeds=(seed,))[0].equivalent:
                 hits.append(bits)
         return ScanReport(samples, len(hits), [_bits_to_cfg(obf, b) for b in hits])
 

@@ -367,26 +367,29 @@ class TestCandidateVerdicts:
 
     def spy(self, monkeypatch):
         seen, chained = [], []
-        verdict = switchbox._ToggleCheck.verdict
+        verdicts = switchbox._ToggleCheck.verdicts
 
-        def spy_verdict(self, sid, rng_seed):
-            got = verdict(self, sid, rng_seed)
+        def spy_verdicts(self, sids, seeds, sample_count=None):
+            got = verdicts(self, sids, seeds, sample_count)
+            assert len(got) == len(sids) == len(seeds)
             work, intended = self.work, self.intended
             undecided = set(work.sb_ins) - set(intended)
+            assert set(sids) <= undecided
             outs = {w for i in undecided for w in work.sb_outs[i]}
             chained.append(any(w in outs for i in undecided for w in work.sb_ins[i]))
             base = {i: intended.get(i, PARALLEL) for i in work.sb_ins}
-            snap = work.snapshot({**base, sid: PARALLEL}, "spy")
-            want = check_equivalence(
-                apply_config(snap, {**base, sid: PARALLEL}),
-                apply_config(snap, {**base, sid: CROSSED}),
-                sample_count=self.sample_count,
-                rng_seed=rng_seed,
-            )
-            seen.append((got, want))
+            for sid, rng_seed, verdict in zip(sids, seeds, got):
+                snap = work.snapshot({**base, sid: PARALLEL}, "spy")
+                want = check_equivalence(
+                    apply_config(snap, {**base, sid: PARALLEL}),
+                    apply_config(snap, {**base, sid: CROSSED}),
+                    sample_count=sample_count or self.sample_count,
+                    rng_seed=rng_seed,
+                )
+                seen.append((verdict, want))
             return got
 
-        monkeypatch.setattr(switchbox._ToggleCheck, "verdict", spy_verdict)
+        monkeypatch.setattr(switchbox._ToggleCheck, "verdicts", spy_verdicts)
         return seen, chained
 
     BUILDS = {
@@ -431,9 +434,11 @@ class TestCandidateVerdicts:
     def test_original_runs_once_per_cycle(self, monkeypatch, case):
         # the (inputs, state, mask) of every call of either side's step, in
         # order, each run of the original netlist's step with the number of
-        # calls made when it ran, and the number made when each verdict began
-        calls, runs, verdicts = [], [], []
-        wire_step, steps = switchbox._wire_step, switchbox._ToggleCheck.steps
+        # calls made when it ran, the number made when each round's compare
+        # began, and the number made when each counterexample's replay began
+        calls, runs, verdicts, replays, rounds = [], [], [], [], []
+        wire_step, toggled = switchbox._wire_step, switchbox._ToggleCheck.toggled
+        assert_replays = netlist._assert_replays
 
         def spy_wire_step(net):
             step, index = wire_step(net)
@@ -443,39 +448,45 @@ class TestCandidateVerdicts:
                 return step(x, s, mask)
             return counted, index
 
-        def spy_steps(self, sid):
+        def spy_toggled(self, sids):
             verdicts.append(len(calls))
+            rounds.append(len(sids))
+            side = toggled(self, sids)
 
-            def logged(side):
-                def step(x, s, mask):
-                    calls.append((x, s, mask))
-                    return side(x, s, mask)
-                return step
-            return tuple(map(logged, steps(self, sid)))
+            def step(x, s, mask, *blocks):
+                calls.append((x, s, mask))
+                return side(x, s, mask, *blocks)
+            return step
+
+        def spy_replays(*args):
+            replays.append(len(calls))
+            return assert_replays(*args)
 
         monkeypatch.setattr(switchbox, "_wire_step", spy_wire_step)
-        monkeypatch.setattr(switchbox._ToggleCheck, "steps", spy_steps)
+        monkeypatch.setattr(switchbox._ToggleCheck, "toggled", spy_toggled)
+        monkeypatch.setattr(netlist, "_assert_replays", spy_replays)
         self.BUILDS[case]()
-        assert calls and len(verdicts) > 1
+        assert calls and len(verdicts) > 1 and replays
         # the original step runs exactly when a call's (inputs, state, mask)
-        # differ from the call before it, which may end the verdict before
+        # differ from the call before it, which may end the compare or replay before
         assert runs == [(i + 1, c) for i, c in enumerate(calls) if i == 0 or c != calls[i - 1]]
-        bounds = [*verdicts, len(calls)]
-        per_verdict = [sum(a < i <= b for i, _ in runs) for a, b in zip(bounds, bounds[1:])]
-        for (a, b), n in zip(zip(bounds, bounds[1:]), per_verdict):
-            assert n <= len(set(calls[a:b]))  # once per distinct (inputs, state, mask)
+        bounds = sorted({*verdicts, *replays, len(calls)})
+        per_window = {a: sum(a < i <= b for i, _ in runs) for a, b in zip(bounds, bounds[1:])}
+        for (a, b) in zip(bounds, bounds[1:]):
+            assert per_window[a] <= len(set(calls[a:b]))  # once per distinct (inputs, state, mask)
         if case == "exhaustive":
-            # one run per cycle: a base and a toggled call share it, and a
-            # verdict after an equivalent one reuses that one's last run
+            # one run per cycle: a base and a toggled call share it, and one
+            # run serves every box of a round, compared in one call
             assert 2 * len(runs) <= len(calls)
-            assert 0 in per_verdict
+            assert all(per_window[a] <= 1 for a in verdicts if a in per_window)
+            assert max(rounds) > 1
         else:
             assert any(a[0] == b[0] and a[2] == b[2] and a[1] != b[1]  # a toggled state that
                        for a, b in zip(calls, calls[1:]))  # diverged ran the original again
 
 
 class TestToggledSide:
-    """The toggle check's two sides equal the union step, in every lane."""
+    """The toggle check's step equals the union step, in every lane."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10**6), n_dffs=st.integers(0, 3), n_boxes=st.integers(1, 12),
@@ -501,16 +512,19 @@ class TestToggledSide:
                     intended[sid] = CROSSED
         undecided = sorted(set(work.sb_ins) - set(intended))
         assume(undecided)
-        sid = rng.choice(undecided)
-        check = switchbox._ToggleCheck(switchbox._wire_step(net), work, intended, 100)
+        # some undecided boxes, each crossed in its own random lanes (blocks may overlap)
+        sids = rng.sample(undecided, rng.randint(1, len(undecided)))
+        mask = (1 << lanes) - 1
+        blocks = [rng.getrandbits(lanes) for _ in sids]
+        step = switchbox._ToggleCheck(switchbox._wire_step(net), work, intended, 100).toggled(sids)
         obf = work.snapshot({**dict.fromkeys(undecided, PARALLEL), **intended}, "toggled")
         union = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
-        mask = (1 << lanes) - 1
         x = tuple(rng.getrandbits(lanes) for _ in obf.inputs)
         s = tuple(rng.getrandbits(lanes) for _ in work.dffs)
-        for side, crossed in zip(check.steps(sid), (set(), {sid})):
-            sel = [-(intended.get(sb.id) == CROSSED or sb.id in crossed) for sb in obf.switchboxes]
-            out, state = side(x, s, mask)
+        for given in ((), blocks):
+            lanes_of = dict(zip(sids, given))
+            sel = [-(intended.get(sb.id) == CROSSED) ^ lanes_of.get(sb.id, 0) for sb in obf.switchboxes]
+            out, state = step(x, s, mask, given)
             assert (tuple(out), state) == union(x, s, sel, mask)
 
     def test_one_step_kernel_per_insertion(self, monkeypatch):
@@ -889,7 +903,7 @@ class TestInsertionBookkeeping:
         seen = {"rounds": 0, "refused": 0, "searched": 0, "verdicts": 0, "round_start": 0}
         counts = []
         add, satisfied = switchbox._Work.add_switchbox, switchbox._Work.satisfied
-        forward, steps = switchbox._Work._forward, switchbox._ToggleCheck.steps
+        forward, toggled = switchbox._Work._forward, switchbox._ToggleCheck.toggled
 
         def spy_add(self, x, y, sites_z, sites_w):
             old = None
@@ -922,20 +936,20 @@ class TestInsertionBookkeeping:
             seen["round_start"] = self.next_sb
             return got
 
-        def spy_steps(check, sid):
+        def spy_toggled(check, sids):
             # the undecided boxes, parallel at the base selection, are this
             # round's, and no box that was decided has been dropped
             work, intended = check.work, check.intended
             undecided = set(work.sb_ins) - set(intended)
-            assert sid in undecided and min(undecided) >= seen["round_start"]
+            assert set(sids) <= undecided and min(undecided) >= seen["round_start"]
             assert set(intended) <= set(work.sb_ins)
-            seen["verdicts"] += 1
-            return steps(check, sid)
+            seen["verdicts"] += len(sids)
+            return toggled(check, sids)
 
         monkeypatch.setattr(switchbox._Work, "add_switchbox", spy_add)
         monkeypatch.setattr(switchbox._Work, "_forward", spy_forward)
         monkeypatch.setattr(switchbox._Work, "satisfied", spy_satisfied)
-        monkeypatch.setattr(switchbox._ToggleCheck, "steps", spy_steps)
+        monkeypatch.setattr(switchbox._ToggleCheck, "toggled", spy_toggled)
         return seen
 
     @settings(max_examples=25, deadline=None)
