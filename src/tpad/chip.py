@@ -56,6 +56,7 @@ from .netlist import (  # noqa: F401
 )
 from .parity import (
     ParityCheckMatrix,
+    break_fn,
     build_ocp,
     format_matrix,
     parse_matrix,
@@ -761,25 +762,27 @@ class StimulusEncoder:
 
 
 class OutputReceiver:
-    """Trusted receiver decoding the chip's first output subset."""
+    """Trusted receiver decoding every output subset of a chip, in one kernel call."""
 
     def __init__(self, chip: ProtectedChip):
-        self.subset, self.code = chip.out_codes[0]
-        self.prev_check = chip.initial_prev_out_checks[0]
+        self.codes = chip.out_codes
+        self.prev_checks = tuple(chip.initial_prev_out_checks)
         self.width = len(chip.f.outputs)
-        self._breaks: Optional[Callable] = None  # the code's kernel, fetched on the first receive
+        self._breaks: Optional[Callable] = None  # the codes' kernel, fetched on the first receive
 
-    def receive(self, outputs: Sequence[int], check: Sequence[int]) -> int:
-        """Mask of the lanes whose (outputs, check) pair breaks the chain (0 if none).
+    def receive(self, outputs: Sequence[int], *checks: Sequence[int]) -> int:
+        """Mask of the lanes whose outputs and check bits break some subset's chain (0 if none).
 
-        outputs holds one value per chip output and check one per check bit;
-        any other width raises WidthError and leaves the chain as it was.
+        outputs holds one value per chip output, and checks one tuple of check
+        bits per output subset, as a cycle result's out_checks:
+        receive(res.outputs, *res.out_checks). Any other width raises
+        WidthError and leaves every chain as it was.
         """
         breaks = self._breaks
         if breaks is None:
-            breaks = self._breaks = self.code.break_fn(self.subset, self.width)
-        attack = breaks(outputs, check, self.prev_check)
-        self.prev_check = tuple(check)
+            breaks = self._breaks = break_fn(self.codes, self.width)
+        attack = breaks(outputs, checks, self.prev_checks)
+        self.prev_checks = checks
         return attack
 
 
@@ -792,7 +795,7 @@ def closed_loop(chip: ProtectedChip, stimulus: Iterable[tuple]
     enc, rec = StimulusEncoder(chip), OutputReceiver(chip)
     for x, ram_op in stimulus:
         res = chip.cycle(x, enc.send(x), ram_op=ram_op)
-        yield res, rec.receive(res.outputs, res.out_check) | res.monitor_attack | res.decode_attack
+        yield res, rec.receive(res.outputs, *res.out_checks) | res.monitor_attack | res.decode_attack
 
 
 # -- chip bundles --------------------------------------------------------------------

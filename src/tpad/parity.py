@@ -68,16 +68,6 @@ class ParityCheckMatrix:
         """chain(info, prev): the check bits of info XOR prev, one tuple expression."""
         return _compile_check_bits(self.rows, True)
 
-    def break_fn(self, subset: tuple[int, ...], width: int
-                 ) -> Callable[[Sequence[int], Sequence[int], Bits], int]:
-        """breaks(outputs, check, prev): the lanes where check differs from prev
-        XOR the check bits of outputs[subset].
-
-        outputs of another width than `width`, or a check of another width
-        than r, raise WidthError.
-        """
-        return _compile_break(self.rows, subset, width)
-
 
 def _row_parities(rows: Sequence[Bits], names: Sequence[str]) -> list[str]:
     """Each row's parity over the named values, as source: `v0 ^ v3 ^ ...`.
@@ -105,21 +95,39 @@ def _compile_check_bits(rows: tuple[Bits, ...], chained: bool = False) -> Callab
     ], "kernel", {"WidthError": WidthError}, f"{'chain' if chained else 'check_bits'} {r}x{k}")
 
 
+def break_fn(codes: Sequence[tuple[Sequence[int], ParityCheckMatrix]], width: int
+             ) -> Callable[[Sequence[int], Sequence[Sequence[int]], Sequence[Bits]], int]:
+    """breaks(outputs, checks, prevs): the lanes where, for some (subset, code) s of
+    codes, checks[s] differs from prevs[s] XOR the code's check bits of outputs[subset].
+
+    outputs of another width than `width`, or checks of other widths than the
+    codes' r, raise WidthError.
+    """
+    return _compile_break(tuple((code.rows, tuple(subset)) for subset, code in codes), width)
+
+
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _compile_break(rows: tuple[Bits, ...], subset: tuple[int, ...], width: int) -> Callable:
-    r = len(rows)
-    parities = _row_parities(rows, [f"o{j}" for j in subset])
+def _compile_break(codes: tuple[tuple[tuple[Bits, ...], tuple[int, ...]], ...], width: int
+                   ) -> Callable:
+    r = [len(rows) for rows, _ in codes]
+    terms = [f"(c{s}_{i} ^ p{s}_{i} ^ {par})" for s, (rows, subset) in enumerate(codes)
+             for i, par in enumerate(_row_parities(rows, [f"o{j}" for j in subset]))]
+
+    def unpack(v: str) -> str:
+        return " ".join(f"({', '.join(f'{v}{s}_{i}' for i in range(n))},)," for s, n in enumerate(r))
+
     return define([
-        "def kernel(outputs, check, prev):",
+        "def kernel(outputs, checks, prevs):",
         f"    if len(outputs) != {width}:",
         f"        raise WidthError(f'expected {width} output values, got {{len(outputs)}}')",
-        f"    if len(check) != {r}:",
+        f"    if {' or '.join([f'len(checks) != {len(r)}', *(f'len(checks[{s}]) != {n}' for s, n in enumerate(r))])}:",
         "        raise WidthError('receiver chain width mismatch')",
         f"    {', '.join(f'o{j}' for j in range(width))}, = outputs",
-        f"    {', '.join(f'c{i}' for i in range(r))}, = check",
-        f"    {', '.join(f'p{i}' for i in range(r))}, = prev",
-        f"    return {' | '.join(f'(c{i} ^ p{i} ^ {par})' for i, par in enumerate(parities))}",
-    ], "kernel", {"WidthError": WidthError}, f"break {r}x{len(rows[0])}")
+        f"    {unpack('c')} = checks",
+        f"    {unpack('p')} = prevs",
+        f"    return {' | '.join(terms)}",
+    ], "kernel", {"WidthError": WidthError},
+        f"break {'+'.join(f'{len(rows)}x{len(rows[0])}' for rows, _ in codes)}")
 
 
 def sample_parity_code(k: int, r: int, rng_seed: Rng = None) -> ParityCheckMatrix:

@@ -186,7 +186,7 @@ def run_system(
                 x, rc = regs[i]
             res = chip.cycle(x, rc)
             fired = res.monitor_attack
-            if receiver is not None and receiver.receive(res.outputs, res.out_check):
+            if receiver is not None and receiver.receive(res.outputs, *res.out_checks):
                 terminal_fires.append(cyc)
                 fired = True
             if res.monitor_attack:

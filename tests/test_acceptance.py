@@ -127,7 +127,7 @@ def _drive_clean(chip, cycles, seed, with_ram):
                 ram_op = ("idle", None, None)
         res = chip.cycle(x, enc.send(x), ram_op=ram_op)
         fires += res.monitor_attack + res.decode_attack
-        fires += rec.receive(res.outputs, res.out_check)
+        fires += rec.receive(res.outputs, *res.out_checks)
         if res.ram is not None:
             fires += res.ram.attack
     return fires
@@ -343,7 +343,7 @@ def test_criterion_9_decoupling_accounting():
     for _ in range(1000):
         x = tuple(rng.getrandbits(1) for _ in range(10))
         res = chip.cycle(x, enc.send(x))
-        decode_fires += rec.receive(res.outputs, res.out_check)
+        decode_fires += rec.receive(res.outputs, *res.out_checks)
         monitor_fires += res.monitor_attack
     chip.clear_attacks()
 

@@ -176,7 +176,7 @@ class TestInjection:
         for c in range(300):
             x = tuple(rng.getrandbits(1) for _ in range(10))
             res = chip.cycle(x, enc.send(x))
-            receiver_fires += rec.receive(res.outputs, res.out_check)
+            receiver_fires += rec.receive(res.outputs, *res.out_checks)
             if c > 3:
                 zeroed &= not any(res.outputs)
         chip.clear_attacks()

@@ -33,6 +33,7 @@ from tpad.netlist import (Gate, WidthError, eval_wires, output_cone, parse_netli
 from tpad.parity import ParityCheckMatrix, format_matrix, sample_parity_code
 from tpad.ram import RAM_TROJANS, ProtectedRam
 from tpad.switchbox import UnsatisfiableError, serialize_obfuscated
+from tpad.system import SystemTopology, run_system
 
 from conftest import checker_output, combine_error_signals, lfsr16
 
@@ -98,7 +99,7 @@ class TestInputDecoding:
         rec = receiver(h, bits_msb(0xB, 4))
         attack = rec.receive(inputs, bits_msb(0x1, 4))
         assert not attack
-        assert rec.prev_check == bits_msb(0x1, 4)
+        assert rec.prev_checks == (bits_msb(0x1, 4),)
 
     def test_flipped_input_bit_detected(self):
         h = sample_parity_code(8, 4, 3)
@@ -179,7 +180,7 @@ def clean_run(chip, cycles, seed, with_ram=False):
         res = chip.cycle(x, enc.send(x), ram_op=ram_op)
         fires += res.monitor_attack
         fires += res.decode_attack
-        fires += rec.receive(res.outputs, res.out_check)
+        fires += rec.receive(res.outputs, *res.out_checks)
         if res.ram is not None:
             fires += res.ram.attack
     return fires
@@ -370,16 +371,17 @@ class TestClosedLoop:
         chains = []  # each receive call's chain start
         receive = OutputReceiver.receive
         monkeypatch.setattr(OutputReceiver, "receive",
-                            lambda rec, out, check: chains.append(rec.prev_check)
-                            or receive(rec, out, check))
+                            lambda rec, out, *checks: chains.append(rec.prev_checks)
+                            or receive(rec, out, *checks))
         results = list(closed_loop(chip, stimulus))
         monkeypatch.undo()
         fired = [res.monitor_attack | res.decode_attack for res, _ in results]
         assert [bad for _, bad in results] == fired
         assert any(fired[c] and not fired[c + 1] for c in range(199))
         assert not all(fired)
-        assert [tuple(c) for c in chains] == [tuple(chip.initial_prev_out_checks[0])] + [
-            tuple(res.out_check) for res, _ in results[:-1]]
+        assert [tuple(map(tuple, c)) for c in chains] == [
+            tuple(map(tuple, chip.initial_prev_out_checks))] + [
+            tuple(map(tuple, res.out_checks)) for res, _ in results[:-1]]
 
     def test_run_and_campaigns_drive_through_it(self, adder_chip, tmp_path, monkeypatch, capsys):
         """`tpad run` and run_campaign clock every cycle through closed_loop."""
@@ -401,6 +403,32 @@ class TestClosedLoop:
                               rng_seed=3)
         assert loops == [20, 4, 4]  # one run, then two campaign batches (256 + 44 trials)
         assert report.trials == 300
+
+
+class TestEveryOutputSubset:
+    """The trusted receiver decodes every output subset's chain, not the first only."""
+
+    @pytest.fixture(scope="class")
+    def split_chip(self):
+        return build_protected_chip(random_netlist(8, 30, 6, rng_seed=5), r=3, t=2,
+                                    lfsr_spec=lfsr16(3), rng_seed=7,
+                                    options=ChipOptions(output_subsets=((0, 1, 2), (3, 4, 5))))
+
+    @pytest.mark.parametrize("pad", [1, 4])  # a pad of the first subset, and one of the second
+    def test_flipped_pad_is_reported(self, split_chip, pad):
+        atk = AttackDescriptor("pin", f"output:{pad}", ("at_cycle", 3))
+        report = run_campaign(split_chip, lambda rng: atk, trials=200, cycles_per_trial=8,
+                              rng_seed=1)
+        assert report.detected == 200 and report.false_positives == 0
+        assert {rec.first_detect_cycle for rec in report.records} == {3}
+
+    def test_clean_runs_report_nothing(self, split_chip):
+        split_chip.reset(3)
+        rng = random.Random(4)
+        stimulus = [(tuple(rng.getrandbits(1) for _ in range(8)), None) for _ in range(200)]
+        assert not any(bad for _, bad in closed_loop(split_chip, stimulus))
+        report = run_system(SystemTopology([split_chip], []), [], 200, rng_seed=5)
+        assert report.terminal_decode_fires == [] and report.first_detection is None
 
 
 class TestChipAttacks:
@@ -789,13 +817,16 @@ class TestWidthChecks:
 
     def test_receiver_width_validation(self, adder_chip):
         rec = OutputReceiver(adder_chip)
-        start = rec.prev_check
+        start = rec.prev_checks
         with pytest.raises(WidthError):
             rec.receive((1, 0), (0, 0))
         for word in ((1,), (1, 0, 1)):
             with pytest.raises(WidthError, match=rf"^expected 2 output values, got {len(word)}$"):
                 rec.receive(word, (0,))
-        assert rec.prev_check == start
+        for checks in ((), ((0,), (0,))):  # one check per output subset
+            with pytest.raises(WidthError, match="^receiver chain width mismatch$"):
+                rec.receive((1, 0), *checks)
+        assert rec.prev_checks == start
 
 
 # -- the generated clock against a reference -----------------------------------------

@@ -138,7 +138,7 @@ def test_run_receives_every_word(tmp_path, capsys):
     for _ in range(200):
         x = tuple(rng.getrandbits(1) for _ in range(10))
         res = chip.cycle(x, enc.send(x))
-        received = rec.receive(res.outputs, res.out_check)
+        received = rec.receive(res.outputs, *res.out_checks)
         want.append(int(bool(received or res.monitor_attack or res.decode_attack)))
         monitor_cycles += bool(res.monitor_attack)
     assert 0 < monitor_cycles < 200

@@ -1,7 +1,8 @@
 """The trusted harness's generated kernels against their former loop bodies.
 
 `StimulusEncoder.send`, `OutputReceiver.receive` and `ErrorMonitor.check`
-run straight-line functions generated per code and per LFSR spec. The
+run straight-line functions generated per code (per list of output codes)
+and per LFSR spec. The
 reference classes below are the loop bodies they replaced, kept as oracles:
 on the same inputs both must give the same verdicts, check bits and state,
 bit for bit, on one lane and on lane ints up to 64 lanes wide.
@@ -80,14 +81,16 @@ class ReferenceMonitor:
         return attack
 
 
-def channel(k, r, width, rng):
-    """A fake chip: a k-bit code on a random subset of `width` outputs, and chain starts."""
-    code = sample_parity_code(k, r, rng.getrandbits(32))
-    subset = tuple(rng.sample(range(width), k))
+def channel(k, r, width, rng, subsets=1):
+    """A fake chip: k-bit codes on random subsets of `width` outputs, and chain starts;
+    the input code is the first subset's."""
+    codes = [sample_parity_code(k, r, rng.getrandbits(32)) for _ in range(subsets)]
+    out_codes = [(tuple(rng.sample(range(width), k)), code) for code in codes]
     return SimpleNamespace(
-        h_in=code, f=SimpleNamespace(outputs=range(width)), out_codes=[(subset, code)],
+        h_in=codes[0], f=SimpleNamespace(outputs=range(width)), out_codes=out_codes,
         initial_prev_in_check=tuple(rng.getrandbits(1) for _ in range(r)),
-        initial_prev_out_checks=[tuple(rng.getrandbits(1) for _ in range(r))],
+        initial_prev_out_checks=[tuple(rng.getrandbits(1) for _ in range(r))
+                                 for _ in range(subsets)],
     )
 
 
@@ -99,31 +102,42 @@ def random_spec(degree, n_taps, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(1, 20), r=st.integers(1, 8), extra=st.integers(0, 6),
-       lanes=st.integers(1, 64), seed=st.integers(0, 2**32))
-def test_encoder_and_receiver_match_reference(k, r, extra, lanes, seed):
-    """A chain of words, some with flipped outputs or check bits, read identically."""
+       lanes=st.integers(1, 64), seed=st.integers(0, 2**32), subsets=st.integers(1, 3))
+def test_encoder_and_receiver_match_reference(k, r, extra, lanes, seed, subsets):
+    """A chain of words, some with flipped outputs or check bits, read identically:
+    the receiver's verdict is the reference receivers' of every subset, ORed."""
     rng = random.Random(seed)
-    chip = channel(k, r, k + extra, rng)
+    chip = channel(k, r, k + extra, rng, subsets)
     enc, ref_enc = StimulusEncoder(chip), ReferenceEncoder(chip)
-    rec, ref_rec = OutputReceiver(chip), ReferenceReceiver(chip)
+    rec = OutputReceiver(chip)
+    refs = [ReferenceReceiver(chip, s) for s in range(subsets)]
+    # honest senders of the other subsets' check bits
+    others = [ReferenceEncoder(SimpleNamespace(h_in=code, initial_prev_in_check=start))
+              for (_, code), start in zip(chip.out_codes[1:], chip.initial_prev_out_checks[1:])]
     subset = chip.out_codes[0][0]
     for _ in range(12):
         x = tuple(rng.getrandbits(lanes) for _ in range(k))
-        in_step = rec.prev_check == enc.prev_check
+        in_step = rec.prev_checks == (enc.prev_check, *(o.prev_check for o in others))
         check = enc.send(x)
         assert check == ref_enc.send(x) and enc.prev_check == ref_enc.prev_check
         outputs = [rng.getrandbits(lanes) for _ in range(k + extra)]
         for j, v in zip(subset, x):
             outputs[j] = v
+        checks = [check, *(o.send(tuple(outputs[j] for j in s))
+                           for o, (s, _) in zip(others, chip.out_codes[1:]))]
+        honest = tuple(outputs)
         if rng.random() < 0.3:
             outputs[rng.randrange(k + extra)] ^= 1 << rng.randrange(lanes)
         flip = rng.getrandbits(lanes) if rng.random() < 0.3 else 0
-        i = rng.randrange(r)
-        check = check[:i] + (check[i] ^ flip,) + check[i + 1:]
-        got = rec.receive(tuple(outputs), check)
-        assert got == ref_rec.receive(tuple(outputs), check)
-        assert rec.prev_check == ref_rec.prev_check
-        if in_step and x == tuple(outputs[j] for j in subset):
+        s, i = rng.randrange(subsets), rng.randrange(r)
+        checks[s] = checks[s][:i] + (checks[s][i] ^ flip,) + checks[s][i + 1:]
+        got = rec.receive(tuple(outputs), *checks)
+        want = 0
+        for ref, c in zip(refs, checks):
+            want |= ref.receive(tuple(outputs), c)
+        assert got == want
+        assert rec.prev_checks == tuple(ref.prev_check for ref in refs)
+        if in_step and tuple(outputs) == honest:
             assert got == flip  # a flipped check bit is seen in exactly its lanes
 
 
@@ -164,11 +178,12 @@ def test_width_errors_leave_the_chain(k, r, extra, seed):
         with pytest.raises(WidthError, match=f"^expected {k} info bits, got {bad}$"):
             enc.send((0,) * bad)
     assert enc.prev_check == chip.initial_prev_in_check
-    for outputs, check in (((0,) * (width - 1), (0,) * r), ((0,) * (width + 1), (0,) * r),
-                           ((0,) * width, (0,) * (r - 1)), ((0,) * width, (0,) * (r + 1))):
+    for outputs, checks in (((0,) * (width - 1), [(0,) * r]), ((0,) * (width + 1), [(0,) * r]),
+                            ((0,) * width, [(0,) * (r - 1)]), ((0,) * width, [(0,) * (r + 1)]),
+                            ((0,) * width, []), ((0,) * width, [(0,) * r] * 2)):
         with pytest.raises(WidthError):
-            rec.receive(outputs, check)
-    assert rec.prev_check == chip.initial_prev_out_checks[0]
+            rec.receive(outputs, *checks)
+    assert rec.prev_checks == tuple(chip.initial_prev_out_checks)
     with pytest.raises(WidthError):
         mon.check((0,) * (spec.r + 1))
     assert (mon.state, mon.cycle) == (spec.seed, 0)
@@ -209,7 +224,8 @@ def test_kernels_are_built_once_per_code_and_spec():
     assert kernel_lookups() == before + 3
     # one kernel per matrix rows (and subset and width) or spec, shared by equal copies
     assert enc._chain is chip.h_in.chain_fn() is ParityCheckMatrix(chip.h_in.rows).chain_fn()
-    assert rec._breaks is code.break_fn(subset, 8) is ParityCheckMatrix(code.rows).break_fn(subset, 8)
+    assert rec._breaks is parity.break_fn([(subset, code)], 8) is parity.break_fn(
+        [(list(subset), ParityCheckMatrix(code.rows))], 8)
     twin = ErrorMonitor(replace(spec), 3)  # an equal spec, not the same object
     twin.check((0,) * 3)
     assert mon._check is twin._check and twin.spec is not spec
@@ -227,7 +243,7 @@ def test_list_rows_and_taps_key_the_kernel_caches():
     assert code == ParityCheckMatrix(((1, 0, 1), (0, 1, 1)))
     assert code.check_bits((1, 1, 0)) == (1, 1)
     assert code.chain_fn() is ParityCheckMatrix(((1, 0, 1), (0, 1, 1))).chain_fn()
-    assert code.break_fn((0, 1, 2), 3)((1, 1, 0), (1, 1), (0, 0)) == 0
+    assert parity.break_fn([([0, 1, 2], code)], 3)((1, 1, 0), ((1, 1),), ((0, 0),)) == 0
     spec = LfsrSpec(8, 0x11D, 0x5A, [0, 3, 6])
     assert spec.taps == (0, 3, 6) and spec == LfsrSpec(8, 0x11D, 0x5A, (0, 3, 6))
     assert ErrorMonitor(spec).check([-(spec.seed >> p & 1) & 1 for p in spec.taps]) == 0
