@@ -5,6 +5,10 @@ import random
 import subprocess
 import sys
 
+from functools import reduce
+from heapq import heappop, heappush
+from operator import and_, or_, xor
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from tpad.chip import ChipOptions, build_protected_chip
 from tpad.netlist import (
     EXHAUSTIVE_INPUTS,
     HORIZON,
+    EquivalenceVerdict,
     Gate,
     MultipleDriverError,
     Netlist,
@@ -483,6 +488,210 @@ class TestCandidateVerdicts:
         else:
             assert any(a[0] == b[0] and a[2] == b[2] and a[1] != b[1]  # a toggled state that
                        for a, b in zip(calls, calls[1:]))  # diverged ran the original again
+
+
+# -- the one-box verdict, kept as an oracle -------------------------------------------
+
+
+_ORACLE_GATES = {
+    "AND": lambda a, m: reduce(and_, a), "OR": lambda a, m: reduce(or_, a),
+    "XOR": lambda a, m: reduce(xor, a), "NAND": lambda a, m: m ^ reduce(and_, a),
+    "NOR": lambda a, m: m ^ reduce(or_, a), "NOT": lambda a, m: m ^ a[0],
+    "BUF": lambda a, m: a[0], "CONST0": lambda a, m: 0, "CONST1": lambda a, m: m,
+}
+
+
+def oracle_steps(check, sid):
+    """The base step and the step with sid toggled alone, walked as insertion did before
+    its boxes were tested in lane blocks."""
+    work, pos, intended = check.work, check.pos, check.intended
+    wires = [*work.outputs, *(work.ins[o][0] for o in work.dffs)]
+    n = len(work.outputs)
+
+    def step(x, s, mask, toggle=False):
+        v, new = check.values(x, s, mask), {}
+        heap = [(work.rank["sb", sid], ("sb", sid))] if toggle else []
+        queued = {node for _, node in heap}
+        while heap:
+            kind, ref = heappop(heap)[1]
+            ins, outs = ((work.ins[ref], (ref,)) if kind == "gate"
+                         else (work.sb_ins[ref], work.sb_outs[ref]))
+            got = [new[w] if w in new else v[pos[w]] for w in ins]
+            if kind == "gate":
+                got = (_ORACLE_GATES[work.kind[ref]](got, mask),)
+            elif (intended.get(ref) == CROSSED) != (ref == sid):
+                got.reverse()
+            for w, value in zip(outs, got):
+                if value != v[pos[w]]:
+                    new[w] = value
+                    for k, r, _ in work.fanout.get(w, ()):
+                        if k != "po" and (k, r) not in queued and (k == "sb" or work.kind[r] != "DFF"):
+                            queued.add((k, r))
+                            heappush(heap, (work.rank[k, r], (k, r)))
+        got = [new.get(w, v[pos[w]]) for w in wires]
+        return got[:n], tuple(got[n:])
+
+    return step, lambda x, s, mask: step(x, s, mask, True)
+
+
+def oracle_compare(f1, f2, m, widths, sample_count, seed):
+    """compare_steps as one box's compare ran: one 512-lane batch after another."""
+    cycles = HORIZON if any(widths) else 1
+    horizon = cycles if any(widths) else None
+
+    def first_diff(cyc, mask):
+        s1, s2 = (0,) * widths[0], (0,) * widths[1]
+        for c in range(cycles):
+            (o1, s1), (o2, s2) = f1(cyc[c], s1, mask), f2(cyc[c], s2, mask)
+            for a, b in zip(o1, o2):
+                if a != b:
+                    return ((a ^ b) & -(a ^ b)).bit_length() - 1
+        return None
+
+    def verdict(mode, checked, cyc, lane):
+        if lane is None:
+            return EquivalenceVerdict(True, mode, checked, horizon=horizon)
+        cex = tuple(tuple((cyc[c][j] >> lane) & 1 for j in range(m)) for c in range(cycles))
+        return EquivalenceVerdict(False, mode, checked, cex if horizon else cex[0], horizon=horizon)
+
+    if m * cycles <= EXHAUSTIVE_INPUTS:
+        pats, full = input_patterns(m * cycles)
+        cyc = [pats[c * m:(c + 1) * m] for c in range(cycles)]
+        return verdict("exhaustive", 1 << m * cycles, cyc, first_diff(cyc, full))
+    rng, done = random.Random(seed), 0
+    while done < sample_count:
+        batch = min(512, sample_count - done)
+        cyc = [tuple(rng.getrandbits(batch) for _ in range(m)) for _ in range(cycles)]
+        lane = first_diff(cyc, (1 << batch) - 1)
+        if lane is not None:
+            return verdict("sampled", done + lane + 1, cyc, lane)
+        done += batch
+    return verdict("sampled", sample_count, None, None)
+
+
+def oracle_verdict(check, sid, seed, sample_count=None):
+    width = len(check.work.dffs)
+    return oracle_compare(*oracle_steps(check, sid), len(check.work.inputs), (width, width),
+                          sample_count or check.sample_count, seed)
+
+
+def one_box_insertion(net, t, rng, max_iterations, sample_count, used=None):
+    """insert_switchboxes as it ran before lane blocks: each box's seed drawn, then its
+    verdict, then its coin. The serialized result, or the UnsatisfiableError counts;
+    used gets each box's (seed, verdict)."""
+    work, intended, used = switchbox._Work(net), {}, {} if used is None else used
+    check = switchbox._ToggleCheck(switchbox._wire_step(net), work, intended, sample_count)
+    gates = sorted(work.kind)
+    for _ in range(max_iterations if gates else 0):
+        v = rng.choice(gates)
+        nb_v = work.neighborhood(v)
+        inc_v, out_v = work.incoming_edges(nb_v), work.output_gates(nb_v)
+        for u in rng.sample(gates, len(gates)):
+            nb_u = work.neighborhood(u)
+            if not nb_u & nb_v and work.shape(nb_u) == (len(inc_v), len(out_v)):
+                break
+        else:
+            continue
+        inc_u, out_u = work.incoming_edges(nb_u), work.output_gates(nb_u)
+        sids = [work.add_switchbox(wx, wy, [("gate", gv, pv)], [("gate", gu, pu)])
+                for (wx, gv, pv), (wy, gu, pu) in zip(inc_v, inc_u)]
+        sids += [work.add_switchbox(s, t_, work.consumers(s), work.consumers(t_))
+                 for s, t_ in zip(out_v, out_u)]
+        for sid in [s for s in sids if s is not None]:
+            seed = rng.getrandbits(32)
+            used[sid] = seed, oracle_verdict(check, sid, seed)
+            if used[sid][1].equivalent:
+                work.remove_switchbox(sid)
+            elif rng.random() < 0.5:
+                work.reverse_switchbox(sid)
+                intended[sid] = CROSSED
+            else:
+                intended[sid] = PARALLEL
+        if work.satisfied(t):
+            obf = work.snapshot(intended, f"{net.name}.obf")
+            return serialize_obfuscated(obf) + format_config(obf.intended)
+    return tuple(map(work.cone_count, range(len(work.outputs))))
+
+
+def sampled_seeds(used):
+    """Each box's (seed, verdict), the seed kept only where the compare was sampled:
+    an exhaustive compare ignores it."""
+    return {sid: (seed if v.mode == "sampled" else None, v) for sid, (seed, v) in used.items()}
+
+
+# (net_seed, sb_seed, m, n_dffs, t, sample_count) of a draw whose sampled rounds drop
+# a box before others, so the boxes after it are compared again with redrawn seeds
+REDO = (0, 0, 17, 0, 1, 600)
+
+
+class TestPackedVerdicts:
+    """Lane-blocked verdicts, drawn-ahead seeds and their redo against the one-box loop."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Check every packed verdict against the oracle. Returns each box's last (seed,
+        verdict), the one insertion acts on, and the number of sampled boxes compared
+        again with another seed."""
+        verdicts, used, seen = switchbox._ToggleCheck.verdicts, {}, {"reseeded": 0}
+
+        def spy_verdicts(self, sids, seeds, sample_count=None):
+            got = verdicts(self, sids, seeds, sample_count)
+            for sid, seed, verdict in zip(sids, seeds, got):
+                assert verdict == oracle_verdict(self, sid, seed, sample_count)
+                if sid in used and verdict.mode == "sampled":
+                    seen["reseeded"] += seed != used[sid][0]
+                used[sid] = seed, verdict
+            return got
+
+        monkeypatch.setattr(switchbox._ToggleCheck, "verdicts", spy_verdicts)
+        return used, seen
+
+    @staticmethod
+    def build(net, t, rng, sample_count):
+        try:
+            obf = insert_switchboxes(net, t, rng_seed=rng, max_iterations=15,
+                                     sample_count=sample_count)
+        except UnsatisfiableError as e:
+            return e.per_output_counts
+        return serialize_obfuscated(obf) + format_config(obf.intended)
+
+    @settings(max_examples=30, deadline=None)
+    @given(net_seed=st.integers(0, 10**6), sb_seed=st.integers(0, 10**6),
+           m=st.sampled_from([4, 5, 17]), n_dffs=st.integers(0, 3), t=st.integers(1, 2),
+           sample_count=st.sampled_from([600, 1100]))
+    @example(net_seed=REDO[0], sb_seed=REDO[1], m=REDO[2], n_dffs=REDO[3], t=REDO[4],
+             sample_count=REDO[5])
+    def test_matches_one_box_loop(self, net_seed, sb_seed, m, n_dffs, t, sample_count):
+        # 4 inputs: exhaustive, also over 4 cycles; 5 with DFFs and 17: sampled
+        net = with_dffs(random_netlist(m, 24, 3, rng_seed=net_seed), random.Random(net_seed),
+                        n_dffs)
+        packed_rng, loop_rng = random.Random(sb_seed), random.Random(sb_seed)
+        with pytest.MonkeyPatch.context() as mp:
+            used, seen = self.spy(mp)
+            got = self.build(net, t, packed_rng, sample_count)
+        want: dict = {}
+        assert got == one_box_insertion(net, t, loop_rng, 15, sample_count, want)
+        assert sampled_seeds(used) == sampled_seeds(want)  # every box's verdict, field for field
+        assert packed_rng.getstate() == loop_rng.getstate()
+        if (net_seed, sb_seed, m, n_dffs, t, sample_count) == REDO:
+            assert seen["reseeded"]  # a sampled box mid-round was dropped: later boxes redone
+
+    def test_box_refuted_after_its_first_batch(self, monkeypatch):
+        # the only draw of 540 searched in which the first batch of a box's vectors
+        # misses its difference: the box was guessed dropped, so when a later batch
+        # refutes it the boxes after it are drawn ahead and compared again
+        net = random_netlist(20, 80, 6, rng_seed=43)
+        used, _ = self.spy(monkeypatch)
+        packed_rng, loop_rng = random.Random(2), random.Random(2)
+        obf = insert_switchboxes(net, 2, rng_seed=packed_rng, max_iterations=40)
+        monkeypatch.undo()
+        assert [v.vectors_checked for _, v in used.values()
+                if not v.equivalent and v.vectors_checked > netlist.BATCH] == [597, 527]
+        want: dict = {}
+        assert (serialize_obfuscated(obf) + format_config(obf.intended)
+                == one_box_insertion(net, 2, loop_rng, 40, 10000, want))
+        assert sampled_seeds(used) == sampled_seeds(want)
+        assert packed_rng.getstate() == loop_rng.getstate()
 
 
 class TestToggledSide:
