@@ -769,11 +769,11 @@ def compare_steps(
     batches of BATCH vectors drawn from random.Random(rng_seeds[i]) in turn,
     and the first batch that differs in some cycle, then its first such
     cycle, then that cycle's first differing output, then that output's
-    lowest lane. Every block's first batch runs in one call, side by side,
-    and a sampled block whose first batch shows no difference draws its
-    later batches and runs them side by side in a second call; a call that
-    would pass LANE_CAP lanes is split. Every counterexample is replayed
-    through both steps at mask=1, with only its own block's lane set.
+    lowest lane. Every block's first batch runs in one call, side by side;
+    a sampled block whose first batch shows no difference draws its later
+    batches with the same calls and runs them side by side in the next call.
+    A call that would pass LANE_CAP lanes is split. Every counterexample is
+    replayed through both steps at mask=1, with only its own block's lane set.
     """
     m, n_blocks = n_inputs, len(rng_seeds)
     cycles = HORIZON if any(state_widths) else 1

@@ -120,10 +120,11 @@ def _compile_break(codes: tuple[tuple[tuple[Bits, ...], tuple[int, ...]], ...], 
         "def kernel(outputs, checks, prevs):",
         f"    if len(outputs) != {width}:",
         f"        raise WidthError(f'expected {width} output values, got {{len(outputs)}}')",
-        f"    if {' or '.join([f'len(checks) != {len(r)}', *(f'len(checks[{s}]) != {n}' for s, n in enumerate(r))])}:",
-        "        raise WidthError('receiver chain width mismatch')",
         f"    {', '.join(f'o{j}' for j in range(width))}, = outputs",
-        f"    {unpack('c')} = checks",
+        "    try:",
+        f"        {unpack('c')} = checks",
+        "    except ValueError:",
+        "        raise WidthError('receiver chain width mismatch') from None",
         f"    {unpack('p')} = prevs",
         f"    return {' | '.join(terms)}",
     ], "kernel", {"WidthError": WidthError},

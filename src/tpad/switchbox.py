@@ -6,11 +6,17 @@ disjoint radius-1 gate neighborhoods with matching boundary shape, places
 switchboxes on their incoming wires and outputs, drops any switchbox whose
 two settings compute the same function, coin-flips the intended setting of
 the survivors, and stops once every output cone holds at least t of them.
-Each round's boxes are tested one toggle at a time against the original
-netlist's step, compiled once per insertion with every wire as an output:
-the untoggled side reads its outputs off those wire values, and the
-toggled side propagates only the difference the toggle makes, gate by
-gate, as a single fault is propagated in event-driven fault simulation.
+Each box is tested toggled alone against the original netlist's step,
+compiled once per insertion with every wire as an output: the untoggled
+side reads its outputs off those wire values, and the toggled side
+propagates only the difference a toggle makes, gate by gate, as a fault is
+propagated in event-driven fault simulation. A round's boxes are tested
+in one blocked compare, box i toggled only in lane block i, so one walk
+over the union of their cones serves them all. A box's seed is drawn after
+the coin of the box before it, which only a kept box draws, so the round's
+seeds are drawn ahead from a copy of the generator under a guess of which
+boxes are kept, and boxes whose guessed seed proves wrong are compared
+again; the verdicts and draws are those of testing one box after another.
 
 Every insertion keeps the union dependency graph (a switchbox output
 depending on both its inputs) acyclic, so all 2^#SB configurations yield
@@ -24,6 +30,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence
 
@@ -471,19 +478,12 @@ def _wire_step(net: Netlist) -> tuple[Callable, dict[int, int]]:
     return step, {w: k for k, w in enumerate(wires)}
 
 
-class _GateFns(dict):
-    """(kind, arity) -> gate(a0, ..., mask), one `kind` gate over `arity` operands,
-    compiled on first use, once per process."""
-
-    def __missing__(self, key: tuple[str, int]) -> Callable:
-        kind, arity = key
-        args = [f"a{i}" for i in range(arity)]
-        fn = self[key] = define([f"def gate({', '.join([*args, 'mask'])}):",
-                                 f" return {_gate_expr(kind, args)}"], "gate", {}, f"gate {kind}/{arity}")
-        return fn
-
-
-_GATES = _GateFns()
+@lru_cache(maxsize=None)
+def _gate_fn(kind: str, arity: int) -> Callable:
+    """gate(a0, ..., mask): one `kind` gate over `arity` operands, compiled once per process."""
+    args = [f"a{i}" for i in range(arity)]
+    return define([f"def gate({', '.join([*args, 'mask'])}):", f" return {_gate_expr(kind, args)}"],
+                  "gate", {}, f"gate {kind}/{arity}")
 
 
 class _Positions(dict):
@@ -527,7 +527,9 @@ class _ToggleCheck:
         (self.wire_step, index), self.last = original, (None, ())
         self.work, self.intended, self.sample_count = work, intended, sample_count
         self.pos = _Positions(index, work.origin)
-        self.fns = {o: _GATES[kind, len(work.ins[o])] for o, kind in work.kind.items() if kind != "DFF"}
+        self.fns = {o: _gate_fn(kind, len(work.ins[o])) for o, kind in work.kind.items()
+                    if kind != "DFF"}
+        self.ahead = random.Random(0)  # set to an insertion generator's state to draw ahead
 
     def values(self, x: tuple, s: tuple, mask: int) -> tuple[int, ...]:
         """Every original wire's value, from the last run if it had these arguments."""
@@ -589,6 +591,51 @@ class _ToggleCheck:
         return compare_steps(step, step, len(self.work.inputs), (width, width),
                              sample_count or self.sample_count, seeds)
 
+    def settle(self, sids: list[int], rng: random.Random) -> None:
+        """Test a round's boxes, in order: drop each degenerate one (or one not provably
+        non-degenerate), and give each other one a fair coin for its intended setting.
+
+        rng draws what testing one box after another draws: each box's seed, then the
+        coin of a kept box. So the seeds are drawn ahead, from a copy of rng, first as
+        if every box were kept. One batch of each box's vectors then guesses which boxes
+        are kept (those it refutes), and the boxes whose seed that guess changes, or that
+        the batch leaves open, are compared in full with the seeds drawn ahead again.
+        Then the draws are made in order; a box that breaks the guess (its later batches
+        refute it) leaves the boxes after it to be compared again from there. An
+        exhaustive compare ignores its seed, so it is never redone.
+        """
+        work, intended, sample_count = self.work, self.intended, self.sample_count
+        while sids:
+            # getrandbits(96n) draws the next 3n 32-bit words, word k at bit 32k
+            # (rng.random_bits relies on the same order); a seed takes one, a coin two
+            self.ahead.setstate(rng.getstate())
+            stream = self.ahead.getrandbits(96 * len(sids))
+            words = [stream >> 32 * k & 0xFFFFFFFF for k in range(3 * len(sids))]
+            first = _seeds(words, [True] * len(sids))
+            got = self.verdicts(sids, first, min(BATCH, sample_count))
+            keep = [not v.equivalent for v in got]
+            seeds = _seeds(words, keep)
+            again = [k for k, v in enumerate(got) if v.mode == "sampled" and (
+                seeds[k] != first[k] or v.equivalent and v.vectors_checked < sample_count)]
+            if again:
+                for k, v in zip(again, self.verdicts([sids[k] for k in again],
+                                                     [seeds[k] for k in again])):
+                    got[k] = v
+            redo: list[int] = []
+            for k, (sid, verdict) in enumerate(zip(sids, got)):
+                rng.getrandbits(32)  # seeds[k]
+                if verdict.equivalent:
+                    work.remove_switchbox(sid)
+                elif rng.random() < 0.5:
+                    work.reverse_switchbox(sid)
+                    intended[sid] = CROSSED
+                else:
+                    intended[sid] = PARALLEL
+                if verdict.mode == "sampled" and verdict.equivalent == keep[k]:
+                    redo = sids[k + 1:]
+                    break
+            sids = redo
+
 
 def _seeds(words: Sequence[int], keep: Sequence[bool]) -> list[int]:
     """The seeds a round's boxes draw from a stream of 32-bit words when box k draws its
@@ -625,7 +672,6 @@ def insert_switchboxes(
     work = _Work(net)
     intended: dict[int, str] = {}
     check = _ToggleCheck(_wire_step(net), work, intended, sample_count)
-    ahead = random.Random(0)  # set to rng's state to draw a round's seeds ahead
     name = f"{net.name}.obf"
 
     gates = sorted(work.kind)
@@ -657,43 +703,7 @@ def insert_switchboxes(
             if sid is not None:
                 round_sbs.append(sid)
 
-        # Each box's seed is drawn after the box before it draws its coin, if it is kept. So
-        # the seeds are drawn ahead from a copy of the generator, first as if every box were
-        # kept. One batch of each box's vectors then guesses which boxes are kept (those it
-        # refutes), and the boxes whose seed that guess changes, or that the batch leaves
-        # open, are compared in full with the seeds drawn ahead again. The draws are then
-        # made in order; a box that breaks the guess leaves the later ones to be compared again.
-        pending = round_sbs
-        while pending:
-            ahead.setstate(rng.getstate())
-            stream = ahead.getrandbits(96 * len(pending))  # the next words, lowest first
-            words = [stream >> 32 * k & 0xFFFFFFFF for k in range(3 * len(pending))]
-            first = _seeds(words, [True] * len(pending))
-            got = check.verdicts(pending, first, min(BATCH, sample_count))
-            keep = [not v.equivalent for v in got]
-            seeds = _seeds(words, keep)
-            again = [k for k, v in enumerate(got) if v.mode == "sampled" and (
-                seeds[k] != first[k] or v.equivalent and v.vectors_checked < sample_count)]
-            if again:
-                for k, v in zip(again, check.verdicts([pending[k] for k in again],
-                                                      [seeds[k] for k in again])):
-                    got[k] = v
-            redo: list[int] = []
-            for k, (sid, verdict) in enumerate(zip(pending, got)):
-                rng.getrandbits(32)  # seeds[k]
-                if verdict.equivalent:
-                    # degenerate (or not provably non-degenerate): drop it
-                    work.remove_switchbox(sid)
-                else:
-                    if rng.random() < 0.5:
-                        work.reverse_switchbox(sid)
-                        intended[sid] = CROSSED
-                    else:
-                        intended[sid] = PARALLEL
-                if verdict.mode == "sampled" and verdict.equivalent == keep[k]:
-                    redo = pending[k + 1:]
-                    break
-            pending = redo
+        check.settle(round_sbs, rng)
 
         if len(work.sb_ins) >= min_switchboxes and work.satisfied(t):
             return work.snapshot(intended, name)
