@@ -318,10 +318,8 @@ def digest(rows) -> str:
 
 
 # sha256 of the one-lane sessions' per-cycle values, recorded with the scalar
-# chip model that came before lanes. two_subsets was re-recorded when the
-# receiver began to decode every output subset, not the first only: six
-# rows of four sessions differ, in the receiver's verdict alone (read with
-# the first subset only, the sessions give the former digest 48fa0df7...)
+# chip model that came before lanes; two_subsets re-recorded once the receiver
+# decoded every output subset (six rows differ, in its verdict alone)
 GOLDEN = {
     "wide_pipelined": "8b8b3949161af9202fb7313b8eb714f118bbe57880229d8191bf73574105e6b5",
     "two_subsets": "8ad2a0181e272b9eb88610f4412ad6acf006d36257c897047b79a89bdee9fbe3",
