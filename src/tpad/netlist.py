@@ -841,8 +841,8 @@ def compare_steps(
             run(call)
 
     if exhaustive:
-        table = b"".join(p.to_bytes(slot, "little") for p in input_patterns(rows)[0])
-        packed([[(i, 0, lanes, table)] for i in range(n_blocks)])
+        truth = b"".join(p.to_bytes(slot, "little") for p in input_patterns(rows)[0])
+        packed([[(i, 0, lanes, truth)] for i in range(n_blocks)])
         checked = lanes
     else:
         rngs = [random.Random(seed) for seed in rng_seeds]
