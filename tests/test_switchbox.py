@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-
 from functools import reduce
 from heapq import heappop, heappush
 from operator import and_, or_, xor
@@ -504,9 +503,14 @@ _ORACLE_GATES = {
 def oracle_steps(check, sid):
     """The base step and the step with sid toggled alone, walked as insertion did before
     its boxes were tested in lane blocks."""
-    work, pos, intended = check.work, check.pos, check.intended
+    work, intended = check.work, check.intended
     wires = [*work.outputs, *(work.ins[o][0] for o in work.dffs)]
     n = len(work.outputs)
+    index = {w: check.pos[w] for w in (*work.inputs, *work.kind)}  # the original wires' values
+
+    def at(w):
+        """A union wire's index in the values: that of the original wire it carries."""
+        return index[work.origin.get(w, w)]
 
     def step(x, s, mask, toggle=False):
         v, new = check.values(x, s, mask), {}
@@ -516,19 +520,19 @@ def oracle_steps(check, sid):
             kind, ref = heappop(heap)[1]
             ins, outs = ((work.ins[ref], (ref,)) if kind == "gate"
                          else (work.sb_ins[ref], work.sb_outs[ref]))
-            got = [new[w] if w in new else v[pos[w]] for w in ins]
+            got = [new[w] if w in new else v[at(w)] for w in ins]
             if kind == "gate":
                 got = (_ORACLE_GATES[work.kind[ref]](got, mask),)
             elif (intended.get(ref) == CROSSED) != (ref == sid):
                 got.reverse()
             for w, value in zip(outs, got):
-                if value != v[pos[w]]:
+                if value != v[at(w)]:
                     new[w] = value
                     for k, r, _ in work.fanout.get(w, ()):
                         if k != "po" and (k, r) not in queued and (k == "sb" or work.kind[r] != "DFF"):
                             queued.add((k, r))
                             heappush(heap, (work.rank[k, r], (k, r)))
-        got = [new.get(w, v[pos[w]]) for w in wires]
+        got = [new.get(w, v[at(w)]) for w in wires]
         return got[:n], tuple(got[n:])
 
     return step, lambda x, s, mask: step(x, s, mask, True)
