@@ -24,7 +24,6 @@ from tpad.netlist import (
     NetlistSyntaxError,
     UndrivenWireError,
     check_equivalence,
-    compare_steps,
     input_patterns,
     random_netlist,
 )
@@ -854,7 +853,7 @@ def per_sample_scan(obf, samples, rng_seed=None):
     """degeneracy_scan's former loop: one compare per sample, the reference oracle.
 
     A truth-table compare runs each configuration on the whole table; any
-    other goes through compare_steps with a seed drawn after the configuration.
+    other goes through the one-box compare with a seed drawn after the configuration.
     """
     rng = random.Random(rng_seed)
     nsb = obf.n_switchboxes
@@ -886,9 +885,9 @@ def per_sample_scan(obf, samples, rng_seed=None):
         if exhaustive:
             same = outputs(sel) == reference
         else:
-            same = compare_steps(lambda x, s, mask: step(x, s, intended, mask),
-                                 lambda x, s, mask: step(x, s, sel, mask),
-                                 m, (width, width), rng_seed=seed).equivalent
+            same = oracle_compare(lambda x, s, mask: step(x, s, intended, mask),
+                                  lambda x, s, mask: step(x, s, sel, mask),
+                                  m, (width, width), 10000, seed).equivalent
         if same:
             hits.append({sb.id: CROSSED if (bits >> i) & 1 else PARALLEL
                          for i, sb in enumerate(obf.switchboxes)})
