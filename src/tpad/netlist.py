@@ -760,8 +760,8 @@ def compare_steps(
     """check_equivalence's vector schedule over two steps, one lane block per seed.
 
     f1(inp, state, mask) is one step for every block; f2(inp, state, mask,
-    blocks) gets each block's lanes in the call as a mask (0 for a block
-    with none), so that block i can compare f1 with its own variant of f2.
+    blocks) gets a {block: lanes} mapping of only the blocks with lanes in
+    the call, so that block i can compare f1 with its own variant of f2.
     The steps take n_inputs input bits and DFF states of the given widths;
     either width being nonzero makes the compare sequential.
 
@@ -773,8 +773,10 @@ def compare_steps(
     a sampled block whose first batch shows no difference draws its later
     batches with the same calls and runs them side by side in the next call.
     A call that would pass LANE_CAP lanes is split. Every counterexample is
-    replayed through both steps at mask=1, with only its own block's lane set.
+    replayed through both steps at mask=1, with blocks {i: 1}.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     m, n_blocks = n_inputs, len(rng_seeds)
     cycles = HORIZON if any(state_widths) else 1
     horizon, rows = (cycles if cycles > 1 else None), m * cycles
@@ -784,6 +786,7 @@ def compare_steps(
     lanes = 1 << rows if exhaustive else min(BATCH, sample_count)
     slot = -(-lanes // 8)  # bytes a unit's input takes in a call
     verdicts: list[Optional[EquivalenceVerdict]] = [None] * n_blocks
+    rngs: dict[int, random.Random] = {}  # a sampled block's, from its first draw until refuted
 
     def run(units: list[tuple]) -> None:
         """One call over units (block, vectors checked before, lanes, inputs): unit k holds
@@ -794,18 +797,16 @@ def compare_steps(
         flat, size = memoryview(table.transpose(1, 0, 2).tobytes()), len(units) * slot
         x = [int.from_bytes(flat[r * size:(r + 1) * size], "little") for r in range(rows)]
         x = [tuple(x[c * m:(c + 1) * m]) for c in range(cycles)]
-        blocks, spans = [0] * n_blocks, []
-        for k, (i, _, n, _) in enumerate(units):
-            ones = ((1 << n) - 1) << 8 * slot * k
-            blocks[i] |= ones
-            spans.append((i, k, ones))
-        pending, first = spans, {}  # first: block -> (its lowest differing unit, lane in it)
-        xc, s1, s2, live = x[0], zero1, zero2, sum(blocks)
+        pending = [(i, k, ((1 << n) - 1) << 8 * slot * k) for k, (i, _, n, _) in enumerate(units)]
+        first: dict[int, tuple] = {}  # block -> (its lowest differing unit, lane in it)
+        xc, s1, s2 = x[0], zero1, zero2
         for c in range(cycles):
+            blocks: dict[int, int] = {}
+            for i, _, ones in pending:
+                blocks[i] = blocks.get(i, 0) | ones
+            live = sum(blocks.values())
             if c:  # later cycles run only the pending units' lanes, the rest zeroed
-                live = sum(span[2] for span in pending)
                 xc, s1, s2 = (tuple(v & live for v in vs) for vs in (x[c], s1, s2))
-                blocks = [b & live for b in blocks]
             o1, s1 = f1(xc, s1, live)
             o2, s2 = f2(xc, s2, live, blocks)
             for a, b in zip(o1, o2):
@@ -823,13 +824,13 @@ def compare_steps(
             k, lane = first[i]
             bits = (table[k, :, lane >> 3] >> (lane & 7) & 1).tolist()
             seq_cex = tuple(tuple(bits[c * m:(c + 1) * m]) for c in range(cycles))
-            alone = [int(b == i) for b in range(n_blocks)]
-            _assert_replays(f1, lambda inp, s, mask: f2(inp, s, mask, alone), zero1, zero2, seq_cex)
+            _assert_replays(f1, lambda inp, s, mask: f2(inp, s, mask, {i: 1}), zero1, zero2, seq_cex)
             checked = 1 << rows if exhaustive else units[k][1] + lane + 1
             verdicts[i] = EquivalenceVerdict(False, mode, checked, seq_cex if horizon else seq_cex[0],
                                              horizon=horizon)
+            rngs.pop(i, None)
 
-    def packed(groups: list[list[tuple]]) -> None:
+    def packed(groups: Iterable[list[tuple]]) -> None:
         """Run each block's group of units, as many groups to a call as LANE_CAP lanes hold."""
         call = []
         for group in groups:
@@ -845,14 +846,13 @@ def compare_steps(
         packed([[(i, 0, lanes, truth)] for i in range(n_blocks)])
         checked = lanes
     else:
-        rngs = [random.Random(seed) for seed in rng_seeds]
         done = [0] * n_blocks
 
         def draw(i: int, limit: int) -> list[tuple]:
             """Block i's next batches, up to limit lanes but at least one batch. A batch of
             a whole slot whose lanes are a multiple of 32 is one getrandbits call: it
             draws the 32-bit words that its `rows` calls would, lowest first."""
-            group, rng = [], rngs[i]
+            group, rng = [], rngs.get(i) or rngs.setdefault(i, random.Random(rng_seeds[i]))
             while done[i] < sample_count and (not group or 8 * slot * (len(group) + 1) <= limit):
                 n = min(BATCH, sample_count - done[i])
                 raw = (rng.getrandbits(n * rows).to_bytes(rows * slot, "little")
@@ -864,7 +864,7 @@ def compare_steps(
 
         limit = lanes  # the first batches, then the rest LANE_CAP lanes at a time
         while todo := [i for i, v in enumerate(verdicts) if v is None and done[i] < sample_count]:
-            packed([draw(i, limit) for i in todo])
+            packed(draw(i, limit) for i in todo)  # drawn as the calls fill
             limit = LANE_CAP
         checked = sample_count
     return [v or EquivalenceVerdict(True, mode, checked, horizon=horizon) for v in verdicts]

@@ -46,7 +46,6 @@ from .netlist import (
     compare_steps,
     define,
     format_text,
-    input_patterns,
     parse_text,
     stable_names,
     text_lines,
@@ -160,11 +159,6 @@ def union_step(
     dffs = [g for g in gates if g.kind == "DFF"]
     selects = {sb.id: i for i, sb in enumerate(switchboxes)}
     return _compile_step(inputs, order, dffs, outputs, selects)
-
-
-def _selects(bits: int, n: int) -> list[int]:
-    """Select vector of n switchboxes, box i crossed when bit i of bits is set."""
-    return [-((bits >> i) & 1) for i in range(n)]
 
 
 def _cone_switchboxes(
@@ -539,8 +533,8 @@ class _ToggleCheck:
 
     def toggled(self, sids: Sequence[int]) -> Callable:
         """The union's step(inp, state, mask, blocks=()) with sids[i] crossed in the lanes
-        of blocks[i], and so at the base selection without blocks; it holds until the
-        wiring next changes."""
+        the {i: lanes} mapping blocks gives it, and so at the base selection without blocks;
+        it holds until the wiring next changes."""
         work, pos, rank, intended, values, fns = (self.work, self.pos, self.work.rank,
                                                   self.intended, self.values, self.fns)
         kinds, gate_ins, sb_ins, sb_outs, fanout = (work.kind, work.ins, work.sb_ins, work.sb_outs,
@@ -553,7 +547,7 @@ class _ToggleCheck:
             v = values(x, s, mask)
             if not blocks:  # the base selection
                 return [v[k] for k in at[:n]], tuple(v[k] for k in at[n:])
-            new, cross = {}, {sid: lanes for sid, lanes in zip(sids, blocks) if lanes}
+            new, cross = {}, {sids[i]: lanes for i, lanes in blocks.items()}
             heap = sorted((rank["sb", sid], "sb", sid) for sid in cross)  # sorted: a heap
             queued = set(heap)
             while heap:
@@ -668,6 +662,8 @@ def insert_switchboxes(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     rng = as_rng(rng_seed)
     work = _Work(net)
     intended: dict[int, str] = {}
@@ -719,22 +715,23 @@ def insert_switchboxes(
 # -- degeneracy scanning ---------------------------------------------------------
 
 
-PACK = 64  # configurations per union-step call of a truth-table scan
+PACK = 64  # configurations per union-step call of a truth-table scan's probe
 
 
 def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) -> ScanReport:
     """Sample incorrect configurations and count functional matches.
 
     Draws `samples` uniform configurations different from the intended one,
-    compares each with it on the union step over check_equivalence's vectors
-    (a sequential or sampled compare draws its seed after the configuration),
-    and reports the fraction equivalent with every offending configuration.
+    each followed by a seed when the compare is sequential or sampled, and
+    reports the fraction equivalent to the intended one, with every such
+    configuration in draw order. They are decided in one compare_steps call
+    on the union step, one lane block per configuration: box i's select is
+    the OR of the lanes of the blocks whose configuration crosses box i.
 
-    A truth-table scan runs PACK configurations per union-step call: box i's
-    select is a lane int whose block c is all ones when configuration c
-    crosses box i, and every block holds one fixed probe of max(PACK, boxes)
-    table points. Only configurations whose probe outputs match the intended
-    selection's are compared on the whole table, so the report is unchanged.
+    A truth-table scan first runs a fixed probe of max(PACK, boxes) table
+    points, PACK configurations to a union-step call, block c's lanes crossing
+    box i when configuration c does. A probe point is a row of every table, so
+    only the configurations that match the intended one there are compared.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -745,7 +742,7 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
     intended_bits = sum(1 << i for i, sb in enumerate(obf.switchboxes)
                         if obf.intended[sb.id] == CROSSED)
     step = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
-    intended = _selects(intended_bits, nsb)
+    intended = [-((intended_bits >> i) & 1) for i in range(nsb)]
     m, width = len(obf.inputs), sum(g.kind == "DFF" for g in obf.gates)
     cycles = HORIZON if width else 1
     exhaustive = m * cycles <= EXHAUSTIVE_INPUTS
@@ -756,50 +753,46 @@ def degeneracy_scan(obf: ObfuscatedNetlist, samples: int, rng_seed: Rng = None) 
             bits = rng.getrandbits(nsb)
         configs.append(bits)
         seeds.append(rng.getrandbits(32) if width or not exhaustive else None)
-    hits = []
-    if not exhaustive:
-        for bits, seed in zip(configs, seeds):
-            sel = _selects(bits, nsb)
-            if compare_steps(lambda x, s, mask: step(x, s, intended, mask),
-                             lambda x, s, mask, _: step(x, s, sel, mask),
-                             m, (width, width), rng_seeds=(seed,))[0].equivalent:
-                hits.append(bits)
-        return ScanReport(samples, len(hits), [_bits_to_cfg(obf, b) for b in hits])
+    candidates = list(range(samples))
+    if exhaustive:  # keep the configurations whose outputs match the intended ones on the probe
+        def outputs(variables: Sequence[int], sel: Sequence[int], mask: int) -> list[int]:
+            """Every cycle's outputs, with variable c*m+j as input j in cycle c."""
+            state, outs = (0,) * width, []
+            for c in range(cycles):
+                out, state = step(tuple(variables[c * m:(c + 1) * m]), state, sel, mask)
+                outs += out
+            return outs
 
-    def outputs(variables: Sequence[int], sel: Sequence[int], mask: int) -> list[int]:
-        """Every cycle's outputs, with variable c*m+j as input j in cycle c."""
-        state, outs = (0,) * width, []
-        for c in range(cycles):
-            out, state = step(tuple(variables[c * m:(c + 1) * m]), state, sel, mask)
-            outs += out
-        return outs
+        size, w = 1 << m * cycles, max(PACK, nsb)
+        points = [k % size for k in range(w)] if size <= w else as_rng(0).sample(range(size), w)
+        block, lanes = (1 << w) - 1, (1 << PACK * w) - 1
+        rep = lanes // block  # bit 0 of every block
+        probe = [sum(((p >> v) & 1) << k for k, p in enumerate(points)) * rep
+                 for v in range(m * cycles)]
+        probe_ref, candidates = outputs(probe, intended, lanes), []
+        for start in range(0, samples, PACK):
+            chunk = configs[start:start + PACK]
+            y = sum(bits << c * w for c, bits in enumerate(chunk))
+            diff = 0
+            for a, b in zip(outputs(probe, [((y >> i) & rep) * block for i in range(nsb)], lanes),
+                            probe_ref):
+                diff |= a ^ b
+            candidates += [start + c for c in range(len(chunk)) if not (diff >> c * w) & block]
+    crossed = [[i for i in range(nsb) if configs[k] >> i & 1] for k in candidates]
 
-    # truth-table lanes as compare_steps lays them out, and the probe's
-    pats, full = input_patterns(m * cycles)
-    size, w = full.bit_length(), max(PACK, nsb)
-    points = [k % size for k in range(w)] if size <= w else as_rng(0).sample(range(size), w)
-    block, lanes = (1 << w) - 1, (1 << PACK * w) - 1
-    rep = lanes // block  # bit 0 of every block
-    probe = [sum(((p >> v) & 1) << k for k, p in enumerate(points)) * rep
-             for v in range(m * cycles)]
-    probe_ref, reference = outputs(probe, intended, lanes), outputs(pats, intended, full)
-    for start in range(0, samples, PACK):
-        chunk = configs[start:start + PACK]
-        y = sum(bits << c * w for c, bits in enumerate(chunk))
-        diff = 0
-        for a, b in zip(outputs(probe, [((y >> i) & rep) * block for i in range(nsb)], lanes),
-                        probe_ref):
-            diff |= a ^ b
-        hits += [bits for c, bits in enumerate(chunk) if not (diff >> c * w) & block
-                 and outputs(pats, _selects(bits, nsb), full) == reference]
-    return ScanReport(samples, len(hits), [_bits_to_cfg(obf, b) for b in hits])
+    def variant(x: tuple, s: tuple, mask: int, blocks: Mapping[int, int]) -> tuple:
+        """The union step with block b's lanes at configuration candidates[b]."""
+        sel = [0] * nsb
+        for b, lanes in blocks.items():
+            for i in crossed[b]:
+                sel[i] |= lanes
+        return step(x, s, sel, mask)
 
-
-def _bits_to_cfg(obf: ObfuscatedNetlist, bits: int) -> dict[int, str]:
-    return {
-        sb.id: CROSSED if (bits >> i) & 1 else PARALLEL
-        for i, sb in enumerate(obf.switchboxes)
-    }
+    verdicts = compare_steps(lambda x, s, mask: step(x, s, intended, mask), variant, m,
+                             (width, width), rng_seeds=[seeds[k] for k in candidates])
+    hits = [{sb.id: CROSSED if configs[k] >> i & 1 else PARALLEL for i, sb in enumerate(obf.switchboxes)}
+            for k, v in zip(candidates, verdicts) if v.equivalent]
+    return ScanReport(samples, len(hits), hits)
 
 
 # -- files -------------------------------------------------------------------------

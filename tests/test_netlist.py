@@ -18,6 +18,7 @@ from tpad.netlist import (
     UndrivenWireError,
     WidthError,
     check_equivalence,
+    compare_steps,
     eval_wires,
     inline_step,
     parse_netlist,
@@ -394,6 +395,19 @@ class TestEquivalence:
         v = check_equivalence(n1, n2, rng_seed=3)
         if not v.equivalent:
             assert v.counterexample is not None
+
+    @pytest.mark.parametrize("sample_count", [0, -5])
+    def test_empty_sample_count_refused(self, sample_count):
+        # no vectors would be checked, so no verdict can be given
+        n1, n2 = random_netlist(20, 40, 3, rng_seed=1), random_netlist(20, 40, 3, rng_seed=2)
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            check_equivalence(n1, n2, sample_count=sample_count)
+
+    @pytest.mark.parametrize("n_inputs", [3, 20])  # a truth table, then sampled vectors
+    def test_no_blocks_no_verdicts(self, n_inputs):
+        step = random_netlist(n_inputs, 10, 2, rng_seed=1).step_fn()
+        assert compare_steps(step, lambda x, s, mask, blocks: step(x, s, mask), n_inputs,
+                             rng_seeds=()) == []
 
     def test_sequential_unrolling(self):
         # toggling counter vs itself, then vs a stuck variant

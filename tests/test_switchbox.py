@@ -24,6 +24,7 @@ from tpad.netlist import (
     NetlistSyntaxError,
     UndrivenWireError,
     check_equivalence,
+    compare_steps,
     input_patterns,
     random_netlist,
 )
@@ -174,6 +175,17 @@ class TestInsertion:
             insert_switchboxes(random_netlist(6, 20, 3, rng_seed=8376), 1, rng_seed=7961,
                                max_iterations=rounds)
         assert e.value.per_output_counts == counts
+
+    @pytest.mark.parametrize("n_inputs", [10, 20])  # truth-table compares, then sampled ones
+    @pytest.mark.parametrize("sample_count", [0, -5])
+    def test_empty_sample_count_refused(self, n_inputs, sample_count):
+        # refused before any round runs, so nothing is drawn from the generator
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            insert_switchboxes(random_netlist(n_inputs, 40, 3, rng_seed=1), 2, rng_seed=rng,
+                               sample_count=sample_count)
+        assert rng.getstate() == state
 
     def test_config_space_is_all_sbs(self, alu2):
         obf = insert_switchboxes(alu2, t=2, rng_seed=5)
@@ -724,17 +736,19 @@ class TestToggledSide:
                     intended[sid] = CROSSED
         undecided = sorted(set(work.sb_ins) - set(intended))
         assume(undecided)
-        # some undecided boxes, each crossed in its own random lanes (blocks may overlap)
+        # some undecided boxes, each crossed in its own random lanes (blocks may overlap),
+        # given as compare_steps gives them: a {block: lanes} mapping of some of the blocks
         sids = rng.sample(undecided, rng.randint(1, len(undecided)))
         mask = (1 << lanes) - 1
-        blocks = [rng.getrandbits(lanes) for _ in sids]
+        blocks = {k: rng.getrandbits(lanes)
+                  for k in sorted(rng.sample(range(len(sids)), rng.randint(1, len(sids))))}
         step = switchbox._ToggleCheck(switchbox._wire_step(net), work, intended, 100).toggled(sids)
         obf = work.snapshot({**dict.fromkeys(undecided, PARALLEL), **intended}, "toggled")
         union = union_step(obf.inputs, obf.outputs, obf.gates, obf.switchboxes)
         x = tuple(rng.getrandbits(lanes) for _ in obf.inputs)
         s = tuple(rng.getrandbits(lanes) for _ in work.dffs)
-        for given in ((), blocks):
-            lanes_of = dict(zip(sids, given))
+        for given in ({}, blocks):
+            lanes_of = {sids[k]: b for k, b in given.items()}
             sel = [-(intended.get(sb.id) == CROSSED) ^ lanes_of.get(sb.id, 0) for sb in obf.switchboxes]
             out, state = step(x, s, mask, given)
             assert (tuple(out), state) == union(x, s, sel, mask)
@@ -843,10 +857,27 @@ class TestScanGolden:
 
         monkeypatch.setattr(switchbox, "apply_config", refuse)
         monkeypatch.setattr(switchbox, "check_equivalence", refuse)
+        compares = spy_compares(monkeypatch)
         report = degeneracy_scan(obf, 200, rng_seed=seed)
+        assert len(compares) == 1  # every configuration is decided in one blocked compare
         key = (report.samples, report.equivalent, [sorted(h.items()) for h in report.hits])
         digest = hashlib.sha256(repr(key).encode()).hexdigest()
         assert (report.equivalent, digest) == SCAN_GOLDEN[name]
+
+
+def spy_compares(monkeypatch, masks=()):
+    """Each compare_steps call of degeneracy_scan, as (blocks, len(masks) before the call,
+    len(masks) after it)."""
+    compares = []
+
+    def spy(*args, **kwargs):
+        start = len(masks)
+        got = compare_steps(*args, **kwargs)
+        compares.append((len(got), start, len(masks)))
+        return got
+
+    monkeypatch.setattr(switchbox, "compare_steps", spy)
+    return compares
 
 
 def per_sample_scan(obf, samples, rng_seed=None):
@@ -925,7 +956,8 @@ def boxed(net, rng, n_boxes):
 
 
 class TestPackedScan:
-    """The truth-table scan checks PACK configurations per union-step call."""
+    """The scan decides its configurations in one blocked compare, after a truth-table
+    scan's probe has checked PACK configurations per union-step call."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -962,15 +994,33 @@ class TestPackedScan:
         assert (report.samples, report.equivalent, report.hits) == \
             (want.samples, want.equivalent, want.hits)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10**6), wide=st.integers(17, 20), narrow=st.integers(5, 6),
+           n_dffs=st.integers(0, 2), n_boxes=st.integers(1, 8), samples=st.integers(1, 40))
+    def test_sampled_matches_per_sample_scan(self, seed, wide, narrow, n_dffs, n_boxes, samples):
+        # 17 to 20 inputs, or 5 or 6 over the 4-cycle horizon: sampled vectors
+        rng = random.Random(seed)
+        net = with_dffs(random_netlist(narrow if n_dffs else wide, 16, 3, rng_seed=seed), rng,
+                        n_dffs)
+        obf = boxed(net, rng, n_boxes)
+        assume(obf.n_switchboxes)
+        report = degeneracy_scan(obf, samples, rng_seed=seed)
+        want = per_sample_scan(obf, samples, rng_seed=seed)
+        assert (report.samples, report.equivalent, report.hits) == \
+            (want.samples, want.equivalent, want.hits)
+
     def test_hits_and_tables_are_covered(self):
-        # the draws the property runs on include hits on both kinds of table
+        # the draws the properties run on include hits on both kinds of table and on
+        # sampled vectors, with and without DFFs
         rng = random.Random(1)
         comb = boxed(random_netlist(3, 16, 3, rng_seed=1), rng, 8)
         seq = boxed(with_dffs(random_netlist(2, 16, 3, rng_seed=2), rng, 2), rng, 8)
-        for obf in (comb, seq):
-            report = degeneracy_scan(obf, 100, rng_seed=6)
-            assert 0 < report.equivalent < 100
-            assert report.hits == per_sample_scan(obf, 100, rng_seed=6).hits
+        wide = boxed(random_netlist(18, 16, 3, rng_seed=3), rng, 8)
+        seq5 = boxed(with_dffs(random_netlist(5, 16, 3, rng_seed=4), rng, 2), rng, 8)
+        for obf, samples in ((comb, 100), (seq, 100), (wide, 30), (seq5, 30)):
+            report = degeneracy_scan(obf, samples, rng_seed=6)
+            assert 0 < report.equivalent < samples
+            assert report.hits == per_sample_scan(obf, samples, rng_seed=6).hits
 
     def test_probe_survivor_refuted_on_table(self, monkeypatch):
         # crossing sb0 changes y and z only where all 16 inputs are 1, a point
@@ -981,21 +1031,37 @@ class TestPackedScan:
                 f"x = AND({', '.join(ins)})\nn = NOT(a0)\nc = AND(a0, n)\n"
                 "sb0 = SB2(x, c -> y, z)\nsb1 = SB2(a1, a2 -> p, q)\nw = XOR(p, q)\n")
         obf = parse_obfuscated(text, {0: PARALLEL, 1: PARALLEL})
-        masks = self.spy(monkeypatch)
-        report = degeneracy_scan(obf, 90, rng_seed=1)
-        monkeypatch.undo()
+        survivors, report = self.bounded_scan(monkeypatch, obf, 90, 1)
         assert report.hits == per_sample_scan(obf, 90, rng_seed=1).hits
-        assert 0 < report.equivalent < masks.count((1 << (1 << 16)) - 1) - 1
+        assert 0 < report.equivalent < survivors
 
     def test_union_step_calls(self, monkeypatch):
         obf = insert_switchboxes(random_netlist(10, 30, 3, rng_seed=9), t=2, rng_seed=2,
                                  min_switchboxes=16)
-        table = (1 << (1 << 10)) - 1
-        masks = self.spy(monkeypatch)
-        report = degeneracy_scan(obf, 2000, rng_seed=5)
-        survivors = masks.count(table) - 1  # each confirmed on the table, as is the reference
-        assert len(masks) <= -(-2000 // switchbox.PACK) + survivors + 2
+        survivors, report = self.bounded_scan(monkeypatch, obf, 2000, 5)
         assert report.equivalent <= survivors <= 2000 // switchbox.PACK
+        # survivors whose tables fill more than one compare call, some refuted there
+        obf = boxed(random_netlist(10, 30, 3, rng_seed=0), random.Random(0), 8)
+        survivors, report = self.bounded_scan(monkeypatch, obf, 300, 0)
+        assert 0 < report.equivalent < survivors and survivors << 10 > netlist.LANE_CAP
+        assert report.hits == per_sample_scan(obf, 300, rng_seed=0).hits
+
+    def bounded_scan(self, monkeypatch, obf, samples, seed):
+        """A combinational truth-table scan, its union-step calls bounded: the probe's, then
+        the compare's. Returns (the probe's survivors, the report)."""
+        masks = self.spy(monkeypatch)
+        compares = spy_compares(monkeypatch, masks)
+        report = degeneracy_scan(obf, samples, rng_seed=seed)
+        monkeypatch.undo()
+        [(survivors, start, end)] = compares  # the compare decides the survivors alone
+        assert start <= -(-samples // switchbox.PACK) + 1  # the probe, and its reference
+        # both sides once per call of up to LANE_CAP lanes, each survivor a table's lanes,
+        # and both again to replay each refuted survivor's counterexample at mask 1
+        replays = masks[start:end].count(1)
+        assert replays == 2 * (survivors - report.equivalent)
+        table = 1 << len(obf.inputs)
+        assert end - start - replays <= 2 * -(-survivors * table // netlist.LANE_CAP)
+        return survivors, report
 
 
 class TestWorkIndexes:
