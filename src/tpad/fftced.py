@@ -28,7 +28,8 @@ from .rng import Rng, as_rng
 
 HALF = np.float16
 _CHECK = np.complex64  # checker accumulates one precision wider
-_CALIBRATION_ROWS = 128  # transforms per batched calibration call
+_CALIBRATION_ROWS = 64  # transforms per calibration probe; a plan keeps 28 bytes a value
+_SQRT2 = np.sqrt(2)  # white noise's scale, a ufunc call to compute
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{1,4}")
 
 
@@ -85,63 +86,92 @@ def _twiddles(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)  # a campaign uses a handful of shapes: 1, 2 and 128 rows, a last chunk
-def _stage_plan(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Buffers and per-stage views for transforms of `rows` vectors of length n.
+class _Plan:
+    """Buffers and per-stage views for checked transforms of `rows` vectors of length n.
 
     Stage s reads one of two ping-pong (rows, n, 2) buffers and writes the
     other. Its (2, rows, n/2h, h) products hold rows*n words at every h, so
-    two flat temporaries serve every stage. A planned flip lands in the
-    second item, the buffers as flat uint16 words. Plans are shared, so
-    transforms must not run in several threads at once.
+    two flat temporaries serve every stage; a flip lands in `words`, the
+    buffers as flat uint16 words. `check` holds the checker's float32 input
+    and output words. Plans are shared: transforms must not run in threads.
     """
-    bufs = np.empty((2, rows, n, 2), HALF)
-    temps = np.empty((2, rows * n), HALF)
-    stages = []
-    for stage, (wre, wim) in enumerate(_twiddles(n)):
-        half = 1 << stage
-        planes = (rows, n // (2 * half), 2 * half, 2)
-        v, out = (bufs[(stage + i) % 2].reshape(planes).transpose(3, 0, 1, 2) for i in (0, 1))
-        t, t2 = temps.reshape(2, 2, rows, n // (2 * half), half)
-        a, b = v[..., :half], v[..., half:]
-        stages.append((a, b, b[::-1], wre, wim, t, t2, out[..., :half], out[..., half:]))
-    return bufs, bufs.view(np.uint16).reshape(2, -1), stages
+
+    def __init__(self, n: int, rows: int):
+        bufs = self.bufs = np.empty((2, rows, n, 2), HALF)
+        self.words = bufs.view(np.uint16).reshape(2, -1)
+        temps = np.empty((2, rows * n), HALF)
+        self.stages = []
+        for stage, (wre, wim) in enumerate(_twiddles(n)):
+            half = 1 << stage
+            planes = (rows, n // (2 * half), 2 * half, 2)
+            v, out = (bufs[(stage + i) % 2].reshape(planes).transpose(3, 0, 1, 2) for i in (0, 1))
+            t, t2 = temps.reshape(2, 2, rows, n // (2 * half), half)
+            a, b = v[..., :half], v[..., half:]
+            self.stages.append((a, b, b[::-1], wre, wim, t, t2, out[..., :half], out[..., half:]))
+        self.out = bufs[len(self.stages) % 2]
+        self.check = np.empty((2, rows, n, 2), np.float32)
 
 
-def _fft_stages(pairs: np.ndarray, flip: Optional[tuple[int, int, int]] = None) -> np.ndarray:
-    """Staged FFT of (..., N, 2) float16 (re, im) pairs; returns fresh pairs.
+# a campaign uses a handful of shapes: 1, 2 and 64 rows, a last chunk and their forks
+_stage_plan = lru_cache(maxsize=16)(_Plan)
 
-    A stage is the same five calls on (2, rows, N) re and im planes, so a
-    single vector is a batch of one. A planned flip (stage, word, mask)
-    XORs mask into word `word` of the flattened (..., N, 2) output of that
-    stage (counted from 0); fault-injection campaigns use it. With N = 1
-    there is no stage, and the words come back unchanged, the identity DFT.
+
+def _run_stages(stages: list[tuple]) -> None:
+    for a, b, b_swapped, wre, wim, t, t2, out_a, out_b in stages:
+        # complex multiply and butterfly, each operation rounded to half;
+        # negation is exact, so t_re = b_re*wre + b_im*(-wim) rounds as a difference
+        np.multiply(b, wre, out=t)
+        np.multiply(b_swapped, wim, out=t2)
+        t += t2
+        np.add(a, t, out=out_a)
+        np.subtract(a, t, out=out_b)
+
+
+def _probe(x: np.ndarray, ref: Optional["PlancherelReference"] = None,
+           flip: Optional[tuple[int, int, int]] = None,
+           perms: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The one checked transform: x's output words and residuals, run on x's plan.
+
+    x is as for fft. The words are the plan's buffer, shaped like x's pairs
+    (copy them to keep them); the residuals (1, rows) are None without a
+    reference. A fault forks the probe into the plan of twice the rows,
+    clean rows then faulted copies, residuals (2, rows): a flip (stage,
+    word, mask) XORs mask into word `word` of the flattened (2, rows, N, 2)
+    output of that stage (from 0); perms (rows, N) permute the output rows.
+    Only the clean rows must stay finite. N = 1 has no stage: the identity.
     """
-    shape = pairs.shape
-    n = shape[-2]
-    bufs, words, stages = _stage_plan(n, pairs.size // (2 * n))
-    flip_stage, flip_word, flip_mask = flip or (-1, 0, 0)
+    x = np.asarray(x)
+    pairs = (x.astype(HALF, copy=False) if _is_pairs(x)
+             else np.stack([x.real, np.imag(x)], axis=-1).astype(HALF))
+    n = pairs.shape[-2]
+    _require_power_of_two(n)
+    if ref is not None and ref.n != n:
+        raise FftError("length mismatch")
+    rows = pairs.size // (2 * n)
+    plan = clean = _stage_plan(n, rows)
     # the order is in range: clip only skips raise mode's buffered copy
-    np.take(pairs.reshape(-1, n, 2), _bit_reverse_permutation(n), axis=1, out=bufs[0],
+    np.take(pairs.reshape(rows, n, 2), _bit_reverse_permutation(n), axis=1, out=plan.bufs[0],
             mode="clip")
-    # injected faults can push lanes to inf/nan; that is data, not an error
-    with np.errstate(invalid="ignore", over="ignore"):
-        for stage, (a, b, b_swapped, wre, wim, t, t2, out_a, out_b) in enumerate(stages):
-            # complex multiply and butterfly, each operation rounded to half;
-            # negation is exact, so t_re = b_re*wre + b_im*(-wim) rounds as a difference
-            np.multiply(b, wre, out=t)
-            np.multiply(b_swapped, wim, out=t2)
-            t += t2
-            np.add(a, t, out=out_a)
-            np.subtract(a, t, out=out_b)
-            if stage == flip_stage:
-                words[(stage + 1) % 2, flip_word] ^= flip_mask
-    return bufs[len(stages) % 2].reshape(shape).copy()
-
-
-def _require_finite(words: np.ndarray) -> None:
-    if not np.isfinite(words).all():
-        raise FftOverflowError("half-precision overflow during transform")
+    split = len(plan.stages) if flip is None else flip[0] + 1
+    with np.errstate(invalid="ignore", over="ignore"):  # faulted words are data, not errors
+        _run_stages(plan.stages[:split])
+        if flip is not None or perms is not None:
+            src, plan = plan.bufs[split % 2], _stage_plan(n, 2 * rows)
+            forked = plan.bufs[split % 2].reshape(2, rows, n, 2)
+            forked[:] = src
+            if perms is None:
+                plan.words[split % 2, flip[1]] ^= flip[2]
+            else:
+                forked[1] = np.take_along_axis(src, perms[..., None], axis=1)
+            _run_stages(plan.stages[split:])
+        if not np.isfinite(plan.out[:rows]).all():
+            raise FftOverflowError("half-precision overflow during transform")
+        out = plan.out.reshape(pairs.shape if plan is clean else (2,) + pairs.shape)
+        if ref is None:
+            return out, None
+        _check_words(x, plan.check[0].reshape((-1,) + pairs.shape))  # a fork's rows share x
+        plan.check[1] = plan.out
+        return out, _residuals(plan.check, ref).reshape(-1, rows)
 
 
 def _is_pairs(a: np.ndarray) -> bool:
@@ -160,15 +190,7 @@ def fft(x: np.ndarray) -> np.ndarray:
     shape (..., N) (a vector is always N values, even a real one of length
     2); returns (..., N, 2) float16 pairs, the exact datapath words.
     """
-    x = np.asarray(x)
-    if _is_pairs(x):
-        x = x.astype(HALF, copy=False)
-    else:
-        x = np.stack([x.real, np.imag(x)], axis=-1).astype(HALF)
-    _require_power_of_two(x.shape[-2])
-    out = _fft_stages(x)
-    _require_finite(out)
-    return out
+    return _probe(x)[0].copy()
 
 
 def to_complex(hc: np.ndarray) -> np.ndarray:
@@ -187,15 +209,15 @@ def from_complex(z: np.ndarray) -> np.ndarray:
 # -- reference pairs -----------------------------------------------------------------
 
 
-def _as_check(a: np.ndarray) -> np.ndarray:
-    """(..., N, 2) pairs or (..., N) values as the checker's complex64 words.
+def _check_words(a: np.ndarray, out: np.ndarray) -> None:
+    """Write (..., N, 2) pairs or (..., N) values into out, the checker's float32 pairs.
 
-    Every half value is exact in float32, so pairs are read by a view.
+    Every half value is exact in float32. Values are cast as complex64.
     """
-    a = np.asarray(a)
     if _is_pairs(a):
-        return np.ascontiguousarray(a, dtype=np.float32).view(_CHECK)[..., 0]
-    return a.astype(_CHECK)
+        out[...] = a
+    else:
+        out.view(_CHECK)[..., 0] = a
 
 
 @dataclass(frozen=True)
@@ -212,13 +234,18 @@ class PlancherelReference:
         n = self.y.shape[0]
         if self.Y.shape[0] != n:
             raise FftError("reference lengths differ")
+        for name in ("y", "Y"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FftError(f"{name}: reference entries must all be finite")
         if (to_complex(self.y) == 0).any() or (to_complex(self.Y) == 0).any():
             raise FftError("reference entries must all be nonzero")
         self._cache_conjugates()
 
     def _cache_conjugates(self) -> None:
-        object.__setattr__(self, "_conj_y", _read_only(np.conj(_as_check(self.y))))
-        object.__setattr__(self, "_conj_Y", _read_only(np.conj(_as_check(self.Y))))
+        words = np.empty((2, 1, self.n, 2), np.float32)  # y* and Y*, the checker's factors
+        for a, out in zip((self.y, self.Y), words[:, 0]):
+            _check_words(a, out)
+        object.__setattr__(self, "_conj", _read_only(np.conj(words.view(_CHECK)[..., 0])))
 
     @property
     def n(self) -> int:
@@ -278,6 +305,9 @@ def parse_reference(text: str) -> PlancherelReference:
             raise FftError(f"line {lineno}: expected four 16-bit hex words, got {ln!r}")
         words.append([int(w, 16) for w in row])
     rows = np.array(words, dtype=np.uint16).view(HALF)
+    for (lineno, ln), row in zip(lines[1:], rows):
+        if not np.isfinite(row).all():
+            raise FftError(f"line {lineno}: reference words must be finite, got {ln!r}")
     y = np.stack([rows[:, 0], rows[:, 1]], axis=-1)
     bigY = np.stack([rows[:, 2], rows[:, 3]], axis=-1)
     return PlancherelReference(y, bigY)
@@ -293,42 +323,57 @@ class CheckVerdict:
     attack: bool
 
 
-def _residuals(xc: np.ndarray, oc: np.ndarray, ref: PlancherelReference) -> np.ndarray:
-    """Row residuals of (..., N) complex64 inputs and outputs; inf where not finite.
+def _residuals(words: np.ndarray, ref: PlancherelReference) -> np.ndarray:
+    """Row residuals of (2, ..., N, 2) float32 input and output words; inf where not finite.
 
-    The magnitude is np.hypot of the double-precision difference, the value
-    Python's abs(complex) gives (np.abs can differ in the last bit).
+    The complex64 products overwrite the words, and np.add.reduce is the
+    call np.sum makes, less its glue; call it with overflow and invalid
+    ignored. The magnitude is np.hypot of the double-precision difference,
+    the value Python's abs(complex) gives (np.abs can differ in the last bit).
     """
-    if not xc.shape[-1] == oc.shape[-1] == ref.n:
-        raise FftError("length mismatch")
-    with np.errstate(invalid="ignore", over="ignore"):
-        lhs = np.add.reduce(xc * ref._conj_y, axis=-1, dtype=_CHECK)  # np.sum's call, less its glue
-        rhs = np.add.reduce(oc * ref._conj_Y, axis=-1, dtype=_CHECK) / _CHECK(ref.n)
-        diff = lhs.astype(np.complex128) - rhs
-        return np.fmin(np.hypot(diff.real, diff.imag), np.inf)  # fmin reads NaN as inf
+    words = words.view(_CHECK)[..., 0]
+    sums = np.add.reduce(np.multiply(words, ref._conj, out=words), axis=-1, dtype=_CHECK)
+    diff = np.subtract(sums[0], sums[1] / ref.n, dtype=np.complex128)  # the /n in complex64
+    return np.fmin(np.hypot(diff.real, diff.imag), np.inf)  # fmin reads NaN as inf
 
 
 def plancherel_residual(x: np.ndarray, x_observed: np.ndarray,
                         ref: PlancherelReference) -> float:
     """|<x, y*> - (1/N) <X_observed, Y*>| accumulated in single precision."""
-    xc, oc = _as_check(x), _as_check(x_observed)
-    if xc.ndim != 1 or oc.ndim != 1:
-        raise FftError("length mismatch")
-    return float(_residuals(xc, oc, ref))
+    words = np.empty((2, 1, ref.n, 2), np.float32)
+    for a, out in zip((np.asarray(x), np.asarray(x_observed)), words[:, 0]):
+        if (a.shape[:-1] if _is_pairs(a) else a.shape) != (ref.n,):
+            raise FftError("length mismatch")
+        _check_words(a, out)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(_residuals(words, ref)[0])
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0 <= threshold < np.inf:  # refuses NaN too
+        raise FftError(f"threshold: must be a finite number >= 0, got {threshold}")
+
+
+def _verdict(residual: float, threshold: float) -> CheckVerdict:
+    return CheckVerdict(residual, threshold, residual > threshold)
 
 
 def plancherel_check(x: np.ndarray, x_observed: np.ndarray, ref: PlancherelReference,
                      threshold: float) -> CheckVerdict:
-    if threshold < 0:
-        raise FftError("threshold must be nonnegative")
-    resid = plancherel_residual(x, x_observed, ref)
-    return CheckVerdict(resid, threshold, resid > threshold)
+    _check_threshold(threshold)
+    return _verdict(plancherel_residual(x, x_observed, ref), threshold)
+
+
+def _white_noise(npr: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """white_noise_input's rows, shape[:-1] of them, in one draw: the Generator fills
+    in C order, so the values and every later draw are those of the row-by-row calls."""
+    z = npr.standard_normal(shape[:-1] + (2, shape[-1]))
+    return from_complex((z[..., 0, :] + 1j * z[..., 1, :]) / _SQRT2)
 
 
 def white_noise_input(n: int, npr: np.random.Generator) -> np.ndarray:
     """Unit-scale complex white noise, the calibration input distribution."""
-    z = (npr.standard_normal(n) + 1j * npr.standard_normal(n)) / np.sqrt(2)
-    return from_complex(z)
+    return _white_noise(npr, (n,))
 
 
 def calibrate_threshold(
@@ -357,9 +402,8 @@ def calibrate_threshold(
     npr = np.random.default_rng(rng.getrandbits(64))
     worst = 0.0
     for start in range(0, trials, _CALIBRATION_ROWS):
-        xs = np.stack([white_noise_input(n, npr)
-                       for _ in range(min(_CALIBRATION_ROWS, trials - start))])
-        worst = max(worst, float(_residuals(_as_check(xs), _as_check(fft(xs)), ref).max()))
+        xs = _white_noise(npr, (min(_CALIBRATION_ROWS, trials - start), n))
+        worst = max(worst, float(_probe(xs, ref)[1].max()))
     return margin * worst, ref
 
 
@@ -377,8 +421,7 @@ class FftCedEngine:
         _require_power_of_two(n)
         if ref.n != n:
             raise FftError("reference length mismatch")
-        if threshold < 0:
-            raise FftError("threshold must be nonnegative")
+        _check_threshold(threshold)
         self.n = n
         self.ref = ref
         self.threshold = threshold
@@ -387,9 +430,10 @@ class FftCedEngine:
         self._zero_ref = PlancherelReference.unchecked(zero, zero)
 
     def run(self, x: np.ndarray) -> tuple[np.ndarray, CheckVerdict]:
-        bigx = fft(x)
-        return bigx, plancherel_check(x, bigx, self._zero_ref if self.zeroed else self.ref,
-                                      self.threshold)
+        bigx, resid = _probe(x, self._zero_ref if self.zeroed else self.ref)
+        if bigx.ndim != 2:
+            raise FftError("length mismatch")
+        return bigx.copy(), _verdict(resid.item(), self.threshold)
 
     def program_reference(self, ref: PlancherelReference) -> None:
         if ref.n != self.n:
@@ -473,8 +517,7 @@ def _one_probe_permutations(n: int, trials: int, threshold: float, ref: Plancher
     """(detected, false positives) over permutation trials of one probe each.
 
     No draw depends on a result, so each chunk of trials draws its
-    permutations and inputs in the per-trial order, runs one transform call
-    and checks its clean and permuted rows in one residual call.
+    permutations and inputs in the per-trial order and runs as one probe.
     """
     detected = false_positives = 0
     for start in range(0, trials, _CALIBRATION_ROWS):
@@ -484,9 +527,7 @@ def _one_probe_permutations(n: int, trials: int, threshold: float, ref: Plancher
         for i in range(rows):
             faults[i] = _nonidentity_permutation(npr, n)
             xs[i] = white_noise_input(n, npr)
-        outs = _as_check(fft(xs))
-        outs = np.stack([outs, np.take_along_axis(outs, faults, axis=1)])
-        clean_hits, hits = _residuals(_as_check(xs), outs, ref) > threshold
+        clean_hits, hits = _probe(xs, ref, perms=faults)[1] > threshold
         detected += int(hits.sum())
         false_positives += int(clean_hits.sum())
     return detected, false_positives
@@ -518,8 +559,8 @@ def fft_attack_campaign(
     run of the same probes must stay silent; violations count as false
     positives.
 
-    One-probe permutation trials run in chunks. Flip trials run one
-    two-row (clean, faulted) transform per probe: most end after one
+    One-probe permutation trials run in chunks. A flip probe forks at the
+    flipped stage into (clean, faulted) rows: most trials end after one
     probe, but batching them would mean speculating on which, and the
     discarded rows cost more than the calls saved.
     """
@@ -530,27 +571,22 @@ def fft_attack_campaign(
         raise FftError(f"probes_per_trial: must be >= 1, got {probes_per_trial}")
     if ref.n != n:
         raise FftError(f"ref: reference length {ref.n} differs from n = {n}")
+    _check_threshold(threshold)
     rng = as_rng(rng_seed)
     npr = np.random.default_rng(rng.getrandbits(64))
     if attack == "permutation" and probes_per_trial == 1:
         return FftCampaignReport(trials, *_one_probe_permutations(n, trials, threshold, ref, npr))
     detected = false_positives = 0
     for _ in range(trials):
+        flip = perms = None
         if attack == "butterfly_flip":
             stage, elem, word, bit = single_butterfly_flip(npr, n)
             flip = (stage, 2 * (n + elem) + word, 1 << bit)  # row 0 runs clean, row 1 faulted
-        else:  # clean output, permuted output
-            rows = np.stack([np.arange(n), _nonidentity_permutation(npr, n)])
+        else:
+            perms = _nonidentity_permutation(npr, n)[None]
         hit = clean_hit = False
         for _ in range(probes_per_trial):
-            x = white_noise_input(n, npr)
-            if attack == "butterfly_flip":
-                out = _fft_stages(np.stack([x, x]), flip)
-                _require_finite(out[0])  # the faulted row may hold inf/nan as data
-                outs = _as_check(out)
-            else:
-                outs = _as_check(fft(x))[rows]
-            clean_resid, resid = _residuals(_as_check(x), outs, ref)
+            clean_resid, resid = _probe(white_noise_input(n, npr), ref, flip, perms)[1][:, 0]
             hit |= bool(resid > threshold)
             clean_hit |= bool(clean_resid > threshold)
             if hit and not clean_hit:

@@ -794,10 +794,12 @@ def compare_steps(
         at c*m + j. Sets the verdict of each block with a differing unit."""
         table = np.frombuffer(b"".join(unit[3] for unit in units), np.uint8).reshape(
             len(units), rows, slot)
+        units[:] = [unit[:3] for unit in units]  # frees the drawn bytes; table keeps their join
         flat, size = memoryview(table.transpose(1, 0, 2).tobytes()), len(units) * slot
         x = [int.from_bytes(flat[r * size:(r + 1) * size], "little") for r in range(rows)]
+        del flat  # the row ints hold the inputs through the cycles
         x = [tuple(x[c * m:(c + 1) * m]) for c in range(cycles)]
-        pending = [(i, k, ((1 << n) - 1) << 8 * slot * k) for k, (i, _, n, _) in enumerate(units)]
+        pending = [(i, k, ((1 << n) - 1) << 8 * slot * k) for k, (i, _, n) in enumerate(units)]
         first: dict[int, tuple] = {}  # block -> (its lowest differing unit, lane in it)
         xc, s1, s2 = x[0], zero1, zero2
         for c in range(cycles):

@@ -440,6 +440,19 @@ def test_fft_input_error_is_one_line_and_exit_2(tmp_path, capsys):
     assert err == "fft: ref: reference length 32 differs from n = 16\n"
 
 
+@pytest.mark.parametrize("word", ["7e00", "7c00"], ids=["nan", "inf"])
+def test_fft_nonfinite_reference_exits_2(tmp_path, capsys, word):
+    # a reference word that is not finite is an input error, not a compromised checker
+    lines = format_reference(make_reference(16, rng_seed=0)).splitlines()
+    lines[5] = word + lines[5][4:]
+    ref = tmp_path / "ref16.txt"
+    ref.write_text("\n".join(lines) + "\n")
+    assert main(["fft", "--n", "16", "--selftest", "--ref", str(ref)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fft: line 6: reference words must be finite, got {lines[5]!r}\n"
+
+
 def test_fft_length_one(capsys):
     # a length-1 transform is the identity, so the clean residual is exactly 0
     assert main(["fft", "--n", "1", "--calibrate"]) == 0

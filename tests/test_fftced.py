@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import warnings
 from functools import lru_cache
 
@@ -27,10 +28,79 @@ from tpad.fftced import (
     plancherel_check,
     plancherel_residual,
     reference_selftest,
+    single_butterfly_flip,
     to_complex,
     white_noise_input,
 )
 from tpad.rng import as_rng
+
+
+# -- the oracle: transforms, residuals and noise as they ran before probes had plans --
+
+
+def _oracle_stages(pairs, flip=None):
+    """Staged FFT of (..., N, 2) float16 pairs on fresh buffers. A flip (stage, word,
+    mask) XORs mask into word `word` of the flattened (..., N, 2) output of that stage."""
+    shape, n = pairs.shape, pairs.shape[-2]
+    rows = pairs.size // (2 * n)
+    bufs = np.empty((2, rows, n, 2), np.float16)
+    words = bufs.view(np.uint16).reshape(2, -1)
+    temps = np.empty((2, rows * n), np.float16)
+    flip_stage, flip_word, flip_mask = flip or (-1, 0, 0)
+    np.take(pairs.reshape(-1, n, 2), fftced._bit_reverse_permutation(n), axis=1, out=bufs[0])
+    twiddles = fftced._twiddles(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stage, (wre, wim) in enumerate(twiddles):
+            half = 1 << stage
+            planes = (rows, n // (2 * half), 2 * half, 2)
+            v, out = (bufs[(stage + i) % 2].reshape(planes).transpose(3, 0, 1, 2) for i in (0, 1))
+            t, t2 = temps.reshape(2, 2, rows, n // (2 * half), half)
+            a, b = v[..., :half], v[..., half:]
+            np.multiply(b, wre, out=t)
+            np.multiply(b[::-1], wim, out=t2)
+            t += t2
+            np.add(a, t, out=out[..., :half])
+            np.subtract(a, t, out=out[..., half:])
+            if stage == flip_stage:
+                words[(stage + 1) % 2, flip_word] ^= flip_mask
+    return bufs[len(twiddles) % 2].reshape(shape).copy()
+
+
+def _oracle_check(a):
+    """(..., N, 2) pairs or (..., N) values as the checker's complex64 words."""
+    a = np.asarray(a)
+    if fftced._is_pairs(a):
+        return np.ascontiguousarray(a, dtype=np.float32).view(np.complex64)[..., 0]
+    return a.astype(np.complex64)
+
+
+def _oracle_residuals(xc, oc, ref):
+    """Row residuals of complex64 inputs and outputs; inf where not finite."""
+    conj_y, conj_bigy = np.conj(_oracle_check(ref.y)), np.conj(_oracle_check(ref.Y))
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = np.add.reduce(xc * conj_y, axis=-1, dtype=np.complex64)
+        rhs = np.add.reduce(oc * conj_bigy, axis=-1, dtype=np.complex64) / np.complex64(ref.n)
+        diff = lhs.astype(np.complex128) - rhs
+        return np.fmin(np.hypot(diff.real, diff.imag), np.inf)
+
+
+def _oracle_noise(n, npr):
+    """white_noise_input as two draws of n."""
+    return from_complex((npr.standard_normal(n) + 1j * npr.standard_normal(n)) / np.sqrt(2))
+
+
+def _oracle_flip_probe(x, ref, flip):
+    """Words and (clean, faulted) residuals of a flip probe: both rows from stage 0."""
+    out = _oracle_stages(np.stack([x, x]), flip)
+    return out, _oracle_residuals(_oracle_check(x), _oracle_check(out), ref)
+
+
+def _same_words(a, b):
+    return a.view(np.uint16).tobytes() == b.view(np.uint16).tobytes()
+
+
+def _hexes(residuals):
+    return [float(r).hex() for r in np.ravel(residuals)]
 
 
 class TestFft:
@@ -112,20 +182,22 @@ class TestBatches:
         n = 1 << log_n
         npr = np.random.default_rng(seed)
         xs = np.stack([white_noise_input(n, npr) for _ in range(rows)]) * np.float16(scale)
-        fault = None
-        if flip:
-            fault = (int(npr.integers(log_n)), int(npr.integers(rows)), int(npr.integers(n)),
-                     int(npr.integers(2)), int(npr.integers(16)))
-        stage, row, elem, word, bit = fault or (None, None, None, None, None)
         before = xs.tobytes()
-        batch = fftced._fft_stages(xs, (stage, 2 * (row * n + elem) + word, 1 << bit) if flip else None)
-        for r, x in enumerate(xs):
-            single_flip = (stage, 2 * elem + word, 1 << bit) if flip and r == row else None
-            single = fftced._fft_stages(x, single_flip)
-            assert batch[r].view(np.uint16).tolist() == single.view(np.uint16).tolist()
-        if flip and stage == log_n - 1:  # the flip is in the output
-            clean = fftced._fft_stages(xs[row])
-            assert batch[row, elem, word].view(np.uint16) == clean[elem, word].view(np.uint16) ^ (1 << bit)
+        batch = fft(xs)
+        assert batch.tobytes() == b"".join(fft(x).tobytes() for x in xs)
+        assert _same_words(batch, _oracle_stages(xs))
+        if flip:  # a fork's faulted row r is the one-row fork of row r
+            stage, row, elem, word, bit = (int(npr.integers(log_n)), int(npr.integers(rows)),
+                                           int(npr.integers(n)), int(npr.integers(2)),
+                                           int(npr.integers(16)))
+            forked = fftced._probe(xs, flip=(stage, 2 * ((rows + row) * n + elem) + word, 1 << bit))[0]
+            assert _same_words(forked[0], batch)
+            single = fftced._probe(xs[row], flip=(stage, 2 * (n + elem) + word, 1 << bit))[0]
+            assert _same_words(forked[1, row], single[1])
+            assert _same_words(np.delete(forked[1], row, axis=0), np.delete(batch, row, axis=0))
+            if stage == log_n - 1:  # the flip is in the output
+                assert forked[1, row, elem, word].view(np.uint16) == \
+                    batch[row, elem, word].view(np.uint16) ^ (1 << bit)
         assert xs.tobytes() == before  # the flip lands in stage outputs only
 
     @settings(max_examples=30, deadline=None)
@@ -139,9 +211,12 @@ class TestBatches:
         outs[0] = outs[0, npr.permutation(n)]  # a tampered row
         if rows > 1:
             outs[-1, 0, 0] = np.inf  # a faulted row
-        batch = fftced._residuals(fftced._as_check(xs), fftced._as_check(outs), ref)
         single = [plancherel_residual(x, o, ref) for x, o in zip(xs, outs)]
-        assert [float(r).hex() for r in batch] == [r.hex() for r in single]
+        words = np.stack([xs, outs]).astype(np.float32)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _hexes(fftced._residuals(words, ref)) == [r.hex() for r in single]
+        assert _hexes(_oracle_residuals(_oracle_check(xs), _oracle_check(outs), ref)) == \
+            [r.hex() for r in single]
 
     def test_fft_of_a_batch_equals_fft_of_each_row(self):
         xs = np.stack([white_noise_input(64, np.random.default_rng(i)) for i in range(5)])
@@ -177,22 +252,156 @@ class TestStagePlans:
 
     def test_calls_of_one_shape_return_independent_arrays(self):
         xs = np.stack([white_noise_input(128, np.random.default_rng(i)) for i in range(2)])
-        first = fftced._fft_stages(xs)
-        second = fftced._fft_stages(xs)
+        first = fft(xs)
+        second = fft(xs)
         words = second.tobytes()
         first[...] = 0
-        assert second.tobytes() == words == fftced._fft_stages(xs).tobytes()
+        assert second.tobytes() == words == fft(xs).tobytes()
         assert not np.shares_memory(first, second)
+        ref = make_reference(128, rng_seed=1)
+        bigx, _ = FftCedEngine(128, ref, 0.01).run(xs[0])
+        assert not np.shares_memory(bigx, fftced._stage_plan(128, 1).bufs)
 
     def test_plan_cache_is_bounded(self):
         fftced._stage_plan.cache_clear()
         bound = fftced._stage_plan.cache_info().maxsize
         for rows in range(1, bound + 9):
-            fftced._fft_stages(np.zeros((rows, 8, 2), dtype=np.float16))
+            fft(np.zeros((rows, 8, 2), dtype=np.float16))
             assert fftced._stage_plan.cache_info().currsize == min(rows, bound)
         for rows in range(9, bound + 9):  # the latest shapes are still planned
-            fftced._fft_stages(np.zeros((rows, 8, 2), dtype=np.float16))
+            fft(np.zeros((rows, 8, 2), dtype=np.float16))
         assert fftced._stage_plan.cache_info().misses == bound + 8
+
+
+class TestPlannedProbe:
+    """One checked transform per probe, on its plan, against the unplanned oracle."""
+
+    @pytest.mark.parametrize("kind", ["plain", "zeroed", "complex"])
+    def test_engine_run_matches_oracle(self, kind):
+        n = 64
+        ref = make_reference(n, rng_seed=3)
+        engine = FftCedEngine(n, ref, 0.01)
+        engine.zeroed = kind == "zeroed"
+        slot = engine._zero_ref if engine.zeroed else ref
+        npr = np.random.default_rng(4)
+        for scale in (2.0**-6, 1.0, 2.0**4, 2.0**9):
+            if kind == "complex":  # values the datapath rounds to half, the checker to complex64
+                x = (npr.standard_normal(n) + 1j * npr.standard_normal(n)) * scale
+                pairs = np.stack([x.real, x.imag], axis=-1).astype(np.float16)
+            else:
+                x = pairs = _oracle_noise(n, npr) * np.float16(scale)
+            want_words = _oracle_stages(pairs)
+            if not np.isfinite(want_words).all():
+                with pytest.raises(FftOverflowError):
+                    engine.run(x)
+                continue
+            words, verdict = engine.run(x)
+            want = _oracle_residuals(_oracle_check(x), _oracle_check(want_words), slot)
+            assert _same_words(words, want_words)
+            assert verdict.residual.hex() == float(want).hex()
+            assert verdict.attack == (float(want) > 0.01)
+
+    @pytest.mark.parametrize("n", [2, 16, 128])
+    def test_flip_probes_match_oracle(self, n):
+        ref = make_reference(n, rng_seed=n)
+        npr = np.random.default_rng(n)
+        x = _oracle_noise(n, npr)
+        faulted_nonfinite = 0
+        for stage in range(n.bit_length() - 1):
+            for word, bit in itertools.product((0, 1), range(16)):
+                for elem in range(n) if n <= 16 else [int(npr.integers(n))]:
+                    flip = (stage, 2 * (n + elem) + word, 1 << bit)
+                    words, resid = fftced._probe(x, ref, flip)
+                    want_words, want = _oracle_flip_probe(x, ref, flip)
+                    assert _same_words(words, want_words)
+                    assert _hexes(resid) == _hexes(want)
+                    if not np.isfinite(want_words[1]).all():
+                        faulted_nonfinite += 1
+                        assert resid[1, 0] == np.inf
+        assert faulted_nonfinite  # flips of the top exponent bit reach inf or nan
+
+    @pytest.mark.parametrize("n", [2, 16, 128])
+    @pytest.mark.parametrize("attack, probes", [("butterfly_flip", 24), ("butterfly_flip", 2),
+                                                ("permutation", 3), ("permutation", 1)])
+    def test_campaigns_match_oracle(self, n, attack, probes):
+        threshold, ref = _calibrated(n)
+        for seed, scale in ((1, 1.0), (2, 64.0), (3, 0.25)):
+            args = (n, 40, threshold * scale, ref, seed)
+            assert fft_attack_campaign(*args, attack=attack, probes_per_trial=probes) \
+                == _campaign_oracle(*args, attack, probes)
+
+    @pytest.mark.parametrize("log_n", range(1, 8))
+    def test_signed_zero_inputs_match_oracle(self, log_n):
+        n = 1 << log_n
+        ref = make_reference(n, rng_seed=log_n)
+        npr = np.random.default_rng(log_n)
+        xs = np.zeros((4, n, 2), np.float16)
+        xs[1] = -0.0
+        xs[2] = np.where(npr.integers(2, size=(n, 2)), np.float16(-0.0), np.float16(0.0))
+        xs[3] = _oracle_noise(n, npr)
+        want_words = _oracle_stages(xs)
+        words, resid = fftced._probe(xs, ref)
+        assert _same_words(words, want_words)
+        assert _hexes(resid) == _hexes(_oracle_residuals(_oracle_check(xs),
+                                                         _oracle_check(want_words), ref))
+        engine = FftCedEngine(n, ref, 0.0)
+        for x, want in zip(xs, want_words):
+            assert _same_words(engine.run(x)[0], want)
+            assert _same_words(fft(x), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([2, 16, 128]), st.integers(1, 3),
+                              st.sampled_from(["clean", "flip", "perm"]), st.integers(0, 6)),
+                    min_size=2, max_size=6),
+           st.integers(0, 2**32 - 1))
+    def test_probe_after_other_shapes_matches_oracle(self, specs, seed):
+        # each probe follows probes of other shapes, fault kinds and flip stages
+        npr = np.random.default_rng(seed)
+        for n, rows, fault, stage in specs:
+            ref = make_reference(n, rng_seed=n)
+            xs = np.stack([_oracle_noise(n, npr) for _ in range(rows)])
+            clean = _oracle_stages(xs)
+            if fault == "clean":
+                words, resid = fftced._probe(xs, ref)
+                want_words = clean
+            elif fault == "flip":
+                word = 2 * ((rows + int(npr.integers(rows))) * n + int(npr.integers(n)))
+                flip = (stage % (n.bit_length() - 1), word + int(npr.integers(2)),
+                        1 << int(npr.integers(16)))
+                words, resid = fftced._probe(xs, ref, flip)
+                want_words = _oracle_stages(np.stack([xs, xs]), flip)
+            else:
+                perms = np.stack([npr.permutation(n) for _ in range(rows)])
+                words, resid = fftced._probe(xs, ref, perms=perms)
+                want_words = np.stack([clean, np.take_along_axis(clean, perms[..., None], axis=1)])
+            assert _same_words(words, want_words)
+            want = _oracle_residuals(_oracle_check(xs), _oracle_check(want_words), ref)
+            assert _hexes(resid) == _hexes(want)
+
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 16])
+    def test_residual_of_any_length_matches_oracle(self, n):
+        # plancherel_residual runs the probe's residual function on fresh buffers, for a
+        # reference of any length (its 1/N is exact in float32 only for a power of two)
+        npr = np.random.default_rng(n)
+        ref = PlancherelReference(_oracle_noise(n, npr), _oracle_noise(n, npr))
+        for _ in range(20):
+            x, observed = _oracle_noise(n, npr), _oracle_noise(n, npr) * np.float16(8)
+            want = _oracle_residuals(_oracle_check(x), _oracle_check(observed), ref)
+            assert plancherel_residual(x, observed, ref).hex() == float(want).hex()
+            assert plancherel_residual(to_complex(x), observed, ref).hex() == float(want).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_batched_noise_draw_equals_row_by_row(log_n, rows, seed):
+    n = 1 << log_n
+    batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = fftced._white_noise(batched, (rows, n))
+    assert _same_words(got, np.stack([_oracle_noise(n, single) for _ in range(rows)]))
+    assert batched.bit_generator.state == single.bit_generator.state
+    assert _same_words(white_noise_input(n, batched), _oracle_noise(n, single))
+    assert batched.bit_generator.state == single.bit_generator.state
 
 
 class TestReference:
@@ -227,6 +436,31 @@ class TestReference:
         with pytest.raises(FftError):
             PlancherelReference(y, bad)
 
+    @pytest.mark.parametrize("word", [0x7E00, 0x7C00, 0xFC00], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["y", "Y"])
+    def test_nonfinite_entries_rejected(self, field, word):
+        ref = make_reference(8, rng_seed=7)
+        pair = {"y": ref.y.copy(), "Y": ref.Y.copy()}
+        pair[field].view(np.uint16)[3, 1] = word
+        with pytest.raises(FftError, match=f"^{field}: reference entries must all be finite$"):
+            PlancherelReference(pair["y"], pair["Y"])
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("word", ["7e00", "7c00", "fc00", "7c01"])
+    def test_nonfinite_file_word_names_line(self, column, word):
+        lines = format_reference(make_reference(8, rng_seed=7)).splitlines()
+        row = lines[4].split()
+        row[column] = word
+        lines[4] = " ".join(row)
+        with pytest.raises(FftError, match=f"^line 5: reference words must be finite, got '{lines[4]}'$"):
+            parse_reference("\n".join(lines))
+
+    def test_unchecked_slot_keeps_zeros(self):
+        zero = np.zeros((8, 2), np.float16)
+        ref = PlancherelReference.unchecked(zero, zero)
+        x = white_noise_input(8, np.random.default_rng(0))
+        assert plancherel_residual(x, fft(x), ref) == 0.0
+
 
 class TestChecker:
     def test_exact_delta_pair_has_zero_residual(self):
@@ -251,9 +485,24 @@ class TestChecker:
         resid_bad = plancherel_residual(x, tampered, ref)
         assert resid_bad > 50 * max(resid_clean, 1e-6)
 
-    def test_engine_refuses_negative_threshold(self):
-        with pytest.raises(FftError, match="threshold"):
-            FftCedEngine(16, make_reference(16, rng_seed=0), -1.0)
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        ref = make_reference(16, rng_seed=0)
+        x = white_noise_input(16, np.random.default_rng(0))
+        for call in (lambda: FftCedEngine(16, ref, threshold),
+                     lambda: plancherel_check(x, fft(x), ref, threshold),
+                     lambda: fft_attack_campaign(16, 5, threshold, ref)):
+            with pytest.raises(FftError, match=f"^threshold: must be a finite number >= 0, got {threshold}$"):
+                call()
+        assert FftCedEngine(16, ref, 0.0).threshold == 0.0
+
+    def test_engine_refuses_a_batch(self):
+        engine = FftCedEngine(16, make_reference(16, rng_seed=0), 0.01)
+        x = white_noise_input(16, np.random.default_rng(0))
+        with pytest.raises(FftError, match="^length mismatch$"):
+            engine.run(np.stack([x, x]))
+        with pytest.raises(FftError, match="^length mismatch$"):
+            engine.run(white_noise_input(8, np.random.default_rng(0)))
 
     def test_reference_is_frozen(self):
         ref = make_reference(8, rng_seed=0)
@@ -347,6 +596,7 @@ class TestCampaign:
         ("trials", dict(trials=-3)),
         ("ref", dict(n=32, trials=2)),
         ("trials", dict(trials=0)),
+        ("threshold", dict(threshold=float("nan"))),
     ])
     def test_arguments_checked_before_any_draw(self, field, kwargs):
         args = dict(n=16, trials=5, threshold=0.01, ref=make_reference(16, rng_seed=0))
@@ -362,7 +612,7 @@ class TestCampaign:
         threshold, ref = _calibrated(n)
         args = (n, trials, threshold * scale, ref, seed)
         assert fft_attack_campaign(*args, attack="permutation", probes_per_trial=1) \
-            == _one_probe_permutation_oracle(*args)
+            == _campaign_oracle(*args, "permutation", 1)
 
     def test_identity_preserving_tamper_evades(self):
         """Adding a vector orthogonal to Y* keeps the identity: undetected."""
@@ -385,21 +635,38 @@ def _calibrated(n):
     return calibrate_threshold(n, 200, 2.0, rng_seed=n)
 
 
-def _one_probe_permutation_oracle(n, trials, threshold, ref, rng_seed):
-    """The per-trial loop of a one-probe permutation campaign, as it ran before
-    trials were chunked: draw a non-identity permutation, then one input."""
+def _campaign_oracle(n, trials, threshold, ref, rng_seed, attack, probes):
+    """A campaign's per-trial loop as it ran before probes had plans or chunks: draw the
+    fault, then per probe one input, both rows run from stage 0."""
     npr = np.random.default_rng(as_rng(rng_seed).getrandbits(64))
     detected = false_positives = 0
     for _ in range(trials):
-        fault = npr.permutation(n)
-        while (fault == np.arange(n)).all():
+        if attack == "butterfly_flip":
+            stage, elem, word, bit = single_butterfly_flip(npr, n)
+            flip = (stage, 2 * (n + elem) + word, 1 << bit)
+        else:
             fault = npr.permutation(n)
-        rows = np.stack([np.arange(n), fault])  # clean output, permuted output
-        x = white_noise_input(n, npr)
-        outs = fftced._as_check(fft(x))[rows]
-        clean_resid, resid = fftced._residuals(fftced._as_check(x), outs, ref)
-        detected += bool(resid > threshold)
-        false_positives += bool(clean_resid > threshold)
+            while (fault == np.arange(n)).all():
+                fault = npr.permutation(n)
+            rows = np.stack([np.arange(n), fault])  # clean output, permuted output
+        hit = clean_hit = False
+        for _ in range(probes):
+            x = _oracle_noise(n, npr)
+            if attack == "butterfly_flip":
+                out = _oracle_stages(np.stack([x, x]), flip)
+                assert np.isfinite(out[0]).all()
+                outs = _oracle_check(out)
+            else:
+                out = _oracle_stages(x)
+                assert np.isfinite(out).all()
+                outs = _oracle_check(out)[rows]
+            clean_resid, resid = _oracle_residuals(_oracle_check(x), outs, ref)
+            hit |= bool(resid > threshold)
+            clean_hit |= bool(clean_resid > threshold)
+            if hit and not clean_hit:
+                break
+        detected += hit
+        false_positives += clean_hit
     return FftCampaignReport(trials, detected, false_positives)
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from heapq import heappop, heappush
 from operator import and_, or_, xor
@@ -707,6 +708,30 @@ class TestPackedVerdicts:
                 == one_box_insertion(net, 2, loop_rng, 40, 10000, want))
         assert sampled_seeds(used) == sampled_seeds(want)
         assert packed_rng.getstate() == loop_rng.getstate()
+
+
+def test_sampled_compare_frees_its_input_copies(monkeypatch):
+    # the wide RAM chip's build makes nine sampled 41-input, 4-block compares; traced from
+    # its call, the largest peaked at 2.00 MB while it held four copies of its drawn
+    # inputs, and at 1.49 MB once each copy is freed when the next exists
+    peaks, compare = [], switchbox.compare_steps
+
+    def traced(f1, f2, n_inputs, state_widths=(0, 0), sample_count=10000, rng_seeds=(None,)):
+        args = (f1, f2, n_inputs, state_widths, sample_count, rng_seeds)
+        if (n_inputs, len(rng_seeds)) != (41, 4):
+            return compare(*args)
+        tracemalloc.start()
+        try:
+            return compare(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(switchbox, "compare_steps", traced)
+    f = random_netlist(10, 48, 16, rng_seed=21, name="wide")
+    build_protected_chip(f, 3, 2, lfsr16(3), rng_seed=33,
+                         options=ChipOptions(pipeline_stages=1, ram_depth=64))
+    assert len(peaks) == 9 and max(peaks) < 1.75e6
 
 
 class TestToggledSide:
