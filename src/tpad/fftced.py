@@ -16,6 +16,7 @@ post-manufacture self-test with a deliberate non-transform pair exposes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +30,7 @@ from .rng import Rng, as_rng
 HALF = np.float16
 _CHECK = np.complex64  # checker accumulates one precision wider
 _CALIBRATION_ROWS = 64  # transforms per calibration probe; a plan keeps 28 bytes a value
-_SQRT2 = np.sqrt(2)  # white noise's scale, a ufunc call to compute
+_SQRT2 = math.sqrt(2)  # white noise's scale; np.sqrt is a ufunc call, too slow per draw
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{1,4}")
 
 
