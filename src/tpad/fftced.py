@@ -29,7 +29,7 @@ from .rng import Rng, as_rng
 
 HALF = np.float16
 _CHECK = np.complex64  # checker accumulates one precision wider
-_CALIBRATION_ROWS = 64  # transforms per calibration probe; a plan keeps 28 bytes a value
+_CALIBRATION_ROWS = 32  # transforms per calibration probe; a plan keeps 28 bytes a value
 _SQRT2 = math.sqrt(2)  # white noise's scale; np.sqrt is a ufunc call, too slow per draw
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{1,4}")
 
@@ -113,7 +113,7 @@ class _Plan:
         self.check = np.empty((2, rows, n, 2), np.float32)
 
 
-# a campaign uses a handful of shapes: 1, 2 and 64 rows, a last chunk and their forks
+# a campaign uses a handful of shapes: 1, 2 and 32 rows, a last chunk and their forks
 _stage_plan = lru_cache(maxsize=16)(_Plan)
 
 
