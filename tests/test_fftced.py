@@ -89,12 +89,6 @@ def _oracle_noise(n, npr):
     return from_complex((npr.standard_normal(n) + 1j * npr.standard_normal(n)) / np.sqrt(2))
 
 
-def _oracle_flip_probe(x, ref, flip):
-    """Words and (clean, faulted) residuals of a flip probe: both rows from stage 0."""
-    out = _oracle_stages(np.stack([x, x]), flip)
-    return out, _oracle_residuals(_oracle_check(x), _oracle_check(out), ref)
-
-
 def _same_words(a, b):
     return a.view(np.uint16).tobytes() == b.view(np.uint16).tobytes()
 
@@ -312,7 +306,8 @@ class TestPlannedProbe:
                 for elem in range(n) if n <= 16 else [int(npr.integers(n))]:
                     flip = (stage, 2 * (n + elem) + word, 1 << bit)
                     words, resid = fftced._probe(x, ref, flip)
-                    want_words, want = _oracle_flip_probe(x, ref, flip)
+                    want_words = _oracle_stages(np.stack([x, x]), flip)  # both rows from stage 0
+                    want = _oracle_residuals(_oracle_check(x), _oracle_check(want_words), ref)
                     assert _same_words(words, want_words)
                     assert _hexes(resid) == _hexes(want)
                     if not np.isfinite(want_words[1]).all():
@@ -377,7 +372,6 @@ class TestPlannedProbe:
             assert _same_words(words, want_words)
             want = _oracle_residuals(_oracle_check(xs), _oracle_check(want_words), ref)
             assert _hexes(resid) == _hexes(want)
-
 
     @pytest.mark.parametrize("n", [3, 6, 12, 16])
     def test_residual_of_any_length_matches_oracle(self, n):
